@@ -72,7 +72,10 @@ def _parse_strategies(text):
 def _parse_n_a(text):
     if str(text).upper() == "AUTO":
         return None
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:
+        raise click.UsageError(f"bad --n-a {text!r} (expected an integer or AUTO)")
 
 
 @click.group()
@@ -118,19 +121,22 @@ def simulate(ctx, code_src, p_list, strategy, blocks, seed, max_iter, t_pert,
         "jsonl": str,
     })
     params = ctx.params
-    spec = ExperimentSpec(
-        code=params["code_src"],
-        p_values=_parse_p_list(params["p_list"]),
-        strategies=_parse_strategies(params["strategy"]),
-        blocks=params["blocks"],
-        seed=params["seed"],
-        max_iter=params["max_iter"],
-        t_pert=params["t_pert"],
-        n_a=_parse_n_a(params["n_a"]),
-        delta=params["delta"],
-        inject=params["inject"],
-        workers=params["workers"],
-    )
+    try:
+        spec = ExperimentSpec(
+            code=params["code_src"],
+            p_values=_parse_p_list(params["p_list"]),
+            strategies=_parse_strategies(params["strategy"]),
+            blocks=params["blocks"],
+            seed=params["seed"],
+            max_iter=params["max_iter"],
+            t_pert=params["t_pert"],
+            n_a=_parse_n_a(params["n_a"]),
+            delta=params["delta"],
+            inject=params["inject"],
+            workers=params["workers"],
+        )
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
     stats, _ = run_experiment(spec, jsonl_path=params["jsonl"])
     Path(params["out"]).write_text(format_csv(stats))
     for s in stats:

@@ -8,13 +8,23 @@ the graph since receiver-held qubits are error-free.
 
 A check constrains the GF(4) inner product of the incident symbols with the
 row entries to the trace-0 classes {0, 1} (syndrome +1) or the trace-1
-classes {omega, omega_bar} (syndrome -1).  check_update() evaluates the
-message by the direct Klein-group convolution of the mapped neighbor
-distributions.  Because the trace is additive, the same message also equals
-(1 + s_c * kappa * D) / 4 with kappa the commute sign of the candidate
-symbol against the row entry and D the product of (commute mass - anticommute
-mass) over the other neighbors; the vectorized inner loop of decode() uses
-that form, and the two are tested against each other.
+classes {omega, omega_bar} (syndrome -1).  Because the trace is additive, the
+check-to-qubit message equals (1 + s_c * kappa * D) / 4, with kappa the
+commute sign of the candidate symbol against the row entry and D the product
+of (commute mass - anticommute mass) over the other neighbors; the test
+suite checks this form against a direct Klein-group convolution.
+
+The iteration is symbol-major: messages are (4, edges) and priors
+(4, qubits) arrays.  Check-side products run over a (slot, checks) gather of
+the scalar D factors and qubit-side products over a (slot, 4, qubits) gather
+of the messages, so each step is a short loop of whole-row numpy operations
+over at most the maximum degree.  Sums over the four symbols are the left
+fold ((a0 + a1) + a2) + a3 and products over slots are left folds (prefix
+times suffix for the exclusive products), the order in which numpy's sum
+over a length-4 axis and cumprod compute them; the outputs therefore equal
+bit for bit those of a row-major (edges, 4) implementation, which
+tests/oracles.py keeps as the reference.  The syndrome test XORs each
+check's anticommutation bits over its edges, O(edges) integer work.
 
 All probability vectors are clamped to MSG_FLOOR before normalization, which
 prevents the all-zero product collapse.
@@ -37,31 +47,57 @@ KAPPA = np.array(
     ]
 )
 
-_XOR_IDX = np.array([[x ^ y for y in range(4)] for x in range(4)])
+#: _ANTICOMMUTES[s, e] = 1 if symbol e anticommutes with row entry s, else 0.
+_ANTICOMMUTES = (KAPPA < 0).astype(np.uint8)
+
+def _normalized(v: np.ndarray, out=None) -> np.ndarray:
+    """Clamp a fresh (4, k) array to MSG_FLOOR, then divide by column sums."""
+    np.maximum(v, MSG_FLOOR, out=v)
+    return np.divide(v, ((v[0] + v[1]) + v[2]) + v[3], out=out)
 
 
-def _normalize(arr: np.ndarray) -> np.ndarray:
-    arr = np.maximum(arr, MSG_FLOOR)
-    return arr / arr.sum(axis=-1, keepdims=True)
+def _slot_products(a: np.ndarray):
+    """Left-fold products over the leading (slot) axis of a.
+
+    Returns (pref, suf): pref has one more slot than a, pref[k] being the
+    product of the slots before k, so pref[-1] is the product of all slots;
+    suf[k] is the product of the slots after k.  pref[:-1] * suf is each
+    slot's product over the other slots.
+    """
+    n_slots = a.shape[0]
+    pref = np.empty((n_slots + 1,) + a.shape[1:])
+    suf = np.empty(a.shape)
+    pref[0] = 1.0
+    suf[-1:] = 1.0
+    for k in range(n_slots):
+        np.multiply(pref[k], a[k], out=pref[k + 1])
+    for k in range(n_slots - 1, 0, -1):
+        np.multiply(suf[k], a[k], out=suf[k - 1])
+    return pref, suf
 
 
-def _exclusive_prod(a: np.ndarray) -> np.ndarray:
-    """Per-slot product over axis 1 excluding the slot itself."""
-    pref = np.ones_like(a)
-    suf = np.ones_like(a)
-    if a.shape[1] > 1:
-        np.cumprod(a[:, :-1], axis=1, out=pref[:, 1:])
-        np.cumprod(a[:, :0:-1], axis=1, out=suf[:, -2::-1])
-    return pref * suf
+def _slot_table(owner: np.ndarray, n_owner: int):
+    """Degrees, the slot-major (max degree, owners) edge table padded with
+    the sentinel edge, and each edge's slot; slots follow edge order."""
+    n_edges = owner.size
+    degree = np.bincount(owner, minlength=n_owner)
+    order = np.argsort(owner, kind="stable")
+    starts = np.concatenate([[0], np.cumsum(degree)])
+    slot = np.empty(n_edges, dtype=np.intp)
+    slot[order] = np.arange(n_edges) - starts[owner[order]]
+    table = np.full((int(degree.max(initial=0)), n_owner), n_edges, dtype=np.intp)
+    table[slot, owner] = np.arange(n_edges)
+    return degree, table, slot
 
 
 class TannerGraph:
     """Edge structure between checks and transmitted qubits.
 
-    Edges exist where a check row has a nonzero entry on a sender column.
-    Edges are stored check-major; padded index tables allow the flooding
-    updates to run as dense numpy operations (pad slots point at a sentinel
-    edge whose message is all-ones).
+    Edges exist where a check row has a nonzero entry on a sender column and
+    are stored check-major.  The slot-major tables check_slots
+    (max check degree, checks) and qubit_slots (max qubit degree, qubits)
+    list each node's edges; pad slots point at a sentinel edge n_edges whose
+    value is neutral (1).
     """
 
     def __init__(self, code: StabilizerCode):
@@ -71,34 +107,29 @@ class TannerGraph:
         self.edge_check = check_idx.astype(np.intp)
         self.edge_qubit = qubit_idx.astype(np.intp)
         self.edge_entry = sent[check_idx, qubit_idx].astype(np.intp)
-        n_edges = self.edge_check.size
-        self.n_edges = n_edges
+        self.n_edges = n_edges = self.edge_check.size
 
-        check_deg = np.bincount(self.edge_check, minlength=self.n_checks)
-        self.check_deg = check_deg
-        self._check_start = np.concatenate([[0], np.cumsum(check_deg)]).astype(np.intp)
-        self._dmax = int(check_deg.max()) if n_edges else 0
-        self.check_slots = np.full((self.n_checks, self._dmax), n_edges, dtype=np.intp)
-        pos_in_check = np.arange(n_edges) - self._check_start[self.edge_check]
-        self.check_slots[self.edge_check, pos_in_check] = np.arange(n_edges)
-        self._edge_check_slot = self.edge_check * self._dmax + pos_in_check
-
-        qubit_deg = np.bincount(self.edge_qubit, minlength=self.n_qubits)
-        self.qubit_deg = qubit_deg
-        self._cmax = int(qubit_deg.max()) if n_edges else 0
-        order = np.argsort(self.edge_qubit, kind="stable")
-        starts = np.concatenate([[0], np.cumsum(qubit_deg)]).astype(np.intp)
-        pos_sorted = np.arange(n_edges) - starts[self.edge_qubit[order]]
-        self.qubit_slots = np.full((self.n_qubits, self._cmax), n_edges, dtype=np.intp)
-        self.qubit_slots[self.edge_qubit[order], pos_sorted] = order
-        pos_in_qubit = np.empty(n_edges, dtype=np.intp)
-        pos_in_qubit[order] = pos_sorted
-        self._edge_qubit_slot = self.edge_qubit * self._cmax + pos_in_qubit
-
-        self.kappa = KAPPA[self.edge_entry]
-
-        self._hx = (sent & 1).astype(np.int64)
-        self._hz = (sent >> 1).astype(np.int64)
+        self.check_deg, self.check_slots, check_slot = _slot_table(
+            self.edge_check, self.n_checks
+        )
+        self._check_start = np.concatenate([[0], np.cumsum(self.check_deg)])
+        self.qubit_deg, self.qubit_slots, qubit_slot = _slot_table(
+            self.edge_qubit, self.n_qubits
+        )
+        # Flat gather positions: the (4, edges) messages' entry symbol, each
+        # edge in (slot, check) d products, the (slot, symbol, qubit) layout
+        # from the (4, edges + 1) check messages, and (symbol, edge) back.
+        symbol = np.arange(4)[:, None]
+        self._edge_entry_pos = self.edge_entry * n_edges + np.arange(n_edges)
+        self._edge_check_pos = check_slot * self.n_checks + self.edge_check
+        self._qubit_gather = symbol * (n_edges + 1) + self.qubit_slots[:, None, :]
+        self._edge_qubit_pos = (qubit_slot * 4 + symbol) * self.n_qubits + self.edge_qubit
+        self._edge_entry_qubit = self.edge_entry * self.n_qubits + self.edge_qubit
+        self._kappa = np.ascontiguousarray(KAPPA[self.edge_entry].T)
+        # reduceat over the first edge of each check with edges: a check
+        # without sender entries would otherwise read its successor's edge
+        self._parity_checks = np.nonzero(self.check_deg)[0]
+        self._parity_starts = self._check_start[self._parity_checks]
 
     def check_qubits(self, check: int) -> np.ndarray:
         """Sender qubits incident to a check, in column order."""
@@ -110,11 +141,16 @@ class TannerGraph:
         return self.edge_entry[lo:hi]
 
     def syndrome_signs(self, e_values: np.ndarray) -> np.ndarray:
-        """Syndrome (+1/-1 per check) of an error on the transmitted qubits."""
-        ex = (e_values & 1).astype(np.int64)
-        ez = (e_values >> 1).astype(np.int64)
-        parity = (self._hx @ ez + self._hz @ ex) % 2
-        return 1 - 2 * parity
+        """Syndrome (+1/-1 per check) of an error on the transmitted qubits.
+
+        Each check's parity is the XOR of its edges' anticommutation bits; a
+        check without sender entries has parity 0.
+        """
+        bits = _ANTICOMMUTES.take(e_values, axis=1).take(self._edge_entry_qubit)
+        parity = np.bitwise_xor.reduceat(bits, self._parity_starts)
+        signs = np.ones(self.n_checks, dtype=np.int64)
+        signs[self._parity_checks] -= 2 * parity
+        return signs
 
 
 @dataclass
@@ -136,73 +172,23 @@ class DecodeOutcome:
         return gf4.values_to_pauli(self.error)
 
 
-def klein_convolve(p: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Convolution of two distributions under GF(4) addition."""
-    return (np.asarray(p)[None, :] * np.asarray(t)[_XOR_IDX]).sum(axis=1)
-
-
-def check_update(target_entry, other_entries, other_messages, s_c) -> np.ndarray:
-    """Check-to-qubit message by direct GF(4) convolution.
-
-    Maps each incoming distribution over E_q' to the distribution of
-    x_q' = E_q'_hat * conj(S_cq'_hat), convolves them under GF(4) addition
-    into the partial-sum distribution p, splits p by syndrome into the
-    allowed trace classes and reads the message out through the target
-    entry's bijection.
-    """
-    if s_c not in (1, -1):
-        raise ValueError(f"syndrome value must be +1 or -1, got {s_c}")
-    if target_entry not in (1, 2, 3):
-        raise ValueError("check entry on the target qubit must be nonzero")
-    p = np.array([1.0, 0.0, 0.0, 0.0])
-    for entry, message in zip(other_entries, other_messages, strict=True):
-        if entry not in (1, 2, 3):
-            raise ValueError("check entries on neighbor qubits must be nonzero")
-        t = np.empty(4)
-        t[gf4.MUL_TABLE[np.arange(4), gf4.CONJ_TABLE[entry]]] = np.asarray(message, float)
-        p = klein_convolve(p, t)
-    comm = (p[0] + p[1]) / 2.0
-    anti = (p[2] + p[3]) / 2.0
-    if s_c == 1:
-        p_q = np.array([comm, comm, anti, anti])
-    else:
-        p_q = np.array([anti, anti, comm, comm])
-    return _normalize(p_q[gf4.MUL_TABLE[np.arange(4), gf4.CONJ_TABLE[target_entry]]])
-
-
-def qubit_update(prior, incoming) -> np.ndarray:
-    """Qubit-to-check message: prior times all other incoming messages."""
-    out = np.asarray(prior, float).copy()
-    for message in incoming:
-        out *= np.asarray(message, float)
-    return _normalize(out)
-
-
-def compute_beliefs(priors, incoming_per_qubit) -> np.ndarray:
-    """Beliefs b_q = normalize(prior_q * prod of incoming check messages)."""
-    priors = np.asarray(priors, float)
-    beliefs = priors.copy()
-    for q, incoming in enumerate(incoming_per_qubit):
-        for message in incoming:
-            beliefs[q] *= np.asarray(message, float)
-    return _normalize(beliefs)
-
-
 def hard_decision(beliefs: np.ndarray) -> np.ndarray:
     """Per-qubit argmax with deterministic tie-break in the order I, X, Z, Y."""
     return np.argmax(beliefs, axis=-1).astype(np.uint8)
 
 
-def _vector_check_messages(
-    graph: TannerGraph, msg_q2c: np.ndarray, sigma_edge: np.ndarray
+def _check_messages(
+    graph: TannerGraph, msg_q2c: np.ndarray, sigma_edge: np.ndarray, out=None
 ) -> np.ndarray:
-    """All check-to-qubit messages at once via the parity form."""
-    commute_mass = msg_q2c[:, 0] + msg_q2c[np.arange(graph.n_edges), graph.edge_entry]
-    d = 2.0 * commute_mass - msg_q2c.sum(axis=1)
-    d_ext = np.append(d, 1.0)
-    padded = d_ext[graph.check_slots]
-    d_excl = _exclusive_prod(padded).reshape(-1)[graph._edge_check_slot]
-    return _normalize(0.25 * (1.0 + (sigma_edge * d_excl)[:, None] * graph.kappa))
+    """All (4, edges) check-to-qubit messages via the parity form."""
+    n_edges = graph.n_edges
+    d = np.ones(n_edges + 1)
+    d[:n_edges] = 2.0 * (msg_q2c[0] + msg_q2c.take(graph._edge_entry_pos)) - (
+        ((msg_q2c[0] + msg_q2c[1]) + msg_q2c[2]) + msg_q2c[3]
+    )
+    pref, suf = _slot_products(d.take(graph.check_slots))
+    d_excl = (pref[:-1] * suf).take(graph._edge_check_pos)
+    return _normalized(0.25 * (1.0 + (sigma_edge * d_excl) * graph._kappa), out=out)
 
 
 def decode(
@@ -239,20 +225,19 @@ def decode(
         raise ValueError(
             f"priors shape {pri.shape} does not match ({graph.n_qubits}, 4)"
         )
-    pri = _normalize(pri)
+    pri = _normalized(np.array(pri.T, order="C"))
 
+    n_qubits = graph.n_qubits
     sigma_edge = target.astype(float)[graph.edge_check]
-    ones_row = np.ones((1, 4))
-    msg_q2c = pri[graph.edge_qubit]
-    e_hat = hard_decision(pri)
-    matched = False
+    msg_q2c = pri[:, graph.edge_qubit]
+    m_c2q = np.ones((4, graph.n_edges + 1))  # last column: the sentinel edge
     for iteration in range(1, max_iter + 1):
-        m_c2q = _vector_check_messages(graph, msg_q2c, sigma_edge)
-        m_ext = np.concatenate([m_c2q, ones_row], axis=0)
-        gathered = m_ext[graph.qubit_slots]
-        beliefs = _normalize(pri * gathered.prod(axis=1))
-        extrinsic = pri[:, None, :] * _exclusive_prod(gathered)
-        msg_q2c = _normalize(extrinsic.reshape(-1, 4)[graph._edge_qubit_slot])
+        _check_messages(graph, msg_q2c, sigma_edge, out=m_c2q[:, :-1])
+        pref, suf = _slot_products(m_c2q.take(graph._qubit_gather))
+        beliefs = np.empty((n_qubits, 4))
+        _normalized(pri * pref[-1], out=beliefs.T)
+        extrinsic = pri * (pref[:-1] * suf)
+        msg_q2c = _normalized(extrinsic.take(graph._edge_qubit_pos))
         e_hat = hard_decision(beliefs)
         if on_iteration is not None:
             on_iteration(iteration, beliefs)

@@ -74,6 +74,9 @@ class ExperimentSpec:
         for strategy in self.strategies:
             if strategy not in ("standard", "pc08", "enhanced"):
                 raise ValueError(f"unknown strategy {strategy!r}")
+        for name, values in (("p", self.p_values), ("strategy", self.strategies)):
+            if len(set(values)) != len(values):
+                raise ValueError(f"duplicate {name} values in {values}")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
 

@@ -120,8 +120,7 @@ class StabilizerCode:
         self._check_commutation()
 
     def _check_commutation(self):
-        x = (self.checks & 1).astype(np.int64)
-        z = (self.checks >> 1).astype(np.int64)
+        x, z = self._bit_planes
         gram = (x @ z.T + z @ x.T) % 2
         if gram.any():
             i, j = np.argwhere(gram)[0]
@@ -153,9 +152,13 @@ class StabilizerCode:
         return gf2_row_reduce(to_symplectic(self.checks))
 
     @cached_property
-    def _sent_bits(self):
-        sent = self.checks[:, : self.n_sent]
-        return (sent & 1).astype(np.int64), (sent >> 1).astype(np.int64)
+    def _bit_planes(self):
+        """x and z bit planes of the checks as float32, for BLAS products.
+
+        Products of 0/1 planes are sums of at most n_total ones, exact in
+        float32 while n_total < 2**24.
+        """
+        return (self.checks & 1).astype(np.float32), (self.checks >> 1).astype(np.float32)
 
     def row_pauli(self, index: int) -> str:
         return gf4.values_to_pauli(self.checks[index])
@@ -177,8 +180,9 @@ def syndrome(code: StabilizerCode, error) -> np.ndarray:
         raise ValueError(
             f"error length {values.shape} does not match {code.n_total} columns"
         )
-    parity = symplectic_products(values, code.checks)
-    return (1 - 2 * parity.astype(np.int64)).astype(np.int8)
+    x, z = code._bit_planes
+    parity = (x @ (values >> 1) + z @ (values & 1)).astype(np.int64) % 2
+    return (1 - 2 * parity).astype(np.int8)
 
 
 def quaternary_to_pauli(h: np.ndarray) -> np.ndarray:

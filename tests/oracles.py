@@ -1,7 +1,8 @@
-"""Independent brute-force oracles used by the test suite.
+"""Independent oracles used by the test suite.
 
-Everything here recomputes quantities by exhaustive enumeration, never
-through the library's decoding or linear-algebra paths.
+Everything here recomputes quantities by exhaustive enumeration, by direct
+formulas or by a frozen reference implementation, never through the
+library's decoding or linear-algebra paths.
 """
 
 import numpy as np
@@ -54,6 +55,68 @@ def exact_marginals(code: StabilizerCode, target, priors):
     if total > 0:
         marginals /= total
     return marginals, total
+
+
+MSG_FLOOR = 1e-30
+
+_XOR_IDX = np.array([[x ^ y for y in range(4)] for x in range(4)])
+
+
+def _normalize(arr: np.ndarray) -> np.ndarray:
+    arr = np.maximum(arr, MSG_FLOOR)
+    return arr / arr.sum(axis=-1, keepdims=True)
+
+
+def klein_convolve(p: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Convolution of two distributions under GF(4) addition."""
+    return (np.asarray(p)[None, :] * np.asarray(t)[_XOR_IDX]).sum(axis=1)
+
+
+def check_update(target_entry, other_entries, other_messages, s_c) -> np.ndarray:
+    """Check-to-qubit message by direct GF(4) convolution.
+
+    Maps each incoming distribution over E_q' to the distribution of
+    x_q' = E_q'_hat * conj(S_cq'_hat), convolves them under GF(4) addition
+    into the partial-sum distribution p, splits p by syndrome into the
+    allowed trace classes and reads the message out through the target
+    entry's bijection.
+    """
+    if s_c not in (1, -1):
+        raise ValueError(f"syndrome value must be +1 or -1, got {s_c}")
+    if target_entry not in (1, 2, 3):
+        raise ValueError("check entry on the target qubit must be nonzero")
+    p = np.array([1.0, 0.0, 0.0, 0.0])
+    for entry, message in zip(other_entries, other_messages, strict=True):
+        if entry not in (1, 2, 3):
+            raise ValueError("check entries on neighbor qubits must be nonzero")
+        t = np.empty(4)
+        t[gf4.MUL_TABLE[np.arange(4), gf4.CONJ_TABLE[entry]]] = np.asarray(message, float)
+        p = klein_convolve(p, t)
+    comm = (p[0] + p[1]) / 2.0
+    anti = (p[2] + p[3]) / 2.0
+    if s_c == 1:
+        p_q = np.array([comm, comm, anti, anti])
+    else:
+        p_q = np.array([anti, anti, comm, comm])
+    return _normalize(p_q[gf4.MUL_TABLE[np.arange(4), gf4.CONJ_TABLE[target_entry]]])
+
+
+def qubit_update(prior, incoming) -> np.ndarray:
+    """Qubit-to-check message: prior times all other incoming messages."""
+    out = np.asarray(prior, float).copy()
+    for message in incoming:
+        out *= np.asarray(message, float)
+    return _normalize(out)
+
+
+def compute_beliefs(priors, incoming_per_qubit) -> np.ndarray:
+    """Beliefs b_q = normalize(prior_q * prod of incoming check messages)."""
+    priors = np.asarray(priors, float)
+    beliefs = priors.copy()
+    for q, incoming in enumerate(incoming_per_qubit):
+        for message in incoming:
+            beliefs[q] *= np.asarray(message, float)
+    return _normalize(beliefs)
 
 
 def brute_check_message(target_entry, other_entries, other_messages, s_c):
@@ -124,6 +187,63 @@ def flooding_hard_decisions(code: StabilizerCode, target, priors, n_iter: int):
                     message = message * c2q[c2, q]
             q2c[c, q] = message / message.sum()
     return decisions
+
+
+def _exclusive_prod(a: np.ndarray) -> np.ndarray:
+    """Per-slot product over axis 1 excluding the slot itself."""
+    pref = np.ones_like(a)
+    suf = np.ones_like(a)
+    if a.shape[1] > 1:
+        np.cumprod(a[:, :-1], axis=1, out=pref[:, 1:])
+        np.cumprod(a[:, :0:-1], axis=1, out=suf[:, -2::-1])
+    return pref * suf
+
+
+def row_major_beliefs(code: StabilizerCode, target, priors, n_iter: int):
+    """Per-iteration beliefs of a frozen row-major flooding sum-product.
+
+    Messages are (edges, 4) arrays; the check update uses the parity form
+    (1 + s_c * kappa * D) / 4, sums and products reduce numpy's short axes
+    (sum over the 4 symbols, cumprod over slots).  This is the decoder's
+    earlier implementation, kept as the bit-for-bit reference of its
+    rewrites.  Returns a list of n_iter (n_sent, 4) arrays.
+    """
+    sent = code.checks[:, : code.n_sent]
+    n_checks, n_qubits = sent.shape
+    edge_check, edge_qubit = np.nonzero(sent)
+    entry = sent[edge_check, edge_qubit].astype(np.intp)
+    n_edges = entry.size
+    kappa = np.array(
+        [[float(pauli_commutation_sign([s], [e])) for e in range(4)] for s in entry]
+    ).reshape(n_edges, 4)
+
+    def slots(owner, n_owner):
+        order = np.argsort(owner, kind="stable")
+        degree = np.bincount(owner, minlength=n_owner)
+        start = np.concatenate([[0], np.cumsum(degree)])
+        position = np.empty(n_edges, dtype=np.intp)
+        position[order] = np.arange(n_edges) - start[owner[order]]
+        width = int(degree.max(initial=0))
+        table = np.full((n_owner, width), n_edges, dtype=np.intp)
+        table[owner, position] = np.arange(n_edges)
+        return table, owner * width + position
+
+    check_slots, check_pos = slots(edge_check, n_checks)
+    qubit_slots, qubit_pos = slots(edge_qubit, n_qubits)
+    pri = _normalize(np.asarray(priors, dtype=float))
+    sigma = np.asarray(target, dtype=np.int64).astype(float)[edge_check]
+    msg = pri[edge_qubit]
+    history = []
+    for _ in range(n_iter):
+        commute_mass = msg[:, 0] + msg[np.arange(n_edges), entry]
+        d = 2.0 * commute_mass - msg.sum(axis=1)
+        d_excl = _exclusive_prod(np.append(d, 1.0)[check_slots]).reshape(-1)[check_pos]
+        c2q = _normalize(0.25 * (1.0 + (sigma * d_excl)[:, None] * kappa))
+        gathered = np.concatenate([c2q, np.ones((1, 4))], axis=0)[qubit_slots]
+        history.append(_normalize(pri * gathered.prod(axis=1)))
+        extrinsic = pri[:, None, :] * _exclusive_prod(gathered)
+        msg = _normalize(extrinsic.reshape(-1, 4)[qubit_pos])
+    return history
 
 
 def enumerate_group(code: StabilizerCode):

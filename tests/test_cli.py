@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from click.testing import CliRunner
 
 from gf4bp.cli import main
@@ -75,6 +76,26 @@ def test_simulate_bad_config_key(tmp_path):
         main, ["simulate", "--code", "4_1_1", "--config", str(config)]
     )
     assert result.exit_code != 0
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--n-a", "foo"], "bad --n-a 'foo'"),
+        (["--p", "0.1,0.1"], "duplicate p values"),
+        (["--blocks", "0"], "blocks must be at least 1"),
+    ],
+)
+def test_simulate_bad_values_are_usage_errors(tmp_path, args, message):
+    runner = CliRunner()
+    result = runner.invoke(
+        main,
+        ["simulate", "--code", "4_1_1", "--strategy", "pc08", "--blocks", "2",
+         "--out", str(tmp_path / "out.csv")] + args,
+    )
+    assert result.exit_code == 2
+    assert message in result.output
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_trace_standard_stdout():

@@ -2,21 +2,32 @@ import numpy as np
 import pytest
 
 from gf4bp import gf4
-from gf4bp.channel import DepolarizingChannel, priors as channel_priors
+from gf4bp.channel import DepolarizingChannel, priors as channel_priors, sample_error
 from gf4bp.decoder import (
     DecodeOutcome,
     TannerGraph,
-    _vector_check_messages,
-    check_update,
-    compute_beliefs,
+    _check_messages,
     decode,
     hard_decision,
+)
+from gf4bp.stabilizer import (
+    StabilizerCode,
+    build_code_4_1_1,
+    construction_b,
+    syndrome,
+)
+
+from oracles import (
+    brute_check_message,
+    check_update,
+    compute_beliefs,
+    exact_marginals,
     klein_convolve,
     qubit_update,
+    random_tree_code,
+    row_major_beliefs,
+    syndrome_by_counting,
 )
-from gf4bp.stabilizer import StabilizerCode, build_code_4_1_1, syndrome
-
-from oracles import brute_check_message, exact_marginals, random_tree_code
 
 UNIFORM = np.full(4, 0.25)
 
@@ -39,7 +50,7 @@ def test_graph_adjacency_transpose_consistent(code411):
     graph = TannerGraph(code411)
     for check in range(graph.n_checks):
         for qubit in graph.check_qubits(check):
-            edges = graph.qubit_slots[qubit]
+            edges = graph.qubit_slots[:, qubit]
             edges = edges[edges < graph.n_edges]
             assert check in {int(graph.edge_check[e]) for e in edges}
 
@@ -113,7 +124,8 @@ def test_vectorized_check_messages_match_reference(code411):
     msg = rng.random((graph.n_edges, 4))
     msg /= msg.sum(axis=1, keepdims=True)
     sigma = target.astype(float)[graph.edge_check]
-    vectorized = _vector_check_messages(graph, msg, sigma)
+    vectorized = _check_messages(graph, np.ascontiguousarray(msg.T), sigma)
+    assert vectorized.shape == (4, graph.n_edges)
     for e in range(graph.n_edges):
         check = int(graph.edge_check[e])
         others = [
@@ -127,7 +139,7 @@ def test_vectorized_check_messages_match_reference(code411):
             [msg[i] for i in others],
             int(target[check]),
         )
-        assert np.allclose(vectorized[e], reference, atol=1e-12)
+        assert np.allclose(vectorized[:, e], reference, atol=1e-12)
 
 
 def test_qubit_update_cases():
@@ -263,3 +275,61 @@ def test_decode_validates_inputs(code411):
         decode(code411, [1, 1, 1, 1], pri[:3])
     with pytest.raises(ValueError):
         decode(code411, [1, 1, 1, 1], pri, max_iter=0)
+
+
+# First circulant row of the [[62,2]] Construction-B code of criterion 8.
+C62_ROW = [1 if i in (1, 5, 11, 24, 25, 27) else 0 for i in range(31)]
+
+
+@pytest.mark.parametrize(
+    "p, seed", [(0.02, 8), (0.02, 28), (0.09, 7), (0.09, 23), (0.09, 0)]
+)
+def test_decode_bit_identical_to_row_major_reference(p, seed):
+    # The symbol-major kernel must reproduce the frozen row-major iteration
+    # exactly, iteration by iteration; (0.09, 0) runs all 90 iterations
+    # without converging.
+    code = construction_b(C62_ROW)
+    chan = DepolarizingChannel(p)
+    pri = channel_priors(chan, code.n_sent)
+    error = sample_error(code.n_sent, chan, np.random.default_rng(seed))
+    target = syndrome(code, error)
+    seen = []
+    out = decode(code, target, pri, on_iteration=lambda t, b: seen.append(b))
+    if (p, seed) == (0.09, 0):
+        assert not out.converged and out.iterations == 90
+    reference = row_major_beliefs(code, target, pri, out.iterations)
+    assert len(seen) == out.iterations
+    for beliefs, expected in zip(seen, reference, strict=True):
+        assert beliefs.shape == (code.n_sent, 4)
+        assert np.array_equal(beliefs, expected)
+    assert np.array_equal(out.error, hard_decision(reference[-1]))
+
+
+def test_syndrome_signs_match_counting_oracle():
+    code = construction_b(C62_ROW)
+    graph = TannerGraph(code)
+    rng = np.random.default_rng(53)
+    for _ in range(20):
+        error = rng.integers(0, 4, size=code.n_sent).astype(np.uint8)
+        expected = syndrome_by_counting(code, error).tolist()
+        assert graph.syndrome_signs(error).tolist() == expected
+        assert syndrome(code, error).tolist() == expected
+
+
+def test_check_on_ebit_columns_only():
+    # Row II|Z touches only the receiver's ebit: no edges, parity 0 for any
+    # error on the sent qubits, and decoding still reaches the target.
+    code = StabilizerCode(
+        np.array([[1, 1, 0], [0, 0, 2]], dtype=np.uint8), n_sent=2, n_ebits=1
+    )
+    graph = TannerGraph(code)
+    assert graph.check_deg.tolist() == [2, 0]
+    for error in ([0, 0], [1, 0], [2, 3], [3, 3]):
+        signs = graph.syndrome_signs(np.array(error, dtype=np.uint8))
+        assert signs[1] == 1
+        assert signs.tolist() == syndrome(code, code.embed_sent(error)).tolist()
+    pri = channel_priors(DepolarizingChannel(0.1), 2)
+    out = decode(code, [1, 1], pri, max_iter=10, graph=graph)
+    assert out.converged
+    assert out.iterations == 1
+    assert out.error_pauli == "II"

@@ -199,6 +199,19 @@ def test_spec_validation(code411):
         ExperimentSpec(code=code411, p_values=(0.1,), workers=0)
 
 
+def test_spec_rejects_duplicate_cells(code411):
+    # a repeated p or strategy used to give repeated rows counting each
+    # block twice
+    with pytest.raises(ValueError, match="duplicate p"):
+        ExperimentSpec(code="4_1_1", p_values=(0.1, 0.1), blocks=50)
+    with pytest.raises(ValueError, match="duplicate p"):
+        ExperimentSpec(code=code411, p_values=(0.1, 0.05, 0.10))
+    with pytest.raises(ValueError, match="duplicate strategy"):
+        ExperimentSpec(
+            code=code411, p_values=(0.1,), strategies=("pc08", "standard", "pc08")
+        )
+
+
 def test_trace_run_standard(code411):
     rows, outcome = trace_run(code411, 0.1, error="IIZX", max_iter=15)
     assert not outcome.converged
