@@ -35,20 +35,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gf4
-from .stabilizer import StabilizerCode
+from .stabilizer import ANTICOMMUTES, StabilizerCode
 
 MSG_FLOOR = 1e-30
 
 #: KAPPA[s, e] = +1 if symbol e commutes with row entry s, else -1.
-KAPPA = np.array(
-    [
-        [1.0 - 2.0 * gf4.TRACE_TABLE[gf4.MUL_TABLE[e, gf4.CONJ_TABLE[s]]] for e in range(4)]
-        for s in range(4)
-    ]
-)
+KAPPA = 1.0 - 2.0 * ANTICOMMUTES
 
-#: _ANTICOMMUTES[s, e] = 1 if symbol e anticommutes with row entry s, else 0.
-_ANTICOMMUTES = (KAPPA < 0).astype(np.uint8)
 
 def _normalized(v: np.ndarray, out=None) -> np.ndarray:
     """Clamp a fresh (4, k) array to MSG_FLOOR, then divide by column sums."""
@@ -146,7 +139,7 @@ class TannerGraph:
         Each check's parity is the XOR of its edges' anticommutation bits; a
         check without sender entries has parity 0.
         """
-        bits = _ANTICOMMUTES.take(e_values, axis=1).take(self._edge_entry_qubit)
+        bits = ANTICOMMUTES.take(e_values, axis=1).take(self._edge_entry_qubit)
         parity = np.bitwise_xor.reduceat(bits, self._parity_starts)
         signs = np.ones(self.n_checks, dtype=np.int64)
         signs[self._parity_checks] -= 2 * parity

@@ -204,12 +204,16 @@ def feedback_decode(
     rng: np.random.Generator | None = None,
     graph: TannerGraph | None = None,
     on_iteration=None,
+    first: DecodeOutcome | None = None,
 ):
     """Standard BP followed by up to n_a feedback adjustments.
 
     Returns (outcome, records).  The outcome's iteration count accumulates
     the initial run and every feedback round; failure (converged=False) is a
-    normal result once the budget is exhausted.
+    normal result once the budget is exhausted.  first, if given, is decode's
+    outcome on the same target, priors and max_iter, and replaces the initial
+    run: no draw precedes the first round, so the result is the same, but
+    on_iteration sees only the rounds.
     """
     if config.strategy not in ("pc08", "enhanced"):
         raise ValueError("feedback_decode needs strategy pc08 or enhanced")
@@ -221,18 +225,19 @@ def feedback_decode(
     priors = np.asarray(priors, dtype=float)
     p_identity = priors[:, 0].copy()
 
-    outcome = decode(
-        code, target, priors, max_iter=max_iter, graph=graph, on_iteration=on_iteration
-    )
-    total_iterations = outcome.iterations
+    if first is None:
+        first = decode(
+            code, target, priors, max_iter=max_iter, graph=graph, on_iteration=on_iteration
+        )
+    total_iterations = first.iterations
     records: list[AdjustmentRecord] = []
-    if outcome.converged:
-        return outcome, records
+    if first.converged:
+        return first, records
 
     budget = config.n_a if config.n_a is not None else default_n_a(graph.n_qubits)
     used = 0
     current = priors
-    e_out = outcome.error
+    e_out = first.error
     while used < budget:
         frustrated = frustrated_checks(code, target, e_out, graph=graph)
         if frustrated.size == 0:

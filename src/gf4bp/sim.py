@@ -4,7 +4,10 @@ and CSV/JSONL emission.
 Blocks are independent work items.  The error of block i is drawn from a
 substream keyed by (seed, channel-domain, i) only, so all strategies and all
 p values of one experiment face the same underlying randomness and results
-are identical no matter how many workers execute the blocks.
+are identical no matter how many workers execute the blocks.  A work item is
+one p value and a range of blocks: each block's error, syndrome and standard
+BP run are computed once and shared by every strategy, since pc08 and
+enhanced feedback start from that same run.
 """
 
 import json
@@ -162,19 +165,27 @@ def classify_outcome(code: StabilizerCode, error, outcome, check_membership=True
 
 
 def _run_blocks(args):
-    """Decode a contiguous range of blocks for one (p, strategy) cell."""
-    (code, spec, p, strategy, strategy_index, p_index, block_lo, block_hi) = args
+    """Decode a contiguous range of blocks at one p under every strategy.
+
+    Each block's error, syndrome and standard BP run are computed once:
+    standard reports that run, and so do pc08 and enhanced if it converged;
+    otherwise feedback_decode continues from it.  Results are block-major.
+    """
+    (code, spec, p_index, block_lo, block_hi) = args
+    p = spec.p_values[p_index]
     graph = TannerGraph(code)
     chan = DepolarizingChannel(p)
     base_priors = channel_priors(chan, code.n_sent)
     check_membership = code.n_total <= spec.degeneracy_limit
-    inject = (
-        gf4.pauli_to_values(spec.inject) if spec.inject is not None else None
-    )
+    inject = None if spec.inject is None else gf4.pauli_to_values(spec.inject)
     if inject is not None and inject.shape != (code.n_sent,):
         raise ValueError(
             f"injected error must cover the {code.n_sent} sent qubits"
         )
+    configs = {
+        s: FeedbackConfig(s, t_pert=spec.t_pert, n_a=spec.n_a, delta=spec.delta)
+        for s in spec.strategies if s != "standard"
+    }
     results = []
     for block in range(block_lo, block_hi):
         if inject is not None:
@@ -183,59 +194,44 @@ def _run_blocks(args):
             rng = substream(spec.seed, _STREAM_CHANNEL, block)
             error = sample_error(code.n_sent, chan, rng, n_ebits=code.n_ebits)
         target = syndrome(code, error)
-        if strategy == "standard":
-            outcome = decode(
-                code, target, base_priors, max_iter=spec.max_iter, graph=graph
+        first = decode(code, target, base_priors, max_iter=spec.max_iter, graph=graph)
+        first_class = classify_outcome(code, error, first, check_membership)
+        for strategy_index, strategy in enumerate(spec.strategies):
+            outcome, klass = first, first_class
+            if strategy != "standard" and not first.converged:
+                rng = substream(spec.seed, _STREAM_DECODER, strategy_index, p_index, block)
+                outcome, _ = feedback_decode(
+                    code, target, base_priors, configs[strategy],
+                    max_iter=spec.max_iter, rng=rng, graph=graph, first=first,
+                )
+                klass = classify_outcome(code, error, outcome, check_membership)
+            results.append(
+                BlockResult(
+                    p=p,
+                    strategy=strategy,
+                    block=block,
+                    error=gf4.values_to_pauli(error[: code.n_sent]),
+                    e_out=outcome.error_pauli,
+                    converged=outcome.converged,
+                    iterations=outcome.iterations,
+                    outcome=klass,
+                )
             )
-        else:
-            config = FeedbackConfig(
-                strategy=strategy,
-                t_pert=spec.t_pert,
-                n_a=spec.n_a,
-                delta=spec.delta,
-            )
-            rng = substream(spec.seed, _STREAM_DECODER, strategy_index, p_index, block)
-            outcome, _ = feedback_decode(
-                code,
-                target,
-                base_priors,
-                config,
-                max_iter=spec.max_iter,
-                rng=rng,
-                graph=graph,
-            )
-        klass = classify_outcome(code, error, outcome, check_membership)
-        results.append(
-            BlockResult(
-                p=p,
-                strategy=strategy,
-                block=block,
-                error=gf4.values_to_pauli(error[: code.n_sent]),
-                e_out=outcome.error_pauli,
-                converged=outcome.converged,
-                iterations=outcome.iterations,
-                outcome=klass,
-            )
-        )
     return results
 
 
 def run_experiment(spec: ExperimentSpec, jsonl_path=None):
-    """Run the experiment; returns (stats per (p, strategy), all block results)."""
+    """Run the experiment; returns (stats per (p, strategy), all block results),
+    both in spec order of p, then strategy, then block."""
     code = load_code(spec.code)
-    tasks = []
-    for p_index, p in enumerate(spec.p_values):
-        for strategy_index, strategy in enumerate(spec.strategies):
-            if spec.workers == 1:
-                chunks = [(0, spec.blocks)]
-            else:
-                step = max(1, math.ceil(spec.blocks / (spec.workers * 4)))
-                chunks = [
-                    (lo, min(lo + step, spec.blocks))
-                    for lo in range(0, spec.blocks, step)
-                ]
-            for lo, hi in chunks:
-                tasks.append((code, spec, p, strategy, strategy_index, p_index, lo, hi))
+    step = spec.blocks
+    if spec.workers > 1:
+        step = max(1, math.ceil(spec.blocks / (spec.workers * 4)))
+    tasks = [
+        (code, spec, p_index, lo, min(lo + step, spec.blocks))
+        for p_index in range(len(spec.p_values))
+        for lo in range(0, spec.blocks, step)
+    ]
 
     if spec.workers == 1:
         chunk_results = [_run_blocks(task) for task in tasks]
@@ -243,21 +239,18 @@ def run_experiment(spec: ExperimentSpec, jsonl_path=None):
         with ProcessPoolExecutor(max_workers=spec.workers) as pool:
             chunk_results = list(pool.map(_run_blocks, tasks))
 
-    block_results = [result for chunk in chunk_results for result in chunk]
-    block_results.sort(
-        key=lambda r: (
-            spec.p_values.index(r.p),
-            spec.strategies.index(r.strategy),
-            r.block,
-        )
-    )
+    # Chunks come back in task order, so each cell fills in block order.
+    strategy_index = {strategy: i for i, strategy in enumerate(spec.strategies)}
+    cells = [[[] for _ in spec.strategies] for _ in spec.p_values]
+    for (_, _, p_index, _, _), chunk in zip(tasks, chunk_results):
+        for r in chunk:
+            cells[p_index][strategy_index[r.strategy]].append(r)
 
     stats = []
-    for p in spec.p_values:
-        for strategy in spec.strategies:
-            cell = [
-                r for r in block_results if r.p == p and r.strategy == strategy
-            ]
+    block_results = []
+    for p, row in zip(spec.p_values, cells):
+        for strategy, cell in zip(spec.strategies, row):
+            block_results.extend(cell)
             counts = {klass: 0 for klass in OUTCOME_CLASSES}
             for r in cell:
                 counts[r.outcome] += 1

@@ -12,12 +12,16 @@ bit pair (x_j, z_j) with X=(1,0), Z=(0,1), Y=(1,1); rank and membership
 questions reduce to GF(2) linear algebra in that picture.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
 
 from . import gf4
+
+
+#: ANTICOMMUTES[s, e] = 1 if symbol e anticommutes with symbol s, else 0.
+ANTICOMMUTES = gf4.TRACE_TABLE[gf4.MUL_TABLE[gf4.CONJ_TABLE]]
 
 
 class NonCommutingRowsError(ValueError):
@@ -120,7 +124,9 @@ class StabilizerCode:
         self._check_commutation()
 
     def _check_commutation(self):
-        x, z = self._bit_planes
+        # float32 BLAS on 0/1 bit planes: exact sums while n_total < 2**24
+        x = (self.checks & 1).astype(np.float32)
+        z = (self.checks >> 1).astype(np.float32)
         gram = (x @ z.T + z @ x.T) % 2
         if gram.any():
             i, j = np.argwhere(gram)[0]
@@ -152,13 +158,16 @@ class StabilizerCode:
         return gf2_row_reduce(to_symplectic(self.checks))
 
     @cached_property
-    def _bit_planes(self):
-        """x and z bit planes of the checks as float32, for BLAS products.
+    def _entry_positions(self):
+        """Flat (symbol, column) positions of the nonzero check entries, row
+        by row, and the offset of each row's first entry (rows are nonzero)."""
+        rows, cols = np.nonzero(self.checks)
+        positions = self.checks[rows, cols].astype(np.intp) * self.n_total + cols
+        return positions, np.searchsorted(rows, np.arange(self.n_checks))
 
-        Products of 0/1 planes are sums of at most n_total ones, exact in
-        float32 while n_total < 2**24.
-        """
-        return (self.checks & 1).astype(np.float32), (self.checks >> 1).astype(np.float32)
+    def __getstate__(self):
+        """Pickle the defining fields only; cached properties are rebuilt on use."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def row_pauli(self, index: int) -> str:
         return gf4.values_to_pauli(self.checks[index])
@@ -180,9 +189,9 @@ def syndrome(code: StabilizerCode, error) -> np.ndarray:
         raise ValueError(
             f"error length {values.shape} does not match {code.n_total} columns"
         )
-    x, z = code._bit_planes
-    parity = (x @ (values >> 1) + z @ (values & 1)).astype(np.int64) % 2
-    return (1 - 2 * parity).astype(np.int8)
+    positions, starts = code._entry_positions
+    bits = ANTICOMMUTES.take(values, axis=1).take(positions)
+    return 1 - 2 * np.bitwise_xor.reduceat(bits, starts).astype(np.int8)
 
 
 def quaternary_to_pauli(h: np.ndarray) -> np.ndarray:

@@ -294,3 +294,123 @@ def random_tree_code(rng: np.random.Generator, max_qubits: int = 6):
         rows = [np.array([1] + [0] * (n - 1), dtype=np.uint8)]
         locked[0] = 1
     return StabilizerCode(np.array(rows), n_sent=n, n_ebits=0)
+
+
+def per_cell_experiment(spec, jsonl_path=None):
+    """A frozen per-(p, strategy) Monte-Carlo harness, the reference for
+    gf4bp.sim.run_experiment.
+
+    Each (p, strategy) cell runs on its own: every block's error is sampled,
+    its syndrome counted and standard BP run again for every strategy, and
+    pc08/enhanced blocks call feedback_decode without a first outcome.  The
+    results are sorted and each cell is re-filtered from them, as the
+    harness did before it shared work between strategies.  Returns
+    (stats, block results, verdicts), verdicts counting the outcomes of the
+    feedback rounds' AdjustmentRecords.
+    """
+    import json
+    from collections import Counter
+
+    from gf4bp.channel import DepolarizingChannel, priors, sample_error, substream
+    from gf4bp.decoder import decode
+    from gf4bp.feedback import FeedbackConfig, feedback_decode
+    from gf4bp.sim import (
+        OUTCOME_CLASSES,
+        BlockResult,
+        StrategyStats,
+        classify_outcome,
+        load_code,
+        wilson_interval,
+    )
+
+    code = load_code(spec.code)
+    check_membership = code.n_total <= spec.degeneracy_limit
+    inject = None if spec.inject is None else gf4.pauli_to_values(spec.inject)
+    block_results = []
+    verdicts = Counter()
+    for p_index, p in enumerate(spec.p_values):
+        chan = DepolarizingChannel(p)
+        base_priors = priors(chan, code.n_sent)
+        for strategy_index, strategy in enumerate(spec.strategies):
+            for block in range(spec.blocks):
+                if inject is not None:
+                    error = code.embed_sent(inject)
+                else:
+                    rng = substream(spec.seed, 0, block)
+                    error = sample_error(code.n_sent, chan, rng, n_ebits=code.n_ebits)
+                target = syndrome_by_counting(code, error)
+                if strategy == "standard":
+                    outcome = decode(code, target, base_priors, max_iter=spec.max_iter)
+                else:
+                    config = FeedbackConfig(
+                        strategy=strategy,
+                        t_pert=spec.t_pert,
+                        n_a=spec.n_a,
+                        delta=spec.delta,
+                    )
+                    rng = substream(spec.seed, 1, strategy_index, p_index, block)
+                    outcome, records = feedback_decode(
+                        code, target, base_priors, config, max_iter=spec.max_iter, rng=rng
+                    )
+                    verdicts.update(record.outcome for record in records)
+                block_results.append(
+                    BlockResult(
+                        p=p,
+                        strategy=strategy,
+                        block=block,
+                        error=gf4.values_to_pauli(error[: code.n_sent]),
+                        e_out=outcome.error_pauli,
+                        converged=outcome.converged,
+                        iterations=outcome.iterations,
+                        outcome=classify_outcome(code, error, outcome, check_membership),
+                    )
+                )
+    block_results.sort(
+        key=lambda r: (
+            spec.p_values.index(r.p), spec.strategies.index(r.strategy), r.block
+        )
+    )
+
+    stats = []
+    for p in spec.p_values:
+        for strategy in spec.strategies:
+            cell = [r for r in block_results if r.p == p and r.strategy == strategy]
+            counts = {klass: 0 for klass in OUTCOME_CLASSES}
+            for r in cell:
+                counts[r.outcome] += 1
+            errors_strict = len(cell) - counts["exact"]
+            lo, hi = wilson_interval(errors_strict, len(cell))
+            stats.append(
+                StrategyStats(
+                    p=p,
+                    strategy=strategy,
+                    n_blocks=len(cell),
+                    errors_strict=errors_strict,
+                    ber=errors_strict / len(cell),
+                    ber_lo=lo,
+                    ber_hi=hi,
+                    anoi=sum(r.iterations for r in cell) / len(cell),
+                    exact=counts["exact"],
+                    degenerate=counts["degenerate"],
+                    nonequivalent=counts["nonequivalent"],
+                    detected=counts["detected"],
+                    unchecked=counts["unchecked"],
+                    seed=spec.seed,
+                )
+            )
+
+    if jsonl_path is not None:
+        with open(jsonl_path, "w") as handle:
+            for r in block_results:
+                record = {
+                    "p": r.p,
+                    "strategy": r.strategy,
+                    "block": r.block,
+                    "error": r.error,
+                    "e_out": r.e_out,
+                    "converged": r.converged,
+                    "iterations": r.iterations,
+                    "class": r.outcome,
+                }
+                handle.write(json.dumps(record) + "\n")
+    return stats, block_results, verdicts

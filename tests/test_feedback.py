@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from gf4bp.channel import DepolarizingChannel, priors as channel_priors, substream
+from gf4bp.channel import (
+    DepolarizingChannel,
+    priors as channel_priors,
+    sample_error,
+    substream,
+)
 from gf4bp.decoder import TannerGraph, decode
 from gf4bp.feedback import (
     FeedbackConfig,
@@ -12,7 +17,7 @@ from gf4bp.feedback import (
     frustrated_checks,
     pc08_perturb,
 )
-from gf4bp.stabilizer import build_code_4_1_1, syndrome
+from gf4bp.stabilizer import build_code_4_1_1, construction_b, syndrome
 
 TARGET = np.array([-1, 1, 1, 1])
 
@@ -219,6 +224,49 @@ def test_feedback_decode_replayable(code411, priors411):
             b.check, b.qubit, b.outcome, b.iterations,
         )
         assert np.array_equal(a.applied, b.applied)
+
+
+def test_feedback_decode_continues_from_given_first_run():
+    # Blocks of the [[62,2]] code at p=0.06 whose standard run fails: passing
+    # that run as first must give the same rounds, draws and outcome as
+    # letting feedback_decode run it.
+    code = construction_b([1 if i in (1, 5, 11, 24, 25, 27) else 0 for i in range(31)])
+    graph = TannerGraph(code)
+    chan = DepolarizingChannel(0.06)
+    pri = channel_priors(chan, code.n_sent)
+    failed = []
+    for block in range(40):
+        error = sample_error(code.n_sent, chan, substream(5, 0, block))
+        target = syndrome(code, error)
+        first = decode(code, target, pri, max_iter=90, graph=graph)
+        if first.converged:
+            config = FeedbackConfig(strategy="enhanced")
+            outcome, records = feedback_decode(code, target, pri, config, first=first)
+            assert outcome is first and records == []
+        elif len(failed) < 3:
+            failed.append((block, target, first))
+    assert len(failed) == 3
+    for block, target, first in failed:
+        for strategy in ("pc08", "enhanced"):
+            config = FeedbackConfig(strategy=strategy)
+            runs = [
+                feedback_decode(
+                    code, target, pri, config, max_iter=90,
+                    rng=substream(5, 1, 0, 0, block), graph=graph, first=given,
+                )
+                for given in (None, first)
+            ]
+            (out_a, rec_a), (out_b, rec_b) = runs
+            assert rec_a, "the block must enter feedback"
+            assert out_a.error.tolist() == out_b.error.tolist()
+            assert (out_a.converged, out_a.iterations) == (out_b.converged, out_b.iterations)
+            assert len(rec_a) == len(rec_b)
+            for a, b in zip(rec_a, rec_b):
+                assert (a.check, a.qubit, a.outcome, a.iterations) == (
+                    b.check, b.qubit, b.outcome, b.iterations,
+                )
+                assert np.array_equal(a.qubits_touched, b.qubits_touched)
+                assert np.array_equal(a.applied, b.applied)
 
 
 def test_feedback_decode_requires_feedback_strategy(code411, priors411):

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,10 @@ from gf4bp.sim import (
     wilson_interval,
 )
 from gf4bp.stabilizer import build_code_4_1_1, construction_b
+
+from oracles import per_cell_experiment
+
+C62_ROW = [1 if i in (1, 5, 11, 24, 25, 27) else 0 for i in range(31)]
 
 
 @pytest.fixture
@@ -241,3 +246,54 @@ def test_trace_run_validates_arguments(code411):
         trace_run(code411, 0.1, error="IIZX", target=[1, 1, 1, 1])
     with pytest.raises(ValueError):
         trace_run(code411, 0.1, error="IIZX", strategy="enhanced", check=1)
+
+
+@pytest.fixture(scope="module")
+def code62():
+    return construction_b(C62_ROW)
+
+
+def _assert_matches_reference(spec, tmp_path):
+    """run_experiment with 1 and 2 workers against the frozen per-(p, strategy)
+    reference: every BlockResult field, the CSV and the JSONL bytes agree.
+    Returns (block results, feedback verdict counts)."""
+    reference_path = tmp_path / "reference.jsonl"
+    ref_stats, ref_blocks, verdicts = per_cell_experiment(
+        spec, jsonl_path=reference_path
+    )
+    for workers in (1, 2):
+        path = tmp_path / f"workers{workers}.jsonl"
+        stats, blocks = run_experiment(replace(spec, workers=workers), jsonl_path=path)
+        assert blocks == ref_blocks
+        assert format_csv(stats) == format_csv(ref_stats)
+        assert path.read_bytes() == reference_path.read_bytes()
+    return blocks, verdicts
+
+
+@pytest.mark.parametrize(
+    "strategies",
+    [("standard", "pc08", "enhanced"), ("enhanced", "pc08")],
+    ids=["all", "enhanced-pc08"],
+)
+def test_shared_first_run_matches_per_cell_reference(code62, tmp_path, strategies):
+    # The harness decodes each block's syndrome once and feedback continues
+    # from that run; the reference decodes it anew for every strategy.  The
+    # second order gives the strategies other decoder substreams.
+    spec = ExperimentSpec(
+        code=code62, p_values=(0.03, 0.06), strategies=strategies, blocks=40, seed=1
+    )
+    blocks, verdicts = _assert_matches_reference(spec, tmp_path)
+    assert verdicts["restored"] >= 1 and verdicts["check_satisfied"] >= 1
+    assert any(
+        b.strategy != "standard" and b.converged and b.iterations > spec.max_iter
+        for b in blocks
+    )
+
+
+def test_injected_run_matches_per_cell_reference(code411, tmp_path):
+    spec = ExperimentSpec(
+        code=code411, p_values=(0.1,), strategies=("standard", "pc08", "enhanced"),
+        blocks=6, seed=3, n_a=12, inject="IIZX",
+    )
+    blocks, verdicts = _assert_matches_reference(spec, tmp_path)
+    assert sum(verdicts.values()) >= 1

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,10 @@ def test_syndrome_matches_counting_oracle(code411):
     for _ in range(50):
         e = np.zeros(5, dtype=np.uint8)
         e[:4] = rng.integers(0, 4, size=4)
+        assert syndrome(code411, e).tolist() == syndrome_by_counting(code411, e).tolist()
+    # the syndrome covers every column, the receiver's ebit included
+    for _ in range(50):
+        e = rng.integers(0, 4, size=5).astype(np.uint8)
         assert syndrome(code411, e).tolist() == syndrome_by_counting(code411, e).tolist()
 
 
@@ -329,3 +335,28 @@ def test_noncommuting_rows_rejected():
 def test_zero_row_rejected():
     with pytest.raises(ValueError):
         StabilizerCode(np.array([[1, 0], [0, 0]], dtype=np.uint8), n_sent=2)
+
+
+C62_ROW = [1 if i in (1, 5, 11, 24, 25, 27) else 0 for i in range(31)]
+
+
+@pytest.mark.parametrize(
+    "code", [build_code_4_1_1(), construction_b(C62_ROW)], ids=["4_1_1", "c62"]
+)
+def test_pickle_keeps_only_the_defining_fields(code):
+    rng = np.random.default_rng(8)
+    errors = [rng.integers(0, 4, size=code.n_total).astype(np.uint8) for _ in range(10)]
+    errors.append(np.bitwise_xor(code.checks[0], code.checks[-1]))  # a stabilizer
+    # fill every cached property before pickling
+    expected = [(syndrome(code, e).tolist(), group_membership(e, code)) for e in errors]
+    cached = (code.rank, code.logical_k)
+    data = pickle.dumps(code)
+    assert len(data) < 2 * len(pickle.dumps(code.checks))
+    clone = pickle.loads(data)
+    assert np.array_equal(clone.checks, code.checks)
+    assert (clone.n_sent, clone.n_ebits) == (code.n_sent, code.n_ebits)
+    assert [
+        (syndrome(clone, e).tolist(), group_membership(e, clone)) for e in errors
+    ] == expected
+    assert any(member for _, member in expected)
+    assert (clone.rank, clone.logical_k) == cached
