@@ -41,8 +41,12 @@ def sample_error(
     n_ebits: int = 0,
 ) -> np.ndarray:
     """Draw an i.i.d. Pauli error; receiver-held ebit columns stay identity."""
+    # rng.choice(4, size=n_sent, p=prior)'s own draw, without its per-call
+    # validation of p: one uniform per qubit searched in the normalised CDF
+    cdf = np.cumsum(channel.prior())
+    cdf /= cdf[-1]
     error = np.zeros(n_sent + n_ebits, dtype=np.uint8)
-    error[:n_sent] = rng.choice(4, size=n_sent, p=channel.prior())
+    error[:n_sent] = cdf.searchsorted(rng.random(n_sent), side="right")
     return error
 
 

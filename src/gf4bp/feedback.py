@@ -122,7 +122,6 @@ def feedback_round(
     config: FeedbackConfig,
     rng: np.random.Generator | None = None,
     graph: TannerGraph | None = None,
-    channel_p_identity: np.ndarray | None = None,
     current_e_out: np.ndarray | None = None,
     on_iteration=None,
 ):
@@ -149,13 +148,8 @@ def feedback_round(
         entry = int(graph.check_entries(check)[slot[0]])
         s_c = int(target[check])
         sc_dot = int(graph.syndrome_signs(current_e_out)[check])
-        p_identity = (
-            float(channel_p_identity[qubit])
-            if channel_p_identity is not None
-            else float(priors[qubit, 0])
-        )
         touched = np.array([qubit])
-        applied = enhanced_reset(entry, s_c, sc_dot, p_identity)[None, :]
+        applied = enhanced_reset(entry, s_c, sc_dot, float(priors[qubit, 0]))[None, :]
     else:
         if rng is None:
             raise ValueError("pc08 rounds need a random stream")
@@ -223,7 +217,6 @@ def feedback_decode(
         rng = np.random.default_rng(0)
     target = np.asarray(target, dtype=np.int64)
     priors = np.asarray(priors, dtype=float)
-    p_identity = priors[:, 0].copy()
 
     if first is None:
         first = decode(
@@ -236,32 +229,29 @@ def feedback_decode(
 
     budget = config.n_a if config.n_a is not None else default_n_a(graph.n_qubits)
     used = 0
-    current = priors
     e_out = first.error
     while used < budget:
+        # e_out never converged, so some check is frustrated
         frustrated = frustrated_checks(code, target, e_out, graph=graph)
-        if frustrated.size == 0:
-            break
         check = int(rng.choice(frustrated))
         candidates = list(graph.check_qubits(check))
         if not candidates:
             break  # frustrated check with no sender qubits can never be fixed
         rng.shuffle(candidates)
-        satisfied = False
         for qubit in candidates:
             if used >= budget:
                 break
             used += 1
-            round_out, current, record = feedback_round(
+            # a round that does not converge leaves priors as they were
+            round_out, _, record = feedback_round(
                 code,
                 target,
-                current,
+                priors,
                 check,
                 int(qubit),
                 config,
                 rng=rng,
                 graph=graph,
-                channel_p_identity=p_identity,
                 current_e_out=e_out,
                 on_iteration=on_iteration,
             )
@@ -278,10 +268,7 @@ def feedback_decode(
                 )
             if record.outcome == "check_satisfied":
                 e_out = round_out.error
-                satisfied = True
                 break
-        if not satisfied and used >= budget:
-            break
     return (
         DecodeOutcome(error=e_out, converged=False, iterations=total_iterations),
         records,

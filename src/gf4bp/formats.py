@@ -87,6 +87,27 @@ def _int_tokens(line: str, what: str):
         raise FormatError(f"non-integer token in {what}: {line!r}") from None
 
 
+def _alist_entries(line: str, q: int, what: str, limit: int, degree: int):
+    """(index, value) pairs of one adjacency list, zero padding dropped; each
+    index must lie in 1..limit and the pair count must equal the degree."""
+    tokens = _int_tokens(line, f"{what} list")
+    if q == 2:
+        entries = [(index, 1) for index in tokens]
+    else:
+        if len(tokens) % 2:
+            raise FormatError(f"odd (index, value) list for {what}")
+        entries = list(zip(tokens[0::2], tokens[1::2]))
+    entries = [(index, value) for index, value in entries if index != 0]
+    for index, _ in entries:
+        if not 1 <= index <= limit:
+            raise IndexOutOfRangeError(
+                f"index {index} out of range 1..{limit} in {what} list"
+            )
+    if len(entries) != degree:
+        raise FormatError(f"{what} lists {len(entries)} entries, degree says {degree}")
+    return entries
+
+
 def parse_alist(text: str) -> np.ndarray:
     """Parse an alist file into a dense (m, n) uint8 matrix.
 
@@ -119,58 +140,22 @@ def parse_alist(text: str) -> np.ndarray:
 
     matrix = np.zeros((m, n), dtype=np.uint8)
     for col in range(n):
-        tokens = _int_tokens(lines[4 + col], f"column {col + 1} list")
-        if q == 2:
-            entries = [(row, 1) for row in tokens]
-        else:
-            if len(tokens) % 2:
-                raise FormatError(f"odd (index, value) list for column {col + 1}")
-            entries = list(zip(tokens[0::2], tokens[1::2]))
-        seen = 0
+        what = f"column {col + 1}"
+        entries = _alist_entries(lines[4 + col], q, what, m, col_degrees[col])
         for row, value in entries:
-            if row == 0:
-                continue  # zero padding
-            if not 1 <= row <= m:
-                raise IndexOutOfRangeError(
-                    f"row index {row} out of range 1..{m} in column {col + 1}"
-                )
             if not 0 < value < q:
-                raise FormatError(
-                    f"entry value {value} invalid for GF({q}) in column {col + 1}"
-                )
+                raise FormatError(f"entry value {value} invalid for GF({q}) in {what}")
             matrix[row - 1, col] = value
-            seen += 1
-        if seen != col_degrees[col]:
-            raise FormatError(
-                f"column {col + 1} lists {seen} entries, degree says {col_degrees[col]}"
-            )
 
     # Cross-check the redundant row lists.
     for row in range(m):
-        tokens = _int_tokens(lines[4 + n + row], f"row {row + 1} list")
-        if q == 2:
-            entries = [(col, 1) for col in tokens]
-        else:
-            if len(tokens) % 2:
-                raise FormatError(f"odd (index, value) list for row {row + 1}")
-            entries = list(zip(tokens[0::2], tokens[1::2]))
-        seen = 0
+        what = f"row {row + 1}"
+        entries = _alist_entries(lines[4 + n + row], q, what, n, row_degrees[row])
         for col, value in entries:
-            if col == 0:
-                continue
-            if not 1 <= col <= n:
-                raise IndexOutOfRangeError(
-                    f"column index {col} out of range 1..{n} in row {row + 1}"
-                )
             if matrix[row, col - 1] != value:
                 raise FormatError(
                     f"row list disagrees with column lists at ({row + 1}, {col})"
                 )
-            seen += 1
-        if seen != row_degrees[row]:
-            raise FormatError(
-                f"row {row + 1} lists {seen} entries, degree says {row_degrees[row]}"
-            )
     return matrix
 
 

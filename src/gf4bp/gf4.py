@@ -12,7 +12,9 @@ against polynomial arithmetic modulo x^2 + x + 1.
 
 Two single-qubit Paulis P, Q commute iff trace(P_hat * conj(Q_hat)) == 0;
 for n-qubit strings the criterion is the trace inner product of the symbol
-vectors.  All functions accept scalars or numpy arrays.
+vectors.  stabilizer.ANTICOMMUTES tabulates the per-symbol term from these
+tables, and every commutation parity in the package is read from it.  All
+functions accept scalars or numpy arrays.
 """
 
 import numpy as np
@@ -23,10 +25,6 @@ ZERO, ONE, OMEGA, OMEGA_BAR = 0, 1, 2, 3
 PAULI_ORDER = "IXZY"
 
 PAULI_TO_VALUE = {symbol: value for value, symbol in enumerate(PAULI_ORDER)}
-
-ADD_TABLE = np.array(
-    [[a ^ b for b in range(4)] for a in range(4)], dtype=np.uint8
-)
 
 MUL_TABLE = np.array(
     [
@@ -78,22 +76,6 @@ def conj(a):
 def trace(a):
     """Trace onto GF(2): 0 for {0, 1}, 1 for {omega, omega_bar}."""
     return TRACE_TABLE[a]
-
-
-def trace_inner_product(u, v) -> int:
-    """Trace of sum_k u_k * conj(v_k) for two equal-length GF(4) vectors.
-
-    Returns 0 when the corresponding Pauli strings commute, 1 when they
-    anticommute.
-    """
-    u = np.asarray(u, dtype=np.uint8)
-    v = np.asarray(v, dtype=np.uint8)
-    if u.shape != v.shape:
-        raise ValueError(f"length mismatch: {u.shape} vs {v.shape}")
-    if u.size == 0:
-        return 0
-    terms = MUL_TABLE[u, CONJ_TABLE[v]]
-    return int(np.bitwise_xor.reduce(TRACE_TABLE[terms].ravel()))
 
 
 def pauli_to_values(pauli: str) -> np.ndarray:

@@ -13,7 +13,7 @@ enhanced feedback start from that same run.
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +21,7 @@ import numpy as np
 from . import gf4
 from .channel import DepolarizingChannel, priors as channel_priors, sample_error, substream
 from .decoder import TannerGraph, decode
-from .feedback import FeedbackConfig, feedback_decode
+from .feedback import FeedbackConfig, feedback_decode, feedback_round
 from .formats import parse_stabilizer_text
 from .stabilizer import StabilizerCode, build_code_4_1_1, group_membership, syndrome
 
@@ -329,8 +329,6 @@ def trace_run(
     seeded random choices.  Returns (rows, outcome) where each row is
     (iteration, qubit, belief 4-vector), iterations counted across rounds.
     """
-    from .feedback import feedback_round
-
     graph = TannerGraph(code)
     chan = DepolarizingChannel(p)
     pri = channel_priors(chan, code.n_sent)
@@ -385,9 +383,7 @@ def trace_run(
         config,
         rng=rng,
         graph=graph,
-        channel_p_identity=pri[:, 0],
         current_e_out=first.error,
         on_iteration=record,
     )
-    outcome.iterations += first.iterations
-    return rows, outcome
+    return rows, replace(outcome, iterations=first.iterations + outcome.iterations)

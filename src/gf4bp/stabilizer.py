@@ -45,19 +45,17 @@ def to_symplectic(values: np.ndarray) -> np.ndarray:
 
 
 def symplectic_products(vec: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Commutation parities (0/1) of one Pauli vector against many rows."""
-    vx = (vec & 1).astype(np.int64)
-    vz = (vec >> 1).astype(np.int64)
-    rx = (rows & 1).astype(np.int64)
-    rz = (rows >> 1).astype(np.int64)
-    return ((rx @ vz + rz @ vx) % 2).astype(np.uint8)
+    """Commutation parities (0/1) of one Pauli vector against each row of rows."""
+    return np.bitwise_xor.reduce(ANTICOMMUTES[rows, vec], axis=-1)
 
 
 def commutes(p, q) -> int:
     """+1 if two equal-length Pauli strings commute, -1 if they anticommute."""
     u = as_values(p)
     v = as_values(q)
-    return 1 if gf4.trace_inner_product(u, v) == 0 else -1
+    if u.shape != v.shape:
+        raise ValueError(f"length mismatch: {u.shape} vs {v.shape}")
+    return 1 - 2 * int(symplectic_products(u, v))
 
 
 def gf2_row_reduce(matrix: np.ndarray):
@@ -142,11 +140,10 @@ class StabilizerCode:
     def n_checks(self) -> int:
         return self.checks.shape[0]
 
-    @cached_property
+    @property
     def rank(self) -> int:
         """Number of independent generators (GF(2) symplectic rank)."""
-        reduced, _ = gf2_row_reduce(to_symplectic(self.checks))
-        return reduced.shape[0]
+        return self._span_basis[0].shape[0]
 
     @cached_property
     def logical_k(self) -> int:
@@ -297,11 +294,9 @@ def construction_b(circulant_first_row, rows_to_keep=None) -> StabilizerCode:
             raise ValueError("rows_to_keep must not be empty")
         if keep.min() < 0 or keep.max() >= size:
             raise ValueError(f"row indices must lie in 0..{size - 1}")
+    # Kept rows of H0 are orthogonal: H0 H0^T = C C^T + C^T C = 2 C C^T = 0
+    # over GF(2), since circulants commute.
     h = h0[keep]
-
-    product = (h.astype(np.int64) @ h.astype(np.int64).T) % 2
-    if product.any():
-        raise ValueError("kept rows are not dual-containing (H @ H^T != 0)")
 
     x_rows = h * gf4.ONE
     z_rows = h * gf4.OMEGA

@@ -145,7 +145,6 @@ def test_criterion_4_enhanced_feedback_case_study():
         check=1,
         qubit=3,
         config=FeedbackConfig(strategy="enhanced", t_pert=40),
-        channel_p_identity=priors[:, 0],
         current_e_out=detected,
     )
     elapsed = time.perf_counter() - start

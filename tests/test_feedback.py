@@ -129,7 +129,7 @@ def test_enhanced_round_case_study(code411, priors411):
     config = FeedbackConfig(strategy="enhanced", t_pert=40)
     outcome, priors_after, record = feedback_round(
         code411, TARGET, priors411, check=1, qubit=3, config=config,
-        channel_p_identity=priors411[:, 0], current_e_out=first.error,
+        current_e_out=first.error,
     )
     assert outcome.converged
     assert outcome.iterations == 3

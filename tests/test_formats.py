@@ -139,3 +139,43 @@ def test_alist_errors():
     mismatch = GOLDEN_ALIST.replace("1 2 1", "1 1 1")
     with pytest.raises(FormatError):
         parse_alist(mismatch)
+
+
+# write_alist of [[X, Z, I], [I, Y, X]]: header, maximum degrees, column and
+# row degrees, then the column lists (lines 4-6) and the row lists (7-8).
+GF4_ALIST_LINES = [
+    "3 2 4", "2 2", "1 2 1", "2 2",
+    "1 1 0 0", "1 2 2 3", "2 1 0 0",
+    "1 1 2 2", "2 3 3 1",
+]
+
+
+@pytest.mark.parametrize(
+    "lines, line, error, message",
+    [
+        (GF4_ALIST_LINES, (5, "1 2 2"), FormatError, "odd .* column 2"),
+        (GF4_ALIST_LINES, (8, "2 3 3"), FormatError, "odd .* row 2"),
+        (GF4_ALIST_LINES, (6, "5 1"), IndexOutOfRangeError, "index 5 .* column 3"),
+        (GF4_ALIST_LINES, (8, "2 3 4 1"), IndexOutOfRangeError, "index 4 .* row 2"),
+        (GF4_ALIST_LINES, (5, "1 2 0 0"), FormatError, "column 2 lists 1 entries"),
+        (GF4_ALIST_LINES, (7, "1 1 0 0"), FormatError, "row 1 lists 1 entries"),
+        (GF4_ALIST_LINES, (4, "1 0"), FormatError, "value 0 invalid .* column 1"),
+        (GF4_ALIST_LINES, (4, "1 5"), FormatError, "value 5 invalid .* column 1"),
+        (GF4_ALIST_LINES, (8, "2 2 3 1"), FormatError, r"disagrees .* \(2, 2\)"),
+        (GOLDEN_ALIST.splitlines(), (4, "3"), IndexOutOfRangeError, "column 1"),
+        (GOLDEN_ALIST.splitlines(), (8, "2 9"), IndexOutOfRangeError, "row 2"),
+        (GOLDEN_ALIST.splitlines(), (7, "1 3"), FormatError, r"disagrees .* \(1, 3\)"),
+    ],
+    ids=[
+        "column-odd-pairs", "row-odd-pairs", "column-index-range", "row-index-range",
+        "column-degree", "row-degree", "column-value-zero", "column-value-five",
+        "row-disagrees", "binary-column-index-range", "binary-row-index-range",
+        "binary-row-disagrees",
+    ],
+)
+def test_malformed_alist_lists(lines, line, error, message):
+    index, replacement = line
+    lines = list(lines)
+    lines[index] = replacement
+    with pytest.raises(error, match=message):
+        parse_alist("\n".join(lines))

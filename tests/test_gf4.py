@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gf4bp import gf4
+from gf4bp.stabilizer import commutes
 
 O, I, W, WB = 0, 1, 2, 3  # 0, 1, omega, omega_bar
 
@@ -79,12 +80,14 @@ def test_mul_by_conjugate_is_bijection():
         assert images == {0, 1, 2, 3}
 
 
+# The trace inner product of two symbol vectors is their commutation parity;
+# stabilizer.commutes reads it as +1 (trace 0) or -1 (trace 1).
 def test_trace_inner_product_examples():
-    assert gf4.trace_inner_product([I], [W]) == 1  # X vs Z anticommute
+    assert commutes([I], [W]) == -1  # X vs Z anticommute
     rng = np.random.default_rng(3)
     for _ in range(20):
         u = rng.integers(0, 4, size=rng.integers(1, 8))
-        assert gf4.trace_inner_product(u, u) == 0
+        assert commutes(u, u) == 1
 
 
 def test_trace_inner_product_derived_case():
@@ -93,7 +96,7 @@ def test_trace_inner_product_derived_case():
     v = gf4.pauli_to_values("YZZXI")
     terms = [gf4.mul(a, gf4.conj(b)) for a, b in zip(u, v)]
     assert [int(t) for t in terms] == [I, I, O, O, O]
-    assert gf4.trace_inner_product(u, v) == 0
+    assert commutes(u, v) == 1
 
 
 def test_trace_inner_product_symmetric():
@@ -102,12 +105,12 @@ def test_trace_inner_product_symmetric():
         n = rng.integers(1, 10)
         u = rng.integers(0, 4, size=n)
         v = rng.integers(0, 4, size=n)
-        assert gf4.trace_inner_product(u, v) == gf4.trace_inner_product(v, u)
+        assert commutes(u, v) == commutes(v, u)
 
 
 def test_trace_inner_product_length_mismatch():
     with pytest.raises(ValueError):
-        gf4.trace_inner_product([1, 2], [1])
+        commutes([1, 2], [1])
 
 
 def test_pauli_bijection():

@@ -1,9 +1,12 @@
+import hashlib
 import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
+from gf4bp.cli import main
 from gf4bp.decoder import DecodeOutcome
 from gf4bp.sim import (
     CSV_HEADER,
@@ -297,3 +300,50 @@ def test_injected_run_matches_per_cell_reference(code411, tmp_path):
     )
     blocks, verdicts = _assert_matches_reference(spec, tmp_path)
     assert sum(verdicts.values()) >= 1
+
+
+# sha256 digests recorded before the parity, alist and feedback-loop
+# refactors; a pure refactor of src/ must leave them unchanged.
+FIXED_EXPERIMENT_DIGESTS = {
+    "csv": "9320574e25d21aa34e0b219378075ab5ea105dd0cb965982f417b5293e7bed19",
+    "jsonl": "2cff94b8e513494bb3f46b543e46f702bf3972d114ba664a7a64f8e904b60ba0",
+    "trace_pc08": "792be615eb3dc21f0f160ed3bf54ec5d7f26eb121c10c57ffb3633778444e937",
+    "trace_enhanced": "88dc06e5ba6f99f3e342cbf18122ddcbd01b79ca4bf7c0783c87117f6cc106d6",
+}
+
+PINNED_TRACES = {
+    "trace_pc08": ["--strategy", "pc08", "--check", "2", "--qubit", "1",
+                   "--delta", "1", "--seed", "3"],
+    "trace_enhanced": ["--strategy", "enhanced", "--check", "2", "--qubit", "4",
+                       "--max-iter", "88"],
+}
+
+
+def test_fixed_experiment_bytes(code62, tmp_path):
+    # A fixed multi-p, multi-strategy experiment and two pinned feedback
+    # rounds (pc08 restarts and does not converge, enhanced converges),
+    # compared byte for byte with the recorded outputs.
+    jsonl = tmp_path / "blocks.jsonl"
+    spec = ExperimentSpec(
+        code=code62, p_values=(0.03, 0.06),
+        strategies=("standard", "pc08", "enhanced"), blocks=60, seed=11, workers=1,
+    )
+    stats, blocks = run_experiment(spec, jsonl_path=jsonl)
+    assert any(b.strategy != "standard" and b.iterations > spec.max_iter for b in blocks)
+    digests = {
+        "csv": hashlib.sha256(format_csv(stats).encode()).hexdigest(),
+        "jsonl": hashlib.sha256(jsonl.read_bytes()).hexdigest(),
+    }
+    for name, args in PINNED_TRACES.items():
+        out = tmp_path / f"{name}.csv"
+        result = CliRunner().invoke(
+            main,
+            ["trace", "--code", "4_1_1", "--p", "0.1", "--error", "IIZX",
+             *args, "--out", str(out)],
+        )
+        assert result.exit_code == 0, result.output
+        # the CSV and the closing "# converged=... iterations=..." line
+        digests[name] = hashlib.sha256(
+            out.read_bytes() + result.output.encode()
+        ).hexdigest()
+    assert digests == FIXED_EXPERIMENT_DIGESTS
