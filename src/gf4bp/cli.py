@@ -158,9 +158,9 @@ def simulate(ctx, code_src, p_list, strategy, blocks, seed, max_iter, t_pert,
               help="Target syndrome as +/- characters, e.g. -+++.")
 @click.option("--strategy", default="standard", show_default=True,
               type=click.Choice(["standard", "pc08", "enhanced"]))
-@click.option("--check", default=None, type=int,
+@click.option("--check", default=None, type=click.IntRange(min=1),
               help="1-based frustrated check to adjust (pins a single round).")
-@click.option("--qubit", default=None, type=int,
+@click.option("--qubit", default=None, type=click.IntRange(min=1),
               help="1-based qubit of that check to adjust.")
 @click.option("--max-iter", default=90, show_default=True, type=int)
 @click.option("--t-pert", default=40, show_default=True, type=int)
@@ -173,7 +173,6 @@ def trace(code_src, p, error, syndrome_text, strategy, check, qubit, max_iter,
           t_pert, n_a, delta, seed, out):
     """Emit per-iteration beliefs (iteration,qubit,p_I,p_X,p_Z,p_Y) for one
     decoding instance; qubit numbers in the output are 1-based."""
-    code = load_code(code_src)
     target = None
     if syndrome_text is not None:
         signs = {"+": 1, "-": -1}
@@ -181,20 +180,23 @@ def trace(code_src, p, error, syndrome_text, strategy, check, qubit, max_iter,
             target = np.array([signs[ch] for ch in syndrome_text.strip()])
         except KeyError:
             raise click.UsageError(f"bad syndrome {syndrome_text!r}; use + and -")
-    rows, outcome = trace_run(
-        code,
-        p,
-        error=error,
-        target=target,
-        strategy=strategy,
-        check=None if check is None else check - 1,
-        qubit=None if qubit is None else qubit - 1,
-        max_iter=max_iter,
-        t_pert=t_pert,
-        n_a=_parse_n_a(n_a),
-        delta=delta,
-        seed=seed,
-    )
+    try:
+        rows, outcome = trace_run(
+            load_code(code_src),
+            p,
+            error=error,
+            target=target,
+            strategy=strategy,
+            check=None if check is None else check - 1,
+            qubit=None if qubit is None else qubit - 1,
+            max_iter=max_iter,
+            t_pert=t_pert,
+            n_a=_parse_n_a(n_a),
+            delta=delta,
+            seed=seed,
+        )
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
     lines = ["iteration,qubit,p_I,p_X,p_Z,p_Y"]
     for iteration, q, beliefs in rows:
         values = ",".join(repr(float(b)) for b in beliefs)

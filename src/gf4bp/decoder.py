@@ -15,7 +15,7 @@ of (commute mass - anticommute mass) over the other neighbors; the test
 suite checks this form against a direct Klein-group convolution.
 
 The iteration is symbol-major: messages are (4, edges) and priors
-(4, qubits) arrays.  Check-side products run over a (slot, checks) gather of
+(4, qubits) arrays, each with a trailing lane axis (below).  Check-side products run over a (slot, checks) gather of
 the scalar D factors and qubit-side products over a (slot, 4, qubits) gather
 of the messages, so each step is a short loop of whole-row numpy operations
 over at most the maximum degree.  Sums over the four symbols are the left
@@ -26,11 +26,20 @@ bit for bit those of a row-major (edges, 4) implementation, which
 tests/oracles.py keeps as the reference.  The syndrome test XORs each
 check's anticommutation bits over its edges, O(edges) integer work.
 
+Decoding jobs run as lanes of one kernel (Lanes): every array carries a
+trailing lane axis, each lane has its own iteration count and cap and stops
+on its own syndrome match, and a finished lane can be refilled with the next
+job while the others go on.  Every operation is elementwise along the lane
+axis, so a lane computes bit for bit what it would compute alone; decode is
+the kernel at width 1.
+
 All probability vectors are clamped to MSG_FLOOR before normalization, which
 prevents the all-zero product collapse.
 """
 
+import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -39,34 +48,37 @@ from .stabilizer import ANTICOMMUTES, StabilizerCode
 
 MSG_FLOOR = 1e-30
 
+#: Workspace bytes for the lanes of one process; the lane count is this
+#: divided by a lane's workspace (Lanes.lane_bytes), and at least 1.
+LANE_WORKSPACE_BYTES = 5 << 19
+
 #: KAPPA[s, e] = +1 if symbol e commutes with row entry s, else -1.
 KAPPA = 1.0 - 2.0 * ANTICOMMUTES
 
 
-def _normalized(v: np.ndarray, out=None) -> np.ndarray:
-    """Clamp a fresh (4, k) array to MSG_FLOOR, then divide by column sums."""
+def _normalize(v: np.ndarray, total: np.ndarray) -> None:
+    """Clamp v (4, ...) to MSG_FLOOR, then divide it in place by its sums over
+    the leading symbol axis, accumulated in total."""
     np.maximum(v, MSG_FLOOR, out=v)
-    return np.divide(v, ((v[0] + v[1]) + v[2]) + v[3], out=out)
+    np.add(v[0], v[1], out=total)
+    np.add(total, v[2], out=total)
+    np.add(total, v[3], out=total)
+    np.divide(v, total, out=v)
 
 
-def _slot_products(a: np.ndarray):
-    """Left-fold products over the leading (slot) axis of a.
+def _slot_products(a: np.ndarray, pref: np.ndarray, suf: np.ndarray) -> None:
+    """Left-fold products over the leading (slot) axis of a, into pref and suf.
 
-    Returns (pref, suf): pref has one more slot than a, pref[k] being the
-    product of the slots before k, so pref[-1] is the product of all slots;
-    suf[k] is the product of the slots after k.  pref[:-1] * suf is each
-    slot's product over the other slots.
+    pref has one more slot than a, pref[k] being the product of the slots
+    before k, so pref[-1] is the product of all slots; suf[k] is the product
+    of the slots after k.  pref[:-1] * suf is each slot's product over the
+    other slots.  pref[0] and suf[-1] must hold 1.
     """
     n_slots = a.shape[0]
-    pref = np.empty((n_slots + 1,) + a.shape[1:])
-    suf = np.empty(a.shape)
-    pref[0] = 1.0
-    suf[-1:] = 1.0
     for k in range(n_slots):
         np.multiply(pref[k], a[k], out=pref[k + 1])
     for k in range(n_slots - 1, 0, -1):
         np.multiply(suf[k], a[k], out=suf[k - 1])
-    return pref, suf
 
 
 def _slot_table(owner: np.ndarray, n_owner: int):
@@ -123,6 +135,7 @@ class TannerGraph:
         # without sender entries would otherwise read its successor's edge
         self._parity_checks = np.nonzero(self.check_deg)[0]
         self._parity_starts = self._check_start[self._parity_checks]
+        self._decode_lanes = None  # decode's width-1 Lanes, made on first use
 
     def check_qubits(self, check: int) -> np.ndarray:
         """Sender qubits incident to a check, in column order."""
@@ -133,16 +146,19 @@ class TannerGraph:
         lo, hi = self._check_start[check], self._check_start[check + 1]
         return self.edge_entry[lo:hi]
 
-    def syndrome_signs(self, e_values: np.ndarray) -> np.ndarray:
-        """Syndrome (+1/-1 per check) of an error on the transmitted qubits.
+    def parities(self, e_values: np.ndarray) -> np.ndarray:
+        """Anticommutation parity (0/1) with each check that has sender
+        entries (in _parity_checks order) of errors e_values, shaped
+        (n_qubits,) or (n_qubits, lanes): the XOR of its edges' bits."""
+        bits = ANTICOMMUTES.take(e_values, axis=1)
+        bits = bits.reshape((-1,) + e_values.shape[1:]).take(self._edge_entry_qubit, axis=0)
+        return np.bitwise_xor.reduceat(bits, self._parity_starts, axis=0)
 
-        Each check's parity is the XOR of its edges' anticommutation bits; a
-        check without sender entries has parity 0.
-        """
-        bits = ANTICOMMUTES.take(e_values, axis=1).take(self._edge_entry_qubit)
-        parity = np.bitwise_xor.reduceat(bits, self._parity_starts)
+    def syndrome_signs(self, e_values: np.ndarray) -> np.ndarray:
+        """Syndrome (+1/-1 per check) of an error on the transmitted qubits;
+        a check without sender entries has parity 0."""
         signs = np.ones(self.n_checks, dtype=np.int64)
-        signs[self._parity_checks] -= 2 * parity
+        signs[self._parity_checks] -= 2 * self.parities(e_values)
         return signs
 
 
@@ -165,23 +181,227 @@ class DecodeOutcome:
         return gf4.values_to_pauli(self.error)
 
 
-def hard_decision(beliefs: np.ndarray) -> np.ndarray:
-    """Per-qubit argmax with deterministic tie-break in the order I, X, Z, Y."""
-    return np.argmax(beliefs, axis=-1).astype(np.uint8)
+def hard_decision(beliefs: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Argmax over the symbol axis with deterministic tie-break in the order
+    I, X, Z, Y."""
+    return beliefs.argmax(axis=axis).astype(np.uint8)
 
 
-def _check_messages(
-    graph: TannerGraph, msg_q2c: np.ndarray, sigma_edge: np.ndarray, out=None
-) -> np.ndarray:
-    """All (4, edges) check-to-qubit messages via the parity form."""
+def _check_messages(graph: TannerGraph, v) -> None:
+    """All (4, edges, lanes) check-to-qubit messages v.c2q from the
+    qubit-to-check messages v.msg, via the parity form."""
     n_edges = graph.n_edges
-    d = np.ones(n_edges + 1)
-    d[:n_edges] = 2.0 * (msg_q2c[0] + msg_q2c.take(graph._edge_entry_pos)) - (
-        ((msg_q2c[0] + msg_q2c[1]) + msg_q2c[2]) + msg_q2c[3]
-    )
-    pref, suf = _slot_products(d.take(graph.check_slots))
-    d_excl = (pref[:-1] * suf).take(graph._edge_check_pos)
-    return _normalized(0.25 * (1.0 + (sigma_edge * d_excl) * graph._kappa), out=out)
+    msg, d, total = v.msg, v.d[:-1], v.total_e
+    lanes = msg.shape[-1]
+    # mode="clip": the tables index in range, and the default mode buffers out=
+    msg.reshape(4 * n_edges, lanes).take(graph._edge_entry_pos, axis=0, out=d, mode="clip")
+    np.add(msg[0], d, out=d)
+    np.multiply(d, 2.0, out=d)
+    np.add(msg[0], msg[1], out=total)
+    np.add(total, msg[2], out=total)
+    np.add(total, msg[3], out=total)
+    np.subtract(d, total, out=d)
+    v.d.take(graph.check_slots, axis=0, out=v.cg, mode="clip")
+    _slot_products(v.cg, v.cpref, v.csuf)
+    np.multiply(v.cpref[:-1], v.csuf, out=v.cg)
+    v.cg.reshape(-1, lanes).take(graph._edge_check_pos, axis=0, out=v.dx, mode="clip")
+    np.multiply(v.sigma, v.dx, out=v.dx)
+    c2q = v.c2q[:, :-1]
+    np.multiply(v.dx, graph._kappa[:, :, None], out=c2q)
+    np.add(c2q, 1.0, out=c2q)
+    np.multiply(c2q, 0.25, out=c2q)
+    _normalize(c2q, total)
+
+
+def _qubit_messages(graph: TannerGraph, v) -> None:
+    """Beliefs v.bel and new qubit-to-check messages v.msg from v.c2q."""
+    lanes = v.msg.shape[-1]
+    v.c2q.reshape(-1, lanes).take(graph._qubit_gather, axis=0, out=v.qg, mode="clip")
+    _slot_products(v.qg, v.qpref, v.qsuf)
+    np.multiply(v.pri, v.qpref[-1], out=v.bel)
+    _normalize(v.bel, v.total_n)
+    np.multiply(v.qpref[:-1], v.qsuf, out=v.qg)
+    np.multiply(v.qg, v.pri, out=v.qg)
+    v.qg.reshape(-1, lanes).take(graph._edge_qubit_pos, axis=0, out=v.msg, mode="clip")
+    _normalize(v.msg, v.total_e)
+
+
+def _lane_shapes(graph: TannerGraph) -> dict:
+    """Per-lane float64 workspace shapes; the lane axis is appended last.
+    The _KEPT ones carry a job from one iteration to the next, the others
+    are scratch."""
+    n, n_edges, n_checks = graph.n_qubits, graph.n_edges, graph.n_checks
+    check_slots, qubit_slots = graph.check_slots.shape[0], graph.qubit_slots.shape[0]
+    return {
+        "pri": (4, n),
+        "sigma": (n_edges,),
+        "msg": (4, n_edges),
+        "target_parity": (graph._parity_checks.size,),
+        "d": (n_edges + 1,),
+        "cg": (check_slots, n_checks),
+        "cpref": (check_slots + 1, n_checks),
+        "csuf": (check_slots, n_checks),
+        "dx": (n_edges,),
+        "c2q": (4, n_edges + 1),
+        "qg": (qubit_slots, 4, n),
+        "qpref": (qubit_slots + 1, 4, n),
+        "qsuf": (qubit_slots, 4, n),
+        "bel": (4, n),
+        "total_e": (n_edges,),
+        "total_n": (n,),
+    }
+
+
+_KEPT = ("pri", "sigma", "msg", "target_parity")  # moved when lanes are repacked
+
+
+class Lanes:
+    """Up to `width` decode jobs run side by side, one per lane.
+
+    Every workspace array is allocated once, as a flat buffer holding
+    `width` lanes, and viewed with the lane axis last for the number of
+    occupied lanes, so an iteration costs what the occupied lanes cost.
+    load() puts a job in a free lane; step() runs one iteration on every
+    occupied lane and returns (job, DecodeOutcome) for each lane that matched
+    its target syndrome (unless halt is off) or reached its iteration cap.
+    A finished lane stays in place until the next load() refills it or the
+    next step() packs the remaining lanes together.
+    """
+
+    def __init__(self, graph: TannerGraph, width: int):
+        if width < 1:
+            raise ValueError("width must be at least 1")
+        self.graph = graph
+        self.width = width
+        self._shapes = _lane_shapes(graph)
+        self._flat = {
+            name: np.empty(width * math.prod(shape))
+            for name, shape in self._shapes.items()
+        }
+        self._views = {}
+        self._layout = 0
+        self.jobs = []  # per lane of the layout: its job, None once finished
+        self.iterations = []  # per lane of the layout
+        self.caps = []
+        self.reachable = []
+
+    @staticmethod
+    def lane_bytes(graph: TannerGraph) -> int:
+        """Workspace bytes per lane."""
+        return 8 * sum(math.prod(shape) for shape in _lane_shapes(graph).values())
+
+    @property
+    def busy(self) -> int:
+        """Lanes running a job."""
+        return sum(job is not None for job in self.jobs)
+
+    def _view(self, lanes: int):
+        view = self._views.get(lanes)
+        if view is None:
+            view = self._views[lanes] = SimpleNamespace(
+                **{
+                    name: self._flat[name][: math.prod(shape) * lanes].reshape(
+                        shape + (lanes,)
+                    )
+                    for name, shape in self._shapes.items()
+                }
+            )
+        return view
+
+    def _relayout(self, keep: list, lanes: int) -> None:
+        """Lay the buffers out for `lanes` lanes; lane i < len(keep) takes
+        the state of old lane keep[i], the others are left free."""
+        old = self._view(self._layout)
+        kept = {name: getattr(old, name)[..., keep] for name in _KEPT}
+        view = self._view(lanes)
+        # pad edge, pad slot and empty products read 1 in every layout
+        view.d[-1] = 1.0
+        view.c2q[:, -1] = 1.0
+        view.cpref[0] = 1.0
+        view.csuf[-1:] = 1.0
+        view.qpref[0] = 1.0
+        view.qsuf[-1:] = 1.0
+        n_kept = len(keep)
+        for name, values in kept.items():
+            getattr(view, name)[..., :n_kept] = values
+        free = [None] * (lanes - n_kept)
+        self.jobs = [self.jobs[i] for i in keep] + free
+        self.iterations = [self.iterations[i] for i in keep] + free
+        self.caps = [self.caps[i] for i in keep] + free
+        self.reachable = [self.reachable[i] for i in keep] + free
+        self._layout = lanes
+
+    def load(self, job, priors: np.ndarray, target: np.ndarray, max_iter: int) -> None:
+        """Start decoding in a free lane.
+
+        priors is the normalized (4, n_qubits) prior matrix and target the
+        (n_checks,) int64 syndrome; job, any object but None, is returned
+        with the outcome.
+        """
+        if None in self.jobs:
+            lane = self.jobs.index(None)
+        elif self._layout < self.width:
+            lane = self._layout
+            self._relayout(list(range(lane)), lane + 1)
+        else:
+            raise RuntimeError("every lane is busy")
+        graph = self.graph
+        view = self._view(self._layout)
+        view.pri[..., lane] = priors
+        view.msg[..., lane] = priors[:, graph.edge_qubit]
+        view.sigma[:, lane] = target[graph.edge_check]
+        view.target_parity[:, lane] = target[graph._parity_checks] < 0
+        # a -1 on a check without sender edges can never be matched
+        self.reachable[lane] = bool(
+            np.count_nonzero(target < 0) == np.count_nonzero(view.target_parity[:, lane])
+        )
+        self.iterations[lane] = 0
+        self.caps[lane] = max_iter
+        self.jobs[lane] = job
+
+    def step(self, halt: bool = True) -> list:
+        """One flooding iteration on every busy lane; returns the finished
+        lanes' (job, DecodeOutcome) pairs in lane order."""
+        if None in self.jobs:
+            keep = [lane for lane, job in enumerate(self.jobs) if job is not None]
+            self._relayout(keep, len(keep))
+        lanes = self._layout
+        graph = self.graph
+        view = self._view(lanes)
+        _check_messages(graph, view)
+        _qubit_messages(graph, view)
+        e_hat = hard_decision(view.bel, axis=0)
+        matched = np.logical_and.reduce(graph.parities(e_hat) == view.target_parity)
+        finished = []
+        for lane, match in enumerate(matched.tolist()):
+            self.iterations[lane] += 1
+            match = match and self.reachable[lane]
+            if (halt and match) or self.iterations[lane] >= self.caps[lane]:
+                outcome = DecodeOutcome(
+                    error=e_hat[:, lane].copy(),
+                    converged=match,
+                    iterations=self.iterations[lane],
+                )
+                finished.append((self.jobs[lane], outcome))
+                self.jobs[lane] = None
+        return finished
+
+    def beliefs(self, lane: int) -> np.ndarray:
+        """A fresh (n_qubits, 4) copy of a lane's last beliefs."""
+        return np.array(self._view(self._layout).bel[..., lane].T, order="C")
+
+
+def lane_width(graph: TannerGraph) -> int:
+    """Lanes that fit LANE_WORKSPACE_BYTES on this graph, at least 1."""
+    return max(1, LANE_WORKSPACE_BYTES // Lanes.lane_bytes(graph))
+
+
+def normalized_priors(priors: np.ndarray) -> np.ndarray:
+    """The (4, n) clamped, normalized transpose of an (n, 4) prior matrix,
+    as Lanes.load takes it."""
+    pri = np.array(np.asarray(priors, dtype=float).T, order="C")
+    _normalize(pri, np.empty(pri.shape[1:]))
+    return pri
 
 
 def decode(
@@ -200,7 +420,8 @@ def decode(
     max_iter iterations); non-convergence is a normal outcome, reported in
     the converged flag, and the returned error is then the hard decision of
     the last iteration run.  on_iteration(t, beliefs), if given, is called
-    once per iteration with freshly allocated belief arrays.
+    once per iteration with freshly allocated belief arrays.  This is one
+    job on the lane kernel at width 1.
     """
     if graph is None:
         graph = TannerGraph(code)
@@ -218,23 +439,15 @@ def decode(
         raise ValueError(
             f"priors shape {pri.shape} does not match ({graph.n_qubits}, 4)"
         )
-    pri = _normalized(np.array(pri.T, order="C"))
-
-    n_qubits = graph.n_qubits
-    sigma_edge = target.astype(float)[graph.edge_check]
-    msg_q2c = pri[:, graph.edge_qubit]
-    m_c2q = np.ones((4, graph.n_edges + 1))  # last column: the sentinel edge
-    for iteration in range(1, max_iter + 1):
-        _check_messages(graph, msg_q2c, sigma_edge, out=m_c2q[:, :-1])
-        pref, suf = _slot_products(m_c2q.take(graph._qubit_gather))
-        beliefs = np.empty((n_qubits, 4))
-        _normalized(pri * pref[-1], out=beliefs.T)
-        extrinsic = pri * (pref[:-1] * suf)
-        msg_q2c = _normalized(extrinsic.take(graph._edge_qubit_pos))
-        e_hat = hard_decision(beliefs)
+    lanes = graph._decode_lanes
+    if lanes is None or lanes.busy:  # first use, or a decode inside on_iteration
+        lanes = graph._decode_lanes = Lanes(graph, 1)
+    lanes.load(True, normalized_priors(pri), target, max_iter)
+    iteration = 0
+    while True:
+        finished = lanes.step(halt)
+        iteration += 1
         if on_iteration is not None:
-            on_iteration(iteration, beliefs)
-        matched = bool(np.array_equal(graph.syndrome_signs(e_hat), target))
-        if halt and matched:
-            return DecodeOutcome(error=e_hat, converged=True, iterations=iteration)
-    return DecodeOutcome(error=e_hat, converged=matched, iterations=max_iter)
+            on_iteration(iteration, lanes.beliefs(0))
+        if finished:
+            return finished[0][1]

@@ -17,6 +17,10 @@ frustrated another qubit of the same check is tried next, and if the check
 became satisfied but the full syndrome still mismatches, the round's output
 replaces the working output and another frustrated check is chosen.  Every
 tried qubit entry counts against the n_a budget.
+
+FeedbackRun holds the state of one such procedure between rounds, so the
+restarts of many runs can share the lane kernel; its random choices come
+from its own generator, so interleaving runs changes none of them.
 """
 
 from dataclasses import dataclass
@@ -113,6 +117,72 @@ def pc08_perturb(prior, delta: float, rng: np.random.Generator) -> np.ndarray:
     return out / out.sum()
 
 
+def check_slot(graph: TannerGraph, check: int, qubit: int) -> int:
+    """Position of a sender qubit among a check's qubits; ValueError if the
+    check is out of range or the qubit is not on it."""
+    if not 0 <= check < graph.n_checks:
+        raise ValueError(f"0-based check {check} out of range 0..{graph.n_checks - 1}")
+    slot = np.nonzero(graph.check_qubits(check) == qubit)[0]
+    if slot.size == 0:
+        raise ValueError(f"0-based qubit {qubit} is not connected to check {check}")
+    return int(slot[0])
+
+
+def feedback_adjustment(
+    graph: TannerGraph,
+    target,
+    priors: np.ndarray,
+    check: int,
+    qubit: int,
+    config: FeedbackConfig,
+    rng: np.random.Generator | None = None,
+    current_e_out: np.ndarray | None = None,
+):
+    """The prior adjustment of a round on (check, qubit).
+
+    Returns (touched, applied): the adjusted qubits and their (len(touched),
+    4) new priors.  enhanced resets the one qubit from current_e_out's
+    frustration pattern; pc08 perturbs every qubit of the check with draws
+    from rng.  priors is not modified.
+    """
+    if config.strategy not in ("pc08", "enhanced"):
+        raise ValueError("feedback rounds need strategy pc08 or enhanced")
+    slot = check_slot(graph, check, qubit)
+    if config.strategy == "enhanced":
+        if current_e_out is None:
+            raise ValueError("enhanced rounds need the current decoder output")
+        entry = int(graph.check_entries(check)[slot])
+        s_c = int(target[check])
+        sc_dot = int(graph.syndrome_signs(current_e_out)[check])
+        touched = np.array([qubit])
+        applied = enhanced_reset(entry, s_c, sc_dot, float(priors[qubit, 0]))[None, :]
+    else:
+        if rng is None:
+            raise ValueError("pc08 rounds need a random stream")
+        touched = graph.check_qubits(check).copy()
+        applied = np.array(
+            [pc08_perturb(priors[q], config.delta, rng) for q in touched]
+        )
+    return touched, applied
+
+
+def round_verdict(graph: TannerGraph, target, check: int, outcome: DecodeOutcome) -> str:
+    """converged, check_satisfied (the chosen check now agrees with the
+    target) or restored (it is still frustrated)."""
+    if outcome.converged:
+        return "converged"
+    if int(graph.syndrome_signs(outcome.error)[check]) != int(target[check]):
+        return "restored"
+    return "check_satisfied"
+
+
+def adjusted_priors(priors: np.ndarray, touched: np.ndarray, applied: np.ndarray):
+    """A copy of priors with the touched rows replaced."""
+    adjusted = priors.copy()
+    adjusted[touched] = applied
+    return adjusted
+
+
 def feedback_round(
     code: StabilizerCode,
     target,
@@ -127,66 +197,108 @@ def feedback_round(
 ):
     """Run one feedback adjustment for (check, qubit) and a fresh BP restart.
 
-    Returns (outcome, priors_after, record).  priors is not modified;
-    priors_after is the adjusted matrix when the round converged (the
-    terminal readout keeps it) and the original otherwise.
+    Returns (outcome, record); priors is not modified.
     """
     if graph is None:
         graph = TannerGraph(code)
-    if config.strategy not in ("pc08", "enhanced"):
-        raise ValueError("feedback rounds need strategy pc08 or enhanced")
     target = np.asarray(target, dtype=np.int64)
     priors = np.asarray(priors, dtype=float)
-
-    if config.strategy == "enhanced":
-        if current_e_out is None:
-            raise ValueError("enhanced rounds need the current decoder output")
-        entry_positions = graph.check_qubits(check)
-        slot = np.nonzero(entry_positions == qubit)[0]
-        if slot.size == 0:
-            raise ValueError(f"qubit {qubit} is not connected to check {check}")
-        entry = int(graph.check_entries(check)[slot[0]])
-        s_c = int(target[check])
-        sc_dot = int(graph.syndrome_signs(current_e_out)[check])
-        touched = np.array([qubit])
-        applied = enhanced_reset(entry, s_c, sc_dot, float(priors[qubit, 0]))[None, :]
-    else:
-        if rng is None:
-            raise ValueError("pc08 rounds need a random stream")
-        touched = graph.check_qubits(check).copy()
-        applied = np.array(
-            [pc08_perturb(priors[q], config.delta, rng) for q in touched]
-        )
-
-    adjusted = priors.copy()
-    adjusted[touched] = applied
+    touched, applied = feedback_adjustment(
+        graph, target, priors, check, qubit, config, rng, current_e_out
+    )
     outcome = decode(
         code,
         target,
-        adjusted,
+        adjusted_priors(priors, touched, applied),
         max_iter=config.t_pert,
         graph=graph,
         on_iteration=on_iteration,
     )
-
-    if outcome.converged:
-        verdict = "converged"
-        priors_after = adjusted
-    elif int(graph.syndrome_signs(outcome.error)[check]) != int(target[check]):
-        verdict = "restored"
-        priors_after = priors
-    else:
-        verdict = "check_satisfied"
-        priors_after = priors
     record = AdjustmentRecord(
         check=int(check),
         qubit=int(qubit),
         qubits_touched=touched,
         applied=applied,
-        outcome=verdict,
+        outcome=round_verdict(graph, target, check, outcome),
         iterations=outcome.iterations,
     )
-    return outcome, priors_after, record
+    return outcome, record
+
+
+class FeedbackRun:
+    """The feedback procedure of one (block, strategy), a round at a time.
+
+    first is the standard run's outcome on (target, priors).  next_round()
+    chooses the next (check, qubit), draws what the strategy draws and
+    returns (adjusted priors, t_pert) for the BP restart, or None when the
+    run is over; finish_round(outcome) applies that restart's verdict.
+    result() is (outcome, records), the outcome's iterations counting the
+    first run and every round.
+    """
+
+    def __init__(self, graph, target, priors, config, first, rng):
+        self.graph = graph
+        self.target = np.asarray(target, dtype=np.int64)
+        self.priors = np.asarray(priors, dtype=float)
+        self.config = config
+        self.rng = rng
+        self.budget = config.n_a if config.n_a is not None else default_n_a(graph.n_qubits)
+        self.used = 0
+        self.e_out = first.error
+        self.converged = first.converged
+        self.iterations = first.iterations
+        self.records: list[AdjustmentRecord] = []
+        self.check = None
+        self.candidates = []  # untried qubits of the chosen check
+        self._round = None  # (qubit, touched, applied) of the round in flight
+        self._over = False
+
+    def next_round(self):
+        if self.converged or self._over or self.used >= self.budget:
+            return None
+        if not self.candidates:
+            # e_out never converged, so some check is frustrated
+            frustrated = frustrated_checks(None, self.target, self.e_out, graph=self.graph)
+            self.check = int(self.rng.choice(frustrated))
+            self.candidates = list(self.graph.check_qubits(self.check))
+            if not self.candidates:
+                self._over = True  # a check with no sender qubits can never be fixed
+                return None
+            self.rng.shuffle(self.candidates)
+        qubit = int(self.candidates.pop(0))
+        self.used += 1
+        touched, applied = feedback_adjustment(
+            self.graph, self.target, self.priors, self.check, qubit, self.config,
+            self.rng, self.e_out,
+        )
+        self._round = (qubit, touched, applied)
+        return adjusted_priors(self.priors, touched, applied), self.config.t_pert
+
+    def finish_round(self, outcome: DecodeOutcome) -> None:
+        qubit, touched, applied = self._round
+        verdict = round_verdict(self.graph, self.target, self.check, outcome)
+        self.records.append(
+            AdjustmentRecord(
+                check=self.check,
+                qubit=qubit,
+                qubits_touched=touched,
+                applied=applied,
+                outcome=verdict,
+                iterations=outcome.iterations,
+            )
+        )
+        self.iterations += outcome.iterations
+        if verdict == "restored":
+            return  # the next candidate of the same check, from the same e_out
+        self.e_out = outcome.error
+        self.converged = verdict == "converged"
+        self.candidates = []
+
+    def result(self):
+        outcome = DecodeOutcome(
+            error=self.e_out, converged=self.converged, iterations=self.iterations
+        )
+        return outcome, self.records
 
 
 def feedback_decode(
@@ -215,61 +327,19 @@ def feedback_decode(
         graph = TannerGraph(code)
     if rng is None:
         rng = np.random.default_rng(0)
-    target = np.asarray(target, dtype=np.int64)
-    priors = np.asarray(priors, dtype=float)
-
     if first is None:
         first = decode(
             code, target, priors, max_iter=max_iter, graph=graph, on_iteration=on_iteration
         )
-    total_iterations = first.iterations
-    records: list[AdjustmentRecord] = []
     if first.converged:
-        return first, records
-
-    budget = config.n_a if config.n_a is not None else default_n_a(graph.n_qubits)
-    used = 0
-    e_out = first.error
-    while used < budget:
-        # e_out never converged, so some check is frustrated
-        frustrated = frustrated_checks(code, target, e_out, graph=graph)
-        check = int(rng.choice(frustrated))
-        candidates = list(graph.check_qubits(check))
-        if not candidates:
-            break  # frustrated check with no sender qubits can never be fixed
-        rng.shuffle(candidates)
-        for qubit in candidates:
-            if used >= budget:
-                break
-            used += 1
-            # a round that does not converge leaves priors as they were
-            round_out, _, record = feedback_round(
-                code,
-                target,
-                priors,
-                check,
-                int(qubit),
-                config,
-                rng=rng,
-                graph=graph,
-                current_e_out=e_out,
+        return first, []
+    run = FeedbackRun(graph, target, priors, config, first, rng)
+    while (restart := run.next_round()) is not None:
+        adjusted, t_pert = restart
+        run.finish_round(
+            decode(
+                code, run.target, adjusted, max_iter=t_pert, graph=graph,
                 on_iteration=on_iteration,
             )
-            total_iterations += round_out.iterations
-            records.append(record)
-            if record.outcome == "converged":
-                return (
-                    DecodeOutcome(
-                        error=round_out.error,
-                        converged=True,
-                        iterations=total_iterations,
-                    ),
-                    records,
-                )
-            if record.outcome == "check_satisfied":
-                e_out = round_out.error
-                break
-    return (
-        DecodeOutcome(error=e_out, converged=False, iterations=total_iterations),
-        records,
-    )
+        )
+    return run.result()

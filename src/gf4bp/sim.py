@@ -5,13 +5,17 @@ Blocks are independent work items.  The error of block i is drawn from a
 substream keyed by (seed, channel-domain, i) only, so all strategies and all
 p values of one experiment face the same underlying randomness and results
 are identical no matter how many workers execute the blocks.  A work item is
-one p value and a range of blocks: each block's error, syndrome and standard
-BP run are computed once and shared by every strategy, since pc08 and
-enhanced feedback start from that same run.
+a range of blocks at every p value, one per worker: each block's error,
+syndrome and standard BP run are computed once and shared by every strategy,
+since pc08 and enhanced feedback start from that same run.  Within a work
+item every BP run, first run or feedback restart, is a lane of one lane
+kernel; jobs finish out of order and results are put back in spec order, so
+outputs do not depend on the lane width or the worker count.
 """
 
 import json
 import math
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -20,8 +24,8 @@ import numpy as np
 
 from . import gf4
 from .channel import DepolarizingChannel, priors as channel_priors, sample_error, substream
-from .decoder import TannerGraph, decode
-from .feedback import FeedbackConfig, feedback_decode, feedback_round
+from .decoder import Lanes, TannerGraph, decode, lane_width, normalized_priors
+from .feedback import FeedbackConfig, FeedbackRun, check_slot, feedback_decode, feedback_round
 from .formats import parse_stabilizer_text
 from .stabilizer import StabilizerCode, build_code_4_1_1, group_membership, syndrome
 
@@ -164,72 +168,144 @@ def classify_outcome(code: StabilizerCode, error, outcome, check_membership=True
     return "degenerate" if group_membership(difference, code) else "nonequivalent"
 
 
-def _run_blocks(args):
-    """Decode a contiguous range of blocks at one p under every strategy.
+@dataclass(eq=False)
+class _Block:
+    """One sampled block at one p while its strategies are decoded."""
 
-    Each block's error, syndrome and standard BP run are computed once:
-    standard reports that run, and so do pc08 and enhanced if it converged;
-    otherwise feedback_decode continues from it.  Results are block-major.
+    p_index: int
+    block: int
+    error: np.ndarray
+    target: np.ndarray
+
+
+class _Chunk:
+    """A pool task: a contiguous range of blocks at every p under every
+    strategy, decoded as jobs on one Lanes kernel.
+
+    Lanes are refilled as they finish, pending feedback restarts before new
+    first runs.  Each block's error, syndrome and standard BP run are
+    computed once: standard reports that run, and so do pc08 and enhanced if
+    it converged; otherwise a FeedbackRun per strategy continues from it,
+    drawing from the block's own substream.
     """
-    (code, spec, p_index, block_lo, block_hi) = args
-    p = spec.p_values[p_index]
-    graph = TannerGraph(code)
-    chan = DepolarizingChannel(p)
-    base_priors = channel_priors(chan, code.n_sent)
-    check_membership = code.n_total <= spec.degeneracy_limit
-    inject = None if spec.inject is None else gf4.pauli_to_values(spec.inject)
-    if inject is not None and inject.shape != (code.n_sent,):
-        raise ValueError(
-            f"injected error must cover the {code.n_sent} sent qubits"
-        )
-    configs = {
-        s: FeedbackConfig(s, t_pert=spec.t_pert, n_a=spec.n_a, delta=spec.delta)
-        for s in spec.strategies if s != "standard"
-    }
-    results = []
-    for block in range(block_lo, block_hi):
-        if inject is not None:
-            error = code.embed_sent(inject)
-        else:
-            rng = substream(spec.seed, _STREAM_CHANNEL, block)
-            error = sample_error(code.n_sent, chan, rng, n_ebits=code.n_ebits)
-        target = syndrome(code, error)
-        first = decode(code, target, base_priors, max_iter=spec.max_iter, graph=graph)
-        first_class = classify_outcome(code, error, first, check_membership)
-        for strategy_index, strategy in enumerate(spec.strategies):
-            outcome, klass = first, first_class
-            if strategy != "standard" and not first.converged:
-                rng = substream(spec.seed, _STREAM_DECODER, strategy_index, p_index, block)
-                outcome, _ = feedback_decode(
-                    code, target, base_priors, configs[strategy],
-                    max_iter=spec.max_iter, rng=rng, graph=graph, first=first,
-                )
-                klass = classify_outcome(code, error, outcome, check_membership)
-            results.append(
-                BlockResult(
-                    p=p,
-                    strategy=strategy,
-                    block=block,
-                    error=gf4.values_to_pauli(error[: code.n_sent]),
-                    e_out=outcome.error_pauli,
-                    converged=outcome.converged,
-                    iterations=outcome.iterations,
-                    outcome=klass,
-                )
+
+    def __init__(self, code, spec, block_lo, block_hi):
+        self.code = code
+        self.spec = spec
+        self.graph = graph = TannerGraph(code)
+        self.lanes = Lanes(graph, lane_width(graph))
+        self.check_membership = code.n_total <= spec.degeneracy_limit
+        inject = None if spec.inject is None else gf4.pauli_to_values(spec.inject)
+        if inject is not None and inject.shape != (code.n_sent,):
+            raise ValueError(
+                f"injected error must cover the {code.n_sent} sent qubits"
             )
-    return results
+        self.inject = inject
+        self.channels = [DepolarizingChannel(p) for p in spec.p_values]
+        self.priors = [channel_priors(chan, code.n_sent) for chan in self.channels]
+        self.lane_priors = [normalized_priors(pri) for pri in self.priors]
+        self.configs = {
+            s: FeedbackConfig(s, t_pert=spec.t_pert, n_a=spec.n_a, delta=spec.delta)
+            for s in spec.strategies if s != "standard"
+        }
+        self.new_blocks = (
+            (p_index, block)
+            for block in range(block_lo, block_hi)
+            for p_index in range(len(spec.p_values))
+        )
+        self.restarts = deque()  # ((block, strategy_index, run), priors, t_pert)
+        self.results = {}  # (p_index, strategy_index, block) -> BlockResult
+
+    def run(self) -> list:
+        """Decode every block; results in spec order (p, strategy, block)."""
+        lanes = self.lanes
+        while True:
+            while lanes.busy < lanes.width and self.load_next():
+                pass
+            if not lanes.busy:
+                break
+            for job, outcome in lanes.step():
+                if isinstance(job, _Block):
+                    self.first_run_done(job, outcome)
+                else:
+                    block, strategy_index, run = job
+                    run.finish_round(outcome)
+                    self.advance(block, strategy_index, run)
+        return [self.results[key] for key in sorted(self.results)]
+
+    def load_next(self) -> bool:
+        """Load a feedback restart, else a new block's first run; False when
+        neither is left."""
+        if self.restarts:
+            job, adjusted, t_pert = self.restarts.popleft()
+            self.lanes.load(job, normalized_priors(adjusted), job[0].target, t_pert)
+            return True
+        p_index, block = next(self.new_blocks, (None, None))
+        if block is None:
+            return False
+        code = self.code
+        if self.inject is not None:
+            error = code.embed_sent(self.inject)
+        else:
+            rng = substream(self.spec.seed, _STREAM_CHANNEL, block)
+            error = sample_error(
+                code.n_sent, self.channels[p_index], rng, n_ebits=code.n_ebits
+            )
+        job = _Block(p_index, block, error, syndrome(code, error))
+        self.lanes.load(job, self.lane_priors[p_index], job.target, self.spec.max_iter)
+        return True
+
+    def first_run_done(self, block: _Block, outcome) -> None:
+        spec = self.spec
+        klass = classify_outcome(self.code, block.error, outcome, self.check_membership)
+        for strategy_index, strategy in enumerate(spec.strategies):
+            if strategy == "standard" or outcome.converged:
+                self.emit(block, strategy_index, outcome, klass)
+                continue
+            rng = substream(
+                spec.seed, _STREAM_DECODER, strategy_index, block.p_index, block.block
+            )
+            run = FeedbackRun(
+                self.graph, block.target, self.priors[block.p_index],
+                self.configs[strategy], outcome, rng,
+            )
+            self.advance(block, strategy_index, run)
+
+    def advance(self, block: _Block, strategy_index: int, run: FeedbackRun) -> None:
+        """Queue the run's next restart, or report the run once it is over."""
+        restart = run.next_round()
+        if restart is not None:
+            self.restarts.append(((block, strategy_index, run),) + restart)
+            return
+        outcome, _ = run.result()
+        klass = classify_outcome(self.code, block.error, outcome, self.check_membership)
+        self.emit(block, strategy_index, outcome, klass)
+
+    def emit(self, block: _Block, strategy_index: int, outcome, klass: str) -> None:
+        self.results[(block.p_index, strategy_index, block.block)] = BlockResult(
+            p=self.spec.p_values[block.p_index],
+            strategy=self.spec.strategies[strategy_index],
+            block=block.block,
+            error=gf4.values_to_pauli(block.error[: self.code.n_sent]),
+            e_out=outcome.error_pauli,
+            converged=outcome.converged,
+            iterations=outcome.iterations,
+            outcome=klass,
+        )
+
+
+def _run_blocks(args):
+    """Decode one pool task, (code, spec, block_lo, block_hi); see _Chunk."""
+    return _Chunk(*args).run()
 
 
 def run_experiment(spec: ExperimentSpec, jsonl_path=None):
     """Run the experiment; returns (stats per (p, strategy), all block results),
     both in spec order of p, then strategy, then block."""
     code = load_code(spec.code)
-    step = spec.blocks
-    if spec.workers > 1:
-        step = max(1, math.ceil(spec.blocks / (spec.workers * 4)))
+    step = math.ceil(spec.blocks / spec.workers)
     tasks = [
-        (code, spec, p_index, lo, min(lo + step, spec.blocks))
-        for p_index in range(len(spec.p_values))
+        (code, spec, lo, min(lo + step, spec.blocks))
         for lo in range(0, spec.blocks, step)
     ]
 
@@ -239,12 +315,13 @@ def run_experiment(spec: ExperimentSpec, jsonl_path=None):
         with ProcessPoolExecutor(max_workers=spec.workers) as pool:
             chunk_results = list(pool.map(_run_blocks, tasks))
 
-    # Chunks come back in task order, so each cell fills in block order.
+    # Chunks come back in block order, so each cell fills in block order.
+    p_index = {p: i for i, p in enumerate(spec.p_values)}
     strategy_index = {strategy: i for i, strategy in enumerate(spec.strategies)}
     cells = [[[] for _ in spec.strategies] for _ in spec.p_values]
-    for (_, _, p_index, _, _), chunk in zip(tasks, chunk_results):
+    for chunk in chunk_results:
         for r in chunk:
-            cells[p_index][strategy_index[r.strategy]].append(r)
+            cells[p_index[r.p]][strategy_index[r.strategy]].append(r)
 
     stats = []
     block_results = []
@@ -369,12 +446,13 @@ def trace_run(
 
     if qubit is None:
         raise ValueError("a pinned round needs both check and qubit")
+    check_slot(graph, check, qubit)
     first = decode(
         code, target, pri, max_iter=max_iter, graph=graph, on_iteration=record
     )
     if first.converged:
         return rows, first
-    outcome, _, _ = feedback_round(
+    outcome, _ = feedback_round(
         code,
         target,
         pri,

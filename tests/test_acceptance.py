@@ -138,7 +138,7 @@ def test_criterion_4_enhanced_feedback_case_study():
     priors = channel_priors(DepolarizingChannel(0.1), 4)
     detected = gf4.pauli_to_values("IYII")  # the case study's detected error
     start = time.perf_counter()
-    outcome, _, record = feedback_round(
+    outcome, record = feedback_round(
         code,
         TARGET_411,
         priors,
@@ -179,7 +179,7 @@ def test_criterion_5_pc08_case_study():
         rng = substream(seed, 5)
         converged = False
         for trial in range(budget):
-            outcome, _, _ = feedback_round(
+            outcome, _ = feedback_round(
                 code, TARGET_411, priors, check, qubits[trial % 3], config,
                 rng=rng, current_e_out=detected,
             )

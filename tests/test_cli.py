@@ -139,6 +139,51 @@ def test_trace_syndrome_input():
     assert result.exit_code == 0, result.output
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--strategy", "pc08", "--check", "2", "--qubit", "0"], "x>=1"),
+        (["--strategy", "enhanced", "--check", "0", "--qubit", "1"], "x>=1"),
+        (["--strategy", "enhanced", "--check", "9", "--qubit", "1"],
+         "0-based check 8 out of range 0..3"),
+        (["--strategy", "pc08", "--check", "2", "--qubit", "3"],
+         "0-based qubit 2 is not connected to check 1"),
+        (["--strategy", "enhanced", "--check", "2", "--qubit", "3"],
+         "0-based qubit 2 is not connected to check 1"),
+        (["--strategy", "pc08", "--check", "2"], "needs both check and qubit"),
+        (["--strategy", "enhanced", "--check", "2"], "needs both check and qubit"),
+    ],
+)
+def test_trace_bad_pins_are_usage_errors(args, message):
+    # check 2 of [[4,1;1]] has sender qubits 1, 2 and 4; the error's first
+    # run fails, so a valid pin would run its round
+    result = CliRunner().invoke(
+        main, ["trace", "--code", "4_1_1", "--p", "0.1", "--error", "IIZX"] + args
+    )
+    assert result.exit_code == 2, result.output
+    assert message in result.output
+    assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("syndrome_text", ["-++", "-++++"])
+def test_trace_wrong_length_syndrome_is_usage_error(syndrome_text):
+    result = CliRunner().invoke(
+        main, ["trace", "--code", "4_1_1", "--syndrome", syndrome_text]
+    )
+    assert result.exit_code == 2, result.output
+    assert "does not match 4 checks" in result.output
+
+
+def test_trace_pinned_round_checked_before_decoding():
+    # the zero syndrome converges at once, so the round would never run
+    result = CliRunner().invoke(
+        main, ["trace", "--code", "4_1_1", "--syndrome", "++++", "--strategy",
+               "enhanced", "--check", "5", "--qubit", "1"],
+    )
+    assert result.exit_code == 2, result.output
+    assert "out of range" in result.output
+
+
 def test_build_code_construction_b(tmp_path):
     out = tmp_path / "code.stab"
     runner = CliRunner()

@@ -5,10 +5,12 @@ from gf4bp import gf4
 from gf4bp.channel import DepolarizingChannel, priors as channel_priors, sample_error
 from gf4bp.decoder import (
     DecodeOutcome,
+    Lanes,
     TannerGraph,
     _check_messages,
     decode,
     hard_decision,
+    normalized_priors,
 )
 from gf4bp.stabilizer import (
     StabilizerCode,
@@ -123,8 +125,13 @@ def test_vectorized_check_messages_match_reference(code411):
     target = np.array([-1, 1, 1, -1])
     msg = rng.random((graph.n_edges, 4))
     msg /= msg.sum(axis=1, keepdims=True)
-    sigma = target.astype(float)[graph.edge_check]
-    vectorized = _check_messages(graph, np.ascontiguousarray(msg.T), sigma)
+    # one lane of the kernel, its q->c messages replaced by random ones
+    lanes = Lanes(graph, 1)
+    lanes.load("job", normalized_priors(np.full((4, 4), 0.25)), target, 1)
+    view = lanes._view(1)
+    view.msg[..., 0] = msg.T
+    _check_messages(graph, view)
+    vectorized = view.c2q[:, :-1, 0]
     assert vectorized.shape == (4, graph.n_edges)
     for e in range(graph.n_edges):
         check = int(graph.edge_check[e])
@@ -333,3 +340,58 @@ def test_check_on_ebit_columns_only():
     assert out.converged
     assert out.iterations == 1
     assert out.error_pauli == "II"
+
+
+@pytest.mark.parametrize("width", [1, 3, 16])
+def test_lanes_with_refill_match_decode(width):
+    # Jobs with mixed iteration caps load into free lanes as others finish,
+    # so lanes are packed and refilled mid-run; every outcome must equal a
+    # lone decode's.
+    code = construction_b(C62_ROW)
+    graph = TannerGraph(code)
+    rng = np.random.default_rng(61)
+    jobs = []
+    for index in range(40):
+        p = (0.02, 0.06, 0.09)[index % 3]
+        pri = channel_priors(DepolarizingChannel(p), code.n_sent)
+        pri[rng.integers(code.n_sent)] = [0.45, 0.45, 0.05, 0.05]
+        error = sample_error(code.n_sent, DepolarizingChannel(p), rng)
+        jobs.append((pri, syndrome(code, error), (90, 40, 3)[index % 3]))
+    lanes = Lanes(graph, width)
+    pending = list(range(len(jobs)))
+    got = {}
+    while pending or lanes.busy:
+        while pending and lanes.busy < width:
+            index = pending.pop(0)
+            pri, target, cap = jobs[index]
+            lanes.load(index, normalized_priors(pri), target, cap)
+        for index, outcome in lanes.step():
+            got[index] = outcome
+    assert any(o.converged for o in got.values())
+    assert any(not o.converged for o in got.values())
+    for index, (pri, target, cap) in enumerate(jobs):
+        want = decode(code, target, pri, max_iter=cap, graph=graph)
+        assert got[index].error.tolist() == want.error.tolist()
+        assert (got[index].converged, got[index].iterations) == (
+            want.converged, want.iterations,
+        )
+
+
+def test_lane_on_unreachable_syndrome_runs_to_its_cap():
+    # -1 on the ebit-only check II|Z can never be matched
+    code = StabilizerCode(
+        np.array([[1, 1, 0], [0, 0, 2]], dtype=np.uint8), n_sent=2, n_ebits=1
+    )
+    graph = TannerGraph(code)
+    pri = channel_priors(DepolarizingChannel(0.1), 2)
+    lanes = Lanes(graph, 2)
+    lanes.load("reachable", normalized_priors(pri), np.array([1, 1]), 10)
+    lanes.load("unreachable", normalized_priors(pri), np.array([1, -1]), 7)
+    finished = {}
+    while lanes.busy:
+        finished.update(lanes.step())
+    assert finished["reachable"].converged and finished["reachable"].iterations == 1
+    assert not finished["unreachable"].converged
+    assert finished["unreachable"].iterations == 7
+    out = decode(code, [1, -1], pri, max_iter=7, graph=graph)
+    assert (out.converged, out.iterations) == (False, 7)

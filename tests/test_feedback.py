@@ -10,8 +10,10 @@ from gf4bp.channel import (
 from gf4bp.decoder import TannerGraph, decode
 from gf4bp.feedback import (
     FeedbackConfig,
+    FeedbackRun,
     default_n_a,
     enhanced_reset,
+    feedback_adjustment,
     feedback_decode,
     feedback_round,
     frustrated_checks,
@@ -127,7 +129,8 @@ def test_enhanced_round_case_study(code411, priors411):
     assert first.error_pauli == "IYII"
     assert frustrated_checks(code411, TARGET, first.error).tolist() == [1, 2, 3]
     config = FeedbackConfig(strategy="enhanced", t_pert=40)
-    outcome, priors_after, record = feedback_round(
+    before = priors411.copy()
+    outcome, record = feedback_round(
         code411, TARGET, priors411, check=1, qubit=3, config=config,
         current_e_out=first.error,
     )
@@ -135,25 +138,30 @@ def test_enhanced_round_case_study(code411, priors411):
     assert outcome.iterations == 3
     assert outcome.error_pauli == "IIZX"
     assert record.outcome == "converged"
-    assert np.allclose(priors_after[3], [0.45, 0.45, 0.05, 0.05])
-    assert np.allclose(priors_after[:3], priors411[:3])
+    # the round installed the enhanced reset on qubit 4 alone
+    assert record.qubits_touched.tolist() == [3]
+    assert np.allclose(record.applied, [[0.45, 0.45, 0.05, 0.05]])
+    assert np.array_equal(priors411, before)
 
 
 def test_pc08_round_case_study_fails(code411, priors411):
     first = decode(code411, TARGET, priors411, max_iter=90)
     config = FeedbackConfig(strategy="pc08", t_pert=40, delta=1.0)
+    before = priors411.copy()
     failures = 0
     for seed in range(40):
-        outcome, priors_after, record = feedback_round(
+        outcome, record = feedback_round(
             code411, TARGET, priors411, check=1, qubit=0, config=config,
             rng=substream(seed, 0), current_e_out=first.error,
         )
         if not outcome.converged:
             failures += 1
-            assert priors_after is priors411 or np.array_equal(priors_after, priors411)
+            assert np.array_equal(priors411, before)
+            assert record.applied.shape == (3, 4)
+            assert not np.array_equal(record.applied, priors411[[0, 1, 3]])
     assert failures == 40
     # the pc08 round perturbs every qubit of the chosen check
-    _, _, record = feedback_round(
+    _, record = feedback_round(
         code411, TARGET, priors411, check=1, qubit=0, config=config,
         rng=substream(0, 0), current_e_out=first.error,
     )
@@ -164,12 +172,13 @@ def test_failed_round_restores_priors_bit_exactly(code411, priors411):
     first = decode(code411, TARGET, priors411, max_iter=90)
     config = FeedbackConfig(strategy="pc08", t_pert=5, delta=1.0)
     before = priors411.copy()
-    _, priors_after, record = feedback_round(
+    _, record = feedback_round(
         code411, TARGET, priors411, check=1, qubit=0, config=config,
         rng=substream(8, 1), current_e_out=first.error,
     )
     assert record.outcome in ("restored", "check_satisfied")
-    assert np.array_equal(priors_after, before)
+    assert record.qubits_touched.tolist() == [0, 1, 3]
+    assert not np.array_equal(record.applied, before[[0, 1, 3]])
     assert np.array_equal(priors411, before)
 
 
@@ -275,3 +284,85 @@ def test_feedback_decode_requires_feedback_strategy(code411, priors411):
             code411, TARGET, priors411, FeedbackConfig(strategy="standard"),
             rng=substream(0, 0),
         )
+
+
+@pytest.mark.parametrize("strategy", ["pc08", "enhanced"])
+@pytest.mark.parametrize(
+    "check, qubit, message",
+    [(-1, 0, "out of range"), (4, 0, "out of range"), (1, 2, "not connected"),
+     (1, -1, "not connected")],
+)
+def test_adjustment_rejects_bad_pins(code411, priors411, strategy, check, qubit, message):
+    # check 1 (0-based) has sender qubits 0, 1 and 3; nothing is drawn
+    graph = TannerGraph(code411)
+    rng = substream(0, 0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=message):
+        feedback_adjustment(
+            graph, TARGET, priors411, check, qubit, FeedbackConfig(strategy=strategy),
+            rng=rng, current_e_out=np.array([0, 3, 0, 0], dtype=np.uint8),
+        )
+    assert rng.bit_generator.state == state
+
+
+def _failed_blocks(code, p, count, seed=5):
+    graph = TannerGraph(code)
+    chan = DepolarizingChannel(p)
+    pri = channel_priors(chan, code.n_sent)
+    failed = []
+    block = 0
+    while len(failed) < count:
+        target = syndrome(code, sample_error(code.n_sent, chan, substream(seed, 0, block)))
+        first = decode(code, target, pri, graph=graph)
+        if not first.converged:
+            failed.append((block, target, first))
+        block += 1
+    return graph, pri, failed
+
+
+def _records_key(records):
+    return [
+        (r.check, r.qubit, r.outcome, r.iterations, r.qubits_touched.tolist(),
+         r.applied.tolist())
+        for r in records
+    ]
+
+
+def test_interleaved_runs_equal_runs_alone():
+    # Feedback runs stepped round-robin, each restart decoded when its turn
+    # comes, give the same rounds, draws and outcomes as each run on its own.
+    code = construction_b([1 if i in (1, 5, 11, 24, 25, 27) else 0 for i in range(31)])
+    graph, pri, failed = _failed_blocks(code, 0.06, 3)
+    specs = [
+        (block, target, first, strategy)
+        for block, target, first in failed
+        for strategy in ("pc08", "enhanced")
+    ]
+
+    def start(block, target, first, strategy):
+        return FeedbackRun(
+            graph, target, pri, FeedbackConfig(strategy=strategy), first,
+            substream(5, 1, 0, 0, block),
+        )
+
+    alone = [
+        feedback_decode(
+            code, target, pri, FeedbackConfig(strategy=strategy), graph=graph,
+            rng=substream(5, 1, 0, 0, block), first=first,
+        )
+        for block, target, first, strategy in specs
+    ]
+    runs = [start(*spec) for spec in specs]
+    pending = [(run, run.next_round()) for run in runs]
+    while pending:
+        run, (adjusted, t_pert) = pending.pop(0)
+        run.finish_round(decode(code, run.target, adjusted, max_iter=t_pert, graph=graph))
+        restart = run.next_round()
+        if restart is not None:
+            pending.append((run, restart))
+    assert sum(len(records) for _, records in alone) > len(specs)
+    for run, (outcome, records) in zip(runs, alone, strict=True):
+        got, got_records = run.result()
+        assert got.error.tolist() == outcome.error.tolist()
+        assert (got.converged, got.iterations) == (outcome.converged, outcome.iterations)
+        assert _records_key(got_records) == _records_key(records)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from gf4bp import sim
 from gf4bp.cli import main
 from gf4bp.decoder import DecodeOutcome
 from gf4bp.sim import (
@@ -300,6 +301,63 @@ def test_injected_run_matches_per_cell_reference(code411, tmp_path):
     )
     blocks, verdicts = _assert_matches_reference(spec, tmp_path)
     assert sum(verdicts.values()) >= 1
+
+
+@pytest.fixture(scope="module")
+def lane_reference(code62, tmp_path_factory):
+    """The [[62,2]] experiment of the invariance tests and its per-cell
+    reference run: (spec, stats, block results, JSONL bytes)."""
+    spec = ExperimentSpec(
+        code=code62, p_values=(0.03, 0.06),
+        strategies=("standard", "pc08", "enhanced"), blocks=40, seed=1,
+    )
+    path = tmp_path_factory.mktemp("reference") / "reference.jsonl"
+    stats, blocks, _ = per_cell_experiment(spec, jsonl_path=path)
+    return spec, stats, blocks, path.read_bytes()
+
+
+def _assert_equals_reference(reference, tmp_path, **changes):
+    spec, ref_stats, ref_blocks, ref_jsonl = reference
+    path = tmp_path / "run.jsonl"
+    stats, blocks = run_experiment(replace(spec, **changes), jsonl_path=path)
+    assert blocks == ref_blocks
+    assert format_csv(stats) == format_csv(ref_stats)
+    assert path.read_bytes() == ref_jsonl
+    return blocks
+
+
+@pytest.mark.parametrize("width", [1, 3, 64])
+def test_lane_width_does_not_change_outputs(lane_reference, tmp_path, monkeypatch, width):
+    # The width normally follows from the code; forcing it through the
+    # scheduler's width function must leave every output as the reference.
+    widths = []
+
+    def forced(graph):
+        widths.append(width)
+        return width
+
+    monkeypatch.setattr(sim, "lane_width", forced)
+    blocks = _assert_equals_reference(lane_reference, tmp_path, workers=1)
+    assert widths == [width]
+    assert any(b.strategy != "standard" and b.iterations > 90 for b in blocks)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_worker_count_does_not_change_outputs(lane_reference, tmp_path, workers):
+    # one task per worker: 40 blocks in ranges of 40, 20 or 14
+    _assert_equals_reference(lane_reference, tmp_path, workers=workers)
+
+
+def test_lane_width_follows_the_code(code62):
+    from gf4bp.decoder import LANE_WORKSPACE_BYTES, Lanes, TannerGraph, lane_width
+
+    graph = TannerGraph(code62)
+    assert lane_width(graph) == LANE_WORKSPACE_BYTES // Lanes.lane_bytes(graph)
+    assert 8 <= lane_width(graph) <= 16
+    n510 = construction_b(
+        [1 if i in (8, 36, 118, 128, 190, 240) else 0 for i in range(255)]
+    )
+    assert lane_width(TannerGraph(n510)) == 1
 
 
 # sha256 digests recorded before the parity, alist and feedback-loop
