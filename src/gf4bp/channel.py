@@ -3,6 +3,12 @@
 Randomness is organized as splittable substreams: substream(seed, *key)
 returns a generator that is a pure function of its key, so per-block draws
 are identical no matter how blocks are scheduled across workers.
+substream_uniforms draws the first uniforms of many such substreams at once,
+(seed, domain, block) for a batch of blocks, with the same values: it hashes
+the keys with a vectorised copy of numpy's SeedSequence (after O'Neill's
+seed_seq) and seeds one reused PCG64 per key through PCG64's own 128-bit
+seeding step.  sample_error turns such uniforms, one row per block, into
+errors.
 """
 
 from dataclasses import dataclass
@@ -37,16 +43,28 @@ def priors(channel: DepolarizingChannel, n_sent: int) -> np.ndarray:
 def sample_error(
     n_sent: int,
     channel: DepolarizingChannel,
-    rng: np.random.Generator,
+    rng,
     n_ebits: int = 0,
 ) -> np.ndarray:
-    """Draw an i.i.d. Pauli error; receiver-held ebit columns stay identity."""
+    """Draw an i.i.d. Pauli error; receiver-held ebit columns stay identity.
+
+    rng is a Generator, or an (..., n_sent) array of uniforms already drawn
+    from one, which gives one error per row of shape (..., n_sent + n_ebits).
+    """
+    if isinstance(rng, np.random.Generator):
+        uniforms = rng.random(n_sent)
+    else:
+        uniforms = np.asarray(rng, dtype=float)
+        if uniforms.shape[-1:] != (n_sent,):
+            raise ValueError(
+                f"uniforms of shape {uniforms.shape} do not cover {n_sent} qubits"
+            )
     # rng.choice(4, size=n_sent, p=prior)'s own draw, without its per-call
     # validation of p: one uniform per qubit searched in the normalised CDF
     cdf = np.cumsum(channel.prior())
     cdf /= cdf[-1]
-    error = np.zeros(n_sent + n_ebits, dtype=np.uint8)
-    error[:n_sent] = cdf.searchsorted(rng.random(n_sent), side="right")
+    error = np.zeros(uniforms.shape[:-1] + (n_sent + n_ebits,), dtype=np.uint8)
+    error[..., :n_sent] = cdf.searchsorted(uniforms, side="right")
     return error
 
 
@@ -55,3 +73,101 @@ def substream(master_seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(
         np.random.SeedSequence(entropy=int(master_seed), spawn_key=tuple(key))
     )
+
+
+# SeedSequence's uint32 hash constants (numpy's bit_generator.pyx) and the
+# PCG64 multiplier (pcg64.h)
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _uint32_words(value: int) -> list:
+    """A nonnegative int as SeedSequence splits it: little-endian uint32 words."""
+    value = int(value)
+    if value < 0:
+        raise ValueError(f"seed keys must be nonnegative, got {value}")
+    words = [value & _MASK32]
+    while value > _MASK32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+def _seed_words(entropy: list) -> list:
+    """SeedSequence(...).generate_state(8, uint32) for an assembled entropy
+    list.  Each word is an int or a uint64 array of values below 2**32, one
+    per key; products stay below 2**64, and a difference that wraps modulo
+    2**64 is still right modulo 2**32."""
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+        return result ^ (result >> 16)
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    state = []
+    hash_const = _INIT_B
+    for i in range(8):
+        value = pool[i % _POOL_SIZE] ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * hash_const & _MASK32
+        state.append(value ^ (value >> 16))
+    return state
+
+
+def _pcg64_state(words) -> tuple:
+    """PCG64's (state, inc) seeded from SeedSequence's generate_state(8,
+    uint32) words: those are read as generate_state(4, uint64), i.e.
+    (initstate, initseq) as 128-bit ints, and PCG64 seeds with inc =
+    2 initseq + 1, one LCG step from state 0, + initstate, one more step."""
+    initstate = words[1] << 96 | words[0] << 64 | words[3] << 32 | words[2]
+    inc = (words[5] << 96 | words[4] << 64 | words[7] << 32 | words[6]) << 1 & _MASK128 | 1
+    return ((inc + initstate) * _PCG64_MULT + inc) & _MASK128, inc
+
+
+def substream_uniforms(master_seed: int, domain: int, blocks, n: int) -> np.ndarray:
+    """(len(blocks), n) uniforms; row i is substream(master_seed, domain,
+    blocks[i]).random(n)."""
+    blocks = np.asarray(blocks, dtype=np.uint64).ravel()
+    # SeedSequence pads the run entropy to the pool size before a spawn key
+    run = _uint32_words(master_seed)
+    run += [0] * (_POOL_SIZE - len(run)) + _uint32_words(domain)
+    low, high = blocks & np.uint64(_MASK32), blocks >> np.uint64(32)
+    wide = high > 0  # a block of 2**32 or more is two words
+    out = np.empty((blocks.size, n))
+    generator = np.random.Generator(np.random.PCG64(0))
+    bit_generator = generator.bit_generator
+    for rows, block_words in ((~wide, [low]), (wide, [low, high])):
+        rows = np.flatnonzero(rows)
+        if not rows.size:
+            continue
+        words = _seed_words(run + [w[rows] for w in block_words])
+        for row, key_words in zip(rows.tolist(), zip(*(w.tolist() for w in words))):
+            state, inc = _pcg64_state(key_words)
+            bit_generator.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            generator.random(out=out[row])
+    return out

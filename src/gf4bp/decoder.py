@@ -281,6 +281,7 @@ class Lanes:
         self._views = {}
         self._layout = 0
         self.jobs = []  # per lane of the layout: its job, None once finished
+        self.busy = 0  # lanes running a job
         self.iterations = []  # per lane of the layout
         self.caps = []
         self.reachable = []
@@ -289,11 +290,6 @@ class Lanes:
     def lane_bytes(graph: TannerGraph) -> int:
         """Workspace bytes per lane."""
         return 8 * sum(math.prod(shape) for shape in _lane_shapes(graph).values())
-
-    @property
-    def busy(self) -> int:
-        """Lanes running a job."""
-        return sum(job is not None for job in self.jobs)
 
     def _view(self, lanes: int):
         view = self._views.get(lanes)
@@ -326,6 +322,7 @@ class Lanes:
             getattr(view, name)[..., :n_kept] = values
         free = [None] * (lanes - n_kept)
         self.jobs = [self.jobs[i] for i in keep] + free
+        self.busy = len(self.jobs) - self.jobs.count(None)
         self.iterations = [self.iterations[i] for i in keep] + free
         self.caps = [self.caps[i] for i in keep] + free
         self.reachable = [self.reachable[i] for i in keep] + free
@@ -358,6 +355,7 @@ class Lanes:
         self.iterations[lane] = 0
         self.caps[lane] = max_iter
         self.jobs[lane] = job
+        self.busy += 1
 
     def step(self, halt: bool = True) -> list:
         """One flooding iteration on every busy lane; returns the finished
@@ -384,6 +382,7 @@ class Lanes:
                 )
                 finished.append((self.jobs[lane], outcome))
                 self.jobs[lane] = None
+                self.busy -= 1
         return finished
 
     def beliefs(self, lane: int) -> np.ndarray:

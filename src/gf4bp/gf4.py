@@ -26,6 +26,8 @@ PAULI_ORDER = "IXZY"
 
 PAULI_TO_VALUE = {symbol: value for value, symbol in enumerate(PAULI_ORDER)}
 
+_PAULI_BYTES = np.frombuffer(PAULI_ORDER.encode("ascii"), dtype=np.uint8)
+
 MUL_TABLE = np.array(
     [
         [0, 0, 0, 0],
@@ -87,5 +89,10 @@ def pauli_to_values(pauli: str) -> np.ndarray:
 
 
 def values_to_pauli(values) -> str:
-    """Convert a GF(4) value vector back to its Pauli string."""
-    return "".join(PAULI_ORDER[int(value)] for value in np.asarray(values).ravel())
+    """Convert GF(4) values, read in C order, back to their Pauli string."""
+    values = np.asarray(values)
+    if values.size and not (0 <= values.min() and values.max() <= 3):
+        raise ValueError(
+            f"GF(4) values must lie in 0..3, got {values.min()}..{values.max()}"
+        )
+    return _PAULI_BYTES.take(values.astype(np.intp, copy=False)).tobytes().decode("ascii")

@@ -5,12 +5,16 @@ Blocks are independent work items.  The error of block i is drawn from a
 substream keyed by (seed, channel-domain, i) only, so all strategies and all
 p values of one experiment face the same underlying randomness and results
 are identical no matter how many workers execute the blocks.  A work item is
-a range of blocks at every p value, one per worker: each block's error,
-syndrome and standard BP run are computed once and shared by every strategy,
-since pc08 and enhanced feedback start from that same run.  Within a work
-item every BP run, first run or feedback restart, is a lane of one lane
-kernel; jobs finish out of order and results are put back in spec order, so
-outputs do not depend on the lane width or the worker count.
+a range of blocks at every p value, one per worker.  Its blocks are drawn
+BATCH_BLOCKS at a time: one row of uniforms per block, shared by every p,
+then per p the errors, syndromes, error strings and quiet test as arrays.
+Each block's standard BP run is computed once and shared by every strategy,
+since pc08 and enhanced feedback start from that same run; a quiet block
+(all-+1 syndrome) takes the one run its p makes on that syndrome.  Within a
+work item every other BP run, first run or feedback restart, is a lane of
+one lane kernel; jobs finish out of order and results are put back in spec
+order, so outputs do not depend on the lane width, the batch size or the
+worker count.
 """
 
 import json
@@ -23,7 +27,13 @@ from pathlib import Path
 import numpy as np
 
 from . import gf4
-from .channel import DepolarizingChannel, priors as channel_priors, sample_error, substream
+from .channel import (
+    DepolarizingChannel,
+    priors as channel_priors,
+    sample_error,
+    substream,
+    substream_uniforms,
+)
 from .decoder import Lanes, TannerGraph, decode, lane_width, normalized_priors
 from .feedback import FeedbackConfig, FeedbackRun, check_slot, feedback_decode, feedback_round
 from .formats import parse_stabilizer_text
@@ -156,16 +166,32 @@ def classify_outcome(code: StabilizerCode, error, outcome, check_membership=True
     decoder reported failure.  With check_membership=False the degenerate /
     nonequivalent split is not computed and 'unchecked' is returned instead.
     """
+    errors = np.asarray(error, dtype=np.uint8)[np.newaxis]
+    return classify_outcomes(code, errors, outcome, check_membership)[0]
+
+
+def classify_outcomes(
+    code: StabilizerCode, errors, outcome, check_membership=True
+) -> list:
+    """classify_outcome of one outcome against each row of a (B, n_total)
+    error array; group membership is tested only for rows that are not exact."""
     if not outcome.converged:
-        return "detected"
-    error = np.asarray(error, dtype=np.uint8)
+        return ["detected"] * len(errors)
     e_out_full = code.embed_sent(outcome.error)
-    if np.array_equal(e_out_full, error):
-        return "exact"
-    if not check_membership:
-        return "unchecked"
-    difference = np.bitwise_xor(e_out_full, error)
-    return "degenerate" if group_membership(difference, code) else "nonequivalent"
+    not_exact = np.flatnonzero((errors != e_out_full).any(axis=1))
+    classes = ["exact"] * len(errors)
+    for row in not_exact.tolist():
+        if not check_membership:
+            classes[row] = "unchecked"
+        elif group_membership(np.bitwise_xor(e_out_full, errors[row]), code):
+            classes[row] = "degenerate"
+        else:
+            classes[row] = "nonequivalent"
+    return classes
+
+
+#: New blocks are sampled, checked and stringified this many at a time.
+BATCH_BLOCKS = 256
 
 
 @dataclass(eq=False)
@@ -176,17 +202,23 @@ class _Block:
     block: int
     error: np.ndarray
     target: np.ndarray
+    text: str  # the error on the sent qubits as a Pauli string
 
 
 class _Chunk:
     """A pool task: a contiguous range of blocks at every p under every
     strategy, decoded as jobs on one Lanes kernel.
 
-    Lanes are refilled as they finish, pending feedback restarts before new
-    first runs.  Each block's error, syndrome and standard BP run are
-    computed once: standard reports that run, and so do pc08 and enhanced if
-    it converged; otherwise a FeedbackRun per strategy continues from it,
-    drawing from the block's own substream.
+    New blocks are drawn BATCH_BLOCKS at a time: their uniforms once for
+    every p, then per p their errors, syndromes and error strings as
+    arrays.  A quiet block (all-+1 syndrome) takes the p's quiet first run,
+    which is decoded once and shared: a first run depends only on the
+    graph, the priors, the target and max_iter.  The other blocks are
+    queued for the lanes, which are refilled as they finish, pending
+    feedback restarts before new first runs.  Each block's first run is
+    shared by its strategies: standard reports it, and so do pc08 and
+    enhanced if it converged; otherwise a FeedbackRun per strategy continues
+    from it, drawing from the block's own substream.
     """
 
     def __init__(self, code, spec, block_lo, block_hi):
@@ -208,11 +240,12 @@ class _Chunk:
             s: FeedbackConfig(s, t_pert=spec.t_pert, n_a=spec.n_a, delta=spec.delta)
             for s in spec.strategies if s != "standard"
         }
-        self.new_blocks = (
-            (p_index, block)
-            for block in range(block_lo, block_hi)
-            for p_index in range(len(spec.p_values))
+        self.batches = (
+            range(lo, min(lo + BATCH_BLOCKS, block_hi))
+            for lo in range(block_lo, block_hi, BATCH_BLOCKS)
         )
+        self.new_blocks = deque()  # sampled blocks waiting for a first run
+        self.quiet = [None] * len(spec.p_values)  # per p: (outcome, e_out string)
         self.restarts = deque()  # ((block, strategy_index, run), priors, t_pert)
         self.results = {}  # (p_index, strategy_index, block) -> BlockResult
 
@@ -226,7 +259,10 @@ class _Chunk:
                 break
             for job, outcome in lanes.step():
                 if isinstance(job, _Block):
-                    self.first_run_done(job, outcome)
+                    klass = classify_outcome(
+                        self.code, job.error, outcome, self.check_membership
+                    )
+                    self.first_run_done(job, outcome, klass, outcome.error_pauli)
                 else:
                     block, strategy_index, run = job
                     run.finish_round(outcome)
@@ -240,27 +276,67 @@ class _Chunk:
             job, adjusted, t_pert = self.restarts.popleft()
             self.lanes.load(job, normalized_priors(adjusted), job[0].target, t_pert)
             return True
-        p_index, block = next(self.new_blocks, (None, None))
-        if block is None:
-            return False
-        code = self.code
-        if self.inject is not None:
-            error = code.embed_sent(self.inject)
-        else:
-            rng = substream(self.spec.seed, _STREAM_CHANNEL, block)
-            error = sample_error(
-                code.n_sent, self.channels[p_index], rng, n_ebits=code.n_ebits
-            )
-        job = _Block(p_index, block, error, syndrome(code, error))
-        self.lanes.load(job, self.lane_priors[p_index], job.target, self.spec.max_iter)
+        while not self.new_blocks:
+            blocks = next(self.batches, None)
+            if blocks is None:
+                return False
+            self.sample(blocks)
+        job = self.new_blocks.popleft()
+        self.lanes.load(job, self.lane_priors[job.p_index], job.target, self.spec.max_iter)
         return True
 
-    def first_run_done(self, block: _Block, outcome) -> None:
+    def sample(self, blocks: range) -> None:
+        """Draw a batch of blocks at every p; decide the quiet ones at once
+        and queue the others in (block, p) order."""
+        code, n_sent = self.code, self.code.n_sent
+        uniforms = None
+        if self.inject is None:
+            uniforms = substream_uniforms(self.spec.seed, _STREAM_CHANNEL, blocks, n_sent)
+        loud = []  # per p: its jobs, None for the quiet ones
+        for p_index, channel in enumerate(self.channels):
+            if uniforms is None:
+                errors = np.tile(code.embed_sent(self.inject), (len(blocks), 1))
+            else:
+                errors = sample_error(n_sent, channel, uniforms, n_ebits=code.n_ebits)
+            targets = syndrome(code, errors)
+            text = gf4.values_to_pauli(errors[:, :n_sent])
+            jobs = [
+                _Block(
+                    p_index, block, errors[i], targets[i],
+                    text[i * n_sent : (i + 1) * n_sent],
+                )
+                for i, block in enumerate(blocks)
+            ]
+            quiet = (targets > 0).all(axis=1)
+            if quiet.any():
+                outcome, e_out = self.quiet_run(p_index)
+                rows = np.flatnonzero(quiet)
+                classes = classify_outcomes(
+                    code, errors[rows], outcome, self.check_membership
+                )
+                for row, klass in zip(rows.tolist(), classes):
+                    self.first_run_done(jobs[row], outcome, klass, e_out)
+            loud.append([None if q else job for q, job in zip(quiet.tolist(), jobs)])
+        self.new_blocks.extend(job for row in zip(*loud) for job in row if job is not None)
+
+    def quiet_run(self, p_index: int):
+        """The first run on the all-+1 syndrome at p, decoded on first use."""
+        if self.quiet[p_index] is None:
+            outcome = decode(
+                self.code, np.ones(self.code.n_checks, dtype=np.int64),
+                self.priors[p_index], max_iter=self.spec.max_iter, graph=self.graph,
+            )
+            outcome.error.setflags(write=False)  # shared by every quiet block
+            self.quiet[p_index] = (outcome, outcome.error_pauli)
+        return self.quiet[p_index]
+
+    def first_run_done(self, block: _Block, outcome, klass: str, e_out: str) -> None:
+        """Report the first run of a block under standard, and under pc08 and
+        enhanced if it converged; else start their feedback runs."""
         spec = self.spec
-        klass = classify_outcome(self.code, block.error, outcome, self.check_membership)
         for strategy_index, strategy in enumerate(spec.strategies):
             if strategy == "standard" or outcome.converged:
-                self.emit(block, strategy_index, outcome, klass)
+                self.emit(block, strategy_index, outcome, klass, e_out)
                 continue
             rng = substream(
                 spec.seed, _STREAM_DECODER, strategy_index, block.p_index, block.block
@@ -279,15 +355,17 @@ class _Chunk:
             return
         outcome, _ = run.result()
         klass = classify_outcome(self.code, block.error, outcome, self.check_membership)
-        self.emit(block, strategy_index, outcome, klass)
+        self.emit(block, strategy_index, outcome, klass, outcome.error_pauli)
 
-    def emit(self, block: _Block, strategy_index: int, outcome, klass: str) -> None:
+    def emit(
+        self, block: _Block, strategy_index: int, outcome, klass: str, e_out: str
+    ) -> None:
         self.results[(block.p_index, strategy_index, block.block)] = BlockResult(
             p=self.spec.p_values[block.p_index],
             strategy=self.spec.strategies[strategy_index],
             block=block.block,
-            error=gf4.values_to_pauli(block.error[: self.code.n_sent]),
-            e_out=outcome.error_pauli,
+            error=block.text,
+            e_out=e_out,
             converged=outcome.converged,
             iterations=outcome.iterations,
             outcome=klass,

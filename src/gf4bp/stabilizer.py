@@ -156,10 +156,10 @@ class StabilizerCode:
 
     @cached_property
     def _entry_positions(self):
-        """Flat (symbol, column) positions of the nonzero check entries, row
+        """Flat (column, symbol) positions of the nonzero check entries, row
         by row, and the offset of each row's first entry (rows are nonzero)."""
         rows, cols = np.nonzero(self.checks)
-        positions = self.checks[rows, cols].astype(np.intp) * self.n_total + cols
+        positions = cols * 4 + self.checks[rows, cols]
         return positions, np.searchsorted(rows, np.arange(self.n_checks))
 
     def __getstate__(self):
@@ -180,15 +180,21 @@ class StabilizerCode:
 
 
 def syndrome(code: StabilizerCode, error) -> np.ndarray:
-    """Syndrome of an error: entry c is +1 iff generator c commutes with it."""
+    """Syndrome of an error: entry c is +1 iff generator c commutes with it.
+
+    A (B, n_total) array of errors gives the (B, n_checks) syndromes of its
+    rows.
+    """
     values = as_values(error)
-    if values.shape != (code.n_total,):
+    if values.ndim not in (1, 2) or values.shape[-1] != code.n_total:
         raise ValueError(
-            f"error length {values.shape} does not match {code.n_total} columns"
+            f"error shape {values.shape} does not match {code.n_total} columns"
         )
     positions, starts = code._entry_positions
-    bits = ANTICOMMUTES.take(values, axis=1).take(positions)
-    return 1 - 2 * np.bitwise_xor.reduceat(bits, starts).astype(np.int8)
+    # ANTICOMMUTES is symmetric: row v holds v's parity against each symbol
+    table = ANTICOMMUTES.take(values, axis=0).reshape(values.shape[:-1] + (-1,))
+    bits = table.take(positions, axis=-1)
+    return 1 - 2 * np.bitwise_xor.reduceat(bits, starts, axis=-1).astype(np.int8)
 
 
 def quaternary_to_pauli(h: np.ndarray) -> np.ndarray:

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from gf4bp.channel import DepolarizingChannel, priors, sample_error, substream
+from gf4bp import channel
+from gf4bp.channel import (
+    DepolarizingChannel,
+    priors,
+    sample_error,
+    substream,
+    substream_uniforms,
+)
 
 
 def test_prior_examples():
@@ -82,3 +89,50 @@ def test_distinct_keys_distinct_streams():
     a = sample_error(500, DepolarizingChannel(0.5), substream(7, 0, 0))
     b = sample_error(500, DepolarizingChannel(0.5), substream(7, 0, 1))
     assert not np.array_equal(a, b)
+
+
+def test_sample_error_from_uniform_rows():
+    # one row of uniforms per error, drawn from each block's substream
+    chan = DepolarizingChannel(0.3)
+    uniforms = np.stack([substream(5, 0, block).random(9) for block in range(4)])
+    errors = sample_error(9, chan, uniforms, n_ebits=2)
+    assert errors.shape == (4, 11)
+    for block, error in enumerate(errors):
+        expected = sample_error(9, chan, substream(5, 0, block), n_ebits=2)
+        assert np.array_equal(error, expected)
+    with pytest.raises(ValueError):
+        sample_error(8, chan, uniforms)
+
+
+SEEDS = (0, 2**32 - 1, 2**32, 2**64 - 1, 2**70 + 3)
+BLOCKS = (
+    list(range(1000))
+    + list(range(2**32 - 500, 2**32 + 500))  # a block of 2**32 or more is two words
+    + [2**40 + 7, 2**64 - 1]
+)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_substream_uniforms_match_numpy(seed):
+    # 2,002 keys per seed: the hash, the PCG64 state and the uniforms
+    n = 5
+    uniforms = substream_uniforms(seed, 0, BLOCKS, n)
+    blocks = np.array(BLOCKS, dtype=np.uint64)
+    low = blocks & np.uint64(0xFFFFFFFF)
+    # entropy: the seed's words padded to the pool size, then (0, block)
+    seed_words = [seed & 0xFFFFFFFF, seed >> 32 & 0xFFFFFFFF, seed >> 64, 0]
+    words = channel._seed_words(seed_words + [0, low])
+    for row, block in enumerate(BLOCKS):
+        sequence = np.random.SeedSequence(seed, spawn_key=(0, block))
+        if block < 2**32:
+            assert [int(w[row]) for w in words] == sequence.generate_state(8).tolist()
+        expected = np.random.PCG64(sequence).state["state"]
+        assert channel._pcg64_state(
+            [int(w) for w in sequence.generate_state(8)]
+        ) == (expected["state"], expected["inc"])
+        assert np.array_equal(uniforms[row], substream(seed, 0, block).random(n))
+
+
+def test_substream_uniforms_rejects_negative_seed():
+    with pytest.raises(ValueError):
+        substream_uniforms(-1, 0, [0], 3)

@@ -119,6 +119,10 @@ def test_pauli_bijection():
         assert gf4.values_to_pauli(gf4.pauli_to_values(text)) == text
     for value in range(4):
         assert gf4.pauli_to_values(gf4.values_to_pauli([value]))[0] == value
+    assert gf4.values_to_pauli([]) == ""
+    for bad in ([0, -1, 3], [4], [1, 2, 7]):
+        with pytest.raises(ValueError, match="0..3"):
+            gf4.values_to_pauli(bad)
 
 
 def test_pauli_invalid_symbol():

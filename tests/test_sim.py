@@ -19,7 +19,7 @@ from gf4bp.sim import (
     trace_run,
     wilson_interval,
 )
-from gf4bp.stabilizer import build_code_4_1_1, construction_b
+from gf4bp.stabilizer import build_code_4_1_1, construction_b, syndrome
 
 from oracles import per_cell_experiment
 
@@ -405,3 +405,75 @@ def test_fixed_experiment_bytes(code62, tmp_path):
             out.read_bytes() + result.output.encode()
         ).hexdigest()
     assert digests == FIXED_EXPERIMENT_DIGESTS
+
+
+@pytest.mark.parametrize(
+    "code_name, p_values, changes",
+    [
+        ("c62", (0.0, 0.002), {}),
+        ("c62", (0.0, 0.002, 0.8), {"inject": "I" * 62}),
+        ("4_1_1", (0.0, 0.8), {"n_a": 2, "max_iter": 30, "t_pert": 10}),
+    ],
+    ids=["c62-sampled", "c62-injected", "411-unconverged"],
+)
+def test_quiet_blocks_share_one_first_run(
+    code62, tmp_path, monkeypatch, code_name, p_values, changes
+):
+    # Every quiet block (all-+1 syndrome) at a p takes that p's one shared
+    # first run.  On the [[62,2]] code at p = 0.8 that run converges to Y^62,
+    # so injected identity errors are nonequivalent against the shared
+    # e_out (sampled errors are never quiet there).  On the 4_1_1 code at
+    # p = 0.8 it does not converge, so pc08 and enhanced continue from the
+    # shared outcome, which must stay unchanged.
+    code = code62 if code_name == "c62" else load_code(code_name)
+    spec = ExperimentSpec(
+        code=code, p_values=p_values, strategies=("standard", "pc08", "enhanced"),
+        blocks=60, seed=1, **changes,
+    )
+    reference_path = tmp_path / "reference.jsonl"
+    ref_stats, ref_blocks, _ = per_cell_experiment(spec, jsonl_path=reference_path)
+    for width in (1, 15):
+        monkeypatch.setattr(sim, "lane_width", lambda graph, width=width: width)
+        for workers in (1, 2):
+            path = tmp_path / f"run{width}-{workers}.jsonl"
+            stats, blocks = run_experiment(replace(spec, workers=workers), jsonl_path=path)
+            assert blocks == ref_blocks
+            assert format_csv(stats) == format_csv(ref_stats)
+            assert path.read_bytes() == reference_path.read_bytes()
+    quiet = [
+        b for b in ref_blocks
+        if b.p == 0.8 and (syndrome(code, code.embed_sent(b.error)) > 0).all()
+    ]
+    if code_name == "c62" and "inject" in changes:
+        assert {(b.e_out, b.outcome) for b in quiet} == {("Y" * 62, "nonequivalent")}
+        assert len(quiet) == 3 * spec.blocks
+    if code_name == "4_1_1":
+        feedback = [b for b in quiet if b.strategy != "standard"]
+        assert feedback and all(b.iterations > spec.max_iter for b in feedback)
+
+
+def test_quiet_blocks_cost_one_bp_run(code62, monkeypatch):
+    # lowp-std's code and p: a BP run (a Lanes.load) for every block that is
+    # not quiet, plus the one run the quiet blocks share.
+    from gf4bp.channel import DepolarizingChannel, sample_error, substream
+    from gf4bp.decoder import Lanes
+
+    spec = ExperimentSpec(code=code62, p_values=(0.002,), blocks=300, seed=20260808)
+    loud = sum(
+        not (syndrome(code62, sample_error(
+            code62.n_sent, DepolarizingChannel(0.002), substream(spec.seed, 0, block)
+        )) > 0).all()
+        for block in range(spec.blocks)
+    )
+    assert 0 < loud < spec.blocks // 4
+    loads = []
+    load = Lanes.load
+
+    def counted(self, *args):
+        loads.append(args[0])
+        return load(self, *args)
+
+    monkeypatch.setattr(Lanes, "load", counted)
+    monkeypatch.setattr(sim, "lane_width", lambda graph: 1)
+    run_experiment(spec)
+    assert len(loads) == loud + 1

@@ -69,6 +69,11 @@ def test_syndrome_matches_counting_oracle(code411):
     for _ in range(50):
         e = rng.integers(0, 4, size=5).astype(np.uint8)
         assert syndrome(code411, e).tolist() == syndrome_by_counting(code411, e).tolist()
+    # a (B, n_total) array gives the syndrome of each row
+    errors = rng.integers(0, 4, size=(50, 5)).astype(np.uint8)
+    assert syndrome(code411, errors).tolist() == [
+        syndrome_by_counting(code411, e).tolist() for e in errors
+    ]
 
 
 def test_syndrome_is_homomorphism(code411):
@@ -85,6 +90,10 @@ def test_syndrome_is_homomorphism(code411):
 def test_syndrome_length_check(code411):
     with pytest.raises(ValueError):
         syndrome(code411, "IIZX")
+    with pytest.raises(ValueError):
+        syndrome(code411, np.zeros((3, 4), dtype=np.uint8))
+    with pytest.raises(ValueError):
+        syndrome(code411, np.zeros((2, 3, 5), dtype=np.uint8))
 
 
 def test_embed_sent(code411):
