@@ -270,20 +270,25 @@ class _Chunk:
         return [self.results[key] for key in sorted(self.results)]
 
     def load_next(self) -> bool:
-        """Load a feedback restart, else a new block's first run; False when
-        neither is left."""
-        if self.restarts:
-            job, adjusted, t_pert = self.restarts.popleft()
-            self.lanes.load(job, normalized_priors(adjusted), job[0].target, t_pert)
-            return True
-        while not self.new_blocks:
+        """Load a feedback restart, else a new block's first run, sampling
+        batches until one is there; False when neither is left.  Sampling
+        can queue restarts too: quiet blocks whose shared run did not
+        converge."""
+        while True:
+            if self.restarts:
+                job, adjusted, t_pert = self.restarts.popleft()
+                self.lanes.load(job, normalized_priors(adjusted), job[0].target, t_pert)
+                return True
+            if self.new_blocks:
+                job = self.new_blocks.popleft()
+                self.lanes.load(
+                    job, self.lane_priors[job.p_index], job.target, self.spec.max_iter
+                )
+                return True
             blocks = next(self.batches, None)
             if blocks is None:
                 return False
             self.sample(blocks)
-        job = self.new_blocks.popleft()
-        self.lanes.load(job, self.lane_priors[job.p_index], job.target, self.spec.max_iter)
-        return True
 
     def sample(self, blocks: range) -> None:
         """Draw a batch of blocks at every p; decide the quiet ones at once
@@ -400,6 +405,10 @@ def run_experiment(spec: ExperimentSpec, jsonl_path=None):
     for chunk in chunk_results:
         for r in chunk:
             cells[p_index[r.p]][strategy_index[r.strategy]].append(r)
+    for row in cells:
+        for cell in row:
+            if len(cell) != spec.blocks:
+                raise RuntimeError(f"{len(cell)} of {spec.blocks} blocks decoded in a cell")
 
     stats = []
     block_results = []

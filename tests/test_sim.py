@@ -413,8 +413,9 @@ def test_fixed_experiment_bytes(code62, tmp_path):
         ("c62", (0.0, 0.002), {}),
         ("c62", (0.0, 0.002, 0.8), {"inject": "I" * 62}),
         ("4_1_1", (0.0, 0.8), {"n_a": 2, "max_iter": 30, "t_pert": 10}),
+        ("4_1_1", (0.8,), {"inject": "IIII", "n_a": 2, "max_iter": 30, "t_pert": 10}),
     ],
-    ids=["c62-sampled", "c62-injected", "411-unconverged"],
+    ids=["c62-sampled", "c62-injected", "411-unconverged", "411-all-quiet"],
 )
 def test_quiet_blocks_share_one_first_run(
     code62, tmp_path, monkeypatch, code_name, p_values, changes
@@ -424,7 +425,8 @@ def test_quiet_blocks_share_one_first_run(
     # so injected identity errors are nonequivalent against the shared
     # e_out (sampled errors are never quiet there).  On the 4_1_1 code at
     # p = 0.8 it does not converge, so pc08 and enhanced continue from the
-    # shared outcome, which must stay unchanged.
+    # shared outcome, which must stay unchanged.  With every block quiet,
+    # sampling queues only feedback restarts while the lanes are idle.
     code = code62 if code_name == "c62" else load_code(code_name)
     spec = ExperimentSpec(
         code=code, p_values=p_values, strategies=("standard", "pc08", "enhanced"),
@@ -437,6 +439,7 @@ def test_quiet_blocks_share_one_first_run(
         for workers in (1, 2):
             path = tmp_path / f"run{width}-{workers}.jsonl"
             stats, blocks = run_experiment(replace(spec, workers=workers), jsonl_path=path)
+            assert {s.n_blocks for s in stats} == {spec.blocks}
             assert blocks == ref_blocks
             assert format_csv(stats) == format_csv(ref_stats)
             assert path.read_bytes() == reference_path.read_bytes()
