@@ -14,30 +14,49 @@ commute sign of the candidate symbol against the row entry and D the product
 of (commute mass - anticommute mass) over the other neighbors; the test
 suite checks this form against a direct Klein-group convolution.
 
-The iteration is symbol-major: messages are (4, edges) and priors
-(4, qubits) arrays, each with a trailing lane axis (below).  Check-side products run over a (slot, checks) gather of
-the scalar D factors and qubit-side products over a (slot, 4, qubits) gather
-of the messages, so each step is a short loop of whole-row numpy operations
-over at most the maximum degree.  Sums over the four symbols are the left
-fold ((a0 + a1) + a2) + a3 and products over slots are left folds (prefix
-times suffix for the exclusive products), the order in which numpy's sum
-over a length-4 axis and cumprod compute them; the outputs therefore equal
-bit for bit those of a row-major (edges, 4) implementation, which
-tests/oracles.py keeps as the reference.  The syndrome test XORs each
-check's anticommutation bits over its edges, O(edges) integer work.
+The message takes two values only: A = 1 + s_c * D on the two symbols that
+commute with the row entry (I and the entry itself) and B = 1 - s_c * D on
+the other two, so the kernel stores one (A, B) pair per edge and never
+builds the four.  Two folds keep this exact.  The quarter is dropped and
+the floor raised to 4 * MSG_FLOOR: scaling by a power of two commutes with
+rounding here, so max(y / 4, F) = max(y, 4F) / 4, and the quarter cancels
+in the normalizing division.  s_c is the first factor of the check's
+prefix product (a product with +-1 is exact), so no pass applies it.  The
+normalizing sum still adds the four symbols in the order I, X, Z, Y, each
+term A or B by the entry; the pairs are stored in entry order (every X
+entry, then Z, then Y), so each run of one entry takes its terms from
+whole slices.
+
+The iteration is slot-major, with a trailing lane axis (below) on every
+array.  Check-side products run over a (check slot, check) layout of the D
+factors.  Qubit-side values live in a (qubit slot, symbol, qubit) layout:
+the gathered check messages, their exclusive products and the
+qubit-to-check messages, which are normalized in place and stay there from
+one iteration to the next; the check update reads m_I and m_entry from
+that layout.  Tables of flat positions move values between the layouts, so
+each step is a short loop of whole-row numpy operations over at most the
+maximum degree.  Sums over the four symbols are the left fold
+((a0 + a1) + a2) + a3 and products over slots are left folds (prefix times
+suffix for the exclusive products), the order in which numpy's sum over a
+length-4 axis and cumprod compute them; the outputs therefore equal bit for
+bit those of a row-major (edges, 4) implementation, which tests/oracles.py
+keeps as the reference.  The syndrome test XORs each check's
+anticommutation bits over its slots, O(edges) integer work.
 
 Decoding jobs run as lanes of one kernel (Lanes): every array carries a
 trailing lane axis, each lane has its own iteration count and cap and stops
 on its own syndrome match, and a finished lane can be refilled with the next
 job while the others go on.  Every operation is elementwise along the lane
-axis, so a lane computes bit for bit what it would compute alone; decode is
-the kernel at width 1.
+axis, and the lane axis is the innermost axis of every operand, so a lane
+computes bit for bit what it would compute alone; decode is the kernel at
+width 1.
 
 All probability vectors are clamped to MSG_FLOOR before normalization, which
 prevents the all-zero product collapse.
 """
 
 import math
+import weakref
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -52,33 +71,43 @@ MSG_FLOOR = 1e-30
 #: divided by a lane's workspace (Lanes.lane_bytes), and at least 1.
 LANE_WORKSPACE_BYTES = 5 << 19
 
-#: KAPPA[s, e] = +1 if symbol e commutes with row entry s, else -1.
-KAPPA = 1.0 - 2.0 * ANTICOMMUTES
+
+def _symbol_sum(v: np.ndarray, total: np.ndarray) -> None:
+    """The left fold ((v0 + v1) + v2) + v3 over the leading symbol axis of
+    v (4, ...), into total."""
+    np.add(v[0], v[1], out=total)
+    np.add(total, v[2], out=total)
+    np.add(total, v[3], out=total)
 
 
 def _normalize(v: np.ndarray, total: np.ndarray) -> None:
     """Clamp v (4, ...) to MSG_FLOOR, then divide it in place by its sums over
     the leading symbol axis, accumulated in total."""
     np.maximum(v, MSG_FLOOR, out=v)
-    np.add(v[0], v[1], out=total)
-    np.add(total, v[2], out=total)
-    np.add(total, v[3], out=total)
+    _symbol_sum(v, total)
     np.divide(v, total, out=v)
 
 
-def _slot_products(a: np.ndarray, pref: np.ndarray, suf: np.ndarray) -> None:
-    """Left-fold products over the leading (slot) axis of a, into pref and suf.
+def _slot_product_ops(a: np.ndarray, pref: np.ndarray, suf: np.ndarray) -> list:
+    """The (x, y, out) multiplications, in order, of the left-fold products
+    over the leading (slot) axis of a, into pref and suf.
 
-    pref has one more slot than a, pref[k] being the product of the slots
-    before k, so pref[-1] is the product of all slots; suf[k] is the product
-    of the slots after k.  pref[:-1] * suf is each slot's product over the
-    other slots.  pref[0] and suf[-1] must hold 1.
+    pref has one more slot than a, pref[k] being pref[0] times the slots
+    before k, so pref[-1] is pref[0] times all slots; suf[k] is the product
+    of the slots after k.  pref[:-1] * suf is pref[0] times each slot's
+    product over the other slots.  pref[0] must hold the starting factor
+    and suf[-1] must hold 1.
     """
     n_slots = a.shape[0]
-    for k in range(n_slots):
-        np.multiply(pref[k], a[k], out=pref[k + 1])
-    for k in range(n_slots - 1, 0, -1):
-        np.multiply(suf[k], a[k], out=suf[k - 1])
+    return [(pref[k], a[k], pref[k + 1]) for k in range(n_slots)] + [
+        (suf[k], a[k], suf[k - 1]) for k in range(n_slots - 1, 0, -1)
+    ]
+
+
+def _run(ufunc, ops: list) -> None:
+    """Apply a binary ufunc to each (x, y, out) in order."""
+    for x, y, out in ops:
+        ufunc(x, y, out=out)
 
 
 def _slot_table(owner: np.ndarray, n_owner: int):
@@ -101,8 +130,7 @@ class TannerGraph:
     Edges exist where a check row has a nonzero entry on a sender column and
     are stored check-major.  The slot-major tables check_slots
     (max check degree, checks) and qubit_slots (max qubit degree, qubits)
-    list each node's edges; pad slots point at a sentinel edge n_edges whose
-    value is neutral (1).
+    list each node's edges; pad slots point at a sentinel edge n_edges.
     """
 
     def __init__(self, code: StabilizerCode):
@@ -121,20 +149,39 @@ class TannerGraph:
         self.qubit_deg, self.qubit_slots, qubit_slot = _slot_table(
             self.edge_qubit, self.n_qubits
         )
-        # Flat gather positions: the (4, edges) messages' entry symbol, each
-        # edge in (slot, check) d products, the (slot, symbol, qubit) layout
-        # from the (4, edges + 1) check messages, and (symbol, edge) back.
-        symbol = np.arange(4)[:, None]
-        self._edge_entry_pos = self.edge_entry * n_edges + np.arange(n_edges)
-        self._edge_check_pos = check_slot * self.n_checks + self.edge_check
-        self._qubit_gather = symbol * (n_edges + 1) + self.qubit_slots[:, None, :]
-        self._edge_qubit_pos = (qubit_slot * 4 + symbol) * self.n_qubits + self.edge_qubit
-        self._edge_entry_qubit = self.edge_entry * self.n_qubits + self.edge_qubit
-        self._kappa = np.ascontiguousarray(KAPPA[self.edge_entry].T)
-        # reduceat over the first edge of each check with edges: a check
-        # without sender entries would otherwise read its successor's edge
-        self._parity_checks = np.nonzero(self.check_deg)[0]
-        self._parity_starts = self._check_start[self._parity_checks]
+        # Flat gather positions between the check layout (slot, check), the
+        # qubit layout (slot, qubit) and the (A, B) pairs in entry order.  A
+        # pad cell past the qubit layout and a pad pair hold 1; the pad
+        # edge's entry is I, whose anticommutation bits are 0.
+        qubit_cell = np.append(
+            qubit_slot * self.n_qubits + self.edge_qubit, self.qubit_slots.size
+        )
+        by_entry = np.argsort(self.edge_entry, kind="stable")
+        self._entry_runs = np.searchsorted(self.edge_entry[by_entry], [1, 2, 3, 4])
+        pair = np.empty(n_edges + 1, dtype=np.intp)
+        pair[by_entry] = np.arange(n_edges)
+        pair[n_edges] = n_edges
+        entry = np.append(self.edge_entry, 0)
+        # each check cell's D factor, from the (qubit cell + pad) D array
+        self._check_gather = qubit_cell[self.check_slots]
+        # the edges' s_c * D, from the check cells into entry order
+        self._pair_gather = (check_slot * self.n_checks + self.edge_check)[by_entry]
+        # the edge's m_entry in the (slot, symbol, qubit) messages
+        slot_entry = entry[self.qubit_slots]
+        self._entry_gather = (
+            np.arange(len(self.qubit_slots))[:, None] * 4 + slot_entry
+        ) * self.n_qubits + np.arange(self.n_qubits)
+        # the (slot, symbol, qubit) check-to-qubit messages, A or B from the
+        # (2, edge + pad) pairs
+        self._qubit_gather = (
+            ANTICOMMUTES[slot_entry].transpose(0, 2, 1).astype(np.intp) * (n_edges + 1)
+            + pair[self.qubit_slots][:, None, :]
+        )
+        # anticommutation bits of each check cell, from the (entry, qubit)
+        # table of an error's bits
+        self._check_bits = (entry * self.n_qubits + np.append(self.edge_qubit, 0))[
+            self.check_slots
+        ]
         self._decode_lanes = None  # decode's width-1 Lanes, made on first use
 
     def check_qubits(self, check: int) -> np.ndarray:
@@ -147,19 +194,28 @@ class TannerGraph:
         return self.edge_entry[lo:hi]
 
     def parities(self, e_values: np.ndarray) -> np.ndarray:
-        """Anticommutation parity (0/1) with each check that has sender
-        entries (in _parity_checks order) of errors e_values, shaped
-        (n_qubits,) or (n_qubits, lanes): the XOR of its edges' bits."""
+        """Anticommutation parity (0/1) with every check of errors e_values,
+        shaped (n_qubits,) or (n_qubits, lanes): the XOR over the check's
+        slots of its edges' bits, 0 on a check without sender entries."""
         bits = ANTICOMMUTES.take(e_values, axis=1)
-        bits = bits.reshape((-1,) + e_values.shape[1:]).take(self._edge_entry_qubit, axis=0)
-        return np.bitwise_xor.reduceat(bits, self._parity_starts, axis=0)
+        bits = bits.reshape((-1,) + e_values.shape[1:]).take(self._check_bits, axis=0)
+        return np.bitwise_xor.reduce(bits, axis=0)
 
     def syndrome_signs(self, e_values: np.ndarray) -> np.ndarray:
-        """Syndrome (+1/-1 per check) of an error on the transmitted qubits;
-        a check without sender entries has parity 0."""
-        signs = np.ones(self.n_checks, dtype=np.int64)
-        signs[self._parity_checks] -= 2 * self.parities(e_values)
-        return signs
+        """Syndrome (+1/-1 per check) of an error on the transmitted qubits."""
+        return 1 - 2 * self.parities(e_values).astype(np.int64)
+
+
+_GRAPHS = weakref.WeakKeyDictionary()
+
+
+def tanner_graph(code: StabilizerCode) -> TannerGraph:
+    """The TannerGraph of a code object, built on first use and kept while
+    the code object lives; the code's check matrix must not change."""
+    graph = _GRAPHS.get(code)
+    if graph is None:
+        graph = _GRAPHS[code] = TannerGraph(code)
+    return graph
 
 
 @dataclass
@@ -187,72 +243,83 @@ def hard_decision(beliefs: np.ndarray, axis: int = -1) -> np.ndarray:
     return beliefs.argmax(axis=axis).astype(np.uint8)
 
 
+def _pair_fold_ops(graph: TannerGraph, pairs: np.ndarray, total: np.ndarray) -> list:
+    """The (x, y, out) additions, in order, of the normalizing fold
+    ((I + X) + Z) + Y of the entry-ordered (A, B) pairs into total: A on I
+    and on the symbol equal to the edge's entry, B on the other two."""
+    runs = graph._entry_runs  # X entries end at runs[1], Z at runs[2]
+    ops = []
+    for symbol in (1, 2, 3):
+        lo, hi = runs[symbol - 1], runs[symbol]
+        for start, stop, row in ((0, lo, 1), (lo, hi, 0), (hi, runs[3], 1)):
+            if start < stop:
+                x = pairs[0] if symbol == 1 else total
+                ops.append((x[start:stop], pairs[row, start:stop], total[start:stop]))
+    return ops
+
+
 def _check_messages(graph: TannerGraph, v) -> None:
-    """All (4, edges, lanes) check-to-qubit messages v.c2q from the
-    qubit-to-check messages v.msg, via the parity form."""
-    n_edges = graph.n_edges
-    msg, d, total = v.msg, v.d[:-1], v.total_e
-    lanes = msg.shape[-1]
+    """The (2, edges + pad, lanes) check-to-qubit pairs v.ab (A, B), in
+    entry order, from the (slot, symbol, qubit, lanes) qubit-to-check
+    messages v.qg."""
+    # D factor of each qubit cell: 2 * (m_I + m_entry) - (sum of the four)
+    d, total = v.d_cells, v.total_q
+    _symbol_sum(v.qg_symbols, total)
     # mode="clip": the tables index in range, and the default mode buffers out=
-    msg.reshape(4 * n_edges, lanes).take(graph._edge_entry_pos, axis=0, out=d, mode="clip")
-    np.add(msg[0], d, out=d)
+    v.qg_rows.take(graph._entry_gather, axis=0, out=d, mode="clip")
+    np.add(v.qg_symbols[0], d, out=d)
     np.multiply(d, 2.0, out=d)
-    np.add(msg[0], msg[1], out=total)
-    np.add(total, msg[2], out=total)
-    np.add(total, msg[3], out=total)
     np.subtract(d, total, out=d)
-    v.d.take(graph.check_slots, axis=0, out=v.cg, mode="clip")
-    _slot_products(v.cg, v.cpref, v.csuf)
-    np.multiply(v.cpref[:-1], v.csuf, out=v.cg)
-    v.cg.reshape(-1, lanes).take(graph._edge_check_pos, axis=0, out=v.dx, mode="clip")
-    np.multiply(v.sigma, v.dx, out=v.dx)
-    c2q = v.c2q[:, :-1]
-    np.multiply(v.dx, graph._kappa[:, :, None], out=c2q)
-    np.add(c2q, 1.0, out=c2q)
-    np.multiply(c2q, 0.25, out=c2q)
-    _normalize(c2q, total)
+    v.d.take(graph._check_gather, axis=0, out=v.cg, mode="clip")
+    _run(np.multiply, v.check_products)  # cpref[0] holds s_c
+    np.multiply(v.cpref_excl, v.csuf, out=v.cg)
+    pairs = v.pairs
+    a, b = pairs
+    v.cg_rows.take(graph._pair_gather, axis=0, out=b, mode="clip")
+    np.add(b, 1.0, out=a)
+    np.subtract(1.0, b, out=b)
+    np.maximum(pairs, 4.0 * MSG_FLOOR, out=pairs)
+    _run(np.add, v.pair_fold)
+    np.divide(pairs, v.total_e, out=pairs)
 
 
 def _qubit_messages(graph: TannerGraph, v) -> None:
-    """Beliefs v.bel and new qubit-to-check messages v.msg from v.c2q."""
-    lanes = v.msg.shape[-1]
-    v.c2q.reshape(-1, lanes).take(graph._qubit_gather, axis=0, out=v.qg, mode="clip")
-    _slot_products(v.qg, v.qpref, v.qsuf)
+    """Beliefs v.bel and new qubit-to-check messages v.qg from v.ab."""
+    v.ab_rows.take(graph._qubit_gather, axis=0, out=v.qg, mode="clip")
+    _run(np.multiply, v.qubit_products)
     np.multiply(v.pri, v.qpref[-1], out=v.bel)
     _normalize(v.bel, v.total_n)
-    np.multiply(v.qpref[:-1], v.qsuf, out=v.qg)
+    np.multiply(v.qpref_excl, v.qsuf, out=v.qg)
     np.multiply(v.qg, v.pri, out=v.qg)
-    v.qg.reshape(-1, lanes).take(graph._edge_qubit_pos, axis=0, out=v.msg, mode="clip")
-    _normalize(v.msg, v.total_e)
+    _normalize(v.qg_symbols, v.total_q)
 
 
 def _lane_shapes(graph: TannerGraph) -> dict:
     """Per-lane float64 workspace shapes; the lane axis is appended last.
     The _KEPT ones carry a job from one iteration to the next, the others
     are scratch."""
-    n, n_edges, n_checks = graph.n_qubits, graph.n_edges, graph.n_checks
+    n, n_checks = graph.n_qubits, graph.n_checks
     check_slots, qubit_slots = graph.check_slots.shape[0], graph.qubit_slots.shape[0]
     return {
         "pri": (4, n),
-        "sigma": (n_edges,),
-        "msg": (4, n_edges),
-        "target_parity": (graph._parity_checks.size,),
-        "d": (n_edges + 1,),
+        "qg": (qubit_slots, 4, n),
+        "target_parity": (n_checks,),
+        "d": (graph.qubit_slots.size + 1,),
         "cg": (check_slots, n_checks),
         "cpref": (check_slots + 1, n_checks),
         "csuf": (check_slots, n_checks),
-        "dx": (n_edges,),
-        "c2q": (4, n_edges + 1),
-        "qg": (qubit_slots, 4, n),
+        "ab": (2, graph.n_edges + 1),
+        "total_e": (graph.n_edges,),
         "qpref": (qubit_slots + 1, 4, n),
         "qsuf": (qubit_slots, 4, n),
         "bel": (4, n),
-        "total_e": (n_edges,),
+        "total_q": (qubit_slots, n),
         "total_n": (n,),
     }
 
 
-_KEPT = ("pri", "sigma", "msg", "target_parity")  # moved when lanes are repacked
+# moved when lanes are repacked; sigma, the target signs, is cpref[0]
+_KEPT = ("pri", "qg", "sigma", "target_parity")
 
 
 class Lanes:
@@ -284,7 +351,6 @@ class Lanes:
         self.busy = 0  # lanes running a job
         self.iterations = []  # per lane of the layout
         self.caps = []
-        self.reachable = []
 
     @staticmethod
     def lane_bytes(graph: TannerGraph) -> int:
@@ -292,6 +358,8 @@ class Lanes:
         return 8 * sum(math.prod(shape) for shape in _lane_shapes(graph).values())
 
     def _view(self, lanes: int):
+        """The workspace for `lanes` lanes, with every view and op list the
+        step uses, made on first use of each layout."""
         view = self._views.get(lanes)
         if view is None:
             view = self._views[lanes] = SimpleNamespace(
@@ -302,6 +370,18 @@ class Lanes:
                     for name, shape in self._shapes.items()
                 }
             )
+            view.sigma = view.cpref[0]
+            view.cpref_excl, view.qpref_excl = view.cpref[:-1], view.qpref[:-1]
+            view.qg_symbols = view.qg.swapaxes(0, 1)
+            view.d_cells = view.d[:-1].reshape(view.total_q.shape)
+            view.pairs = view.ab[:, :-1]
+            view.qg_rows, view.cg_rows, view.ab_rows = (
+                x.reshape(math.prod(x.shape[:-1]), lanes)
+                for x in (view.qg, view.cg, view.ab)
+            )
+            view.check_products = _slot_product_ops(view.cg, view.cpref, view.csuf)
+            view.qubit_products = _slot_product_ops(view.qg, view.qpref, view.qsuf)
+            view.pair_fold = _pair_fold_ops(self.graph, view.pairs, view.total_e)
         return view
 
     def _relayout(self, keep: list, lanes: int) -> None:
@@ -310,10 +390,9 @@ class Lanes:
         old = self._view(self._layout)
         kept = {name: getattr(old, name)[..., keep] for name in _KEPT}
         view = self._view(lanes)
-        # pad edge, pad slot and empty products read 1 in every layout
+        # pad cells and empty products read 1 in every layout
         view.d[-1] = 1.0
-        view.c2q[:, -1] = 1.0
-        view.cpref[0] = 1.0
+        view.ab[:, -1] = 1.0
         view.csuf[-1:] = 1.0
         view.qpref[0] = 1.0
         view.qsuf[-1:] = 1.0
@@ -325,7 +404,6 @@ class Lanes:
         self.busy = len(self.jobs) - self.jobs.count(None)
         self.iterations = [self.iterations[i] for i in keep] + free
         self.caps = [self.caps[i] for i in keep] + free
-        self.reachable = [self.reachable[i] for i in keep] + free
         self._layout = lanes
 
     def load(self, job, priors: np.ndarray, target: np.ndarray, max_iter: int) -> None:
@@ -342,16 +420,12 @@ class Lanes:
             self._relayout(list(range(lane)), lane + 1)
         else:
             raise RuntimeError("every lane is busy")
-        graph = self.graph
         view = self._view(self._layout)
         view.pri[..., lane] = priors
-        view.msg[..., lane] = priors[:, graph.edge_qubit]
-        view.sigma[:, lane] = target[graph.edge_check]
-        view.target_parity[:, lane] = target[graph._parity_checks] < 0
-        # a -1 on a check without sender edges can never be matched
-        self.reachable[lane] = bool(
-            np.count_nonzero(target < 0) == np.count_nonzero(view.target_parity[:, lane])
-        )
+        view.qg[..., lane] = priors  # the first messages are the priors
+        view.sigma[:, lane] = target
+        # a -1 on a check without sender edges is never matched
+        view.target_parity[:, lane] = target < 0
         self.iterations[lane] = 0
         self.caps[lane] = max_iter
         self.jobs[lane] = job
@@ -373,7 +447,6 @@ class Lanes:
         finished = []
         for lane, match in enumerate(matched.tolist()):
             self.iterations[lane] += 1
-            match = match and self.reachable[lane]
             if (halt and match) or self.iterations[lane] >= self.caps[lane]:
                 outcome = DecodeOutcome(
                     error=e_hat[:, lane].copy(),
@@ -419,11 +492,12 @@ def decode(
     max_iter iterations); non-convergence is a normal outcome, reported in
     the converged flag, and the returned error is then the hard decision of
     the last iteration run.  on_iteration(t, beliefs), if given, is called
-    once per iteration with freshly allocated belief arrays.  This is one
-    job on the lane kernel at width 1.
+    once per iteration with freshly allocated belief arrays.  Without a
+    graph, the code object's cached graph (tanner_graph) is used.  This is
+    one job on the lane kernel at width 1.
     """
     if graph is None:
-        graph = TannerGraph(code)
+        graph = tanner_graph(code)
     target = np.asarray(target_syndrome, dtype=np.int64).ravel()
     if target.shape != (graph.n_checks,):
         raise ValueError(

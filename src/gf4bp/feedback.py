@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decoder import DecodeOutcome, TannerGraph, decode
+from .decoder import DecodeOutcome, TannerGraph, decode, tanner_graph
 from .stabilizer import StabilizerCode
 
 STRATEGIES = ("standard", "pc08", "enhanced")
@@ -75,7 +75,7 @@ class AdjustmentRecord:
 def frustrated_checks(code: StabilizerCode, target, e_out, graph=None) -> np.ndarray:
     """Indices of checks whose target syndrome disagrees with e_out's."""
     if graph is None:
-        graph = TannerGraph(code)
+        graph = tanner_graph(code)
     target = np.asarray(target, dtype=np.int64)
     signs = graph.syndrome_signs(np.asarray(e_out, dtype=np.uint8))
     return np.nonzero(signs != target)[0]
@@ -200,7 +200,7 @@ def feedback_round(
     Returns (outcome, record); priors is not modified.
     """
     if graph is None:
-        graph = TannerGraph(code)
+        graph = tanner_graph(code)
     target = np.asarray(target, dtype=np.int64)
     priors = np.asarray(priors, dtype=float)
     touched, applied = feedback_adjustment(
@@ -324,7 +324,7 @@ def feedback_decode(
     if config.strategy not in ("pc08", "enhanced"):
         raise ValueError("feedback_decode needs strategy pc08 or enhanced")
     if graph is None:
-        graph = TannerGraph(code)
+        graph = tanner_graph(code)
     if rng is None:
         rng = np.random.default_rng(0)
     if first is None:

@@ -28,6 +28,10 @@ PAULI_TO_VALUE = {symbol: value for value, symbol in enumerate(PAULI_ORDER)}
 
 _PAULI_BYTES = np.frombuffer(PAULI_ORDER.encode("ascii"), dtype=np.uint8)
 
+# The Pauli byte of every uint8 value; 0 marks a value outside 0..3.
+_PAULI_OF_BYTE = np.zeros(256, dtype=np.uint8)
+_PAULI_OF_BYTE[:4] = _PAULI_BYTES
+
 MUL_TABLE = np.array(
     [
         [0, 0, 0, 0],
@@ -91,8 +95,11 @@ def pauli_to_values(pauli: str) -> np.ndarray:
 def values_to_pauli(values) -> str:
     """Convert GF(4) values, read in C order, back to their Pauli string."""
     values = np.asarray(values)
-    if values.size and not (0 <= values.min() and values.max() <= 3):
-        raise ValueError(
-            f"GF(4) values must lie in 0..3, got {values.min()}..{values.max()}"
-        )
-    return _PAULI_BYTES.take(values.astype(np.intp, copy=False)).tobytes().decode("ascii")
+    if values.dtype == np.uint8:  # the lookup marks invalid values itself
+        text = _PAULI_OF_BYTE.take(values).tobytes()
+        if b"\0" not in text:
+            return text.decode("ascii")
+    elif not values.size or (0 <= values.min() and values.max() <= 3):
+        text = _PAULI_BYTES.take(values.astype(np.intp, copy=False)).tobytes()
+        return text.decode("ascii")
+    raise ValueError(f"GF(4) values must lie in 0..3, got {values.min()}..{values.max()}")

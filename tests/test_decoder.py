@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
-from gf4bp import gf4
+import gc
+import weakref
+
+from gf4bp import decoder, gf4
 from gf4bp.channel import DepolarizingChannel, priors as channel_priors, sample_error
 from gf4bp.decoder import (
     DecodeOutcome,
@@ -11,8 +14,11 @@ from gf4bp.decoder import (
     decode,
     hard_decision,
     normalized_priors,
+    tanner_graph,
 )
+from gf4bp.feedback import FeedbackConfig, feedback_round, frustrated_checks
 from gf4bp.stabilizer import (
+    ANTICOMMUTES,
     StabilizerCode,
     build_code_4_1_1,
     construction_b,
@@ -55,6 +61,36 @@ def test_graph_adjacency_transpose_consistent(code411):
             edges = graph.qubit_slots[:, qubit]
             edges = edges[edges < graph.n_edges]
             assert check in {int(graph.edge_check[e]) for e in edges}
+
+
+def test_graph_less_calls_share_one_graph_per_code(monkeypatch):
+    # decode, feedback_round and frustrated_checks without a graph build a
+    # code object's TannerGraph once, and keep it only while the code lives
+    built = []
+
+    class CountingGraph(TannerGraph):
+        def __init__(self, code):
+            built.append(True)
+            super().__init__(code)
+
+    monkeypatch.setattr(decoder, "TannerGraph", CountingGraph)
+    code = build_code_4_1_1()
+    pri = channel_priors(DepolarizingChannel(0.1), 4)
+    target = np.array([-1, 1, 1, 1])
+    decode(code, target, pri, max_iter=3)
+    decode(code, [1, 1, 1, 1], pri)
+    assert frustrated_checks(code, target, np.zeros(4, dtype=np.uint8)).tolist() == [0]
+    feedback_round(
+        code, target, pri, 1, 0, FeedbackConfig(strategy="pc08"),
+        rng=np.random.default_rng(0),
+    )
+    assert len(built) == 1
+    assert tanner_graph(code) is tanner_graph(code)
+    assert tanner_graph(build_code_4_1_1()) is not tanner_graph(code)
+    alive = weakref.ref(code)
+    del code
+    gc.collect()
+    assert alive() is None
 
 
 def test_klein_convolve_is_xor_convolution():
@@ -125,14 +161,24 @@ def test_vectorized_check_messages_match_reference(code411):
     target = np.array([-1, 1, 1, -1])
     msg = rng.random((graph.n_edges, 4))
     msg /= msg.sum(axis=1, keepdims=True)
-    # one lane of the kernel, its q->c messages replaced by random ones
+    # one lane of the kernel, its q->c messages replaced by random ones in
+    # the (qubit slot, symbol, qubit) layout
     lanes = Lanes(graph, 1)
     lanes.load("job", normalized_priors(np.full((4, 4), 0.25)), target, 1)
     view = lanes._view(1)
-    view.msg[..., 0] = msg.T
+    for e in range(graph.n_edges):
+        qubit = int(graph.edge_qubit[e])
+        slot = int(np.nonzero(graph.qubit_slots[:, qubit] == e)[0][0])
+        view.qg[slot, :, qubit, 0] = msg[e]
     _check_messages(graph, view)
-    vectorized = view.c2q[:, :-1, 0]
-    assert vectorized.shape == (4, graph.n_edges)
+    # the (A, B) pairs are stored in entry order: A on the symbols commuting
+    # with the edge's entry, B on the others
+    by_entry = np.argsort(graph.edge_entry, kind="stable")
+    pairs = np.empty((2, graph.n_edges))
+    pairs[:, by_entry] = view.ab[:, : graph.n_edges, 0]
+    vectorized = np.empty((4, graph.n_edges))
+    for e in range(graph.n_edges):
+        vectorized[:, e] = pairs[ANTICOMMUTES[graph.edge_entry[e]], e]
     for e in range(graph.n_edges):
         check = int(graph.edge_check[e])
         others = [
@@ -288,21 +334,48 @@ def test_decode_validates_inputs(code411):
 C62_ROW = [1 if i in (1, 5, 11, 24, 25, 27) else 0 for i in range(31)]
 
 
+def _code_with_empty_check():
+    """The first 40 rows of the [[62,2]] code, whose qubits then have
+    degrees 6 to 10, plus a row on an ebit column only: a check without
+    sender entries."""
+    rows = construction_b(C62_ROW).checks[:40]
+    checks = np.zeros((rows.shape[0] + 1, rows.shape[1] + 1), dtype=np.uint8)
+    checks[:-1, :-1] = rows
+    checks[-1, -1] = 2
+    return StabilizerCode(checks, n_sent=rows.shape[1], n_ebits=1)
+
+
 @pytest.mark.parametrize(
-    "p, seed", [(0.02, 8), (0.02, 28), (0.09, 7), (0.09, 23), (0.09, 0)]
+    "code_name, p, seed",
+    [
+        ("c62", 0.02, 8), ("c62", 0.02, 28), ("c62", 0.09, 7), ("c62", 0.09, 23),
+        ("c62", 0.09, 0), ("411", 0.1, None), ("empty-check", 0.06, 5),
+    ],
+    ids=["0.02-8", "0.02-28", "0.09-7", "0.09-23", "0.09-0", "411-criterion-3", "empty-check"],
 )
-def test_decode_bit_identical_to_row_major_reference(p, seed):
-    # The symbol-major kernel must reproduce the frozen row-major iteration
-    # exactly, iteration by iteration; (0.09, 0) runs all 90 iterations
-    # without converging.
-    code = construction_b(C62_ROW)
+def test_decode_bit_identical_to_row_major_reference(code_name, p, seed):
+    # The kernel must reproduce the frozen row-major iteration exactly,
+    # iteration by iteration; (0.09, 0) runs all 90 iterations without
+    # converging.  So do the [[4,1;1]] criterion-3 run and the code with a
+    # check without sender entries, whose target there is -1; both have
+    # checks and qubits of unequal degree, so pad slots on both sides.
     chan = DepolarizingChannel(p)
+    if code_name == "411":
+        code = build_code_4_1_1()
+        target = np.array([-1, 1, 1, 1])
+    elif code_name == "c62":
+        code = construction_b(C62_ROW)
+        error = sample_error(code.n_sent, chan, np.random.default_rng(seed))
+        target = syndrome(code, error)
+    else:
+        code = _code_with_empty_check()
+        error = sample_error(code.n_sent, chan, np.random.default_rng(seed))
+        target = syndrome(code, code.embed_sent(error))
+        target[-1] = -1
     pri = channel_priors(chan, code.n_sent)
-    error = sample_error(code.n_sent, chan, np.random.default_rng(seed))
-    target = syndrome(code, error)
     seen = []
     out = decode(code, target, pri, on_iteration=lambda t, b: seen.append(b))
-    if (p, seed) == (0.09, 0):
+    if (p, seed) == (0.09, 0) or code_name != "c62":
         assert not out.converged and out.iterations == 90
     reference = row_major_beliefs(code, target, pri, out.iterations)
     assert len(seen) == out.iterations

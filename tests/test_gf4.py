@@ -123,6 +123,10 @@ def test_pauli_bijection():
     for bad in ([0, -1, 3], [4], [1, 2, 7]):
         with pytest.raises(ValueError, match="0..3"):
             gf4.values_to_pauli(bad)
+    for bad in (4, 255):
+        with pytest.raises(ValueError, match="0..3"):
+            gf4.values_to_pauli(np.array([0, bad, 3], dtype=np.uint8))
+    assert gf4.values_to_pauli(np.array([[3, 2], [1, 0]], dtype=np.uint8)) == "YZXI"
 
 
 def test_pauli_invalid_symbol():

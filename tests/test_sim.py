@@ -24,6 +24,7 @@ from gf4bp.stabilizer import build_code_4_1_1, construction_b, syndrome
 from oracles import per_cell_experiment
 
 C62_ROW = [1 if i in (1, 5, 11, 24, 25, 27) else 0 for i in range(31)]
+N510_ROW = [1 if i in (8, 36, 118, 128, 190, 240) else 0 for i in range(255)]
 
 
 @pytest.fixture
@@ -257,6 +258,11 @@ def code62():
     return construction_b(C62_ROW)
 
 
+@pytest.fixture(scope="module")
+def code510():
+    return construction_b(N510_ROW)
+
+
 def _assert_matches_reference(spec, tmp_path):
     """run_experiment with 1 and 2 workers against the frozen per-(p, strategy)
     reference: every BlockResult field, the CSV and the JSONL bytes agree.
@@ -326,8 +332,27 @@ def _assert_equals_reference(reference, tmp_path, **changes):
     return blocks
 
 
-@pytest.mark.parametrize("width", [1, 3, 64])
-def test_lane_width_does_not_change_outputs(lane_reference, tmp_path, monkeypatch, width):
+@pytest.fixture(scope="module")
+def n510_reference(code510, tmp_path_factory):
+    """A few standard-BP blocks on the n=510 code, which runs two lanes by
+    default, and their per-cell reference run."""
+    spec = ExperimentSpec(
+        code=code510, p_values=(0.09,), strategies=("standard",), blocks=6, seed=1,
+    )
+    path = tmp_path_factory.mktemp("reference") / "reference.jsonl"
+    stats, blocks, _ = per_cell_experiment(spec, jsonl_path=path)
+    return spec, stats, blocks, path.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "reference, width",
+    [
+        ("lane_reference", 1), ("lane_reference", 3), ("lane_reference", 64),
+        ("n510_reference", 1), ("n510_reference", 2),
+    ],
+    ids=["1", "3", "64", "n510-1", "n510-2"],
+)
+def test_lane_width_does_not_change_outputs(request, tmp_path, monkeypatch, reference, width):
     # The width normally follows from the code; forcing it through the
     # scheduler's width function must leave every output as the reference.
     widths = []
@@ -337,9 +362,14 @@ def test_lane_width_does_not_change_outputs(lane_reference, tmp_path, monkeypatc
         return width
 
     monkeypatch.setattr(sim, "lane_width", forced)
-    blocks = _assert_equals_reference(lane_reference, tmp_path, workers=1)
+    blocks = _assert_equals_reference(
+        request.getfixturevalue(reference), tmp_path, workers=1
+    )
     assert widths == [width]
-    assert any(b.strategy != "standard" and b.iterations > 90 for b in blocks)
+    if reference == "lane_reference":
+        assert any(b.strategy != "standard" and b.iterations > 90 for b in blocks)
+    else:
+        assert len({b.iterations for b in blocks}) > 1  # lanes finish apart
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -348,16 +378,14 @@ def test_worker_count_does_not_change_outputs(lane_reference, tmp_path, workers)
     _assert_equals_reference(lane_reference, tmp_path, workers=workers)
 
 
-def test_lane_width_follows_the_code(code62):
+def test_lane_width_follows_the_code(code62, code510):
     from gf4bp.decoder import LANE_WORKSPACE_BYTES, Lanes, TannerGraph, lane_width
 
     graph = TannerGraph(code62)
     assert lane_width(graph) == LANE_WORKSPACE_BYTES // Lanes.lane_bytes(graph)
-    assert 8 <= lane_width(graph) <= 16
-    n510 = construction_b(
-        [1 if i in (8, 36, 118, 128, 190, 240) else 0 for i in range(255)]
-    )
-    assert lane_width(TannerGraph(n510)) == 1
+    assert 19 <= lane_width(graph) <= 21
+    # a workspace that grows past half the budget on n=510 fails here
+    assert lane_width(TannerGraph(code510)) >= 2
 
 
 # sha256 digests recorded before the parity, alist and feedback-loop
