@@ -328,11 +328,13 @@ class Lanes:
     Every workspace array is allocated once, as a flat buffer holding
     `width` lanes, and viewed with the lane axis last for the number of
     occupied lanes, so an iteration costs what the occupied lanes cost.
-    load() puts a job in a free lane; step() runs one iteration on every
-    occupied lane and returns (job, DecodeOutcome) for each lane that matched
-    its target syndrome (unless halt is off) or reached its iteration cap.
-    A finished lane stays in place until the next load() refills it or the
-    next step() packs the remaining lanes together.
+    load() puts a job in a free lane, or holds it for the next step when
+    the layout has no free lane; step() first lays the buffers out once for
+    the held jobs and the lanes still running (packed together), then runs
+    one iteration on every occupied lane and returns (job, DecodeOutcome)
+    for each lane that matched its target syndrome (unless halt is off) or
+    reached its iteration cap.  A finished lane stays in place until the
+    next load() refills it or the next step() packs the remaining lanes.
     """
 
     def __init__(self, graph: TannerGraph, width: int):
@@ -348,9 +350,10 @@ class Lanes:
         self._views = {}
         self._layout = 0
         self.jobs = []  # per lane of the layout: its job, None once finished
-        self.busy = 0  # lanes running a job
+        self.busy = 0  # jobs running or held
         self.iterations = []  # per lane of the layout
         self.caps = []
+        self._held = []  # (job, priors, target, max_iter) for the next layout
 
     @staticmethod
     def lane_bytes(graph: TannerGraph) -> int:
@@ -384,11 +387,14 @@ class Lanes:
             view.pair_fold = _pair_fold_ops(self.graph, view.pairs, view.total_e)
         return view
 
-    def _relayout(self, keep: list, lanes: int) -> None:
-        """Lay the buffers out for `lanes` lanes; lane i < len(keep) takes
-        the state of old lane keep[i], the others are left free."""
+    def _relayout(self) -> None:
+        """Lay the buffers out for the running lanes, packed in lane order,
+        followed by the held jobs."""
+        keep = [lane for lane, job in enumerate(self.jobs) if job is not None]
         old = self._view(self._layout)
         kept = {name: getattr(old, name)[..., keep] for name in _KEPT}
+        n_kept = len(keep)
+        lanes = self._layout = n_kept + len(self._held)
         view = self._view(lanes)
         # pad cells and empty products read 1 in every layout
         view.d[-1] = 1.0
@@ -396,31 +402,18 @@ class Lanes:
         view.csuf[-1:] = 1.0
         view.qpref[0] = 1.0
         view.qsuf[-1:] = 1.0
-        n_kept = len(keep)
         for name, values in kept.items():
             getattr(view, name)[..., :n_kept] = values
-        free = [None] * (lanes - n_kept)
+        free = [None] * len(self._held)
         self.jobs = [self.jobs[i] for i in keep] + free
-        self.busy = len(self.jobs) - self.jobs.count(None)
         self.iterations = [self.iterations[i] for i in keep] + free
         self.caps = [self.caps[i] for i in keep] + free
-        self._layout = lanes
+        for lane, held in enumerate(self._held, n_kept):
+            self._start(view, lane, *held)
+        self._held = []
 
-    def load(self, job, priors: np.ndarray, target: np.ndarray, max_iter: int) -> None:
-        """Start decoding in a free lane.
-
-        priors is the normalized (4, n_qubits) prior matrix and target the
-        (n_checks,) int64 syndrome; job, any object but None, is returned
-        with the outcome.
-        """
-        if None in self.jobs:
-            lane = self.jobs.index(None)
-        elif self._layout < self.width:
-            lane = self._layout
-            self._relayout(list(range(lane)), lane + 1)
-        else:
-            raise RuntimeError("every lane is busy")
-        view = self._view(self._layout)
+    def _start(self, view, lane: int, job, priors, target, max_iter: int) -> None:
+        """Put a job's first messages and target in a free lane of view."""
         view.pri[..., lane] = priors
         view.qg[..., lane] = priors  # the first messages are the priors
         view.sigma[:, lane] = target
@@ -429,14 +422,29 @@ class Lanes:
         self.iterations[lane] = 0
         self.caps[lane] = max_iter
         self.jobs[lane] = job
+
+    def load(self, job, priors: np.ndarray, target: np.ndarray, max_iter: int) -> None:
+        """Start decoding in a free lane, or hold the job for the next step.
+
+        priors is the normalized (4, n_qubits) prior matrix and target the
+        (n_checks,) syndrome of +1/-1 entries; job, any object but None, is
+        returned with the outcome.  priors and target are read, not
+        copied, and must not change before the next step.
+        """
+        if None in self.jobs:
+            lane = self.jobs.index(None)
+            self._start(self._view(self._layout), lane, job, priors, target, max_iter)
+        elif self._layout + len(self._held) < self.width:
+            self._held.append((job, priors, target, max_iter))
+        else:
+            raise RuntimeError("every lane is busy")
         self.busy += 1
 
     def step(self, halt: bool = True) -> list:
         """One flooding iteration on every busy lane; returns the finished
         lanes' (job, DecodeOutcome) pairs in lane order."""
-        if None in self.jobs:
-            keep = [lane for lane, job in enumerate(self.jobs) if job is not None]
-            self._relayout(keep, len(keep))
+        if self._held or None in self.jobs:
+            self._relayout()
         lanes = self._layout
         graph = self.graph
         view = self._view(lanes)

@@ -109,12 +109,16 @@ def enhanced_reset(entry: int, s_c: int, sc_dot_eout: int, p_identity: float) ->
 
 
 def pc08_perturb(prior, delta: float, rng: np.random.Generator) -> np.ndarray:
-    """Scale the non-identity entries by 1 + delta * U[0,1], renormalize."""
+    """Scale the non-identity entries by 1 + delta * U[0,1], renormalize.
+
+    prior is one (4,) prior or (k, 4) priors, perturbed row by row with one
+    draw of 3 uniforms each, in row order.
+    """
     if delta < 0:
         raise ValueError("delta must be nonnegative")
-    out = np.asarray(prior, dtype=float).copy()
-    out[1:] *= 1.0 + delta * rng.random(3)
-    return out / out.sum()
+    out = np.array(prior, dtype=float)
+    out[..., 1:] *= 1.0 + delta * rng.random(out.shape[:-1] + (3,))
+    return out / out.sum(axis=-1, keepdims=True)
 
 
 def check_slot(graph: TannerGraph, check: int, qubit: int) -> int:
@@ -160,9 +164,7 @@ def feedback_adjustment(
         if rng is None:
             raise ValueError("pc08 rounds need a random stream")
         touched = graph.check_qubits(check).copy()
-        applied = np.array(
-            [pc08_perturb(priors[q], config.delta, rng) for q in touched]
-        )
+        applied = pc08_perturb(priors[touched], config.delta, rng)
     return touched, applied
 
 

@@ -7,14 +7,14 @@ p values of one experiment face the same underlying randomness and results
 are identical no matter how many workers execute the blocks.  A work item is
 a range of blocks at every p value, one per worker.  Its blocks are drawn
 BATCH_BLOCKS at a time: one row of uniforms per block, shared by every p,
-then per p the errors, syndromes, error strings and quiet test as arrays.
-Each block's standard BP run is computed once and shared by every strategy,
-since pc08 and enhanced feedback start from that same run; a quiet block
-(all-+1 syndrome) takes the one run its p makes on that syndrome.  Within a
-work item every other BP run, first run or feedback restart, is a lane of
-one lane kernel; jobs finish out of order and results are put back in spec
-order, so outputs do not depend on the lane width, the batch size or the
-worker count.
+then per p the errors, syndromes and error strings as arrays.  Each block's
+standard BP run is computed once and shared by every strategy, since pc08
+and enhanced feedback start from that same run, and blocks with the same
+syndrome at a p share that run too: a work item decodes each (p, syndrome)
+once.  Within a work item every BP run, first run or feedback restart, is a
+lane of one lane kernel; jobs finish out of order and results are put back
+in spec order, so outputs do not depend on the lane width, the batch size or
+the worker count.
 """
 
 import json
@@ -34,7 +34,14 @@ from .channel import (
     substream,
     substream_uniforms,
 )
-from .decoder import Lanes, TannerGraph, decode, lane_width, normalized_priors
+from .decoder import (
+    Lanes,
+    TannerGraph,
+    decode,
+    lane_width,
+    normalized_priors,
+    tanner_graph,
+)
 from .feedback import FeedbackConfig, FeedbackRun, check_slot, feedback_decode, feedback_round
 from .formats import parse_stabilizer_text
 from .stabilizer import StabilizerCode, build_code_4_1_1, group_membership, syndrome
@@ -96,6 +103,10 @@ class ExperimentSpec:
                 raise ValueError(f"duplicate {name} values in {values}")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be at least 1")
+        if self.degeneracy_limit < 0:
+            raise ValueError("degeneracy_limit must be nonnegative")
 
 
 @dataclass
@@ -195,8 +206,30 @@ BATCH_BLOCKS = 256
 
 
 @dataclass(eq=False)
+class _Batch:
+    """A batch of sampled blocks at one p, as arrays."""
+
+    p_index: int
+    blocks: range
+    errors: np.ndarray  # (B, n_total)
+    targets: np.ndarray  # (B, n_checks) syndromes
+    text: str  # the errors on the sent qubits as Pauli strings, back to back
+
+
+@dataclass(eq=False)
+class _FirstRun:
+    """The first run on one syndrome at one p, and the batch rows that
+    wait for it."""
+
+    p_index: int
+    key: bytes
+    target: np.ndarray
+    waiting: list  # (batch, rows)
+
+
+@dataclass(eq=False)
 class _Block:
-    """One sampled block at one p while its strategies are decoded."""
+    """One sampled block at one p while its feedback runs are decoded."""
 
     p_index: int
     block: int
@@ -211,20 +244,23 @@ class _Chunk:
 
     New blocks are drawn BATCH_BLOCKS at a time: their uniforms once for
     every p, then per p their errors, syndromes and error strings as
-    arrays.  A quiet block (all-+1 syndrome) takes the p's quiet first run,
-    which is decoded once and shared: a first run depends only on the
-    graph, the priors, the target and max_iter.  The other blocks are
-    queued for the lanes, which are refilled as they finish, pending
-    feedback restarts before new first runs.  Each block's first run is
-    shared by its strategies: standard reports it, and so do pc08 and
-    enhanced if it converged; otherwise a FeedbackRun per strategy continues
-    from it, drawing from the block's own substream.
+    arrays.  A first run depends only on the graph, the priors, the target
+    and max_iter, so each syndrome at each p is decoded once: its first
+    block's syndrome is queued for the lanes, the blocks that share it wait
+    for that run, and once it is done its read-only outcome is kept (per p,
+    keyed by the packed syndrome) for the rest of the task, so later blocks
+    with that syndrome are classified and reported at once, a batch's rows
+    together.  The lanes are refilled as they finish, pending feedback
+    restarts before new first runs.  Each block's first run is shared by
+    its strategies: standard reports it, and so do pc08 and enhanced if it
+    converged; otherwise a FeedbackRun per strategy continues from it,
+    drawing from the block's own substream.
     """
 
     def __init__(self, code, spec, block_lo, block_hi):
         self.code = code
         self.spec = spec
-        self.graph = graph = TannerGraph(code)
+        self.graph = graph = tanner_graph(code)
         self.lanes = Lanes(graph, lane_width(graph))
         self.check_membership = code.n_total <= spec.degeneracy_limit
         inject = None if spec.inject is None else gf4.pauli_to_values(spec.inject)
@@ -244,8 +280,10 @@ class _Chunk:
             range(lo, min(lo + BATCH_BLOCKS, block_hi))
             for lo in range(block_lo, block_hi, BATCH_BLOCKS)
         )
-        self.new_blocks = deque()  # sampled blocks waiting for a first run
-        self.quiet = [None] * len(spec.p_values)  # per p: (outcome, e_out string)
+        # per p: packed syndrome -> its _FirstRun until decoded, then
+        # (outcome, e_out string)
+        self.first_runs = [{} for _ in spec.p_values]
+        self.new_runs = deque()  # _FirstRuns waiting for a lane
         self.restarts = deque()  # ((block, strategy_index, run), priors, t_pert)
         self.results = {}  # (p_index, strategy_index, block) -> BlockResult
 
@@ -258,11 +296,8 @@ class _Chunk:
             if not lanes.busy:
                 break
             for job, outcome in lanes.step():
-                if isinstance(job, _Block):
-                    klass = classify_outcome(
-                        self.code, job.error, outcome, self.check_membership
-                    )
-                    self.first_run_done(job, outcome, klass, outcome.error_pauli)
+                if isinstance(job, _FirstRun):
+                    self.first_run_done(job, outcome)
                 else:
                     block, strategy_index, run = job
                     run.finish_round(outcome)
@@ -270,17 +305,17 @@ class _Chunk:
         return [self.results[key] for key in sorted(self.results)]
 
     def load_next(self) -> bool:
-        """Load a feedback restart, else a new block's first run, sampling
+        """Load a feedback restart, else a new syndrome's first run, sampling
         batches until one is there; False when neither is left.  Sampling
-        can queue restarts too: quiet blocks whose shared run did not
-        converge."""
+        can queue restarts too: blocks whose syndrome's run is known and did
+        not converge."""
         while True:
             if self.restarts:
                 job, adjusted, t_pert = self.restarts.popleft()
                 self.lanes.load(job, normalized_priors(adjusted), job[0].target, t_pert)
                 return True
-            if self.new_blocks:
-                job = self.new_blocks.popleft()
+            if self.new_runs:
+                job = self.new_runs.popleft()
                 self.lanes.load(
                     job, self.lane_priors[job.p_index], job.target, self.spec.max_iter
                 )
@@ -291,66 +326,78 @@ class _Chunk:
             self.sample(blocks)
 
     def sample(self, blocks: range) -> None:
-        """Draw a batch of blocks at every p; decide the quiet ones at once
-        and queue the others in (block, p) order."""
+        """Draw a batch of blocks at every p; report the rows whose syndrome
+        is decoded, and queue one first run for each new syndrome."""
         code, n_sent = self.code, self.code.n_sent
         uniforms = None
         if self.inject is None:
             uniforms = substream_uniforms(self.spec.seed, _STREAM_CHANNEL, blocks, n_sent)
-        loud = []  # per p: its jobs, None for the quiet ones
         for p_index, channel in enumerate(self.channels):
             if uniforms is None:
                 errors = np.tile(code.embed_sent(self.inject), (len(blocks), 1))
             else:
                 errors = sample_error(n_sent, channel, uniforms, n_ebits=code.n_ebits)
             targets = syndrome(code, errors)
-            text = gf4.values_to_pauli(errors[:, :n_sent])
-            jobs = [
-                _Block(
-                    p_index, block, errors[i], targets[i],
-                    text[i * n_sent : (i + 1) * n_sent],
-                )
-                for i, block in enumerate(blocks)
-            ]
-            quiet = (targets > 0).all(axis=1)
-            if quiet.any():
-                outcome, e_out = self.quiet_run(p_index)
-                rows = np.flatnonzero(quiet)
-                classes = classify_outcomes(
-                    code, errors[rows], outcome, self.check_membership
-                )
-                for row, klass in zip(rows.tolist(), classes):
-                    self.first_run_done(jobs[row], outcome, klass, e_out)
-            loud.append([None if q else job for q, job in zip(quiet.tolist(), jobs)])
-        self.new_blocks.extend(job for row in zip(*loud) for job in row if job is not None)
+            batch = _Batch(
+                p_index, blocks, errors, targets,
+                gf4.values_to_pauli(errors[:, :n_sent]),
+            )
+            packed = np.packbits(targets < 0, axis=1)
+            groups = {}  # packed syndrome -> its rows
+            for row, key in enumerate(
+                packed.view(np.dtype((np.void, packed.shape[1]))).ravel().tolist()
+            ):
+                groups.setdefault(key, []).append(row)
+            known = self.first_runs[p_index]
+            for key, rows in groups.items():
+                entry = known.get(key)
+                if entry is None:
+                    known[key] = job = _FirstRun(
+                        p_index, key, targets[rows[0]], [(batch, rows)]
+                    )
+                    self.new_runs.append(job)
+                elif isinstance(entry, _FirstRun):
+                    entry.waiting.append((batch, rows))
+                else:
+                    self.report(batch, rows, *entry)
 
-    def quiet_run(self, p_index: int):
-        """The first run on the all-+1 syndrome at p, decoded on first use."""
-        if self.quiet[p_index] is None:
-            outcome = decode(
-                self.code, np.ones(self.code.n_checks, dtype=np.int64),
-                self.priors[p_index], max_iter=self.spec.max_iter, graph=self.graph,
-            )
-            outcome.error.setflags(write=False)  # shared by every quiet block
-            self.quiet[p_index] = (outcome, outcome.error_pauli)
-        return self.quiet[p_index]
+    def first_run_done(self, job: _FirstRun, outcome) -> None:
+        """Keep a syndrome's first run and report the rows waiting for it."""
+        outcome.error.setflags(write=False)  # shared by every block of the key
+        e_out = outcome.error_pauli
+        self.first_runs[job.p_index][job.key] = (outcome, e_out)
+        for batch, rows in job.waiting:
+            self.report(batch, rows, outcome, e_out)
 
-    def first_run_done(self, block: _Block, outcome, klass: str, e_out: str) -> None:
-        """Report the first run of a block under standard, and under pc08 and
-        enhanced if it converged; else start their feedback runs."""
-        spec = self.spec
-        for strategy_index, strategy in enumerate(spec.strategies):
-            if strategy == "standard" or outcome.converged:
-                self.emit(block, strategy_index, outcome, klass, e_out)
-                continue
-            rng = substream(
-                spec.seed, _STREAM_DECODER, strategy_index, block.p_index, block.block
-            )
-            run = FeedbackRun(
-                self.graph, block.target, self.priors[block.p_index],
-                self.configs[strategy], outcome, rng,
-            )
-            self.advance(block, strategy_index, run)
+    def report(self, batch: _Batch, rows: list, outcome, e_out: str) -> None:
+        """Report the first run of a batch's rows under standard, and under
+        pc08 and enhanced if it converged; else start their feedback runs."""
+        spec, n_sent = self.spec, self.code.n_sent
+        classes = classify_outcomes(
+            self.code, batch.errors[rows], outcome, self.check_membership
+        )
+        for row, klass in zip(rows, classes):
+            block = batch.blocks[row]
+            text = batch.text[row * n_sent : (row + 1) * n_sent]
+            sampled = None
+            for strategy_index, strategy in enumerate(spec.strategies):
+                if strategy == "standard" or outcome.converged:
+                    self.emit(
+                        batch.p_index, strategy_index, block, text, outcome, klass, e_out
+                    )
+                    continue
+                if sampled is None:
+                    sampled = _Block(
+                        batch.p_index, block, batch.errors[row], batch.targets[row], text
+                    )
+                rng = substream(
+                    spec.seed, _STREAM_DECODER, strategy_index, batch.p_index, block
+                )
+                run = FeedbackRun(
+                    self.graph, sampled.target, self.priors[batch.p_index],
+                    self.configs[strategy], outcome, rng,
+                )
+                self.advance(sampled, strategy_index, run)
 
     def advance(self, block: _Block, strategy_index: int, run: FeedbackRun) -> None:
         """Queue the run's next restart, or report the run once it is over."""
@@ -360,20 +407,25 @@ class _Chunk:
             return
         outcome, _ = run.result()
         klass = classify_outcome(self.code, block.error, outcome, self.check_membership)
-        self.emit(block, strategy_index, outcome, klass, outcome.error_pauli)
+        self.emit(
+            block.p_index, strategy_index, block.block, block.text, outcome, klass,
+            outcome.error_pauli,
+        )
 
     def emit(
-        self, block: _Block, strategy_index: int, outcome, klass: str, e_out: str
+        self, p_index: int, strategy_index: int, block: int, text: str, outcome,
+        klass: str, e_out: str,
     ) -> None:
-        self.results[(block.p_index, strategy_index, block.block)] = BlockResult(
-            p=self.spec.p_values[block.p_index],
-            strategy=self.spec.strategies[strategy_index],
-            block=block.block,
-            error=block.text,
-            e_out=e_out,
-            converged=outcome.converged,
-            iterations=outcome.iterations,
-            outcome=klass,
+        # positional: a keyword call costs twice as much per block
+        self.results[(p_index, strategy_index, block)] = BlockResult(
+            self.spec.p_values[p_index],
+            self.spec.strategies[strategy_index],
+            block,
+            text,
+            e_out,
+            outcome.converged,
+            outcome.iterations,
+            klass,
         )
 
 

@@ -24,6 +24,10 @@ from . import gf4
 ANTICOMMUTES = gf4.TRACE_TABLE[gf4.MUL_TABLE[gf4.CONJ_TABLE]]
 
 
+#: The syndrome entry of a parity bit: 0 -> +1, 1 -> -1.
+_SIGNS = np.array([1, -1], dtype=np.int8)
+
+
 class NonCommutingRowsError(ValueError):
     """A generator set that is supposed to commute does not."""
 
@@ -155,12 +159,17 @@ class StabilizerCode:
         return gf2_row_reduce(to_symplectic(self.checks))
 
     @cached_property
-    def _entry_positions(self):
-        """Flat (column, symbol) positions of the nonzero check entries, row
-        by row, and the offset of each row's first entry (rows are nonzero)."""
-        rows, cols = np.nonzero(self.checks)
-        positions = cols * 4 + self.checks[rows, cols]
-        return positions, np.searchsorted(rows, np.arange(self.n_checks))
+    def _anticommutation_words(self):
+        """(n_total * 4, words) uint64 columns: row 4 * j + s holds, bit c
+        of its little-endian bytes, whether symbol s on column j
+        anticommutes with check c."""
+        n_words = -(-self.n_checks // 64)
+        bits = np.zeros((self.n_total, 4, 64 * n_words), dtype=np.uint8)
+        bits[..., : self.n_checks] = ANTICOMMUTES[
+            np.arange(4)[:, None, None], self.checks
+        ].transpose(2, 0, 1)
+        packed = np.packbits(bits, axis=-1, bitorder="little")
+        return packed.view(np.uint64).reshape(self.n_total * 4, n_words)
 
     def __getstate__(self):
         """Pickle the defining fields only; cached properties are rebuilt on use."""
@@ -183,18 +192,31 @@ def syndrome(code: StabilizerCode, error) -> np.ndarray:
     """Syndrome of an error: entry c is +1 iff generator c commutes with it.
 
     A (B, n_total) array of errors gives the (B, n_checks) syndromes of its
-    rows.
+    rows.  Each error's parities are the XOR of the packed anticommutation
+    columns of its nonzero symbols.
     """
     values = as_values(error)
     if values.ndim not in (1, 2) or values.shape[-1] != code.n_total:
         raise ValueError(
             f"error shape {values.shape} does not match {code.n_total} columns"
         )
-    positions, starts = code._entry_positions
-    # ANTICOMMUTES is symmetric: row v holds v's parity against each symbol
-    table = ANTICOMMUTES.take(values, axis=0).reshape(values.shape[:-1] + (-1,))
-    bits = table.take(positions, axis=-1)
-    return 1 - 2 * np.bitwise_xor.reduceat(bits, starts, axis=-1).astype(np.int8)
+    columns = code._anticommutation_words
+    rows = values.reshape(-1, code.n_total)
+    words = np.zeros((len(rows), columns.shape[1]), dtype=np.uint64)
+    hit_rows, hit_cols = np.nonzero(rows)
+    if hit_rows.size:
+        # the first nonzero symbol of each row that has one
+        first = np.empty(hit_rows.size, dtype=bool)
+        first[0] = True
+        np.not_equal(hit_rows[1:], hit_rows[:-1], out=first[1:])
+        starts = np.flatnonzero(first)
+        words[hit_rows[starts]] = np.bitwise_xor.reduceat(
+            columns[hit_cols * 4 + rows[hit_rows, hit_cols]], starts, axis=0
+        )
+    bits = np.unpackbits(
+        words.view(np.uint8), axis=-1, count=code.n_checks, bitorder="little"
+    )
+    return _SIGNS.take(bits).reshape(values.shape[:-1] + (code.n_checks,))
 
 
 def quaternary_to_pauli(h: np.ndarray) -> np.ndarray:

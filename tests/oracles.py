@@ -8,7 +8,7 @@ library's decoding or linear-algebra paths.
 import numpy as np
 
 from gf4bp import gf4
-from gf4bp.stabilizer import StabilizerCode
+from gf4bp.stabilizer import ANTICOMMUTES, StabilizerCode
 
 
 def pauli_commutation_sign(u, v) -> int:
@@ -31,6 +31,20 @@ def syndrome_by_counting(code: StabilizerCode, error) -> np.ndarray:
     return np.array(
         [pauli_commutation_sign(row, error) for row in code.checks], dtype=np.int64
     )
+
+
+def syndrome_by_entries(code: StabilizerCode, error) -> np.ndarray:
+    """Syndrome (+1/-1 int8) of an error or of each row of a (B, n_total)
+    array, by gathering every check entry's anticommutation bit and XORing
+    them row by row (the library's syndrome before packed columns)."""
+    values = np.asarray(error, dtype=np.uint8)
+    rows, cols = np.nonzero(code.checks)
+    positions = cols * 4 + code.checks[rows, cols]
+    starts = np.searchsorted(rows, np.arange(code.n_checks))
+    # ANTICOMMUTES is symmetric: row v holds v's parity against each symbol
+    table = ANTICOMMUTES.take(values, axis=0).reshape(values.shape[:-1] + (-1,))
+    bits = table.take(positions, axis=-1)
+    return 1 - 2 * np.bitwise_xor.reduceat(bits, starts, axis=-1).astype(np.int8)
 
 
 def exact_marginals(code: StabilizerCode, target, priors):

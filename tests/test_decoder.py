@@ -165,6 +165,7 @@ def test_vectorized_check_messages_match_reference(code411):
     # the (qubit slot, symbol, qubit) layout
     lanes = Lanes(graph, 1)
     lanes.load("job", normalized_priors(np.full((4, 4), 0.25)), target, 1)
+    lanes._relayout()  # a job loaded into an empty kernel is laid out by the step
     view = lanes._view(1)
     for e in range(graph.n_edges):
         qubit = int(graph.edge_qubit[e])
@@ -444,6 +445,54 @@ def test_lanes_with_refill_match_decode(width):
     assert any(not o.converged for o in got.values())
     for index, (pri, target, cap) in enumerate(jobs):
         want = decode(code, target, pri, max_iter=cap, graph=graph)
+        assert got[index].error.tolist() == want.error.tolist()
+        assert (got[index].converged, got[index].iterations) == (
+            want.converged, want.iterations,
+        )
+
+
+@pytest.mark.parametrize("k", [1, 4, 6])
+def test_lanes_loaded_together_are_laid_out_once(monkeypatch, k):
+    # k jobs loaded into an empty kernel (and later into the free room of a
+    # packed one) cost one relayout at the next step, not one each; the
+    # outcomes equal lone decodes.
+    code = construction_b(C62_ROW)
+    graph = TannerGraph(code)
+    rng = np.random.default_rng(k)
+    jobs = []
+    for _ in range(2 * k):
+        pri = channel_priors(DepolarizingChannel(0.06), code.n_sent)
+        error = sample_error(code.n_sent, DepolarizingChannel(0.06), rng)
+        jobs.append((pri, syndrome(code, error), int(rng.integers(2, 20))))
+    relayouts = []
+    relayout = Lanes._relayout
+
+    def counted(self):
+        relayouts.append(len(self._held))
+        return relayout(self)
+
+    monkeypatch.setattr(Lanes, "_relayout", counted)
+    lanes = Lanes(graph, 6)
+    got = {}
+    for index in range(k):
+        pri, target, cap = jobs[index]
+        lanes.load(index, normalized_priors(pri), target, cap)
+    assert relayouts == [] and lanes.busy == k
+    got.update(lanes.step(halt=False))
+    assert relayouts == [k]
+    while len(got) < k:  # run the first jobs out, then load the rest at once
+        got.update(lanes.step(halt=False))
+    before = len(relayouts)
+    for index in range(k, 2 * k):
+        pri, target, cap = jobs[index]
+        lanes.load(index, normalized_priors(pri), target, cap)
+    got.update(lanes.step(halt=False))
+    # finished lanes still in the layout are refilled in place
+    assert len(relayouts) - before <= 1 and lanes._layout == k
+    while lanes.busy:
+        got.update(lanes.step(halt=False))
+    for index, (pri, target, cap) in enumerate(jobs):
+        want = decode(code, target, pri, max_iter=cap, graph=graph, halt=False)
         assert got[index].error.tolist() == want.error.tolist()
         assert (got[index].converged, got[index].iterations) == (
             want.converged, want.iterations,

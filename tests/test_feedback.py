@@ -120,6 +120,31 @@ def test_pc08_perturb():
         assert abs(out.sum() - 1.0) < 1e-12
 
 
+def test_pc08_perturb_rows_equal_the_per_row_loop():
+    # A pc08 round draws for all its qubits at once; the draws, the
+    # normalized rows and the generator state after must equal perturbing
+    # one row at a time with 3 uniforms each (the loop kept here).
+    def one_row(prior, delta, rng):
+        out = np.asarray(prior, dtype=float).copy()
+        out[1:] *= 1.0 + delta * rng.random(3)
+        return out / out.sum()
+
+    shapes = np.random.default_rng(8)
+    for seed in range(300):
+        rows = shapes.random((int(shapes.integers(1, 13)), 4)) + 1e-3
+        rows /= rows.sum(axis=1, keepdims=True)
+        for delta in (0.0, 0.1, 0.7, 1.0):
+            batch_rng, loop_rng = substream(seed, 1), substream(seed, 1)
+            batch = pc08_perturb(rows, delta, batch_rng)
+            loop = np.array([one_row(row, delta, loop_rng) for row in rows])
+            assert np.array_equal(batch, loop)
+            assert batch_rng.bit_generator.state == loop_rng.bit_generator.state
+            assert np.array_equal(
+                pc08_perturb(rows[0], delta, substream(seed, 2)),
+                one_row(rows[0], delta, substream(seed, 2)),
+            )
+
+
 def test_enhanced_round_case_study(code411, priors411):
     # standard BP fails; the detected error IYII leaves checks 2..4
     # frustrated, and resetting qubit 4 via frustrated check 2 converges to

@@ -207,6 +207,13 @@ def test_spec_validation(code411):
         ExperimentSpec(code=code411, p_values=(0.1,), strategies=("bogus",))
     with pytest.raises(ValueError):
         ExperimentSpec(code=code411, p_values=(0.1,), workers=0)
+    # a cap of 0 iterations used to report 1 iteration, converged and exact,
+    # and a negative limit to turn every non-exact outcome into unchecked
+    with pytest.raises(ValueError, match="max_iter"):
+        ExperimentSpec(code=code411, p_values=(0.1,), inject="IXII", max_iter=0)
+    with pytest.raises(ValueError, match="degeneracy_limit"):
+        ExperimentSpec(code=code411, p_values=(0.1,), degeneracy_limit=-1)
+    ExperimentSpec(code=code411, p_values=(0.1,), max_iter=1, degeneracy_limit=0)
 
 
 def test_spec_rejects_duplicate_cells(code411):
@@ -442,8 +449,12 @@ def test_fixed_experiment_bytes(code62, tmp_path):
         ("c62", (0.0, 0.002, 0.8), {"inject": "I" * 62}),
         ("4_1_1", (0.0, 0.8), {"n_a": 2, "max_iter": 30, "t_pert": 10}),
         ("4_1_1", (0.8,), {"inject": "IIII", "n_a": 2, "max_iter": 30, "t_pert": 10}),
+        ("4_1_1", (0.05, 0.2), {"inject": "IXII"}),
     ],
-    ids=["c62-sampled", "c62-injected", "411-unconverged", "411-all-quiet"],
+    ids=[
+        "c62-sampled", "c62-injected", "411-unconverged", "411-all-quiet",
+        "411-injected-loud",
+    ],
 )
 def test_quiet_blocks_share_one_first_run(
     code62, tmp_path, monkeypatch, code_name, p_values, changes
@@ -454,7 +465,11 @@ def test_quiet_blocks_share_one_first_run(
     # e_out (sampled errors are never quiet there).  On the 4_1_1 code at
     # p = 0.8 it does not converge, so pc08 and enhanced continue from the
     # shared outcome, which must stay unchanged.  With every block quiet,
-    # sampling queues only feedback restarts while the lanes are idle.
+    # sampling queues only feedback restarts while the lanes are idle.  An
+    # injected error that is not quiet is decoded once per p as well: its
+    # runs converge, so they are the only BP runs.
+    from gf4bp.decoder import Lanes
+
     code = code62 if code_name == "c62" else load_code(code_name)
     spec = ExperimentSpec(
         code=code, p_values=p_values, strategies=("standard", "pc08", "enhanced"),
@@ -462,11 +477,22 @@ def test_quiet_blocks_share_one_first_run(
     )
     reference_path = tmp_path / "reference.jsonl"
     ref_stats, ref_blocks, _ = per_cell_experiment(spec, jsonl_path=reference_path)
+    loads = []
+    load = Lanes.load
+
+    def counted(self, *args):
+        loads.append(args[0])
+        return load(self, *args)
+
+    monkeypatch.setattr(Lanes, "load", counted)
     for width in (1, 15):
         monkeypatch.setattr(sim, "lane_width", lambda graph, width=width: width)
         for workers in (1, 2):
             path = tmp_path / f"run{width}-{workers}.jsonl"
+            loads.clear()
             stats, blocks = run_experiment(replace(spec, workers=workers), jsonl_path=path)
+            if code_name == "4_1_1" and changes.get("inject") == "IXII" and workers == 1:
+                assert len(loads) == len(p_values)
             assert {s.n_blocks for s in stats} == {spec.blocks}
             assert blocks == ref_blocks
             assert format_csv(stats) == format_csv(ref_stats)
@@ -478,25 +504,30 @@ def test_quiet_blocks_share_one_first_run(
     if code_name == "c62" and "inject" in changes:
         assert {(b.e_out, b.outcome) for b in quiet} == {("Y" * 62, "nonequivalent")}
         assert len(quiet) == 3 * spec.blocks
-    if code_name == "4_1_1":
+    if code_name == "4_1_1" and changes.get("inject") != "IXII":
         feedback = [b for b in quiet if b.strategy != "standard"]
         assert feedback and all(b.iterations > spec.max_iter for b in feedback)
+    if changes.get("inject") == "IXII":
+        assert (syndrome(code, code.embed_sent("IXII")) < 0).any()
+        assert {(b.converged, b.outcome) for b in ref_blocks} == {(True, "exact")}
 
 
 def test_quiet_blocks_cost_one_bp_run(code62, monkeypatch):
-    # lowp-std's code and p: a BP run (a Lanes.load) for every block that is
-    # not quiet, plus the one run the quiet blocks share.
+    # lowp-std's code and p: a BP run (a Lanes.load) for every distinct
+    # syndrome, quiet or not; blocks that repeat a syndrome share its run.
     from gf4bp.channel import DepolarizingChannel, sample_error, substream
     from gf4bp.decoder import Lanes
 
     spec = ExperimentSpec(code=code62, p_values=(0.002,), blocks=300, seed=20260808)
-    loud = sum(
-        not (syndrome(code62, sample_error(
+    syndromes = [
+        tuple(syndrome(code62, sample_error(
             code62.n_sent, DepolarizingChannel(0.002), substream(spec.seed, 0, block)
-        )) > 0).all()
+        )))
         for block in range(spec.blocks)
-    )
-    assert 0 < loud < spec.blocks // 4
+    ]
+    quiet = (1,) * code62.n_checks
+    loud = [s for s in syndromes if s != quiet]
+    assert 0 < len(set(loud)) < len(loud) < spec.blocks // 4
     loads = []
     load = Lanes.load
 
@@ -507,4 +538,4 @@ def test_quiet_blocks_cost_one_bp_run(code62, monkeypatch):
     monkeypatch.setattr(Lanes, "load", counted)
     monkeypatch.setattr(sim, "lane_width", lambda graph: 1)
     run_experiment(spec)
-    assert len(loads) == loud + 1
+    assert len(loads) == len(set(syndromes)) == 37

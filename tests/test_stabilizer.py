@@ -18,7 +18,15 @@ from gf4bp.stabilizer import (
     to_symplectic,
 )
 
-from oracles import enumerate_group, pauli_commutation_sign, syndrome_by_counting
+from oracles import (
+    enumerate_group,
+    pauli_commutation_sign,
+    syndrome_by_counting,
+    syndrome_by_entries,
+)
+
+C62_ROW = [1 if i in (1, 5, 11, 24, 25, 27) else 0 for i in range(31)]
+N510_ROW = [1 if i in (8, 36, 118, 128, 190, 240) else 0 for i in range(255)]
 
 
 @pytest.fixture
@@ -74,6 +82,49 @@ def test_syndrome_matches_counting_oracle(code411):
     assert syndrome(code411, errors).tolist() == [
         syndrome_by_counting(code411, e).tolist() for e in errors
     ]
+
+
+@pytest.mark.parametrize(
+    "code_name, checks", [("4_1_1", 4), ("c62", 62), ("n510", 510)]
+)
+def test_syndrome_matches_per_entry_reference(code_name, checks):
+    # The packed columns hold 1, 1 and 8 words of check bits: both ends of
+    # a word, a partial last word and several words per row.
+    code = {
+        "4_1_1": build_code_4_1_1,
+        "c62": lambda: construction_b(C62_ROW),
+        "n510": lambda: construction_b(N510_ROW),
+    }[code_name]()
+    assert code.n_checks == checks
+    rng = np.random.default_rng(checks)
+    for density in (0.01, 0.1, 1.0):
+        errors = rng.integers(0, 4, size=(40, code.n_total)).astype(np.uint8)
+        errors[rng.random(errors.shape) >= density] = 0
+        errors[::7] = 0  # all-identity rows, first and last among them
+        errors[-1] = 0
+        expected = syndrome_by_entries(code, errors)
+        got = syndrome(code, errors)
+        assert got.dtype == np.int8 and np.array_equal(got, expected)
+        for error, row in zip(errors[:8], expected):
+            one = syndrome(code, error)
+            assert one.dtype == np.int8 and np.array_equal(one, row)
+    # every symbol on every column alone, ebit columns included
+    singles = np.zeros((3 * code.n_total, code.n_total), dtype=np.uint8)
+    singles[np.arange(3 * code.n_total), np.repeat(np.arange(code.n_total), 3)] = (
+        np.tile([1, 2, 3], code.n_total)
+    )
+    assert np.array_equal(syndrome(code, singles), syndrome_by_entries(code, singles))
+    if code.n_ebits:
+        ebit_only = np.zeros((3, code.n_total), dtype=np.uint8)
+        ebit_only[:, code.n_sent:] = np.array([[1], [2], [3]])
+        assert np.array_equal(
+            syndrome(code, ebit_only), syndrome_by_entries(code, ebit_only)
+        )
+        assert (syndrome(code, ebit_only) < 0).any()
+    assert np.array_equal(
+        syndrome(code, np.zeros((0, code.n_total), dtype=np.uint8)),
+        np.zeros((0, code.n_checks), dtype=np.int8),
+    )
 
 
 def test_syndrome_is_homomorphism(code411):
