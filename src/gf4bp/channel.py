@@ -6,14 +6,18 @@ are identical no matter how blocks are scheduled across workers.
 substream_uniforms draws the first uniforms of many such substreams at once,
 (seed, domain, block) for a batch of blocks, with the same values: it hashes
 the keys with a vectorised copy of numpy's SeedSequence (after O'Neill's
-seed_seq) and seeds one reused PCG64 per key through PCG64's own 128-bit
-seeding step.  sample_error turns such uniforms, one row per block, into
+seed_seq), and numpy's PCG64 seeds itself from each key's hashed words,
+handed over as a seed sequence that only returns them.  Each key's raw
+64-bit draws become doubles by Generator.random's formula, for the whole
+batch at once.  sample_error turns such uniforms, one row per block, into
 errors.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import PCG64
+from numpy.random.bit_generator import ISeedSequence
 
 
 @dataclass(frozen=True)
@@ -75,15 +79,12 @@ def substream(master_seed: int, *key: int) -> np.random.Generator:
     )
 
 
-# SeedSequence's uint32 hash constants (numpy's bit_generator.pyx) and the
-# PCG64 multiplier (pcg64.h)
+# SeedSequence's uint32 hash constants (numpy's bit_generator.pyx)
 _MASK32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _POOL_SIZE = 4
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
 
 
 def _uint32_words(value: int) -> list:
@@ -134,14 +135,17 @@ def _seed_words(entropy: list) -> list:
     return state
 
 
-def _pcg64_state(words) -> tuple:
-    """PCG64's (state, inc) seeded from SeedSequence's generate_state(8,
-    uint32) words: those are read as generate_state(4, uint64), i.e.
-    (initstate, initseq) as 128-bit ints, and PCG64 seeds with inc =
-    2 initseq + 1, one LCG step from state 0, + initstate, one more step."""
-    initstate = words[1] << 96 | words[0] << 64 | words[3] << 32 | words[2]
-    inc = (words[5] << 96 | words[4] << 64 | words[7] << 32 | words[6]) << 1 & _MASK128 | 1
-    return ((inc + initstate) * _PCG64_MULT + inc) & _MASK128, inc
+class _HashedWords(ISeedSequence):
+    """The seed of one key, SeedSequence's generate_state(4, uint64) words
+    already hashed, so PCG64 seeds itself from them."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("hashed words give generate_state(4, uint64) only")
+        return self.words
 
 
 def substream_uniforms(master_seed: int, domain: int, blocks, n: int) -> np.ndarray:
@@ -153,21 +157,17 @@ def substream_uniforms(master_seed: int, domain: int, blocks, n: int) -> np.ndar
     run += [0] * (_POOL_SIZE - len(run)) + _uint32_words(domain)
     low, high = blocks & np.uint64(_MASK32), blocks >> np.uint64(32)
     wide = high > 0  # a block of 2**32 or more is two words
-    out = np.empty((blocks.size, n))
-    generator = np.random.Generator(np.random.PCG64(0))
-    bit_generator = generator.bit_generator
+    seeds = np.empty((blocks.size, 4), dtype=np.uint64)
     for rows, block_words in ((~wide, [low]), (wide, [low, high])):
-        rows = np.flatnonzero(rows)
-        if not rows.size:
-            continue
-        words = _seed_words(run + [w[rows] for w in block_words])
-        for row, key_words in zip(rows.tolist(), zip(*(w.tolist() for w in words))):
-            state, inc = _pcg64_state(key_words)
-            bit_generator.state = {
-                "bit_generator": "PCG64",
-                "state": {"state": state, "inc": inc},
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
-            generator.random(out=out[row])
-    return out
+        if rows.any():
+            words = _seed_words(run + [w[rows] for w in block_words])
+            # uint32 word pairs, little-endian, as generate_state(4, uint64)
+            seeds[rows] = np.stack(
+                [words[i] | words[i + 1] << np.uint64(32) for i in range(0, 8, 2)],
+                axis=1,
+            )
+    raw = np.empty((blocks.size, n), dtype=np.uint64)
+    for row, seed in enumerate(seeds):
+        raw[row] = PCG64(_HashedWords(seed)).random_raw(n)
+    # Generator.random's double: the top 53 bits times 2**-53
+    return (raw >> np.uint64(11)) * 2.0**-53

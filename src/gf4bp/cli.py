@@ -123,7 +123,7 @@ def simulate(ctx, code_src, p_list, strategy, blocks, seed, max_iter, t_pert,
     params = ctx.params
     try:
         spec = ExperimentSpec(
-            code=params["code_src"],
+            code=load_code(params["code_src"]),
             p_values=_parse_p_list(params["p_list"]),
             strategies=_parse_strategies(params["strategy"]),
             blocks=params["blocks"],

@@ -328,13 +328,14 @@ class Lanes:
     Every workspace array is allocated once, as a flat buffer holding
     `width` lanes, and viewed with the lane axis last for the number of
     occupied lanes, so an iteration costs what the occupied lanes cost.
-    load() puts a job in a free lane, or holds it for the next step when
-    the layout has no free lane; step() first lays the buffers out once for
-    the held jobs and the lanes still running (packed together), then runs
-    one iteration on every occupied lane and returns (job, DecodeOutcome)
-    for each lane that matched its target syndrome (unless halt is off) or
-    reached its iteration cap.  A finished lane stays in place until the
-    next load() refills it or the next step() packs the remaining lanes.
+    load() holds a job for the next step().  step() writes the held jobs
+    into the lanes of finished ones when they fill those lanes exactly;
+    otherwise it first lays the buffers out once for the lanes still
+    running (packed together) and the held jobs.  It then runs one
+    iteration on every occupied lane and returns (job, DecodeOutcome) for
+    each lane that matched its target syndrome (unless halt is off) or
+    reached its iteration cap.  A finished lane stays in the layout until
+    the next step() refills it or packs the remaining lanes.
     """
 
     def __init__(self, graph: TannerGraph, width: int):
@@ -408,43 +409,54 @@ class Lanes:
         self.jobs = [self.jobs[i] for i in keep] + free
         self.iterations = [self.iterations[i] for i in keep] + free
         self.caps = [self.caps[i] for i in keep] + free
-        for lane, held in enumerate(self._held, n_kept):
-            self._start(view, lane, *held)
+        if self._held:
+            self._start_held(list(range(n_kept, lanes)))
+
+    def _start_held(self, lanes: list) -> None:
+        """Write the held jobs' first messages and targets into the free
+        lanes `lanes` (ascending, one per held job), one stacked assignment
+        per array."""
+        view = self._view(self._layout)
+        jobs, priors, targets, caps = zip(*self._held)
+        if lanes[-1] - lanes[0] == len(lanes) - 1:  # contiguous: a view
+            lanes_index = slice(lanes[0], lanes[-1] + 1)
+        else:
+            lanes_index = lanes
+        priors = np.stack(priors, axis=-1)
+        view.pri[..., lanes_index] = priors
+        view.qg[..., lanes_index] = priors  # the first messages are the priors
+        targets = np.stack(targets, axis=-1)
+        view.sigma[:, lanes_index] = targets
+        # a -1 on a check without sender edges is never matched
+        view.target_parity[:, lanes_index] = targets < 0
+        for lane, job, cap in zip(lanes, jobs, caps):
+            self.iterations[lane] = 0
+            self.caps[lane] = cap
+            self.jobs[lane] = job
         self._held = []
 
-    def _start(self, view, lane: int, job, priors, target, max_iter: int) -> None:
-        """Put a job's first messages and target in a free lane of view."""
-        view.pri[..., lane] = priors
-        view.qg[..., lane] = priors  # the first messages are the priors
-        view.sigma[:, lane] = target
-        # a -1 on a check without sender edges is never matched
-        view.target_parity[:, lane] = target < 0
-        self.iterations[lane] = 0
-        self.caps[lane] = max_iter
-        self.jobs[lane] = job
-
     def load(self, job, priors: np.ndarray, target: np.ndarray, max_iter: int) -> None:
-        """Start decoding in a free lane, or hold the job for the next step.
+        """Hold a job for the next step, which starts it in a free lane.
 
         priors is the normalized (4, n_qubits) prior matrix and target the
         (n_checks,) syndrome of +1/-1 entries; job, any object but None, is
         returned with the outcome.  priors and target are read, not
         copied, and must not change before the next step.
         """
-        if None in self.jobs:
-            lane = self.jobs.index(None)
-            self._start(self._view(self._layout), lane, job, priors, target, max_iter)
-        elif self._layout + len(self._held) < self.width:
-            self._held.append((job, priors, target, max_iter))
-        else:
+        if self.busy >= self.width:
             raise RuntimeError("every lane is busy")
+        self._held.append((job, priors, target, max_iter))
         self.busy += 1
 
     def step(self, halt: bool = True) -> list:
         """One flooding iteration on every busy lane; returns the finished
         lanes' (job, DecodeOutcome) pairs in lane order."""
         if self._held or None in self.jobs:
-            self._relayout()
+            free = [lane for lane, job in enumerate(self.jobs) if job is None]
+            if len(free) == len(self._held):
+                self._start_held(free)  # the held jobs fill the layout's holes
+            else:
+                self._relayout()
         lanes = self._layout
         graph = self.graph
         view = self._view(lanes)

@@ -52,12 +52,17 @@ class FeedbackConfig:
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
-        if self.t_pert < 1:
-            raise ValueError("t_pert must be at least 1")
-        if self.n_a is not None and self.n_a < 0:
-            raise ValueError("n_a must be nonnegative")
-        if self.delta < 0:
-            raise ValueError("delta must be nonnegative")
+        check_feedback_parameters(self.t_pert, self.n_a, self.delta)
+
+
+def check_feedback_parameters(t_pert: int, n_a: int | None, delta: float) -> None:
+    """Raise ValueError unless t_pert >= 1, n_a is None or >= 0, delta >= 0."""
+    if t_pert < 1:
+        raise ValueError("t_pert must be at least 1")
+    if n_a is not None and n_a < 0:
+        raise ValueError("n_a must be nonnegative")
+    if delta < 0:
+        raise ValueError("delta must be nonnegative")
 
 
 @dataclass

@@ -42,7 +42,14 @@ from .decoder import (
     normalized_priors,
     tanner_graph,
 )
-from .feedback import FeedbackConfig, FeedbackRun, check_slot, feedback_decode, feedback_round
+from .feedback import (
+    FeedbackConfig,
+    FeedbackRun,
+    check_feedback_parameters,
+    check_slot,
+    feedback_decode,
+    feedback_round,
+)
 from .formats import parse_stabilizer_text
 from .stabilizer import StabilizerCode, build_code_4_1_1, group_membership, syndrome
 
@@ -70,6 +77,19 @@ def load_code(source) -> StabilizerCode:
     if not path.exists():
         raise ValueError(f"unknown code {name!r}: not a built-in name or file")
     return parse_stabilizer_text(path.read_text())
+
+
+def _injected_error(code: StabilizerCode, inject: str | None):
+    """An injected Pauli string on the sent qubits as a full (n_total)
+    error, or None without one."""
+    if inject is None:
+        return None
+    values = gf4.pauli_to_values(inject)
+    if values.shape != (code.n_sent,):
+        raise ValueError(
+            f"injected error {inject!r} must cover the {code.n_sent} sent qubits"
+        )
+    return code.embed_sent(values)
 
 
 @dataclass
@@ -107,6 +127,11 @@ class ExperimentSpec:
             raise ValueError("max_iter must be at least 1")
         if self.degeneracy_limit < 0:
             raise ValueError("degeneracy_limit must be nonnegative")
+        check_feedback_parameters(self.t_pert, self.n_a, self.delta)
+        if isinstance(self.code, StabilizerCode):
+            _injected_error(self.code, self.inject)
+        elif self.inject is not None:  # its length is checked once the code is loaded
+            gf4.pauli_to_values(self.inject)
 
 
 @dataclass
@@ -177,28 +202,22 @@ def classify_outcome(code: StabilizerCode, error, outcome, check_membership=True
     decoder reported failure.  With check_membership=False the degenerate /
     nonequivalent split is not computed and 'unchecked' is returned instead.
     """
-    errors = np.asarray(error, dtype=np.uint8)[np.newaxis]
-    return classify_outcomes(code, errors, outcome, check_membership)[0]
-
-
-def classify_outcomes(
-    code: StabilizerCode, errors, outcome, check_membership=True
-) -> list:
-    """classify_outcome of one outcome against each row of a (B, n_total)
-    error array; group membership is tested only for rows that are not exact."""
     if not outcome.converged:
-        return ["detected"] * len(errors)
-    e_out_full = code.embed_sent(outcome.error)
-    not_exact = np.flatnonzero((errors != e_out_full).any(axis=1))
-    classes = ["exact"] * len(errors)
-    for row in not_exact.tolist():
-        if not check_membership:
-            classes[row] = "unchecked"
-        elif group_membership(np.bitwise_xor(e_out_full, errors[row]), code):
-            classes[row] = "degenerate"
-        else:
-            classes[row] = "nonequivalent"
-    return classes
+        return "detected"
+    error = np.asarray(error, dtype=np.uint8)
+    e_out = code.embed_sent(outcome.error)
+    if np.array_equal(error, e_out):
+        return "exact"
+    return _inexact_class(code, error, e_out, check_membership)
+
+
+def _inexact_class(code: StabilizerCode, error, e_out, check_membership) -> str:
+    """The class of a converged e_out (n_total) that is not the error."""
+    if not check_membership:
+        return "unchecked"
+    if group_membership(np.bitwise_xor(e_out, error), code):
+        return "degenerate"
+    return "nonequivalent"
 
 
 #: New blocks are sampled, checked and stringified this many at a time.
@@ -247,14 +266,15 @@ class _Chunk:
     arrays.  A first run depends only on the graph, the priors, the target
     and max_iter, so each syndrome at each p is decoded once: its first
     block's syndrome is queued for the lanes, the blocks that share it wait
-    for that run, and once it is done its read-only outcome is kept (per p,
-    keyed by the packed syndrome) for the rest of the task, so later blocks
-    with that syndrome are classified and reported at once, a batch's rows
-    together.  The lanes are refilled as they finish, pending feedback
-    restarts before new first runs.  Each block's first run is shared by
-    its strategies: standard reports it, and so do pc08 and enhanced if it
-    converged; otherwise a FeedbackRun per strategy continues from it,
-    drawing from the block's own substream.
+    for that run, and once it is done its read-only outcome and embedded
+    e_out are kept (per p, keyed by the packed syndrome) for the rest of
+    the task, so later blocks with that syndrome are classified and
+    reported at once, a batch's rows together.  Results go straight into
+    per-(p, strategy) lists indexed by block.  The lanes are refilled as
+    they finish, pending feedback restarts before new first runs.  Each
+    block's first run is shared by its strategies: standard reports it, and
+    so do pc08 and enhanced if it converged; otherwise a FeedbackRun per
+    strategy continues from it, drawing from the block's own substream.
     """
 
     def __init__(self, code, spec, block_lo, block_hi):
@@ -263,12 +283,7 @@ class _Chunk:
         self.graph = graph = tanner_graph(code)
         self.lanes = Lanes(graph, lane_width(graph))
         self.check_membership = code.n_total <= spec.degeneracy_limit
-        inject = None if spec.inject is None else gf4.pauli_to_values(spec.inject)
-        if inject is not None and inject.shape != (code.n_sent,):
-            raise ValueError(
-                f"injected error must cover the {code.n_sent} sent qubits"
-            )
-        self.inject = inject
+        self.inject = _injected_error(code, spec.inject)
         self.channels = [DepolarizingChannel(p) for p in spec.p_values]
         self.priors = [channel_priors(chan, code.n_sent) for chan in self.channels]
         self.lane_priors = [normalized_priors(pri) for pri in self.priors]
@@ -281,14 +296,19 @@ class _Chunk:
             for lo in range(block_lo, block_hi, BATCH_BLOCKS)
         )
         # per p: packed syndrome -> its _FirstRun until decoded, then
-        # (outcome, e_out string)
+        # (outcome, embedded e_out, e_out string)
         self.first_runs = [{} for _ in spec.p_values]
         self.new_runs = deque()  # _FirstRuns waiting for a lane
         self.restarts = deque()  # ((block, strategy_index, run), priors, t_pert)
-        self.results = {}  # (p_index, strategy_index, block) -> BlockResult
+        self.block_lo = block_lo
+        # per p, per strategy: the BlockResult of each block, by block - block_lo
+        self.cells = [
+            [[None] * (block_hi - block_lo) for _ in spec.strategies]
+            for _ in spec.p_values
+        ]
 
     def run(self) -> list:
-        """Decode every block; results in spec order (p, strategy, block)."""
+        """Decode every block; the per-(p, strategy) result lists."""
         lanes = self.lanes
         while True:
             while lanes.busy < lanes.width and self.load_next():
@@ -302,7 +322,7 @@ class _Chunk:
                     block, strategy_index, run = job
                     run.finish_round(outcome)
                     self.advance(block, strategy_index, run)
-        return [self.results[key] for key in sorted(self.results)]
+        return self.cells
 
     def load_next(self) -> bool:
         """Load a feedback restart, else a new syndrome's first run, sampling
@@ -334,7 +354,7 @@ class _Chunk:
             uniforms = substream_uniforms(self.spec.seed, _STREAM_CHANNEL, blocks, n_sent)
         for p_index, channel in enumerate(self.channels):
             if uniforms is None:
-                errors = np.tile(code.embed_sent(self.inject), (len(blocks), 1))
+                errors = np.tile(self.inject, (len(blocks), 1))
             else:
                 errors = sample_error(n_sent, channel, uniforms, n_ebits=code.n_ebits)
             targets = syndrome(code, errors)
@@ -364,40 +384,62 @@ class _Chunk:
     def first_run_done(self, job: _FirstRun, outcome) -> None:
         """Keep a syndrome's first run and report the rows waiting for it."""
         outcome.error.setflags(write=False)  # shared by every block of the key
-        e_out = outcome.error_pauli
-        self.first_runs[job.p_index][job.key] = (outcome, e_out)
-        for batch, rows in job.waiting:
-            self.report(batch, rows, outcome, e_out)
-
-    def report(self, batch: _Batch, rows: list, outcome, e_out: str) -> None:
-        """Report the first run of a batch's rows under standard, and under
-        pc08 and enhanced if it converged; else start their feedback runs."""
-        spec, n_sent = self.spec, self.code.n_sent
-        classes = classify_outcomes(
-            self.code, batch.errors[rows], outcome, self.check_membership
+        e_full = np.zeros(self.code.n_total, dtype=np.uint8)
+        e_full[: self.code.n_sent] = outcome.error
+        decoded = self.first_runs[job.p_index][job.key] = (
+            outcome, e_full, outcome.error_pauli,
         )
-        for row, klass in zip(rows, classes):
-            block = batch.blocks[row]
-            text = batch.text[row * n_sent : (row + 1) * n_sent]
-            sampled = None
-            for strategy_index, strategy in enumerate(spec.strategies):
-                if strategy == "standard" or outcome.converged:
-                    self.emit(
-                        batch.p_index, strategy_index, block, text, outcome, klass, e_out
+        for batch, rows in job.waiting:
+            self.report(batch, rows, *decoded)
+
+    def report(self, batch: _Batch, rows: list, outcome, e_full, e_out: str) -> None:
+        """Report the first run of a batch's rows under standard, and under
+        pc08 and enhanced if it converged; else start their feedback runs.
+
+        The rows' errors have identity ebit columns, so a row is exact when
+        its error string is e_out."""
+        spec, n_sent, p_index = self.spec, self.code.n_sent, batch.p_index
+        converged, iterations = outcome.converged, outcome.iterations
+        texts = [batch.text[row * n_sent : (row + 1) * n_sent] for row in rows]
+        if converged:
+            classes = [
+                "exact" if text == e_out else _inexact_class(
+                    self.code, batch.errors[row], e_full, self.check_membership
+                )
+                for row, text in zip(rows, texts)
+            ]
+        else:
+            classes = ["detected"] * len(rows)
+        first = batch.blocks.start
+        offset = first - self.block_lo  # of the batch's first block in a cell
+        sampled = None
+        p = spec.p_values[p_index]
+        for strategy_index, strategy in enumerate(spec.strategies):
+            if strategy == "standard" or converged:
+                cell = self.cells[p_index][strategy_index]
+                # positional: a keyword call costs twice as much per block
+                for row, text, klass in zip(rows, texts, classes):
+                    cell[offset + row] = BlockResult(
+                        p, strategy, first + row, text, e_out, converged, iterations,
+                        klass,
                     )
-                    continue
-                if sampled is None:
-                    sampled = _Block(
-                        batch.p_index, block, batch.errors[row], batch.targets[row], text
+                continue
+            if sampled is None:
+                sampled = [
+                    _Block(
+                        p_index, first + row, batch.errors[row], batch.targets[row], text
                     )
+                    for row, text in zip(rows, texts)
+                ]
+            for block in sampled:
                 rng = substream(
-                    spec.seed, _STREAM_DECODER, strategy_index, batch.p_index, block
+                    spec.seed, _STREAM_DECODER, strategy_index, p_index, block.block
                 )
                 run = FeedbackRun(
-                    self.graph, sampled.target, self.priors[batch.p_index],
+                    self.graph, block.target, self.priors[p_index],
                     self.configs[strategy], outcome, rng,
                 )
-                self.advance(sampled, strategy_index, run)
+                self.advance(block, strategy_index, run)
 
     def advance(self, block: _Block, strategy_index: int, run: FeedbackRun) -> None:
         """Queue the run's next restart, or report the run once it is over."""
@@ -407,25 +449,17 @@ class _Chunk:
             return
         outcome, _ = run.result()
         klass = classify_outcome(self.code, block.error, outcome, self.check_membership)
-        self.emit(
-            block.p_index, strategy_index, block.block, block.text, outcome, klass,
-            outcome.error_pauli,
-        )
-
-    def emit(
-        self, p_index: int, strategy_index: int, block: int, text: str, outcome,
-        klass: str, e_out: str,
-    ) -> None:
-        # positional: a keyword call costs twice as much per block
-        self.results[(p_index, strategy_index, block)] = BlockResult(
-            self.spec.p_values[p_index],
-            self.spec.strategies[strategy_index],
-            block,
-            text,
-            e_out,
-            outcome.converged,
-            outcome.iterations,
-            klass,
+        self.cells[block.p_index][strategy_index][block.block - self.block_lo] = (
+            BlockResult(
+                self.spec.p_values[block.p_index],
+                self.spec.strategies[strategy_index],
+                block.block,
+                block.text,
+                outcome.error_pauli,
+                outcome.converged,
+                outcome.iterations,
+                klass,
+            )
         )
 
 
@@ -438,6 +472,7 @@ def run_experiment(spec: ExperimentSpec, jsonl_path=None):
     """Run the experiment; returns (stats per (p, strategy), all block results),
     both in spec order of p, then strategy, then block."""
     code = load_code(spec.code)
+    _injected_error(code, spec.inject)  # checked before any worker starts
     step = math.ceil(spec.blocks / spec.workers)
     tasks = [
         (code, spec, lo, min(lo + step, spec.blocks))
@@ -451,16 +486,16 @@ def run_experiment(spec: ExperimentSpec, jsonl_path=None):
             chunk_results = list(pool.map(_run_blocks, tasks))
 
     # Chunks come back in block order, so each cell fills in block order.
-    p_index = {p: i for i, p in enumerate(spec.p_values)}
-    strategy_index = {strategy: i for i, strategy in enumerate(spec.strategies)}
     cells = [[[] for _ in spec.strategies] for _ in spec.p_values]
     for chunk in chunk_results:
-        for r in chunk:
-            cells[p_index[r.p]][strategy_index[r.strategy]].append(r)
+        for row, chunk_row in zip(cells, chunk):
+            for cell, part in zip(row, chunk_row):
+                cell.extend(part)
     for row in cells:
         for cell in row:
-            if len(cell) != spec.blocks:
-                raise RuntimeError(f"{len(cell)} of {spec.blocks} blocks decoded in a cell")
+            decoded = sum(r is not None for r in cell)
+            if decoded != spec.blocks:
+                raise RuntimeError(f"{decoded} of {spec.blocks} blocks decoded in a cell")
 
     stats = []
     block_results = []

@@ -126,11 +126,22 @@ def test_substream_uniforms_match_numpy(seed):
         sequence = np.random.SeedSequence(seed, spawn_key=(0, block))
         if block < 2**32:
             assert [int(w[row]) for w in words] == sequence.generate_state(8).tolist()
-        expected = np.random.PCG64(sequence).state["state"]
-        assert channel._pcg64_state(
-            [int(w) for w in sequence.generate_state(8)]
-        ) == (expected["state"], expected["inc"])
+        # the uint32 words paired little-endian seed PCG64 as the sequence does
+        state = sequence.generate_state(8).astype(np.uint64)
+        hashed = channel._HashedWords(state[0::2] | state[1::2] << np.uint64(32))
+        assert np.random.PCG64(hashed).state == np.random.PCG64(sequence).state
         assert np.array_equal(uniforms[row], substream(seed, 0, block).random(n))
+
+
+@pytest.mark.parametrize(
+    "n_words, dtype", [(4, np.uint32), (8, np.uint32), (2, np.uint64), (8, np.uint64)]
+)
+def test_hashed_words_give_only_pcg64s_request(n_words, dtype):
+    words = np.random.SeedSequence(3).generate_state(4, np.uint64)
+    hashed = channel._HashedWords(words)
+    assert hashed.generate_state(4, np.uint64) is words
+    with pytest.raises(ValueError):
+        hashed.generate_state(n_words, dtype)
 
 
 def test_substream_uniforms_rejects_negative_seed():

@@ -84,6 +84,13 @@ def test_simulate_bad_config_key(tmp_path):
         (["--n-a", "foo"], "bad --n-a 'foo'"),
         (["--p", "0.1,0.1"], "duplicate p values"),
         (["--blocks", "0"], "blocks must be at least 1"),
+        # these used to end in a traceback from the run
+        (["--t-pert", "0"], "t_pert must be at least 1"),
+        (["--strategy", "enhanced", "--n-a", "-1"], "n_a must be nonnegative"),
+        (["--delta", "-1"], "delta must be nonnegative"),
+        (["--inject", "IXI"], "must cover the 4 sent qubits"),
+        (["--inject", "IXQI"], "invalid Pauli symbol 'Q'"),
+        (["--code", "nosuch"], "unknown code 'nosuch'"),
     ],
 )
 def test_simulate_bad_values_are_usage_errors(tmp_path, args, message):
@@ -93,8 +100,9 @@ def test_simulate_bad_values_are_usage_errors(tmp_path, args, message):
         ["simulate", "--code", "4_1_1", "--strategy", "pc08", "--blocks", "2",
          "--out", str(tmp_path / "out.csv")] + args,
     )
-    assert result.exit_code == 2
+    assert result.exit_code == 2, result.output
     assert message in result.output
+    assert "Traceback" not in result.output
     assert not (tmp_path / "out.csv").exists()
 
 

@@ -499,6 +499,52 @@ def test_lanes_loaded_together_are_laid_out_once(monkeypatch, k):
         )
 
 
+def test_held_jobs_fill_non_contiguous_holes_in_place(monkeypatch):
+    # Lanes 0, 2 and 5 of 6 finish first; three held jobs are written into
+    # those lanes at the next step without a relayout, and every outcome
+    # equals a lone decode's.
+    code = construction_b(C62_ROW)
+    graph = TannerGraph(code)
+    rng = np.random.default_rng(5)
+    caps = [3, 12, 3, 12, 12, 3, 9, 15, 7]
+    jobs = []
+    for cap in caps:
+        pri = channel_priors(DepolarizingChannel(0.06), code.n_sent)
+        pri[rng.integers(code.n_sent)] = [0.4, 0.3, 0.2, 0.1]
+        error = sample_error(code.n_sent, DepolarizingChannel(0.06), rng)
+        jobs.append((pri, syndrome(code, error), cap))
+    relayouts = []
+    relayout = Lanes._relayout
+
+    def counted(self):
+        relayouts.append(len(self._held))
+        return relayout(self)
+
+    monkeypatch.setattr(Lanes, "_relayout", counted)
+    lanes = Lanes(graph, 6)
+    for index in range(6):
+        pri, target, cap = jobs[index]
+        lanes.load(index, normalized_priors(pri), target, cap)
+    got = {}
+    for _ in range(3):
+        got.update(lanes.step(halt=False))
+    assert sorted(got) == [0, 2, 5] and relayouts == [6]
+    assert lanes.jobs == [None, 1, None, 3, 4, None]
+    for index in range(6, 9):
+        pri, target, cap = jobs[index]
+        lanes.load(index, normalized_priors(pri), target, cap)
+    got.update(lanes.step(halt=False))
+    assert relayouts == [6] and lanes._layout == 6
+    assert lanes.jobs == [6, 1, 7, 3, 4, 8]
+    while lanes.busy:
+        got.update(lanes.step(halt=False))
+    for index, (pri, target, cap) in enumerate(jobs):
+        want = decode(code, target, pri, max_iter=cap, graph=graph, halt=False)
+        assert got[index].error.tolist() == want.error.tolist()
+        assert got[index].iterations == want.iterations == cap
+        assert got[index].converged == want.converged
+
+
 def test_lane_on_unreachable_syndrome_runs_to_its_cap():
     # -1 on the ebit-only check II|Z can never be matched
     code = StabilizerCode(

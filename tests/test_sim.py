@@ -214,6 +214,24 @@ def test_spec_validation(code411):
     with pytest.raises(ValueError, match="degeneracy_limit"):
         ExperimentSpec(code=code411, p_values=(0.1,), degeneracy_limit=-1)
     ExperimentSpec(code=code411, p_values=(0.1,), max_iter=1, degeneracy_limit=0)
+    # feedback parameters follow FeedbackConfig's rules whatever the strategies,
+    # and an injected error must be a Pauli string covering the sent qubits
+    for changes, message in (
+        ({"t_pert": 0}, "t_pert"),
+        ({"n_a": -1}, "n_a"),
+        ({"delta": -1.0}, "delta"),
+        ({"inject": "IXI"}, "must cover the 4 sent qubits"),
+        ({"inject": "IXQI"}, "invalid Pauli symbol"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            ExperimentSpec(code=code411, p_values=(0.1,), **changes)
+    with pytest.raises(ValueError, match="invalid Pauli symbol"):
+        ExperimentSpec(code="4_1_1", p_values=(0.1,), inject="IXQI")
+    # by name, the length is checked once the code is loaded, before any run
+    spec = ExperimentSpec(code="4_1_1", p_values=(0.1,), blocks=2, inject="IXI")
+    with pytest.raises(ValueError, match="must cover the 4 sent qubits"):
+        run_experiment(replace(spec, workers=2))
+    ExperimentSpec(code=code411, p_values=(0.1,), t_pert=1, n_a=0, delta=0.0)
 
 
 def test_spec_rejects_duplicate_cells(code411):
@@ -382,6 +400,17 @@ def test_lane_width_does_not_change_outputs(request, tmp_path, monkeypatch, refe
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_worker_count_does_not_change_outputs(lane_reference, tmp_path, workers):
     # one task per worker: 40 blocks in ranges of 40, 20 or 14
+    _assert_equals_reference(lane_reference, tmp_path, workers=workers)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("batch_blocks", [1, 7, 256])
+def test_batch_size_does_not_change_outputs(
+    lane_reference, tmp_path, monkeypatch, batch_blocks, workers
+):
+    # Blocks are sampled, grouped by syndrome and reported a batch at a
+    # time into per-cell lists; a pool worker forks with the patched size.
+    monkeypatch.setattr(sim, "BATCH_BLOCKS", batch_blocks)
     _assert_equals_reference(lane_reference, tmp_path, workers=workers)
 
 
