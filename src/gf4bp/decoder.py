@@ -409,29 +409,20 @@ class Lanes:
         self.jobs = [self.jobs[i] for i in keep] + free
         self.iterations = [self.iterations[i] for i in keep] + free
         self.caps = [self.caps[i] for i in keep] + free
-        if self._held:
-            self._start_held(list(range(n_kept, lanes)))
+        self._start_held(range(n_kept, lanes))
 
-    def _start_held(self, lanes: list) -> None:
+    def _start_held(self, lanes) -> None:
         """Write the held jobs' first messages and targets into the free
-        lanes `lanes` (ascending, one per held job), one stacked assignment
-        per array."""
+        lanes `lanes`, one lane per held job, in order."""
         view = self._view(self._layout)
-        jobs, priors, targets, caps = zip(*self._held)
-        if lanes[-1] - lanes[0] == len(lanes) - 1:  # contiguous: a view
-            lanes_index = slice(lanes[0], lanes[-1] + 1)
-        else:
-            lanes_index = lanes
-        priors = np.stack(priors, axis=-1)
-        view.pri[..., lanes_index] = priors
-        view.qg[..., lanes_index] = priors  # the first messages are the priors
-        targets = np.stack(targets, axis=-1)
-        view.sigma[:, lanes_index] = targets
-        # a -1 on a check without sender edges is never matched
-        view.target_parity[:, lanes_index] = targets < 0
-        for lane, job, cap in zip(lanes, jobs, caps):
+        for lane, (job, priors, target, max_iter) in zip(lanes, self._held):
+            view.pri[..., lane] = priors
+            view.qg[..., lane] = priors  # the first messages are the priors
+            view.sigma[:, lane] = target
+            # a -1 on a check without sender edges is never matched
+            view.target_parity[:, lane] = target < 0
             self.iterations[lane] = 0
-            self.caps[lane] = cap
+            self.caps[lane] = max_iter
             self.jobs[lane] = job
         self._held = []
 

@@ -127,11 +127,10 @@ class ExperimentSpec:
             raise ValueError("max_iter must be at least 1")
         if self.degeneracy_limit < 0:
             raise ValueError("degeneracy_limit must be nonnegative")
-        check_feedback_parameters(self.t_pert, self.n_a, self.delta)
-        if isinstance(self.code, StabilizerCode):
+        if any(strategy != "standard" for strategy in self.strategies):
+            check_feedback_parameters(self.t_pert, self.n_a, self.delta)
+        if isinstance(self.code, StabilizerCode):  # by name, run_experiment checks
             _injected_error(self.code, self.inject)
-        elif self.inject is not None:  # its length is checked once the code is loaded
-            gf4.pauli_to_values(self.inject)
 
 
 @dataclass
@@ -277,13 +276,13 @@ class _Chunk:
     strategy continues from it, drawing from the block's own substream.
     """
 
-    def __init__(self, code, spec, block_lo, block_hi):
+    def __init__(self, code, spec, inject, block_lo, block_hi):
         self.code = code
         self.spec = spec
         self.graph = graph = tanner_graph(code)
         self.lanes = Lanes(graph, lane_width(graph))
         self.check_membership = code.n_total <= spec.degeneracy_limit
-        self.inject = _injected_error(code, spec.inject)
+        self.inject = inject  # the embedded injected error, or None
         self.channels = [DepolarizingChannel(p) for p in spec.p_values]
         self.priors = [channel_priors(chan, code.n_sent) for chan in self.channels]
         self.lane_priors = [normalized_priors(pri) for pri in self.priors]
@@ -384,10 +383,8 @@ class _Chunk:
     def first_run_done(self, job: _FirstRun, outcome) -> None:
         """Keep a syndrome's first run and report the rows waiting for it."""
         outcome.error.setflags(write=False)  # shared by every block of the key
-        e_full = np.zeros(self.code.n_total, dtype=np.uint8)
-        e_full[: self.code.n_sent] = outcome.error
         decoded = self.first_runs[job.p_index][job.key] = (
-            outcome, e_full, outcome.error_pauli,
+            outcome, self.code.embed_sent(outcome.error), outcome.error_pauli,
         )
         for batch, rows in job.waiting:
             self.report(batch, rows, *decoded)
@@ -464,7 +461,8 @@ class _Chunk:
 
 
 def _run_blocks(args):
-    """Decode one pool task, (code, spec, block_lo, block_hi); see _Chunk."""
+    """Decode one pool task, (code, spec, inject, block_lo, block_hi); see
+    _Chunk."""
     return _Chunk(*args).run()
 
 
@@ -472,10 +470,10 @@ def run_experiment(spec: ExperimentSpec, jsonl_path=None):
     """Run the experiment; returns (stats per (p, strategy), all block results),
     both in spec order of p, then strategy, then block."""
     code = load_code(spec.code)
-    _injected_error(code, spec.inject)  # checked before any worker starts
+    inject = _injected_error(code, spec.inject)  # checked before any worker starts
     step = math.ceil(spec.blocks / spec.workers)
     tasks = [
-        (code, spec, lo, min(lo + step, spec.blocks))
+        (code, spec, inject, lo, min(lo + step, spec.blocks))
         for lo in range(0, spec.blocks, step)
     ]
 

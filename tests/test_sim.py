@@ -214,8 +214,9 @@ def test_spec_validation(code411):
     with pytest.raises(ValueError, match="degeneracy_limit"):
         ExperimentSpec(code=code411, p_values=(0.1,), degeneracy_limit=-1)
     ExperimentSpec(code=code411, p_values=(0.1,), max_iter=1, degeneracy_limit=0)
-    # feedback parameters follow FeedbackConfig's rules whatever the strategies,
-    # and an injected error must be a Pauli string covering the sent qubits
+    # with pc08 or enhanced, feedback parameters follow FeedbackConfig's
+    # rules; standard BP ignores them.  An injected error must be a Pauli
+    # string covering the sent qubits.
     for changes, message in (
         ({"t_pert": 0}, "t_pert"),
         ({"n_a": -1}, "n_a"),
@@ -224,13 +225,18 @@ def test_spec_validation(code411):
         ({"inject": "IXQI"}, "invalid Pauli symbol"),
     ):
         with pytest.raises(ValueError, match=message):
-            ExperimentSpec(code=code411, p_values=(0.1,), **changes)
-    with pytest.raises(ValueError, match="invalid Pauli symbol"):
-        ExperimentSpec(code="4_1_1", p_values=(0.1,), inject="IXQI")
-    # by name, the length is checked once the code is loaded, before any run
+            ExperimentSpec(
+                code=code411, p_values=(0.1,), strategies=("standard", "pc08"),
+                **changes,
+            )
+    ExperimentSpec(code=code411, p_values=(0.1,), t_pert=0, n_a=-1, delta=-1.0)
+    # by name, the injected error is checked once the code is loaded,
+    # before any run
     spec = ExperimentSpec(code="4_1_1", p_values=(0.1,), blocks=2, inject="IXI")
     with pytest.raises(ValueError, match="must cover the 4 sent qubits"):
         run_experiment(replace(spec, workers=2))
+    with pytest.raises(ValueError, match="invalid Pauli symbol"):
+        run_experiment(replace(spec, inject="IXQI", workers=2))
     ExperimentSpec(code=code411, p_values=(0.1,), t_pert=1, n_a=0, delta=0.0)
 
 
