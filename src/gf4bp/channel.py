@@ -30,10 +30,6 @@ class DepolarizingChannel:
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"crossover probability {self.p} not in [0, 1]")
 
-    @property
-    def p_identity(self) -> float:
-        return 1.0 - self.p
-
     def prior(self) -> np.ndarray:
         """Single-qubit error distribution over (I, X, Z, Y)."""
         return np.array([1.0 - self.p, self.p / 3.0, self.p / 3.0, self.p / 3.0])

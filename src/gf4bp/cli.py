@@ -55,7 +55,10 @@ def _apply_config(ctx, config_path, parsers):
         source = ctx.get_parameter_source(key)
         if source is not None and source.name != "DEFAULT":
             continue  # explicit flag wins
-        ctx.params[key] = parsers[key](value)
+        try:
+            ctx.params[key] = parsers[key](value)
+        except ValueError as exc:
+            raise click.UsageError(f"bad config value {key}={value!r}: {exc}")
 
 
 def _parse_p_list(text):
@@ -230,10 +233,13 @@ def construction_b_cmd(first_row, keep, out):
         bits = np.array([int(ch) for ch in first_row.strip()], dtype=np.uint8)
     except ValueError:
         raise click.UsageError(f"bad first row {first_row!r}; use 0/1 characters")
-    rows = None
-    if keep is not None:
-        rows = [int(tok) - 1 for tok in keep.split(",") if tok.strip()]
-    code = construction_b(bits, rows_to_keep=rows)
+    try:
+        rows = None
+        if keep is not None:
+            rows = [int(tok) - 1 for tok in keep.split(",") if tok.strip()]
+        code = construction_b(bits, rows_to_keep=rows)
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
     Path(out).write_text(write_stabilizer_text(code))
     click.echo(
         f"wrote {out}: [[{code.n_sent}, {code.logical_k}]] with "
@@ -248,10 +254,12 @@ def construction_b_cmd(first_row, keep, out):
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
 def ea_cmd(alist_path, out):
     """Entanglement-assisted code from a classical [n, k] check matrix."""
-    h = parse_alist(Path(alist_path).read_text())
-    gens = quaternary_to_pauli(h)
-    canonical, pair_count = ea_canonicalize(gens)
-    code = extend_with_ebits(canonical, pair_count)
+    try:
+        h = parse_alist(Path(alist_path).read_text())
+        canonical, pair_count = ea_canonicalize(quaternary_to_pauli(h))
+        code = extend_with_ebits(canonical, pair_count)
+    except ValueError as exc:  # FormatError included
+        raise click.UsageError(str(exc))
     Path(out).write_text(write_stabilizer_text(code))
     click.echo(
         f"wrote {out}: [[{code.n_sent}, {code.logical_k}; {code.n_ebits}]] "

@@ -18,8 +18,10 @@ became satisfied but the full syndrome still mismatches, the round's output
 replaces the working output and another frustrated check is chosen.  Every
 tried qubit entry counts against the n_a budget.
 
-FeedbackRun holds the state of one such procedure between rounds, so the
-restarts of many runs can share the lane kernel; its random choices come
+FeedbackRun is the one round engine: it holds the state of one such
+procedure between rounds, and feedback_round (one pinned round) and
+feedback_decode (the serial loop) drive it, as does the Monte-Carlo harness,
+whose restarts of many runs share the lane kernel.  Its random choices come
 from its own generator, so interleaving runs changes none of them.
 """
 
@@ -52,17 +54,12 @@ class FeedbackConfig:
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
-        check_feedback_parameters(self.t_pert, self.n_a, self.delta)
-
-
-def check_feedback_parameters(t_pert: int, n_a: int | None, delta: float) -> None:
-    """Raise ValueError unless t_pert >= 1, n_a is None or >= 0, delta >= 0."""
-    if t_pert < 1:
-        raise ValueError("t_pert must be at least 1")
-    if n_a is not None and n_a < 0:
-        raise ValueError("n_a must be nonnegative")
-    if delta < 0:
-        raise ValueError("delta must be nonnegative")
+        if self.t_pert < 1:
+            raise ValueError("t_pert must be at least 1")
+        if self.n_a is not None and self.n_a < 0:
+            raise ValueError("n_a must be nonnegative")
+        if self.delta < 0:
+            raise ValueError("delta must be nonnegative")
 
 
 @dataclass
@@ -137,59 +134,6 @@ def check_slot(graph: TannerGraph, check: int, qubit: int) -> int:
     return int(slot[0])
 
 
-def feedback_adjustment(
-    graph: TannerGraph,
-    target,
-    priors: np.ndarray,
-    check: int,
-    qubit: int,
-    config: FeedbackConfig,
-    rng: np.random.Generator | None = None,
-    current_e_out: np.ndarray | None = None,
-):
-    """The prior adjustment of a round on (check, qubit).
-
-    Returns (touched, applied): the adjusted qubits and their (len(touched),
-    4) new priors.  enhanced resets the one qubit from current_e_out's
-    frustration pattern; pc08 perturbs every qubit of the check with draws
-    from rng.  priors is not modified.
-    """
-    if config.strategy not in ("pc08", "enhanced"):
-        raise ValueError("feedback rounds need strategy pc08 or enhanced")
-    slot = check_slot(graph, check, qubit)
-    if config.strategy == "enhanced":
-        if current_e_out is None:
-            raise ValueError("enhanced rounds need the current decoder output")
-        entry = int(graph.check_entries(check)[slot])
-        s_c = int(target[check])
-        sc_dot = int(graph.syndrome_signs(current_e_out)[check])
-        touched = np.array([qubit])
-        applied = enhanced_reset(entry, s_c, sc_dot, float(priors[qubit, 0]))[None, :]
-    else:
-        if rng is None:
-            raise ValueError("pc08 rounds need a random stream")
-        touched = graph.check_qubits(check).copy()
-        applied = pc08_perturb(priors[touched], config.delta, rng)
-    return touched, applied
-
-
-def round_verdict(graph: TannerGraph, target, check: int, outcome: DecodeOutcome) -> str:
-    """converged, check_satisfied (the chosen check now agrees with the
-    target) or restored (it is still frustrated)."""
-    if outcome.converged:
-        return "converged"
-    if int(graph.syndrome_signs(outcome.error)[check]) != int(target[check]):
-        return "restored"
-    return "check_satisfied"
-
-
-def adjusted_priors(priors: np.ndarray, touched: np.ndarray, applied: np.ndarray):
-    """A copy of priors with the touched rows replaced."""
-    adjusted = priors.copy()
-    adjusted[touched] = applied
-    return adjusted
-
-
 def feedback_round(
     code: StabilizerCode,
     target,
@@ -208,42 +152,32 @@ def feedback_round(
     """
     if graph is None:
         graph = tanner_graph(code)
-    target = np.asarray(target, dtype=np.int64)
-    priors = np.asarray(priors, dtype=float)
-    touched, applied = feedback_adjustment(
-        graph, target, priors, check, qubit, config, rng, current_e_out
+    run = FeedbackRun(
+        graph, target, priors, config, DecodeOutcome(current_e_out, False, 0), rng
     )
+    adjusted, t_pert = run.start_round(check, qubit)
     outcome = decode(
-        code,
-        target,
-        adjusted_priors(priors, touched, applied),
-        max_iter=config.t_pert,
-        graph=graph,
+        code, run.target, adjusted, max_iter=t_pert, graph=graph,
         on_iteration=on_iteration,
     )
-    record = AdjustmentRecord(
-        check=int(check),
-        qubit=int(qubit),
-        qubits_touched=touched,
-        applied=applied,
-        outcome=round_verdict(graph, target, check, outcome),
-        iterations=outcome.iterations,
-    )
-    return outcome, record
+    run.finish_round(outcome)
+    return outcome, run.records[0]
 
 
 class FeedbackRun:
     """The feedback procedure of one (block, strategy), a round at a time.
 
     first is the standard run's outcome on (target, priors).  next_round()
-    chooses the next (check, qubit), draws what the strategy draws and
-    returns (adjusted priors, t_pert) for the BP restart, or None when the
-    run is over; finish_round(outcome) applies that restart's verdict.
-    result() is (outcome, records), the outcome's iterations counting the
-    first run and every round.
+    chooses the next (check, qubit), and start_round(check, qubit) draws
+    what the strategy draws; both return (adjusted priors, t_pert) for the
+    BP restart, next_round None when the run is over.  finish_round(outcome)
+    applies that restart's verdict.  result() is (outcome, records), the
+    outcome's iterations counting the first run and every round.
     """
 
     def __init__(self, graph, target, priors, config, first, rng):
+        if config.strategy not in ("pc08", "enhanced"):
+            raise ValueError("feedback rounds need strategy pc08 or enhanced")
         self.graph = graph
         self.target = np.asarray(target, dtype=np.int64)
         self.priors = np.asarray(priors, dtype=float)
@@ -272,21 +206,50 @@ class FeedbackRun:
                 self._over = True  # a check with no sender qubits can never be fixed
                 return None
             self.rng.shuffle(self.candidates)
-        qubit = int(self.candidates.pop(0))
         self.used += 1
-        touched, applied = feedback_adjustment(
-            self.graph, self.target, self.priors, self.check, qubit, self.config,
-            self.rng, self.e_out,
-        )
-        self._round = (qubit, touched, applied)
-        return adjusted_priors(self.priors, touched, applied), self.config.t_pert
+        return self.start_round(self.check, int(self.candidates.pop(0)))
+
+    def start_round(self, check: int, qubit: int):
+        """Adjust the priors for a round on (check, qubit).
+
+        enhanced resets the one qubit from e_out's frustration pattern; pc08
+        perturbs every qubit of the check with draws from rng.  self.priors
+        is not modified."""
+        graph, config = self.graph, self.config
+        slot = check_slot(graph, check, qubit)
+        if config.strategy == "enhanced":
+            if self.e_out is None:
+                raise ValueError("enhanced rounds need the current decoder output")
+            entry = int(graph.check_entries(check)[slot])
+            sc_dot = int(graph.syndrome_signs(self.e_out)[check])
+            touched = np.array([qubit])
+            applied = enhanced_reset(
+                entry, int(self.target[check]), sc_dot, float(self.priors[qubit, 0])
+            )[None, :]
+        else:
+            if self.rng is None:
+                raise ValueError("pc08 rounds need a random stream")
+            touched = graph.check_qubits(check).copy()
+            applied = pc08_perturb(self.priors[touched], config.delta, self.rng)
+        self.check = int(check)
+        self._round = (int(qubit), touched, applied)
+        adjusted = self.priors.copy()
+        adjusted[touched] = applied
+        return adjusted, config.t_pert
 
     def finish_round(self, outcome: DecodeOutcome) -> None:
-        qubit, touched, applied = self._round
-        verdict = round_verdict(self.graph, self.target, self.check, outcome)
+        """Record the round as converged, check_satisfied (the chosen check
+        now agrees with the target) or restored (it is still frustrated)."""
+        check, (qubit, touched, applied) = self.check, self._round
+        if outcome.converged:
+            verdict = "converged"
+        elif self.graph.syndrome_signs(outcome.error)[check] != self.target[check]:
+            verdict = "restored"
+        else:
+            verdict = "check_satisfied"
         self.records.append(
             AdjustmentRecord(
-                check=self.check,
+                check=check,
                 qubit=qubit,
                 qubits_touched=touched,
                 applied=applied,
@@ -317,29 +280,20 @@ def feedback_decode(
     rng: np.random.Generator | None = None,
     graph: TannerGraph | None = None,
     on_iteration=None,
-    first: DecodeOutcome | None = None,
 ):
     """Standard BP followed by up to n_a feedback adjustments.
 
     Returns (outcome, records).  The outcome's iteration count accumulates
     the initial run and every feedback round; failure (converged=False) is a
-    normal result once the budget is exhausted.  first, if given, is decode's
-    outcome on the same target, priors and max_iter, and replaces the initial
-    run: no draw precedes the first round, so the result is the same, but
-    on_iteration sees only the rounds.
+    normal result once the budget is exhausted.
     """
-    if config.strategy not in ("pc08", "enhanced"):
-        raise ValueError("feedback_decode needs strategy pc08 or enhanced")
     if graph is None:
         graph = tanner_graph(code)
     if rng is None:
         rng = np.random.default_rng(0)
-    if first is None:
-        first = decode(
-            code, target, priors, max_iter=max_iter, graph=graph, on_iteration=on_iteration
-        )
-    if first.converged:
-        return first, []
+    first = decode(
+        code, target, priors, max_iter=max_iter, graph=graph, on_iteration=on_iteration
+    )
     run = FeedbackRun(graph, target, priors, config, first, rng)
     while (restart := run.next_round()) is not None:
         adjusted, t_pert = restart

@@ -45,7 +45,6 @@ from .decoder import (
 from .feedback import (
     FeedbackConfig,
     FeedbackRun,
-    check_feedback_parameters,
     check_slot,
     feedback_decode,
     feedback_round,
@@ -115,10 +114,9 @@ class ExperimentSpec:
         for p in self.p_values:
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"p={p} not in [0, 1]")
-        for strategy in self.strategies:
-            if strategy not in ("standard", "pc08", "enhanced"):
-                raise ValueError(f"unknown strategy {strategy!r}")
         for name, values in (("p", self.p_values), ("strategy", self.strategies)):
+            if not values:
+                raise ValueError(f"no {name} values given")
             if len(set(values)) != len(values):
                 raise ValueError(f"duplicate {name} values in {values}")
         if self.workers < 1:
@@ -127,8 +125,11 @@ class ExperimentSpec:
             raise ValueError("max_iter must be at least 1")
         if self.degeneracy_limit < 0:
             raise ValueError("degeneracy_limit must be nonnegative")
-        if any(strategy != "standard" for strategy in self.strategies):
-            check_feedback_parameters(self.t_pert, self.n_a, self.delta)
+        for strategy in self.strategies:
+            if strategy != "standard":  # FeedbackConfig checks name and parameters
+                FeedbackConfig(
+                    strategy, t_pert=self.t_pert, n_a=self.n_a, delta=self.delta
+                )
         if isinstance(self.code, StabilizerCode):  # by name, run_experiment checks
             _injected_error(self.code, self.inject)
 
@@ -550,10 +551,6 @@ def format_csv(stats) -> str:
     lines = [CSV_HEADER]
     lines.extend(s.csv_row() for s in stats)
     return "\n".join(lines) + "\n"
-
-
-def write_csv(stats, path):
-    Path(path).write_text(format_csv(stats))
 
 
 def trace_run(

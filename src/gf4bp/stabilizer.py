@@ -126,12 +126,9 @@ class StabilizerCode:
         self._check_commutation()
 
     def _check_commutation(self):
-        # float32 BLAS on 0/1 bit planes: exact sums while n_total < 2**24
-        x = (self.checks & 1).astype(np.float32)
-        z = (self.checks >> 1).astype(np.float32)
-        gram = (x @ z.T + z @ x.T) % 2
-        if gram.any():
-            i, j = np.argwhere(gram)[0]
+        anticommuting = syndrome(self, self.checks) < 0
+        if anticommuting.any():
+            i, j = np.argwhere(anticommuting)[0]
             raise NonCommutingRowsError(
                 f"generators {i} and {j} anticommute"
             )

@@ -91,6 +91,9 @@ def test_simulate_bad_config_key(tmp_path):
         (["--inject", "IXI"], "must cover the 4 sent qubits"),
         (["--inject", "IXQI"], "invalid Pauli symbol 'Q'"),
         (["--code", "nosuch"], "unknown code 'nosuch'"),
+        # these used to write a CSV with only a header
+        (["--p", ""], "no p values given"),
+        (["--strategy", ","], "no strategy values given"),
     ],
 )
 def test_simulate_bad_values_are_usage_errors(tmp_path, args, message):
@@ -234,19 +237,32 @@ def test_build_code_ea_reproduces_4_1_1(tmp_path):
     assert code.n_ebits == 1
 
 
-def test_bad_inputs_fail():
-    runner = CliRunner()
-    assert runner.invoke(main, ["simulate", "--code", "missing_code"]).exit_code != 0
-    assert (
-        runner.invoke(
-            main, ["trace", "--code", "4_1_1", "--syndrome", "+*++"]
-        ).exit_code
-        != 0
-    )
-    assert (
-        runner.invoke(
-            main, ["build-code", "construction-b", "--first-row", "abc",
-                   "--out", "x.stab"],
-        ).exit_code
-        != 0
-    )
+@pytest.mark.parametrize(
+    "args, files, message",
+    [
+        (["simulate", "--code", "missing_code"], {}, "unknown code 'missing_code'"),
+        (["trace", "--code", "4_1_1", "--syndrome", "+*++"], {}, "bad syndrome"),
+        (["build-code", "construction-b", "--first-row", "abc", "--out", "x.stab"], {},
+         "bad first row"),
+        # these used to end in a traceback
+        (["simulate", "--code", "4_1_1", "--config", "bad.cfg"],
+         {"bad.cfg": "blocks=abc\n"}, "bad config value blocks='abc'"),
+        (["build-code", "construction-b", "--first-row", "1101", "--keep", "a",
+          "--out", "x.stab"], {}, "invalid literal for int()"),
+        (["build-code", "construction-b", "--first-row", "1101", "--keep", "9",
+          "--out", "x.stab"], {}, "row indices must lie in 0..3"),
+        (["build-code", "ea", "--alist", "bad.alist", "--out", "x.stab"],
+         {"bad.alist": "4 2\n"}, "expected 10 lines for a 2 x 4 alist"),
+    ],
+    ids=["unknown-code", "bad-syndrome", "bad-first-row", "config-value", "keep-not-int",
+         "keep-out-of-range", "malformed-alist"],
+)
+def test_bad_inputs_fail(tmp_path, monkeypatch, args, files, message):
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert message in result.output
+    assert "Traceback" not in result.output
+    assert not (tmp_path / "x.stab").exists()

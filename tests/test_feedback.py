@@ -7,13 +7,12 @@ from gf4bp.channel import (
     sample_error,
     substream,
 )
-from gf4bp.decoder import TannerGraph, decode
+from gf4bp.decoder import DecodeOutcome, TannerGraph, decode
 from gf4bp.feedback import (
     FeedbackConfig,
     FeedbackRun,
     default_n_a,
     enhanced_reset,
-    feedback_adjustment,
     feedback_decode,
     feedback_round,
     frustrated_checks,
@@ -260,47 +259,30 @@ def test_feedback_decode_replayable(code411, priors411):
         assert np.array_equal(a.applied, b.applied)
 
 
-def test_feedback_decode_continues_from_given_first_run():
-    # Blocks of the [[62,2]] code at p=0.06 whose standard run fails: passing
-    # that run as first must give the same rounds, draws and outcome as
-    # letting feedback_decode run it.
+def test_feedback_decode_converged_first_run_has_no_rounds():
+    # Blocks of the [[62,2]] code at p=0.06 whose standard run converges:
+    # feedback_decode returns that run as it is, with no round.
     code = construction_b([1 if i in (1, 5, 11, 24, 25, 27) else 0 for i in range(31)])
     graph = TannerGraph(code)
     chan = DepolarizingChannel(0.06)
     pri = channel_priors(chan, code.n_sent)
-    failed = []
-    for block in range(40):
+    converged = 0
+    for block in range(10):
         error = sample_error(code.n_sent, chan, substream(5, 0, block))
         target = syndrome(code, error)
         first = decode(code, target, pri, max_iter=90, graph=graph)
-        if first.converged:
-            config = FeedbackConfig(strategy="enhanced")
-            outcome, records = feedback_decode(code, target, pri, config, first=first)
-            assert outcome is first and records == []
-        elif len(failed) < 3:
-            failed.append((block, target, first))
-    assert len(failed) == 3
-    for block, target, first in failed:
+        if not first.converged:
+            continue
+        converged += 1
         for strategy in ("pc08", "enhanced"):
-            config = FeedbackConfig(strategy=strategy)
-            runs = [
-                feedback_decode(
-                    code, target, pri, config, max_iter=90,
-                    rng=substream(5, 1, 0, 0, block), graph=graph, first=given,
-                )
-                for given in (None, first)
-            ]
-            (out_a, rec_a), (out_b, rec_b) = runs
-            assert rec_a, "the block must enter feedback"
-            assert out_a.error.tolist() == out_b.error.tolist()
-            assert (out_a.converged, out_a.iterations) == (out_b.converged, out_b.iterations)
-            assert len(rec_a) == len(rec_b)
-            for a, b in zip(rec_a, rec_b):
-                assert (a.check, a.qubit, a.outcome, a.iterations) == (
-                    b.check, b.qubit, b.outcome, b.iterations,
-                )
-                assert np.array_equal(a.qubits_touched, b.qubits_touched)
-                assert np.array_equal(a.applied, b.applied)
+            outcome, records = feedback_decode(
+                code, target, pri, FeedbackConfig(strategy=strategy), graph=graph,
+                rng=substream(5, 1, 0, 0, block),
+            )
+            assert records == []
+            assert outcome.error.tolist() == first.error.tolist()
+            assert (outcome.converged, outcome.iterations) == (True, first.iterations)
+    assert converged >= 3
 
 
 def test_feedback_decode_requires_feedback_strategy(code411, priors411):
@@ -322,11 +304,10 @@ def test_adjustment_rejects_bad_pins(code411, priors411, strategy, check, qubit,
     graph = TannerGraph(code411)
     rng = substream(0, 0)
     state = rng.bit_generator.state
+    first = DecodeOutcome(np.array([0, 3, 0, 0], dtype=np.uint8), False, 90)
+    run = FeedbackRun(graph, TARGET, priors411, FeedbackConfig(strategy=strategy), first, rng)
     with pytest.raises(ValueError, match=message):
-        feedback_adjustment(
-            graph, TARGET, priors411, check, qubit, FeedbackConfig(strategy=strategy),
-            rng=rng, current_e_out=np.array([0, 3, 0, 0], dtype=np.uint8),
-        )
+        run.start_round(check, qubit)
     assert rng.bit_generator.state == state
 
 
@@ -373,9 +354,9 @@ def test_interleaved_runs_equal_runs_alone():
     alone = [
         feedback_decode(
             code, target, pri, FeedbackConfig(strategy=strategy), graph=graph,
-            rng=substream(5, 1, 0, 0, block), first=first,
+            rng=substream(5, 1, 0, 0, block),
         )
-        for block, target, first, strategy in specs
+        for block, target, _, strategy in specs
     ]
     runs = [start(*spec) for spec in specs]
     pending = [(run, run.next_round()) for run in runs]

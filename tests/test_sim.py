@@ -207,6 +207,11 @@ def test_spec_validation(code411):
         ExperimentSpec(code=code411, p_values=(0.1,), strategies=("bogus",))
     with pytest.raises(ValueError):
         ExperimentSpec(code=code411, p_values=(0.1,), workers=0)
+    # empty lists used to give a CSV with only a header
+    with pytest.raises(ValueError, match="no p values"):
+        ExperimentSpec(code=code411, p_values=())
+    with pytest.raises(ValueError, match="no strategy values"):
+        ExperimentSpec(code=code411, p_values=(0.1,), strategies=())
     # a cap of 0 iterations used to report 1 iteration, converged and exact,
     # and a negative limit to turn every non-exact outcome into unchecked
     with pytest.raises(ValueError, match="max_iter"):
@@ -437,6 +442,8 @@ FIXED_EXPERIMENT_DIGESTS = {
     "jsonl": "2cff94b8e513494bb3f46b543e46f702bf3972d114ba664a7a64f8e904b60ba0",
     "trace_pc08": "792be615eb3dc21f0f160ed3bf54ec5d7f26eb121c10c57ffb3633778444e937",
     "trace_enhanced": "88dc06e5ba6f99f3e342cbf18122ddcbd01b79ca4bf7c0783c87117f6cc106d6",
+    "trace_pc08_loop": "7d9482945078ea40a56a7e4d02eb72cb86eb363bbeee713139d78b03519a356a",
+    "trace_enhanced_loop": "6964eea29b561b38c1e9c28a94d0d8e3d12f66846192abc11a1aff6a480e786c",
 }
 
 PINNED_TRACES = {
@@ -444,13 +451,18 @@ PINNED_TRACES = {
                    "--delta", "1", "--seed", "3"],
     "trace_enhanced": ["--strategy", "enhanced", "--check", "2", "--qubit", "4",
                        "--max-iter", "88"],
+    # the serial feedback loop, 4 rounds each (AUTO gives n_a = 0 on 4 qubits)
+    "trace_pc08_loop": ["--strategy", "pc08", "--n-a", "4", "--delta", "1", "--seed", "3"],
+    "trace_enhanced_loop": ["--strategy", "enhanced", "--n-a", "4", "--max-iter", "88",
+                            "--seed", "3"],
 }
 
 
 def test_fixed_experiment_bytes(code62, tmp_path):
-    # A fixed multi-p, multi-strategy experiment and two pinned feedback
-    # rounds (pc08 restarts and does not converge, enhanced converges),
-    # compared byte for byte with the recorded outputs.
+    # A fixed multi-p, multi-strategy experiment, two pinned feedback
+    # rounds (pc08 restarts and does not converge, enhanced converges) and
+    # two serial feedback loops, compared byte for byte with the recorded
+    # outputs.
     jsonl = tmp_path / "blocks.jsonl"
     spec = ExperimentSpec(
         code=code62, p_values=(0.03, 0.06),

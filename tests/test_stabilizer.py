@@ -385,11 +385,15 @@ def test_group_membership_random_codes():
 
 
 def test_noncommuting_rows_rejected():
-    with pytest.raises(NonCommutingRowsError):
-        StabilizerCode(
-            np.array([gf4.pauli_to_values("XI"), gf4.pauli_to_values("ZI")]),
-            n_sent=2,
-        )
+    # the first anticommuting pair in row-major order is reported
+    for rows, message in (
+        (["XI", "ZI"], "generators 0 and 1 anticommute"),
+        (["XII", "IXI", "IIX", "IZI"], "generators 1 and 3 anticommute"),
+    ):
+        with pytest.raises(NonCommutingRowsError, match=message):
+            StabilizerCode(
+                np.array([gf4.pauli_to_values(row) for row in rows]), n_sent=len(rows[0])
+            )
 
 
 def test_zero_row_rejected():
