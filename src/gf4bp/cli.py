@@ -13,6 +13,7 @@ from pathlib import Path
 import click
 import numpy as np
 
+from .decoder import tanner_graph
 from .formats import parse_alist, write_stabilizer_text
 from .sim import (
     ExperimentSpec,
@@ -70,6 +71,17 @@ def _parse_p_list(text):
 
 def _parse_strategies(text):
     return tuple(tok.strip() for tok in text.split(",") if tok.strip())
+
+
+def _one_based(text, name, size):
+    """A 1-based index typed on the command line, checked against 1..size."""
+    try:
+        index = int(text)
+    except ValueError:
+        raise click.UsageError(f"bad {name} {text!r}: not an integer in 1..{size}")
+    if not 1 <= index <= size:
+        raise click.UsageError(f"{name} {index} out of range 1..{size}")
+    return index
 
 
 def _parse_n_a(text):
@@ -184,8 +196,18 @@ def trace(code_src, p, error, syndrome_text, strategy, check, qubit, max_iter,
         except KeyError:
             raise click.UsageError(f"bad syndrome {syndrome_text!r}; use + and -")
     try:
+        code = load_code(code_src)
+        if check is not None and qubit is not None:  # reported 1-based, as typed
+            graph = tanner_graph(code)
+            _one_based(check, "--check", graph.n_checks)
+            on_check = graph.check_qubits(check - 1) + 1
+            if qubit not in on_check:
+                raise click.UsageError(
+                    f"--qubit {qubit} is not on check {check}, whose qubits are "
+                    + ", ".join(map(str, on_check))
+                )
         rows, outcome = trace_run(
-            load_code(code_src),
+            code,
             p,
             error=error,
             target=target,
@@ -233,10 +255,11 @@ def construction_b_cmd(first_row, keep, out):
         bits = np.array([int(ch) for ch in first_row.strip()], dtype=np.uint8)
     except ValueError:
         raise click.UsageError(f"bad first row {first_row!r}; use 0/1 characters")
+    rows = None
+    if keep is not None:
+        rows = [_one_based(tok.strip(), "--keep row", bits.size) - 1
+                for tok in keep.split(",") if tok.strip()]
     try:
-        rows = None
-        if keep is not None:
-            rows = [int(tok) - 1 for tok in keep.split(",") if tok.strip()]
         code = construction_b(bits, rows_to_keep=rows)
     except ValueError as exc:
         raise click.UsageError(str(exc))

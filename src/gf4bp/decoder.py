@@ -1,47 +1,50 @@
-"""GF(4) sum-product decoding on a stabilizer code's Tanner graph.
+"""GF(4) sum-product decoding on a stabilizer code's Tanner graph, in the log
+domain.
 
-Messages are probability 4-vectors over the error symbols (I, X, Z, Y),
-updated with a flooding schedule: all check-to-qubit messages, then all
-qubit-to-check messages and beliefs, then a hard decision whose syndrome is
-tested against the target every iteration.  Ebit columns are excluded from
-the graph since receiver-held qubits are error-free.
+Messages are updated with a flooding schedule: all check-to-qubit messages,
+then all beliefs, then a hard decision whose syndrome is tested against the
+target every iteration.  Ebit columns are excluded from the graph since
+receiver-held qubits are error-free.
 
-A check constrains the GF(4) inner product of the incident symbols with the
-row entries to the trace-0 classes {0, 1} (syndrome +1) or the trace-1
-classes {omega, omega_bar} (syndrome -1).  Because the trace is additive, the
-check-to-qubit message equals (1 + s_c * kappa * D) / 4, with kappa the
-commute sign of the candidate symbol against the row entry and D the product
-of (commute mass - anticommute mass) over the other neighbors; the test
-suite checks this form against a direct Klein-group convolution.
+A check constrains whether each incident symbol commutes with the check's
+entry on that qubit, and nothing else, so one real number per edge and
+direction carries a message (the refined and log-domain BP of Kuo & Lai,
+arXiv:2002.06502, and Lai & Kuo, IEEE TQE 2021).  The qubit-to-check
+message is Lambda = log(commute mass / anticommute mass) of the qubit's
+distribution without that check.  The check-to-qubit message is
 
-The message takes two values only: A = 1 + s_c * D on the two symbols that
-commute with the row entry (I and the entry itself) and B = 1 - s_c * D on
-the other two, so the kernel stores one (A, B) pair per edge and never
-builds the four.  Two folds keep this exact.  The quarter is dropped and
-the floor raised to 4 * MSG_FLOOR: scaling by a power of two commutes with
-rounding here, so max(y / 4, F) = max(y, 4F) / 4, and the quarter cancels
-in the normalizing division.  s_c is the first factor of the check's
-prefix product (a product with +-1 is exact), so no pass applies it.  The
-normalizing sum still adds the four symbols in the order I, X, Z, Y, each
-term A or B by the entry; the pairs are stored in entry order (every X
-entry, then Z, then Y), so each run of one entry takes its terms from
-whole slices.
+    gamma = atanh(s_c * prod over the check's other edges of tanh(Lambda / 2)),
 
-The iteration is slot-major, with a trailing lane axis (below) on every
-array.  Check-side products run over a (check slot, check) layout of the D
-factors.  Qubit-side values live in a (qubit slot, symbol, qubit) layout:
-the gathered check messages, their exclusive products and the
-qubit-to-check messages, which are normalized in place and stay there from
-one iteration to the next; the check update reads m_I and m_entry from
-that layout.  Tables of flat positions move values between the layouts, so
-each step is a short loop of whole-row numpy operations over at most the
-maximum degree.  Sums over the four symbols are the left fold
-((a0 + a1) + a2) + a3 and products over slots are left folds (prefix times
-suffix for the exclusive products), the order in which numpy's sum over a
-length-4 axis and cumprod compute them; the outputs therefore equal bit for
-bit those of a row-major (edges, 4) implementation, which tests/oracles.py
-keeps as the reference.  The syndrome test XORs each check's
-anticommutation bits over its slots, O(edges) integer work.
+which is half the log-ratio it puts between the two symbols commuting with
+the entry (I and the entry itself) and the other two; the test suite checks
+it against a direct Klein-group convolution.  With S_X, S_Z and S_Y the sums
+of gamma over a qubit's X, Z and Y entries, its log-beliefs are
+
+    L_I = lp_I + S_X + S_Z + S_Y    L_X = lp_X + S_X - S_Z - S_Y
+    L_Z = lp_Z - S_X + S_Z - S_Y    L_Y = lp_Y - S_X - S_Z + S_Y
+
+for log-priors lp, and the hard decision is the largest L, ties going to
+I, X, Z, Y in that order.  The next message on an edge with entry e is
+Lambda_q(e) - 2 gamma, where Lambda_q(e) = logaddexp(L_I, L_e) -
+logaddexp(L_o1, L_o2) over the two other symbols is computed once per qubit
+and entry.  No array holds four symbols per edge.
+
+Saturation rule, so that no value is infinite or NaN at any p:
+- priors are clamped to MSG_FLOOR and normalized before the log, so p = 0
+  and p = 1 give finite log-priors;
+- Lambda_q is formed from exp(L - max L) floored at MSG_FLOOR, as the
+  probability-domain messages were, so |Lambda_q| <= log(1 / MSG_FLOOR);
+- the check product is clipped to the doubles next to -1 and +1, so
+  |gamma| < 19;
+- pad cells of the check layout hold Lambda = +inf, a factor tanh = 1, and
+  the belief sums read gamma = 0 for pad slots.
+
+The iteration is slot-major.  Messages live in a (check slot, check)
+layout, per-qubit values in (symbol, qubit) rows; one table gathers each
+check cell's Lambda_q / 2, another each qubit's gammas by entry.  Products
+over slots are prefix times suffix folds and sums over slots left folds, so
+each step is a short loop of whole-row numpy operations.  The syndrome test
+XORs each check's anticommutation bits over its slots.
 
 Decoding jobs run as lanes of one kernel (Lanes): every array carries a
 trailing lane axis, each lane has its own iteration count and cap and stops
@@ -50,9 +53,6 @@ job while the others go on.  Every operation is elementwise along the lane
 axis, and the lane axis is the innermost axis of every operand, so a lane
 computes bit for bit what it would compute alone; decode is the kernel at
 width 1.
-
-All probability vectors are clamped to MSG_FLOOR before normalization, which
-prevents the all-zero product collapse.
 """
 
 import math
@@ -72,22 +72,6 @@ MSG_FLOOR = 1e-30
 LANE_WORKSPACE_BYTES = 5 << 19
 
 
-def _symbol_sum(v: np.ndarray, total: np.ndarray) -> None:
-    """The left fold ((v0 + v1) + v2) + v3 over the leading symbol axis of
-    v (4, ...), into total."""
-    np.add(v[0], v[1], out=total)
-    np.add(total, v[2], out=total)
-    np.add(total, v[3], out=total)
-
-
-def _normalize(v: np.ndarray, total: np.ndarray) -> None:
-    """Clamp v (4, ...) to MSG_FLOOR, then divide it in place by its sums over
-    the leading symbol axis, accumulated in total."""
-    np.maximum(v, MSG_FLOOR, out=v)
-    _symbol_sum(v, total)
-    np.divide(v, total, out=v)
-
-
 def _slot_product_ops(a: np.ndarray, pref: np.ndarray, suf: np.ndarray) -> list:
     """The (x, y, out) multiplications, in order, of the left-fold products
     over the leading (slot) axis of a, into pref and suf.
@@ -102,6 +86,17 @@ def _slot_product_ops(a: np.ndarray, pref: np.ndarray, suf: np.ndarray) -> list:
     return [(pref[k], a[k], pref[k + 1]) for k in range(n_slots)] + [
         (suf[k], a[k], suf[k - 1]) for k in range(n_slots - 1, 0, -1)
     ]
+
+
+def _slot_sum_ops(rows: np.ndarray, runs, sums: np.ndarray) -> list:
+    """The (x, y, out) additions, in order, of the left-fold sums of the
+    row runs [runs[k], runs[k + 1]) of rows into sums[k]; every run has at
+    least two rows."""
+    ops = []
+    for k, (lo, hi) in enumerate(zip(runs[:-1], runs[1:])):
+        ops.append((rows[lo], rows[lo + 1], sums[k]))
+        ops.extend((sums[k], rows[r], sums[k]) for r in range(lo + 2, hi))
+    return ops
 
 
 def _run(ufunc, ops: list) -> None:
@@ -128,60 +123,48 @@ class TannerGraph:
     """Edge structure between checks and transmitted qubits.
 
     Edges exist where a check row has a nonzero entry on a sender column and
-    are stored check-major.  The slot-major tables check_slots
-    (max check degree, checks) and qubit_slots (max qubit degree, qubits)
-    list each node's edges; pad slots point at a sentinel edge n_edges.
+    are stored check-major.  The slot-major table check_slots
+    (max check degree, checks) lists each check's edges; pad slots point at
+    a sentinel edge n_edges.
     """
 
     def __init__(self, code: StabilizerCode):
         sent = code.checks[:, : code.n_sent]
-        self.n_checks, self.n_qubits = sent.shape
+        self.n_checks, self.n_qubits = n_checks, n = sent.shape
         check_idx, qubit_idx = np.nonzero(sent)
         self.edge_check = check_idx.astype(np.intp)
         self.edge_qubit = qubit_idx.astype(np.intp)
         self.edge_entry = sent[check_idx, qubit_idx].astype(np.intp)
-        self.n_edges = n_edges = self.edge_check.size
+        self.n_edges = self.edge_check.size
 
         self.check_deg, self.check_slots, check_slot = _slot_table(
-            self.edge_check, self.n_checks
+            self.edge_check, n_checks
         )
         self._check_start = np.concatenate([[0], np.cumsum(self.check_deg)])
-        self.qubit_deg, self.qubit_slots, qubit_slot = _slot_table(
-            self.edge_qubit, self.n_qubits
-        )
-        # Flat gather positions between the check layout (slot, check), the
-        # qubit layout (slot, qubit) and the (A, B) pairs in entry order.  A
-        # pad cell past the qubit layout and a pad pair hold 1; the pad
-        # edge's entry is I, whose anticommutation bits are 0.
-        qubit_cell = np.append(
-            qubit_slot * self.n_qubits + self.edge_qubit, self.qubit_slots.size
-        )
-        by_entry = np.argsort(self.edge_entry, kind="stable")
-        self._entry_runs = np.searchsorted(self.edge_entry[by_entry], [1, 2, 3, 4])
-        pair = np.empty(n_edges + 1, dtype=np.intp)
-        pair[by_entry] = np.arange(n_edges)
-        pair[n_edges] = n_edges
-        entry = np.append(self.edge_entry, 0)
-        # each check cell's D factor, from the (qubit cell + pad) D array
-        self._check_gather = qubit_cell[self.check_slots]
-        # the edges' s_c * D, from the check cells into entry order
-        self._pair_gather = (check_slot * self.n_checks + self.edge_check)[by_entry]
-        # the edge's m_entry in the (slot, symbol, qubit) messages
-        slot_entry = entry[self.qubit_slots]
-        self._entry_gather = (
-            np.arange(len(self.qubit_slots))[:, None] * 4 + slot_entry
-        ) * self.n_qubits + np.arange(self.n_qubits)
-        # the (slot, symbol, qubit) check-to-qubit messages, A or B from the
-        # (2, edge + pad) pairs
-        self._qubit_gather = (
-            ANTICOMMUTES[slot_entry].transpose(0, 2, 1).astype(np.intp) * (n_edges + 1)
-            + pair[self.qubit_slots][:, None, :]
-        )
+        # Flat gather positions.  Check cells (slot, check) are numbered
+        # slot * n_checks + check; cell check_slots.size is a pad cell.
+        pad_cell = self.check_slots.size
+        edge_cell = check_slot * n_checks + self.edge_check
+        # each check cell's Lambda_q / 2 from the (entry - 1, qubit) rows,
+        # a pad cell from the +inf cell past them
+        self._message_gather = np.append(
+            (self.edge_entry - 1) * n + self.edge_qubit, 3 * n
+        )[self.check_slots]
+        # each qubit's gammas from the check cells, X entries, then Z, then
+        # Y, each padded to at least two rows with the pad cell (gamma 0)
+        tables, self._entry_rows = [], [0]
+        for symbol in (1, 2, 3):
+            edges = np.nonzero(self.edge_entry == symbol)[0]
+            _, table, _ = _slot_table(self.edge_qubit[edges], n)
+            pad = np.full((max(0, 2 - len(table)), n), edges.size)
+            tables.append(np.append(edge_cell[edges], pad_cell)[np.vstack([table, pad])])
+            self._entry_rows.append(self._entry_rows[-1] + len(tables[-1]))
+        self._gamma_gather = np.concatenate(tables)
         # anticommutation bits of each check cell, from the (entry, qubit)
-        # table of an error's bits
-        self._check_bits = (entry * self.n_qubits + np.append(self.edge_qubit, 0))[
-            self.check_slots
-        ]
+        # table of an error's bits; a pad cell reads entry I, whose bits are 0
+        self._check_bits = (
+            np.append(self.edge_entry, 0) * n + np.append(self.edge_qubit, 0)
+        )[self.check_slots]
         self._decode_lanes = None  # decode's width-1 Lanes, made on first use
 
     def check_qubits(self, check: int) -> np.ndarray:
@@ -243,55 +226,52 @@ def hard_decision(beliefs: np.ndarray, axis: int = -1) -> np.ndarray:
     return beliefs.argmax(axis=axis).astype(np.uint8)
 
 
-def _pair_fold_ops(graph: TannerGraph, pairs: np.ndarray, total: np.ndarray) -> list:
-    """The (x, y, out) additions, in order, of the normalizing fold
-    ((I + X) + Z) + Y of the entry-ordered (A, B) pairs into total: A on I
-    and on the symbol equal to the edge's entry, B on the other two."""
-    runs = graph._entry_runs  # X entries end at runs[1], Z at runs[2]
-    ops = []
-    for symbol in (1, 2, 3):
-        lo, hi = runs[symbol - 1], runs[symbol]
-        for start, stop, row in ((0, lo, 1), (lo, hi, 0), (hi, runs[3], 1)):
-            if start < stop:
-                x = pairs[0] if symbol == 1 else total
-                ops.append((x[start:stop], pairs[row, start:stop], total[start:stop]))
-    return ops
+def _qubit_messages(v) -> None:
+    """Lambda_q / 2 for every (entry, qubit), into v.half, from the
+    (symbol, qubit, lanes) log-beliefs v.bel."""
+    bel, top, x = v.bel, v.total, v.exp
+    np.maximum(bel[0], bel[1], out=top)
+    np.maximum(top, bel[2], out=top)
+    np.maximum(top, bel[3], out=top)
+    np.subtract(bel, top, out=x)
+    np.exp(x, out=x)
+    np.maximum(x, MSG_FLOOR, out=x)
+    half, anti = v.half_entries, v.anti
+    np.add(x[0], x[1:], out=half)  # I and the entry commute with the entry
+    np.add(x[2], x[3], out=anti[0])
+    np.add(x[1], x[3], out=anti[1])
+    np.add(x[1], x[2], out=anti[2])
+    np.divide(half, anti, out=half)
+    np.log(half, out=half)
+    np.multiply(half, 0.5, out=half)
 
 
 def _check_messages(graph: TannerGraph, v) -> None:
-    """The (2, edges + pad, lanes) check-to-qubit pairs v.ab (A, B), in
-    entry order, from the (slot, symbol, qubit, lanes) qubit-to-check
-    messages v.qg."""
-    # D factor of each qubit cell: 2 * (m_I + m_entry) - (sum of the four)
-    d, total = v.d_cells, v.total_q
-    _symbol_sum(v.qg_symbols, total)
+    """Every check cell's gamma, into v.gamma_cells, from v.half and the
+    previous gammas."""
+    th = v.th
     # mode="clip": the tables index in range, and the default mode buffers out=
-    v.qg_rows.take(graph._entry_gather, axis=0, out=d, mode="clip")
-    np.add(v.qg_symbols[0], d, out=d)
-    np.multiply(d, 2.0, out=d)
-    np.subtract(d, total, out=d)
-    v.d.take(graph._check_gather, axis=0, out=v.cg, mode="clip")
+    v.half_rows.take(graph._message_gather, axis=0, out=th, mode="clip")
+    np.subtract(th, v.gamma_cells, out=th)  # Lambda / 2 of the edge
+    np.tanh(th, out=th)
     _run(np.multiply, v.check_products)  # cpref[0] holds s_c
-    np.multiply(v.cpref_excl, v.csuf, out=v.cg)
-    pairs = v.pairs
-    a, b = pairs
-    v.cg_rows.take(graph._pair_gather, axis=0, out=b, mode="clip")
-    np.add(b, 1.0, out=a)
-    np.subtract(1.0, b, out=b)
-    np.maximum(pairs, 4.0 * MSG_FLOOR, out=pairs)
-    _run(np.add, v.pair_fold)
-    np.divide(pairs, v.total_e, out=pairs)
+    np.multiply(v.cpref_excl, v.csuf, out=th)
+    np.minimum(th, np.nextafter(1.0, 0.0), out=th)
+    np.maximum(th, np.nextafter(-1.0, 0.0), out=th)
+    np.arctanh(th, out=v.gamma_cells)
 
 
-def _qubit_messages(graph: TannerGraph, v) -> None:
-    """Beliefs v.bel and new qubit-to-check messages v.qg from v.ab."""
-    v.ab_rows.take(graph._qubit_gather, axis=0, out=v.qg, mode="clip")
-    _run(np.multiply, v.qubit_products)
-    np.multiply(v.pri, v.qpref[-1], out=v.bel)
-    _normalize(v.bel, v.total_n)
-    np.multiply(v.qpref_excl, v.qsuf, out=v.qg)
-    np.multiply(v.qg, v.pri, out=v.qg)
-    _normalize(v.qg_symbols, v.total_q)
+def _beliefs(graph: TannerGraph, v) -> None:
+    """The log-beliefs v.bel from the log-priors v.lp and the gammas."""
+    v.gamma_rows.take(graph._gamma_gather, axis=0, out=v.qg, mode="clip")
+    _run(np.add, v.entry_sums)
+    s, total, bel = v.s, v.total, v.bel
+    np.add(s[0], s[1], out=total)
+    np.add(total, s[2], out=total)
+    np.add(v.lp[0], total, out=bel[0])
+    np.multiply(s, 2.0, out=bel[1:])
+    np.subtract(bel[1:], total, out=bel[1:])
+    np.add(bel[1:], v.lp[1:], out=bel[1:])
 
 
 def _lane_shapes(graph: TannerGraph) -> dict:
@@ -299,27 +279,26 @@ def _lane_shapes(graph: TannerGraph) -> dict:
     The _KEPT ones carry a job from one iteration to the next, the others
     are scratch."""
     n, n_checks = graph.n_qubits, graph.n_checks
-    check_slots, qubit_slots = graph.check_slots.shape[0], graph.qubit_slots.shape[0]
+    check_slots = graph.check_slots.shape[0]
     return {
-        "pri": (4, n),
-        "qg": (qubit_slots, 4, n),
+        "lp": (4, n),
+        "bel": (4, n),
+        "gamma": (graph.check_slots.size + 1,),
         "target_parity": (n_checks,),
-        "d": (graph.qubit_slots.size + 1,),
-        "cg": (check_slots, n_checks),
         "cpref": (check_slots + 1, n_checks),
         "csuf": (check_slots, n_checks),
-        "ab": (2, graph.n_edges + 1),
-        "total_e": (graph.n_edges,),
-        "qpref": (qubit_slots + 1, 4, n),
-        "qsuf": (qubit_slots, 4, n),
-        "bel": (4, n),
-        "total_q": (qubit_slots, n),
-        "total_n": (n,),
+        "th": (check_slots, n_checks),
+        "half": (3 * n + 1,),
+        "qg": (len(graph._gamma_gather), n),
+        "s": (3, n),
+        "total": (n,),
+        "exp": (4, n),
+        "anti": (3, n),
     }
 
 
 # moved when lanes are repacked; sigma, the target signs, is cpref[0]
-_KEPT = ("pri", "qg", "sigma", "target_parity")
+_KEPT = ("lp", "bel", "gamma", "sigma", "target_parity")
 
 
 class Lanes:
@@ -354,7 +333,7 @@ class Lanes:
         self.busy = 0  # jobs running or held
         self.iterations = []  # per lane of the layout
         self.caps = []
-        self._held = []  # (job, priors, target, max_iter) for the next layout
+        self._held = []  # (job, log-priors, target, max_iter) for the next layout
 
     @staticmethod
     def lane_bytes(graph: TannerGraph) -> int:
@@ -375,17 +354,14 @@ class Lanes:
                 }
             )
             view.sigma = view.cpref[0]
-            view.cpref_excl, view.qpref_excl = view.cpref[:-1], view.qpref[:-1]
-            view.qg_symbols = view.qg.swapaxes(0, 1)
-            view.d_cells = view.d[:-1].reshape(view.total_q.shape)
-            view.pairs = view.ab[:, :-1]
-            view.qg_rows, view.cg_rows, view.ab_rows = (
-                x.reshape(math.prod(x.shape[:-1]), lanes)
-                for x in (view.qg, view.cg, view.ab)
+            view.cpref_excl = view.cpref[:-1]
+            view.gamma_cells = view.gamma[:-1].reshape(view.th.shape)
+            view.half_entries = view.half[:-1].reshape(view.s.shape)
+            view.half_rows, view.gamma_rows = (
+                x.reshape(len(x), lanes) for x in (view.half, view.gamma)
             )
-            view.check_products = _slot_product_ops(view.cg, view.cpref, view.csuf)
-            view.qubit_products = _slot_product_ops(view.qg, view.qpref, view.qsuf)
-            view.pair_fold = _pair_fold_ops(self.graph, view.pairs, view.total_e)
+            view.check_products = _slot_product_ops(view.th, view.cpref, view.csuf)
+            view.entry_sums = _slot_sum_ops(view.qg, self.graph._entry_rows, view.s)
         return view
 
     def _relayout(self) -> None:
@@ -397,12 +373,8 @@ class Lanes:
         n_kept = len(keep)
         lanes = self._layout = n_kept + len(self._held)
         view = self._view(lanes)
-        # pad cells and empty products read 1 in every layout
-        view.d[-1] = 1.0
-        view.ab[:, -1] = 1.0
-        view.csuf[-1:] = 1.0
-        view.qpref[0] = 1.0
-        view.qsuf[-1:] = 1.0
+        view.half[-1] = np.inf  # pad cells: tanh(+inf) = 1
+        view.csuf[-1:] = 1.0  # the empty product
         for name, values in kept.items():
             getattr(view, name)[..., :n_kept] = values
         free = [None] * len(self._held)
@@ -412,12 +384,13 @@ class Lanes:
         self._start_held(range(n_kept, lanes))
 
     def _start_held(self, lanes) -> None:
-        """Write the held jobs' first messages and targets into the free
-        lanes `lanes`, one lane per held job, in order."""
+        """Write the held jobs' log-priors and targets into the free lanes
+        `lanes`, one lane per held job, in order."""
         view = self._view(self._layout)
-        for lane, (job, priors, target, max_iter) in zip(lanes, self._held):
-            view.pri[..., lane] = priors
-            view.qg[..., lane] = priors  # the first messages are the priors
+        for lane, (job, lp, target, max_iter) in zip(lanes, self._held):
+            view.lp[..., lane] = lp
+            view.bel[..., lane] = lp  # with every gamma 0, the first messages
+            view.gamma[:, lane] = 0.0  # are the priors'
             view.sigma[:, lane] = target
             # a -1 on a check without sender edges is never matched
             view.target_parity[:, lane] = target < 0
@@ -429,9 +402,9 @@ class Lanes:
     def load(self, job, priors: np.ndarray, target: np.ndarray, max_iter: int) -> None:
         """Hold a job for the next step, which starts it in a free lane.
 
-        priors is the normalized (4, n_qubits) prior matrix and target the
-        (n_checks,) syndrome of +1/-1 entries; job, any object but None, is
-        returned with the outcome.  priors and target are read, not
+        priors is the (4, n_qubits) log-prior matrix (log_priors) and target
+        the (n_checks,) syndrome of +1/-1 entries; job, any object but None,
+        is returned with the outcome.  priors and target are read, not
         copied, and must not change before the next step.
         """
         if self.busy >= self.width:
@@ -451,8 +424,9 @@ class Lanes:
         lanes = self._layout
         graph = self.graph
         view = self._view(lanes)
+        _qubit_messages(view)
         _check_messages(graph, view)
-        _qubit_messages(graph, view)
+        _beliefs(graph, view)
         e_hat = hard_decision(view.bel, axis=0)
         matched = np.logical_and.reduce(graph.parities(e_hat) == view.target_parity)
         finished = []
@@ -470,8 +444,11 @@ class Lanes:
         return finished
 
     def beliefs(self, lane: int) -> np.ndarray:
-        """A fresh (n_qubits, 4) copy of a lane's last beliefs."""
-        return np.array(self._view(self._layout).bel[..., lane].T, order="C")
+        """A fresh (n_qubits, 4) copy of a lane's last beliefs, the softmax
+        of its log-beliefs."""
+        bel = self._view(self._layout).bel[..., lane]
+        x = np.exp(bel - bel.max(axis=0))
+        return np.array((x / x.sum(axis=0)).T, order="C")
 
 
 def lane_width(graph: TannerGraph) -> int:
@@ -479,12 +456,11 @@ def lane_width(graph: TannerGraph) -> int:
     return max(1, LANE_WORKSPACE_BYTES // Lanes.lane_bytes(graph))
 
 
-def normalized_priors(priors: np.ndarray) -> np.ndarray:
-    """The (4, n) clamped, normalized transpose of an (n, 4) prior matrix,
-    as Lanes.load takes it."""
-    pri = np.array(np.asarray(priors, dtype=float).T, order="C")
-    _normalize(pri, np.empty(pri.shape[1:]))
-    return pri
+def log_priors(priors: np.ndarray) -> np.ndarray:
+    """The (4, n) log of the clamped, normalized transpose of an (n, 4)
+    prior matrix, as Lanes.load takes it."""
+    pri = np.maximum(np.asarray(priors, dtype=float).T, MSG_FLOOR)
+    return np.log(pri / pri.sum(axis=0))
 
 
 def decode(
@@ -526,7 +502,7 @@ def decode(
     lanes = graph._decode_lanes
     if lanes is None or lanes.busy:  # first use, or a decode inside on_iteration
         lanes = graph._decode_lanes = Lanes(graph, 1)
-    lanes.load(True, normalized_priors(pri), target, max_iter)
+    lanes.load(True, log_priors(pri), target, max_iter)
     iteration = 0
     while True:
         finished = lanes.step(halt)

@@ -36,10 +36,9 @@ from .channel import (
 )
 from .decoder import (
     Lanes,
-    TannerGraph,
     decode,
     lane_width,
-    normalized_priors,
+    log_priors,
     tanner_graph,
 )
 from .feedback import (
@@ -286,7 +285,7 @@ class _Chunk:
         self.inject = inject  # the embedded injected error, or None
         self.channels = [DepolarizingChannel(p) for p in spec.p_values]
         self.priors = [channel_priors(chan, code.n_sent) for chan in self.channels]
-        self.lane_priors = [normalized_priors(pri) for pri in self.priors]
+        self.lane_priors = [log_priors(pri) for pri in self.priors]
         self.configs = {
             s: FeedbackConfig(s, t_pert=spec.t_pert, n_a=spec.n_a, delta=spec.delta)
             for s in spec.strategies if s != "standard"
@@ -332,7 +331,7 @@ class _Chunk:
         while True:
             if self.restarts:
                 job, adjusted, t_pert = self.restarts.popleft()
-                self.lanes.load(job, normalized_priors(adjusted), job[0].target, t_pert)
+                self.lanes.load(job, log_priors(adjusted), job[0].target, t_pert)
                 return True
             if self.new_runs:
                 job = self.new_runs.popleft()
@@ -575,7 +574,7 @@ def trace_run(
     seeded random choices.  Returns (rows, outcome) where each row is
     (iteration, qubit, belief 4-vector), iterations counted across rounds.
     """
-    graph = TannerGraph(code)
+    graph = tanner_graph(code)
     chan = DepolarizingChannel(p)
     pri = channel_priors(chan, code.n_sent)
     if (error is None) == (target is None):

@@ -219,8 +219,9 @@ def row_major_beliefs(code: StabilizerCode, target, priors, n_iter: int):
     Messages are (edges, 4) arrays; the check update uses the parity form
     (1 + s_c * kappa * D) / 4, sums and products reduce numpy's short axes
     (sum over the 4 symbols, cumprod over slots).  This is the decoder's
-    earlier implementation, kept as the bit-for-bit reference of its
-    rewrites.  Returns a list of n_iter (n_sent, 4) arrays.
+    earlier probability-domain implementation, kept as the reference the
+    log-domain kernel must agree with.  Returns a list of n_iter
+    (n_sent, 4) arrays.
     """
     sent = code.checks[:, : code.n_sent]
     n_checks, n_qubits = sent.shape

@@ -155,12 +155,14 @@ def test_trace_syndrome_input():
     [
         (["--strategy", "pc08", "--check", "2", "--qubit", "0"], "x>=1"),
         (["--strategy", "enhanced", "--check", "0", "--qubit", "1"], "x>=1"),
-        (["--strategy", "enhanced", "--check", "9", "--qubit", "1"],
-         "0-based check 8 out of range 0..3"),
-        (["--strategy", "pc08", "--check", "2", "--qubit", "3"],
-         "0-based qubit 2 is not connected to check 1"),
-        (["--strategy", "enhanced", "--check", "2", "--qubit", "3"],
-         "0-based qubit 2 is not connected to check 1"),
+        pytest.param(["--strategy", "enhanced", "--check", "9", "--qubit", "1"],
+                     "--check 9 out of range 1..4", id="check-out-of-range"),
+        pytest.param(["--strategy", "pc08", "--check", "2", "--qubit", "3"],
+                     "--qubit 3 is not on check 2, whose qubits are 1, 2, 4",
+                     id="pc08-qubit-not-on-check"),
+        pytest.param(["--strategy", "enhanced", "--check", "2", "--qubit", "3"],
+                     "--qubit 3 is not on check 2, whose qubits are 1, 2, 4",
+                     id="enhanced-qubit-not-on-check"),
         (["--strategy", "pc08", "--check", "2"], "needs both check and qubit"),
         (["--strategy", "enhanced", "--check", "2"], "needs both check and qubit"),
     ],
@@ -248,14 +250,26 @@ def test_build_code_ea_reproduces_4_1_1(tmp_path):
         (["simulate", "--code", "4_1_1", "--config", "bad.cfg"],
          {"bad.cfg": "blocks=abc\n"}, "bad config value blocks='abc'"),
         (["build-code", "construction-b", "--first-row", "1101", "--keep", "a",
-          "--out", "x.stab"], {}, "invalid literal for int()"),
+          "--out", "x.stab"], {}, "bad --keep row 'a': not an integer in 1..4"),
         (["build-code", "construction-b", "--first-row", "1101", "--keep", "9",
-          "--out", "x.stab"], {}, "row indices must lie in 0..3"),
+          "--out", "x.stab"], {}, "--keep row 9 out of range 1..4"),
+        # command-line indices are reported 1-based, as typed
+        (["build-code", "construction-b", "--first-row", "1101", "--keep", "0",
+          "--out", "x.stab"], {}, "--keep row 0 out of range 1..4"),
+        (["build-code", "construction-b", "--first-row", "1101", "--keep", "-1",
+          "--out", "x.stab"], {}, "--keep row -1 out of range 1..4"),
+        (["build-code", "construction-b", "--first-row", "1101", "--keep", "2,x",
+          "--out", "x.stab"], {}, "bad --keep row 'x': not an integer in 1..4"),
+        (["trace", "--strategy", "enhanced", "--error", "IIZX", "--check", "9",
+          "--qubit", "1"], {}, "--check 9 out of range 1..4"),
+        (["trace", "--strategy", "enhanced", "--error", "IIZX", "--check", "1",
+          "--qubit", "9"], {}, "--qubit 9 is not on check 1, whose qubits are 1, 2, 3"),
         (["build-code", "ea", "--alist", "bad.alist", "--out", "x.stab"],
          {"bad.alist": "4 2\n"}, "expected 10 lines for a 2 x 4 alist"),
     ],
     ids=["unknown-code", "bad-syndrome", "bad-first-row", "config-value", "keep-not-int",
-         "keep-out-of-range", "malformed-alist"],
+         "keep-out-of-range", "keep-zero", "keep-negative", "keep-mixed",
+         "trace-check-out-of-range", "trace-qubit-not-on-check", "malformed-alist"],
 )
 def test_bad_inputs_fail(tmp_path, monkeypatch, args, files, message):
     monkeypatch.chdir(tmp_path)

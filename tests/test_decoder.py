@@ -13,7 +13,7 @@ from gf4bp.decoder import (
     _check_messages,
     decode,
     hard_decision,
-    normalized_priors,
+    log_priors,
     tanner_graph,
 )
 from gf4bp.feedback import FeedbackConfig, feedback_round, frustrated_checks
@@ -55,12 +55,28 @@ def test_graph_excludes_ebit_columns(code411):
 
 
 def test_graph_adjacency_transpose_consistent(code411):
+    # Each check cell gathers Lambda_q / 2 of its edge's (entry, qubit), and
+    # each qubit's gamma rows gather exactly the cells of its edges with
+    # that entry, X entries first, then Z, then Y; pads read the pad cells.
     graph = TannerGraph(code411)
-    for check in range(graph.n_checks):
-        for qubit in graph.check_qubits(check):
-            edges = graph.qubit_slots[:, qubit]
-            edges = edges[edges < graph.n_edges]
-            assert check in {int(graph.edge_check[e]) for e in edges}
+    n, cells = graph.n_qubits, graph.check_slots.size
+    for cell, edge in enumerate(graph.check_slots.ravel()):
+        want = 3 * n
+        if edge < graph.n_edges:
+            want = (graph.edge_entry[edge] - 1) * n + graph.edge_qubit[edge]
+        assert graph._message_gather.ravel()[cell] == want
+    cell_of = {int(e): cell for cell, e in enumerate(graph.check_slots.ravel())}
+    rows = graph._entry_rows
+    for qubit in range(n):
+        for k, symbol in enumerate((1, 2, 3)):
+            got = graph._gamma_gather[rows[k] : rows[k + 1], qubit]
+            want = [
+                cell_of[e]
+                for e in range(graph.n_edges)
+                if graph.edge_qubit[e] == qubit and graph.edge_entry[e] == symbol
+            ]
+            assert sorted(got[got < cells].tolist()) == want
+            assert (got[len(want):] == cells).all()
 
 
 def test_graph_less_calls_share_one_graph_per_code(monkeypatch):
@@ -161,25 +177,19 @@ def test_vectorized_check_messages_match_reference(code411):
     target = np.array([-1, 1, 1, -1])
     msg = rng.random((graph.n_edges, 4))
     msg /= msg.sum(axis=1, keepdims=True)
-    # one lane of the kernel, its q->c messages replaced by random ones in
-    # the (qubit slot, symbol, qubit) layout
+    # one lane of the kernel, its q->c messages replaced by random ones: with
+    # every Lambda_q / 2 at 0, an edge's Lambda / 2 is minus its cell's gamma
     lanes = Lanes(graph, 1)
-    lanes.load("job", normalized_priors(np.full((4, 4), 0.25)), target, 1)
+    lanes.load("job", log_priors(np.full((4, 4), 0.25)), target, 1)
     lanes._relayout()  # a job loaded into an empty kernel is laid out by the step
     view = lanes._view(1)
+    view.half[:-1] = 0.0
+    cell = {int(e): divmod(i, graph.n_checks) for i, e in enumerate(graph.check_slots.ravel())}
     for e in range(graph.n_edges):
-        qubit = int(graph.edge_qubit[e])
-        slot = int(np.nonzero(graph.qubit_slots[:, qubit] == e)[0][0])
-        view.qg[slot, :, qubit, 0] = msg[e]
+        commute = ANTICOMMUTES[graph.edge_entry[e]] == 0
+        lam = np.log(msg[e, commute].sum() / msg[e, ~commute].sum())
+        view.gamma_cells[cell[e] + (0,)] = -lam / 2
     _check_messages(graph, view)
-    # the (A, B) pairs are stored in entry order: A on the symbols commuting
-    # with the edge's entry, B on the others
-    by_entry = np.argsort(graph.edge_entry, kind="stable")
-    pairs = np.empty((2, graph.n_edges))
-    pairs[:, by_entry] = view.ab[:, : graph.n_edges, 0]
-    vectorized = np.empty((4, graph.n_edges))
-    for e in range(graph.n_edges):
-        vectorized[:, e] = pairs[ANTICOMMUTES[graph.edge_entry[e]], e]
     for e in range(graph.n_edges):
         check = int(graph.edge_check[e])
         others = [
@@ -193,7 +203,11 @@ def test_vectorized_check_messages_match_reference(code411):
             [msg[i] for i in others],
             int(target[check]),
         )
-        assert np.allclose(vectorized[:, e], reference, atol=1e-12)
+        # gamma is half the log-ratio between the commuting symbols (I and
+        # the entry) and the other two
+        t = np.tanh(view.gamma_cells[cell[e] + (0,)])
+        kappa = 1 - 2 * ANTICOMMUTES[graph.edge_entry[e]].astype(float)
+        assert np.allclose((1 + kappa * t) / 4, reference, atol=1e-12)
 
 
 def test_qubit_update_cases():
@@ -355,8 +369,9 @@ def _code_with_empty_check():
     ids=["0.02-8", "0.02-28", "0.09-7", "0.09-23", "0.09-0", "411-criterion-3", "empty-check"],
 )
 def test_decode_bit_identical_to_row_major_reference(code_name, p, seed):
-    # The kernel must reproduce the frozen row-major iteration exactly,
-    # iteration by iteration; (0.09, 0) runs all 90 iterations without
+    # The log-domain kernel must agree with the frozen probability-domain
+    # row-major iteration, iteration by iteration: the same hard decision
+    # and beliefs within 1e-9.  (0.09, 0) runs all 90 iterations without
     # converging.  So do the [[4,1;1]] criterion-3 run and the code with a
     # check without sender entries, whose target there is -1; both have
     # checks and qubits of unequal degree, so pad slots on both sides.
@@ -382,7 +397,8 @@ def test_decode_bit_identical_to_row_major_reference(code_name, p, seed):
     assert len(seen) == out.iterations
     for beliefs, expected in zip(seen, reference, strict=True):
         assert beliefs.shape == (code.n_sent, 4)
-        assert np.array_equal(beliefs, expected)
+        assert np.array_equal(hard_decision(beliefs), hard_decision(expected))
+        assert np.allclose(beliefs, expected, rtol=0, atol=1e-9)
     assert np.array_equal(out.error, hard_decision(reference[-1]))
 
 
@@ -438,7 +454,7 @@ def test_lanes_with_refill_match_decode(width):
         while pending and lanes.busy < width:
             index = pending.pop(0)
             pri, target, cap = jobs[index]
-            lanes.load(index, normalized_priors(pri), target, cap)
+            lanes.load(index, log_priors(pri), target, cap)
         for index, outcome in lanes.step():
             got[index] = outcome
     assert any(o.converged for o in got.values())
@@ -476,7 +492,7 @@ def test_lanes_loaded_together_are_laid_out_once(monkeypatch, k):
     got = {}
     for index in range(k):
         pri, target, cap = jobs[index]
-        lanes.load(index, normalized_priors(pri), target, cap)
+        lanes.load(index, log_priors(pri), target, cap)
     assert relayouts == [] and lanes.busy == k
     got.update(lanes.step(halt=False))
     assert relayouts == [k]
@@ -485,7 +501,7 @@ def test_lanes_loaded_together_are_laid_out_once(monkeypatch, k):
     before = len(relayouts)
     for index in range(k, 2 * k):
         pri, target, cap = jobs[index]
-        lanes.load(index, normalized_priors(pri), target, cap)
+        lanes.load(index, log_priors(pri), target, cap)
     got.update(lanes.step(halt=False))
     # finished lanes still in the layout are refilled in place
     assert len(relayouts) - before <= 1 and lanes._layout == k
@@ -524,7 +540,7 @@ def test_held_jobs_fill_non_contiguous_holes_in_place(monkeypatch):
     lanes = Lanes(graph, 6)
     for index in range(6):
         pri, target, cap = jobs[index]
-        lanes.load(index, normalized_priors(pri), target, cap)
+        lanes.load(index, log_priors(pri), target, cap)
     got = {}
     for _ in range(3):
         got.update(lanes.step(halt=False))
@@ -532,7 +548,7 @@ def test_held_jobs_fill_non_contiguous_holes_in_place(monkeypatch):
     assert lanes.jobs == [None, 1, None, 3, 4, None]
     for index in range(6, 9):
         pri, target, cap = jobs[index]
-        lanes.load(index, normalized_priors(pri), target, cap)
+        lanes.load(index, log_priors(pri), target, cap)
     got.update(lanes.step(halt=False))
     assert relayouts == [6] and lanes._layout == 6
     assert lanes.jobs == [6, 1, 7, 3, 4, 8]
@@ -553,8 +569,8 @@ def test_lane_on_unreachable_syndrome_runs_to_its_cap():
     graph = TannerGraph(code)
     pri = channel_priors(DepolarizingChannel(0.1), 2)
     lanes = Lanes(graph, 2)
-    lanes.load("reachable", normalized_priors(pri), np.array([1, 1]), 10)
-    lanes.load("unreachable", normalized_priors(pri), np.array([1, -1]), 7)
+    lanes.load("reachable", log_priors(pri), np.array([1, 1]), 10)
+    lanes.load("unreachable", log_priors(pri), np.array([1, -1]), 7)
     finished = {}
     while lanes.busy:
         finished.update(lanes.step())
