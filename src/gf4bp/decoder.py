@@ -43,8 +43,18 @@ The iteration is slot-major.  Messages live in a (check slot, check)
 layout, per-qubit values in (symbol, qubit) rows; one table gathers each
 check cell's Lambda_q / 2, another each qubit's gammas by entry.  Products
 over slots are prefix times suffix folds and sums over slots left folds, so
-each step is a short loop of whole-row numpy operations.  The syndrome test
-XORs each check's anticommutation bits over its slots.
+each step is a short loop of whole-row numpy operations.
+
+The hard decision is a tournament over the four L rows: X beats I iff
+L_X > L_I, Y beats Z iff L_Y > L_Z, and the {Z, Y} winner beats the {I, X}
+winner iff it is strictly greater, which is the first maximum in I, X, Z, Y
+order.  It is kept as the decided symbols' Z bits and X bits (gf4's
+encoding: low bit X part, high bit Z part).  A symbol anticommutes with an
+X entry iff its Z bit is set, with a Z entry iff its X bit is set and with a
+Y entry iff exactly one is set, so the bool rows [Z bits | X bits | XOR |
+a zero pad row] sit where the message gather reads Lambda_q / 2 of an
+(entry, qubit), and one take through that gather and one XOR over each
+check's slots give every check's parity.
 
 Decoding jobs run as lanes of one kernel (Lanes): every array carries a
 trailing lane axis, each lane has its own iteration count and cap and stops
@@ -58,6 +68,7 @@ width 1.
 import math
 import weakref
 from dataclasses import dataclass
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -66,6 +77,17 @@ from . import gf4
 from .stabilizer import ANTICOMMUTES, StabilizerCode
 
 MSG_FLOOR = 1e-30
+
+# the check product's clip: the doubles next to -1 and +1
+_TH_MAX = np.nextafter(1.0, 0.0)
+_TH_MIN = -_TH_MAX
+
+# The bit each entry reads of a symbol e (Z bit e >> 1, X bit e & 1): X
+# entries the Z bit, Z entries the X bit, Y entries their XOR; it must agree
+# with the one commutation table.
+_E = np.arange(4)
+if not np.array_equal(ANTICOMMUTES[1:], [_E >> 1, _E & 1, (_E >> 1) ^ (_E & 1)]):
+    raise AssertionError("the anticommutation bit rows disagree with ANTICOMMUTES")
 
 #: Workspace bytes for the lanes of one process; the lane count is this
 #: divided by a lane's workspace (Lanes.lane_bytes), and at least 1.
@@ -146,7 +168,8 @@ class TannerGraph:
         pad_cell = self.check_slots.size
         edge_cell = check_slot * n_checks + self.edge_check
         # each check cell's Lambda_q / 2 from the (entry - 1, qubit) rows,
-        # a pad cell from the +inf cell past them
+        # a pad cell from the +inf cell past them; the syndrome test reads
+        # the anticommutation bit rows through it too, a pad cell a 0
         self._message_gather = np.append(
             (self.edge_entry - 1) * n + self.edge_qubit, 3 * n
         )[self.check_slots]
@@ -160,11 +183,6 @@ class TannerGraph:
             tables.append(np.append(edge_cell[edges], pad_cell)[np.vstack([table, pad])])
             self._entry_rows.append(self._entry_rows[-1] + len(tables[-1]))
         self._gamma_gather = np.concatenate(tables)
-        # anticommutation bits of each check cell, from the (entry, qubit)
-        # table of an error's bits; a pad cell reads entry I, whose bits are 0
-        self._check_bits = (
-            np.append(self.edge_entry, 0) * n + np.append(self.edge_qubit, 0)
-        )[self.check_slots]
         self._decode_lanes = None  # decode's width-1 Lanes, made on first use
 
     def check_qubits(self, check: int) -> np.ndarray:
@@ -177,12 +195,15 @@ class TannerGraph:
         return self.edge_entry[lo:hi]
 
     def parities(self, e_values: np.ndarray) -> np.ndarray:
-        """Anticommutation parity (0/1) with every check of errors e_values,
-        shaped (n_qubits,) or (n_qubits, lanes): the XOR over the check's
-        slots of its edges' bits, 0 on a check without sender entries."""
-        bits = ANTICOMMUTES.take(e_values, axis=1)
-        bits = bits.reshape((-1,) + e_values.shape[1:]).take(self._check_bits, axis=0)
-        return np.bitwise_xor.reduce(bits, axis=0)
+        """Anticommutation parity (bool) with every check of errors
+        e_values, shaped (n_qubits,) or (n_qubits, lanes): the XOR over the
+        check's slots of its edges' bits, read from the bit rows that
+        Lanes.step reads for its hard decision, 0 on a check without sender
+        entries."""
+        e = np.asarray(e_values)
+        rows = np.zeros((3 * self.n_qubits + 1,) + e.shape[1:], dtype=bool)
+        rows[:-1] = ANTICOMMUTES[1:].take(e, axis=1).reshape(rows[:-1].shape)
+        return np.bitwise_xor.reduce(rows.take(self._message_gather, axis=0), axis=0)
 
     def syndrome_signs(self, e_values: np.ndarray) -> np.ndarray:
         """Syndrome (+1/-1 per check) of an error on the transmitted qubits."""
@@ -220,19 +241,11 @@ class DecodeOutcome:
         return gf4.values_to_pauli(self.error)
 
 
-def hard_decision(beliefs: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Argmax over the symbol axis with deterministic tie-break in the order
-    I, X, Z, Y."""
-    return beliefs.argmax(axis=axis).astype(np.uint8)
-
-
 def _qubit_messages(v) -> None:
     """Lambda_q / 2 for every (entry, qubit), into v.half, from the
     (symbol, qubit, lanes) log-beliefs v.bel."""
     bel, top, x = v.bel, v.total, v.exp
-    np.maximum(bel[0], bel[1], out=top)
-    np.maximum(top, bel[2], out=top)
-    np.maximum(top, bel[3], out=top)
+    np.maximum.reduce(bel, axis=0, out=top)
     np.subtract(bel, top, out=x)
     np.exp(x, out=x)
     np.maximum(x, MSG_FLOOR, out=x)
@@ -256,8 +269,8 @@ def _check_messages(graph: TannerGraph, v) -> None:
     np.tanh(th, out=th)
     _run(np.multiply, v.check_products)  # cpref[0] holds s_c
     np.multiply(v.cpref_excl, v.csuf, out=th)
-    np.minimum(th, np.nextafter(1.0, 0.0), out=th)
-    np.maximum(th, np.nextafter(-1.0, 0.0), out=th)
+    np.minimum(th, _TH_MAX, out=th)
+    np.maximum(th, _TH_MIN, out=th)
     np.arctanh(th, out=v.gamma_cells)
 
 
@@ -274,30 +287,59 @@ def _beliefs(graph: TannerGraph, v) -> None:
     np.add(bel[1:], v.lp[1:], out=bel[1:])
 
 
+def _decision_ops(bel: np.ndarray, top: np.ndarray, rows: np.ndarray) -> list:
+    """The calls, in order, that write the anticommutation bit rows of the
+    hard decision of the log-beliefs bel (4, qubits, ...) into the bool rows
+    (3, qubits, ...): its Z bits, its X bits and their XOR.  The decision is
+    argmax's first maximum in I, X, Z, Y order; top is (2, qubits, ...)
+    float scratch."""
+    even, odd = bel[0::2], bel[1::2]  # (I, Z) and (X, Y)
+    # positional out= where numpy allows it: partial's keywords cost a call
+    return [
+        partial(np.maximum, even, odd, out=top),  # the {I, X} and {Z, Y} maxima
+        partial(np.greater, top[1], top[0], rows[0]),  # the {Z, Y} winner wins
+        partial(np.greater, odd, even, rows[1:]),  # X beats I, Y beats Z
+        partial(np.copyto, rows[1], rows[2], "same_kind", rows[0]),  # Y's where Z bit
+        partial(np.not_equal, rows[0], rows[1], rows[2]),
+    ]
+
+
+def _mismatches(v) -> np.ndarray:
+    """Per lane, whether any check's parity under the hard decision of
+    v.bel differs from the target's (bool, (lanes,))."""
+    for op in v.syndrome_test:
+        op()
+    # the last slot holds the target parity, so the XOR is the mismatch
+    return np.logical_or.reduce(np.bitwise_xor.reduce(v.slot_bits, axis=0), axis=0)
+
+
 def _lane_shapes(graph: TannerGraph) -> dict:
-    """Per-lane float64 workspace shapes; the lane axis is appended last.
+    """Per-lane workspace (shape, dtype)s; the lane axis is appended last.
     The _KEPT ones carry a job from one iteration to the next, the others
     are scratch."""
     n, n_checks = graph.n_qubits, graph.n_checks
     check_slots = graph.check_slots.shape[0]
+    real, bit = np.float64, np.bool_
     return {
-        "lp": (4, n),
-        "bel": (4, n),
-        "gamma": (graph.check_slots.size + 1,),
-        "target_parity": (n_checks,),
-        "cpref": (check_slots + 1, n_checks),
-        "csuf": (check_slots, n_checks),
-        "th": (check_slots, n_checks),
-        "half": (3 * n + 1,),
-        "qg": (len(graph._gamma_gather), n),
-        "s": (3, n),
-        "total": (n,),
-        "exp": (4, n),
-        "anti": (3, n),
+        "lp": ((4, n), real),
+        "bel": ((4, n), real),
+        "gamma": ((graph.check_slots.size + 1,), real),
+        "cpref": ((check_slots + 1, n_checks), real),
+        "csuf": ((check_slots, n_checks), real),
+        "th": ((check_slots, n_checks), real),
+        "half": ((3 * n + 1,), real),
+        "qg": ((len(graph._gamma_gather), n), real),
+        "s": ((3, n), real),
+        "total": ((n,), real),
+        "exp": ((4, n), real),
+        "anti": ((3, n), real),
+        "bits": ((3 * n + 1,), bit),
+        "slot_bits": ((check_slots + 1, n_checks), bit),
     }
 
 
-# moved when lanes are repacked; sigma, the target signs, is cpref[0]
+# moved when lanes are repacked; sigma, the target signs, is cpref[0], and
+# target_parity is slot_bits[-1]
 _KEPT = ("lp", "bel", "gamma", "sigma", "target_parity")
 
 
@@ -324,8 +366,8 @@ class Lanes:
         self.width = width
         self._shapes = _lane_shapes(graph)
         self._flat = {
-            name: np.empty(width * math.prod(shape))
-            for name, shape in self._shapes.items()
+            name: np.empty(width * math.prod(shape), dtype=dtype)
+            for name, (shape, dtype) in self._shapes.items()
         }
         self._views = {}
         self._layout = 0
@@ -338,7 +380,10 @@ class Lanes:
     @staticmethod
     def lane_bytes(graph: TannerGraph) -> int:
         """Workspace bytes per lane."""
-        return 8 * sum(math.prod(shape) for shape in _lane_shapes(graph).values())
+        return sum(
+            math.prod(shape) * np.dtype(dtype).itemsize
+            for shape, dtype in _lane_shapes(graph).values()
+        )
 
     def _view(self, lanes: int):
         """The workspace for `lanes` lanes, with every view and op list the
@@ -350,10 +395,21 @@ class Lanes:
                     name: self._flat[name][: math.prod(shape) * lanes].reshape(
                         shape + (lanes,)
                     )
-                    for name, shape in self._shapes.items()
+                    for name, (shape, _) in self._shapes.items()
                 }
             )
             view.sigma = view.cpref[0]
+            view.target_parity = view.slot_bits[-1]
+            bit_rows = view.bits[:-1].reshape((3,) + view.s.shape[1:])
+            view.decided = bit_rows[:2].view(np.uint8)  # Z and X bits
+            # the decision's bit rows (exp is free after _beliefs), then each
+            # check cell's bit (axis 0, mode "clip" as in _check_messages)
+            view.syndrome_test = _decision_ops(view.bel, view.exp[:2], bit_rows) + [
+                partial(
+                    view.bits.take, self.graph._message_gather, 0,
+                    view.slot_bits[:-1], "clip",
+                )
+            ]
             view.cpref_excl = view.cpref[:-1]
             view.gamma_cells = view.gamma[:-1].reshape(view.th.shape)
             view.half_entries = view.half[:-1].reshape(view.s.shape)
@@ -374,6 +430,7 @@ class Lanes:
         lanes = self._layout = n_kept + len(self._held)
         view = self._view(lanes)
         view.half[-1] = np.inf  # pad cells: tanh(+inf) = 1
+        view.bits[-1] = False  # and anticommutation bit 0
         view.csuf[-1:] = 1.0  # the empty product
         for name, values in kept.items():
             getattr(view, name)[..., :n_kept] = values
@@ -427,15 +484,17 @@ class Lanes:
         _qubit_messages(view)
         _check_messages(graph, view)
         _beliefs(graph, view)
-        e_hat = hard_decision(view.bel, axis=0)
-        matched = np.logical_and.reduce(graph.parities(e_hat) == view.target_parity)
+        mismatched = _mismatches(view)
+        z_bits, x_bits = view.decided
         finished = []
-        for lane, match in enumerate(matched.tolist()):
+        for lane, mismatch in enumerate(mismatched.tolist()):
             self.iterations[lane] += 1
-            if (halt and match) or self.iterations[lane] >= self.caps[lane]:
+            if (halt and not mismatch) or self.iterations[lane] >= self.caps[lane]:
+                error = z_bits[:, lane] << 1  # gf4 value, X bit + 2 * Z bit
+                error |= x_bits[:, lane]
                 outcome = DecodeOutcome(
-                    error=e_hat[:, lane].copy(),
-                    converged=match,
+                    error=error,
+                    converged=not mismatch,
                     iterations=self.iterations[lane],
                 )
                 finished.append((self.jobs[lane], outcome))
@@ -474,14 +533,15 @@ def decode(
 ) -> DecodeOutcome:
     """Run flooding sum-product decoding against a target syndrome.
 
-    priors has shape (n_sent, 4).  Stops as soon as the hard decision's
-    syndrome matches the target (unless halt=False, which always runs
-    max_iter iterations); non-convergence is a normal outcome, reported in
-    the converged flag, and the returned error is then the hard decision of
-    the last iteration run.  on_iteration(t, beliefs), if given, is called
-    once per iteration with freshly allocated belief arrays.  Without a
-    graph, the code object's cached graph (tanner_graph) is used.  This is
-    one job on the lane kernel at width 1.
+    priors has shape (n_sent, 4), each qubit's finite, nonnegative and not
+    all zero (ValueError naming the qubit otherwise).  Stops as soon as the
+    hard decision's syndrome matches the target (unless halt=False, which
+    always runs max_iter iterations); non-convergence is a normal outcome,
+    reported in the converged flag, and the returned error is then the hard
+    decision of the last iteration run.  on_iteration(t, beliefs), if
+    given, is called once per iteration with freshly allocated belief
+    arrays.  Without a graph, the code object's cached graph (tanner_graph)
+    is used.  This is one job on the lane kernel at width 1.
     """
     if graph is None:
         graph = tanner_graph(code)
@@ -498,6 +558,14 @@ def decode(
     if pri.shape != (graph.n_qubits, 4):
         raise ValueError(
             f"priors shape {pri.shape} does not match ({graph.n_qubits}, 4)"
+        )
+    bad = ~np.isfinite(pri).all(axis=1) | (pri < 0).any(axis=1)
+    bad |= pri.sum(axis=1) <= 0
+    if bad.any():
+        q = int(np.argmax(bad))
+        raise ValueError(
+            f"priors of qubit {q} are {pri[q].tolist()}; they must be finite, "
+            "nonnegative and not all zero"
         )
     lanes = graph._decode_lanes
     if lanes is None or lanes.busy:  # first use, or a decode inside on_iteration

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decoder import DecodeOutcome, TannerGraph, decode, tanner_graph
-from .stabilizer import StabilizerCode
+from .stabilizer import StabilizerCode, symplectic_products
 
 STRATEGIES = ("standard", "pc08", "enhanced")
 
@@ -121,6 +121,12 @@ def pc08_perturb(prior, delta: float, rng: np.random.Generator) -> np.ndarray:
     out = np.array(prior, dtype=float)
     out[..., 1:] *= 1.0 + delta * rng.random(out.shape[:-1] + (3,))
     return out / out.sum(axis=-1, keepdims=True)
+
+
+def check_sign(graph: TannerGraph, check: int, error) -> int:
+    """The syndrome sign (+1/-1) of one check on an error of the sent qubits."""
+    on_check = np.asarray(error)[graph.check_qubits(check)]
+    return 1 - 2 * int(symplectic_products(on_check, graph.check_entries(check)))
 
 
 def check_slot(graph: TannerGraph, check: int, qubit: int) -> int:
@@ -221,7 +227,7 @@ class FeedbackRun:
             if self.e_out is None:
                 raise ValueError("enhanced rounds need the current decoder output")
             entry = int(graph.check_entries(check)[slot])
-            sc_dot = int(graph.syndrome_signs(self.e_out)[check])
+            sc_dot = check_sign(graph, check, self.e_out)
             touched = np.array([qubit])
             applied = enhanced_reset(
                 entry, int(self.target[check]), sc_dot, float(self.priors[qubit, 0])
@@ -243,7 +249,7 @@ class FeedbackRun:
         check, (qubit, touched, applied) = self.check, self._round
         if outcome.converged:
             verdict = "converged"
-        elif self.graph.syndrome_signs(outcome.error)[check] != self.target[check]:
+        elif check_sign(self.graph, check, outcome.error) != self.target[check]:
             verdict = "restored"
         else:
             verdict = "check_satisfied"

@@ -571,9 +571,17 @@ def trace_run(
     Either an error (Pauli string on the sent qubits) or a target syndrome
     must be given.  For pc08/enhanced, a (check, qubit) pair pins the single
     feedback round to adjust; without it the full feedback loop runs with
-    seeded random choices.  Returns (rows, outcome) where each row is
-    (iteration, qubit, belief 4-vector), iterations counted across rounds.
+    seeded random choices.  A check without a qubit, a qubit without a
+    check, or a pin under standard is a ValueError.  Returns (rows, outcome)
+    where each row is (iteration, qubit, belief 4-vector), iterations
+    counted across rounds.
     """
+    if (check is None) != (qubit is None):
+        raise ValueError("a pinned round needs both check and qubit")
+    if strategy == "standard" and check is not None:
+        raise ValueError(
+            "standard BP has no feedback round to pin with check and qubit"
+        )
     graph = tanner_graph(code)
     chan = DepolarizingChannel(p)
     pri = channel_priors(chan, code.n_sent)
@@ -612,8 +620,6 @@ def trace_run(
         )
         return rows, outcome
 
-    if qubit is None:
-        raise ValueError("a pinned round needs both check and qubit")
     check_slot(graph, check, qubit)
     first = decode(
         code, target, pri, max_iter=max_iter, graph=graph, on_iteration=record

@@ -21,6 +21,12 @@ def pauli_commutation_sign(u, v) -> int:
     return 1 if anticommute % 2 == 0 else -1
 
 
+def hard_decision(beliefs: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Argmax over the symbol axis with deterministic tie-break in the order
+    I, X, Z, Y."""
+    return beliefs.argmax(axis=axis).astype(np.uint8)
+
+
 def all_error_patterns(n: int) -> np.ndarray:
     """All 4^n GF(4) vectors of length n (rows)."""
     grids = np.meshgrid(*([np.arange(4)] * n), indexing="ij")

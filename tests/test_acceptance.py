@@ -12,7 +12,7 @@ import pytest
 
 from gf4bp import gf4
 from gf4bp.channel import DepolarizingChannel, priors as channel_priors, substream
-from gf4bp.decoder import decode, hard_decision
+from gf4bp.decoder import decode
 from gf4bp.feedback import FeedbackConfig, feedback_round
 from gf4bp.sim import ExperimentSpec, format_csv, run_experiment
 from gf4bp.stabilizer import (
@@ -30,6 +30,7 @@ from oracles import (
     enumerate_group,
     exact_marginals,
     flooding_hard_decisions,
+    hard_decision,
     random_tree_code,
 )
 

@@ -264,12 +264,18 @@ def test_build_code_ea_reproduces_4_1_1(tmp_path):
           "--qubit", "1"], {}, "--check 9 out of range 1..4"),
         (["trace", "--strategy", "enhanced", "--error", "IIZX", "--check", "1",
           "--qubit", "9"], {}, "--qubit 9 is not on check 1, whose qubits are 1, 2, 3"),
+        # these used to run something else and exit 0
+        (["trace", "--strategy", "enhanced", "--error", "IIZX", "--qubit", "2"], {},
+         "a pinned round needs both check and qubit"),
+        (["trace", "--strategy", "standard", "--error", "IIZX", "--check", "1",
+          "--qubit", "2"], {}, "standard BP has no feedback round to pin"),
         (["build-code", "ea", "--alist", "bad.alist", "--out", "x.stab"],
          {"bad.alist": "4 2\n"}, "expected 10 lines for a 2 x 4 alist"),
     ],
     ids=["unknown-code", "bad-syndrome", "bad-first-row", "config-value", "keep-not-int",
          "keep-out-of-range", "keep-zero", "keep-negative", "keep-mixed",
-         "trace-check-out-of-range", "trace-qubit-not-on-check", "malformed-alist"],
+         "trace-check-out-of-range", "trace-qubit-not-on-check", "trace-qubit-alone",
+         "trace-pin-under-standard", "malformed-alist"],
 )
 def test_bad_inputs_fail(tmp_path, monkeypatch, args, files, message):
     monkeypatch.chdir(tmp_path)

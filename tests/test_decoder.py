@@ -11,8 +11,8 @@ from gf4bp.decoder import (
     Lanes,
     TannerGraph,
     _check_messages,
+    _decision_ops,
     decode,
-    hard_decision,
     log_priors,
     tanner_graph,
 )
@@ -30,6 +30,7 @@ from oracles import (
     check_update,
     compute_beliefs,
     exact_marginals,
+    hard_decision,
     klein_convolve,
     qubit_update,
     random_tree_code,
@@ -230,6 +231,38 @@ def test_hard_decision_tie_breaks():
     assert hard_decision(np.array([[0.1, 0.45, 0.45, 0.0]]))[0] == 1
 
 
+def test_decision_ops_match_argmax():
+    # every assignment of {-1, 0, 1, 2} to (L_I, L_X, L_Z, L_Y), then every
+    # assignment of {0.0, -0.0}, as lanes of one array and one lane at a time
+    grid = np.stack(np.meshgrid(*[[-1.0, 0.0, 1.0, 2.0]] * 4, indexing="ij"))
+    zeros = np.stack(np.meshgrid(*[[0.0, -0.0]] * 4, indexing="ij"))
+    bel = np.concatenate([grid.reshape(4, 1, -1), zeros.reshape(4, 1, -1)], axis=2)
+    assert bel.shape == (4, 1, 256 + 16)
+    want = hard_decision(bel, axis=0)
+    for lanes in [slice(None)] + [slice(k, k + 1) for k in range(bel.shape[2])]:
+        part = np.ascontiguousarray(bel[..., lanes])
+        rows = np.empty((3,) + part.shape[1:], dtype=bool)
+        for op in _decision_ops(part, np.empty((2,) + part.shape[1:]), rows):
+            op()
+        decided = 2 * rows[0].astype(np.uint8) + rows[1]
+        assert np.array_equal(decided, want[:, lanes])
+        # row k is the decision's anticommutation bit with entry k + 1
+        assert np.array_equal(rows, ANTICOMMUTES[1:, decided].astype(bool))
+
+
+@pytest.mark.parametrize(
+    "bad", [np.nan, -0.5, np.inf, 0.0], ids=["nan", "negative", "inf", "zero-total"]
+)
+def test_decode_rejects_bad_priors(code411, bad):
+    pri = channel_priors(DepolarizingChannel(0.1), 4)
+    if bad == 0.0:
+        pri[2] = 0.0
+    else:
+        pri[2, 1] = bad
+    with pytest.raises(ValueError, match="priors of qubit 2"):
+        decode(code411, [-1, 1, 1, 1], pri)
+
+
 def test_decode_zero_syndrome_converges_first_iteration(code411):
     pri = channel_priors(DepolarizingChannel(0.05), 4)
     out = decode(code411, [1, 1, 1, 1], pri, max_iter=90)
@@ -347,6 +380,7 @@ def test_decode_validates_inputs(code411):
 
 # First circulant row of the [[62,2]] Construction-B code of criterion 8.
 C62_ROW = [1 if i in (1, 5, 11, 24, 25, 27) else 0 for i in range(31)]
+N510_ROW = [1 if i in (8, 36, 118, 128, 190, 240) else 0 for i in range(255)]
 
 
 def _code_with_empty_check():
@@ -403,14 +437,22 @@ def test_decode_bit_identical_to_row_major_reference(code_name, p, seed):
 
 
 def test_syndrome_signs_match_counting_oracle():
-    code = construction_b(C62_ROW)
-    graph = TannerGraph(code)
+    # the [[62,2]] and n=510 Construction-B codes, and the Steane code, a CSS
+    # code whose checks have X and Z entries only
+    hamming = np.array(
+        [[1, 0, 1, 0, 1, 0, 1], [0, 1, 1, 0, 0, 1, 1], [0, 0, 0, 1, 1, 1, 1]],
+        dtype=np.uint8,
+    )
+    steane = StabilizerCode(np.vstack([hamming, 2 * hamming]), n_sent=7)
+    codes = [(construction_b(C62_ROW), 20), (construction_b(N510_ROW), 3), (steane, 20)]
     rng = np.random.default_rng(53)
-    for _ in range(20):
-        error = rng.integers(0, 4, size=code.n_sent).astype(np.uint8)
-        expected = syndrome_by_counting(code, error).tolist()
-        assert graph.syndrome_signs(error).tolist() == expected
-        assert syndrome(code, error).tolist() == expected
+    for code, n_errors in codes:
+        graph = TannerGraph(code)
+        for _ in range(n_errors):
+            error = rng.integers(0, 4, size=code.n_sent).astype(np.uint8)
+            expected = syndrome_by_counting(code, error).tolist()
+            assert graph.syndrome_signs(error).tolist() == expected
+            assert syndrome(code, error).tolist() == expected
 
 
 def test_check_on_ebit_columns_only():
