@@ -48,13 +48,18 @@ def parse_stabilizer_text(text: str) -> StabilizerCode:
             if n_ebits < 0:
                 raise HeaderFormatError(f"negative ebit count in {line!r}")
             continue
-        try:
-            rows.append(gf4.pauli_to_values(line))
-        except ValueError as exc:
-            raise FormatError(str(exc)) from None
+        rows.append(line)
     if not rows:
         raise FormatError("no generators found")
-    lengths = {row.size for row in rows}
+    try:
+        values = gf4.pauli_to_values("".join(rows))  # one table pass
+    except ValueError:
+        try:  # name the first row with a bad symbol
+            for line in rows:
+                gf4.pauli_to_values(line)
+        except ValueError as exc:
+            raise FormatError(str(exc)) from None
+    lengths = {len(line) for line in rows}
     if len(lengths) != 1:
         raise FormatError(f"generator rows have mixed lengths {sorted(lengths)}")
     n_total = lengths.pop()
@@ -64,7 +69,7 @@ def parse_stabilizer_text(text: str) -> StabilizerCode:
         )
     try:
         return StabilizerCode(
-            np.array(rows), n_sent=n_total - n_ebits, n_ebits=n_ebits
+            values.reshape(len(rows), n_total), n_sent=n_total - n_ebits, n_ebits=n_ebits
         )
     except NonCommutingRowsError:
         raise

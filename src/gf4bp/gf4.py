@@ -7,8 +7,8 @@ Under the Pauli identification
 
 the low bit of the encoding is the X part of the Pauli and the high bit is
 the Z part, so field addition (= phase-free Pauli multiplication) is bitwise
-XOR.  Multiplication uses a 16-entry table, cross-checked at import time
-against polynomial arithmetic modulo x^2 + x + 1.
+XOR.  Multiplication uses a 16-entry table; the test suite cross-checks it
+against polynomial arithmetic modulo x^2 + x + 1 (tests/oracles.py).
 
 Two single-qubit Paulis P, Q commute iff trace(P_hat * conj(Q_hat)) == 0;
 for n-qubit strings the criterion is the trace inner product of the symbol
@@ -24,13 +24,15 @@ ZERO, ONE, OMEGA, OMEGA_BAR = 0, 1, 2, 3
 #: Pauli symbol for each GF(4) value (index == value).
 PAULI_ORDER = "IXZY"
 
-PAULI_TO_VALUE = {symbol: value for value, symbol in enumerate(PAULI_ORDER)}
-
 _PAULI_BYTES = np.frombuffer(PAULI_ORDER.encode("ascii"), dtype=np.uint8)
 
 # The Pauli byte of every uint8 value; 0 marks a value outside 0..3.
 _PAULI_OF_BYTE = np.zeros(256, dtype=np.uint8)
 _PAULI_OF_BYTE[:4] = _PAULI_BYTES
+
+# The GF(4) value of every Latin-1 byte; 4 marks a byte that is not a Pauli symbol.
+_VALUE_OF_BYTE = np.full(256, 4, dtype=np.uint8)
+_VALUE_OF_BYTE[_PAULI_BYTES] = np.arange(4)
 
 MUL_TABLE = np.array(
     [
@@ -47,21 +49,6 @@ CONJ_TABLE = np.array([0, 1, 3, 2], dtype=np.uint8)
 
 #: Trace onto GF(2): 0 on {0, 1}, 1 on {omega, omega_bar}.
 TRACE_TABLE = np.array([0, 0, 1, 1], dtype=np.uint8)
-
-
-def _poly_mul(a: int, b: int) -> int:
-    # GF(4) as GF(2)[x] / (x^2 + x + 1) with value = c0 + 2*c1.
-    a0, a1 = a & 1, a >> 1
-    b0, b1 = b & 1, b >> 1
-    c0 = (a0 & b0) ^ (a1 & b1)
-    c1 = (a0 & b1) ^ (a1 & b0) ^ (a1 & b1)
-    return c0 + 2 * c1
-
-
-# Build-time validation of the lookup table against the polynomial field.
-assert all(
-    MUL_TABLE[a, b] == _poly_mul(a, b) for a in range(4) for b in range(4)
-), "GF(4) multiplication table is inconsistent"
 
 
 def add(a, b):
@@ -86,10 +73,12 @@ def trace(a):
 
 def pauli_to_values(pauli: str) -> np.ndarray:
     """Convert a Pauli string over {I, X, Z, Y} to GF(4) values."""
-    try:
-        return np.array([PAULI_TO_VALUE[symbol] for symbol in pauli], dtype=np.uint8)
-    except KeyError as exc:
-        raise ValueError(f"invalid Pauli symbol {exc.args[0]!r} in {pauli!r}") from None
+    # one byte per symbol ("?" if outside Latin-1), then each byte's value
+    values = pauli.encode("latin-1", "replace").translate(_VALUE_OF_BYTE)
+    bad = values.find(4)
+    if bad >= 0:
+        raise ValueError(f"invalid Pauli symbol {pauli[bad]!r} in {pauli!r}")
+    return np.frombuffer(bytearray(values), dtype=np.uint8)
 
 
 def values_to_pauli(values) -> str:

@@ -17,10 +17,9 @@ in spec order, so outputs do not depend on the lane width, the batch size or
 the worker count.
 """
 
-import json
 import math
+import sys
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -62,6 +61,15 @@ _STREAM_CHANNEL = 0
 _STREAM_DECODER = 1
 
 BUILTIN_CODES = {"4_1_1": build_code_4_1_1}
+
+
+def __getattr__(name):
+    """ProcessPoolExecutor, imported on first use (PEP 562): serial runs skip it."""
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def load_code(source) -> StabilizerCode:
@@ -480,7 +488,8 @@ def run_experiment(spec: ExperimentSpec, jsonl_path=None):
     if spec.workers == 1:
         chunk_results = [_run_blocks(task) for task in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=spec.workers) as pool:
+        # through the module, where a replaced ProcessPoolExecutor is found
+        with sys.modules[__name__].ProcessPoolExecutor(max_workers=spec.workers) as pool:
             chunk_results = list(pool.map(_run_blocks, tasks))
 
     # Chunks come back in block order, so each cell fills in block order.
@@ -526,6 +535,8 @@ def run_experiment(spec: ExperimentSpec, jsonl_path=None):
             )
 
     if jsonl_path is not None:
+        import json
+
         with open(jsonl_path, "w") as handle:
             for r in block_results:
                 handle.write(

@@ -126,12 +126,11 @@ class StabilizerCode:
         self._check_commutation()
 
     def _check_commutation(self):
-        anticommuting = syndrome(self, self.checks) < 0
-        if anticommuting.any():
-            i, j = np.argwhere(anticommuting)[0]
-            raise NonCommutingRowsError(
-                f"generators {i} and {j} anticommute"
-            )
+        words = _parity_words(self, self.checks)
+        if words.any():  # unpack only the first anticommuting row, to name the pair
+            i = np.flatnonzero(words.any(axis=1))[0]
+            j = np.flatnonzero(np.unpackbits(words[i].view(np.uint8), bitorder="little"))[0]
+            raise NonCommutingRowsError(f"generators {i} and {j} anticommute")
 
     @property
     def n_total(self) -> int:
@@ -161,11 +160,12 @@ class StabilizerCode:
         of its little-endian bytes, whether symbol s on column j
         anticommutes with check c."""
         n_words = -(-self.n_checks // 64)
-        bits = np.zeros((self.n_total, 4, 64 * n_words), dtype=np.uint8)
-        bits[..., : self.n_checks] = ANTICOMMUTES[
-            np.arange(4)[:, None, None], self.checks
-        ].transpose(2, 0, 1)
-        packed = np.packbits(bits, axis=-1, bitorder="little")
+        columns = self.checks.T.copy()  # C order: packbits is fastest along contiguous rows
+        x = np.packbits(columns & 1, axis=-1, bitorder="little")
+        z = np.packbits(columns >> 1, axis=-1, bitorder="little")
+        packed = np.zeros((self.n_total, 4, 8 * n_words), dtype=np.uint8)
+        # X anticommutes with Z and Y entries, Z with X and Y, Y with X and Z
+        packed[:, 1:, : x.shape[1]] = np.stack([z, x, x ^ z], axis=1)
         return packed.view(np.uint64).reshape(self.n_total * 4, n_words)
 
     def __getstate__(self):
@@ -197,23 +197,29 @@ def syndrome(code: StabilizerCode, error) -> np.ndarray:
         raise ValueError(
             f"error shape {values.shape} does not match {code.n_total} columns"
         )
-    columns = code._anticommutation_words
-    rows = values.reshape(-1, code.n_total)
-    words = np.zeros((len(rows), columns.shape[1]), dtype=np.uint64)
-    hit_rows, hit_cols = np.nonzero(rows)
-    if hit_rows.size:
-        # the first nonzero symbol of each row that has one
-        first = np.empty(hit_rows.size, dtype=bool)
-        first[0] = True
-        np.not_equal(hit_rows[1:], hit_rows[:-1], out=first[1:])
-        starts = np.flatnonzero(first)
-        words[hit_rows[starts]] = np.bitwise_xor.reduceat(
-            columns[hit_cols * 4 + rows[hit_rows, hit_cols]], starts, axis=0
-        )
+    words = _parity_words(code, values.reshape(-1, code.n_total))
     bits = np.unpackbits(
         words.view(np.uint8), axis=-1, count=code.n_checks, bitorder="little"
     )
     return _SIGNS.take(bits).reshape(values.shape[:-1] + (code.n_checks,))
+
+
+def _parity_words(code: StabilizerCode, rows: np.ndarray) -> np.ndarray:
+    """(B, words) uint64 parities of each error row, packed as the columns are."""
+    columns = code._anticommutation_words
+    words = np.zeros((len(rows), columns.shape[1]), dtype=np.uint64)
+    hits = np.flatnonzero(rows)
+    if hits.size:
+        hit_rows, hit_cols = np.divmod(hits, rows.shape[1])
+        # the first nonzero symbol of each row that has one
+        first = np.empty(hits.size, dtype=bool)
+        first[0] = True
+        np.not_equal(hit_rows[1:], hit_rows[:-1], out=first[1:])
+        starts = np.flatnonzero(first)
+        words[hit_rows[starts]] = np.bitwise_xor.reduceat(
+            columns[hit_cols * 4 + rows.ravel()[hits]], starts, axis=0
+        )
+    return words
 
 
 def quaternary_to_pauli(h: np.ndarray) -> np.ndarray:

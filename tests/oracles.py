@@ -21,6 +21,40 @@ def pauli_commutation_sign(u, v) -> int:
     return 1 if anticommute % 2 == 0 else -1
 
 
+def poly_mul(a: int, b: int) -> int:
+    """GF(4) product in GF(2)[x] / (x^2 + x + 1), with value = c0 + 2*c1."""
+    a0, a1 = a & 1, a >> 1
+    b0, b1 = b & 1, b >> 1
+    c0 = (a0 & b0) ^ (a1 & b1)
+    c1 = (a0 & b1) ^ (a1 & b0) ^ (a1 & b1)
+    return c0 + 2 * c1
+
+
+PAULI_TO_VALUE = {symbol: value for value, symbol in enumerate(gf4.PAULI_ORDER)}
+
+
+def pauli_values_by_symbol(pauli: str) -> np.ndarray:
+    """GF(4) values of a Pauli string, one symbol at a time (the library's
+    conversion before its byte table)."""
+    try:
+        return np.array([PAULI_TO_VALUE[symbol] for symbol in pauli], dtype=np.uint8)
+    except KeyError as exc:
+        raise ValueError(f"invalid Pauli symbol {exc.args[0]!r} in {pauli!r}") from None
+
+
+def anticommutation_words_by_cube(code: StabilizerCode) -> np.ndarray:
+    """The packed anticommutation columns built from a (columns, 4, checks)
+    byte cube of ANTICOMMUTES entries (the library's construction before it
+    packed bit planes of the check matrix)."""
+    n_words = -(-code.n_checks // 64)
+    bits = np.zeros((code.n_total, 4, 64 * n_words), dtype=np.uint8)
+    bits[..., : code.n_checks] = ANTICOMMUTES[
+        np.arange(4)[:, None, None], code.checks
+    ].transpose(2, 0, 1)
+    packed = np.packbits(bits, axis=-1, bitorder="little")
+    return packed.view(np.uint64).reshape(code.n_total * 4, n_words)
+
+
 def hard_decision(beliefs: np.ndarray, axis: int = -1) -> np.ndarray:
     """Argmax over the symbol axis with deterministic tie-break in the order
     I, X, Z, Y."""

@@ -55,6 +55,50 @@ def test_parse_stabilizer_errors():
         parse_stabilizer_text("XI\nZI\n")
 
 
+def test_parse_stabilizer_line_handling():
+    reference = build_code_4_1_1()
+    for text in (
+        "XZXIX\r\nXXIXZ\r\nYZZXI\r\nZXXYI\r\n!ebits=1\r\n",  # CRLF
+        "# worked example\r\n\r\nXZXIX  # first\n\tXXIXZ \nYZZXI\n! ebits = 1 \nZXXYI",
+        "!ebits=1\nXZXIX\nXXIXZ\nYZZXI\nZXXYI#no newline at the end",
+    ):
+        code = parse_stabilizer_text(text)
+        assert code.checks.tolist() == reference.checks.tolist()
+        assert code.checks.dtype == np.uint8 and code.checks.flags.writeable
+        assert (code.n_sent, code.n_ebits) == (4, 1)
+
+
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        ("", FormatError, "no generators found"),
+        ("# only\r\n\r\n", FormatError, "no generators found"),
+        ("XX\nXXX\n", FormatError, "generator rows have mixed lengths [2, 3]"),
+        ("XX\r\nXXX\r\nX\r\n", FormatError, "generator rows have mixed lengths [1, 2, 3]"),
+        # a bad symbol is reported before mixed lengths, on its first row
+        ("XX\nXQX\n", FormatError, "invalid Pauli symbol 'Q' in 'XQX'"),
+        ("XX\nXq\nQX\n", FormatError, "invalid Pauli symbol 'q' in 'Xq'"),
+        ("XI\nix\n", FormatError, "invalid Pauli symbol 'i' in 'ix'"),
+        ("XI\nX1\n", FormatError, "invalid Pauli symbol '1' in 'X1'"),
+        ("X X\n", FormatError, "invalid Pauli symbol ' ' in 'X X'"),
+        ("X\tX\n", FormatError, "invalid Pauli symbol '\\t' in 'X\\tX'"),
+        ("XéX\n", FormatError, "invalid Pauli symbol 'é' in 'XéX'"),
+        ("X→X\n", FormatError, "invalid Pauli symbol '→' in 'X→X'"),
+        ("XZ\r\nZQ\r\n", FormatError, "invalid Pauli symbol 'Q' in 'ZQ'"),
+        ("XX\n!ebits=\n", HeaderFormatError, "bad ebit count in '!ebits='"),
+        ("XX\n!ebits=-1\n", HeaderFormatError, "negative ebit count in '!ebits=-1'"),
+        ("XX\nZZ\n!ebits=2\n", HeaderFormatError,
+         "ebit count 2 must be smaller than row length 2"),
+        ("XI\nZI\n", NonCommutingRowsError, "generators 0 and 1 anticommute"),
+    ],
+)
+def test_parse_stabilizer_messages(text, error, message):
+    with pytest.raises(error) as raised:
+        parse_stabilizer_text(text)
+    assert type(raised.value) is error
+    assert str(raised.value) == message
+
+
 def test_stabilizer_round_trip():
     code = build_code_4_1_1()
     text = write_stabilizer_text(code)

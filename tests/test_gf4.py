@@ -4,6 +4,8 @@ import pytest
 from gf4bp import gf4
 from gf4bp.stabilizer import commutes
 
+from oracles import pauli_values_by_symbol, poly_mul
+
 O, I, W, WB = 0, 1, 2, 3  # 0, 1, omega, omega_bar
 
 ADDITION = {
@@ -29,6 +31,12 @@ def test_addition_table():
 def test_multiplication_table():
     for (a, b), want in MULTIPLICATION.items():
         assert gf4.mul(a, b) == want
+
+
+def test_multiplication_matches_polynomial_field():
+    for a in range(4):
+        for b in range(4):
+            assert gf4.MUL_TABLE[a, b] == poly_mul(a, b)
 
 
 def test_specific_entries():
@@ -132,3 +140,47 @@ def test_pauli_bijection():
 def test_pauli_invalid_symbol():
     with pytest.raises(ValueError):
         gf4.pauli_to_values("XQZ")
+    with pytest.raises(ValueError, match=r"^invalid Pauli symbol 'Q' in 'IXQI'$"):
+        gf4.pauli_to_values("IXQI")
+    with pytest.raises(ValueError, match=r"^invalid Pauli symbol '→' in 'I→'$"):
+        gf4.pauli_to_values("I→")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",
+        "IXZY",
+        "YYZZXXII",
+        "IxZY",  # lowercase
+        "IX1Y",  # digit
+        "IX ZY",  # inner space
+        "IX\tZY",  # inner tab
+        "IXé",  # Latin-1, not ASCII
+        "IX→Z",  # outside Latin-1
+        "→",
+        "XZ?",  # the byte a non-Latin-1 symbol is encoded as
+        "XQZQ",  # the first bad symbol is named
+        "IXZY\n",
+    ],
+)
+def test_pauli_to_values_matches_per_symbol_conversion(text):
+    try:
+        expected = pauli_values_by_symbol(text)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            gf4.pauli_to_values(text)
+        assert str(raised.value) == str(exc)
+        return
+    got = gf4.pauli_to_values(text)
+    assert got.dtype == np.uint8 and got.shape == expected.shape
+    assert np.array_equal(got, expected)
+    got[:] = 0  # a fresh, writable array
+
+
+def test_pauli_round_trip_random_strings():
+    rng = np.random.default_rng(14)
+    for length in (0, 1, 7, 64, 1000):
+        for _ in range(5):
+            text = "".join(rng.choice(list(gf4.PAULI_ORDER), size=length))
+            assert gf4.values_to_pauli(gf4.pauli_to_values(text)) == text

@@ -1,14 +1,20 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import gf4bp
 from gf4bp import sim
 from gf4bp.cli import main
 from gf4bp.decoder import DecodeOutcome
+from gf4bp.formats import write_stabilizer_text
 from gf4bp.sim import (
     CSV_HEADER,
     ExperimentSpec,
@@ -608,3 +614,45 @@ def test_quiet_blocks_cost_one_bp_run(code62, monkeypatch):
     monkeypatch.setattr(sim, "lane_width", lambda graph: 1)
     run_experiment(spec)
     assert len(loads) == len(set(syndromes)) == 37
+
+
+STARTUP_SCRIPT = """
+import sys
+from dataclasses import replace
+
+import gf4bp
+
+code_path, out_dir = sys.argv[1:3]
+gf4bp.TannerGraph(gf4bp.load_code(code_path))
+machinery = ("concurrent.futures", "multiprocessing", "json")
+print(" ".join(name for name in machinery if name in sys.modules))
+spec = gf4bp.ExperimentSpec(
+    code=code_path, p_values=(0.03, 0.06), strategies=("standard", "pc08", "enhanced"),
+    blocks=40, seed=5,
+)
+runs = []
+for workers in (1, 2):
+    path = f"{out_dir}/workers{workers}.jsonl"
+    stats, blocks = gf4bp.run_experiment(replace(spec, workers=workers), jsonl_path=path)
+    with open(path, "rb") as handle:
+        runs.append((stats, blocks, handle.read()))
+print(runs[0] == runs[1], len(runs[0][2]) > 0, isinstance(gf4bp.sim.ProcessPoolExecutor, type))
+"""
+
+
+def test_startup_loads_no_pool_or_json(code62, tmp_path):
+    # In a fresh interpreter, set-up (import, load a stabilizer file, build its
+    # graph) leaves the pool and JSON machinery unloaded; a pooled run with a
+    # JSONL log then loads them on first use and equals the serial run.
+    code_path = tmp_path / "c62.stab"
+    code_path.write_text(write_stabilizer_text(code62))
+    env = dict(os.environ, PYTHONPATH=str(Path(gf4bp.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", STARTUP_SCRIPT, str(code_path), str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    loaded, compared = done.stdout.split("\n")[:2]
+    assert loaded == ""
+    assert compared == "True True True"
+    assert not hasattr(sim, "NoSuchAttribute")

@@ -2,9 +2,13 @@ import pickle
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from gf4bp import gf4
+from gf4bp.cli import main
+from gf4bp.formats import parse_stabilizer_text, write_alist
 from gf4bp.stabilizer import (
+    ANTICOMMUTES,
     NonCommutingRowsError,
     StabilizerCode,
     build_code_4_1_1,
@@ -19,6 +23,7 @@ from gf4bp.stabilizer import (
 )
 
 from oracles import (
+    anticommutation_words_by_cube,
     enumerate_group,
     pauli_commutation_sign,
     syndrome_by_counting,
@@ -396,6 +401,39 @@ def test_noncommuting_rows_rejected():
             )
 
 
+def _first_anticommuting_pair(checks):
+    """(i, j) of the first -1 in row-major order of the full sign matrix."""
+    signs = np.bitwise_xor.reduce(ANTICOMMUTES[checks[:, None, :], checks[None]], axis=-1)
+    return tuple(int(k) for k in np.argwhere(signs)[0])
+
+
+X, Z, Y = gf4.ONE, gf4.OMEGA, gf4.OMEGA_BAR
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {66: {67: X}},  # both rows in the second packed word
+        {3: {65: X}},  # the partner in the second word
+        {64: {70: X}},  # the last row, in a partly filled last word
+        {70: {69: Y, 0: Z}, 2: {1: Z}},  # commuting changes before the first pair
+    ],
+)
+def test_noncommuting_rows_past_the_first_word(changes):
+    # Z on qubit k, one row per qubit, all commute; each change rewrites a row
+    n = 71
+    checks = np.zeros((n, n), dtype=np.uint8)
+    checks[np.arange(n), np.arange(n)] = Z
+    for row, symbols in changes.items():
+        checks[row] = 0
+        for qubit, symbol in symbols.items():
+            checks[row, qubit] = symbol
+    i, j = _first_anticommuting_pair(checks)
+    assert j >= 64
+    with pytest.raises(NonCommutingRowsError, match=rf"^generators {i} and {j} anticommute$"):
+        StabilizerCode(checks, n_sent=n)
+
+
 def test_zero_row_rejected():
     with pytest.raises(ValueError):
         StabilizerCode(np.array([[1, 0], [0, 0]], dtype=np.uint8), n_sent=2)
@@ -424,3 +462,38 @@ def test_pickle_keeps_only_the_defining_fields(code):
     ] == expected
     assert any(member for _, member in expected)
     assert (clone.rank, clone.logical_k) == cached
+
+
+def _ea_code(tmp_path):
+    """A [[9, k; c]] EA code from `gf4bp build-code ea` on a random [9, 4]
+    quaternary check matrix."""
+    rng = np.random.default_rng(62)
+    h = rng.integers(0, 4, size=(5, 9)).astype(np.uint8)
+    h[h.any(axis=1) == 0, 0] = 1
+    alist = tmp_path / "classical.alist"
+    alist.write_text(write_alist(h))
+    out = tmp_path / "ea.stab"
+    result = CliRunner().invoke(
+        main, ["build-code", "ea", "--alist", str(alist), "--out", str(out)]
+    )
+    assert result.exit_code == 0, result.output
+    return parse_stabilizer_text(out.read_text())
+
+
+@pytest.mark.parametrize("name", ["4_1_1", "c62", "n510", "ea", "unpickled"])
+def test_anticommutation_words_match_byte_cube(name, tmp_path):
+    code = {
+        "4_1_1": build_code_4_1_1,
+        "c62": lambda: construction_b(C62_ROW),
+        "n510": lambda: construction_b(N510_ROW),
+        "ea": lambda: _ea_code(tmp_path),
+        "unpickled": lambda: pickle.loads(pickle.dumps(construction_b(C62_ROW))),
+    }[name]()
+    if name == "ea":
+        assert code.n_ebits >= 2
+    if name == "unpickled":
+        assert "_anticommutation_words" not in vars(code)
+    words = code._anticommutation_words
+    expected = anticommutation_words_by_cube(code)
+    assert words.dtype == np.uint64 and words.shape == expected.shape
+    assert np.array_equal(words, expected)
