@@ -194,21 +194,6 @@ class TannerGraph:
         lo, hi = self._check_start[check], self._check_start[check + 1]
         return self.edge_entry[lo:hi]
 
-    def parities(self, e_values: np.ndarray) -> np.ndarray:
-        """Anticommutation parity (bool) with every check of errors
-        e_values, shaped (n_qubits,) or (n_qubits, lanes): the XOR over the
-        check's slots of its edges' bits, read from the bit rows that
-        Lanes.step reads for its hard decision, 0 on a check without sender
-        entries."""
-        e = np.asarray(e_values)
-        rows = np.zeros((3 * self.n_qubits + 1,) + e.shape[1:], dtype=bool)
-        rows[:-1] = ANTICOMMUTES[1:].take(e, axis=1).reshape(rows[:-1].shape)
-        return np.bitwise_xor.reduce(rows.take(self._message_gather, axis=0), axis=0)
-
-    def syndrome_signs(self, e_values: np.ndarray) -> np.ndarray:
-        """Syndrome (+1/-1 per check) of an error on the transmitted qubits."""
-        return 1 - 2 * self.parities(e_values).astype(np.int64)
-
 
 _GRAPHS = weakref.WeakKeyDictionary()
 
@@ -229,12 +214,16 @@ class DecodeOutcome:
     iterations counts BP iterations actually run (a decode that matches the
     syndrome at iteration t reports t); for feedback decoding it accumulates
     over all rounds.  When no iteration matches the syndrome, error is the
-    hard decision of the last iteration run.
+    hard decision of the last iteration run.  frustrated is the (n_checks,)
+    bool mask of the checks whose parity under error differs from the
+    target's, as the lane step's syndrome test found it (all False when
+    converged); feedback rounds read their frustrated checks from it.
     """
 
     error: np.ndarray
     converged: bool
     iterations: int
+    frustrated: np.ndarray
 
     @property
     def error_pauli(self) -> str:
@@ -305,12 +294,12 @@ def _decision_ops(bel: np.ndarray, top: np.ndarray, rows: np.ndarray) -> list:
 
 
 def _mismatches(v) -> np.ndarray:
-    """Per lane, whether any check's parity under the hard decision of
-    v.bel differs from the target's (bool, (lanes,))."""
+    """Per check and lane, whether the check's parity under the hard
+    decision of v.bel differs from the target's (bool, (checks, lanes))."""
     for op in v.syndrome_test:
         op()
     # the last slot holds the target parity, so the XOR is the mismatch
-    return np.logical_or.reduce(np.bitwise_xor.reduce(v.slot_bits, axis=0), axis=0)
+    return np.bitwise_xor.reduce(v.slot_bits, axis=0)
 
 
 def _lane_shapes(graph: TannerGraph) -> dict:
@@ -484,7 +473,8 @@ class Lanes:
         _qubit_messages(view)
         _check_messages(graph, view)
         _beliefs(graph, view)
-        mismatched = _mismatches(view)
+        frustrated = _mismatches(view)
+        mismatched = np.logical_or.reduce(frustrated, axis=0)
         z_bits, x_bits = view.decided
         finished = []
         for lane, mismatch in enumerate(mismatched.tolist()):
@@ -496,6 +486,7 @@ class Lanes:
                     error=error,
                     converged=not mismatch,
                     iterations=self.iterations[lane],
+                    frustrated=frustrated[:, lane].copy(),
                 )
                 finished.append((self.jobs[lane], outcome))
                 self.jobs[lane] = None

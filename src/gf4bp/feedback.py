@@ -18,6 +18,10 @@ became satisfied but the full syndrome still mismatches, the round's output
 replaces the working output and another frustrated check is chosen.  Every
 tried qubit entry counts against the n_a budget.
 
+Frustrated checks, enhanced's frustration pattern and round verdicts come
+from the decoder's own syndrome test, the frustrated mask of each outcome;
+no parity is computed here.
+
 FeedbackRun is the one round engine: it holds the state of one such
 procedure between rounds, and feedback_round (one pinned round) and
 feedback_decode (the serial loop) drive it, as does the Monte-Carlo harness,
@@ -25,12 +29,13 @@ whose restarts of many runs share the lane kernel.  Its random choices come
 from its own generator, so interleaving runs changes none of them.
 """
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .decoder import DecodeOutcome, TannerGraph, decode, tanner_graph
-from .stabilizer import StabilizerCode, symplectic_products
+from .stabilizer import StabilizerCode, syndrome
 
 STRATEGIES = ("standard", "pc08", "enhanced")
 
@@ -44,6 +49,18 @@ def default_n_a(n_sent: int) -> int:
     return n_sent // 40
 
 
+def check_integer(name: str, value, least: int = 0) -> None:
+    """ValueError unless value is an integer (int or numpy integer, not a
+    float, even an integral one) of at least `least`."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, not {value!r}") from None
+    if value < least:
+        bound = "nonnegative" if least == 0 else f"at least {least}"
+        raise ValueError(f"{name} must be {bound}")
+
+
 @dataclass(frozen=True)
 class FeedbackConfig:
     strategy: str
@@ -54,10 +71,9 @@ class FeedbackConfig:
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
-        if self.t_pert < 1:
-            raise ValueError("t_pert must be at least 1")
-        if self.n_a is not None and self.n_a < 0:
-            raise ValueError("n_a must be nonnegative")
+        check_integer("t_pert", self.t_pert, 1)
+        if self.n_a is not None:
+            check_integer("n_a", self.n_a)
         if self.delta < 0:
             raise ValueError("delta must be nonnegative")
 
@@ -72,15 +88,6 @@ class AdjustmentRecord:
     applied: np.ndarray  # (len(qubits_touched), 4) priors installed this round
     outcome: str  # "converged" | "check_satisfied" | "restored"
     iterations: int = 0
-
-
-def frustrated_checks(code: StabilizerCode, target, e_out, graph=None) -> np.ndarray:
-    """Indices of checks whose target syndrome disagrees with e_out's."""
-    if graph is None:
-        graph = tanner_graph(code)
-    target = np.asarray(target, dtype=np.int64)
-    signs = graph.syndrome_signs(np.asarray(e_out, dtype=np.uint8))
-    return np.nonzero(signs != target)[0]
 
 
 def enhanced_reset(entry: int, s_c: int, sc_dot_eout: int, p_identity: float) -> np.ndarray:
@@ -123,12 +130,6 @@ def pc08_perturb(prior, delta: float, rng: np.random.Generator) -> np.ndarray:
     return out / out.sum(axis=-1, keepdims=True)
 
 
-def check_sign(graph: TannerGraph, check: int, error) -> int:
-    """The syndrome sign (+1/-1) of one check on an error of the sent qubits."""
-    on_check = np.asarray(error)[graph.check_qubits(check)]
-    return 1 - 2 * int(symplectic_products(on_check, graph.check_entries(check)))
-
-
 def check_slot(graph: TannerGraph, check: int, qubit: int) -> int:
     """Position of a sender qubit among a check's qubits; ValueError if the
     check is out of range or the qubit is not on it."""
@@ -154,13 +155,18 @@ def feedback_round(
 ):
     """Run one feedback adjustment for (check, qubit) and a fresh BP restart.
 
-    Returns (outcome, record); priors is not modified.
+    current_e_out is the working output on the sent qubits (enhanced needs
+    it; its frustrated checks are taken from its syndrome).  Returns
+    (outcome, record); priors is not modified.
     """
     if graph is None:
         graph = tanner_graph(code)
-    run = FeedbackRun(
-        graph, target, priors, config, DecodeOutcome(current_e_out, False, 0), rng
-    )
+    frustrated = None
+    if current_e_out is not None:
+        signs = syndrome(code, code.embed_sent(current_e_out))
+        frustrated = signs != np.asarray(target)
+    current = DecodeOutcome(current_e_out, False, 0, frustrated)
+    run = FeedbackRun(graph, target, priors, config, current, rng)
     adjusted, t_pert = run.start_round(check, qubit)
     outcome = decode(
         code, run.target, adjusted, max_iter=t_pert, graph=graph,
@@ -173,10 +179,11 @@ def feedback_round(
 class FeedbackRun:
     """The feedback procedure of one (block, strategy), a round at a time.
 
-    first is the standard run's outcome on (target, priors).  next_round()
-    chooses the next (check, qubit), and start_round(check, qubit) draws
-    what the strategy draws; both return (adjusted priors, t_pert) for the
-    BP restart, next_round None when the run is over.  finish_round(outcome)
+    first is the standard run's outcome on (target, priors); a non-converged
+    one with an error must carry its frustrated mask.  next_round() chooses
+    the next (check, qubit), and start_round(check, qubit) draws what the
+    strategy draws; both return (adjusted priors, t_pert) for the BP
+    restart, next_round None when the run is over.  finish_round(outcome)
     applies that restart's verdict.  result() is (outcome, records), the
     outcome's iterations counting the first run and every round.
     """
@@ -184,6 +191,8 @@ class FeedbackRun:
     def __init__(self, graph, target, priors, config, first, rng):
         if config.strategy not in ("pc08", "enhanced"):
             raise ValueError("feedback rounds need strategy pc08 or enhanced")
+        if first.error is not None and not first.converged and first.frustrated is None:
+            raise ValueError("a non-converged first outcome needs its frustrated-check mask")
         self.graph = graph
         self.target = np.asarray(target, dtype=np.int64)
         self.priors = np.asarray(priors, dtype=float)
@@ -192,6 +201,7 @@ class FeedbackRun:
         self.budget = config.n_a if config.n_a is not None else default_n_a(graph.n_qubits)
         self.used = 0
         self.e_out = first.error
+        self.frustrated = first.frustrated  # e_out's frustrated checks
         self.converged = first.converged
         self.iterations = first.iterations
         self.records: list[AdjustmentRecord] = []
@@ -205,8 +215,7 @@ class FeedbackRun:
             return None
         if not self.candidates:
             # e_out never converged, so some check is frustrated
-            frustrated = frustrated_checks(None, self.target, self.e_out, graph=self.graph)
-            self.check = int(self.rng.choice(frustrated))
+            self.check = int(self.rng.choice(np.flatnonzero(self.frustrated)))
             self.candidates = list(self.graph.check_qubits(self.check))
             if not self.candidates:
                 self._over = True  # a check with no sender qubits can never be fixed
@@ -218,19 +227,21 @@ class FeedbackRun:
     def start_round(self, check: int, qubit: int):
         """Adjust the priors for a round on (check, qubit).
 
-        enhanced resets the one qubit from e_out's frustration pattern; pc08
-        perturbs every qubit of the check with draws from rng.  self.priors
-        is not modified."""
+        enhanced resets the one qubit from e_out's frustration pattern (its
+        sign on the check is the target's, negated if the check is
+        frustrated); pc08 perturbs every qubit of the check with draws from
+        rng.  self.priors is not modified."""
         graph, config = self.graph, self.config
         slot = check_slot(graph, check, qubit)
         if config.strategy == "enhanced":
             if self.e_out is None:
                 raise ValueError("enhanced rounds need the current decoder output")
             entry = int(graph.check_entries(check)[slot])
-            sc_dot = check_sign(graph, check, self.e_out)
+            s_c = int(self.target[check])
+            sc_dot = -s_c if self.frustrated[check] else s_c
             touched = np.array([qubit])
             applied = enhanced_reset(
-                entry, int(self.target[check]), sc_dot, float(self.priors[qubit, 0])
+                entry, s_c, sc_dot, float(self.priors[qubit, 0])
             )[None, :]
         else:
             if self.rng is None:
@@ -249,7 +260,7 @@ class FeedbackRun:
         check, (qubit, touched, applied) = self.check, self._round
         if outcome.converged:
             verdict = "converged"
-        elif check_sign(self.graph, check, outcome.error) != self.target[check]:
+        elif outcome.frustrated[check]:
             verdict = "restored"
         else:
             verdict = "check_satisfied"
@@ -266,13 +277,13 @@ class FeedbackRun:
         self.iterations += outcome.iterations
         if verdict == "restored":
             return  # the next candidate of the same check, from the same e_out
-        self.e_out = outcome.error
+        self.e_out, self.frustrated = outcome.error, outcome.frustrated
         self.converged = verdict == "converged"
         self.candidates = []
 
     def result(self):
         outcome = DecodeOutcome(
-            error=self.e_out, converged=self.converged, iterations=self.iterations
+            self.e_out, self.converged, self.iterations, self.frustrated
         )
         return outcome, self.records
 

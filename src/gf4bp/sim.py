@@ -20,7 +20,7 @@ the worker count.
 import math
 import sys
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -43,9 +43,9 @@ from .decoder import (
 from .feedback import (
     FeedbackConfig,
     FeedbackRun,
+    check_integer,
     check_slot,
     feedback_decode,
-    feedback_round,
 )
 from .formats import parse_stabilizer_text
 from .stabilizer import StabilizerCode, build_code_4_1_1, group_membership, syndrome
@@ -116,8 +116,7 @@ class ExperimentSpec:
     def __post_init__(self):
         self.p_values = tuple(float(p) for p in self.p_values)
         self.strategies = tuple(self.strategies)
-        if self.blocks < 1:
-            raise ValueError("blocks must be at least 1")
+        check_integer("blocks", self.blocks, 1)
         for p in self.p_values:
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"p={p} not in [0, 1]")
@@ -126,12 +125,10 @@ class ExperimentSpec:
                 raise ValueError(f"no {name} values given")
             if len(set(values)) != len(values):
                 raise ValueError(f"duplicate {name} values in {values}")
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
-        if self.degeneracy_limit < 0:
-            raise ValueError("degeneracy_limit must be nonnegative")
+        check_integer("seed", self.seed)
+        check_integer("workers", self.workers, 1)
+        check_integer("max_iter", self.max_iter, 1)
+        check_integer("degeneracy_limit", self.degeneracy_limit)
         for strategy in self.strategies:
             if strategy != "standard":  # FeedbackConfig checks name and parameters
                 FeedbackConfig(
@@ -391,6 +388,7 @@ class _Chunk:
     def first_run_done(self, job: _FirstRun, outcome) -> None:
         """Keep a syndrome's first run and report the rows waiting for it."""
         outcome.error.setflags(write=False)  # shared by every block of the key
+        outcome.frustrated.setflags(write=False)
         decoded = self.first_runs[job.p_index][job.key] = (
             outcome, self.code.embed_sent(outcome.error), outcome.error_pauli,
         )
@@ -637,16 +635,11 @@ def trace_run(
     )
     if first.converged:
         return rows, first
-    outcome, _ = feedback_round(
-        code,
-        target,
-        pri,
-        check,
-        qubit,
-        config,
-        rng=rng,
-        graph=graph,
-        current_e_out=first.error,
-        on_iteration=record,
+    run = FeedbackRun(graph, target, pri, config, first, rng)
+    adjusted, t_pert = run.start_round(check, qubit)
+    outcome = decode(
+        code, target, adjusted, max_iter=t_pert, graph=graph, on_iteration=record
     )
-    return rows, replace(outcome, iterations=first.iterations + outcome.iterations)
+    run.finish_round(outcome)
+    outcome.iterations = run.iterations  # the round's output, both runs' count
+    return rows, outcome

@@ -73,6 +73,13 @@ def syndrome_by_counting(code: StabilizerCode, error) -> np.ndarray:
     )
 
 
+def frustrated_checks(code: StabilizerCode, target, e_out) -> np.ndarray:
+    """Indices of the checks whose target sign disagrees with the syndrome
+    of e_out, an error on the sent qubits, by counting."""
+    signs = syndrome_by_counting(code, code.embed_sent(e_out))
+    return np.flatnonzero(signs != np.asarray(target))
+
+
 def syndrome_by_entries(code: StabilizerCode, error) -> np.ndarray:
     """Syndrome (+1/-1 int8) of an error or of each row of a (B, n_total)
     array, by gathering every check entry's anticommutation bit and XORing

@@ -94,6 +94,10 @@ def test_simulate_bad_config_key(tmp_path):
         # these used to write a CSV with only a header
         (["--p", ""], "no p values given"),
         (["--strategy", ","], "no strategy values given"),
+        # these used to end in a traceback from the run (from a worker with
+        # --workers 2)
+        (["--seed", "-1"], "seed must be nonnegative"),
+        (["--seed", "-1", "--workers", "2"], "seed must be nonnegative"),
     ],
 )
 def test_simulate_bad_values_are_usage_errors(tmp_path, args, message):

@@ -16,7 +16,7 @@ from gf4bp.decoder import (
     log_priors,
     tanner_graph,
 )
-from gf4bp.feedback import FeedbackConfig, feedback_round, frustrated_checks
+from gf4bp.feedback import FeedbackConfig, feedback_round
 from gf4bp.stabilizer import (
     ANTICOMMUTES,
     StabilizerCode,
@@ -81,7 +81,7 @@ def test_graph_adjacency_transpose_consistent(code411):
 
 
 def test_graph_less_calls_share_one_graph_per_code(monkeypatch):
-    # decode, feedback_round and frustrated_checks without a graph build a
+    # decode and feedback_round without a graph build a
     # code object's TannerGraph once, and keep it only while the code lives
     built = []
 
@@ -96,7 +96,6 @@ def test_graph_less_calls_share_one_graph_per_code(monkeypatch):
     target = np.array([-1, 1, 1, 1])
     decode(code, target, pri, max_iter=3)
     decode(code, [1, 1, 1, 1], pri)
-    assert frustrated_checks(code, target, np.zeros(4, dtype=np.uint8)).tolist() == [0]
     feedback_round(
         code, target, pri, 1, 0, FeedbackConfig(strategy="pc08"),
         rng=np.random.default_rng(0),
@@ -436,23 +435,78 @@ def test_decode_bit_identical_to_row_major_reference(code_name, p, seed):
     assert np.array_equal(out.error, hard_decision(reference[-1]))
 
 
-def test_syndrome_signs_match_counting_oracle():
-    # the [[62,2]] and n=510 Construction-B codes, and the Steane code, a CSS
-    # code whose checks have X and Z entries only
+def _steane():
+    """The Steane code, a CSS code whose checks have X and Z entries only."""
     hamming = np.array(
         [[1, 0, 1, 0, 1, 0, 1], [0, 1, 1, 0, 0, 1, 1], [0, 0, 0, 1, 1, 1, 1]],
         dtype=np.uint8,
     )
-    steane = StabilizerCode(np.vstack([hamming, 2 * hamming]), n_sent=7)
-    codes = [(construction_b(C62_ROW), 20), (construction_b(N510_ROW), 3), (steane, 20)]
+    return StabilizerCode(np.vstack([hamming, 2 * hamming]), n_sent=7)
+
+
+def _masks_match_counting(code, outcomes, targets) -> None:
+    """Each outcome's frustrated mask is the counting oracle's syndrome of
+    its error against its target, and it converged iff the mask is clear."""
+    for outcome, target in zip(outcomes, targets, strict=True):
+        counted = syndrome_by_counting(code, code.embed_sent(outcome.error))
+        assert outcome.frustrated.dtype == bool
+        assert outcome.frustrated.tolist() == (counted != target).tolist()
+        assert outcome.converged == (not outcome.frustrated.any())
+
+
+def test_syndrome_signs_match_counting_oracle():
+    # the [[62,2]] and n=510 Construction-B codes, and the Steane code
+    codes = [(construction_b(C62_ROW), 20), (construction_b(N510_ROW), 3), (_steane(), 20)]
     rng = np.random.default_rng(53)
     for code, n_errors in codes:
-        graph = TannerGraph(code)
         for _ in range(n_errors):
             error = rng.integers(0, 4, size=code.n_sent).astype(np.uint8)
             expected = syndrome_by_counting(code, error).tolist()
-            assert graph.syndrome_signs(error).tolist() == expected
             assert syndrome(code, error).tolist() == expected
+
+
+@pytest.mark.parametrize("halt", [True, False])
+@pytest.mark.parametrize(
+    "code_name, p_values, caps, n_jobs",
+    [
+        ("4_1_1", (0.02, 0.1, 0.3), (90, 5, 1), 24),
+        ("steane", (0.02, 0.1, 0.3), (90, 5, 1), 24),
+        ("c62", (0.01, 0.05, 0.09), (90, 6, 2), 18),
+        ("n510", (0.005, 0.09), (12, 3), 4),
+    ],
+)
+def test_frustrated_mask_matches_counting_oracle(code_name, p_values, caps, n_jobs, halt):
+    # Every finished job, converged or stopped at its cap, carries the mask
+    # of the checks its hard decision leaves frustrated; lanes are refilled
+    # as they finish, so masks are read from every lane position.
+    code = {
+        "4_1_1": build_code_4_1_1,
+        "steane": _steane,
+        "c62": lambda: construction_b(C62_ROW),
+        "n510": lambda: construction_b(N510_ROW),
+    }[code_name]()
+    graph = TannerGraph(code)
+    rng = np.random.default_rng(67)
+    jobs = []
+    for index in range(n_jobs):
+        chan = DepolarizingChannel(p_values[index % len(p_values)])
+        error = sample_error(code.n_sent, chan, rng, n_ebits=code.n_ebits)
+        jobs.append((channel_priors(chan, code.n_sent), syndrome(code, error)))
+    lanes = Lanes(graph, 3)
+    pending = list(range(n_jobs))
+    got = {}
+    while pending or lanes.busy:
+        while pending and lanes.busy < lanes.width:
+            index = pending.pop(0)
+            pri, target = jobs[index]
+            lanes.load(index, log_priors(pri), target, caps[index % len(caps)])
+        got.update(lanes.step(halt))
+    outcomes = [got[index] for index in range(n_jobs)]
+    _masks_match_counting(code, outcomes, [target for _, target in jobs])
+    assert any(o.converged for o in outcomes)
+    assert any(not o.converged for o in outcomes)
+    if halt:
+        assert any(o.converged and o.iterations < caps[0] for o in outcomes)
 
 
 def test_check_on_ebit_columns_only():
@@ -464,14 +518,23 @@ def test_check_on_ebit_columns_only():
     graph = TannerGraph(code)
     assert graph.check_deg.tolist() == [2, 0]
     for error in ([0, 0], [1, 0], [2, 3], [3, 3]):
-        signs = graph.syndrome_signs(np.array(error, dtype=np.uint8))
+        signs = syndrome(code, code.embed_sent(error))
         assert signs[1] == 1
-        assert signs.tolist() == syndrome(code, code.embed_sent(error)).tolist()
+        assert signs.tolist() == syndrome_by_counting(code, code.embed_sent(error)).tolist()
     pri = channel_priors(DepolarizingChannel(0.1), 2)
     out = decode(code, [1, 1], pri, max_iter=10, graph=graph)
     assert out.converged
     assert out.iterations == 1
     assert out.error_pauli == "II"
+    assert out.frustrated.tolist() == [False, False]
+    # a -1 on the ebit-only check is never matched: its mask bit is the
+    # target's, whatever the decision and with halt on or off
+    for target in ([1, -1], [-1, -1]):
+        for halt in (True, False):
+            out = decode(code, target, pri, max_iter=4, graph=graph, halt=halt)
+            assert (out.converged, out.iterations) == (False, 4)
+            assert out.frustrated[1]
+            _masks_match_counting(code, [out], [np.array(target)])
 
 
 @pytest.mark.parametrize("width", [1, 3, 16])

@@ -15,10 +15,11 @@ from gf4bp.feedback import (
     enhanced_reset,
     feedback_decode,
     feedback_round,
-    frustrated_checks,
     pc08_perturb,
 )
 from gf4bp.stabilizer import build_code_4_1_1, construction_b, syndrome
+
+from oracles import frustrated_checks
 
 TARGET = np.array([-1, 1, 1, 1])
 
@@ -152,6 +153,7 @@ def test_enhanced_round_case_study(code411, priors411):
     assert not first.converged
     assert first.error_pauli == "IYII"
     assert frustrated_checks(code411, TARGET, first.error).tolist() == [1, 2, 3]
+    assert first.frustrated.tolist() == [False, True, True, True]
     config = FeedbackConfig(strategy="enhanced", t_pert=40)
     before = priors411.copy()
     outcome, record = feedback_round(
@@ -304,11 +306,30 @@ def test_adjustment_rejects_bad_pins(code411, priors411, strategy, check, qubit,
     graph = TannerGraph(code411)
     rng = substream(0, 0)
     state = rng.bit_generator.state
-    first = DecodeOutcome(np.array([0, 3, 0, 0], dtype=np.uint8), False, 90)
+    first = DecodeOutcome(
+        np.array([0, 3, 0, 0], dtype=np.uint8), False, 90,
+        np.array([False, True, True, True]),
+    )
     run = FeedbackRun(graph, TARGET, priors411, FeedbackConfig(strategy=strategy), first, rng)
     with pytest.raises(ValueError, match=message):
         run.start_round(check, qubit)
     assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("strategy", ["pc08", "enhanced"])
+def test_feedback_run_needs_the_first_mask(code411, priors411, strategy):
+    # a non-converged first outcome without its frustrated-check mask is
+    # refused before anything is drawn; a converged one has no round to run
+    graph = TannerGraph(code411)
+    config = FeedbackConfig(strategy=strategy)
+    rng = substream(0, 0)
+    state = rng.bit_generator.state
+    failed = DecodeOutcome(np.array([0, 3, 0, 0], dtype=np.uint8), False, 90, None)
+    with pytest.raises(ValueError, match="non-converged first outcome needs its frustrated"):
+        FeedbackRun(graph, TARGET, priors411, config, failed, rng)
+    assert rng.bit_generator.state == state
+    done = DecodeOutcome(np.array([0, 0, 1, 3], dtype=np.uint8), True, 3, None)
+    assert FeedbackRun(graph, TARGET, priors411, config, done, rng).next_round() is None
 
 
 def _failed_blocks(code, p, count, seed=5):

@@ -41,9 +41,10 @@ def code411():
 def _outcome(code, pauli, converged, iterations=5):
     from gf4bp import gf4
 
-    return DecodeOutcome(
-        error=gf4.pauli_to_values(pauli), converged=converged, iterations=iterations
-    )
+    # the sampled errors below all have IIZX's syndrome (-1, +1, +1, +1)
+    error = gf4.pauli_to_values(pauli)
+    frustrated = syndrome(code, code.embed_sent(error)) != [-1, 1, 1, 1]
+    return DecodeOutcome(error, converged, iterations, frustrated)
 
 
 def test_classify_exact(code411):
@@ -225,12 +226,35 @@ def test_spec_validation(code411):
     with pytest.raises(ValueError, match="degeneracy_limit"):
         ExperimentSpec(code=code411, p_values=(0.1,), degeneracy_limit=-1)
     ExperimentSpec(code=code411, p_values=(0.1,), max_iter=1, degeneracy_limit=0)
+    # counts and the seed must be integers: a seed of 1.5 used to run as
+    # seed 1 and write 1.5 in the CSV, max_iter=2.5 to cap at 3, blocks=2.5
+    # to raise a TypeError, and a negative seed to fail inside a worker
+    for changes, message in (
+        ({"seed": 1.5}, "seed must be an integer, not 1.5"),
+        ({"seed": -1}, "seed must be nonnegative"),
+        ({"seed": "7"}, "seed must be an integer"),
+        ({"blocks": 2.5}, "blocks must be an integer"),
+        ({"blocks": 2.0}, "blocks must be an integer"),
+        ({"max_iter": 2.5}, "max_iter must be an integer"),
+        ({"workers": 1.5}, "workers must be an integer"),
+        ({"degeneracy_limit": 0.5}, "degeneracy_limit must be an integer"),
+        ({"degeneracy_limit": None}, "degeneracy_limit must be an integer"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            ExperimentSpec(code=code411, p_values=(0.1,), **changes)
+    spec = ExperimentSpec(
+        code=code411, p_values=(0.1,), blocks=np.int64(3), seed=np.uint32(0),
+        max_iter=np.int32(5), workers=np.int64(1),
+    )
+    assert format_csv(run_experiment(spec)[0]).splitlines()[1].endswith(",0")
     # with pc08 or enhanced, feedback parameters follow FeedbackConfig's
     # rules; standard BP ignores them.  An injected error must be a Pauli
     # string covering the sent qubits.
     for changes, message in (
         ({"t_pert": 0}, "t_pert"),
         ({"n_a": -1}, "n_a"),
+        ({"t_pert": 2.5}, "t_pert must be an integer"),
+        ({"n_a": 1.5}, "n_a must be an integer"),
         ({"delta": -1.0}, "delta"),
         ({"inject": "IXI"}, "must cover the 4 sent qubits"),
         ({"inject": "IXQI"}, "invalid Pauli symbol"),
@@ -241,6 +265,7 @@ def test_spec_validation(code411):
                 **changes,
             )
     ExperimentSpec(code=code411, p_values=(0.1,), t_pert=0, n_a=-1, delta=-1.0)
+    ExperimentSpec(code=code411, p_values=(0.1,), t_pert=2.5, n_a=1.5)
     # by name, the injected error is checked once the code is loaded,
     # before any run
     spec = ExperimentSpec(code="4_1_1", p_values=(0.1,), blocks=2, inject="IXI")
@@ -614,6 +639,25 @@ def test_quiet_blocks_cost_one_bp_run(code62, monkeypatch):
     monkeypatch.setattr(sim, "lane_width", lambda graph: 1)
     run_experiment(spec)
     assert len(loads) == len(set(syndromes)) == 37
+
+
+def test_shared_first_runs_are_read_only(code411):
+    # A syndrome's first run is kept for every block with that syndrome and
+    # the feedback runs continue from it, so its error and its frustrated
+    # mask cannot be written; at p = 0.8 on 4_1_1 first runs do not converge.
+    spec = ExperimentSpec(
+        code=code411, p_values=(0.1, 0.8), strategies=("standard", "pc08", "enhanced"),
+        blocks=40, seed=3,
+    )
+    chunk = sim._Chunk(code411, spec, None, 0, spec.blocks)
+    chunk.run()
+    kept = [entry[0] for runs in chunk.first_runs for entry in runs.values()]
+    assert any(outcome.converged for outcome in kept)
+    assert any(outcome.frustrated.any() for outcome in kept)
+    for outcome in kept:
+        assert not outcome.error.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            outcome.frustrated[0] = True
 
 
 STARTUP_SCRIPT = """
