@@ -2,7 +2,7 @@
 
 Library layout:
 
-* gf4: exact field arithmetic and the Pauli correspondence
+* gf4: exact field tables and the Pauli correspondence
 * stabilizer: codes, syndromes, EA canonicalization, constructions
 * formats: stabilizer text and alist parsing/writing
 * channel: depolarizing priors and reproducible error sampling

@@ -518,7 +518,6 @@ def decode(
     target_syndrome,
     priors,
     max_iter: int = 90,
-    graph: TannerGraph | None = None,
     on_iteration=None,
     halt: bool = True,
 ) -> DecodeOutcome:
@@ -531,11 +530,10 @@ def decode(
     reported in the converged flag, and the returned error is then the hard
     decision of the last iteration run.  on_iteration(t, beliefs), if
     given, is called once per iteration with freshly allocated belief
-    arrays.  Without a graph, the code object's cached graph (tanner_graph)
-    is used.  This is one job on the lane kernel at width 1.
+    arrays.  The graph is the code object's cached one (tanner_graph).
+    This is one job on the lane kernel at width 1.
     """
-    if graph is None:
-        graph = tanner_graph(code)
+    graph = tanner_graph(code)
     target = np.asarray(target_syndrome, dtype=np.int64).ravel()
     if target.shape != (graph.n_checks,):
         raise ValueError(

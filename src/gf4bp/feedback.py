@@ -23,8 +23,9 @@ from the decoder's own syndrome test, the frustrated mask of each outcome;
 no parity is computed here.
 
 FeedbackRun is the one round engine: it holds the state of one such
-procedure between rounds, and feedback_round (one pinned round) and
-feedback_decode (the serial loop) drive it, as does the Monte-Carlo harness,
+procedure between rounds.  Three drivers run it: feedback_round (one
+pinned round from a given working outcome, which trace_run's pinned round
+uses too), feedback_decode (the serial loop) and the Monte-Carlo harness,
 whose restarts of many runs share the lane kernel.  Its random choices come
 from its own generator, so interleaving runs changes none of them.
 """
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decoder import DecodeOutcome, TannerGraph, decode, tanner_graph
-from .stabilizer import StabilizerCode, syndrome
+from .stabilizer import StabilizerCode
 
 STRATEGIES = ("standard", "pc08", "enhanced")
 
@@ -74,8 +75,8 @@ class FeedbackConfig:
         check_integer("t_pert", self.t_pert, 1)
         if self.n_a is not None:
             check_integer("n_a", self.n_a)
-        if self.delta < 0:
-            raise ValueError("delta must be nonnegative")
+        if not 0 <= self.delta < np.inf:  # NaN fails both
+            raise ValueError("delta must be nonnegative and finite")
 
 
 @dataclass
@@ -123,8 +124,8 @@ def pc08_perturb(prior, delta: float, rng: np.random.Generator) -> np.ndarray:
     prior is one (4,) prior or (k, 4) priors, perturbed row by row with one
     draw of 3 uniforms each, in row order.
     """
-    if delta < 0:
-        raise ValueError("delta must be nonnegative")
+    if not 0 <= delta < np.inf:
+        raise ValueError("delta must be nonnegative and finite")
     out = np.array(prior, dtype=float)
     out[..., 1:] *= 1.0 + delta * rng.random(out.shape[:-1] + (3,))
     return out / out.sum(axis=-1, keepdims=True)
@@ -148,30 +149,21 @@ def feedback_round(
     check: int,
     qubit: int,
     config: FeedbackConfig,
+    current: DecodeOutcome,
     rng: np.random.Generator | None = None,
-    graph: TannerGraph | None = None,
-    current_e_out: np.ndarray | None = None,
     on_iteration=None,
 ):
-    """Run one feedback adjustment for (check, qubit) and a fresh BP restart.
+    """Run one feedback adjustment for (check, qubit) and a fresh BP restart
+    on the code's cached Tanner graph (tanner_graph).
 
-    current_e_out is the working output on the sent qubits (enhanced needs
-    it; its frustrated checks are taken from its syndrome).  Returns
-    (outcome, record); priors is not modified.
+    current is the working output, a DecodeOutcome: enhanced reads its
+    frustration pattern from current.frustrated.  Returns (outcome,
+    record), the outcome's iterations the restart's; priors is not
+    modified.
     """
-    if graph is None:
-        graph = tanner_graph(code)
-    frustrated = None
-    if current_e_out is not None:
-        signs = syndrome(code, code.embed_sent(current_e_out))
-        frustrated = signs != np.asarray(target)
-    current = DecodeOutcome(current_e_out, False, 0, frustrated)
-    run = FeedbackRun(graph, target, priors, config, current, rng)
+    run = FeedbackRun(tanner_graph(code), target, priors, config, current, rng)
     adjusted, t_pert = run.start_round(check, qubit)
-    outcome = decode(
-        code, run.target, adjusted, max_iter=t_pert, graph=graph,
-        on_iteration=on_iteration,
-    )
+    outcome = decode(code, run.target, adjusted, t_pert, on_iteration=on_iteration)
     run.finish_round(outcome)
     return outcome, run.records[0]
 
@@ -179,8 +171,8 @@ def feedback_round(
 class FeedbackRun:
     """The feedback procedure of one (block, strategy), a round at a time.
 
-    first is the standard run's outcome on (target, priors); a non-converged
-    one with an error must carry its frustrated mask.  next_round() chooses
+    first is the working outcome on (target, priors), the standard run's at
+    the start; a non-converged one must carry its frustrated mask.  next_round() chooses
     the next (check, qubit), and start_round(check, qubit) draws what the
     strategy draws; both return (adjusted priors, t_pert) for the BP
     restart, next_round None when the run is over.  finish_round(outcome)
@@ -191,7 +183,7 @@ class FeedbackRun:
     def __init__(self, graph, target, priors, config, first, rng):
         if config.strategy not in ("pc08", "enhanced"):
             raise ValueError("feedback rounds need strategy pc08 or enhanced")
-        if first.error is not None and not first.converged and first.frustrated is None:
+        if not first.converged and first.frustrated is None:
             raise ValueError("a non-converged first outcome needs its frustrated-check mask")
         self.graph = graph
         self.target = np.asarray(target, dtype=np.int64)
@@ -234,8 +226,6 @@ class FeedbackRun:
         graph, config = self.graph, self.config
         slot = check_slot(graph, check, qubit)
         if config.strategy == "enhanced":
-            if self.e_out is None:
-                raise ValueError("enhanced rounds need the current decoder output")
             entry = int(graph.check_entries(check)[slot])
             s_c = int(self.target[check])
             sc_dot = -s_c if self.frustrated[check] else s_c
@@ -295,29 +285,20 @@ def feedback_decode(
     config: FeedbackConfig,
     max_iter: int = 90,
     rng: np.random.Generator | None = None,
-    graph: TannerGraph | None = None,
     on_iteration=None,
 ):
-    """Standard BP followed by up to n_a feedback adjustments.
+    """Standard BP followed by up to n_a feedback adjustments, on the code's
+    cached Tanner graph (tanner_graph).
 
     Returns (outcome, records).  The outcome's iteration count accumulates
     the initial run and every feedback round; failure (converged=False) is a
     normal result once the budget is exhausted.
     """
-    if graph is None:
-        graph = tanner_graph(code)
     if rng is None:
         rng = np.random.default_rng(0)
-    first = decode(
-        code, target, priors, max_iter=max_iter, graph=graph, on_iteration=on_iteration
-    )
-    run = FeedbackRun(graph, target, priors, config, first, rng)
-    while (restart := run.next_round()) is not None:
-        adjusted, t_pert = restart
-        run.finish_round(
-            decode(
-                code, run.target, adjusted, max_iter=t_pert, graph=graph,
-                on_iteration=on_iteration,
-            )
-        )
+    first = decode(code, target, priors, max_iter=max_iter, on_iteration=on_iteration)
+    run = FeedbackRun(tanner_graph(code), target, priors, config, first, rng)
+    for adjusted, t_pert in iter(run.next_round, None):
+        outcome = decode(code, run.target, adjusted, t_pert, on_iteration=on_iteration)
+        run.finish_round(outcome)
     return run.result()

@@ -1,4 +1,4 @@
-"""Exact GF(4) arithmetic and the Pauli <-> GF(4) correspondence.
+"""Exact GF(4) tables and the Pauli <-> GF(4) correspondence.
 
 Field elements are plain integers 0..3 encoding {0, 1, omega, omega_bar}.
 Under the Pauli identification
@@ -7,14 +7,14 @@ Under the Pauli identification
 
 the low bit of the encoding is the X part of the Pauli and the high bit is
 the Z part, so field addition (= phase-free Pauli multiplication) is bitwise
-XOR.  Multiplication uses a 16-entry table; the test suite cross-checks it
-against polynomial arithmetic modulo x^2 + x + 1 (tests/oracles.py).
+XOR.  Multiplication, conjugation and the trace onto GF(2) are tables; the
+test suite cross-checks multiplication against polynomial arithmetic modulo
+x^2 + x + 1, and its field operations (tests/oracles.py) read the tables.
 
 Two single-qubit Paulis P, Q commute iff trace(P_hat * conj(Q_hat)) == 0;
 for n-qubit strings the criterion is the trace inner product of the symbol
 vectors.  stabilizer.ANTICOMMUTES tabulates the per-symbol term from these
-tables, and every commutation parity in the package is read from it.  All
-functions accept scalars or numpy arrays.
+tables, and every commutation parity in the package is read from it.
 """
 
 import numpy as np
@@ -49,26 +49,6 @@ CONJ_TABLE = np.array([0, 1, 3, 2], dtype=np.uint8)
 
 #: Trace onto GF(2): 0 on {0, 1}, 1 on {omega, omega_bar}.
 TRACE_TABLE = np.array([0, 0, 1, 1], dtype=np.uint8)
-
-
-def add(a, b):
-    """GF(4) addition (Klein four-group, bitwise XOR on the encoding)."""
-    return np.bitwise_xor(a, b)
-
-
-def mul(a, b):
-    """GF(4) multiplication."""
-    return MUL_TABLE[a, b]
-
-
-def conj(a):
-    """GF(4) conjugation (the Frobenius map x -> x^2)."""
-    return CONJ_TABLE[a]
-
-
-def trace(a):
-    """Trace onto GF(2): 0 for {0, 1}, 1 for {omega, omega_bar}."""
-    return TRACE_TABLE[a]
 
 
 def pauli_to_values(pauli: str) -> np.ndarray:

@@ -46,6 +46,7 @@ from .feedback import (
     check_integer,
     check_slot,
     feedback_decode,
+    feedback_round,
 )
 from .formats import parse_stabilizer_text
 from .stabilizer import StabilizerCode, build_code_4_1_1, group_membership, syndrome
@@ -250,17 +251,6 @@ class _FirstRun:
     waiting: list  # (batch, rows)
 
 
-@dataclass(eq=False)
-class _Block:
-    """One sampled block at one p while its feedback runs are decoded."""
-
-    p_index: int
-    block: int
-    error: np.ndarray
-    target: np.ndarray
-    text: str  # the error on the sent qubits as a Pauli string
-
-
 class _Chunk:
     """A pool task: a contiguous range of blocks at every p under every
     strategy, decoded as jobs on one Lanes kernel.
@@ -278,7 +268,9 @@ class _Chunk:
     they finish, pending feedback restarts before new first runs.  Each
     block's first run is shared by its strategies: standard reports it, and
     so do pc08 and enhanced if it converged; otherwise a FeedbackRun per
-    strategy continues from it, drawing from the block's own substream.
+    strategy continues from it, drawing from the block's own substream.  Its
+    restarts are jobs (batch, row, strategy_index, run): the block's error,
+    error string and index are read from its batch row when the run ends.
     """
 
     def __init__(self, code, spec, inject, block_lo, block_hi):
@@ -303,7 +295,7 @@ class _Chunk:
         # (outcome, embedded e_out, e_out string)
         self.first_runs = [{} for _ in spec.p_values]
         self.new_runs = deque()  # _FirstRuns waiting for a lane
-        self.restarts = deque()  # ((block, strategy_index, run), priors, t_pert)
+        self.restarts = deque()  # ((batch, row, strategy_index, run), priors, t_pert)
         self.block_lo = block_lo
         # per p, per strategy: the BlockResult of each block, by block - block_lo
         self.cells = [
@@ -323,9 +315,8 @@ class _Chunk:
                 if isinstance(job, _FirstRun):
                     self.first_run_done(job, outcome)
                 else:
-                    block, strategy_index, run = job
-                    run.finish_round(outcome)
-                    self.advance(block, strategy_index, run)
+                    job[-1].finish_round(outcome)
+                    self.advance(*job)
         return self.cells
 
     def load_next(self) -> bool:
@@ -336,7 +327,7 @@ class _Chunk:
         while True:
             if self.restarts:
                 job, adjusted, t_pert = self.restarts.popleft()
-                self.lanes.load(job, log_priors(adjusted), job[0].target, t_pert)
+                self.lanes.load(job, log_priors(adjusted), job[-1].target, t_pert)
                 return True
             if self.new_runs:
                 job = self.new_runs.popleft()
@@ -415,7 +406,6 @@ class _Chunk:
             classes = ["detected"] * len(rows)
         first = batch.blocks.start
         offset = first - self.block_lo  # of the batch's first block in a cell
-        sampled = None
         p = spec.p_values[p_index]
         for strategy_index, strategy in enumerate(spec.strategies):
             if strategy == "standard" or converged:
@@ -427,42 +417,31 @@ class _Chunk:
                         klass,
                     )
                 continue
-            if sampled is None:
-                sampled = [
-                    _Block(
-                        p_index, first + row, batch.errors[row], batch.targets[row], text
-                    )
-                    for row, text in zip(rows, texts)
-                ]
-            for block in sampled:
+            for row in rows:
                 rng = substream(
-                    spec.seed, _STREAM_DECODER, strategy_index, p_index, block.block
+                    spec.seed, _STREAM_DECODER, strategy_index, p_index, first + row
                 )
                 run = FeedbackRun(
-                    self.graph, block.target, self.priors[p_index],
+                    self.graph, batch.targets[row], self.priors[p_index],
                     self.configs[strategy], outcome, rng,
                 )
-                self.advance(block, strategy_index, run)
+                self.advance(batch, row, strategy_index, run)
 
-    def advance(self, block: _Block, strategy_index: int, run: FeedbackRun) -> None:
-        """Queue the run's next restart, or report the run once it is over."""
+    def advance(self, batch: _Batch, row: int, strategy_index: int, run) -> None:
+        """Queue the run's next restart, or report the run of the batch's row
+        once it is over."""
         restart = run.next_round()
         if restart is not None:
-            self.restarts.append(((block, strategy_index, run),) + restart)
+            self.restarts.append(((batch, row, strategy_index, run),) + restart)
             return
         outcome, _ = run.result()
-        klass = classify_outcome(self.code, block.error, outcome, self.check_membership)
-        self.cells[block.p_index][strategy_index][block.block - self.block_lo] = (
-            BlockResult(
-                self.spec.p_values[block.p_index],
-                self.spec.strategies[strategy_index],
-                block.block,
-                block.text,
-                outcome.error_pauli,
-                outcome.converged,
-                outcome.iterations,
-                klass,
-            )
+        code = self.code
+        klass = classify_outcome(code, batch.errors[row], outcome, self.check_membership)
+        block, n_sent = batch.blocks[row], code.n_sent
+        self.cells[batch.p_index][strategy_index][block - self.block_lo] = BlockResult(
+            self.spec.p_values[batch.p_index], self.spec.strategies[strategy_index],
+            block, batch.text[row * n_sent : (row + 1) * n_sent], outcome.error_pauli,
+            outcome.converged, outcome.iterations, klass,
         )
 
 
@@ -591,9 +570,7 @@ def trace_run(
         raise ValueError(
             "standard BP has no feedback round to pin with check and qubit"
         )
-    graph = tanner_graph(code)
-    chan = DepolarizingChannel(p)
-    pri = channel_priors(chan, code.n_sent)
+    pri = channel_priors(DepolarizingChannel(p), code.n_sent)
     if (error is None) == (target is None):
         raise ValueError("give exactly one of error or target syndrome")
     if error is not None:
@@ -601,45 +578,28 @@ def trace_run(
     target = np.asarray(target, dtype=np.int64)
 
     rows = []
-    counter = [0]
 
     def record(_iteration, beliefs):
-        counter[0] += 1
-        for q in range(beliefs.shape[0]):
-            rows.append((counter[0], q, beliefs[q].copy()))
+        t = rows[-1][0] + 1 if rows else 1  # counted across rounds
+        rows.extend((t, q, belief.copy()) for q, belief in enumerate(beliefs))
 
     if strategy == "standard":
-        outcome = decode(
-            code, target, pri, max_iter=max_iter, graph=graph, on_iteration=record
-        )
-        return rows, outcome
+        return rows, decode(code, target, pri, max_iter=max_iter, on_iteration=record)
 
     config = FeedbackConfig(strategy=strategy, t_pert=t_pert, n_a=n_a, delta=delta)
     rng = substream(seed, _STREAM_DECODER, 0, 0, 0)
     if check is None:
         outcome, _ = feedback_decode(
-            code,
-            target,
-            pri,
-            config,
-            max_iter=max_iter,
-            rng=rng,
-            graph=graph,
-            on_iteration=record,
+            code, target, pri, config, max_iter=max_iter, rng=rng, on_iteration=record
         )
         return rows, outcome
 
-    check_slot(graph, check, qubit)
-    first = decode(
-        code, target, pri, max_iter=max_iter, graph=graph, on_iteration=record
-    )
+    check_slot(tanner_graph(code), check, qubit)  # even if the first run converges
+    first = decode(code, target, pri, max_iter=max_iter, on_iteration=record)
     if first.converged:
         return rows, first
-    run = FeedbackRun(graph, target, pri, config, first, rng)
-    adjusted, t_pert = run.start_round(check, qubit)
-    outcome = decode(
-        code, target, adjusted, max_iter=t_pert, graph=graph, on_iteration=record
+    outcome, _ = feedback_round(
+        code, target, pri, check, qubit, config, first, rng=rng, on_iteration=record
     )
-    run.finish_round(outcome)
-    outcome.iterations = run.iterations  # the round's output, both runs' count
+    outcome.iterations += first.iterations  # the round's output, both runs' count
     return rows, outcome

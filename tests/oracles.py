@@ -2,7 +2,9 @@
 
 Everything here recomputes quantities by exhaustive enumeration, by direct
 formulas or by a frozen reference implementation, never through the
-library's decoding or linear-algebra paths.
+library's decoding or linear-algebra paths.  The GF(4) field operations
+(add, mul, conj, trace) are used only by tests, so they live here; they read
+the library's tables, which test_gf4 checks entry by entry.
 """
 
 import numpy as np
@@ -28,6 +30,28 @@ def poly_mul(a: int, b: int) -> int:
     c0 = (a0 & b0) ^ (a1 & b1)
     c1 = (a0 & b1) ^ (a1 & b0) ^ (a1 & b1)
     return c0 + 2 * c1
+
+
+def add(a, b):
+    """GF(4) addition (Klein four-group, bitwise XOR on the encoding)."""
+    return np.bitwise_xor(a, b)
+
+
+def mul(a, b):
+    """GF(4) multiplication, read from the library's table."""
+    return gf4.MUL_TABLE[a, b]
+
+
+def conj(a):
+    """GF(4) conjugation (the Frobenius map x -> x^2), read from the
+    library's table."""
+    return gf4.CONJ_TABLE[a]
+
+
+def trace(a):
+    """Trace onto GF(2), read from the library's table: 0 for {0, 1}, 1 for
+    {omega, omega_bar}."""
+    return gf4.TRACE_TABLE[a]
 
 
 PAULI_TO_VALUE = {symbol: value for value, symbol in enumerate(gf4.PAULI_ORDER)}

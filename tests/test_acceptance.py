@@ -12,7 +12,7 @@ import pytest
 
 from gf4bp import gf4
 from gf4bp.channel import DepolarizingChannel, priors as channel_priors, substream
-from gf4bp.decoder import decode
+from gf4bp.decoder import DecodeOutcome, decode
 from gf4bp.feedback import FeedbackConfig, feedback_round
 from gf4bp.sim import ExperimentSpec, format_csv, run_experiment
 from gf4bp.stabilizer import (
@@ -27,10 +27,12 @@ from gf4bp.stabilizer import (
 )
 
 from oracles import (
+    add,
     enumerate_group,
     exact_marginals,
     flooding_hard_decisions,
     hard_decision,
+    mul,
     random_tree_code,
 )
 
@@ -57,10 +59,10 @@ def test_criterion_1_gf4_tables():
     ]
     start = time.perf_counter()
     add_ok = all(
-        gf4.add(a, b) == addition[a][b] for a in range(4) for b in range(4)
+        add(a, b) == addition[a][b] for a in range(4) for b in range(4)
     )
     mul_ok = all(
-        gf4.mul(a, b) == multiplication[a][b] for a in range(4) for b in range(4)
+        mul(a, b) == multiplication[a][b] for a in range(4) for b in range(4)
     )
     elapsed = time.perf_counter() - start
     ok = add_ok and mul_ok and elapsed < 1e-3
@@ -134,10 +136,18 @@ def test_criterion_3_standard_bp_case_study():
     assert detected_at, "the detected error IYII never appears in the trajectory"
 
 
+def _detected_outcome(code):
+    """The case study's detected error IYII as the working outcome of a
+    round, with its frustrated checks against TARGET_411."""
+    detected = gf4.pauli_to_values("IYII")
+    frustrated = syndrome(code, code.embed_sent(detected)) != TARGET_411
+    return DecodeOutcome(detected, False, 0, frustrated)
+
+
 def test_criterion_4_enhanced_feedback_case_study():
     code = build_code_4_1_1()
     priors = channel_priors(DepolarizingChannel(0.1), 4)
-    detected = gf4.pauli_to_values("IYII")  # the case study's detected error
+    detected = _detected_outcome(code)  # the case study's detected error
     start = time.perf_counter()
     outcome, record = feedback_round(
         code,
@@ -146,7 +156,7 @@ def test_criterion_4_enhanced_feedback_case_study():
         check=1,
         qubit=3,
         config=FeedbackConfig(strategy="enhanced", t_pert=40),
-        current_e_out=detected,
+        current=detected,
     )
     elapsed = time.perf_counter() - start
     ok = (
@@ -169,7 +179,7 @@ def test_criterion_4_enhanced_feedback_case_study():
 def test_criterion_5_pc08_case_study():
     code = build_code_4_1_1()
     priors = channel_priors(DepolarizingChannel(0.1), 4)
-    detected = gf4.pauli_to_values("IYII")
+    detected = _detected_outcome(code)
     config = FeedbackConfig(strategy="pc08", t_pert=40, delta=1.0)
     check = 1  # S_2; its sender qubits are 1, 2 and 4
     qubits = [0, 1, 3]
@@ -182,7 +192,7 @@ def test_criterion_5_pc08_case_study():
         for trial in range(budget):
             outcome, _ = feedback_round(
                 code, TARGET_411, priors, check, qubits[trial % 3], config,
-                rng=rng, current_e_out=detected,
+                rng=rng, current=detected,
             )
             if outcome.converged:
                 converged = True

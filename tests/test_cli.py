@@ -98,6 +98,9 @@ def test_simulate_bad_config_key(tmp_path):
         # --workers 2)
         (["--seed", "-1"], "seed must be nonnegative"),
         (["--seed", "-1", "--workers", "2"], "seed must be nonnegative"),
+        # these used to run every pc08 round on NaN priors and exit 0
+        (["--delta", "nan"], "delta must be nonnegative and finite"),
+        (["--delta", "inf"], "delta must be nonnegative and finite"),
     ],
 )
 def test_simulate_bad_values_are_usage_errors(tmp_path, args, message):

@@ -81,8 +81,8 @@ def test_graph_adjacency_transpose_consistent(code411):
 
 
 def test_graph_less_calls_share_one_graph_per_code(monkeypatch):
-    # decode and feedback_round without a graph build a
-    # code object's TannerGraph once, and keep it only while the code lives
+    # decode and feedback_round build a code object's TannerGraph once, and
+    # keep it only while the code lives
     built = []
 
     class CountingGraph(TannerGraph):
@@ -94,10 +94,10 @@ def test_graph_less_calls_share_one_graph_per_code(monkeypatch):
     code = build_code_4_1_1()
     pri = channel_priors(DepolarizingChannel(0.1), 4)
     target = np.array([-1, 1, 1, 1])
-    decode(code, target, pri, max_iter=3)
+    first = decode(code, target, pri, max_iter=3)
     decode(code, [1, 1, 1, 1], pri)
     feedback_round(
-        code, target, pri, 1, 0, FeedbackConfig(strategy="pc08"),
+        code, target, pri, 1, 0, FeedbackConfig(strategy="pc08"), first,
         rng=np.random.default_rng(0),
     )
     assert len(built) == 1
@@ -522,7 +522,7 @@ def test_check_on_ebit_columns_only():
         assert signs[1] == 1
         assert signs.tolist() == syndrome_by_counting(code, code.embed_sent(error)).tolist()
     pri = channel_priors(DepolarizingChannel(0.1), 2)
-    out = decode(code, [1, 1], pri, max_iter=10, graph=graph)
+    out = decode(code, [1, 1], pri, max_iter=10)
     assert out.converged
     assert out.iterations == 1
     assert out.error_pauli == "II"
@@ -531,7 +531,7 @@ def test_check_on_ebit_columns_only():
     # target's, whatever the decision and with halt on or off
     for target in ([1, -1], [-1, -1]):
         for halt in (True, False):
-            out = decode(code, target, pri, max_iter=4, graph=graph, halt=halt)
+            out = decode(code, target, pri, max_iter=4, halt=halt)
             assert (out.converged, out.iterations) == (False, 4)
             assert out.frustrated[1]
             _masks_match_counting(code, [out], [np.array(target)])
@@ -565,7 +565,7 @@ def test_lanes_with_refill_match_decode(width):
     assert any(o.converged for o in got.values())
     assert any(not o.converged for o in got.values())
     for index, (pri, target, cap) in enumerate(jobs):
-        want = decode(code, target, pri, max_iter=cap, graph=graph)
+        want = decode(code, target, pri, max_iter=cap)
         assert got[index].error.tolist() == want.error.tolist()
         assert (got[index].converged, got[index].iterations) == (
             want.converged, want.iterations,
@@ -613,7 +613,7 @@ def test_lanes_loaded_together_are_laid_out_once(monkeypatch, k):
     while lanes.busy:
         got.update(lanes.step(halt=False))
     for index, (pri, target, cap) in enumerate(jobs):
-        want = decode(code, target, pri, max_iter=cap, graph=graph, halt=False)
+        want = decode(code, target, pri, max_iter=cap, halt=False)
         assert got[index].error.tolist() == want.error.tolist()
         assert (got[index].converged, got[index].iterations) == (
             want.converged, want.iterations,
@@ -660,7 +660,7 @@ def test_held_jobs_fill_non_contiguous_holes_in_place(monkeypatch):
     while lanes.busy:
         got.update(lanes.step(halt=False))
     for index, (pri, target, cap) in enumerate(jobs):
-        want = decode(code, target, pri, max_iter=cap, graph=graph, halt=False)
+        want = decode(code, target, pri, max_iter=cap, halt=False)
         assert got[index].error.tolist() == want.error.tolist()
         assert got[index].iterations == want.iterations == cap
         assert got[index].converged == want.converged
@@ -682,5 +682,5 @@ def test_lane_on_unreachable_syndrome_runs_to_its_cap():
     assert finished["reachable"].converged and finished["reachable"].iterations == 1
     assert not finished["unreachable"].converged
     assert finished["unreachable"].iterations == 7
-    out = decode(code, [1, -1], pri, max_iter=7, graph=graph)
+    out = decode(code, [1, -1], pri, max_iter=7)
     assert (out.converged, out.iterations) == (False, 7)

@@ -50,6 +50,10 @@ def test_config_validation():
         FeedbackConfig(strategy="pc08", n_a=-1)
     with pytest.raises(ValueError):
         FeedbackConfig(strategy="pc08", delta=-0.5)
+    # a NaN delta used to run every pc08 round on NaN priors
+    for delta in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="delta must be nonnegative and finite"):
+            FeedbackConfig(strategy="pc08", delta=delta)
 
 
 def test_frustrated_checks(code411):
@@ -119,6 +123,13 @@ def test_pc08_perturb():
         assert out[0] < prior[0]  # identity mass shrinks after renormalizing
         assert abs(out.sum() - 1.0) < 1e-12
 
+    # a NaN delta used to return all-NaN priors; nothing is drawn
+    state = rng.bit_generator.state
+    for delta in (-0.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="delta must be nonnegative and finite"):
+            pc08_perturb(prior, delta, rng)
+    assert rng.bit_generator.state == state
+
 
 def test_pc08_perturb_rows_equal_the_per_row_loop():
     # A pc08 round draws for all its qubits at once; the draws, the
@@ -158,7 +169,7 @@ def test_enhanced_round_case_study(code411, priors411):
     before = priors411.copy()
     outcome, record = feedback_round(
         code411, TARGET, priors411, check=1, qubit=3, config=config,
-        current_e_out=first.error,
+        current=first,
     )
     assert outcome.converged
     assert outcome.iterations == 3
@@ -170,6 +181,19 @@ def test_enhanced_round_case_study(code411, priors411):
     assert np.array_equal(priors411, before)
 
 
+def test_round_reads_the_current_outcomes_mask(code411, priors411):
+    # feedback_round takes enhanced's frustration pattern from the working
+    # outcome's mask, not from a syndrome of its error: IYII with check 2's
+    # bit cleared makes (s_c, sc_dot) = (+1, +1), which is no frustrated
+    # pattern, while the true mask converges (test_enhanced_round_case_study)
+    iyii = np.array([0, 3, 0, 0], dtype=np.uint8)
+    mask = np.array([False, False, True, True])
+    current = DecodeOutcome(iyii, False, 90, mask)
+    config = FeedbackConfig(strategy="enhanced", t_pert=40)
+    with pytest.raises(ValueError, match="not a frustrated pattern"):
+        feedback_round(code411, TARGET, priors411, 1, 3, config, current)
+
+
 def test_pc08_round_case_study_fails(code411, priors411):
     first = decode(code411, TARGET, priors411, max_iter=90)
     config = FeedbackConfig(strategy="pc08", t_pert=40, delta=1.0)
@@ -178,7 +202,7 @@ def test_pc08_round_case_study_fails(code411, priors411):
     for seed in range(40):
         outcome, record = feedback_round(
             code411, TARGET, priors411, check=1, qubit=0, config=config,
-            rng=substream(seed, 0), current_e_out=first.error,
+            rng=substream(seed, 0), current=first,
         )
         if not outcome.converged:
             failures += 1
@@ -189,7 +213,7 @@ def test_pc08_round_case_study_fails(code411, priors411):
     # the pc08 round perturbs every qubit of the chosen check
     _, record = feedback_round(
         code411, TARGET, priors411, check=1, qubit=0, config=config,
-        rng=substream(0, 0), current_e_out=first.error,
+        rng=substream(0, 0), current=first,
     )
     assert record.qubits_touched.tolist() == [0, 1, 3]
 
@@ -200,7 +224,7 @@ def test_failed_round_restores_priors_bit_exactly(code411, priors411):
     before = priors411.copy()
     _, record = feedback_round(
         code411, TARGET, priors411, check=1, qubit=0, config=config,
-        rng=substream(8, 1), current_e_out=first.error,
+        rng=substream(8, 1), current=first,
     )
     assert record.outcome in ("restored", "check_satisfied")
     assert record.qubits_touched.tolist() == [0, 1, 3]
@@ -265,20 +289,19 @@ def test_feedback_decode_converged_first_run_has_no_rounds():
     # Blocks of the [[62,2]] code at p=0.06 whose standard run converges:
     # feedback_decode returns that run as it is, with no round.
     code = construction_b([1 if i in (1, 5, 11, 24, 25, 27) else 0 for i in range(31)])
-    graph = TannerGraph(code)
     chan = DepolarizingChannel(0.06)
     pri = channel_priors(chan, code.n_sent)
     converged = 0
     for block in range(10):
         error = sample_error(code.n_sent, chan, substream(5, 0, block))
         target = syndrome(code, error)
-        first = decode(code, target, pri, max_iter=90, graph=graph)
+        first = decode(code, target, pri, max_iter=90)
         if not first.converged:
             continue
         converged += 1
         for strategy in ("pc08", "enhanced"):
             outcome, records = feedback_decode(
-                code, target, pri, FeedbackConfig(strategy=strategy), graph=graph,
+                code, target, pri, FeedbackConfig(strategy=strategy),
                 rng=substream(5, 1, 0, 0, block),
             )
             assert records == []
@@ -340,7 +363,7 @@ def _failed_blocks(code, p, count, seed=5):
     block = 0
     while len(failed) < count:
         target = syndrome(code, sample_error(code.n_sent, chan, substream(seed, 0, block)))
-        first = decode(code, target, pri, graph=graph)
+        first = decode(code, target, pri)
         if not first.converged:
             failed.append((block, target, first))
         block += 1
@@ -374,7 +397,7 @@ def test_interleaved_runs_equal_runs_alone():
 
     alone = [
         feedback_decode(
-            code, target, pri, FeedbackConfig(strategy=strategy), graph=graph,
+            code, target, pri, FeedbackConfig(strategy=strategy),
             rng=substream(5, 1, 0, 0, block),
         )
         for block, target, _, strategy in specs
@@ -383,7 +406,7 @@ def test_interleaved_runs_equal_runs_alone():
     pending = [(run, run.next_round()) for run in runs]
     while pending:
         run, (adjusted, t_pert) = pending.pop(0)
-        run.finish_round(decode(code, run.target, adjusted, max_iter=t_pert, graph=graph))
+        run.finish_round(decode(code, run.target, adjusted, max_iter=t_pert))
         restart = run.next_round()
         if restart is not None:
             pending.append((run, restart))

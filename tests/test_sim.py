@@ -258,6 +258,9 @@ def test_spec_validation(code411):
         ({"delta": -1.0}, "delta"),
         ({"inject": "IXI"}, "must cover the 4 sent qubits"),
         ({"inject": "IXQI"}, "invalid Pauli symbol"),
+        # a NaN delta used to run every pc08 round on NaN priors
+        ({"delta": float("nan")}, "delta must be nonnegative and finite"),
+        ({"delta": float("inf")}, "delta must be nonnegative and finite"),
     ):
         with pytest.raises(ValueError, match=message):
             ExperimentSpec(
