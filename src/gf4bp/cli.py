@@ -44,22 +44,36 @@ def _read_config(path):
     return values
 
 
-def _apply_config(ctx, config_path, parsers):
-    """Fill parameters from the config file where flags were not given."""
+def _apply_config(ctx, config_path):
+    """Fill parameters from the config file where flags were not given; a
+    key is a flag or parameter name, its value converted by the flag's type."""
     if config_path is None:
         return
+    options = {}  # key -> option, dashes as underscores
+    for param in ctx.command.params:
+        if "--config" not in param.opts:
+            for name in [param.name, *(opt.lstrip("-") for opt in param.opts)]:
+                options[name.replace("-", "_")] = param
     values = _read_config(config_path)
-    unknown = set(values) - set(parsers)
+    unknown = set(values) - set(options)
     if unknown:
         raise click.UsageError(f"unknown config keys: {sorted(unknown)}")
     for key, value in values.items():
-        source = ctx.get_parameter_source(key)
+        param = options[key]
+        source = ctx.get_parameter_source(param.name)
         if source is not None and source.name != "DEFAULT":
             continue  # explicit flag wins
         try:
-            ctx.params[key] = parsers[key](value)
-        except ValueError as exc:
-            raise click.UsageError(f"bad config value {key}={value!r}: {exc}")
+            ctx.params[param.name] = param.type.convert(value, param, ctx)
+        except click.BadParameter as exc:
+            raise click.UsageError(f"bad config value {key}={value!r}: {exc.message}")
+
+
+def _check_out_dir(flag, path):
+    """UsageError unless an output file's directory exists: checked before
+    decoding, so a run does not end in a traceback after its last block."""
+    if path is not None and path != "-" and not Path(path).parent.is_dir():
+        raise click.UsageError(f"{flag} {path}: no directory {Path(path).parent}")
 
 
 def _parse_p_list(text):
@@ -129,13 +143,10 @@ def main():
 def simulate(ctx, code_src, p_list, strategy, blocks, seed, max_iter, t_pert,
              n_a, delta, inject, workers, out, jsonl, config_path):
     """Monte-Carlo decoding experiment; writes one CSV row per (p, strategy)."""
-    _apply_config(ctx, config_path, {
-        "code_src": str, "p_list": str, "strategy": str, "blocks": int,
-        "seed": int, "max_iter": int, "t_pert": int, "n_a": str,
-        "delta": float, "inject": str, "workers": int, "out": str,
-        "jsonl": str,
-    })
+    _apply_config(ctx, config_path)
     params = ctx.params
+    _check_out_dir("--out", params["out"])
+    _check_out_dir("--jsonl", params["jsonl"])
     try:
         spec = ExperimentSpec(
             code=load_code(params["code_src"]),
@@ -183,11 +194,13 @@ def simulate(ctx, code_src, p_list, strategy, blocks, seed, max_iter, t_pert,
 @click.option("--delta", default=0.1, show_default=True, type=float)
 @click.option("--seed", default=0, show_default=True, type=int)
 @click.option("--out", default="-", show_default=True,
+              type=click.Path(dir_okay=False, allow_dash=True),
               help="CSV output path, or - for stdout.")
 def trace(code_src, p, error, syndrome_text, strategy, check, qubit, max_iter,
           t_pert, n_a, delta, seed, out):
     """Emit per-iteration beliefs (iteration,qubit,p_I,p_X,p_Z,p_Y) for one
     decoding instance; qubit numbers in the output are 1-based."""
+    _check_out_dir("--out", out)
     target = None
     if syndrome_text is not None:
         signs = {"+": 1, "-": -1}

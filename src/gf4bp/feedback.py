@@ -22,16 +22,17 @@ Frustrated checks, enhanced's frustration pattern and round verdicts come
 from the decoder's own syndrome test, the frustrated mask of each outcome;
 no parity is computed here.
 
-FeedbackRun is the one round engine: it holds the state of one such
-procedure between rounds.  Three drivers run it: feedback_round (one
-pinned round from a given working outcome, which trace_run's pinned round
-uses too), feedback_decode (the serial loop) and the Monte-Carlo harness,
-whose restarts of many runs share the lane kernel.  Its random choices come
-from its own generator, so interleaving runs changes none of them.
+FeedbackRun is the one round engine: it holds one such procedure between
+rounds, with its working DecodeOutcome as current.  Three drivers run it,
+each restart for config.t_pert iterations on the priors it returns:
+feedback_round (one pinned round from a given working outcome, trace_run's
+pinned round too), feedback_decode (the serial loop) and the Monte-Carlo
+harness, whose restarts of many runs share the lane kernel.  Its random
+choices come from its own generator, so interleaving changes none of them.
 """
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -162,8 +163,8 @@ def feedback_round(
     modified.
     """
     run = FeedbackRun(tanner_graph(code), target, priors, config, current, rng)
-    adjusted, t_pert = run.start_round(check, qubit)
-    outcome = decode(code, run.target, adjusted, t_pert, on_iteration=on_iteration)
+    adjusted = run.start_round(check, qubit)
+    outcome = decode(code, run.target, adjusted, config.t_pert, on_iteration=on_iteration)
     run.finish_round(outcome)
     return outcome, run.records[0]
 
@@ -171,13 +172,13 @@ def feedback_round(
 class FeedbackRun:
     """The feedback procedure of one (block, strategy), a round at a time.
 
-    first is the working outcome on (target, priors), the standard run's at
-    the start; a non-converged one must carry its frustrated mask.  next_round() chooses
-    the next (check, qubit), and start_round(check, qubit) draws what the
-    strategy draws; both return (adjusted priors, t_pert) for the BP
-    restart, next_round None when the run is over.  finish_round(outcome)
-    applies that restart's verdict.  result() is (outcome, records), the
-    outcome's iterations counting the first run and every round.
+    current is the working outcome on (target, priors): first, the standard
+    run's, at the start; a non-converged one must carry its frustrated mask.
+    next_round() chooses the next (check, qubit), and start_round(check,
+    qubit) draws what the strategy draws; both return the adjusted priors of
+    a config.t_pert-iteration BP restart, next_round None once the run is
+    over.  finish_round(outcome) applies its verdict.  result() is (outcome,
+    records), the outcome's iterations counting the first run and every round.
     """
 
     def __init__(self, graph, target, priors, config, first, rng):
@@ -192,9 +193,7 @@ class FeedbackRun:
         self.rng = rng
         self.budget = config.n_a if config.n_a is not None else default_n_a(graph.n_qubits)
         self.used = 0
-        self.e_out = first.error
-        self.frustrated = first.frustrated  # e_out's frustrated checks
-        self.converged = first.converged
+        self.current = first
         self.iterations = first.iterations
         self.records: list[AdjustmentRecord] = []
         self.check = None
@@ -203,11 +202,11 @@ class FeedbackRun:
         self._over = False
 
     def next_round(self):
-        if self.converged or self._over or self.used >= self.budget:
+        if self.current.converged or self._over or self.used >= self.budget:
             return None
         if not self.candidates:
-            # e_out never converged, so some check is frustrated
-            self.check = int(self.rng.choice(np.flatnonzero(self.frustrated)))
+            # current did not converge, so some check is frustrated
+            self.check = int(self.rng.choice(np.flatnonzero(self.current.frustrated)))
             self.candidates = list(self.graph.check_qubits(self.check))
             if not self.candidates:
                 self._over = True  # a check with no sender qubits can never be fixed
@@ -219,16 +218,16 @@ class FeedbackRun:
     def start_round(self, check: int, qubit: int):
         """Adjust the priors for a round on (check, qubit).
 
-        enhanced resets the one qubit from e_out's frustration pattern (its
-        sign on the check is the target's, negated if the check is
+        enhanced resets the one qubit from current's frustration pattern
+        (its sign on the check is the target's, negated if the check is
         frustrated); pc08 perturbs every qubit of the check with draws from
-        rng.  self.priors is not modified."""
+        rng.  Returns the adjusted priors; self.priors is not modified."""
         graph, config = self.graph, self.config
         slot = check_slot(graph, check, qubit)
         if config.strategy == "enhanced":
             entry = int(graph.check_entries(check)[slot])
             s_c = int(self.target[check])
-            sc_dot = -s_c if self.frustrated[check] else s_c
+            sc_dot = -s_c if self.current.frustrated[check] else s_c
             touched = np.array([qubit])
             applied = enhanced_reset(
                 entry, s_c, sc_dot, float(self.priors[qubit, 0])
@@ -242,7 +241,7 @@ class FeedbackRun:
         self._round = (int(qubit), touched, applied)
         adjusted = self.priors.copy()
         adjusted[touched] = applied
-        return adjusted, config.t_pert
+        return adjusted
 
     def finish_round(self, outcome: DecodeOutcome) -> None:
         """Record the round as converged, check_satisfied (the chosen check
@@ -266,16 +265,12 @@ class FeedbackRun:
         )
         self.iterations += outcome.iterations
         if verdict == "restored":
-            return  # the next candidate of the same check, from the same e_out
-        self.e_out, self.frustrated = outcome.error, outcome.frustrated
-        self.converged = verdict == "converged"
+            return  # the next candidate of the same check, from the same output
+        self.current = outcome
         self.candidates = []
 
     def result(self):
-        outcome = DecodeOutcome(
-            self.e_out, self.converged, self.iterations, self.frustrated
-        )
-        return outcome, self.records
+        return replace(self.current, iterations=self.iterations), self.records
 
 
 def feedback_decode(
@@ -298,7 +293,9 @@ def feedback_decode(
         rng = np.random.default_rng(0)
     first = decode(code, target, priors, max_iter=max_iter, on_iteration=on_iteration)
     run = FeedbackRun(tanner_graph(code), target, priors, config, first, rng)
-    for adjusted, t_pert in iter(run.next_round, None):
-        outcome = decode(code, run.target, adjusted, t_pert, on_iteration=on_iteration)
+    while (adjusted := run.next_round()) is not None:
+        outcome = decode(
+            code, run.target, adjusted, config.t_pert, on_iteration=on_iteration
+        )
         run.finish_round(outcome)
     return run.result()

@@ -20,7 +20,7 @@ the worker count.
 import math
 import sys
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -81,7 +81,7 @@ def load_code(source) -> StabilizerCode:
     if name in BUILTIN_CODES:
         return BUILTIN_CODES[name]()
     path = Path(name)
-    if not path.exists():
+    if not path.is_file():
         raise ValueError(f"unknown code {name!r}: not a built-in name or file")
     return parse_stabilizer_text(path.read_text())
 
@@ -112,7 +112,7 @@ class ExperimentSpec:
     delta: float = 0.1
     inject: str | None = None  # fixed Pauli error on the sent qubits
     workers: int = 1
-    degeneracy_limit: int = 10_000
+    configs: dict = field(init=False, repr=False, compare=False)  # by strategy
 
     def __post_init__(self):
         self.p_values = tuple(float(p) for p in self.p_values)
@@ -129,12 +129,10 @@ class ExperimentSpec:
         check_integer("seed", self.seed)
         check_integer("workers", self.workers, 1)
         check_integer("max_iter", self.max_iter, 1)
-        check_integer("degeneracy_limit", self.degeneracy_limit)
-        for strategy in self.strategies:
-            if strategy != "standard":  # FeedbackConfig checks name and parameters
-                FeedbackConfig(
-                    strategy, t_pert=self.t_pert, n_a=self.n_a, delta=self.delta
-                )
+        self.configs = {  # FeedbackConfig checks name and parameters
+            s: FeedbackConfig(s, t_pert=self.t_pert, n_a=self.n_a, delta=self.delta)
+            for s in self.strategies if s != "standard"
+        }
         if isinstance(self.code, StabilizerCode):  # by name, run_experiment checks
             _injected_error(self.code, self.inject)
 
@@ -228,6 +226,9 @@ def _inexact_class(code: StabilizerCode, error, e_out, check_membership) -> str:
 #: New blocks are sampled, checked and stringified this many at a time.
 BATCH_BLOCKS = 256
 
+#: Above this many qubits (sent plus ebits) inexact converged outputs are 'unchecked'.
+DEGENERACY_LIMIT = 10_000
+
 
 @dataclass(eq=False)
 class _Batch:
@@ -242,13 +243,11 @@ class _Batch:
 
 @dataclass(eq=False)
 class _FirstRun:
-    """The first run on one syndrome at one p, and the batch rows that
-    wait for it."""
+    """The first run on one syndrome at one p: the batch rows that wait for
+    it, then its read-only outcome, which later rows are reported against."""
 
-    p_index: int
-    key: bytes
-    target: np.ndarray
-    waiting: list  # (batch, rows)
+    waiting: list  # (batch, rows), until the run is decoded
+    outcome: object = None  # the DecodeOutcome, once decoded
 
 
 class _Chunk:
@@ -260,17 +259,19 @@ class _Chunk:
     arrays.  A first run depends only on the graph, the priors, the target
     and max_iter, so each syndrome at each p is decoded once: its first
     block's syndrome is queued for the lanes, the blocks that share it wait
-    for that run, and once it is done its read-only outcome and embedded
-    e_out are kept (per p, keyed by the packed syndrome) for the rest of
-    the task, so later blocks with that syndrome are classified and
-    reported at once, a batch's rows together.  Results go straight into
-    per-(p, strategy) lists indexed by block.  The lanes are refilled as
-    they finish, pending feedback restarts before new first runs.  Each
-    block's first run is shared by its strategies: standard reports it, and
-    so do pc08 and enhanced if it converged; otherwise a FeedbackRun per
-    strategy continues from it, drawing from the block's own substream.  Its
-    restarts are jobs (batch, row, strategy_index, run): the block's error,
-    error string and index are read from its batch row when the run ends.
+    in its _FirstRun, which then keeps the read-only outcome (per p, keyed
+    by the packed syndrome) for the rest of the task, so later blocks with
+    that syndrome are reported at once, a batch's rows together.  Results
+    go straight into per-(p, strategy) lists indexed by block.  Every BP
+    run waits in one queue of Lanes.load arguments (job, log-priors,
+    target, max_iter): feedback restarts go on its front, new syndromes'
+    first runs on its back, and a batch is sampled only when it is empty.
+    Each block's first run is shared by its strategies: standard reports
+    it, and so do pc08 and enhanced if it converged; otherwise a
+    FeedbackRun per strategy continues from it, drawing from the block's
+    own substream.  Its restarts are jobs (batch, row, strategy_index,
+    run): the block's error, error string and index are read from its
+    batch row when the run ends.  write() writes every BlockResult.
     """
 
     def __init__(self, code, spec, inject, block_lo, block_hi):
@@ -278,24 +279,17 @@ class _Chunk:
         self.spec = spec
         self.graph = graph = tanner_graph(code)
         self.lanes = Lanes(graph, lane_width(graph))
-        self.check_membership = code.n_total <= spec.degeneracy_limit
+        self.check_membership = code.n_total <= DEGENERACY_LIMIT
         self.inject = inject  # the embedded injected error, or None
         self.channels = [DepolarizingChannel(p) for p in spec.p_values]
         self.priors = [channel_priors(chan, code.n_sent) for chan in self.channels]
         self.lane_priors = [log_priors(pri) for pri in self.priors]
-        self.configs = {
-            s: FeedbackConfig(s, t_pert=spec.t_pert, n_a=spec.n_a, delta=spec.delta)
-            for s in spec.strategies if s != "standard"
-        }
         self.batches = (
             range(lo, min(lo + BATCH_BLOCKS, block_hi))
             for lo in range(block_lo, block_hi, BATCH_BLOCKS)
         )
-        # per p: packed syndrome -> its _FirstRun until decoded, then
-        # (outcome, embedded e_out, e_out string)
-        self.first_runs = [{} for _ in spec.p_values]
-        self.new_runs = deque()  # _FirstRuns waiting for a lane
-        self.restarts = deque()  # ((batch, row, strategy_index, run), priors, t_pert)
+        self.first_runs = [{} for _ in spec.p_values]  # per p: syndrome -> _FirstRun
+        self.queue = deque()  # (job, log-priors, target, max_iter) waiting for a lane
         self.block_lo = block_lo
         # per p, per strategy: the BlockResult of each block, by block - block_lo
         self.cells = [
@@ -320,25 +314,16 @@ class _Chunk:
         return self.cells
 
     def load_next(self) -> bool:
-        """Load a feedback restart, else a new syndrome's first run, sampling
-        batches until one is there; False when neither is left.  Sampling
-        can queue restarts too: blocks whose syndrome's run is known and did
-        not converge."""
-        while True:
-            if self.restarts:
-                job, adjusted, t_pert = self.restarts.popleft()
-                self.lanes.load(job, log_priors(adjusted), job[-1].target, t_pert)
-                return True
-            if self.new_runs:
-                job = self.new_runs.popleft()
-                self.lanes.load(
-                    job, self.lane_priors[job.p_index], job.target, self.spec.max_iter
-                )
-                return True
+        """Load the queue's front run, sampling batches until one is
+        queued; False when no block is left.  Sampling can queue restarts
+        too: blocks whose syndrome's run is known and did not converge."""
+        while not self.queue:
             blocks = next(self.batches, None)
             if blocks is None:
                 return False
             self.sample(blocks)
+        self.lanes.load(*self.queue.popleft())
+        return True
 
     def sample(self, blocks: range) -> None:
         """Draw a batch of blocks at every p; report the rows whose syndrome
@@ -367,55 +352,35 @@ class _Chunk:
             for key, rows in groups.items():
                 entry = known.get(key)
                 if entry is None:
-                    known[key] = job = _FirstRun(
-                        p_index, key, targets[rows[0]], [(batch, rows)]
-                    )
-                    self.new_runs.append(job)
-                elif isinstance(entry, _FirstRun):
+                    known[key] = entry = _FirstRun([])
+                    self.queue.append((
+                        entry, self.lane_priors[p_index], targets[rows[0]],
+                        self.spec.max_iter,
+                    ))
+                if entry.outcome is None:
                     entry.waiting.append((batch, rows))
                 else:
-                    self.report(batch, rows, *entry)
+                    self.report(batch, rows, entry)
 
     def first_run_done(self, job: _FirstRun, outcome) -> None:
         """Keep a syndrome's first run and report the rows waiting for it."""
         outcome.error.setflags(write=False)  # shared by every block of the key
         outcome.frustrated.setflags(write=False)
-        decoded = self.first_runs[job.p_index][job.key] = (
-            outcome, self.code.embed_sent(outcome.error), outcome.error_pauli,
-        )
+        job.outcome = outcome
         for batch, rows in job.waiting:
-            self.report(batch, rows, *decoded)
+            self.report(batch, rows, job)
+        job.waiting.clear()  # its batches need not outlive their results
 
-    def report(self, batch: _Batch, rows: list, outcome, e_full, e_out: str) -> None:
-        """Report the first run of a batch's rows under standard, and under
-        pc08 and enhanced if it converged; else start their feedback runs.
-
-        The rows' errors have identity ebit columns, so a row is exact when
-        its error string is e_out."""
-        spec, n_sent, p_index = self.spec, self.code.n_sent, batch.p_index
-        converged, iterations = outcome.converged, outcome.iterations
-        texts = [batch.text[row * n_sent : (row + 1) * n_sent] for row in rows]
-        if converged:
-            classes = [
-                "exact" if text == e_out else _inexact_class(
-                    self.code, batch.errors[row], e_full, self.check_membership
-                )
-                for row, text in zip(rows, texts)
-            ]
-        else:
-            classes = ["detected"] * len(rows)
+    def report(self, batch: _Batch, rows: list, first_run: _FirstRun) -> None:
+        """Report a first run for a batch's rows under standard, and under
+        pc08 and enhanced if it converged; else start their feedback runs."""
+        spec, outcome, p_index = self.spec, first_run.outcome, batch.p_index
+        converged = outcome.converged
+        shared = [i for i, s in enumerate(spec.strategies) if s == "standard" or converged]
+        self.write(batch, rows, shared, outcome)
         first = batch.blocks.start
-        offset = first - self.block_lo  # of the batch's first block in a cell
-        p = spec.p_values[p_index]
         for strategy_index, strategy in enumerate(spec.strategies):
             if strategy == "standard" or converged:
-                cell = self.cells[p_index][strategy_index]
-                # positional: a keyword call costs twice as much per block
-                for row, text, klass in zip(rows, texts, classes):
-                    cell[offset + row] = BlockResult(
-                        p, strategy, first + row, text, e_out, converged, iterations,
-                        klass,
-                    )
                 continue
             for row in rows:
                 rng = substream(
@@ -423,26 +388,50 @@ class _Chunk:
                 )
                 run = FeedbackRun(
                     self.graph, batch.targets[row], self.priors[p_index],
-                    self.configs[strategy], outcome, rng,
+                    spec.configs[strategy], outcome, rng,
                 )
                 self.advance(batch, row, strategy_index, run)
 
     def advance(self, batch: _Batch, row: int, strategy_index: int, run) -> None:
         """Queue the run's next restart, or report the run of the batch's row
         once it is over."""
-        restart = run.next_round()
-        if restart is not None:
-            self.restarts.append(((batch, row, strategy_index, run),) + restart)
+        adjusted = run.next_round()
+        if adjusted is not None:
+            job = (batch, row, strategy_index, run)
+            self.queue.appendleft((job, log_priors(adjusted), run.target, run.config.t_pert))
             return
-        outcome, _ = run.result()
-        code = self.code
-        klass = classify_outcome(code, batch.errors[row], outcome, self.check_membership)
-        block, n_sent = batch.blocks[row], code.n_sent
-        self.cells[batch.p_index][strategy_index][block - self.block_lo] = BlockResult(
-            self.spec.p_values[batch.p_index], self.spec.strategies[strategy_index],
-            block, batch.text[row * n_sent : (row + 1) * n_sent], outcome.error_pauli,
-            outcome.converged, outcome.iterations, klass,
-        )
+        self.write(batch, [row], [strategy_index], run.result()[0])
+
+    def write(self, batch: _Batch, rows: list, strategy_indices: list, outcome) -> None:
+        """Classify a batch's rows against a run's outcome and write their
+        BlockResults under the given strategies.  The rows' errors have
+        identity ebit columns, so a row is exact when its error string is
+        e_out; a converged run's other rows are left to _inexact_class."""
+        code, spec, n_sent = self.code, self.spec, self.code.n_sent
+        converged, iterations = outcome.converged, outcome.iterations
+        e_out = outcome.error_pauli
+        texts = [batch.text[row * n_sent : (row + 1) * n_sent] for row in rows]
+        if converged:
+            classes = [
+                "exact" if text == e_out else _inexact_class(
+                    code, batch.errors[row], code.embed_sent(outcome.error),
+                    self.check_membership,
+                )
+                for row, text in zip(rows, texts)
+            ]
+        else:
+            classes = ["detected"] * len(rows)
+        first = batch.blocks.start
+        offset = first - self.block_lo  # of the batch's first block in a cell
+        p = spec.p_values[batch.p_index]
+        for strategy_index in strategy_indices:
+            cell = self.cells[batch.p_index][strategy_index]
+            strategy = spec.strategies[strategy_index]
+            # positional: a keyword call costs twice as much per block
+            for row, text, klass in zip(rows, texts, classes):
+                cell[offset + row] = BlockResult(
+                    p, strategy, first + row, text, e_out, converged, iterations, klass,
+                )
 
 
 def _run_blocks(args):

@@ -401,6 +401,7 @@ def per_cell_experiment(spec, jsonl_path=None):
     from gf4bp.decoder import decode
     from gf4bp.feedback import FeedbackConfig, feedback_decode
     from gf4bp.sim import (
+        DEGENERACY_LIMIT,
         OUTCOME_CLASSES,
         BlockResult,
         StrategyStats,
@@ -410,7 +411,7 @@ def per_cell_experiment(spec, jsonl_path=None):
     )
 
     code = load_code(spec.code)
-    check_membership = code.n_total <= spec.degeneracy_limit
+    check_membership = code.n_total <= DEGENERACY_LIMIT
     inject = None if spec.inject is None else gf4.pauli_to_values(spec.inject)
     block_results = []
     verdicts = Counter()

@@ -40,19 +40,31 @@ def test_simulate_multiple_strategies(tmp_path):
 
 
 def test_simulate_config_file(tmp_path):
+    # keys are the flag names (code and p used to be rejected as unknown),
+    # dashes or underscores, each value converted by its flag's type
     out_config = tmp_path / "from_config.csv"
     config = tmp_path / "run.cfg"
     config.write_text(
-        f"blocks = 15\nseed = 9\nout = {out_config}\n# comment line\n"
+        f"code = 4_1_1\np = 0.07\nblocks = 15\nseed = 9\nmax-iter = 30\n"
+        f"out = {out_config}\n# comment line\n"
     )
     runner = CliRunner()
-    result = runner.invoke(
-        main,
-        ["simulate", "--code", "4_1_1", "--p", "0.05", "--config", str(config)],
-    )
+    result = runner.invoke(main, ["simulate", "--config", str(config)])
     assert result.exit_code == 0, result.output
     assert out_config.exists()
-    assert ",15," in out_config.read_text().strip().split("\n")[1]
+    row = out_config.read_text().strip().split("\n")[1]
+    assert ",15," in row
+    assert row.startswith("0.07,standard,15,") and row.endswith(",9")
+
+    # the parameter names of earlier config files still work
+    out_names = tmp_path / "from_names.csv"
+    names = tmp_path / "names.cfg"
+    names.write_text(
+        f"code_src = 4_1_1\np_list = 0.03\nmax_iter = 30\nout = {out_names}\n"
+    )
+    result = runner.invoke(main, ["simulate", "--blocks", "4", "--config", str(names)])
+    assert result.exit_code == 0, result.output
+    assert out_names.read_text().strip().split("\n")[1].startswith("0.03,standard,4,")
 
     # an explicit flag beats the config value
     out_flag = tmp_path / "from_flag.csv"
@@ -278,11 +290,26 @@ def test_build_code_ea_reproduces_4_1_1(tmp_path):
           "--qubit", "2"], {}, "standard BP has no feedback round to pin"),
         (["build-code", "ea", "--alist", "bad.alist", "--out", "x.stab"],
          {"bad.alist": "4 2\n"}, "expected 10 lines for a 2 x 4 alist"),
+        # these used to end in an IsADirectoryError traceback
+        (["simulate", "--code", "."], {}, "unknown code '.': not a built-in name or file"),
+        (["trace", "--code", ".", "--error", "IIZX"], {}, "unknown code '.'"),
+        # these used to decode every block, then end in a FileNotFoundError
+        (["simulate", "--code", "4_1_1", "--out", "nodir/r.csv"], {},
+         "--out nodir/r.csv: no directory nodir"),
+        (["simulate", "--code", "4_1_1", "--jsonl", "nodir/b.jsonl"], {},
+         "--jsonl nodir/b.jsonl: no directory nodir"),
+        (["simulate", "--code", "4_1_1", "--config", "out.cfg"],
+         {"out.cfg": "out = nodir/r.csv\n"}, "--out nodir/r.csv: no directory nodir"),
+        (["trace", "--error", "IIZX", "--out", "nodir/t.csv"], {},
+         "--out nodir/t.csv: no directory nodir"),
+        (["trace", "--error", "IIZX", "--out", "."], {}, "'.' is a directory"),
     ],
     ids=["unknown-code", "bad-syndrome", "bad-first-row", "config-value", "keep-not-int",
          "keep-out-of-range", "keep-zero", "keep-negative", "keep-mixed",
          "trace-check-out-of-range", "trace-qubit-not-on-check", "trace-qubit-alone",
-         "trace-pin-under-standard", "malformed-alist"],
+         "trace-pin-under-standard", "malformed-alist", "code-is-directory",
+         "trace-code-is-directory", "out-dir-missing", "jsonl-dir-missing",
+         "config-out-dir-missing", "trace-out-dir-missing", "trace-out-is-directory"],
 )
 def test_bad_inputs_fail(tmp_path, monkeypatch, args, files, message):
     monkeypatch.chdir(tmp_path)

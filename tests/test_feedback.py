@@ -405,8 +405,8 @@ def test_interleaved_runs_equal_runs_alone():
     runs = [start(*spec) for spec in specs]
     pending = [(run, run.next_round()) for run in runs]
     while pending:
-        run, (adjusted, t_pert) = pending.pop(0)
-        run.finish_round(decode(code, run.target, adjusted, max_iter=t_pert))
+        run, adjusted = pending.pop(0)
+        run.finish_round(decode(code, run.target, adjusted, max_iter=run.config.t_pert))
         restart = run.next_round()
         if restart is not None:
             pending.append((run, restart))

@@ -219,13 +219,10 @@ def test_spec_validation(code411):
         ExperimentSpec(code=code411, p_values=())
     with pytest.raises(ValueError, match="no strategy values"):
         ExperimentSpec(code=code411, p_values=(0.1,), strategies=())
-    # a cap of 0 iterations used to report 1 iteration, converged and exact,
-    # and a negative limit to turn every non-exact outcome into unchecked
+    # a cap of 0 iterations used to report 1 iteration, converged and exact
     with pytest.raises(ValueError, match="max_iter"):
         ExperimentSpec(code=code411, p_values=(0.1,), inject="IXII", max_iter=0)
-    with pytest.raises(ValueError, match="degeneracy_limit"):
-        ExperimentSpec(code=code411, p_values=(0.1,), degeneracy_limit=-1)
-    ExperimentSpec(code=code411, p_values=(0.1,), max_iter=1, degeneracy_limit=0)
+    ExperimentSpec(code=code411, p_values=(0.1,), max_iter=1)
     # counts and the seed must be integers: a seed of 1.5 used to run as
     # seed 1 and write 1.5 in the CSV, max_iter=2.5 to cap at 3, blocks=2.5
     # to raise a TypeError, and a negative seed to fail inside a worker
@@ -237,8 +234,6 @@ def test_spec_validation(code411):
         ({"blocks": 2.0}, "blocks must be an integer"),
         ({"max_iter": 2.5}, "max_iter must be an integer"),
         ({"workers": 1.5}, "workers must be an integer"),
-        ({"degeneracy_limit": 0.5}, "degeneracy_limit must be an integer"),
-        ({"degeneracy_limit": None}, "degeneracy_limit must be an integer"),
     ):
         with pytest.raises(ValueError, match=message):
             ExperimentSpec(code=code411, p_values=(0.1,), **changes)
@@ -459,6 +454,40 @@ def test_batch_size_does_not_change_outputs(
     _assert_equals_reference(lane_reference, tmp_path, workers=workers)
 
 
+def test_unchecked_outputs_are_counted(code411, tmp_path, monkeypatch):
+    # Above sim.DEGENERACY_LIMIT qubits (here below 4_1_1's 5, one ebit
+    # included) a converged output that is not the error is classed
+    # unchecked, for first runs and for finished feedback runs alike, and a
+    # pool worker forks with the patched limit.  The CSV has no unchecked
+    # column, so its class columns sum to n_blocks - unchecked.
+    monkeypatch.setattr(sim, "DEGENERACY_LIMIT", code411.n_total - 1)
+    spec = ExperimentSpec(
+        code=code411, p_values=(0.15, 0.25), strategies=("standard", "pc08", "enhanced"),
+        blocks=60, seed=3, n_a=4,
+    )
+    ref_stats, ref_blocks, _ = per_cell_experiment(spec)
+    for workers in (1, 2):
+        stats, blocks = run_experiment(replace(spec, workers=workers))
+        assert blocks == ref_blocks
+        assert stats == ref_stats
+        assert format_csv(stats) == format_csv(ref_stats)
+    unchecked = [b for b in blocks if b.outcome == "unchecked"]
+    assert unchecked and all(b.converged and b.e_out != b.error for b in unchecked)
+    standard = {(b.p, b.block): b for b in blocks if b.strategy == "standard"}
+    assert any(
+        b.strategy != "standard" and not standard[b.p, b.block].converged
+        for b in unchecked
+    )
+    rows = format_csv(stats).splitlines()[1:]
+    for s, row in zip(stats, rows, strict=True):
+        cell = [b for b in blocks if (b.p, b.strategy) == (s.p, s.strategy)]
+        assert s.unchecked == sum(b.outcome == "unchecked" for b in cell)
+        assert s.degenerate == s.nonequivalent == 0
+        exact, degenerate, nonequivalent, detected = map(int, row.split(",")[8:12])
+        assert exact + degenerate + nonequivalent + detected == s.n_blocks - s.unchecked
+    assert sum(s.unchecked for s in stats) == len(unchecked)
+
+
 def test_lane_width_follows_the_code(code62, code510):
     from gf4bp.decoder import LANE_WORKSPACE_BYTES, Lanes, TannerGraph, lane_width
 
@@ -654,7 +683,7 @@ def test_shared_first_runs_are_read_only(code411):
     )
     chunk = sim._Chunk(code411, spec, None, 0, spec.blocks)
     chunk.run()
-    kept = [entry[0] for runs in chunk.first_runs for entry in runs.values()]
+    kept = [entry.outcome for runs in chunk.first_runs for entry in runs.values()]
     assert any(outcome.converged for outcome in kept)
     assert any(outcome.frustrated.any() for outcome in kept)
     for outcome in kept:
