@@ -62,7 +62,9 @@ on its own syndrome match, and a finished lane can be refilled with the next
 job while the others go on.  Every operation is elementwise along the lane
 axis, and the lane axis is the innermost axis of every operand, so a lane
 computes bit for bit what it would compute alone; decode is the kernel at
-width 1.
+width 1.  Iteration 1 starts from gamma = 0 and bel = lp, so its gammas are
+s_c times G0, the all +1 syndrome's (s_c = +-1 starts the check product, the
+clip is symmetric, tanh and arctanh are odd), as Lanes.first_iteration uses.
 """
 
 import math
@@ -183,7 +185,8 @@ class TannerGraph:
             tables.append(np.append(edge_cell[edges], pad_cell)[np.vstack([table, pad])])
             self._entry_rows.append(self._entry_rows[-1] + len(tables[-1]))
         self._gamma_gather = np.concatenate(tables)
-        self._decode_lanes = None  # decode's width-1 Lanes, made on first use
+        self._lanes = {}  # width -> the idle_lanes Lanes
+        self._first_messages = {}  # log-prior bytes -> G0, see Lanes.first_messages
 
     def check_qubits(self, check: int) -> np.ndarray:
         """Sender qubits incident to a check, in column order."""
@@ -253,7 +256,7 @@ def _check_messages(graph: TannerGraph, v) -> None:
     previous gammas."""
     th = v.th
     # mode="clip": the tables index in range, and the default mode buffers out=
-    v.half_rows.take(graph._message_gather, axis=0, out=th, mode="clip")
+    v.half.take(graph._message_gather, axis=0, out=th, mode="clip")
     np.subtract(th, v.gamma_cells, out=th)  # Lambda / 2 of the edge
     np.tanh(th, out=th)
     _run(np.multiply, v.check_products)  # cpref[0] holds s_c
@@ -265,7 +268,7 @@ def _check_messages(graph: TannerGraph, v) -> None:
 
 def _beliefs(graph: TannerGraph, v) -> None:
     """The log-beliefs v.bel from the log-priors v.lp and the gammas."""
-    v.gamma_rows.take(graph._gamma_gather, axis=0, out=v.qg, mode="clip")
+    v.gamma.take(graph._gamma_gather, axis=0, out=v.qg, mode="clip")
     _run(np.add, v.entry_sums)
     s, total, bel = v.s, v.total, v.bel
     np.add(s[0], s[1], out=total)
@@ -315,7 +318,7 @@ def _lane_shapes(graph: TannerGraph) -> dict:
         "gamma": ((graph.check_slots.size + 1,), real),
         "cpref": ((check_slots + 1, n_checks), real),
         "csuf": ((check_slots, n_checks), real),
-        "th": ((check_slots, n_checks), real),
+        "th": ((graph.check_slots.size + 1,), real),  # + 1: first_iteration's gamma
         "half": ((3 * n + 1,), real),
         "qg": ((len(graph._gamma_gather), n), real),
         "s": ((3, n), real),
@@ -358,7 +361,11 @@ class Lanes:
             name: np.empty(width * math.prod(shape), dtype=dtype)
             for name, (shape, dtype) in self._shapes.items()
         }
-        self._views = {}
+        self._views = {}  # by (lanes, first)
+        # first_iteration writes only its own bools and its gamma and bel, in
+        # step buffers that a step writes before it reads them
+        own = {name: np.empty_like(self._flat[name]) for name in ("bits", "slot_bits")}
+        self._first_flat = dict(self._flat, gamma=self._flat["th"], bel=self._flat["exp"], **own)
         self._layout = 0
         self.jobs = []  # per lane of the layout: its job, None once finished
         self.busy = 0  # jobs running or held
@@ -374,16 +381,15 @@ class Lanes:
             for shape, dtype in _lane_shapes(graph).values()
         )
 
-    def _view(self, lanes: int):
-        """The workspace for `lanes` lanes, with every view and op list the
-        step uses, made on first use of each layout."""
-        view = self._views.get(lanes)
+    def _view(self, lanes: int, first: bool = False):
+        """The workspace for `lanes` lanes (first_iteration's if first), with
+        every view and op list the step uses, made on first use of each layout."""
+        flat = self._first_flat if first else self._flat
+        view = self._views.get((lanes, first))
         if view is None:
-            view = self._views[lanes] = SimpleNamespace(
+            view = self._views[lanes, first] = SimpleNamespace(
                 **{
-                    name: self._flat[name][: math.prod(shape) * lanes].reshape(
-                        shape + (lanes,)
-                    )
+                    name: flat[name][: math.prod(shape) * lanes].reshape(shape + (lanes,))
                     for name, (shape, _) in self._shapes.items()
                 }
             )
@@ -391,20 +397,18 @@ class Lanes:
             view.target_parity = view.slot_bits[-1]
             bit_rows = view.bits[:-1].reshape((3,) + view.s.shape[1:])
             view.decided = bit_rows[:2].view(np.uint8)  # Z and X bits
-            # the decision's bit rows (exp is free after _beliefs), then each
-            # check cell's bit (axis 0, mode "clip" as in _check_messages)
-            view.syndrome_test = _decision_ops(view.bel, view.exp[:2], bit_rows) + [
+            # the decision's bits (anti is free after _qubit_messages), then
+            # each check cell's bit (axis 0, mode "clip" as in _check_messages)
+            view.syndrome_test = _decision_ops(view.bel, view.anti[:2], bit_rows) + [
                 partial(
                     view.bits.take, self.graph._message_gather, 0,
                     view.slot_bits[:-1], "clip",
                 )
             ]
             view.cpref_excl = view.cpref[:-1]
-            view.gamma_cells = view.gamma[:-1].reshape(view.th.shape)
+            view.gamma_cells = view.gamma[:-1].reshape(view.csuf.shape)
+            view.th = view.th[:-1].reshape(view.csuf.shape)
             view.half_entries = view.half[:-1].reshape(view.s.shape)
-            view.half_rows, view.gamma_rows = (
-                x.reshape(len(x), lanes) for x in (view.half, view.gamma)
-            )
             view.check_products = _slot_product_ops(view.th, view.cpref, view.csuf)
             view.entry_sums = _slot_sum_ops(view.qg, self.graph._entry_rows, view.s)
         return view
@@ -458,6 +462,35 @@ class Lanes:
         self._held.append((job, priors, target, max_iter))
         self.busy += 1
 
+    def first_messages(self, lp: np.ndarray) -> np.ndarray:
+        """G0 for log-priors lp, by this idle kernel's step, kept per graph and
+        lp; ArithmeticError if the all -1 syndrome's gammas are not -G0."""
+        known, key = self.graph._first_messages, lp.tobytes()
+        if key not in known:
+            gammas = []
+            for sign in (1, -1):
+                self.load(sign, lp, np.full(self.graph.n_checks, sign), 1)
+                self.step()
+                gammas.append(self._view(self._layout).gamma_cells[..., 0].copy())
+            if (-gammas[0]).tobytes() != gammas[1].tobytes():
+                raise ArithmeticError("iteration 1's gammas are not odd in the syndrome")
+            known[key] = gammas[0]
+        return known[key]
+
+    def first_iteration(self, lp, first, targets: np.ndarray):
+        """Each job's DecodeOutcome after iteration 1, as a lane gives it, for
+        the syndromes targets (k <= width rows) with log-priors lp and
+        first = first_messages(lp); in bulk, between steps."""
+        view = self._view(len(targets), first=True)
+        view.lp, signs = lp[..., None], targets.T
+        np.multiply(first[..., None], signs, out=view.gamma_cells)
+        view.gamma[-1], view.bits[-1] = 0.0, False  # the pad slots'
+        np.less(signs, 0, out=view.target_parity)
+        _beliefs(self.graph, view)
+        frustrated, (z_bits, x_bits) = _mismatches(view).T, view.decided
+        errors, matched = (z_bits << 1 | x_bits).T.copy(), ~frustrated.any(axis=1)
+        return [DecodeOutcome(e, m, 1, f) for e, m, f in zip(errors, matched.tolist(), frustrated)]
+
     def step(self, halt: bool = True) -> list:
         """One flooding iteration on every busy lane; returns the finished
         lanes' (job, DecodeOutcome) pairs in lane order."""
@@ -499,6 +532,14 @@ class Lanes:
         bel = self._view(self._layout).bel[..., lane]
         x = np.exp(bel - bel.max(axis=0))
         return np.array((x / x.sum(axis=0)).T, order="C")
+
+
+def idle_lanes(graph: TannerGraph, width: int) -> Lanes:
+    """The graph's kept Lanes of this width; a fresh one is kept if it is busy."""
+    lanes = graph._lanes.get(width)
+    if lanes is None or lanes.busy:
+        lanes = graph._lanes[width] = Lanes(graph, width)
+    return lanes
 
 
 def lane_width(graph: TannerGraph) -> int:
@@ -556,9 +597,7 @@ def decode(
             f"priors of qubit {q} are {pri[q].tolist()}; they must be finite, "
             "nonnegative and not all zero"
         )
-    lanes = graph._decode_lanes
-    if lanes is None or lanes.busy:  # first use, or a decode inside on_iteration
-        lanes = graph._decode_lanes = Lanes(graph, 1)
+    lanes = idle_lanes(graph, 1)  # a fresh one for a decode inside on_iteration
     lanes.load(True, log_priors(pri), target, max_iter)
     iteration = 0
     while True:

@@ -11,10 +11,11 @@ then per p the errors, syndromes and error strings as arrays.  Each block's
 standard BP run is computed once and shared by every strategy, since pc08
 and enhanced feedback start from that same run, and blocks with the same
 syndrome at a p share that run too: a work item decodes each (p, syndrome)
-once.  Within a work item every BP run, first run or feedback restart, is a
-lane of one lane kernel; jobs finish out of order and results are put back
-in spec order, so outputs do not depend on the lane width, the batch size or
-the worker count.
+once.  The first iteration of new syndromes runs in bulk, a lane width of
+them at a time, and every BP run it does not settle, first run or feedback
+restart, is a lane of one lane kernel; jobs finish out of order and results
+are put back in spec order, so outputs do not depend on the lane width, the
+batch size or the worker count.
 """
 
 import math
@@ -34,8 +35,8 @@ from .channel import (
     substream_uniforms,
 )
 from .decoder import (
-    Lanes,
     decode,
+    idle_lanes,
     lane_width,
     log_priors,
     tanner_graph,
@@ -244,28 +245,30 @@ class _Batch:
 @dataclass(eq=False)
 class _FirstRun:
     """The first run on one syndrome at one p: the batch rows that wait for
-    it, then its read-only outcome, which later rows are reported against."""
+    it, then its read-only outcome and e_out, which later rows are reported against."""
 
     waiting: list  # (batch, rows), until the run is decoded
     outcome: object = None  # the DecodeOutcome, once decoded
+    e_out: str = None  # its error_pauli
 
 
 class _Chunk:
     """A pool task: a contiguous range of blocks at every p under every
-    strategy, decoded as jobs on one Lanes kernel.
+    strategy, decoded as jobs on the process's idle Lanes kernel.
 
     New blocks are drawn BATCH_BLOCKS at a time: their uniforms once for
     every p, then per p their errors, syndromes and error strings as
     arrays.  A first run depends only on the graph, the priors, the target
     and max_iter, so each syndrome at each p is decoded once: its first
-    block's syndrome is queued for the lanes, the blocks that share it wait
-    in its _FirstRun, which then keeps the read-only outcome (per p, keyed
-    by the packed syndrome) for the rest of the task, so later blocks with
-    that syndrome are reported at once, a batch's rows together.  Results
-    go straight into per-(p, strategy) lists indexed by block.  Every BP
-    run waits in one queue of Lanes.load arguments (job, log-priors,
-    target, max_iter): feedback restarts go on its front, new syndromes'
-    first runs on its back, and a batch is sampled only when it is empty.
+    block's syndrome waits in fresh for iteration 1 in bulk
+    (Lanes.first_iteration), a lane width of syndromes at a time, and the
+    blocks that share it wait in its _FirstRun, which then keeps the
+    read-only outcome and e_out (per p, keyed by the packed syndrome) for
+    the rest of the task, so later blocks with that syndrome are reported at
+    once.  Results go into per-(p, strategy) lists indexed by block.  Every
+    other BP run waits in one queue of Lanes.load arguments (job,
+    log-priors, target, max_iter): feedback restarts on its front, first
+    runs that iteration 1 did not settle on its back.
     Each block's first run is shared by its strategies: standard reports
     it, and so do pc08 and enhanced if it converged; otherwise a
     FeedbackRun per strategy continues from it, drawing from the block's
@@ -278,12 +281,14 @@ class _Chunk:
         self.code = code
         self.spec = spec
         self.graph = graph = tanner_graph(code)
-        self.lanes = Lanes(graph, lane_width(graph))
+        self.lanes = lanes = idle_lanes(graph, lane_width(graph))
         self.check_membership = code.n_total <= DEGENERACY_LIMIT
         self.inject = inject  # the embedded injected error, or None
         self.channels = [DepolarizingChannel(p) for p in spec.p_values]
         self.priors = [channel_priors(chan, code.n_sent) for chan in self.channels]
         self.lane_priors = [log_priors(pri) for pri in self.priors]
+        self.first_messages = [lanes.first_messages(lp) for lp in self.lane_priors]
+        self.fresh = [[] for _ in spec.p_values]  # per p: (_FirstRun, target) of new syndromes
         self.batches = (
             range(lo, min(lo + BATCH_BLOCKS, block_hi))
             for lo in range(block_lo, block_hi, BATCH_BLOCKS)
@@ -314,20 +319,24 @@ class _Chunk:
         return self.cells
 
     def load_next(self) -> bool:
-        """Load the queue's front run, sampling batches until one is
-        queued; False when no block is left.  Sampling can queue restarts
-        too: blocks whose syndrome's run is known and did not converge."""
+        """Load the queue's front run; while it is empty, sample batches (which
+        can queue restarts) until a lane width of new syndromes wait or no
+        block is left, then run their iteration 1.  False when none is left."""
         while not self.queue:
-            blocks = next(self.batches, None)
-            if blocks is None:
+            waiting = sum(map(len, self.fresh))
+            blocks = next(self.batches, None) if waiting < self.lanes.width else None
+            if blocks is not None:
+                self.sample(blocks)
+            elif waiting:
+                self.first_iterations()
+            else:
                 return False
-            self.sample(blocks)
         self.lanes.load(*self.queue.popleft())
         return True
 
     def sample(self, blocks: range) -> None:
         """Draw a batch of blocks at every p; report the rows whose syndrome
-        is decoded, and queue one first run for each new syndrome."""
+        is decoded, and keep each new syndrome for its first iteration."""
         code, n_sent = self.code, self.code.n_sent
         uniforms = None
         if self.inject is None:
@@ -353,20 +362,32 @@ class _Chunk:
                 entry = known.get(key)
                 if entry is None:
                     known[key] = entry = _FirstRun([])
-                    self.queue.append((
-                        entry, self.lane_priors[p_index], targets[rows[0]],
-                        self.spec.max_iter,
-                    ))
+                    self.fresh[p_index].append((entry, targets[rows[0]]))
                 if entry.outcome is None:
                     entry.waiting.append((batch, rows))
                 else:
                     self.report(batch, rows, entry)
 
+    def first_iterations(self) -> None:
+        """Iteration 1 of the new syndromes' first runs, a lane width at a time
+        per p; a first run is queued for each it does not match."""
+        for p_index, fresh in enumerate(self.fresh):
+            lp, first = self.lane_priors[p_index], self.first_messages[p_index]
+            for lo in range(0, len(fresh), self.lanes.width):
+                entries, targets = zip(*fresh[lo : lo + self.lanes.width])
+                outcomes = self.lanes.first_iteration(lp, first, np.array(targets))
+                for entry, target, outcome in zip(entries, targets, outcomes):
+                    if outcome.converged:
+                        self.first_run_done(entry, outcome)
+                    else:  # the simplest: the lane runs iteration 1 again
+                        self.queue.append((entry, lp, target, self.spec.max_iter))
+            fresh.clear()
+
     def first_run_done(self, job: _FirstRun, outcome) -> None:
         """Keep a syndrome's first run and report the rows waiting for it."""
         outcome.error.setflags(write=False)  # shared by every block of the key
         outcome.frustrated.setflags(write=False)
-        job.outcome = outcome
+        job.outcome, job.e_out = outcome, outcome.error_pauli
         for batch, rows in job.waiting:
             self.report(batch, rows, job)
         job.waiting.clear()  # its batches need not outlive their results
@@ -377,7 +398,7 @@ class _Chunk:
         spec, outcome, p_index = self.spec, first_run.outcome, batch.p_index
         converged = outcome.converged
         shared = [i for i, s in enumerate(spec.strategies) if s == "standard" or converged]
-        self.write(batch, rows, shared, outcome)
+        self.write(batch, rows, shared, outcome, first_run.e_out)
         first = batch.blocks.start
         for strategy_index, strategy in enumerate(spec.strategies):
             if strategy == "standard" or converged:
@@ -402,14 +423,14 @@ class _Chunk:
             return
         self.write(batch, [row], [strategy_index], run.result()[0])
 
-    def write(self, batch: _Batch, rows: list, strategy_indices: list, outcome) -> None:
-        """Classify a batch's rows against a run's outcome and write their
-        BlockResults under the given strategies.  The rows' errors have
-        identity ebit columns, so a row is exact when its error string is
-        e_out; a converged run's other rows are left to _inexact_class."""
+    def write(self, batch: _Batch, rows: list, strategy_indices: list, outcome, e_out=None):
+        """Classify a batch's rows against a run's outcome (error string e_out)
+        and write their BlockResults under the given strategies.  The rows'
+        errors have identity ebit columns, so a row is exact when its error
+        string is e_out; a converged run's other rows are left to _inexact_class."""
         code, spec, n_sent = self.code, self.spec, self.code.n_sent
         converged, iterations = outcome.converged, outcome.iterations
-        e_out = outcome.error_pauli
+        e_out = outcome.error_pauli if e_out is None else e_out
         texts = [batch.text[row * n_sent : (row + 1) * n_sent] for row in rows]
         if converged:
             classes = [

@@ -684,3 +684,87 @@ def test_lane_on_unreachable_syndrome_runs_to_its_cap():
     assert finished["unreachable"].iterations == 7
     out = decode(code, [1, -1], pri, max_iter=7)
     assert (out.converged, out.iterations) == (False, 7)
+
+
+def _first_iteration_cases(code_name):
+    """(code, p values, syndromes) for the bulk first iteration: every
+    syndrome of the 4_1_1 code; on the larger codes the all +1 and all -1
+    syndromes, syndromes of sampled errors and uniformly random ones."""
+    if code_name == "4_1_1":
+        code = build_code_4_1_1()
+        signs = 1 - 2 * ((np.arange(16)[:, None] >> np.arange(4)) & 1)
+        return code, (0.0, 0.05, 0.3, 1.0), signs
+    code, n_sampled, n_random = {
+        "c62": (construction_b(C62_ROW), 8, 4),
+        "n510": (construction_b(N510_ROW), 2, 1),
+        "empty-check": (_code_with_empty_check(), 4, 2),
+    }[code_name]
+    rng = np.random.default_rng(71)
+    signs = [np.ones(code.n_checks, dtype=np.int64), -np.ones(code.n_checks, dtype=np.int64)]
+    for _ in range(n_sampled):
+        error = sample_error(code.n_sent, DepolarizingChannel(0.01), rng)
+        signs.append(syndrome(code, code.embed_sent(error)))
+    signs.extend(1 - 2 * rng.integers(0, 2, size=(n_random, code.n_checks)))
+    return code, (0.01, 0.06), np.array(signs, dtype=np.int64)
+
+
+@pytest.mark.parametrize("code_name", ["4_1_1", "c62", "n510", "empty-check"])
+def test_first_iteration_equals_a_lanes_iteration_one(code_name):
+    # Run between the first and second steps of lanes decoding the same
+    # syndromes, the bulk iteration gives the lanes' iteration-1 gammas and
+    # log-beliefs bit for bit (-0.0 included), and decode's decision, mask,
+    # verdict and count at max_iter = 1; the lanes' second iteration is
+    # decode's at max_iter = 2, so the bulk call leaves them untouched.
+    code, p_values, targets = _first_iteration_cases(code_name)
+    graph = TannerGraph(code)
+    k = len(targets)
+    verdicts = set()
+    for p in p_values:
+        pri = channel_priors(DepolarizingChannel(p), code.n_sent)
+        lp = log_priors(pri)
+        lanes = Lanes(graph, k)
+        first = lanes.first_messages(lp)
+        for index, target in enumerate(targets):
+            lanes.load(index, lp, target, 2)
+        assert lanes.step(halt=False) == []
+        lane = lanes._view(k)
+        gammas, beliefs = lane.gamma_cells.tobytes(), lane.bel.tobytes()
+        outcomes = lanes.first_iteration(lp, first, targets)
+        bulk = lanes._view(k, first=True)
+        assert bulk.gamma_cells.tobytes() == gammas
+        assert bulk.bel.tobytes() == beliefs
+        for outcome, target in zip(outcomes, targets, strict=True):
+            want = decode(code, target, pri, max_iter=1)
+            assert outcome.error.tolist() == want.error.tolist()
+            assert outcome.frustrated.tolist() == want.frustrated.tolist()
+            assert (outcome.converged, outcome.iterations) == (want.converged, 1)
+            verdicts.add(outcome.converged)
+        _masks_match_counting(code, outcomes, targets)
+        second = dict(lanes.step(halt=False))
+        for index, target in enumerate(targets):
+            want = decode(code, target, pri, max_iter=2, halt=False)
+            assert second[index].error.tolist() == want.error.tolist()
+            assert second[index].frustrated.tolist() == want.frustrated.tolist()
+    if code_name in ("4_1_1", "c62"):
+        assert verdicts == {True, False}
+
+
+def test_first_messages_are_checked_for_odd_symmetry(monkeypatch):
+    # G0 is kept only when the all -1 syndrome's iteration-1 gammas are -G0
+    # bit for bit; an arctanh that is not odd makes them differ.
+    code = build_code_4_1_1()
+    lp = log_priors(channel_priors(DepolarizingChannel(0.1), code.n_sent))
+    graph = TannerGraph(code)
+    atanh = np.arctanh
+
+    def skewed(x, out):
+        atanh(x, out=out)
+        return np.add(out, 1e-9, out=out)
+
+    monkeypatch.setattr(np, "arctanh", skewed)
+    with pytest.raises(ArithmeticError, match="not odd"):
+        Lanes(graph, 1).first_messages(lp)
+    assert graph._first_messages == {}
+    monkeypatch.undo()
+    first = Lanes(graph, 1).first_messages(lp)
+    assert Lanes(graph, 3).first_messages(lp) is first  # kept per graph and lp

@@ -13,7 +13,7 @@ from click.testing import CliRunner
 import gf4bp
 from gf4bp import sim
 from gf4bp.cli import main
-from gf4bp.decoder import DecodeOutcome
+from gf4bp.decoder import DecodeOutcome, decode
 from gf4bp.formats import write_stabilizer_text
 from gf4bp.sim import (
     CSV_HEADER,
@@ -588,6 +588,61 @@ def test_saturated_channels_stay_finite(code62):
         "411-injected-loud",
     ],
 )
+def _count_first_runs(monkeypatch):
+    """Record every syndrome given to a bulk first iteration and every
+    syndrome a first run is loaded into a lane for, each as (log-prior
+    bytes, syndrome); a pool worker forks with the patched methods but its
+    records stay in the worker."""
+    from gf4bp.decoder import Lanes
+
+    bulk, loads = [], []
+    first_iteration, load = Lanes.first_iteration, Lanes.load
+
+    def counted_bulk(self, lp, first, targets):
+        bulk.extend((lp.tobytes(), tuple(t)) for t in targets.tolist())
+        return first_iteration(self, lp, first, targets)
+
+    def counted_load(self, job, lp, target, max_iter):
+        if isinstance(job, sim._FirstRun):
+            loads.append((lp.tobytes(), tuple(target.tolist())))
+        return load(self, job, lp, target, max_iter)
+
+    monkeypatch.setattr(Lanes, "first_iteration", counted_bulk)
+    monkeypatch.setattr(Lanes, "load", counted_load)
+    return bulk, loads
+
+
+def _first_run_rule(code, spec, blocks):
+    """The (log-prior bytes, syndrome) of every distinct (p, syndrome) among
+    the blocks, and of those whose first BP iteration does not match it."""
+    from gf4bp.channel import DepolarizingChannel, priors as channel_priors
+    from gf4bp.decoder import log_priors
+
+    distinct, unmatched = set(), set()
+    for p in spec.p_values:
+        pri = channel_priors(DepolarizingChannel(p), code.n_sent)
+        key = log_priors(pri).tobytes()
+        for target in {tuple(s) for s in blocks[p]}:
+            distinct.add((key, target))
+            if not decode(code, target, pri, max_iter=1).converged:
+                unmatched.add((key, target))
+    return distinct, unmatched
+
+
+@pytest.mark.parametrize(
+    "code_name, p_values, changes",
+    [
+        ("c62", (0.0, 0.002), {}),
+        ("c62", (0.0, 0.002, 0.8), {"inject": "I" * 62}),
+        ("4_1_1", (0.0, 0.8), {"n_a": 2, "max_iter": 30, "t_pert": 10}),
+        ("4_1_1", (0.8,), {"inject": "IIII", "n_a": 2, "max_iter": 30, "t_pert": 10}),
+        ("4_1_1", (0.05, 0.2), {"inject": "IXII"}),
+    ],
+    ids=[
+        "c62-sampled", "c62-injected", "411-unconverged", "411-all-quiet",
+        "411-injected-loud",
+    ],
+)
 def test_quiet_blocks_share_one_first_run(
     code62, tmp_path, monkeypatch, code_name, p_values, changes
 ):
@@ -597,11 +652,10 @@ def test_quiet_blocks_share_one_first_run(
     # e_out (sampled errors are never quiet there).  On the 4_1_1 code at
     # p = 0.8 it does not converge, so pc08 and enhanced continue from the
     # shared outcome, which must stay unchanged.  With every block quiet,
-    # sampling queues only feedback restarts while the lanes are idle.  An
-    # injected error that is not quiet is decoded once per p as well: its
-    # runs converge, so they are the only BP runs.
-    from gf4bp.decoder import Lanes
-
+    # sampling queues only feedback restarts while the lanes are idle.  Each
+    # distinct (p, syndrome) gets one bulk first iteration, and only those
+    # it does not match get a lane: an injected error that is not quiet is
+    # matched by its first iteration at p = 0.05 and not at p = 0.2.
     code = code62 if code_name == "c62" else load_code(code_name)
     spec = ExperimentSpec(
         code=code, p_values=p_values, strategies=("standard", "pc08", "enhanced"),
@@ -609,26 +663,28 @@ def test_quiet_blocks_share_one_first_run(
     )
     reference_path = tmp_path / "reference.jsonl"
     ref_stats, ref_blocks, _ = per_cell_experiment(spec, jsonl_path=reference_path)
-    loads = []
-    load = Lanes.load
-
-    def counted(self, *args):
-        loads.append(args[0])
-        return load(self, *args)
-
-    monkeypatch.setattr(Lanes, "load", counted)
+    syndromes = {p: [] for p in p_values}
+    for b in ref_blocks:
+        if b.strategy == "standard":
+            syndromes[b.p].append(syndrome(code, code.embed_sent(b.error)).tolist())
+    distinct, unmatched = _first_run_rule(code, spec, syndromes)
+    bulk, loads = _count_first_runs(monkeypatch)
     for width in (1, 15):
         monkeypatch.setattr(sim, "lane_width", lambda graph, width=width: width)
         for workers in (1, 2):
             path = tmp_path / f"run{width}-{workers}.jsonl"
+            bulk.clear()
             loads.clear()
             stats, blocks = run_experiment(replace(spec, workers=workers), jsonl_path=path)
-            if code_name == "4_1_1" and changes.get("inject") == "IXII" and workers == 1:
-                assert len(loads) == len(p_values)
+            if workers == 1:
+                assert sorted(bulk) == sorted(distinct)
+                assert sorted(loads) == sorted(unmatched)
             assert {s.n_blocks for s in stats} == {spec.blocks}
             assert blocks == ref_blocks
             assert format_csv(stats) == format_csv(ref_stats)
             assert path.read_bytes() == reference_path.read_bytes()
+    if changes.get("inject") == "IXII":
+        assert len(distinct) == 2 and len(unmatched) == 1
     quiet = [
         b for b in ref_blocks
         if b.p == 0.8 and (syndrome(code, code.embed_sent(b.error)) > 0).all()
@@ -645,32 +701,50 @@ def test_quiet_blocks_share_one_first_run(
 
 
 def test_quiet_blocks_cost_one_bp_run(code62, monkeypatch):
-    # lowp-std's code and p: a BP run (a Lanes.load) for every distinct
-    # syndrome, quiet or not; blocks that repeat a syndrome share its run.
+    # lowp-std's code and p: one bulk first iteration for every distinct
+    # syndrome, quiet or not, and a lane (a Lanes.load) only for those it
+    # does not match; blocks that repeat a syndrome share its run.
     from gf4bp.channel import DepolarizingChannel, sample_error, substream
-    from gf4bp.decoder import Lanes
 
     spec = ExperimentSpec(code=code62, p_values=(0.002,), blocks=300, seed=20260808)
     syndromes = [
-        tuple(syndrome(code62, sample_error(
+        syndrome(code62, sample_error(
             code62.n_sent, DepolarizingChannel(0.002), substream(spec.seed, 0, block)
-        )))
+        )).tolist()
         for block in range(spec.blocks)
     ]
-    quiet = (1,) * code62.n_checks
-    loud = [s for s in syndromes if s != quiet]
+    quiet = [1] * code62.n_checks
+    loud = [tuple(s) for s in syndromes if s != quiet]
     assert 0 < len(set(loud)) < len(loud) < spec.blocks // 4
-    loads = []
-    load = Lanes.load
-
-    def counted(self, *args):
-        loads.append(args[0])
-        return load(self, *args)
-
-    monkeypatch.setattr(Lanes, "load", counted)
+    distinct, unmatched = _first_run_rule(code62, spec, {0.002: syndromes})
+    bulk, loads = _count_first_runs(monkeypatch)
     monkeypatch.setattr(sim, "lane_width", lambda graph: 1)
     run_experiment(spec)
-    assert len(loads) == len(set(syndromes)) == 37
+    assert sorted(bulk) == sorted(distinct) and len(distinct) == 37
+    assert sorted(loads) == sorted(unmatched) and len(unmatched) == 1
+
+
+def test_unmatched_first_iteration_at_max_iter_one_reports_its_mask(code411):
+    # IXII's syndrome is matched by its bulk first iteration at p = 0.05 and
+    # not at p = 0.2; with max_iter = 1 the lane then stops after iteration
+    # 1 and reports converged = False with the mask of the checks its
+    # decision leaves frustrated.
+    spec = ExperimentSpec(
+        code=code411, p_values=(0.05, 0.2), blocks=3, seed=1, inject="IXII", max_iter=1,
+    )
+    chunk = sim._Chunk(code411, spec, code411.embed_sent("IXII"), 0, spec.blocks)
+    cells = chunk.run()
+    target = syndrome(code411, code411.embed_sent("IXII"))
+    (matched,), (unmatched,) = ([e.outcome for e in runs.values()] for runs in chunk.first_runs)
+    assert (matched.converged, matched.iterations, matched.error_pauli) == (True, 1, "IXII")
+    assert not matched.frustrated.any()
+    assert (unmatched.converged, unmatched.iterations) == (False, 1)
+    parity = syndrome(code411, code411.embed_sent(unmatched.error))
+    assert unmatched.frustrated.tolist() == (parity != target).tolist()
+    assert unmatched.frustrated.any()
+    assert [(b.converged, b.iterations, b.outcome) for b in cells[1][0]] == [
+        (False, 1, "detected")
+    ] * spec.blocks
 
 
 def test_shared_first_runs_are_read_only(code411):
