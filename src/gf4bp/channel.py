@@ -10,14 +10,28 @@ seed_seq), and numpy's PCG64 seeds itself from each key's hashed words,
 handed over as a seed sequence that only returns them.  Each key's raw
 64-bit draws become doubles by Generator.random's formula, for the whole
 batch at once.  sample_error turns such uniforms, one row per block, into
-errors.
+errors.  check_integer is the package's one rule for integer inputs
+(counts, iteration caps and seeds).
 """
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import PCG64
 from numpy.random.bit_generator import ISeedSequence
+
+
+def check_integer(name: str, value, least: int = 0) -> None:
+    """ValueError unless value is an integer (int or numpy integer, not a
+    float, even an integral one) of at least `least`."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, not {value!r}") from None
+    if value < least:
+        bound = "nonnegative" if least == 0 else f"at least {least}"
+        raise ValueError(f"{name} must be {bound}")
 
 
 @dataclass(frozen=True)
@@ -70,6 +84,7 @@ def sample_error(
 
 def substream(master_seed: int, *key: int) -> np.random.Generator:
     """Independent generator keyed by (master_seed, *key)."""
+    check_integer("seed", master_seed)
     return np.random.default_rng(
         np.random.SeedSequence(entropy=int(master_seed), spawn_key=tuple(key))
     )

@@ -30,8 +30,17 @@ from .stabilizer import (
 )
 
 
-def _read_config(path):
-    """key=value lines; '#' comments; keys match flag names (dashes or not)."""
+def _read_config(ctx, param, path):
+    """--config: key=value lines ('#' comments) whose keys are flag or
+    parameter names (dashes or underscores), as the command's default_map:
+    click converts each value by its flag's type, and explicit flags win."""
+    if path is None:
+        return
+    names = {}  # key -> parameter name, dashes as underscores
+    for other in ctx.command.params:
+        if other is not param:
+            for name in [other.name, *(opt.lstrip("-") for opt in other.opts)]:
+                names[name.replace("-", "_")] = other.name
     values = {}
     for raw in Path(path).read_text().splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -41,32 +50,10 @@ def _read_config(path):
             raise click.UsageError(f"bad config line (expected key=value): {raw!r}")
         key, _, value = line.partition("=")
         values[key.strip().replace("-", "_")] = value.strip()
-    return values
-
-
-def _apply_config(ctx, config_path):
-    """Fill parameters from the config file where flags were not given; a
-    key is a flag or parameter name, its value converted by the flag's type."""
-    if config_path is None:
-        return
-    options = {}  # key -> option, dashes as underscores
-    for param in ctx.command.params:
-        if "--config" not in param.opts:
-            for name in [param.name, *(opt.lstrip("-") for opt in param.opts)]:
-                options[name.replace("-", "_")] = param
-    values = _read_config(config_path)
-    unknown = set(values) - set(options)
+    unknown = set(values) - set(names)
     if unknown:
         raise click.UsageError(f"unknown config keys: {sorted(unknown)}")
-    for key, value in values.items():
-        param = options[key]
-        source = ctx.get_parameter_source(param.name)
-        if source is not None and source.name != "DEFAULT":
-            continue  # explicit flag wins
-        try:
-            ctx.params[param.name] = param.type.convert(value, param, ctx)
-        except click.BadParameter as exc:
-            raise click.UsageError(f"bad config value {key}={value!r}: {exc.message}")
+    ctx.default_map = {names[key]: value for key, value in values.items()}
 
 
 def _check_out_dir(flag, path):
@@ -136,35 +123,33 @@ def main():
               type=click.Path(dir_okay=False))
 @click.option("--jsonl", default=None, type=click.Path(dir_okay=False),
               help="Optional per-block JSON-lines log.")
-@click.option("--config", "config_path", default=None,
+@click.option("--config", "config_path", default=None, is_eager=True,
+              expose_value=False, callback=_read_config,
               type=click.Path(exists=True, dir_okay=False),
               help="key=value file mirroring these flags; flags win.")
-@click.pass_context
-def simulate(ctx, code_src, p_list, strategy, blocks, seed, max_iter, t_pert,
-             n_a, delta, inject, workers, out, jsonl, config_path):
+def simulate(code_src, p_list, strategy, blocks, seed, max_iter, t_pert,
+             n_a, delta, inject, workers, out, jsonl):
     """Monte-Carlo decoding experiment; writes one CSV row per (p, strategy)."""
-    _apply_config(ctx, config_path)
-    params = ctx.params
-    _check_out_dir("--out", params["out"])
-    _check_out_dir("--jsonl", params["jsonl"])
+    _check_out_dir("--out", out)
+    _check_out_dir("--jsonl", jsonl)
     try:
         spec = ExperimentSpec(
-            code=load_code(params["code_src"]),
-            p_values=_parse_p_list(params["p_list"]),
-            strategies=_parse_strategies(params["strategy"]),
-            blocks=params["blocks"],
-            seed=params["seed"],
-            max_iter=params["max_iter"],
-            t_pert=params["t_pert"],
-            n_a=_parse_n_a(params["n_a"]),
-            delta=params["delta"],
-            inject=params["inject"],
-            workers=params["workers"],
+            code=code_src,
+            p_values=_parse_p_list(p_list),
+            strategies=_parse_strategies(strategy),
+            blocks=blocks,
+            seed=seed,
+            max_iter=max_iter,
+            t_pert=t_pert,
+            n_a=_parse_n_a(n_a),
+            delta=delta,
+            inject=inject,
+            workers=workers,
         )
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    stats, _ = run_experiment(spec, jsonl_path=params["jsonl"])
-    Path(params["out"]).write_text(format_csv(stats))
+    stats, _ = run_experiment(spec, jsonl_path=jsonl)
+    Path(out).write_text(format_csv(stats))
     for s in stats:
         click.echo(
             f"p={s.p:g} {s.strategy}: BER={s.ber:.6g} "
@@ -172,7 +157,7 @@ def simulate(ctx, code_src, p_list, strategy, blocks, seed, max_iter, t_pert,
             f"(exact={s.exact} degenerate={s.degenerate} "
             f"nonequivalent={s.nonequivalent} detected={s.detected})"
         )
-    click.echo(f"wrote {params['out']}")
+    click.echo(f"wrote {out}")
 
 
 @main.command()

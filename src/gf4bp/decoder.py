@@ -76,6 +76,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import gf4
+from .channel import check_integer
 from .stabilizer import ANTICOMMUTES, StabilizerCode
 
 MSG_FLOOR = 1e-30
@@ -582,8 +583,7 @@ def decode(
         )
     if not np.all(np.abs(target) == 1):
         raise ValueError("syndrome entries must be +1 or -1")
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
+    check_integer("max_iter", max_iter, 1)
     pri = np.asarray(priors, dtype=float)
     if pri.shape != (graph.n_qubits, 4):
         raise ValueError(

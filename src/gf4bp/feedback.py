@@ -31,11 +31,11 @@ harness, whose restarts of many runs share the lane kernel.  Its random
 choices come from its own generator, so interleaving changes none of them.
 """
 
-import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .channel import check_integer
 from .decoder import DecodeOutcome, TannerGraph, decode, tanner_graph
 from .stabilizer import StabilizerCode
 
@@ -49,18 +49,6 @@ def default_n_a(n_sent: int) -> int:
     if n_sent < 1000:
         return n_sent // 10
     return n_sent // 40
-
-
-def check_integer(name: str, value, least: int = 0) -> None:
-    """ValueError unless value is an integer (int or numpy integer, not a
-    float, even an integral one) of at least `least`."""
-    try:
-        operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, not {value!r}") from None
-    if value < least:
-        bound = "nonnegative" if least == 0 else f"at least {least}"
-        raise ValueError(f"{name} must be {bound}")
 
 
 @dataclass(frozen=True)

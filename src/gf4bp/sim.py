@@ -29,6 +29,7 @@ import numpy as np
 from . import gf4
 from .channel import (
     DepolarizingChannel,
+    check_integer,
     priors as channel_priors,
     sample_error,
     substream,
@@ -44,7 +45,6 @@ from .decoder import (
 from .feedback import (
     FeedbackConfig,
     FeedbackRun,
-    check_integer,
     check_slot,
     feedback_decode,
     feedback_round,
@@ -102,7 +102,7 @@ def _injected_error(code: StabilizerCode, inject: str | None):
 
 @dataclass
 class ExperimentSpec:
-    code: object  # StabilizerCode, built-in name or path
+    code: object  # StabilizerCode, built-in name or path; loaded when made
     p_values: tuple
     strategies: tuple = ("standard",)
     blocks: int = 1000
@@ -114,14 +114,14 @@ class ExperimentSpec:
     inject: str | None = None  # fixed Pauli error on the sent qubits
     workers: int = 1
     configs: dict = field(init=False, repr=False, compare=False)  # by strategy
+    channels: tuple = field(init=False, repr=False, compare=False)  # by p
+    injected: object = field(init=False, repr=False, compare=False)  # n_total, or None
 
     def __post_init__(self):
         self.p_values = tuple(float(p) for p in self.p_values)
         self.strategies = tuple(self.strategies)
         check_integer("blocks", self.blocks, 1)
-        for p in self.p_values:
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"p={p} not in [0, 1]")
+        self.channels = tuple(map(DepolarizingChannel, self.p_values))  # p in [0, 1]
         for name, values in (("p", self.p_values), ("strategy", self.strategies)):
             if not values:
                 raise ValueError(f"no {name} values given")
@@ -134,8 +134,8 @@ class ExperimentSpec:
             s: FeedbackConfig(s, t_pert=self.t_pert, n_a=self.n_a, delta=self.delta)
             for s in self.strategies if s != "standard"
         }
-        if isinstance(self.code, StabilizerCode):  # by name, run_experiment checks
-            _injected_error(self.code, self.inject)
+        self.code = load_code(self.code)
+        self.injected = _injected_error(self.code, self.inject)
 
 
 @dataclass
@@ -277,15 +277,13 @@ class _Chunk:
     batch row when the run ends.  write() writes every BlockResult.
     """
 
-    def __init__(self, code, spec, inject, block_lo, block_hi):
-        self.code = code
+    def __init__(self, spec, block_lo, block_hi):
+        self.code = code = spec.code
         self.spec = spec
         self.graph = graph = tanner_graph(code)
         self.lanes = lanes = idle_lanes(graph, lane_width(graph))
         self.check_membership = code.n_total <= DEGENERACY_LIMIT
-        self.inject = inject  # the embedded injected error, or None
-        self.channels = [DepolarizingChannel(p) for p in spec.p_values]
-        self.priors = [channel_priors(chan, code.n_sent) for chan in self.channels]
+        self.priors = [channel_priors(chan, code.n_sent) for chan in spec.channels]
         self.lane_priors = [log_priors(pri) for pri in self.priors]
         self.first_messages = [lanes.first_messages(lp) for lp in self.lane_priors]
         self.fresh = [[] for _ in spec.p_values]  # per p: (_FirstRun, target) of new syndromes
@@ -337,13 +335,13 @@ class _Chunk:
     def sample(self, blocks: range) -> None:
         """Draw a batch of blocks at every p; report the rows whose syndrome
         is decoded, and keep each new syndrome for its first iteration."""
-        code, n_sent = self.code, self.code.n_sent
+        code, n_sent, inject = self.code, self.code.n_sent, self.spec.injected
         uniforms = None
-        if self.inject is None:
+        if inject is None:
             uniforms = substream_uniforms(self.spec.seed, _STREAM_CHANNEL, blocks, n_sent)
-        for p_index, channel in enumerate(self.channels):
+        for p_index, channel in enumerate(self.spec.channels):
             if uniforms is None:
-                errors = np.tile(self.inject, (len(blocks), 1))
+                errors = np.tile(inject, (len(blocks), 1))
             else:
                 errors = sample_error(n_sent, channel, uniforms, n_ebits=code.n_ebits)
             targets = syndrome(code, errors)
@@ -456,21 +454,15 @@ class _Chunk:
 
 
 def _run_blocks(args):
-    """Decode one pool task, (code, spec, inject, block_lo, block_hi); see
-    _Chunk."""
+    """Decode one pool task, (spec, block_lo, block_hi); see _Chunk."""
     return _Chunk(*args).run()
 
 
 def run_experiment(spec: ExperimentSpec, jsonl_path=None):
     """Run the experiment; returns (stats per (p, strategy), all block results),
     both in spec order of p, then strategy, then block."""
-    code = load_code(spec.code)
-    inject = _injected_error(code, spec.inject)  # checked before any worker starts
     step = math.ceil(spec.blocks / spec.workers)
-    tasks = [
-        (code, spec, inject, lo, min(lo + step, spec.blocks))
-        for lo in range(0, spec.blocks, step)
-    ]
+    tasks = [(spec, lo, min(lo + step, spec.blocks)) for lo in range(0, spec.blocks, step)]
 
     if spec.workers == 1:
         chunk_results = [_run_blocks(task) for task in tasks]

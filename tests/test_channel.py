@@ -144,6 +144,16 @@ def test_hashed_words_give_only_pcg64s_request(n_words, dtype):
         hashed.generate_state(n_words, dtype)
 
 
+def test_substream_seed_must_be_an_integer():
+    # a seed of 1.7 used to give substream(1, ...)'s stream
+    for seed in (1.7, 1.0, "1"):
+        with pytest.raises(ValueError, match=f"seed must be an integer, not {seed!r}"):
+            substream(seed, 0)
+    with pytest.raises(ValueError, match="seed must be nonnegative"):
+        substream(-1, 0)
+    assert substream(np.uint32(1), 0).random() == substream(1, 0).random()
+
+
 def test_substream_uniforms_rejects_negative_seed():
     with pytest.raises(ValueError):
         substream_uniforms(-1, 0, [0], 3)

@@ -267,7 +267,7 @@ def test_build_code_ea_reproduces_4_1_1(tmp_path):
          "bad first row"),
         # these used to end in a traceback
         (["simulate", "--code", "4_1_1", "--config", "bad.cfg"],
-         {"bad.cfg": "blocks=abc\n"}, "bad config value blocks='abc'"),
+         {"bad.cfg": "blocks=abc\n"}, "Invalid value for '--blocks': 'abc'"),
         (["build-code", "construction-b", "--first-row", "1101", "--keep", "a",
           "--out", "x.stab"], {}, "bad --keep row 'a': not an integer in 1..4"),
         (["build-code", "construction-b", "--first-row", "1101", "--keep", "9",
@@ -303,13 +303,17 @@ def test_build_code_ea_reproduces_4_1_1(tmp_path):
         (["trace", "--error", "IIZX", "--out", "nodir/t.csv"], {},
          "--out nodir/t.csv: no directory nodir"),
         (["trace", "--error", "IIZX", "--out", "."], {}, "'.' is a directory"),
+        # a config file does not name another one
+        (["simulate", "--config", "nested.cfg"],
+         {"nested.cfg": "config = nested.cfg\n"}, "unknown config keys: ['config']"),
     ],
     ids=["unknown-code", "bad-syndrome", "bad-first-row", "config-value", "keep-not-int",
          "keep-out-of-range", "keep-zero", "keep-negative", "keep-mixed",
          "trace-check-out-of-range", "trace-qubit-not-on-check", "trace-qubit-alone",
          "trace-pin-under-standard", "malformed-alist", "code-is-directory",
          "trace-code-is-directory", "out-dir-missing", "jsonl-dir-missing",
-         "config-out-dir-missing", "trace-out-dir-missing", "trace-out-is-directory"],
+         "config-out-dir-missing", "trace-out-dir-missing", "trace-out-is-directory",
+         "config-names-config"],
 )
 def test_bad_inputs_fail(tmp_path, monkeypatch, args, files, message):
     monkeypatch.chdir(tmp_path)

@@ -373,8 +373,13 @@ def test_decode_validates_inputs(code411):
         decode(code411, [1, 1, 1, 2], pri)
     with pytest.raises(ValueError):
         decode(code411, [1, 1, 1, 1], pri[:3])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="max_iter must be at least 1"):
         decode(code411, [1, 1, 1, 1], pri, max_iter=0)
+    # a cap of 2.5 used to run 3 iterations and report iterations == 3
+    for cap in (2.5, 3.0, "3"):
+        with pytest.raises(ValueError, match=f"max_iter must be an integer, not {cap!r}"):
+            decode(code411, [1, -1, 1, 1], pri, max_iter=cap)
+    assert decode(code411, [1, -1, 1, 1], pri, max_iter=np.int64(1)).iterations == 1
 
 
 # First circulant row of the [[62,2]] Construction-B code of criterion 8.

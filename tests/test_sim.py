@@ -183,6 +183,25 @@ def test_determinism_serial_vs_parallel(code411):
     ] == [(b.block, b.e_out, b.iterations, b.outcome) for b in blocks_parallel]
 
 
+def test_code_by_name_gives_the_same_bytes(tmp_path):
+    # the spec loads a code given by name when it is made; the pool tasks
+    # (spec, block_lo, block_hi) then carry the loaded code, its injected
+    # error and its channels
+    outputs = []
+    for code in ("4_1_1", build_code_4_1_1()):
+        for inject in (None, "IXII"):
+            spec = ExperimentSpec(
+                code=code, p_values=(0.05, 0.2), strategies=("standard", "enhanced"),
+                blocks=30, seed=5, inject=inject, workers=2,
+            )
+            assert spec.code.n_sent == 4 and len(spec.channels) == 2
+            jsonl = tmp_path / f"{len(outputs)}.jsonl"
+            stats, _ = run_experiment(spec, jsonl_path=jsonl)
+            outputs.append((format_csv(stats), jsonl.read_bytes()))
+    assert outputs[:2] == outputs[2:]
+    assert outputs[0] != outputs[1]
+
+
 def test_rerun_is_byte_identical(code411):
     spec = ExperimentSpec(
         code=code411, p_values=(0.1,), strategies=("pc08",), blocks=50, seed=13
@@ -264,13 +283,12 @@ def test_spec_validation(code411):
             )
     ExperimentSpec(code=code411, p_values=(0.1,), t_pert=0, n_a=-1, delta=-1.0)
     ExperimentSpec(code=code411, p_values=(0.1,), t_pert=2.5, n_a=1.5)
-    # by name, the injected error is checked once the code is loaded,
-    # before any run
-    spec = ExperimentSpec(code="4_1_1", p_values=(0.1,), blocks=2, inject="IXI")
-    with pytest.raises(ValueError, match="must cover the 4 sent qubits"):
-        run_experiment(replace(spec, workers=2))
-    with pytest.raises(ValueError, match="invalid Pauli symbol"):
-        run_experiment(replace(spec, inject="IXQI", workers=2))
+    # by name too, the injected error is checked when the spec is made,
+    # which loads the code
+    for inject, message in (("IXI", "must cover the 4 sent qubits"),
+                            ("IXQI", "invalid Pauli symbol")):
+        with pytest.raises(ValueError, match=message):
+            ExperimentSpec(code="4_1_1", p_values=(0.1,), blocks=2, inject=inject)
     ExperimentSpec(code=code411, p_values=(0.1,), t_pert=1, n_a=0, delta=0.0)
 
 
@@ -732,7 +750,7 @@ def test_unmatched_first_iteration_at_max_iter_one_reports_its_mask(code411):
     spec = ExperimentSpec(
         code=code411, p_values=(0.05, 0.2), blocks=3, seed=1, inject="IXII", max_iter=1,
     )
-    chunk = sim._Chunk(code411, spec, code411.embed_sent("IXII"), 0, spec.blocks)
+    chunk = sim._Chunk(spec, 0, spec.blocks)
     cells = chunk.run()
     target = syndrome(code411, code411.embed_sent("IXII"))
     (matched,), (unmatched,) = ([e.outcome for e in runs.values()] for runs in chunk.first_runs)
@@ -755,7 +773,7 @@ def test_shared_first_runs_are_read_only(code411):
         code=code411, p_values=(0.1, 0.8), strategies=("standard", "pc08", "enhanced"),
         blocks=40, seed=3,
     )
-    chunk = sim._Chunk(code411, spec, None, 0, spec.blocks)
+    chunk = sim._Chunk(spec, 0, spec.blocks)
     chunk.run()
     kept = [entry.outcome for runs in chunk.first_runs for entry in runs.values()]
     assert any(outcome.converged for outcome in kept)
