@@ -162,6 +162,7 @@ class _HashedWords(ISeedSequence):
 def substream_uniforms(master_seed: int, domain: int, blocks, n: int) -> np.ndarray:
     """(len(blocks), n) uniforms; row i is substream(master_seed, domain,
     blocks[i]).random(n)."""
+    check_integer("seed", master_seed)
     blocks = np.asarray(blocks, dtype=np.uint64).ravel()
     # SeedSequence pads the run entropy to the pool size before a spawn key
     run = _uint32_words(master_seed)

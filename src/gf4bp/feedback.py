@@ -22,13 +22,13 @@ Frustrated checks, enhanced's frustration pattern and round verdicts come
 from the decoder's own syndrome test, the frustrated mask of each outcome;
 no parity is computed here.
 
-FeedbackRun is the one round engine: it holds one such procedure between
-rounds, with its working DecodeOutcome as current.  Three drivers run it,
-each restart for config.t_pert iterations on the priors it returns:
-feedback_round (one pinned round from a given working outcome, trace_run's
-pinned round too), feedback_decode (the serial loop) and the Monte-Carlo
-harness, whose restarts of many runs share the lane kernel.  Its random
-choices come from its own generator, so interleaving changes none of them.
+feedback_rounds is the one round engine, a generator: it yields the
+adjusted priors of each config.t_pert-iteration BP restart and is sent
+that restart's DecodeOutcome.  feedback_decode (the serial loop) and the
+Monte-Carlo harness, whose restarts of many runs share the lane kernel,
+drive it; feedback_round (trace_run's pinned round) is its adjust and
+_record around one restart.  A run's random choices come from its own
+generator, so interleaving changes none of them.
 """
 
 from dataclasses import dataclass, replace
@@ -131,6 +131,54 @@ def check_slot(graph: TannerGraph, check: int, qubit: int) -> int:
     return int(slot[0])
 
 
+def _check_start(config: FeedbackConfig, first: DecodeOutcome) -> None:
+    if config.strategy not in ("pc08", "enhanced"):
+        raise ValueError("feedback rounds need strategy pc08 or enhanced")
+    if not first.converged and first.frustrated is None:
+        raise ValueError("a non-converged first outcome needs its frustrated-check mask")
+
+
+def adjust(graph, target, priors, config, current, check: int, qubit: int, rng=None):
+    """Adjust the priors for a round on (check, qubit) from the working
+    outcome current.
+
+    enhanced resets the one qubit from current's frustration pattern (its
+    sign on the check is the target's, negated if the check is frustrated);
+    pc08 perturbs every qubit of the check with draws from rng.  Returns
+    (adjusted, touched, applied): the adjusted priors, the touched qubits
+    and their new priors; priors is not modified."""
+    slot = check_slot(graph, check, qubit)
+    priors = np.asarray(priors, dtype=float)
+    if config.strategy == "enhanced":
+        entry = int(graph.check_entries(check)[slot])
+        s_c = int(target[check])
+        sc_dot = -s_c if current.frustrated[check] else s_c
+        touched = np.array([qubit])
+        applied = enhanced_reset(entry, s_c, sc_dot, float(priors[qubit, 0]))[None, :]
+    else:
+        if rng is None:
+            raise ValueError("pc08 rounds need a random stream")
+        touched = graph.check_qubits(check).copy()
+        applied = pc08_perturb(priors[touched], config.delta, rng)
+    adjusted = priors.copy()
+    adjusted[touched] = applied
+    return adjusted, touched, applied
+
+
+def _record(check, qubit, touched, applied, outcome: DecodeOutcome) -> AdjustmentRecord:
+    """The round's record: converged, check_satisfied (the chosen check now
+    agrees with the target) or restored (it is still frustrated)."""
+    if outcome.converged:
+        verdict = "converged"
+    elif outcome.frustrated[check]:
+        verdict = "restored"
+    else:
+        verdict = "check_satisfied"
+    return AdjustmentRecord(
+        int(check), int(qubit), touched, applied, verdict, outcome.iterations
+    )
+
+
 def feedback_round(
     code: StabilizerCode,
     target,
@@ -150,115 +198,44 @@ def feedback_round(
     record), the outcome's iterations the restart's; priors is not
     modified.
     """
-    run = FeedbackRun(tanner_graph(code), target, priors, config, current, rng)
-    adjusted = run.start_round(check, qubit)
-    outcome = decode(code, run.target, adjusted, config.t_pert, on_iteration=on_iteration)
-    run.finish_round(outcome)
-    return outcome, run.records[0]
+    _check_start(config, current)
+    adjusted, touched, applied = adjust(
+        tanner_graph(code), target, priors, config, current, check, qubit, rng
+    )
+    outcome = decode(code, target, adjusted, config.t_pert, on_iteration=on_iteration)
+    return outcome, _record(check, qubit, touched, applied, outcome)
 
 
-class FeedbackRun:
-    """The feedback procedure of one (block, strategy), a round at a time.
+def feedback_rounds(graph: TannerGraph, target, priors, config, first, rng):
+    """The feedback procedure of one (block, strategy) after its first run.
 
-    current is the working outcome on (target, priors): first, the standard
-    run's, at the start; a non-converged one must carry its frustrated mask.
-    next_round() chooses the next (check, qubit), and start_round(check,
-    qubit) draws what the strategy draws; both return the adjusted priors of
-    a config.t_pert-iteration BP restart, next_round None once the run is
-    over.  finish_round(outcome) applies its verdict.  result() is (outcome,
-    records), the outcome's iterations counting the first run and every round.
+    first is the working outcome on (target, priors) at the start; a
+    non-converged one must carry its frustrated mask.  Yields the adjusted
+    priors of each restart and is sent its DecodeOutcome; returns (outcome,
+    records), the outcome's iterations counting the first run and every
+    round.
     """
-
-    def __init__(self, graph, target, priors, config, first, rng):
-        if config.strategy not in ("pc08", "enhanced"):
-            raise ValueError("feedback rounds need strategy pc08 or enhanced")
-        if not first.converged and first.frustrated is None:
-            raise ValueError("a non-converged first outcome needs its frustrated-check mask")
-        self.graph = graph
-        self.target = np.asarray(target, dtype=np.int64)
-        self.priors = np.asarray(priors, dtype=float)
-        self.config = config
-        self.rng = rng
-        self.budget = config.n_a if config.n_a is not None else default_n_a(graph.n_qubits)
-        self.used = 0
-        self.current = first
-        self.iterations = first.iterations
-        self.records: list[AdjustmentRecord] = []
-        self.check = None
-        self.candidates = []  # untried qubits of the chosen check
-        self._round = None  # (qubit, touched, applied) of the round in flight
-        self._over = False
-
-    def next_round(self):
-        if self.current.converged or self._over or self.used >= self.budget:
-            return None
-        if not self.candidates:
-            # current did not converge, so some check is frustrated
-            self.check = int(self.rng.choice(np.flatnonzero(self.current.frustrated)))
-            self.candidates = list(self.graph.check_qubits(self.check))
-            if not self.candidates:
-                self._over = True  # a check with no sender qubits can never be fixed
-                return None
-            self.rng.shuffle(self.candidates)
-        self.used += 1
-        return self.start_round(self.check, int(self.candidates.pop(0)))
-
-    def start_round(self, check: int, qubit: int):
-        """Adjust the priors for a round on (check, qubit).
-
-        enhanced resets the one qubit from current's frustration pattern
-        (its sign on the check is the target's, negated if the check is
-        frustrated); pc08 perturbs every qubit of the check with draws from
-        rng.  Returns the adjusted priors; self.priors is not modified."""
-        graph, config = self.graph, self.config
-        slot = check_slot(graph, check, qubit)
-        if config.strategy == "enhanced":
-            entry = int(graph.check_entries(check)[slot])
-            s_c = int(self.target[check])
-            sc_dot = -s_c if self.current.frustrated[check] else s_c
-            touched = np.array([qubit])
-            applied = enhanced_reset(
-                entry, s_c, sc_dot, float(self.priors[qubit, 0])
-            )[None, :]
-        else:
-            if self.rng is None:
-                raise ValueError("pc08 rounds need a random stream")
-            touched = graph.check_qubits(check).copy()
-            applied = pc08_perturb(self.priors[touched], config.delta, self.rng)
-        self.check = int(check)
-        self._round = (int(qubit), touched, applied)
-        adjusted = self.priors.copy()
-        adjusted[touched] = applied
-        return adjusted
-
-    def finish_round(self, outcome: DecodeOutcome) -> None:
-        """Record the round as converged, check_satisfied (the chosen check
-        now agrees with the target) or restored (it is still frustrated)."""
-        check, (qubit, touched, applied) = self.check, self._round
-        if outcome.converged:
-            verdict = "converged"
-        elif outcome.frustrated[check]:
-            verdict = "restored"
-        else:
-            verdict = "check_satisfied"
-        self.records.append(
-            AdjustmentRecord(
-                check=check,
-                qubit=qubit,
-                qubits_touched=touched,
-                applied=applied,
-                outcome=verdict,
-                iterations=outcome.iterations,
+    _check_start(config, first)
+    budget = config.n_a if config.n_a is not None else default_n_a(graph.n_qubits)
+    current, iterations, records = first, first.iterations, []
+    while not current.converged and len(records) < budget:
+        # current did not converge, so some check is frustrated
+        check = int(rng.choice(np.flatnonzero(current.frustrated)))
+        qubits = list(graph.check_qubits(check))
+        if not qubits:
+            break  # a check with no sender qubits can never be fixed
+        rng.shuffle(qubits)
+        for qubit in qubits[: budget - len(records)]:
+            adjusted, touched, applied = adjust(
+                graph, target, priors, config, current, check, qubit, rng
             )
-        )
-        self.iterations += outcome.iterations
-        if verdict == "restored":
-            return  # the next candidate of the same check, from the same output
-        self.current = outcome
-        self.candidates = []
-
-    def result(self):
-        return replace(self.current, iterations=self.iterations), self.records
+            outcome = yield adjusted
+            records.append(_record(check, qubit, touched, applied, outcome))
+            iterations += outcome.iterations
+            if records[-1].outcome != "restored":
+                current = outcome  # a restored round keeps it for the next qubit
+                break
+    return replace(current, iterations=iterations), records
 
 
 def feedback_decode(
@@ -280,10 +257,11 @@ def feedback_decode(
     if rng is None:
         rng = np.random.default_rng(0)
     first = decode(code, target, priors, max_iter=max_iter, on_iteration=on_iteration)
-    run = FeedbackRun(tanner_graph(code), target, priors, config, first, rng)
-    while (adjusted := run.next_round()) is not None:
-        outcome = decode(
-            code, run.target, adjusted, config.t_pert, on_iteration=on_iteration
-        )
-        run.finish_round(outcome)
-    return run.result()
+    rounds = feedback_rounds(tanner_graph(code), target, priors, config, first, rng)
+    try:
+        adjusted = next(rounds)
+        while True:
+            outcome = decode(code, target, adjusted, config.t_pert, on_iteration=on_iteration)
+            adjusted = rounds.send(outcome)
+    except StopIteration as done:
+        return done.value

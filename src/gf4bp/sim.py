@@ -44,10 +44,10 @@ from .decoder import (
 )
 from .feedback import (
     FeedbackConfig,
-    FeedbackRun,
     check_slot,
     feedback_decode,
     feedback_round,
+    feedback_rounds,
 )
 from .formats import parse_stabilizer_text
 from .stabilizer import StabilizerCode, build_code_4_1_1, group_membership, syndrome
@@ -271,10 +271,11 @@ class _Chunk:
     runs that iteration 1 did not settle on its back.
     Each block's first run is shared by its strategies: standard reports
     it, and so do pc08 and enhanced if it converged; otherwise a
-    FeedbackRun per strategy continues from it, drawing from the block's
-    own substream.  Its restarts are jobs (batch, row, strategy_index,
-    run): the block's error, error string and index are read from its
-    batch row when the run ends.  write() writes every BlockResult.
+    feedback_rounds generator per strategy continues from it, drawing from
+    the block's own substream.  Its restarts are jobs (batch, row,
+    strategy_index, run), and advance() sends each its outcome; the block's
+    error, error string and index are read from its batch row when the run
+    ends.  write() writes every BlockResult.
     """
 
     def __init__(self, spec, block_lo, block_hi):
@@ -312,8 +313,7 @@ class _Chunk:
                 if isinstance(job, _FirstRun):
                     self.first_run_done(job, outcome)
                 else:
-                    job[-1].finish_round(outcome)
-                    self.advance(*job)
+                    self.advance(*job, outcome)
         return self.cells
 
     def load_next(self) -> bool:
@@ -405,21 +405,22 @@ class _Chunk:
                 rng = substream(
                     spec.seed, _STREAM_DECODER, strategy_index, p_index, first + row
                 )
-                run = FeedbackRun(
+                run = feedback_rounds(
                     self.graph, batch.targets[row], self.priors[p_index],
                     spec.configs[strategy], outcome, rng,
                 )
                 self.advance(batch, row, strategy_index, run)
 
-    def advance(self, batch: _Batch, row: int, strategy_index: int, run) -> None:
-        """Queue the run's next restart, or report the run of the batch's row
-        once it is over."""
-        adjusted = run.next_round()
-        if adjusted is not None:
-            job = (batch, row, strategy_index, run)
-            self.queue.appendleft((job, log_priors(adjusted), run.target, run.config.t_pert))
+    def advance(self, batch: _Batch, row: int, strategy_index: int, run, outcome=None):
+        """Send the run its last restart's outcome (None to start it) and
+        queue its next restart, or report the batch's row once it is over."""
+        try:
+            adjusted = run.send(outcome)
+        except StopIteration as done:
+            self.write(batch, [row], [strategy_index], done.value[0])
             return
-        self.write(batch, [row], [strategy_index], run.result()[0])
+        job = (batch, row, strategy_index, run)
+        self.queue.appendleft((job, log_priors(adjusted), batch.targets[row], self.spec.t_pert))
 
     def write(self, batch: _Batch, rows: list, strategy_indices: list, outcome, e_out=None):
         """Classify a batch's rows against a run's outcome (error string e_out)

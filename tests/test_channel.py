@@ -152,6 +152,10 @@ def test_substream_seed_must_be_an_integer():
     with pytest.raises(ValueError, match="seed must be nonnegative"):
         substream(-1, 0)
     assert substream(np.uint32(1), 0).random() == substream(1, 0).random()
+    # substream_uniforms follows the same rule: 1.7 used to give seed 1's rows
+    for seed in (1.7, 1.0, "1"):
+        with pytest.raises(ValueError, match=f"seed must be an integer, not {seed!r}"):
+            substream_uniforms(seed, 0, [0, 1], 3)
 
 
 def test_substream_uniforms_rejects_negative_seed():

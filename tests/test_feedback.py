@@ -10,14 +10,15 @@ from gf4bp.channel import (
 from gf4bp.decoder import DecodeOutcome, TannerGraph, decode
 from gf4bp.feedback import (
     FeedbackConfig,
-    FeedbackRun,
+    adjust,
     default_n_a,
     enhanced_reset,
     feedback_decode,
     feedback_round,
+    feedback_rounds,
     pc08_perturb,
 )
-from gf4bp.stabilizer import build_code_4_1_1, construction_b, syndrome
+from gf4bp.stabilizer import StabilizerCode, build_code_4_1_1, construction_b, syndrome
 
 from oracles import frustrated_checks
 
@@ -333,9 +334,9 @@ def test_adjustment_rejects_bad_pins(code411, priors411, strategy, check, qubit,
         np.array([0, 3, 0, 0], dtype=np.uint8), False, 90,
         np.array([False, True, True, True]),
     )
-    run = FeedbackRun(graph, TARGET, priors411, FeedbackConfig(strategy=strategy), first, rng)
+    config = FeedbackConfig(strategy=strategy)
     with pytest.raises(ValueError, match=message):
-        run.start_round(check, qubit)
+        adjust(graph, TARGET, priors411, config, first, check, qubit, rng)
     assert rng.bit_generator.state == state
 
 
@@ -348,11 +349,52 @@ def test_feedback_run_needs_the_first_mask(code411, priors411, strategy):
     rng = substream(0, 0)
     state = rng.bit_generator.state
     failed = DecodeOutcome(np.array([0, 3, 0, 0], dtype=np.uint8), False, 90, None)
+    rounds = feedback_rounds(graph, TARGET, priors411, config, failed, rng)
     with pytest.raises(ValueError, match="non-converged first outcome needs its frustrated"):
-        FeedbackRun(graph, TARGET, priors411, config, failed, rng)
+        next(rounds)
     assert rng.bit_generator.state == state
     done = DecodeOutcome(np.array([0, 0, 1, 3], dtype=np.uint8), True, 3, None)
-    assert FeedbackRun(graph, TARGET, priors411, config, done, rng).next_round() is None
+    with pytest.raises(StopIteration):
+        next(feedback_rounds(graph, TARGET, priors411, config, done, rng))
+
+
+def test_feedback_round_checks_strategy_and_mask(code411, priors411):
+    failed = DecodeOutcome(np.array([0, 3, 0, 0], dtype=np.uint8), False, 90, None)
+    with pytest.raises(ValueError, match="feedback rounds need strategy pc08 or enhanced"):
+        feedback_round(
+            code411, TARGET, priors411, 1, 0, FeedbackConfig(strategy="standard"), failed
+        )
+    for strategy in ("pc08", "enhanced"):
+        with pytest.raises(ValueError, match="non-converged first outcome needs its frustrated"):
+            feedback_round(
+                code411, TARGET, priors411, 1, 0, FeedbackConfig(strategy=strategy),
+                failed, rng=substream(0, 0),
+            )
+
+
+@pytest.mark.parametrize("strategy", ["pc08", "enhanced"])
+def test_check_without_sender_qubits_ends_the_run(code411, priors411, strategy):
+    # [[4,1;1]] plus a Z on a new ebit: a check no sender qubit can fix.  With
+    # the target's only -1 there, the one frustrated check is chosen and the
+    # run ends as the first run, with budget left but no round and no draw
+    # after the choice (default_n_a(4) is 0, so n_a is given).
+    checks = np.zeros((5, code411.n_total + 1), dtype=np.uint8)
+    checks[:4, :-1] = code411.checks
+    checks[4, -1] = 2
+    code = StabilizerCode(checks, n_sent=4, n_ebits=code411.n_ebits + 1)
+    target = np.array([1, 1, 1, 1, -1])
+    first = decode(code, target, priors411, max_iter=7)
+    assert not first.converged and first.frustrated.tolist() == [False] * 4 + [True]
+    rng, drawn = substream(3, 1), substream(3, 1)
+    drawn.choice(np.flatnonzero(first.frustrated))
+    outcome, records = feedback_decode(
+        code, target, priors411, FeedbackConfig(strategy=strategy, n_a=5), max_iter=7,
+        rng=rng,
+    )
+    assert records == []
+    assert outcome.error.tolist() == first.error.tolist()
+    assert (outcome.converged, outcome.iterations) == (False, 7)
+    assert rng.bit_generator.state == drawn.bit_generator.state
 
 
 def _failed_blocks(code, p, count, seed=5):
@@ -389,30 +431,26 @@ def test_interleaved_runs_equal_runs_alone():
         for strategy in ("pc08", "enhanced")
     ]
 
-    def start(block, target, first, strategy):
-        return FeedbackRun(
-            graph, target, pri, FeedbackConfig(strategy=strategy), first,
-            substream(5, 1, 0, 0, block),
-        )
-
+    configs = [FeedbackConfig(strategy=strategy) for *_, strategy in specs]
     alone = [
-        feedback_decode(
-            code, target, pri, FeedbackConfig(strategy=strategy),
-            rng=substream(5, 1, 0, 0, block),
-        )
-        for block, target, _, strategy in specs
+        feedback_decode(code, target, pri, config, rng=substream(5, 1, 0, 0, block))
+        for (block, target, _, _), config in zip(specs, configs)
     ]
-    runs = [start(*spec) for spec in specs]
-    pending = [(run, run.next_round()) for run in runs]
+    runs = [
+        feedback_rounds(graph, target, pri, config, first, substream(5, 1, 0, 0, block))
+        for (block, target, first, _), config in zip(specs, configs)
+    ]
+    results = [None] * len(runs)
+    pending = [(index, next(run)) for index, run in enumerate(runs)]
     while pending:
-        run, adjusted = pending.pop(0)
-        run.finish_round(decode(code, run.target, adjusted, max_iter=run.config.t_pert))
-        restart = run.next_round()
-        if restart is not None:
-            pending.append((run, restart))
+        index, adjusted = pending.pop(0)
+        restart = decode(code, specs[index][1], adjusted, max_iter=configs[index].t_pert)
+        try:
+            pending.append((index, runs[index].send(restart)))
+        except StopIteration as done:
+            results[index] = done.value
     assert sum(len(records) for _, records in alone) > len(specs)
-    for run, (outcome, records) in zip(runs, alone, strict=True):
-        got, got_records = run.result()
+    for (got, got_records), (outcome, records) in zip(results, alone, strict=True):
         assert got.error.tolist() == outcome.error.tolist()
         assert (got.converged, got.iterations) == (outcome.converged, outcome.iterations)
         assert _records_key(got_records) == _records_key(records)
