@@ -465,7 +465,10 @@ class Lanes:
 
     def first_messages(self, lp: np.ndarray) -> np.ndarray:
         """G0 for log-priors lp, by this idle kernel's step, kept per graph and
-        lp; ArithmeticError if the all -1 syndrome's gammas are not -G0."""
+        lp; ArithmeticError if the all -1 syndrome's gammas are not -G0, and
+        RuntimeError if a job is running or held (its lane would be stepped)."""
+        if self.busy:
+            raise RuntimeError("first_messages needs an idle kernel")
         known, key = self.graph._first_messages, lp.tobytes()
         if key not in known:
             gammas = []

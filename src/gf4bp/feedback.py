@@ -150,6 +150,8 @@ def adjust(graph, target, priors, config, current, check: int, qubit: int, rng=N
     slot = check_slot(graph, check, qubit)
     priors = np.asarray(priors, dtype=float)
     if config.strategy == "enhanced":
+        if current.frustrated is None:
+            raise ValueError("an enhanced round needs the working outcome's frustrated mask")
         entry = int(graph.check_entries(check)[slot])
         s_c = int(target[check])
         sc_dot = -s_c if current.frustrated[check] else s_c
@@ -199,6 +201,8 @@ def feedback_round(
     modified.
     """
     _check_start(config, current)
+    if current.frustrated is None:  # converged; _check_start rejects the others
+        raise ValueError("a feedback round needs the working outcome's frustrated mask")
     adjusted, touched, applied = adjust(
         tanner_graph(code), target, priors, config, current, check, qubit, rng
     )

@@ -16,12 +16,21 @@ them at a time, and every BP run it does not settle, first run or feedback
 restart, is a lane of one lane kernel; jobs finish out of order and results
 are put back in spec order, so outputs do not depend on the lane width, the
 batch size or the worker count.
+
+A work item's results are arrays, not objects: per (p, strategy, block) a
+record (RECORD) of a uint8 class code, the iterations, the converged flag
+and an index into the item's table of distinct e_out strings, plus per p
+the blocks' error strings joined in block order.  run_experiment joins the
+items' arrays, counts each cell with np.bincount and writes the JSONL log
+from them; its BlockResults builds a BlockResult only when one is read.
 """
 
 import math
 import sys
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import chain, product, repeat, starmap
 from pathlib import Path
 
 import numpy as np
@@ -58,6 +67,9 @@ CSV_HEADER = (
 )
 
 OUTCOME_CLASSES = ("exact", "degenerate", "nonequivalent", "detected", "unchecked")
+_UNDECODED = len(OUTCOME_CLASSES)  # the class code of a result not yet written
+#: A result as an array record: klass indexes OUTCOME_CLASSES, e_out a table of strings.
+RECORD = np.dtype([("klass", "u1"), ("iterations", "u4"), ("converged", "?"), ("e_out", "i4")])
 
 _STREAM_CHANNEL = 0
 _STREAM_DECODER = 1
@@ -138,7 +150,7 @@ class ExperimentSpec:
         self.injected = _injected_error(self.code, self.inject)
 
 
-@dataclass
+@dataclass(slots=True)  # built per result read: half the memory, faster to make
 class BlockResult:
     p: float
     strategy: str
@@ -265,17 +277,19 @@ class _Chunk:
     blocks that share it wait in its _FirstRun, which then keeps the
     read-only outcome and e_out (per p, keyed by the packed syndrome) for
     the rest of the task, so later blocks with that syndrome are reported at
-    once.  Results go into per-(p, strategy) lists indexed by block.  Every
-    other BP run waits in one queue of Lanes.load arguments (job,
-    log-priors, target, max_iter): feedback restarts on its front, first
-    runs that iteration 1 did not settle on its back.
+    once.  Results go into a (p, strategy, block - block_lo) RECORD array,
+    class _UNDECODED until written, e_out an index into the task's table of
+    distinct e_outs; each batch's error strings are kept per p in block
+    order.  Every other BP run waits in one queue of Lanes.load arguments
+    (job, log-priors, target, max_iter): feedback restarts on its front,
+    first runs that iteration 1 did not settle on its back.
     Each block's first run is shared by its strategies: standard reports
     it, and so do pc08 and enhanced if it converged; otherwise a
     feedback_rounds generator per strategy continues from it, drawing from
     the block's own substream.  Its restarts are jobs (batch, row,
     strategy_index, run), and advance() sends each its outcome; the block's
     error, error string and index are read from its batch row when the run
-    ends.  write() writes every BlockResult.
+    ends.  write() writes every result's record.
     """
 
     def __init__(self, spec, block_lo, block_hi):
@@ -295,14 +309,15 @@ class _Chunk:
         self.first_runs = [{} for _ in spec.p_values]  # per p: syndrome -> _FirstRun
         self.queue = deque()  # (job, log-priors, target, max_iter) waiting for a lane
         self.block_lo = block_lo
-        # per p, per strategy: the BlockResult of each block, by block - block_lo
-        self.cells = [
-            [[None] * (block_hi - block_lo) for _ in spec.strategies]
-            for _ in spec.p_values
-        ]
+        self.texts = [[] for _ in spec.p_values]  # per p: the batches' error strings
+        self.e_outs = {}  # e_out -> its index in the task's table
+        shape = (len(spec.p_values), len(spec.strategies), block_hi - block_lo)
+        self.records = np.zeros(shape, RECORD)
+        self.records["klass"] = _UNDECODED
 
-    def run(self) -> list:
-        """Decode every block; the per-(p, strategy) result lists."""
+    def run(self) -> tuple:
+        """Decode every block; (per p the error strings joined in block order,
+        the e_out table, the records), as run_experiment takes it."""
         lanes = self.lanes
         while True:
             while lanes.busy < lanes.width and self.load_next():
@@ -314,7 +329,7 @@ class _Chunk:
                     self.first_run_done(job, outcome)
                 else:
                     self.advance(*job, outcome)
-        return self.cells
+        return ["".join(texts) for texts in self.texts], list(self.e_outs), self.records
 
     def load_next(self) -> bool:
         """Load the queue's front run; while it is empty, sample batches (which
@@ -349,6 +364,7 @@ class _Chunk:
                 p_index, blocks, errors, targets,
                 gf4.values_to_pauli(errors[:, :n_sent]),
             )
+            self.texts[p_index].append(batch.text)
             packed = np.packbits(targets < 0, axis=1)
             groups = {}  # packed syndrome -> its rows
             for row, key in enumerate(
@@ -424,34 +440,29 @@ class _Chunk:
 
     def write(self, batch: _Batch, rows: list, strategy_indices: list, outcome, e_out=None):
         """Classify a batch's rows against a run's outcome (error string e_out)
-        and write their BlockResults under the given strategies.  The rows'
-        errors have identity ebit columns, so a row is exact when its error
-        string is e_out; a converged run's other rows are left to _inexact_class."""
-        code, spec, n_sent = self.code, self.spec, self.code.n_sent
-        converged, iterations = outcome.converged, outcome.iterations
+        and write their records under the given strategies.  The rows' errors
+        have identity ebit columns, so a row is exact when its error string is
+        e_out, or, for many rows at once, its sent qubits are the outcome's
+        error; a converged run's other rows are left to _inexact_class."""
+        code, n = self.code, self.code.n_sent
         e_out = outcome.error_pauli if e_out is None else e_out
-        texts = [batch.text[row * n_sent : (row + 1) * n_sent] for row in rows]
-        if converged:
-            classes = [
-                "exact" if text == e_out else _inexact_class(
-                    code, batch.errors[row], code.embed_sent(outcome.error),
-                    self.check_membership,
-                )
-                for row, text in zip(rows, texts)
-            ]
-        else:
-            classes = ["detected"] * len(rows)
-        first = batch.blocks.start
-        offset = first - self.block_lo  # of the batch's first block in a cell
-        p = spec.p_values[batch.p_index]
+        inexact = []  # positions in rows
+        if outcome.converged and len(rows) == 1:
+            inexact = [0] if batch.text[rows[0] * n : (rows[0] + 1) * n] != e_out else []
+        elif outcome.converged:
+            inexact = np.flatnonzero((batch.errors[rows, :n] != outcome.error).any(axis=1))
+        klass = OUTCOME_CLASSES.index("exact" if outcome.converged else "detected")
+        index = self.e_outs.setdefault(e_out, len(self.e_outs))
+        offset = batch.blocks.start - self.block_lo  # of the batch's first block
+        blocks = rows[0] + offset if len(rows) == 1 else np.add(rows, offset)
+        cells = self.records[batch.p_index]
         for strategy_index in strategy_indices:
-            cell = self.cells[batch.p_index][strategy_index]
-            strategy = spec.strategies[strategy_index]
-            # positional: a keyword call costs twice as much per block
-            for row, text, klass in zip(rows, texts, classes):
-                cell[offset + row] = BlockResult(
-                    p, strategy, first + row, text, e_out, converged, iterations, klass,
-                )
+            cells[strategy_index, blocks] = (klass, outcome.iterations, outcome.converged, index)
+        for i in inexact:  # degenerate, nonequivalent or unchecked
+            other = _inexact_class(
+                code, batch.errors[rows[i]], code.embed_sent(outcome.error), self.check_membership
+            )
+            cells["klass"][strategy_indices, rows[i] + offset] = OUTCOME_CLASSES.index(other)
 
 
 def _run_blocks(args):
@@ -459,8 +470,60 @@ def _run_blocks(args):
     return _Chunk(*args).run()
 
 
+class BlockResults(Sequence):
+    """A run's block results, read only, in spec order of p, then strategy,
+    then block; each BlockResult is built when it is read, from the run's
+    (p, strategy, block) RECORDs, its e_out table and its error strings per p."""
+
+    def __init__(self, spec, texts, e_outs, records):
+        self.spec, self.texts, self.e_outs, self.records = spec, texts, e_outs, records
+
+    def __len__(self):
+        return self.records.size
+
+    def __getitem__(self, index):
+        cell, block = divmod(range(len(self))[index], self.spec.blocks)
+        (row,) = self._cell(*divmod(cell, len(self.spec.strategies)), block, block + 1)
+        return BlockResult(*row)
+
+    def __iter__(self):
+        return starmap(BlockResult, self.rows())
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def rows(self):
+        """Every result's fields as a tuple, in order; a p's error strings
+        are sliced once for all its strategies, and equal ones are one string."""
+        n, strategies = self.spec.blocks, range(len(self.spec.strategies))
+        return chain.from_iterable(
+            self._cell(p_index, strategy_index, 0, n, errors)
+            for p_index in range(len(self.spec.p_values))
+            for errors in (self._errors(p_index, 0, n),)
+            for strategy_index in strategies
+        )
+
+    def _errors(self, p_index, lo, hi):
+        n, text = self.spec.code.n_sent, self.texts[p_index]
+        errors = [text[i : i + n] for i in range(lo * n, hi * n, n)]
+        return list(map({}.setdefault, errors, errors))  # equal ones as one string
+
+    def _cell(self, p_index, strategy_index, lo, hi, errors=None):
+        """The field tuples of blocks lo..hi of one (p, strategy) cell."""
+        records = self.records[p_index, strategy_index, lo:hi]
+        return zip(
+            repeat(self.spec.p_values[p_index]), repeat(self.spec.strategies[strategy_index]),
+            range(lo, hi), errors or self._errors(p_index, lo, hi),
+            map(self.e_outs.__getitem__, records["e_out"].tolist()),
+            records["converged"].tolist(), records["iterations"].tolist(),
+            map(OUTCOME_CLASSES.__getitem__, records["klass"].tolist()),
+        )
+
+
 def run_experiment(spec: ExperimentSpec, jsonl_path=None):
-    """Run the experiment; returns (stats per (p, strategy), all block results),
+    """Run the experiment; returns (stats per (p, strategy), BlockResults),
     both in spec order of p, then strategy, then block."""
     step = math.ceil(spec.blocks / spec.workers)
     tasks = [(spec, lo, min(lo + step, spec.blocks)) for lo in range(0, spec.blocks, step)]
@@ -472,69 +535,38 @@ def run_experiment(spec: ExperimentSpec, jsonl_path=None):
         with sys.modules[__name__].ProcessPoolExecutor(max_workers=spec.workers) as pool:
             chunk_results = list(pool.map(_run_blocks, tasks))
 
-    # Chunks come back in block order, so each cell fills in block order.
-    cells = [[[] for _ in spec.strategies] for _ in spec.p_values]
-    for chunk in chunk_results:
-        for row, chunk_row in zip(cells, chunk):
-            for cell, part in zip(row, chunk_row):
-                cell.extend(part)
-    for row in cells:
-        for cell in row:
-            decoded = sum(r is not None for r in cell)
-            if decoded != spec.blocks:
-                raise RuntimeError(f"{decoded} of {spec.blocks} blocks decoded in a cell")
+    # Tasks come back in block order, so their joined arrays are in block order.
+    e_outs = []
+    for _, table, records in chunk_results:
+        records["e_out"] += len(e_outs)  # into the joined table
+        e_outs.extend(table)
+    texts, _, records = zip(*chunk_results)
+    results = BlockResults(
+        spec, ["".join(parts) for parts in zip(*texts)], e_outs,
+        np.concatenate(records, axis=2),
+    )
 
-    stats = []
-    block_results = []
-    for p, row in zip(spec.p_values, cells):
-        for strategy, cell in zip(spec.strategies, row):
-            block_results.extend(cell)
-            counts = {klass: 0 for klass in OUTCOME_CLASSES}
-            for r in cell:
-                counts[r.outcome] += 1
-            errors_strict = len(cell) - counts["exact"]
-            lo, hi = wilson_interval(errors_strict, len(cell))
-            total_iterations = sum(r.iterations for r in cell)
-            stats.append(
-                StrategyStats(
-                    p=p,
-                    strategy=strategy,
-                    n_blocks=len(cell),
-                    errors_strict=errors_strict,
-                    ber=errors_strict / len(cell),
-                    ber_lo=lo,
-                    ber_hi=hi,
-                    anoi=total_iterations / len(cell),
-                    exact=counts["exact"],
-                    degenerate=counts["degenerate"],
-                    nonequivalent=counts["nonequivalent"],
-                    detected=counts["detected"],
-                    unchecked=counts["unchecked"],
-                    seed=spec.seed,
-                )
-            )
+    n, stats = spec.blocks, []
+    totals = results.records["iterations"].reshape(-1, n).sum(axis=1, dtype=np.int64).tolist()
+    cells = product(spec.p_values, spec.strategies), results.records["klass"].reshape(-1, n)
+    for (p, strategy), classes, total in zip(*cells, totals):
+        counts = np.bincount(classes, minlength=_UNDECODED + 1).tolist()
+        if counts[_UNDECODED]:
+            raise RuntimeError(f"{n - counts[_UNDECODED]} of {n} blocks decoded in a cell")
+        errors_strict = n - counts[0]
+        lo, hi = wilson_interval(errors_strict, n)
+        stats.append(StrategyStats(
+            p, strategy, n, errors_strict, errors_strict / n, lo, hi, total / n,
+            *counts[:_UNDECODED], spec.seed,
+        ))
 
     if jsonl_path is not None:
         import json
 
+        keys = ("p", "strategy", "block", "error", "e_out", "converged", "iterations", "class")
         with open(jsonl_path, "w") as handle:
-            for r in block_results:
-                handle.write(
-                    json.dumps(
-                        {
-                            "p": r.p,
-                            "strategy": r.strategy,
-                            "block": r.block,
-                            "error": r.error,
-                            "e_out": r.e_out,
-                            "converged": r.converged,
-                            "iterations": r.iterations,
-                            "class": r.outcome,
-                        }
-                    )
-                    + "\n"
-                )
-    return stats, block_results
+            handle.writelines(json.dumps(dict(zip(keys, row))) + "\n" for row in results.rows())
+    return stats, results
 
 
 def format_csv(stats) -> str:

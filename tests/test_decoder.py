@@ -773,3 +773,30 @@ def test_first_messages_are_checked_for_odd_symmetry(monkeypatch):
     monkeypatch.undo()
     first = Lanes(graph, 1).first_messages(lp)
     assert Lanes(graph, 3).first_messages(lp) is first  # kept per graph and lp
+
+
+def test_first_messages_needs_an_idle_kernel():
+    # G0 comes from one step of the kernel's own lanes, so a running or held
+    # job is refused before anything is loaded: the running lane used to be
+    # stepped twice more and the call to fail as "not odd".
+    code = construction_b(C62_ROW)
+    graph = TannerGraph(code)
+    pri = channel_priors(DepolarizingChannel(0.03), code.n_sent)
+    lp = log_priors(pri)
+    target = 1 - 2 * np.random.default_rng(5).integers(0, 2, code.n_checks)
+    lanes = Lanes(graph, 2)
+    lanes.load("held", lp, target, 20)
+    with pytest.raises(RuntimeError, match="idle kernel"):
+        lanes.first_messages(lp)
+    assert lanes.step() == [] and lanes.iterations == [1]  # now running
+    with pytest.raises(RuntimeError, match="idle kernel"):
+        lanes.first_messages(lp)
+    assert (lanes.busy, lanes.iterations, graph._first_messages) == (1, [1], {})
+    finished = []
+    while not finished:
+        finished = lanes.step()
+    ((job, outcome),) = finished
+    want = decode(code, target, pri, max_iter=20)
+    assert job == "held" and outcome.iterations == want.iterations > 1
+    assert outcome.error.tolist() == want.error.tolist()
+    assert Lanes(graph, 1).first_messages(lp) is lanes.first_messages(lp)

@@ -370,6 +370,21 @@ def test_feedback_round_checks_strategy_and_mask(code411, priors411):
                 code411, TARGET, priors411, 1, 0, FeedbackConfig(strategy=strategy),
                 failed, rng=substream(0, 0),
             )
+    # a converged working outcome without its mask: the pinned round and an
+    # enhanced adjustment need it too (they used to raise a TypeError)
+    converged = DecodeOutcome(np.array([0, 0, 1, 3], dtype=np.uint8), True, 3, None)
+    for strategy in ("pc08", "enhanced"):
+        with pytest.raises(ValueError, match="round needs the working outcome's frustrated"):
+            feedback_round(
+                code411, TARGET, priors411, 1, 0, FeedbackConfig(strategy=strategy),
+                converged, rng=substream(0, 0),
+            )
+    for current in (failed, converged):
+        with pytest.raises(ValueError, match="enhanced round needs the working outcome's"):
+            adjust(
+                TannerGraph(code411), TARGET, priors411, FeedbackConfig(strategy="enhanced"),
+                current, 1, 0,
+            )
 
 
 @pytest.mark.parametrize("strategy", ["pc08", "enhanced"])

@@ -415,6 +415,62 @@ def _assert_equals_reference(reference, tmp_path, **changes):
     return blocks
 
 
+def test_block_results_are_a_read_only_sequence(lane_reference):
+    # run_experiment's results are built on access from per-cell columns:
+    # len, indexing (negative too) and iteration follow the spec
+    # order of p, strategy and block, and they compare equal to a list.
+    spec, _, ref_blocks, _ = lane_reference
+    _, blocks = run_experiment(spec)
+    assert isinstance(blocks, sim.BlockResults) and not isinstance(blocks, list)
+    assert len(blocks) == len(ref_blocks) == 2 * 3 * spec.blocks
+    assert blocks == ref_blocks and ref_blocks == blocks and blocks == blocks
+    assert list(blocks) == ref_blocks
+    assert [(b.p, b.strategy, b.block) for b in blocks] == [
+        (p, s, i) for p in spec.p_values for s in spec.strategies for i in range(spec.blocks)
+    ]
+    for index in (0, 1, spec.blocks, 4 * spec.blocks + 7, -1, -spec.blocks - 3, -len(blocks)):
+        assert blocks[index] == ref_blocks[index]
+    for index in (len(blocks), -len(blocks) - 1):
+        with pytest.raises(IndexError):
+            blocks[index]
+    with pytest.raises(TypeError):
+        blocks[0] = ref_blocks[0]
+    assert blocks != ref_blocks[:-1] and blocks != ref_blocks[1:] + ref_blocks[:1]
+    assert ref_blocks[5] in blocks and blocks.index(ref_blocks[5]) == 5
+
+
+def test_simulate_builds_no_block_result(tmp_path, monkeypatch):
+    # The CSV and the JSONL log are written from the result arrays.
+    def refuse(*args):
+        raise AssertionError("a BlockResult was built")
+
+    monkeypatch.setattr(sim, "BlockResult", refuse)
+    jsonl = tmp_path / "blocks.jsonl"
+    result = CliRunner().invoke(main, [
+        "simulate", "--p", "0.05,0.2", "--strategy", "standard,pc08,enhanced",
+        "--blocks", "30", "--out", str(tmp_path / "out.csv"), "--jsonl", str(jsonl),
+    ])
+    assert result.exit_code == 0, result.output
+    assert len(jsonl.read_text().splitlines()) == 2 * 3 * 30
+
+
+def test_pool_task_result_pickles_small(code62):
+    # A pool task returns columns and joined error strings, not one object
+    # per (p, strategy, block): on this [[62,2]] task a result pickles to
+    # 53.7 bytes (a block's 62 error characters serve 3 strategies) where a
+    # list of BlockResults took 100.8.  Pickled sizes are deterministic.
+    import pickle
+
+    spec = ExperimentSpec(
+        code=code62, p_values=(0.03, 0.06), strategies=("standard", "pc08", "enhanced"),
+        blocks=40, seed=20260808,
+    )
+    task = sim._run_blocks((spec, 0, spec.blocks))
+    assert type(task) in (list, tuple)
+    per_result = len(pickle.dumps(list(task))) / (2 * 3 * spec.blocks)
+    assert per_result == pytest.approx(53.7, abs=0.5)
+
+
 @pytest.fixture(scope="module")
 def n510_reference(code510, tmp_path_factory):
     """A few standard-BP blocks on the n=510 code, which runs two lanes by
@@ -751,7 +807,7 @@ def test_unmatched_first_iteration_at_max_iter_one_reports_its_mask(code411):
         code=code411, p_values=(0.05, 0.2), blocks=3, seed=1, inject="IXII", max_iter=1,
     )
     chunk = sim._Chunk(spec, 0, spec.blocks)
-    cells = chunk.run()
+    results = sim.BlockResults(spec, *chunk.run())  # the one task covers every block
     target = syndrome(code411, code411.embed_sent("IXII"))
     (matched,), (unmatched,) = ([e.outcome for e in runs.values()] for runs in chunk.first_runs)
     assert (matched.converged, matched.iterations, matched.error_pauli) == (True, 1, "IXII")
@@ -760,7 +816,7 @@ def test_unmatched_first_iteration_at_max_iter_one_reports_its_mask(code411):
     parity = syndrome(code411, code411.embed_sent(unmatched.error))
     assert unmatched.frustrated.tolist() == (parity != target).tolist()
     assert unmatched.frustrated.any()
-    assert [(b.converged, b.iterations, b.outcome) for b in cells[1][0]] == [
+    assert [(b.converged, b.iterations, b.outcome) for b in list(results)[spec.blocks :]] == [
         (False, 1, "detected")
     ] * spec.blocks
 
