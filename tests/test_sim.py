@@ -416,9 +416,10 @@ def _assert_equals_reference(reference, tmp_path, **changes):
 
 
 def test_block_results_are_a_read_only_sequence(lane_reference):
-    # run_experiment's results are built on access from per-cell columns:
-    # len, indexing (negative too) and iteration follow the spec
-    # order of p, strategy and block, and they compare equal to a list.
+    # run_experiment's results are built on access from per-cell records:
+    # len, indexing (negative too) and iteration follow the spec order of p,
+    # strategy and block, they compare equal to a list, and a p's equal
+    # error strings are handed out as one string.
     spec, _, ref_blocks, _ = lane_reference
     _, blocks = run_experiment(spec)
     assert isinstance(blocks, sim.BlockResults) and not isinstance(blocks, list)
@@ -437,6 +438,9 @@ def test_block_results_are_a_read_only_sequence(lane_reference):
         blocks[0] = ref_blocks[0]
     assert blocks != ref_blocks[:-1] and blocks != ref_blocks[1:] + ref_blocks[:1]
     assert ref_blocks[5] in blocks and blocks.index(ref_blocks[5]) == 5
+    for p in spec.p_values:
+        errors = [b.error for b in blocks if b.p == p]
+        assert len(set(map(id, errors))) == len(set(errors)) < len(errors)
 
 
 def test_simulate_builds_no_block_result(tmp_path, monkeypatch):
@@ -455,8 +459,8 @@ def test_simulate_builds_no_block_result(tmp_path, monkeypatch):
 
 
 def test_pool_task_result_pickles_small(code62):
-    # A pool task returns columns and joined error strings, not one object
-    # per (p, strategy, block): on this [[62,2]] task a result pickles to
+    # A pool task returns a record array and joined error strings, not one
+    # object per (p, strategy, block): on this [[62,2]] task a result pickles to
     # 53.7 bytes (a block's 62 error characters serve 3 strategies) where a
     # list of BlockResults took 100.8.  Pickled sizes are deterministic.
     import pickle
