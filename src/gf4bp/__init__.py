@@ -1,22 +1,24 @@
 """Syndrome belief-propagation decoding of sparse quantum codes over GF(4).
 
-Library layout:
+Library layout; `import gf4bp` loads the four set-up layers, and channel
+(with numpy.random), feedback and sim load on first use (PEP 562):
 
 * gf4: exact field tables and the Pauli correspondence
 * stabilizer: codes, syndromes, EA canonicalization, constructions
-* formats: stabilizer text and alist parsing/writing
-* channel: depolarizing priors and reproducible error sampling
+* formats: stabilizer text and alist parsing/writing, load_code
 * decoder: the standard flooding sum-product decoder
+* channel: depolarizing priors and reproducible error sampling
 * feedback: PC08 random perturbation and the enhanced feedback strategy
 * sim: Monte-Carlo harness, outcome classification, statistics, CSV
 * cli: the `gf4bp` command (simulate / trace / build-code)
 """
 
-from .channel import DepolarizingChannel, priors, sample_error, substream
+import importlib
+
 from .decoder import DecodeOutcome, TannerGraph, decode
-from .feedback import FeedbackConfig, feedback_decode, feedback_round
-from .formats import parse_alist, parse_stabilizer_text, write_alist, write_stabilizer_text
-from .sim import ExperimentSpec, classify_outcome, load_code, run_experiment
+from .formats import (
+    load_code, parse_alist, parse_stabilizer_text, write_alist, write_stabilizer_text
+)
 from .stabilizer import (
     StabilizerCode,
     build_code_4_1_1,
@@ -28,6 +30,22 @@ from .stabilizer import (
     quaternary_to_pauli,
     syndrome,
 )
+
+_LAZY = {  # exported name -> the module that defines it
+    **dict.fromkeys(("DepolarizingChannel", "priors", "sample_error", "substream"), "channel"),
+    **dict.fromkeys(("FeedbackConfig", "feedback_decode", "feedback_round"), "feedback"),
+    **dict.fromkeys(("ExperimentSpec", "classify_outcome", "run_experiment"), "sim"),
+}
+
+
+def __getattr__(name):
+    """channel, feedback and sim and their exported names, imported on first use."""
+    if name in _LAZY.values():
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in _LAZY:
+        return getattr(importlib.import_module(f"{__name__}.{_LAZY[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"
 

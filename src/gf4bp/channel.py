@@ -10,28 +10,16 @@ seed_seq), and numpy's PCG64 seeds itself from each key's hashed words,
 handed over as a seed sequence that only returns them.  Each key's raw
 64-bit draws become doubles by Generator.random's formula, for the whole
 batch at once.  sample_error turns such uniforms, one row per block, into
-errors.  check_integer is the package's one rule for integer inputs
-(counts, iteration caps and seeds).
+errors.
 """
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import PCG64
 from numpy.random.bit_generator import ISeedSequence
 
-
-def check_integer(name: str, value, least: int = 0) -> None:
-    """ValueError unless value is an integer (int or numpy integer, not a
-    float, even an integral one) of at least `least`."""
-    try:
-        operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, not {value!r}") from None
-    if value < least:
-        bound = "nonnegative" if least == 0 else f"at least {least}"
-        raise ValueError(f"{name} must be {bound}")
+from .stabilizer import check_integer
 
 
 @dataclass(frozen=True)
@@ -74,11 +62,14 @@ def sample_error(
                 f"uniforms of shape {uniforms.shape} do not cover {n_sent} qubits"
             )
     # rng.choice(4, size=n_sent, p=prior)'s own draw, without its per-call
-    # validation of p: one uniform per qubit searched in the normalised CDF
+    # validation of p: a uniform's symbol counts the normalised CDF entries at
+    # or below it (searchsorted side="right"); the last, 1.0, is above them all
     cdf = np.cumsum(channel.prior())
     cdf /= cdf[-1]
     error = np.zeros(uniforms.shape[:-1] + (n_sent + n_ebits,), dtype=np.uint8)
-    error[..., :n_sent] = cdf.searchsorted(uniforms, side="right")
+    sent = error[..., :n_sent]
+    for bound in cdf[:3]:
+        sent += uniforms >= bound
     return error
 
 

@@ -14,11 +14,10 @@ import click
 import numpy as np
 
 from .decoder import tanner_graph
-from .formats import parse_alist, write_stabilizer_text
+from .formats import load_code, parse_alist, write_stabilizer_text
 from .sim import (
     ExperimentSpec,
     format_csv,
-    load_code,
     run_experiment,
     trace_run,
 )

@@ -76,8 +76,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import gf4
-from .channel import check_integer
-from .stabilizer import ANTICOMMUTES, StabilizerCode
+from .stabilizer import ANTICOMMUTES, StabilizerCode, check_integer
 
 MSG_FLOOR = 1e-30
 

@@ -35,9 +35,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import check_integer
 from .decoder import DecodeOutcome, TannerGraph, decode, tanner_graph
-from .stabilizer import StabilizerCode
+from .stabilizer import StabilizerCode, check_integer
 
 STRATEGIES = ("standard", "pc08", "enhanced")
 

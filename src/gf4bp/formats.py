@@ -11,10 +11,14 @@ m row adjacency lists, all 1-indexed.  GF(4) lists carry (index, value)
 pairs.  Zero-padded irregular lists are tolerated on input.
 """
 
+from pathlib import Path
+
 import numpy as np
 
 from . import gf4
-from .stabilizer import NonCommutingRowsError, StabilizerCode
+from .stabilizer import NonCommutingRowsError, StabilizerCode, build_code_4_1_1
+
+BUILTIN_CODES = {"4_1_1": build_code_4_1_1}
 
 
 class FormatError(ValueError):
@@ -75,6 +79,18 @@ def parse_stabilizer_text(text: str) -> StabilizerCode:
         raise
     except ValueError as exc:
         raise FormatError(str(exc)) from None
+
+
+def load_code(source) -> StabilizerCode:
+    """Resolve a code source: a StabilizerCode, a built-in name or a file path."""
+    if isinstance(source, StabilizerCode):
+        return source
+    name = str(source)
+    if name in BUILTIN_CODES:
+        return BUILTIN_CODES[name]()
+    if not Path(name).is_file():
+        raise ValueError(f"unknown code {name!r}: not a built-in name or file")
+    return parse_stabilizer_text(Path(name).read_text())
 
 
 def write_stabilizer_text(code: StabilizerCode) -> str:

@@ -28,17 +28,15 @@ from them; its BlockResults builds a BlockResult only when one is read.
 import math
 import sys
 from collections import deque
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from itertools import chain, product, repeat, starmap
-from pathlib import Path
 
 import numpy as np
 
 from . import gf4
 from .channel import (
     DepolarizingChannel,
-    check_integer,
     priors as channel_priors,
     sample_error,
     substream,
@@ -58,8 +56,8 @@ from .feedback import (
     feedback_round,
     feedback_rounds,
 )
-from .formats import parse_stabilizer_text
-from .stabilizer import StabilizerCode, build_code_4_1_1, group_membership, syndrome
+from .formats import load_code
+from .stabilizer import StabilizerCode, check_integer, group_membership, syndrome
 
 CSV_HEADER = (
     "p,strategy,n_blocks,errors_strict,BER,BER_lo,BER_hi,ANoI,"
@@ -74,8 +72,6 @@ RECORD = np.dtype([("klass", "u1"), ("iterations", "u4"), ("converged", "?"), ("
 _STREAM_CHANNEL = 0
 _STREAM_DECODER = 1
 
-BUILTIN_CODES = {"4_1_1": build_code_4_1_1}
-
 
 def __getattr__(name):
     """ProcessPoolExecutor, imported on first use (PEP 562): serial runs skip it."""
@@ -84,19 +80,6 @@ def __getattr__(name):
 
         return ProcessPoolExecutor
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def load_code(source) -> StabilizerCode:
-    """Resolve a code source: a StabilizerCode, a built-in name or a file path."""
-    if isinstance(source, StabilizerCode):
-        return source
-    name = str(source)
-    if name in BUILTIN_CODES:
-        return BUILTIN_CODES[name]()
-    path = Path(name)
-    if not path.is_file():
-        raise ValueError(f"unknown code {name!r}: not a built-in name or file")
-    return parse_stabilizer_text(path.read_text())
 
 
 def _injected_error(code: StabilizerCode, inject: str | None):
@@ -130,6 +113,10 @@ class ExperimentSpec:
     injected: object = field(init=False, repr=False, compare=False)  # n_total, or None
 
     def __post_init__(self):
+        for name in ("p_values", "strategies"):
+            values = getattr(self, name)
+            if isinstance(values, (str, bytes)) or not isinstance(values, Iterable):
+                raise ValueError(f"{name} must be a sequence of values, not {values!r}")
         self.p_values = tuple(float(p) for p in self.p_values)
         self.strategies = tuple(self.strategies)
         check_integer("blocks", self.blocks, 1)

@@ -12,6 +12,7 @@ bit pair (x_j, z_j) with X=(1,0), Z=(0,1), Y=(1,1); rank and membership
 questions reduce to GF(2) linear algebra in that picture.
 """
 
+import operator
 from dataclasses import dataclass, fields
 from functools import cached_property
 
@@ -26,6 +27,21 @@ ANTICOMMUTES = gf4.TRACE_TABLE[gf4.MUL_TABLE[gf4.CONJ_TABLE]]
 
 #: The syndrome entry of a parity bit: 0 -> +1, 1 -> -1.
 _SIGNS = np.array([1, -1], dtype=np.int8)
+
+
+def check_integer(name: str, value, least: int = 0) -> None:
+    """The package's one rule for counts, iteration caps and seeds: ValueError
+    unless value is an integer (int or numpy integer, not a bool or a float,
+    even an integral one) of at least `least`."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, not {value!r}") from None
+    if value < least:
+        bound = "nonnegative" if least == 0 else f"at least {least}"
+        raise ValueError(f"{name} must be {bound}")
 
 
 class NonCommutingRowsError(ValueError):

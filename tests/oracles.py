@@ -57,6 +57,14 @@ def trace(a):
 PAULI_TO_VALUE = {symbol: value for value, symbol in enumerate(gf4.PAULI_ORDER)}
 
 
+def symbols_by_searchsorted(prior, uniforms) -> np.ndarray:
+    """Generator.choice(4, p=prior)'s draw from given uniforms: each uniform
+    searched in the prior's normalised CDF (side="right")."""
+    cdf = np.cumsum(prior)
+    cdf /= cdf[-1]
+    return cdf.searchsorted(uniforms, side="right").astype(np.uint8)
+
+
 def pauli_values_by_symbol(pauli: str) -> np.ndarray:
     """GF(4) values of a Pauli string, one symbol at a time (the library's
     conversion before its byte table)."""

@@ -10,6 +10,8 @@ from gf4bp.channel import (
     substream_uniforms,
 )
 
+from oracles import symbols_by_searchsorted
+
 
 def test_prior_examples():
     assert np.allclose(DepolarizingChannel(0.1).prior(), [0.9, 1 / 30, 1 / 30, 1 / 30])
@@ -104,6 +106,23 @@ def test_sample_error_from_uniform_rows():
         sample_error(8, chan, uniforms)
 
 
+@pytest.mark.parametrize("p", [0.0, 0.002, 0.75, 1.0])
+def test_sample_error_matches_searchsorted(p):
+    # sample_error counts the CDF entries at or below each uniform with three
+    # compares; uniforms equal to each entry below 1.0 and just below every
+    # entry are where a compare could differ from searchsorted's side="right"
+    chan = DepolarizingChannel(p)
+    cdf = np.cumsum(chan.prior())
+    cdf /= cdf[-1]
+    edges = [np.nextafter(bound, 0.0) for bound in cdf] + [b for b in cdf if b < 1.0]
+    uniforms = np.concatenate([edges, [0.0], substream(11, 0).random(8 * 62 - len(edges) - 1)])
+    uniforms = uniforms.reshape(8, 62)
+    errors = sample_error(62, chan, uniforms, n_ebits=2)
+    assert errors.dtype == np.uint8 and errors.shape == (8, 64)
+    assert np.array_equal(errors[:, :62], symbols_by_searchsorted(chan.prior(), uniforms))
+    assert not errors[:, 62:].any()
+
+
 SEEDS = (0, 2**32 - 1, 2**32, 2**64 - 1, 2**70 + 3)
 BLOCKS = (
     list(range(1000))
@@ -145,15 +164,15 @@ def test_hashed_words_give_only_pcg64s_request(n_words, dtype):
 
 
 def test_substream_seed_must_be_an_integer():
-    # a seed of 1.7 used to give substream(1, ...)'s stream
-    for seed in (1.7, 1.0, "1"):
+    # a seed of 1.7 used to give substream(1, ...)'s stream, and True seed 1's
+    for seed in (1.7, 1.0, "1", True, np.True_):
         with pytest.raises(ValueError, match=f"seed must be an integer, not {seed!r}"):
             substream(seed, 0)
     with pytest.raises(ValueError, match="seed must be nonnegative"):
         substream(-1, 0)
     assert substream(np.uint32(1), 0).random() == substream(1, 0).random()
     # substream_uniforms follows the same rule: 1.7 used to give seed 1's rows
-    for seed in (1.7, 1.0, "1"):
+    for seed in (1.7, 1.0, "1", True):
         with pytest.raises(ValueError, match=f"seed must be an integer, not {seed!r}"):
             substream_uniforms(seed, 0, [0, 1], 3)
 

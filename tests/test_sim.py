@@ -12,6 +12,7 @@ from click.testing import CliRunner
 
 import gf4bp
 from gf4bp import sim
+from gf4bp.channel import DepolarizingChannel, priors as channel_priors
 from gf4bp.cli import main
 from gf4bp.decoder import DecodeOutcome, decode
 from gf4bp.formats import write_stabilizer_text
@@ -45,6 +46,22 @@ def _outcome(code, pauli, converged, iterations=5):
     error = gf4.pauli_to_values(pauli)
     frustrated = syndrome(code, code.embed_sent(error)) != [-1, 1, 1, 1]
     return DecodeOutcome(error, converged, iterations, frustrated)
+
+
+def test_bools_are_not_integers(code411):
+    # check_integer accepted True as 1: ExperimentSpec(blocks=True) then failed
+    # inside run_experiment, decode(max_iter=True) ran one iteration (seeds of
+    # substream and substream_uniforms: test_substream_seed_must_be_an_integer)
+    for field in ("blocks", "max_iter", "seed", "workers", "t_pert", "n_a"):
+        for value in (True, False, np.True_):
+            with pytest.raises(ValueError, match=f"{field} must be an integer, not"):
+                ExperimentSpec(
+                    code=code411, p_values=(0.1,), strategies=("standard", "enhanced"),
+                    **{field: value},
+                )
+    with pytest.raises(ValueError, match="max_iter must be an integer, not True"):
+        decode(code411, [-1, 1, 1, 1], channel_priors(DepolarizingChannel(0.1), 4),
+               max_iter=True)
 
 
 def test_classify_exact(code411):
@@ -238,6 +255,14 @@ def test_spec_validation(code411):
         ExperimentSpec(code=code411, p_values=())
     with pytest.raises(ValueError, match="no strategy values"):
         ExperimentSpec(code=code411, p_values=(0.1,), strategies=())
+    # a bare string or number used to be read as its characters ("unknown
+    # strategy 'p'", "duplicate strategy values") or to raise a TypeError
+    for changes in ({"strategies": "pc08"}, {"strategies": "standard"},
+                    {"p_values": 0.1}, {"p_values": "0.1"}, {"p_values": np.float64(0.1)}):
+        (name, value), = changes.items()
+        with pytest.raises(ValueError, match=f"^{name} must be a sequence of values"):
+            ExperimentSpec(code=code411, **{"p_values": (0.1,), **changes})
+    ExperimentSpec(code=code411, p_values=np.array([0.1, 0.2]), strategies=["pc08"])
     # a cap of 0 iterations used to report 1 iteration, converged and exact
     with pytest.raises(ValueError, match="max_iter"):
         ExperimentSpec(code=code411, p_values=(0.1,), inject="IXII", max_iter=0)
@@ -853,7 +878,14 @@ import gf4bp
 code_path, out_dir = sys.argv[1:3]
 gf4bp.TannerGraph(gf4bp.load_code(code_path))
 machinery = ("concurrent.futures", "multiprocessing", "json")
-print(" ".join(name for name in machinery if name in sys.modules))
+layers = ("gf4bp.sim", "gf4bp.feedback", "gf4bp.channel", "numpy.random")
+print(" ".join(name for name in machinery + layers if name in sys.modules))
+resolved = [getattr(gf4bp, name) for name in gf4bp.__all__]
+print(gf4bp.sim.__name__, gf4bp.ExperimentSpec is gf4bp.sim.ExperimentSpec, len(resolved))
+try:
+    gf4bp.NoSuchAttribute
+except AttributeError as exc:
+    print(exc)
 spec = gf4bp.ExperimentSpec(
     code=code_path, p_values=(0.03, 0.06), strategies=("standard", "pc08", "enhanced"),
     blocks=40, seed=5,
@@ -870,8 +902,10 @@ print(runs[0] == runs[1], len(runs[0][2]) > 0, isinstance(gf4bp.sim.ProcessPoolE
 
 def test_startup_loads_no_pool_or_json(code62, tmp_path):
     # In a fresh interpreter, set-up (import, load a stabilizer file, build its
-    # graph) leaves the pool and JSON machinery unloaded; a pooled run with a
-    # JSONL log then loads them on first use and equals the serial run.
+    # graph) leaves the pool and JSON machinery, the channel, feedback and sim
+    # layers and numpy.random unloaded.  Every exported name then resolves on
+    # first use, an unknown one raises AttributeError, and a pooled run with a
+    # JSONL log loads the machinery on first use and equals the serial run.
     code_path = tmp_path / "c62.stab"
     code_path.write_text(write_stabilizer_text(code62))
     env = dict(os.environ, PYTHONPATH=str(Path(gf4bp.__file__).parents[1]))
@@ -880,7 +914,9 @@ def test_startup_loads_no_pool_or_json(code62, tmp_path):
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert done.returncode == 0, done.stderr
-    loaded, compared = done.stdout.split("\n")[:2]
+    loaded, lazy, unknown, compared = done.stdout.split("\n")[:4]
     assert loaded == ""
+    assert lazy == f"gf4bp.sim True {len(gf4bp.__all__)}"
+    assert unknown == "module 'gf4bp' has no attribute 'NoSuchAttribute'"
     assert compared == "True True True"
     assert not hasattr(sim, "NoSuchAttribute")
