@@ -5,7 +5,9 @@ belief trajectories) and build-code (Construction B and the EA construction
 from a classical quaternary/binary check matrix).
 
 Check and qubit indices on the command line are 1-based, matching the usual
-presentation; library APIs are 0-based.
+presentation; library APIs are 0-based. build-code loads only the set-up
+layers; simulate and trace import sim (and with it channel, feedback and
+numpy.random) when they run.
 """
 
 from pathlib import Path
@@ -15,12 +17,6 @@ import numpy as np
 
 from .decoder import tanner_graph
 from .formats import load_code, parse_alist, write_stabilizer_text
-from .sim import (
-    ExperimentSpec,
-    format_csv,
-    run_experiment,
-    trace_run,
-)
 from .stabilizer import (
     construction_b,
     ea_canonicalize,
@@ -129,6 +125,8 @@ def main():
 def simulate(code_src, p_list, strategy, blocks, seed, max_iter, t_pert,
              n_a, delta, inject, workers, out, jsonl):
     """Monte-Carlo decoding experiment; writes one CSV row per (p, strategy)."""
+    from .sim import ExperimentSpec, format_csv, run_experiment
+
     _check_out_dir("--out", out)
     _check_out_dir("--jsonl", jsonl)
     try:
@@ -184,6 +182,8 @@ def trace(code_src, p, error, syndrome_text, strategy, check, qubit, max_iter,
           t_pert, n_a, delta, seed, out):
     """Emit per-iteration beliefs (iteration,qubit,p_I,p_X,p_Z,p_Y) for one
     decoding instance; qubit numbers in the output are 1-based."""
+    from .sim import trace_run
+
     _check_out_dir("--out", out)
     target = None
     if syndrome_text is not None:

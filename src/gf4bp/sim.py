@@ -28,7 +28,7 @@ from them; its BlockResults builds a BlockResult only when one is read.
 import math
 import sys
 from collections import deque
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import chain, product, repeat, starmap
 
@@ -115,7 +115,7 @@ class ExperimentSpec:
     def __post_init__(self):
         for name in ("p_values", "strategies"):
             values = getattr(self, name)
-            if isinstance(values, (str, bytes)) or not isinstance(values, Iterable):
+            if isinstance(values, (str, bytes)) or np.ndim(values) != 1:  # sets too
                 raise ValueError(f"{name} must be a sequence of values, not {values!r}")
         self.p_values = tuple(float(p) for p in self.p_values)
         self.strategies = tuple(self.strategies)

@@ -256,9 +256,12 @@ def test_spec_validation(code411):
     with pytest.raises(ValueError, match="no strategy values"):
         ExperimentSpec(code=code411, p_values=(0.1,), strategies=())
     # a bare string or number used to be read as its characters ("unknown
-    # strategy 'p'", "duplicate strategy values") or to raise a TypeError
+    # strategy 'p'", "duplicate strategy values") or to raise a TypeError; a
+    # set would order the output cells by the string hash seed
     for changes in ({"strategies": "pc08"}, {"strategies": "standard"},
-                    {"p_values": 0.1}, {"p_values": "0.1"}, {"p_values": np.float64(0.1)}):
+                    {"strategies": {"standard", "pc08"}}, {"p_values": 0.1},
+                    {"p_values": "0.1"}, {"p_values": np.float64(0.1)},
+                    {"p_values": np.array(0.1)}):
         (name, value), = changes.items()
         with pytest.raises(ValueError, match=f"^{name} must be a sequence of values"):
             ExperimentSpec(code=code411, **{"p_values": (0.1,), **changes})
@@ -874,9 +877,12 @@ import sys
 from dataclasses import replace
 
 import gf4bp
+from gf4bp.cli import main
 
 code_path, out_dir = sys.argv[1:3]
 gf4bp.TannerGraph(gf4bp.load_code(code_path))
+main(["build-code", "construction-b", "--first-row", "110", "--out", f"{out_dir}/b.stab"],
+     standalone_mode=False)
 machinery = ("concurrent.futures", "multiprocessing", "json")
 layers = ("gf4bp.sim", "gf4bp.feedback", "gf4bp.channel", "numpy.random")
 print(" ".join(name for name in machinery + layers if name in sys.modules))
@@ -902,10 +908,11 @@ print(runs[0] == runs[1], len(runs[0][2]) > 0, isinstance(gf4bp.sim.ProcessPoolE
 
 def test_startup_loads_no_pool_or_json(code62, tmp_path):
     # In a fresh interpreter, set-up (import, load a stabilizer file, build its
-    # graph) leaves the pool and JSON machinery, the channel, feedback and sim
-    # layers and numpy.random unloaded.  Every exported name then resolves on
-    # first use, an unknown one raises AttributeError, and a pooled run with a
-    # JSONL log loads the machinery on first use and equals the serial run.
+    # graph) and `gf4bp build-code` leave the pool and JSON machinery, the
+    # channel, feedback and sim layers and numpy.random unloaded.  Every
+    # exported name then resolves on first use, an unknown one raises
+    # AttributeError, and a pooled run with a JSONL log loads the machinery on
+    # first use and equals the serial run.
     code_path = tmp_path / "c62.stab"
     code_path.write_text(write_stabilizer_text(code62))
     env = dict(os.environ, PYTHONPATH=str(Path(gf4bp.__file__).parents[1]))
@@ -914,7 +921,8 @@ def test_startup_loads_no_pool_or_json(code62, tmp_path):
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert done.returncode == 0, done.stderr
-    loaded, lazy, unknown, compared = done.stdout.split("\n")[:4]
+    built, loaded, lazy, unknown, compared = done.stdout.split("\n")[:5]
+    assert built.startswith(f"wrote {tmp_path}/b.stab: [[6,")
     assert loaded == ""
     assert lazy == f"gf4bp.sim True {len(gf4bp.__all__)}"
     assert unknown == "module 'gf4bp' has no attribute 'NoSuchAttribute'"
