@@ -40,10 +40,14 @@ Saturation rule, so that no value is infinite or NaN at any p:
   the belief sums read gamma = 0 for pad slots.
 
 The iteration is slot-major.  Messages live in a (check slot, check)
-layout, per-qubit values in (symbol, qubit) rows; one table gathers each
-check cell's Lambda_q / 2, another each qubit's gammas by entry.  Products
-over slots are prefix times suffix folds and sums over slots left folds, so
-each step is a short loop of whole-row numpy operations.
+layout, per-qubit values in (entry, qubit) rows, one per entry type the
+graph has: X and Z always, since they hold the hard decision's bits, and Y
+only when some edge has a Y entry (a CSS code has none, and its L_Y is
+lp_Y - S_X - S_Z).  One table gathers each check cell's Lambda_q / 2,
+another each qubit's gammas as (run row, entry, qubit), every run padded to
+the longest.  Products over slots are prefix times suffix folds and sums
+over run rows left folds, so each step is a short loop of whole-row numpy
+operations.
 
 The hard decision is a tournament over the four L rows: X beats I iff
 L_X > L_I, Y beats Z iff L_Y > L_Z, and the {Z, Y} winner beats the {I, X}
@@ -51,10 +55,10 @@ winner iff it is strictly greater, which is the first maximum in I, X, Z, Y
 order.  It is kept as the decided symbols' Z bits and X bits (gf4's
 encoding: low bit X part, high bit Z part).  A symbol anticommutes with an
 X entry iff its Z bit is set, with a Z entry iff its X bit is set and with a
-Y entry iff exactly one is set, so the bool rows [Z bits | X bits | XOR |
-a zero pad row] sit where the message gather reads Lambda_q / 2 of an
-(entry, qubit), and one take through that gather and one XOR over each
-check's slots give every check's parity.
+Y entry iff exactly one is set, so the bool rows [pad | Z | X | XOR], the
+pad a zero and the XOR computed only with Y entries, sit where the message
+gather reads Lambda_q / 2 of an (entry, qubit), and one take through that
+gather and one XOR over each check's slots give every check's parity.
 
 Decoding jobs run as lanes of one kernel (Lanes): every array carries a
 trailing lane axis, each lane has its own iteration count and cap and stops
@@ -64,7 +68,9 @@ axis, and the lane axis is the innermost axis of every operand, so a lane
 computes bit for bit what it would compute alone; decode is the kernel at
 width 1.  Iteration 1 starts from gamma = 0 and bel = lp, so its gammas are
 s_c times G0, the all +1 syndrome's (s_c = +-1 starts the check product, the
-clip is symmetric, tanh and arctanh are odd), as Lanes.first_iteration uses.
+clip is symmetric, tanh and arctanh are odd), as Lanes.first_iteration uses;
+a job it does not settle starts its lane at iteration 2 from those gammas
+and its log-beliefs.
 """
 
 import math
@@ -98,29 +104,18 @@ LANE_WORKSPACE_BYTES = 5 << 19
 
 def _slot_product_ops(a: np.ndarray, pref: np.ndarray, suf: np.ndarray) -> list:
     """The (x, y, out) multiplications, in order, of the left-fold products
-    over the leading (slot) axis of a, into pref and suf.
+    over the leading (slot) axis of a, into pref and suf, which have a's
+    shape.
 
-    pref has one more slot than a, pref[k] being pref[0] times the slots
-    before k, so pref[-1] is pref[0] times all slots; suf[k] is the product
-    of the slots after k.  pref[:-1] * suf is pref[0] times each slot's
-    product over the other slots.  pref[0] must hold the starting factor
-    and suf[-1] must hold 1.
+    pref[k] is pref[0] times the slots before k and suf[k] the product of
+    the slots after k, so pref * suf is pref[0] times each slot's product
+    over the other slots.  pref[0] must hold the starting factor and
+    suf[-1] must hold 1.
     """
     n_slots = a.shape[0]
-    return [(pref[k], a[k], pref[k + 1]) for k in range(n_slots)] + [
+    return [(pref[k], a[k], pref[k + 1]) for k in range(n_slots - 1)] + [
         (suf[k], a[k], suf[k - 1]) for k in range(n_slots - 1, 0, -1)
     ]
-
-
-def _slot_sum_ops(rows: np.ndarray, runs, sums: np.ndarray) -> list:
-    """The (x, y, out) additions, in order, of the left-fold sums of the
-    row runs [runs[k], runs[k + 1]) of rows into sums[k]; every run has at
-    least two rows."""
-    ops = []
-    for k, (lo, hi) in enumerate(zip(runs[:-1], runs[1:])):
-        ops.append((rows[lo], rows[lo + 1], sums[k]))
-        ops.extend((sums[k], rows[r], sums[k]) for r in range(lo + 2, hi))
-    return ops
 
 
 def _run(ufunc, ops: list) -> None:
@@ -160,6 +155,8 @@ class TannerGraph:
         self.edge_qubit = qubit_idx.astype(np.intp)
         self.edge_entry = sent[check_idx, qubit_idx].astype(np.intp)
         self.n_edges = self.edge_check.size
+        # per-qubit rows for X and Z entries, and for Y entries if there are any
+        self.n_types = types = 2 + bool((self.edge_entry == 3).any())
 
         self.check_deg, self.check_slots, check_slot = _slot_table(
             self.edge_check, n_checks
@@ -169,22 +166,23 @@ class TannerGraph:
         # slot * n_checks + check; cell check_slots.size is a pad cell.
         pad_cell = self.check_slots.size
         edge_cell = check_slot * n_checks + self.edge_check
-        # each check cell's Lambda_q / 2 from the (entry - 1, qubit) rows,
-        # a pad cell from the +inf cell past them; the syndrome test reads
-        # the anticommutation bit rows through it too, a pad cell a 0
+        # each check cell's Lambda_q / 2 from the (entry - 1, qubit) rows
+        # after the +inf cell 0, which pad cells read; the syndrome test
+        # reads the anticommutation bit rows through it too, a pad cell a 0
         self._message_gather = np.append(
-            (self.edge_entry - 1) * n + self.edge_qubit, 3 * n
+            1 + (self.edge_entry - 1) * n + self.edge_qubit, 0
         )[self.check_slots]
-        # each qubit's gammas from the check cells, X entries, then Z, then
-        # Y, each padded to at least two rows with the pad cell (gamma 0)
-        tables, self._entry_rows = [], [0]
-        for symbol in (1, 2, 3):
-            edges = np.nonzero(self.edge_entry == symbol)[0]
+        # (run row, entry, qubit): each qubit's gammas from the check cells
+        # of its edges with that entry, in edge order, then the pad cell
+        # (gamma 0) up to the longest run, and at least two rows
+        runs = []
+        for symbol in range(1, types + 1):
+            edges = np.flatnonzero(self.edge_entry == symbol)
             _, table, _ = _slot_table(self.edge_qubit[edges], n)
-            pad = np.full((max(0, 2 - len(table)), n), edges.size)
-            tables.append(np.append(edge_cell[edges], pad_cell)[np.vstack([table, pad])])
-            self._entry_rows.append(self._entry_rows[-1] + len(tables[-1]))
-        self._gamma_gather = np.concatenate(tables)
+            runs.append(np.append(edge_cell[edges], pad_cell)[table])
+        self._gamma_gather = np.full((max(2, *map(len, runs)), types, n), pad_cell)
+        for entry, run in enumerate(runs):
+            self._gamma_gather[: len(run), entry] = run
         self._lanes = {}  # width -> the idle_lanes Lanes
         self._first_messages = {}  # log-prior bytes -> G0, see Lanes.first_messages
 
@@ -242,10 +240,8 @@ def _qubit_messages(v) -> None:
     np.exp(x, out=x)
     np.maximum(x, MSG_FLOOR, out=x)
     half, anti = v.half_entries, v.anti
-    np.add(x[0], x[1:], out=half)  # I and the entry commute with the entry
-    np.add(x[2], x[3], out=anti[0])
-    np.add(x[1], x[3], out=anti[1])
-    np.add(x[1], x[2], out=anti[2])
+    np.add(x[0], x[1 : len(half) + 1], out=half)  # I and the entry commute with it
+    _run(np.add, v.anti_sums)  # the two symbols that do not
     np.divide(half, anti, out=half)
     np.log(half, out=half)
     np.multiply(half, 0.5, out=half)
@@ -270,30 +266,37 @@ def _beliefs(graph: TannerGraph, v) -> None:
     """The log-beliefs v.bel from the log-priors v.lp and the gammas."""
     v.gamma.take(graph._gamma_gather, axis=0, out=v.qg, mode="clip")
     _run(np.add, v.entry_sums)
-    s, total, bel = v.s, v.total, v.bel
+    s, total, bel, lp = v.s, v.total, v.bel, v.lp
+    types = len(s)
     np.add(s[0], s[1], out=total)
-    np.add(total, s[2], out=total)
-    np.add(v.lp[0], total, out=bel[0])
-    np.multiply(s, 2.0, out=bel[1:])
-    np.subtract(bel[1:], total, out=bel[1:])
-    np.add(bel[1:], v.lp[1:], out=bel[1:])
+    if types == 3:
+        np.add(total, s[2], out=total)
+    np.add(lp[0], total, out=bel[0])
+    rows = bel[1 : types + 1]
+    np.multiply(s, 2.0, out=rows)
+    np.subtract(rows, total, out=rows)
+    np.add(rows, lp[1 : types + 1], out=rows)
+    if types == 2:  # no Y entries: L_Y = lp_Y - (S_X + S_Z)
+        np.subtract(lp[3], total, out=bel[3])
 
 
-def _decision_ops(bel: np.ndarray, top: np.ndarray, rows: np.ndarray) -> list:
+def _decision_ops(bel: np.ndarray, top: np.ndarray, rows: np.ndarray, types: int) -> list:
     """The calls, in order, that write the anticommutation bit rows of the
     hard decision of the log-beliefs bel (4, qubits, ...) into the bool rows
-    (3, qubits, ...): its Z bits, its X bits and their XOR.  The decision is
-    argmax's first maximum in I, X, Z, Y order; top is (2, qubits, ...)
-    float scratch."""
+    (3, qubits, ...): its Z bits, its X bits and, for types = 3 entry types,
+    their XOR (else row 2 is left as scratch).  The decision is argmax's
+    first maximum in I, X, Z, Y order; top is (2, qubits, ...) float scratch."""
     even, odd = bel[0::2], bel[1::2]  # (I, Z) and (X, Y)
     # positional out= where numpy allows it: partial's keywords cost a call
-    return [
+    ops = [
         partial(np.maximum, even, odd, out=top),  # the {I, X} and {Z, Y} maxima
         partial(np.greater, top[1], top[0], rows[0]),  # the {Z, Y} winner wins
         partial(np.greater, odd, even, rows[1:]),  # X beats I, Y beats Z
         partial(np.copyto, rows[1], rows[2], "same_kind", rows[0]),  # Y's where Z bit
-        partial(np.not_equal, rows[0], rows[1], rows[2]),
     ]
+    if types == 3:
+        ops.append(partial(np.not_equal, rows[0], rows[1], rows[2]))
+    return ops
 
 
 def _mismatches(v) -> np.ndarray:
@@ -309,23 +312,23 @@ def _lane_shapes(graph: TannerGraph) -> dict:
     """Per-lane workspace (shape, dtype)s; the lane axis is appended last.
     The _KEPT ones carry a job from one iteration to the next, the others
     are scratch."""
-    n, n_checks = graph.n_qubits, graph.n_checks
+    n, n_checks, types = graph.n_qubits, graph.n_checks, graph.n_types
     check_slots = graph.check_slots.shape[0]
     real, bit = np.float64, np.bool_
     return {
         "lp": ((4, n), real),
         "bel": ((4, n), real),
         "gamma": ((graph.check_slots.size + 1,), real),
-        "cpref": ((check_slots + 1, n_checks), real),
+        "cpref": ((max(check_slots, 1), n_checks), real),  # row 0 is sigma
         "csuf": ((check_slots, n_checks), real),
         "th": ((graph.check_slots.size + 1,), real),  # + 1: first_iteration's gamma
-        "half": ((3 * n + 1,), real),
-        "qg": ((len(graph._gamma_gather), n), real),
-        "s": ((3, n), real),
+        "half": ((1 + types * n,), real),
+        "qg": (graph._gamma_gather.shape, real),
+        "s": ((types, n), real),
         "total": ((n,), real),
         "exp": ((4, n), real),
-        "anti": ((3, n), real),
-        "bits": ((3 * n + 1,), bit),
+        "anti": ((types, n), real),
+        "bits": ((1 + 3 * n,), bit),
         "slot_bits": ((check_slots + 1, n_checks), bit),
     }
 
@@ -395,22 +398,26 @@ class Lanes:
             )
             view.sigma = view.cpref[0]
             view.target_parity = view.slot_bits[-1]
-            bit_rows = view.bits[:-1].reshape((3,) + view.s.shape[1:])
+            bit_rows = view.bits[1:].reshape((3,) + view.s.shape[1:])
             view.decided = bit_rows[:2].view(np.uint8)  # Z and X bits
             # the decision's bits (anti is free after _qubit_messages), then
             # each check cell's bit (axis 0, mode "clip" as in _check_messages)
-            view.syndrome_test = _decision_ops(view.bel, view.anti[:2], bit_rows) + [
+            view.syndrome_test = _decision_ops(view.bel, view.anti[:2], bit_rows, len(view.s)) + [
                 partial(
                     view.bits.take, self.graph._message_gather, 0,
                     view.slot_bits[:-1], "clip",
                 )
             ]
-            view.cpref_excl = view.cpref[:-1]
+            view.cpref_excl = view.cpref[: len(view.csuf)]
             view.gamma_cells = view.gamma[:-1].reshape(view.csuf.shape)
             view.th = view.th[:-1].reshape(view.csuf.shape)
-            view.half_entries = view.half[:-1].reshape(view.s.shape)
+            view.half_entries = view.half[1:].reshape(view.s.shape)
+            x = view.exp  # an X, Z or Y entry anticommutes with Z and Y, X and Y, or X and Z
+            others = [(x[2], x[3]), (x[1], x[3]), (x[1], x[2])]
+            view.anti_sums = [(a, b, out) for (a, b), out in zip(others, view.anti)]
             view.check_products = _slot_product_ops(view.th, view.cpref, view.csuf)
-            view.entry_sums = _slot_sum_ops(view.qg, self.graph._entry_rows, view.s)
+            s, qg = view.s, view.qg
+            view.entry_sums = [(qg[0], qg[1], s)] + [(s, row, s) for row in qg[2:]]
         return view
 
     def _relayout(self) -> None:
@@ -422,8 +429,8 @@ class Lanes:
         n_kept = len(keep)
         lanes = self._layout = n_kept + len(self._held)
         view = self._view(lanes)
-        view.half[-1] = np.inf  # pad cells: tanh(+inf) = 1
-        view.bits[-1] = False  # and anticommutation bit 0
+        view.half[0] = np.inf  # pad cells: tanh(+inf) = 1
+        view.bits[0] = False  # and anticommutation bit 0
         view.csuf[-1:] = 1.0  # the empty product
         for name, values in kept.items():
             getattr(view, name)[..., :n_kept] = values
@@ -434,32 +441,40 @@ class Lanes:
         self._start_held(range(n_kept, lanes))
 
     def _start_held(self, lanes) -> None:
-        """Write the held jobs' log-priors and targets into the free lanes
-        `lanes`, one lane per held job, in order."""
+        """Write the held jobs' log-priors, targets and starting messages
+        into the free lanes `lanes`, one lane per held job, in order."""
         view = self._view(self._layout)
-        for lane, (job, lp, target, max_iter) in zip(lanes, self._held):
+        for lane, (job, lp, target, max_iter, resume) in zip(lanes, self._held):
             view.lp[..., lane] = lp
-            view.bel[..., lane] = lp  # with every gamma 0, the first messages
-            view.gamma[:, lane] = 0.0  # are the priors'
             view.sigma[:, lane] = target
             # a -1 on a check without sender edges is never matched
             view.target_parity[:, lane] = target < 0
-            self.iterations[lane] = 0
+            if resume is None:  # with every gamma 0, the first messages
+                view.bel[..., lane] = lp  # are the priors'
+                view.gamma[:, lane] = 0.0
+            else:  # iteration 1's log-beliefs and gammas s_c * G0
+                first, bel = resume
+                view.bel[..., lane] = bel
+                np.multiply(first, target, out=view.gamma_cells[..., lane])
+                view.gamma[-1, lane] = 0.0
+            self.iterations[lane] = 0 if resume is None else 1
             self.caps[lane] = max_iter
             self.jobs[lane] = job
         self._held = []
 
-    def load(self, job, priors: np.ndarray, target: np.ndarray, max_iter: int) -> None:
+    def load(self, job, priors: np.ndarray, target: np.ndarray, max_iter: int, resume=None):
         """Hold a job for the next step, which starts it in a free lane.
 
         priors is the (4, n_qubits) log-prior matrix (log_priors) and target
         the (n_checks,) syndrome of +1/-1 entries; job, any object but None,
-        is returned with the outcome.  priors and target are read, not
-        copied, and must not change before the next step.
+        is returned with the outcome.  Without resume the job starts at
+        iteration 1; resume = (first_messages(priors), the job's log-beliefs
+        from first_iteration) starts it at iteration 2, max_iter >= 2.  The
+        arrays are read, not copied, and must not change before the next step.
         """
         if self.busy >= self.width:
             raise RuntimeError("every lane is busy")
-        self._held.append((job, priors, target, max_iter))
+        self._held.append((job, priors, target, max_iter, resume))
         self.busy += 1
 
     def first_messages(self, lp: np.ndarray) -> np.ndarray:
@@ -483,16 +498,20 @@ class Lanes:
     def first_iteration(self, lp, first, targets: np.ndarray):
         """Each job's DecodeOutcome after iteration 1, as a lane gives it, for
         the syndromes targets (k <= width rows) with log-priors lp and
-        first = first_messages(lp); in bulk, between steps."""
+        first = first_messages(lp), and a (k, 4, n_qubits) copy of their
+        log-beliefs, for load's resume; in bulk, between steps."""
         view = self._view(len(targets), first=True)
         view.lp, signs = lp[..., None], targets.T
         np.multiply(first[..., None], signs, out=view.gamma_cells)
-        view.gamma[-1], view.bits[-1] = 0.0, False  # the pad slots'
+        view.gamma[-1], view.bits[0] = 0.0, False  # the pad slots'
         np.less(signs, 0, out=view.target_parity)
         _beliefs(self.graph, view)
         frustrated, (z_bits, x_bits) = _mismatches(view).T, view.decided
         errors, matched = (z_bits << 1 | x_bits).T.copy(), ~frustrated.any(axis=1)
-        return [DecodeOutcome(e, m, 1, f) for e, m, f in zip(errors, matched.tolist(), frustrated)]
+        outcomes = [
+            DecodeOutcome(e, m, 1, f) for e, m, f in zip(errors, matched.tolist(), frustrated)
+        ]
+        return outcomes, np.moveaxis(view.bel, -1, 0).copy()  # a step overwrites view.bel
 
     def step(self, halt: bool = True) -> list:
         """One flooding iteration on every busy lane; returns the finished

@@ -12,10 +12,10 @@ standard BP run is computed once and shared by every strategy, since pc08
 and enhanced feedback start from that same run, and blocks with the same
 syndrome at a p share that run too: a work item decodes each (p, syndrome)
 once.  The first iteration of new syndromes runs in bulk, a lane width of
-them at a time, and every BP run it does not settle, first run or feedback
-restart, is a lane of one lane kernel; jobs finish out of order and results
-are put back in spec order, so outputs do not depend on the lane width, the
-batch size or the worker count.
+them at a time, and a first run it does not settle continues from it in a
+lane of one lane kernel, as does every feedback restart; jobs finish out of
+order and results are put back in spec order, so outputs do not depend on
+the lane width, the batch size or the worker count.
 
 A work item's results are arrays, not objects: per (p, strategy, block) a
 record (RECORD) of a uint8 class code, the iterations, the converged flag
@@ -267,9 +267,10 @@ class _Chunk:
     once.  Results go into a (p, strategy, block - block_lo) RECORD array,
     class _UNDECODED until written, e_out an index into the task's table of
     distinct e_outs; each batch's error strings are kept per p in block
-    order.  Every other BP run waits in one queue of Lanes.load arguments
-    (job, log-priors, target, max_iter): feedback restarts on its front,
-    first runs that iteration 1 did not settle on its back.
+    order.  Every other BP run waits in one queue of Lanes.load arguments:
+    feedback restarts (job, log-priors, target, max_iter) on its front, and
+    on its back the first runs that iteration 1 did not settle, which resume
+    from it at iteration 2.
     Each block's first run is shared by its strategies: standard reports
     it, and so do pc08 and enhanced if it converged; otherwise a
     feedback_rounds generator per strategy continues from it, drawing from
@@ -321,7 +322,8 @@ class _Chunk:
     def load_next(self) -> bool:
         """Load the queue's front run; while it is empty, sample batches (which
         can queue restarts) until a lane width of new syndromes wait or no
-        block is left, then run their iteration 1.  False when none is left."""
+        block is left, then run iteration 1 of a lane width of them.  False
+        when none is left."""
         while not self.queue:
             waiting = sum(map(len, self.fresh))
             blocks = next(self.batches, None) if waiting < self.lanes.width else None
@@ -370,19 +372,20 @@ class _Chunk:
                     self.report(batch, rows, entry)
 
     def first_iterations(self) -> None:
-        """Iteration 1 of the new syndromes' first runs, a lane width at a time
-        per p; a first run is queued for each it does not match."""
-        for p_index, fresh in enumerate(self.fresh):
-            lp, first = self.lane_priors[p_index], self.first_messages[p_index]
-            for lo in range(0, len(fresh), self.lanes.width):
-                entries, targets = zip(*fresh[lo : lo + self.lanes.width])
-                outcomes = self.lanes.first_iteration(lp, first, np.array(targets))
-                for entry, target, outcome in zip(entries, targets, outcomes):
-                    if outcome.converged:
-                        self.first_run_done(entry, outcome)
-                    else:  # the simplest: the lane runs iteration 1 again
-                        self.queue.append((entry, lp, target, self.spec.max_iter))
-            fresh.clear()
+        """Iteration 1 of up to a lane width of new syndromes' first runs at
+        the first p that has any; each it does not match and that may run on
+        is queued to resume from it (so one width of belief copies at a time)."""
+        p_index = next(i for i, fresh in enumerate(self.fresh) if fresh)
+        fresh, max_iter = self.fresh[p_index], self.spec.max_iter
+        lp, first = self.lane_priors[p_index], self.first_messages[p_index]
+        entries, targets = zip(*fresh[: self.lanes.width])
+        del fresh[: self.lanes.width]
+        outcomes, beliefs = self.lanes.first_iteration(lp, first, np.array(targets))
+        for entry, target, outcome, bel in zip(entries, targets, outcomes, beliefs):
+            if outcome.converged or max_iter == 1:
+                self.first_run_done(entry, outcome)
+            else:
+                self.queue.append((entry, lp, target, max_iter, (first, bel)))
 
     def first_run_done(self, job: _FirstRun, outcome) -> None:
         """Keep a syndrome's first run and report the rows waiting for it."""
@@ -469,6 +472,8 @@ class BlockResults(Sequence):
         return self.records.size
 
     def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(len(self))[index]]
         cell, block = divmod(range(len(self))[index], self.spec.blocks)
         (row,) = self._cell(*divmod(cell, len(self.spec.strategies)), block, block + 1)
         return BlockResult(*row)

@@ -3,6 +3,7 @@ import pytest
 
 import gc
 import weakref
+from itertools import product
 
 from gf4bp import decoder, gf4
 from gf4bp.channel import DepolarizingChannel, priors as channel_priors, sample_error
@@ -56,28 +57,37 @@ def test_graph_excludes_ebit_columns(code411):
 
 
 def test_graph_adjacency_transpose_consistent(code411):
-    # Each check cell gathers Lambda_q / 2 of its edge's (entry, qubit), and
-    # each qubit's gamma rows gather exactly the cells of its edges with
-    # that entry, X entries first, then Z, then Y; pads read the pad cells.
-    graph = TannerGraph(code411)
-    n, cells = graph.n_qubits, graph.check_slots.size
-    for cell, edge in enumerate(graph.check_slots.ravel()):
-        want = 3 * n
-        if edge < graph.n_edges:
-            want = (graph.edge_entry[edge] - 1) * n + graph.edge_qubit[edge]
-        assert graph._message_gather.ravel()[cell] == want
-    cell_of = {int(e): cell for cell, e in enumerate(graph.check_slots.ravel())}
-    rows = graph._entry_rows
-    for qubit in range(n):
-        for k, symbol in enumerate((1, 2, 3)):
-            got = graph._gamma_gather[rows[k] : rows[k + 1], qubit]
-            want = [
-                cell_of[e]
-                for e in range(graph.n_edges)
-                if graph.edge_qubit[e] == qubit and graph.edge_entry[e] == symbol
-            ]
-            assert sorted(got[got < cells].tolist()) == want
-            assert (got[len(want):] == cells).all()
+    # Each check cell gathers Lambda_q / 2 of its edge's (entry, qubit) from
+    # the rows after the pad cell 0, and each qubit's (run row, entry)
+    # column of the gamma gather lists exactly the cells of its edges with
+    # that entry, in edge order, then pad cells up to the longest run; the
+    # rows are X, Z and, only with Y entries (4_1_1 has them, the CSS
+    # [[62,2]] code not), Y.
+    for code, types in ((code411, 3), (construction_b(C62_ROW), 2)):
+        graph = TannerGraph(code)
+        n, cells = graph.n_qubits, graph.check_slots.size
+        assert graph.n_types == types
+        for cell, edge in enumerate(graph.check_slots.ravel()):
+            want = 0
+            if edge < graph.n_edges:
+                want = 1 + (graph.edge_entry[edge] - 1) * n + graph.edge_qubit[edge]
+            assert graph._message_gather.ravel()[cell] == want
+        cell_of = {int(e): cell for cell, e in enumerate(graph.check_slots.ravel())}
+        runs = graph._gamma_gather
+        assert runs.shape[1:] == (types, n)
+        longest = 0
+        for qubit in range(n):
+            for k, symbol in enumerate((1, 2, 3)[:types]):
+                got = runs[:, k, qubit]
+                want = [
+                    cell_of[e]
+                    for e in range(graph.n_edges)
+                    if graph.edge_qubit[e] == qubit and graph.edge_entry[e] == symbol
+                ]
+                assert got[: len(want)].tolist() == want
+                assert (got[len(want):] == cells).all()
+                longest = max(longest, len(want))
+        assert len(runs) == max(2, longest)
 
 
 def test_graph_less_calls_share_one_graph_per_code(monkeypatch):
@@ -183,7 +193,7 @@ def test_vectorized_check_messages_match_reference(code411):
     lanes.load("job", log_priors(np.full((4, 4), 0.25)), target, 1)
     lanes._relayout()  # a job loaded into an empty kernel is laid out by the step
     view = lanes._view(1)
-    view.half[:-1] = 0.0
+    view.half_entries[:] = 0.0
     cell = {int(e): divmod(i, graph.n_checks) for i, e in enumerate(graph.check_slots.ravel())}
     for e in range(graph.n_edges):
         commute = ANTICOMMUTES[graph.edge_entry[e]] == 0
@@ -238,15 +248,41 @@ def test_decision_ops_match_argmax():
     bel = np.concatenate([grid.reshape(4, 1, -1), zeros.reshape(4, 1, -1)], axis=2)
     assert bel.shape == (4, 1, 256 + 16)
     want = hard_decision(bel, axis=0)
-    for lanes in [slice(None)] + [slice(k, k + 1) for k in range(bel.shape[2])]:
+    for lanes, types in product(
+        [slice(None)] + [slice(k, k + 1) for k in range(bel.shape[2])], (3, 2)
+    ):
         part = np.ascontiguousarray(bel[..., lanes])
         rows = np.empty((3,) + part.shape[1:], dtype=bool)
-        for op in _decision_ops(part, np.empty((2,) + part.shape[1:]), rows):
+        for op in _decision_ops(part, np.empty((2,) + part.shape[1:]), rows, types):
             op()
         decided = 2 * rows[0].astype(np.uint8) + rows[1]
         assert np.array_equal(decided, want[:, lanes])
-        # row k is the decision's anticommutation bit with entry k + 1
-        assert np.array_equal(rows, ANTICOMMUTES[1:, decided].astype(bool))
+        # row k is the decision's anticommutation bit with entry k + 1, the
+        # XOR row only for 3 entry types
+        want_rows = ANTICOMMUTES[1 : types + 1, decided].astype(bool)
+        assert np.array_equal(rows[:types], want_rows)
+
+
+@pytest.mark.parametrize(
+    "code_name, rows, ops",
+    [("c62", 2, {"check_products": 22, "entry_sums": 5, "anti_sums": 2, "syndrome_test": 5}),
+     ("4_1_1", 3, {"check_products": 6, "entry_sums": 1, "anti_sums": 3, "syndrome_test": 6})],
+)
+def test_lane_step_computes_only_what_it_reads(code_name, rows, ops):
+    # The op lists one lane step runs, and the rows it computes per qubit:
+    # prefix and suffix products over a check's S slots but none over all
+    # of them (2 (S - 1) multiplies, and S rows of cpref with sigma first);
+    # one left fold of the (entry, qubit) run rows; Lambda_q / 2, the
+    # anticommute masses, the entry sums and the anticommutation bits only
+    # for X, Z and, on a code with Y entries, Y (the decision's XOR with it).
+    code = build_code_4_1_1() if code_name == "4_1_1" else construction_b(C62_ROW)
+    graph = TannerGraph(code)
+    n, slots = graph.n_qubits, graph.check_slots.shape[0]
+    view = Lanes(graph, 2)._view(2)
+    assert {name: len(getattr(view, name)) for name in ops} == ops
+    assert view.cpref.shape == (slots, graph.n_checks, 2)
+    assert view.half.shape == (1 + rows * n, 2) and view.bits.shape == (1 + 3 * n, 2)
+    assert view.s.shape == view.anti.shape == (rows, n, 2)
 
 
 @pytest.mark.parametrize(
@@ -717,9 +753,10 @@ def _first_iteration_cases(code_name):
 def test_first_iteration_equals_a_lanes_iteration_one(code_name):
     # Run between the first and second steps of lanes decoding the same
     # syndromes, the bulk iteration gives the lanes' iteration-1 gammas and
-    # log-beliefs bit for bit (-0.0 included), and decode's decision, mask,
-    # verdict and count at max_iter = 1; the lanes' second iteration is
-    # decode's at max_iter = 2, so the bulk call leaves them untouched.
+    # log-beliefs bit for bit (-0.0 included), the latter also as its
+    # returned copy, and decode's decision, mask, verdict and count at
+    # max_iter = 1; the lanes' second iteration is decode's at max_iter = 2,
+    # so the bulk call leaves them untouched.
     code, p_values, targets = _first_iteration_cases(code_name)
     graph = TannerGraph(code)
     k = len(targets)
@@ -734,10 +771,12 @@ def test_first_iteration_equals_a_lanes_iteration_one(code_name):
         assert lanes.step(halt=False) == []
         lane = lanes._view(k)
         gammas, beliefs = lane.gamma_cells.tobytes(), lane.bel.tobytes()
-        outcomes = lanes.first_iteration(lp, first, targets)
+        copied = np.moveaxis(lane.bel, -1, 0).tobytes()
+        outcomes, bel = lanes.first_iteration(lp, first, targets)
         bulk = lanes._view(k, first=True)
         assert bulk.gamma_cells.tobytes() == gammas
         assert bulk.bel.tobytes() == beliefs
+        assert bel.shape == (k, 4, code.n_sent) and bel.tobytes() == copied
         for outcome, target in zip(outcomes, targets, strict=True):
             want = decode(code, target, pri, max_iter=1)
             assert outcome.error.tolist() == want.error.tolist()
@@ -752,6 +791,49 @@ def test_first_iteration_equals_a_lanes_iteration_one(code_name):
             assert second[index].frustrated.tolist() == want.frustrated.tolist()
     if code_name in ("4_1_1", "c62"):
         assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("code_name", ["4_1_1", "c62", "n510", "empty-check"])
+def test_first_runs_continue_from_the_bulk_iteration(code_name):
+    # A job loaded with the bulk iteration's G0 and log-beliefs starts at
+    # iteration 2, so it takes one step less than a fresh job on the same
+    # syndrome, and ends as decode does: the same error, verdict, count and
+    # mask at max_iter 2 and 90 (both starts are held together and share each
+    # layout).  At max_iter 1 the bulk outcome is decode's.
+    code, p_values, targets = _first_iteration_cases(code_name)
+    graph = TannerGraph(code)
+    k = len(targets)
+    continued = 0
+    for p in p_values:
+        pri = channel_priors(DepolarizingChannel(p), code.n_sent)
+        lp = log_priors(pri)
+        lanes = Lanes(graph, 2 * k)
+        first = lanes.first_messages(lp)
+        outcomes, beliefs = lanes.first_iteration(lp, first, targets)
+        for max_iter in (1, 2, 90):
+            wants = [decode(code, target, pri, max_iter=max_iter) for target in targets]
+            got = {("bulk", i): o for i, o in enumerate(outcomes) if o.converged or max_iter == 1}
+            for i, (target, outcome, bel) in enumerate(zip(targets, outcomes, beliefs)):
+                if ("bulk", i) not in got:
+                    lanes.load(("bulk", i), lp, target, max_iter, (first, bel))
+                    lanes.load(("fresh", i), lp, target, max_iter)
+                    continued += 1
+            steps, step = {}, 0
+            while lanes.busy:
+                step += 1
+                for job, outcome in lanes.step():
+                    got[job], steps[job] = outcome, step
+            assert {key for key in got if key[0] == "bulk"} == {("bulk", i) for i in range(k)}
+            for (start, i), outcome in got.items():
+                want = wants[i]
+                if (start, i) in steps:
+                    assert steps[start, i] == want.iterations - (start == "bulk")
+                assert outcome.error.tolist() == want.error.tolist(), (start, i)
+                assert outcome.frustrated.tolist() == want.frustrated.tolist()
+                assert (outcome.converged, outcome.iterations) == (
+                    want.converged, want.iterations
+                )
+    assert continued
 
 
 def test_first_messages_are_checked_for_odd_symmetry(monkeypatch):
