@@ -34,7 +34,7 @@ from .stabilizer import (
 _LAZY = {  # exported name -> the module that defines it
     **dict.fromkeys(("DepolarizingChannel", "priors", "sample_error", "substream"), "channel"),
     **dict.fromkeys(("FeedbackConfig", "feedback_decode", "feedback_round"), "feedback"),
-    **dict.fromkeys(("ExperimentSpec", "classify_outcome", "run_experiment"), "sim"),
+    **dict.fromkeys(("ExperimentSpec", "run_experiment"), "sim"),
 }
 
 
@@ -57,7 +57,6 @@ __all__ = [
     "StabilizerCode",
     "TannerGraph",
     "build_code_4_1_1",
-    "classify_outcome",
     "commutes",
     "construction_b",
     "decode",

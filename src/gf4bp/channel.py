@@ -45,22 +45,19 @@ def priors(channel: DepolarizingChannel, n_sent: int) -> np.ndarray:
 def sample_error(
     n_sent: int,
     channel: DepolarizingChannel,
-    rng,
+    uniforms,
     n_ebits: int = 0,
 ) -> np.ndarray:
-    """Draw an i.i.d. Pauli error; receiver-held ebit columns stay identity.
-
-    rng is a Generator, or an (..., n_sent) array of uniforms already drawn
-    from one, which gives one error per row of shape (..., n_sent + n_ebits).
+    """I.i.d. Pauli errors from uniforms already drawn, such as a
+    Generator's random(n_sent) or a row of substream_uniforms: an
+    (..., n_sent) array gives one error per row, of shape
+    (..., n_sent + n_ebits), with identity on the receiver-held ebit columns.
     """
-    if isinstance(rng, np.random.Generator):
-        uniforms = rng.random(n_sent)
-    else:
-        uniforms = np.asarray(rng, dtype=float)
-        if uniforms.shape[-1:] != (n_sent,):
-            raise ValueError(
-                f"uniforms of shape {uniforms.shape} do not cover {n_sent} qubits"
-            )
+    uniforms = np.asarray(uniforms, dtype=float)
+    if uniforms.shape[-1:] != (n_sent,):
+        raise ValueError(
+            f"uniforms of shape {uniforms.shape} do not cover {n_sent} qubits"
+        )
     # rng.choice(4, size=n_sent, p=prior)'s own draw, without its per-call
     # validation of p: a uniform's symbol counts the normalised CDF entries at
     # or below it (searchsorted side="right"); the last, 1.0, is above them all

@@ -68,9 +68,9 @@ axis, and the lane axis is the innermost axis of every operand, so a lane
 computes bit for bit what it would compute alone; decode is the kernel at
 width 1.  Iteration 1 starts from gamma = 0 and bel = lp, so its gammas are
 s_c times G0, the all +1 syndrome's (s_c = +-1 starts the check product, the
-clip is symmetric, tanh and arctanh are odd), as Lanes.first_iteration uses;
-a job it does not settle starts its lane at iteration 2 from those gammas
-and its log-beliefs.
+clip is symmetric, tanh and arctanh are odd), as Lanes.first_iteration uses
+to run iteration 1 of many jobs at once: it ends those a lane would end and
+gives each other one the state with which load resumes it at iteration 2.
 """
 
 import math
@@ -218,13 +218,18 @@ class DecodeOutcome:
     hard decision of the last iteration run.  frustrated is the (n_checks,)
     bool mask of the checks whose parity under error differs from the
     target's, as the lane step's syndrome test found it (all False when
-    converged); feedback rounds read their frustrated checks from it.
+    converged); feedback rounds read their frustrated checks from it, so it
+    is required (ValueError if None).
     """
 
     error: np.ndarray
     converged: bool
     iterations: int
     frustrated: np.ndarray
+
+    def __post_init__(self):
+        if self.frustrated is None:
+            raise ValueError("a DecodeOutcome needs its frustrated-check mask")
 
     @property
     def error_pauli(self) -> str:
@@ -374,7 +379,7 @@ class Lanes:
         self.busy = 0  # jobs running or held
         self.iterations = []  # per lane of the layout
         self.caps = []
-        self._held = []  # (job, log-priors, target, max_iter) for the next layout
+        self._held = []  # load's arguments for the next layout
 
     @staticmethod
     def lane_bytes(graph: TannerGraph) -> int:
@@ -468,9 +473,10 @@ class Lanes:
         priors is the (4, n_qubits) log-prior matrix (log_priors) and target
         the (n_checks,) syndrome of +1/-1 entries; job, any object but None,
         is returned with the outcome.  Without resume the job starts at
-        iteration 1; resume = (first_messages(priors), the job's log-beliefs
-        from first_iteration) starts it at iteration 2, max_iter >= 2.  The
-        arrays are read, not copied, and must not change before the next step.
+        iteration 1; with the resume state that first_iteration returned for
+        it (on the same priors, target and max_iter) it starts at iteration
+        2.  The arrays are read, not copied, and must not change before the
+        next step.
         """
         if self.busy >= self.width:
             raise RuntimeError("every lane is busy")
@@ -478,13 +484,14 @@ class Lanes:
         self.busy += 1
 
     def first_messages(self, lp: np.ndarray) -> np.ndarray:
-        """G0 for log-priors lp, by this idle kernel's step, kept per graph and
-        lp; ArithmeticError if the all -1 syndrome's gammas are not -G0, and
-        RuntimeError if a job is running or held (its lane would be stepped)."""
-        if self.busy:
-            raise RuntimeError("first_messages needs an idle kernel")
+        """G0 for log-priors lp, kept per graph and lp.  A new one is computed
+        by this kernel's step, so it needs an idle kernel (RuntimeError if a
+        job is running or held: its lane would be stepped); ArithmeticError
+        if the all -1 syndrome's gammas are not -G0."""
         known, key = self.graph._first_messages, lp.tobytes()
         if key not in known:
+            if self.busy:
+                raise RuntimeError("a new G0 needs an idle kernel")
             gammas = []
             for sign in (1, -1):
                 self.load(sign, lp, np.full(self.graph.n_checks, sign), 1)
@@ -495,11 +502,14 @@ class Lanes:
             known[key] = gammas[0]
         return known[key]
 
-    def first_iteration(self, lp, first, targets: np.ndarray):
-        """Each job's DecodeOutcome after iteration 1, as a lane gives it, for
-        the syndromes targets (k <= width rows) with log-priors lp and
-        first = first_messages(lp), and a (k, 4, n_qubits) copy of their
-        log-beliefs, for load's resume; in bulk, between steps."""
+    def first_iteration(self, lp, targets: np.ndarray, max_iter: int):
+        """Iteration 1 of a job on each syndrome of targets (k <= width rows)
+        with log-priors lp and cap max_iter, in bulk, between steps, from
+        first_messages(lp).  A job ends as a lane would end it, on a match or
+        at max_iter = 1.  Returns (finished, resumes): (row, DecodeOutcome)
+        for each job that ends, and (row, resume state for load) for each
+        other one, both in row order."""
+        first = self.first_messages(lp)
         view = self._view(len(targets), first=True)
         view.lp, signs = lp[..., None], targets.T
         np.multiply(first[..., None], signs, out=view.gamma_cells)
@@ -507,11 +517,14 @@ class Lanes:
         np.less(signs, 0, out=view.target_parity)
         _beliefs(self.graph, view)
         frustrated, (z_bits, x_bits) = _mismatches(view).T, view.decided
-        errors, matched = (z_bits << 1 | x_bits).T.copy(), ~frustrated.any(axis=1)
-        outcomes = [
-            DecodeOutcome(e, m, 1, f) for e, m, f in zip(errors, matched.tolist(), frustrated)
-        ]
-        return outcomes, np.moveaxis(view.bel, -1, 0).copy()  # a step overwrites view.bel
+        matched = ~frustrated.any(axis=1)
+        ends = matched | (max_iter <= 1)
+        done, going = np.flatnonzero(ends), np.flatnonzero(~ends)
+        errors = (z_bits << 1 | x_bits).T[done]  # gf4 values, X bit + 2 * Z bit
+        rows = zip(done.tolist(), errors, matched[done].tolist(), frustrated[done])
+        finished = [(row, DecodeOutcome(e, m, 1, f)) for row, e, m, f in rows]
+        bel = np.moveaxis(view.bel, -1, 0)[going]  # a copy: a step overwrites view.bel
+        return finished, [(row, (first, b)) for row, b in zip(going.tolist(), bel)]
 
     def step(self, halt: bool = True) -> list:
         """One flooding iteration on every busy lane; returns the finished
@@ -597,13 +610,14 @@ def decode(
     This is one job on the lane kernel at width 1.
     """
     graph = tanner_graph(code)
-    target = np.asarray(target_syndrome, dtype=np.int64).ravel()
+    target = np.asarray(target_syndrome).ravel()
     if target.shape != (graph.n_checks,):
         raise ValueError(
             f"syndrome length {target.shape} does not match {graph.n_checks} checks"
         )
-    if not np.all(np.abs(target) == 1):
+    if not np.isin(target, (1, -1)).all():  # before the cast, which truncates 1.5
         raise ValueError("syndrome entries must be +1 or -1")
+    target = target.astype(np.int64)
     check_integer("max_iter", max_iter, 1)
     pri = np.asarray(priors, dtype=float)
     if pri.shape != (graph.n_qubits, 4):

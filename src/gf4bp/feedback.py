@@ -120,8 +120,11 @@ def pc08_perturb(prior, delta: float, rng: np.random.Generator) -> np.ndarray:
 
 
 def check_slot(graph: TannerGraph, check: int, qubit: int) -> int:
-    """Position of a sender qubit among a check's qubits; ValueError if the
-    check is out of range or the qubit is not on it."""
+    """Position of a sender qubit among a check's qubits; ValueError if a pin
+    is not an integer (check_integer's rule), the check is out of range or
+    the qubit is not on it."""
+    check_integer("check", check, None)
+    check_integer("qubit", qubit, None)
     if not 0 <= check < graph.n_checks:
         raise ValueError(f"0-based check {check} out of range 0..{graph.n_checks - 1}")
     slot = np.nonzero(graph.check_qubits(check) == qubit)[0]
@@ -130,11 +133,9 @@ def check_slot(graph: TannerGraph, check: int, qubit: int) -> int:
     return int(slot[0])
 
 
-def _check_start(config: FeedbackConfig, first: DecodeOutcome) -> None:
+def _check_start(config: FeedbackConfig) -> None:
     if config.strategy not in ("pc08", "enhanced"):
         raise ValueError("feedback rounds need strategy pc08 or enhanced")
-    if not first.converged and first.frustrated is None:
-        raise ValueError("a non-converged first outcome needs its frustrated-check mask")
 
 
 def adjust(graph, target, priors, config, current, check: int, qubit: int, rng=None):
@@ -149,8 +150,6 @@ def adjust(graph, target, priors, config, current, check: int, qubit: int, rng=N
     slot = check_slot(graph, check, qubit)
     priors = np.asarray(priors, dtype=float)
     if config.strategy == "enhanced":
-        if current.frustrated is None:
-            raise ValueError("an enhanced round needs the working outcome's frustrated mask")
         entry = int(graph.check_entries(check)[slot])
         s_c = int(target[check])
         sc_dot = -s_c if current.frustrated[check] else s_c
@@ -199,9 +198,7 @@ def feedback_round(
     record), the outcome's iterations the restart's; priors is not
     modified.
     """
-    _check_start(config, current)
-    if current.frustrated is None:  # converged; _check_start rejects the others
-        raise ValueError("a feedback round needs the working outcome's frustrated mask")
+    _check_start(config)
     adjusted, touched, applied = adjust(
         tanner_graph(code), target, priors, config, current, check, qubit, rng
     )
@@ -212,13 +209,12 @@ def feedback_round(
 def feedback_rounds(graph: TannerGraph, target, priors, config, first, rng):
     """The feedback procedure of one (block, strategy) after its first run.
 
-    first is the working outcome on (target, priors) at the start; a
-    non-converged one must carry its frustrated mask.  Yields the adjusted
-    priors of each restart and is sent its DecodeOutcome; returns (outcome,
-    records), the outcome's iterations counting the first run and every
-    round.
+    first is the working outcome on (target, priors) at the start.  Yields
+    the adjusted priors of each restart and is sent its DecodeOutcome;
+    returns (outcome, records), the outcome's iterations counting the first
+    run and every round.
     """
-    _check_start(config, first)
+    _check_start(config)
     budget = config.n_a if config.n_a is not None else default_n_a(graph.n_qubits)
     current, iterations, records = first, first.iterations, []
     while not current.converged and len(records) < budget:

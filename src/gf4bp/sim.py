@@ -12,7 +12,7 @@ standard BP run is computed once and shared by every strategy, since pc08
 and enhanced feedback start from that same run, and blocks with the same
 syndrome at a p share that run too: a work item decodes each (p, syndrome)
 once.  The first iteration of new syndromes runs in bulk, a lane width of
-them at a time, and a first run it does not settle continues from it in a
+them at a time, and a first run it does not end continues from it in a
 lane of one lane kernel, as does every feedback restart; jobs finish out of
 order and results are put back in spec order, so outputs do not depend on
 the lane width, the batch size or the worker count.
@@ -197,32 +197,6 @@ def wilson_interval(errors: int, n: int, z: float = 1.959963984540054):
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def classify_outcome(code: StabilizerCode, error, outcome, check_membership=True) -> str:
-    """Classify a decode outcome against the sampled error.
-
-    exact: e_out equals the error; degenerate: they differ by a stabilizer
-    element; nonequivalent: converged but not equivalent; detected: the
-    decoder reported failure.  With check_membership=False the degenerate /
-    nonequivalent split is not computed and 'unchecked' is returned instead.
-    """
-    if not outcome.converged:
-        return "detected"
-    error = np.asarray(error, dtype=np.uint8)
-    e_out = code.embed_sent(outcome.error)
-    if np.array_equal(error, e_out):
-        return "exact"
-    return _inexact_class(code, error, e_out, check_membership)
-
-
-def _inexact_class(code: StabilizerCode, error, e_out, check_membership) -> str:
-    """The class of a converged e_out (n_total) that is not the error."""
-    if not check_membership:
-        return "unchecked"
-    if group_membership(np.bitwise_xor(e_out, error), code):
-        return "degenerate"
-    return "nonequivalent"
-
-
 #: New blocks are sampled, checked and stringified this many at a time.
 BATCH_BLOCKS = 256
 
@@ -269,15 +243,16 @@ class _Chunk:
     distinct e_outs; each batch's error strings are kept per p in block
     order.  Every other BP run waits in one queue of Lanes.load arguments:
     feedback restarts (job, log-priors, target, max_iter) on its front, and
-    on its back the first runs that iteration 1 did not settle, which resume
-    from it at iteration 2.
+    on its back the first runs that iteration 1 did not end, with the
+    resume state it gave them.
     Each block's first run is shared by its strategies: standard reports
     it, and so do pc08 and enhanced if it converged; otherwise a
     feedback_rounds generator per strategy continues from it, drawing from
     the block's own substream.  Its restarts are jobs (batch, row,
     strategy_index, run), and advance() sends each its outcome; the block's
     error, error string and index are read from its batch row when the run
-    ends.  write() writes every result's record.
+    ends.  write(), the harness's one outcome classifier, writes every
+    result's record.
     """
 
     def __init__(self, spec, block_lo, block_hi):
@@ -288,14 +263,15 @@ class _Chunk:
         self.check_membership = code.n_total <= DEGENERACY_LIMIT
         self.priors = [channel_priors(chan, code.n_sent) for chan in spec.channels]
         self.lane_priors = [log_priors(pri) for pri in self.priors]
-        self.first_messages = [lanes.first_messages(lp) for lp in self.lane_priors]
+        for lp in self.lane_priors:  # G0, while the kernel is idle
+            lanes.first_messages(lp)
         self.fresh = [[] for _ in spec.p_values]  # per p: (_FirstRun, target) of new syndromes
         self.batches = (
             range(lo, min(lo + BATCH_BLOCKS, block_hi))
             for lo in range(block_lo, block_hi, BATCH_BLOCKS)
         )
         self.first_runs = [{} for _ in spec.p_values]  # per p: syndrome -> _FirstRun
-        self.queue = deque()  # (job, log-priors, target, max_iter) waiting for a lane
+        self.queue = deque()  # Lanes.load arguments waiting for a lane
         self.block_lo = block_lo
         self.texts = [[] for _ in spec.p_values]  # per p: the batches' error strings
         self.e_outs = {}  # e_out -> its index in the task's table
@@ -373,19 +349,18 @@ class _Chunk:
 
     def first_iterations(self) -> None:
         """Iteration 1 of up to a lane width of new syndromes' first runs at
-        the first p that has any; each it does not match and that may run on
-        is queued to resume from it (so one width of belief copies at a time)."""
+        the first p that has any (Lanes.first_iteration); each run it does
+        not end is queued to resume from it (so one width of resume states
+        at a time)."""
         p_index = next(i for i, fresh in enumerate(self.fresh) if fresh)
-        fresh, max_iter = self.fresh[p_index], self.spec.max_iter
-        lp, first = self.lane_priors[p_index], self.first_messages[p_index]
+        fresh, max_iter, lp = self.fresh[p_index], self.spec.max_iter, self.lane_priors[p_index]
         entries, targets = zip(*fresh[: self.lanes.width])
         del fresh[: self.lanes.width]
-        outcomes, beliefs = self.lanes.first_iteration(lp, first, np.array(targets))
-        for entry, target, outcome, bel in zip(entries, targets, outcomes, beliefs):
-            if outcome.converged or max_iter == 1:
-                self.first_run_done(entry, outcome)
-            else:
-                self.queue.append((entry, lp, target, max_iter, (first, bel)))
+        finished, resumes = self.lanes.first_iteration(lp, np.array(targets), max_iter)
+        for row, outcome in finished:
+            self.first_run_done(entries[row], outcome)
+        for row, state in resumes:
+            self.queue.append((entries[row], lp, targets[row], max_iter, state))
 
     def first_run_done(self, job: _FirstRun, outcome) -> None:
         """Keep a syndrome's first run and report the rows waiting for it."""
@@ -433,7 +408,9 @@ class _Chunk:
         and write their records under the given strategies.  The rows' errors
         have identity ebit columns, so a row is exact when its error string is
         e_out, or, for many rows at once, its sent qubits are the outcome's
-        error; a converged run's other rows are left to _inexact_class."""
+        error.  A converged run's other rows are degenerate if their error
+        and e_out differ by a stabilizer element, else nonequivalent, or
+        unchecked above DEGENERACY_LIMIT qubits."""
         code, n = self.code, self.code.n_sent
         e_out = outcome.error_pauli if e_out is None else e_out
         inexact = []  # positions in rows
@@ -448,10 +425,11 @@ class _Chunk:
         cells = self.records[batch.p_index]
         for strategy_index in strategy_indices:
             cells[strategy_index, blocks] = (klass, outcome.iterations, outcome.converged, index)
-        for i in inexact:  # degenerate, nonequivalent or unchecked
-            other = _inexact_class(
-                code, batch.errors[rows[i]], code.embed_sent(outcome.error), self.check_membership
-            )
+        for i in inexact:
+            other = "unchecked"
+            if self.check_membership:
+                diff = np.bitwise_xor(code.embed_sent(outcome.error), batch.errors[rows[i]])
+                other = "degenerate" if group_membership(diff, code) else "nonequivalent"
             cells["klass"][strategy_indices, rows[i] + offset] = OUTCOME_CLASSES.index(other)
 
 
@@ -602,7 +580,6 @@ def trace_run(
         raise ValueError("give exactly one of error or target syndrome")
     if error is not None:
         target = syndrome(code, code.embed_sent(gf4.pauli_to_values(error)))
-    target = np.asarray(target, dtype=np.int64)
 
     rows = []
 

@@ -29,17 +29,17 @@ ANTICOMMUTES = gf4.TRACE_TABLE[gf4.MUL_TABLE[gf4.CONJ_TABLE]]
 _SIGNS = np.array([1, -1], dtype=np.int8)
 
 
-def check_integer(name: str, value, least: int = 0) -> None:
-    """The package's one rule for counts, iteration caps and seeds: ValueError
-    unless value is an integer (int or numpy integer, not a bool or a float,
-    even an integral one) of at least `least`."""
+def check_integer(name: str, value, least: int | None = 0) -> None:
+    """The package's one rule for counts, iteration caps, seeds and pins:
+    ValueError unless value is an integer (int or numpy integer, not a bool
+    or a float, even an integral one) of at least `least` (None: any)."""
     try:
         if isinstance(value, bool):
             raise TypeError
         operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, not {value!r}") from None
-    if value < least:
+    if least is not None and value < least:
         bound = "nonnegative" if least == 0 else f"at least {least}"
         raise ValueError(f"{name} must be {bound}")
 
@@ -49,11 +49,16 @@ class NonCommutingRowsError(ValueError):
 
 
 def as_values(pauli) -> np.ndarray:
-    """Coerce a Pauli string ('IXZY' text or value sequence) to GF(4) values."""
+    """Coerce a Pauli string ('IXZY' text or value sequence) to GF(4) values;
+    ValueError for a value outside 0..3, such as 1.7 (never truncated)."""
     if isinstance(pauli, str):
         return gf4.pauli_to_values(pauli)
-    values = np.asarray(pauli, dtype=np.uint8)
-    if values.size and values.max() > 3:
+    values = np.asarray(pauli)
+    if values.dtype != np.uint8:  # checked before the cast, which truncates
+        if not np.isin(values, (0, 1, 2, 3)).all():
+            raise ValueError("GF(4) values must lie in 0..3")
+        return values.astype(np.uint8)
+    if values.max(initial=0) > 3:  # the harness's errors: only this check
         raise ValueError("GF(4) values must lie in 0..3")
     return values
 

@@ -10,7 +10,7 @@ the library's tables, which test_gf4 checks entry by entry.
 import numpy as np
 
 from gf4bp import gf4
-from gf4bp.stabilizer import ANTICOMMUTES, StabilizerCode
+from gf4bp.stabilizer import ANTICOMMUTES, StabilizerCode, group_membership
 
 
 def pauli_commutation_sign(u, v) -> int:
@@ -390,6 +390,28 @@ def random_tree_code(rng: np.random.Generator, max_qubits: int = 6):
     return StabilizerCode(np.array(rows), n_sent=n, n_ebits=0)
 
 
+def classify_outcome(code: StabilizerCode, error, outcome, check_membership=True) -> str:
+    """Classify a decode outcome against the sampled error, one block at a
+    time: the reference for the harness's classes (sim._Chunk.write).
+
+    exact: e_out equals the error; degenerate: they differ by a stabilizer
+    element; nonequivalent: converged but not equivalent; detected: the
+    decoder reported failure.  With check_membership=False the degenerate /
+    nonequivalent split is not computed and 'unchecked' is returned instead.
+    """
+    if not outcome.converged:
+        return "detected"
+    error = np.asarray(error, dtype=np.uint8)
+    e_out = code.embed_sent(outcome.error)
+    if np.array_equal(error, e_out):
+        return "exact"
+    if not check_membership:
+        return "unchecked"
+    if group_membership(np.bitwise_xor(e_out, error), code):
+        return "degenerate"
+    return "nonequivalent"
+
+
 def per_cell_experiment(spec, jsonl_path=None):
     """A frozen per-(p, strategy) Monte-Carlo harness, the reference for
     gf4bp.sim.run_experiment.
@@ -413,7 +435,6 @@ def per_cell_experiment(spec, jsonl_path=None):
         OUTCOME_CLASSES,
         BlockResult,
         StrategyStats,
-        classify_outcome,
         load_code,
         wilson_interval,
     )
@@ -431,8 +452,8 @@ def per_cell_experiment(spec, jsonl_path=None):
                 if inject is not None:
                     error = code.embed_sent(inject)
                 else:
-                    rng = substream(spec.seed, 0, block)
-                    error = sample_error(code.n_sent, chan, rng, n_ebits=code.n_ebits)
+                    uniforms = substream(spec.seed, 0, block).random(code.n_sent)
+                    error = sample_error(code.n_sent, chan, uniforms, n_ebits=code.n_ebits)
                 target = syndrome_by_counting(code, error)
                 if strategy == "standard":
                     outcome = decode(code, target, base_priors, max_iter=spec.max_iter)

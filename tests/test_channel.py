@@ -39,19 +39,19 @@ def test_priors_matrix():
 
 def test_sample_p0_all_identity():
     rng = substream(1, 0)
-    error = sample_error(50, DepolarizingChannel(0.0), rng)
+    error = sample_error(50, DepolarizingChannel(0.0), rng.random(50))
     assert not error.any()
 
 
 def test_sample_p1_never_identity():
     rng = substream(2, 0)
-    error = sample_error(200, DepolarizingChannel(1.0), rng)
+    error = sample_error(200, DepolarizingChannel(1.0), rng.random(200))
     assert (error != 0).all()
 
 
 def test_sample_ebits_error_free():
     rng = substream(3, 0)
-    error = sample_error(10, DepolarizingChannel(0.9), rng, n_ebits=4)
+    error = sample_error(10, DepolarizingChannel(0.9), rng.random(10), n_ebits=4)
     assert error.shape == (14,)
     assert not error[10:].any()
 
@@ -60,7 +60,7 @@ def test_sample_frequencies_within_3_sigma():
     n = 100_000
     p = 0.1
     rng = substream(4, 0)
-    error = sample_error(n, DepolarizingChannel(p), rng)
+    error = sample_error(n, DepolarizingChannel(p), rng.random(n))
     expected = np.array([0.9, 1 / 30, 1 / 30, 1 / 30])
     counts = np.bincount(error, minlength=4)
     for symbol in range(4):
@@ -70,8 +70,8 @@ def test_sample_frequencies_within_3_sigma():
 
 
 def test_identical_seed_identical_sequence():
-    a = sample_error(1000, DepolarizingChannel(0.2), substream(42, 0, 7))
-    b = sample_error(1000, DepolarizingChannel(0.2), substream(42, 0, 7))
+    a = sample_error(1000, DepolarizingChannel(0.2), substream(42, 0, 7).random(1000))
+    b = sample_error(1000, DepolarizingChannel(0.2), substream(42, 0, 7).random(1000))
     assert np.array_equal(a, b)
 
 
@@ -79,7 +79,7 @@ def test_substreams_are_order_independent():
     chan = DepolarizingChannel(0.15)
 
     def draw(block):
-        return sample_error(64, chan, substream(99, 0, block))
+        return sample_error(64, chan, substream(99, 0, block).random(64))
 
     forward = {block: draw(block) for block in range(6)}
     backward = {block: draw(block) for block in reversed(range(6))}
@@ -88,20 +88,20 @@ def test_substreams_are_order_independent():
 
 
 def test_distinct_keys_distinct_streams():
-    a = sample_error(500, DepolarizingChannel(0.5), substream(7, 0, 0))
-    b = sample_error(500, DepolarizingChannel(0.5), substream(7, 0, 1))
+    a = sample_error(500, DepolarizingChannel(0.5), substream(7, 0, 0).random(500))
+    b = sample_error(500, DepolarizingChannel(0.5), substream(7, 0, 1).random(500))
     assert not np.array_equal(a, b)
 
 
 def test_sample_error_from_uniform_rows():
-    # one row of uniforms per error, drawn from each block's substream
+    # one row of uniforms per error, drawn from each block's substream, gives
+    # each row's error as one row of uniforms alone does
     chan = DepolarizingChannel(0.3)
     uniforms = np.stack([substream(5, 0, block).random(9) for block in range(4)])
     errors = sample_error(9, chan, uniforms, n_ebits=2)
     assert errors.shape == (4, 11)
-    for block, error in enumerate(errors):
-        expected = sample_error(9, chan, substream(5, 0, block), n_ebits=2)
-        assert np.array_equal(error, expected)
+    for row, error in zip(uniforms, errors):
+        assert np.array_equal(error, sample_error(9, chan, row, n_ebits=2))
     with pytest.raises(ValueError):
         sample_error(8, chan, uniforms)
 

@@ -407,6 +407,11 @@ def test_decode_validates_inputs(code411):
         decode(code411, [1, 1, 1], pri)
     with pytest.raises(ValueError):
         decode(code411, [1, 1, 1, 2], pri)
+    # 1.5 used to be cast to +1 (decoded as the all +1 syndrome, converged)
+    # and -1.9 to -1
+    for entries in ([1.5, 1, 1, 1], [-1.9, 1, 1, 1], ["1", "1", "1", "1"]):
+        with pytest.raises(ValueError, match=r"syndrome entries must be \+1 or -1"):
+            decode(code411, entries, pri)
     with pytest.raises(ValueError):
         decode(code411, [1, 1, 1, 1], pri[:3])
     with pytest.raises(ValueError, match="max_iter must be at least 1"):
@@ -455,11 +460,11 @@ def test_decode_bit_identical_to_row_major_reference(code_name, p, seed):
         target = np.array([-1, 1, 1, 1])
     elif code_name == "c62":
         code = construction_b(C62_ROW)
-        error = sample_error(code.n_sent, chan, np.random.default_rng(seed))
+        error = sample_error(code.n_sent, chan, np.random.default_rng(seed).random(code.n_sent))
         target = syndrome(code, error)
     else:
         code = _code_with_empty_check()
-        error = sample_error(code.n_sent, chan, np.random.default_rng(seed))
+        error = sample_error(code.n_sent, chan, np.random.default_rng(seed).random(code.n_sent))
         target = syndrome(code, code.embed_sent(error))
         target[-1] = -1
     pri = channel_priors(chan, code.n_sent)
@@ -531,7 +536,7 @@ def test_frustrated_mask_matches_counting_oracle(code_name, p_values, caps, n_jo
     jobs = []
     for index in range(n_jobs):
         chan = DepolarizingChannel(p_values[index % len(p_values)])
-        error = sample_error(code.n_sent, chan, rng, n_ebits=code.n_ebits)
+        error = sample_error(code.n_sent, chan, rng.random(code.n_sent), n_ebits=code.n_ebits)
         jobs.append((channel_priors(chan, code.n_sent), syndrome(code, error)))
     lanes = Lanes(graph, 3)
     pending = list(range(n_jobs))
@@ -591,7 +596,7 @@ def test_lanes_with_refill_match_decode(width):
         p = (0.02, 0.06, 0.09)[index % 3]
         pri = channel_priors(DepolarizingChannel(p), code.n_sent)
         pri[rng.integers(code.n_sent)] = [0.45, 0.45, 0.05, 0.05]
-        error = sample_error(code.n_sent, DepolarizingChannel(p), rng)
+        error = sample_error(code.n_sent, DepolarizingChannel(p), rng.random(code.n_sent))
         jobs.append((pri, syndrome(code, error), (90, 40, 3)[index % 3]))
     lanes = Lanes(graph, width)
     pending = list(range(len(jobs)))
@@ -624,7 +629,7 @@ def test_lanes_loaded_together_are_laid_out_once(monkeypatch, k):
     jobs = []
     for _ in range(2 * k):
         pri = channel_priors(DepolarizingChannel(0.06), code.n_sent)
-        error = sample_error(code.n_sent, DepolarizingChannel(0.06), rng)
+        error = sample_error(code.n_sent, DepolarizingChannel(0.06), rng.random(code.n_sent))
         jobs.append((pri, syndrome(code, error), int(rng.integers(2, 20))))
     relayouts = []
     relayout = Lanes._relayout
@@ -673,7 +678,7 @@ def test_held_jobs_fill_non_contiguous_holes_in_place(monkeypatch):
     for cap in caps:
         pri = channel_priors(DepolarizingChannel(0.06), code.n_sent)
         pri[rng.integers(code.n_sent)] = [0.4, 0.3, 0.2, 0.1]
-        error = sample_error(code.n_sent, DepolarizingChannel(0.06), rng)
+        error = sample_error(code.n_sent, DepolarizingChannel(0.06), rng.random(code.n_sent))
         jobs.append((pri, syndrome(code, error), cap))
     relayouts = []
     relayout = Lanes._relayout
@@ -743,7 +748,7 @@ def _first_iteration_cases(code_name):
     rng = np.random.default_rng(71)
     signs = [np.ones(code.n_checks, dtype=np.int64), -np.ones(code.n_checks, dtype=np.int64)]
     for _ in range(n_sampled):
-        error = sample_error(code.n_sent, DepolarizingChannel(0.01), rng)
+        error = sample_error(code.n_sent, DepolarizingChannel(0.01), rng.random(code.n_sent))
         signs.append(syndrome(code, code.embed_sent(error)))
     signs.extend(1 - 2 * rng.integers(0, 2, size=(n_random, code.n_checks)))
     return code, (0.01, 0.06), np.array(signs, dtype=np.int64)
@@ -753,10 +758,12 @@ def _first_iteration_cases(code_name):
 def test_first_iteration_equals_a_lanes_iteration_one(code_name):
     # Run between the first and second steps of lanes decoding the same
     # syndromes, the bulk iteration gives the lanes' iteration-1 gammas and
-    # log-beliefs bit for bit (-0.0 included), the latter also as its
-    # returned copy, and decode's decision, mask, verdict and count at
-    # max_iter = 1; the lanes' second iteration is decode's at max_iter = 2,
-    # so the bulk call leaves them untouched.
+    # log-beliefs bit for bit (-0.0 included), the latter also as the resume
+    # states of the runs it does not end at max_iter = 2, and at max_iter = 1
+    # it ends every run with decode's decision, mask, verdict and count; the
+    # lanes' second iteration is decode's at max_iter = 2, so the bulk calls
+    # leave them untouched.  The kernel is busy, so the bulk calls use the G0
+    # kept while it was idle.
     code, p_values, targets = _first_iteration_cases(code_name)
     graph = TannerGraph(code)
     k = len(targets)
@@ -765,18 +772,27 @@ def test_first_iteration_equals_a_lanes_iteration_one(code_name):
         pri = channel_priors(DepolarizingChannel(p), code.n_sent)
         lp = log_priors(pri)
         lanes = Lanes(graph, k)
-        first = lanes.first_messages(lp)
+        lanes.first_messages(lp)
         for index, target in enumerate(targets):
             lanes.load(index, lp, target, 2)
         assert lanes.step(halt=False) == []
         lane = lanes._view(k)
         gammas, beliefs = lane.gamma_cells.tobytes(), lane.bel.tobytes()
-        copied = np.moveaxis(lane.bel, -1, 0).tobytes()
-        outcomes, bel = lanes.first_iteration(lp, first, targets)
+        copied = np.moveaxis(lane.bel, -1, 0).copy()
+        finished, resumes = lanes.first_iteration(lp, targets, 2)
+        assert [row for row, _ in finished] == [
+            row for row, target in enumerate(targets)
+            if decode(code, target, pri, max_iter=1).converged
+        ]
+        assert sorted(row for row, _ in finished + resumes) == list(range(k))
+        for row, (_, bel) in resumes:
+            assert bel.tobytes() == copied[row].tobytes()
+        finished, resumes = lanes.first_iteration(lp, targets, 1)
+        assert resumes == [] and [row for row, _ in finished] == list(range(k))
+        outcomes = [outcome for _, outcome in finished]
         bulk = lanes._view(k, first=True)
         assert bulk.gamma_cells.tobytes() == gammas
         assert bulk.bel.tobytes() == beliefs
-        assert bel.shape == (k, 4, code.n_sent) and bel.tobytes() == copied
         for outcome, target in zip(outcomes, targets, strict=True):
             want = decode(code, target, pri, max_iter=1)
             assert outcome.error.tolist() == want.error.tolist()
@@ -808,16 +824,14 @@ def test_first_runs_continue_from_the_bulk_iteration(code_name):
         pri = channel_priors(DepolarizingChannel(p), code.n_sent)
         lp = log_priors(pri)
         lanes = Lanes(graph, 2 * k)
-        first = lanes.first_messages(lp)
-        outcomes, beliefs = lanes.first_iteration(lp, first, targets)
         for max_iter in (1, 2, 90):
             wants = [decode(code, target, pri, max_iter=max_iter) for target in targets]
-            got = {("bulk", i): o for i, o in enumerate(outcomes) if o.converged or max_iter == 1}
-            for i, (target, outcome, bel) in enumerate(zip(targets, outcomes, beliefs)):
-                if ("bulk", i) not in got:
-                    lanes.load(("bulk", i), lp, target, max_iter, (first, bel))
-                    lanes.load(("fresh", i), lp, target, max_iter)
-                    continued += 1
+            finished, resumes = lanes.first_iteration(lp, targets, max_iter)
+            got = {("bulk", i): outcome for i, outcome in finished}
+            for i, state in resumes:
+                lanes.load(("bulk", i), lp, targets[i], max_iter, state)
+                lanes.load(("fresh", i), lp, targets[i], max_iter)
+                continued += 1
             steps, step = {}, 0
             while lanes.busy:
                 step += 1
@@ -834,6 +848,39 @@ def test_first_runs_continue_from_the_bulk_iteration(code_name):
                     want.converged, want.iterations
                 )
     assert continued
+
+
+def test_first_iteration_copies_beliefs_only_for_runs_that_continue(monkeypatch):
+    # The bulk iteration builds an outcome only for a run it ends and copies
+    # the log-beliefs only of the runs it does not: one (continuing, 4, n)
+    # copy, whose rows are their resume states' beliefs.
+    code, _, targets = _first_iteration_cases("c62")
+    pri = channel_priors(DepolarizingChannel(0.01), code.n_sent)
+    lp = log_priors(pri)
+    matched = sum(decode(code, target, pri, max_iter=1).converged for target in targets)
+    assert 0 < matched < len(targets)
+    built = []
+
+    class Counted(DecodeOutcome):
+        def __post_init__(self):
+            built.append(self)
+
+    monkeypatch.setattr(decoder, "DecodeOutcome", Counted)
+    lanes = Lanes(TannerGraph(code), len(targets))
+    lanes.first_messages(lp)  # its two steps build outcomes too
+    for max_iter in (90, 1):
+        built.clear()
+        finished, resumes = lanes.first_iteration(lp, targets, max_iter)
+        assert [id(outcome) for _, outcome in finished] == list(map(id, built))
+        assert all(outcome.converged for outcome in built) or max_iter == 1
+        beliefs = [bel for _, (_, bel) in resumes]
+        if beliefs:
+            copy = beliefs[0].base
+            assert copy.shape == (len(resumes), 4, code.n_sent)
+            assert all(bel.base is copy for bel in beliefs)
+            assert not any(np.shares_memory(copy, flat) for flat in lanes._flat.values())
+        ended = matched if max_iter == 90 else len(targets)
+        assert (len(finished), len(resumes)) == (ended, len(targets) - ended)
 
 
 def test_first_messages_are_checked_for_odd_symmetry(monkeypatch):
@@ -858,9 +905,10 @@ def test_first_messages_are_checked_for_odd_symmetry(monkeypatch):
 
 
 def test_first_messages_needs_an_idle_kernel():
-    # G0 comes from one step of the kernel's own lanes, so a running or held
-    # job is refused before anything is loaded: the running lane used to be
-    # stepped twice more and the call to fail as "not odd".
+    # A new G0 comes from one step of the kernel's own lanes, so a running or
+    # held job is refused before anything is loaded: the running lane used to
+    # be stepped twice more and the call to fail as "not odd".  A kept G0 is
+    # returned whatever the kernel's state, without a step.
     code = construction_b(C62_ROW)
     graph = TannerGraph(code)
     pri = channel_priors(DepolarizingChannel(0.03), code.n_sent)
@@ -874,6 +922,9 @@ def test_first_messages_needs_an_idle_kernel():
     with pytest.raises(RuntimeError, match="idle kernel"):
         lanes.first_messages(lp)
     assert (lanes.busy, lanes.iterations, graph._first_messages) == (1, [1], {})
+    first = Lanes(graph, 1).first_messages(lp)
+    assert lanes.first_messages(lp) is first
+    assert (lanes.busy, lanes.iterations) == (1, [1])
     finished = []
     while not finished:
         finished = lanes.step()
@@ -881,4 +932,4 @@ def test_first_messages_needs_an_idle_kernel():
     want = decode(code, target, pri, max_iter=20)
     assert job == "held" and outcome.iterations == want.iterations > 1
     assert outcome.error.tolist() == want.error.tolist()
-    assert Lanes(graph, 1).first_messages(lp) is lanes.first_messages(lp)
+    assert Lanes(graph, 1).first_messages(lp) is lanes.first_messages(lp) is first

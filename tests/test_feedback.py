@@ -294,7 +294,7 @@ def test_feedback_decode_converged_first_run_has_no_rounds():
     pri = channel_priors(chan, code.n_sent)
     converged = 0
     for block in range(10):
-        error = sample_error(code.n_sent, chan, substream(5, 0, block))
+        error = sample_error(code.n_sent, chan, substream(5, 0, block).random(code.n_sent))
         target = syndrome(code, error)
         first = decode(code, target, pri, max_iter=90)
         if not first.converged:
@@ -323,10 +323,15 @@ def test_feedback_decode_requires_feedback_strategy(code411, priors411):
 @pytest.mark.parametrize(
     "check, qubit, message",
     [(-1, 0, "out of range"), (4, 0, "out of range"), (1, 2, "not connected"),
-     (1, -1, "not connected")],
+     (1, -1, "not connected"), (1.5, 3, "check must be an integer, not 1.5"),
+     (True, 3, "check must be an integer, not True"),
+     (1, 3.0, "qubit must be an integer, not 3.0"),
+     (1, np.True_, "qubit must be an integer, not np.True_")],
 )
 def test_adjustment_rejects_bad_pins(code411, priors411, strategy, check, qubit, message):
-    # check 1 (0-based) has sender qubits 0, 1 and 3; nothing is drawn
+    # check 1 (0-based) has sender qubits 0, 1 and 3; nothing is drawn.  A
+    # non-integer pin used to raise IndexError (check 1.5, or qubit 3.0 under
+    # enhanced) or TypeError (check True), or ran (qubit 3.0 under pc08).
     graph = TannerGraph(code411)
     rng = substream(0, 0)
     state = rng.bit_generator.state
@@ -342,49 +347,34 @@ def test_adjustment_rejects_bad_pins(code411, priors411, strategy, check, qubit,
 
 @pytest.mark.parametrize("strategy", ["pc08", "enhanced"])
 def test_feedback_run_needs_the_first_mask(code411, priors411, strategy):
-    # a non-converged first outcome without its frustrated-check mask is
-    # refused before anything is drawn; a converged one has no round to run
+    # a first outcome without its frustrated-check mask is refused when it is
+    # made, so no run starts from one; a converged one has no round to run
     graph = TannerGraph(code411)
     config = FeedbackConfig(strategy=strategy)
     rng = substream(0, 0)
     state = rng.bit_generator.state
-    failed = DecodeOutcome(np.array([0, 3, 0, 0], dtype=np.uint8), False, 90, None)
-    rounds = feedback_rounds(graph, TARGET, priors411, config, failed, rng)
-    with pytest.raises(ValueError, match="non-converged first outcome needs its frustrated"):
-        next(rounds)
-    assert rng.bit_generator.state == state
-    done = DecodeOutcome(np.array([0, 0, 1, 3], dtype=np.uint8), True, 3, None)
+    with pytest.raises(ValueError, match="DecodeOutcome needs its frustrated-check mask"):
+        DecodeOutcome(np.array([0, 3, 0, 0], dtype=np.uint8), False, 90, None)
+    done = DecodeOutcome(np.array([0, 0, 1, 3], dtype=np.uint8), True, 3, np.zeros(4, bool))
     with pytest.raises(StopIteration):
         next(feedback_rounds(graph, TARGET, priors411, config, done, rng))
+    assert rng.bit_generator.state == state
 
 
 def test_feedback_round_checks_strategy_and_mask(code411, priors411):
-    failed = DecodeOutcome(np.array([0, 3, 0, 0], dtype=np.uint8), False, 90, None)
+    failed = DecodeOutcome(
+        np.array([0, 3, 0, 0], dtype=np.uint8), False, 90, np.array([False, True, True, True])
+    )
     with pytest.raises(ValueError, match="feedback rounds need strategy pc08 or enhanced"):
         feedback_round(
             code411, TARGET, priors411, 1, 0, FeedbackConfig(strategy="standard"), failed
         )
-    for strategy in ("pc08", "enhanced"):
-        with pytest.raises(ValueError, match="non-converged first outcome needs its frustrated"):
-            feedback_round(
-                code411, TARGET, priors411, 1, 0, FeedbackConfig(strategy=strategy),
-                failed, rng=substream(0, 0),
-            )
-    # a converged working outcome without its mask: the pinned round and an
-    # enhanced adjustment need it too (they used to raise a TypeError)
-    converged = DecodeOutcome(np.array([0, 0, 1, 3], dtype=np.uint8), True, 3, None)
-    for strategy in ("pc08", "enhanced"):
-        with pytest.raises(ValueError, match="round needs the working outcome's frustrated"):
-            feedback_round(
-                code411, TARGET, priors411, 1, 0, FeedbackConfig(strategy=strategy),
-                converged, rng=substream(0, 0),
-            )
-    for current in (failed, converged):
-        with pytest.raises(ValueError, match="enhanced round needs the working outcome's"):
-            adjust(
-                TannerGraph(code411), TARGET, priors411, FeedbackConfig(strategy="enhanced"),
-                current, 1, 0,
-            )
+    # a working outcome without its mask, converged or not, cannot be made,
+    # so no pinned round or adjustment gets one (once a ValueError in each
+    # of them, and a TypeError before that)
+    for converged in (False, True):
+        with pytest.raises(ValueError, match="DecodeOutcome needs its frustrated-check mask"):
+            DecodeOutcome(np.array([0, 0, 1, 3], dtype=np.uint8), converged, 3, frustrated=None)
 
 
 @pytest.mark.parametrize("strategy", ["pc08", "enhanced"])
@@ -419,7 +409,7 @@ def _failed_blocks(code, p, count, seed=5):
     failed = []
     block = 0
     while len(failed) < count:
-        target = syndrome(code, sample_error(code.n_sent, chan, substream(seed, 0, block)))
+        target = syndrome(code, sample_error(code.n_sent, chan, substream(seed, 0, block).random(code.n_sent)))
         first = decode(code, target, pri)
         if not first.converged:
             failed.append((block, target, first))

@@ -19,7 +19,6 @@ from gf4bp.formats import write_stabilizer_text
 from gf4bp.sim import (
     CSV_HEADER,
     ExperimentSpec,
-    classify_outcome,
     format_csv,
     load_code,
     run_experiment,
@@ -28,7 +27,7 @@ from gf4bp.sim import (
 )
 from gf4bp.stabilizer import build_code_4_1_1, construction_b, syndrome
 
-from oracles import per_cell_experiment
+from oracles import classify_outcome, per_cell_experiment
 
 C62_ROW = [1 if i in (1, 5, 11, 24, 25, 27) else 0 for i in range(31)]
 N510_ROW = [1 if i in (8, 36, 118, 128, 190, 240) else 0 for i in range(255)]
@@ -362,6 +361,10 @@ def test_trace_run_validates_arguments(code411):
         trace_run(code411, 0.1, error="IIZX", target=[1, 1, 1, 1])
     with pytest.raises(ValueError):
         trace_run(code411, 0.1, error="IIZX", strategy="enhanced", check=1)
+    # a syndrome entry of 1.5 used to be cast to +1 before decode saw it
+    for strategy, pin in (("standard", {}), ("enhanced", {}), ("pc08", {"check": 1, "qubit": 3})):
+        with pytest.raises(ValueError, match=r"syndrome entries must be \+1 or -1"):
+            trace_run(code411, 0.1, target=[-1, 1.5, 1, 1], strategy=strategy, **pin)
 
 
 @pytest.fixture(scope="module")
@@ -695,33 +698,23 @@ def test_saturated_channels_stay_finite(code62):
     assert injected[2].errors_strict == 0  # enhanced feedback decodes it
 
 
-@pytest.mark.parametrize(
-    "code_name, p_values, changes",
-    [
-        ("c62", (0.0, 0.002), {}),
-        ("c62", (0.0, 0.002, 0.8), {"inject": "I" * 62}),
-        ("4_1_1", (0.0, 0.8), {"n_a": 2, "max_iter": 30, "t_pert": 10}),
-        ("4_1_1", (0.8,), {"inject": "IIII", "n_a": 2, "max_iter": 30, "t_pert": 10}),
-        ("4_1_1", (0.05, 0.2), {"inject": "IXII"}),
-    ],
-    ids=[
-        "c62-sampled", "c62-injected", "411-unconverged", "411-all-quiet",
-        "411-injected-loud",
-    ],
-)
 def _count_first_runs(monkeypatch):
     """Record every syndrome given to a bulk first iteration and every
     syndrome a first run is loaded into a lane for, each as (log-prior
-    bytes, syndrome); a pool worker forks with the patched methods but its
-    records stay in the worker."""
+    bytes, syndrome), and the log-beliefs the bulk iterations copy, one per
+    row of the arrays behind their resume states; a pool worker forks with
+    the patched methods but its records stay in the worker."""
     from gf4bp.decoder import Lanes
 
-    bulk, loads = [], []
+    bulk, loads, copies = [], [], []
     first_iteration, load = Lanes.first_iteration, Lanes.load
 
-    def counted_bulk(self, lp, first, targets):
+    def counted_bulk(self, lp, targets, max_iter):
         bulk.extend((lp.tobytes(), tuple(t)) for t in targets.tolist())
-        return first_iteration(self, lp, first, targets)
+        finished, resumes = first_iteration(self, lp, targets, max_iter)
+        arrays = {id(bel.base): bel.base for _, (_, bel) in resumes}
+        copies.extend(row for array in arrays.values() for row in array)
+        return finished, resumes
 
     def counted_load(self, job, lp, target, max_iter, resume=None):
         if isinstance(job, sim._FirstRun):
@@ -730,7 +723,7 @@ def _count_first_runs(monkeypatch):
 
     monkeypatch.setattr(Lanes, "first_iteration", counted_bulk)
     monkeypatch.setattr(Lanes, "load", counted_load)
-    return bulk, loads
+    return bulk, loads, copies
 
 
 def _first_run_rule(code, spec, blocks):
@@ -789,17 +782,19 @@ def test_quiet_blocks_share_one_first_run(
         if b.strategy == "standard":
             syndromes[b.p].append(syndrome(code, code.embed_sent(b.error)).tolist())
     distinct, unmatched = _first_run_rule(code, spec, syndromes)
-    bulk, loads = _count_first_runs(monkeypatch)
+    bulk, loads, copies = _count_first_runs(monkeypatch)
     for width in (1, 15):
         monkeypatch.setattr(sim, "lane_width", lambda graph, width=width: width)
         for workers in (1, 2):
             path = tmp_path / f"run{width}-{workers}.jsonl"
             bulk.clear()
             loads.clear()
+            copies.clear()
             stats, blocks = run_experiment(replace(spec, workers=workers), jsonl_path=path)
             if workers == 1:
                 assert sorted(bulk) == sorted(distinct)
                 assert sorted(loads) == sorted(unmatched)
+                assert len(copies) == len(unmatched)
             assert {s.n_blocks for s in stats} == {spec.blocks}
             assert blocks == ref_blocks
             assert format_csv(stats) == format_csv(ref_stats)
@@ -830,7 +825,8 @@ def test_quiet_blocks_cost_one_bp_run(code62, monkeypatch):
     spec = ExperimentSpec(code=code62, p_values=(0.002,), blocks=300, seed=20260808)
     syndromes = [
         syndrome(code62, sample_error(
-            code62.n_sent, DepolarizingChannel(0.002), substream(spec.seed, 0, block)
+            code62.n_sent, DepolarizingChannel(0.002),
+            substream(spec.seed, 0, block).random(code62.n_sent),
         )).tolist()
         for block in range(spec.blocks)
     ]
@@ -838,11 +834,12 @@ def test_quiet_blocks_cost_one_bp_run(code62, monkeypatch):
     loud = [tuple(s) for s in syndromes if s != quiet]
     assert 0 < len(set(loud)) < len(loud) < spec.blocks // 4
     distinct, unmatched = _first_run_rule(code62, spec, {0.002: syndromes})
-    bulk, loads = _count_first_runs(monkeypatch)
+    bulk, loads, copies = _count_first_runs(monkeypatch)
     monkeypatch.setattr(sim, "lane_width", lambda graph: 1)
     run_experiment(spec)
     assert sorted(bulk) == sorted(distinct) and len(distinct) == 37
     assert sorted(loads) == sorted(unmatched) and len(unmatched) == 1
+    assert len(copies) == 1  # log-beliefs are copied for that run alone
 
 
 def test_unmatched_first_iteration_at_max_iter_one_reports_its_mask(code411):

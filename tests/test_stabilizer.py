@@ -152,6 +152,19 @@ def test_syndrome_length_check(code411):
         syndrome(code411, np.zeros((2, 3, 5), dtype=np.uint8))
 
 
+def test_symbol_values_are_checked_not_truncated(code411):
+    # 1.7 used to be read as X (1) and -1 as 255; an integral float is exact
+    for values in ([0, 1.7, 2, 3, 0], [0, -1, 2, 3, 0], [0, 4, 2, 3, 0],
+                   np.array([0, 4, 2, 3, 0], dtype=np.uint8)):
+        with pytest.raises(ValueError, match="GF\\(4\\) values must lie in 0..3"):
+            syndrome(code411, values)
+    with pytest.raises(ValueError, match="0..3"):
+        code411.embed_sent([0, 2.5, 1, 0])
+    assert syndrome(code411, [0.0, 1.0, 2.0, 3.0, 0.0]).tolist() == (
+        syndrome(code411, np.array([0, 1, 2, 3, 0], dtype=np.uint8)).tolist()
+    )
+
+
 def test_embed_sent(code411):
     assert gf4.values_to_pauli(code411.embed_sent("IIZX")) == "IIZXI"
     with pytest.raises(ValueError):
