@@ -76,7 +76,7 @@ gives each other one the state with which load resumes it at iteration 2.
 import math
 import weakref
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -231,7 +231,7 @@ class DecodeOutcome:
         if self.frustrated is None:
             raise ValueError("a DecodeOutcome needs its frustrated-check mask")
 
-    @property
+    @cached_property  # once per outcome: a shared first run is written for many blocks
     def error_pauli(self) -> str:
         return gf4.values_to_pauli(self.error)
 

@@ -38,7 +38,7 @@ import numpy as np
 from .decoder import DecodeOutcome, TannerGraph, decode, tanner_graph
 from .stabilizer import StabilizerCode, check_integer
 
-STRATEGIES = ("standard", "pc08", "enhanced")
+STRATEGIES = ("pc08", "enhanced")
 
 
 def default_n_a(n_sent: int) -> int:
@@ -52,6 +52,8 @@ def default_n_a(n_sent: int) -> int:
 
 @dataclass(frozen=True)
 class FeedbackConfig:
+    """A feedback strategy (pc08 or enhanced) and its parameters; standard BP has none."""
+
     strategy: str
     t_pert: int = 40
     n_a: int | None = None  # None: default_n_a(code length)
@@ -59,7 +61,7 @@ class FeedbackConfig:
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {self.strategy!r}")
+            raise ValueError(f"{self.strategy!r} is not a feedback strategy (pc08 or enhanced)")
         check_integer("t_pert", self.t_pert, 1)
         if self.n_a is not None:
             check_integer("n_a", self.n_a)
@@ -133,11 +135,6 @@ def check_slot(graph: TannerGraph, check: int, qubit: int) -> int:
     return int(slot[0])
 
 
-def _check_start(config: FeedbackConfig) -> None:
-    if config.strategy not in ("pc08", "enhanced"):
-        raise ValueError("feedback rounds need strategy pc08 or enhanced")
-
-
 def adjust(graph, target, priors, config, current, check: int, qubit: int, rng=None):
     """Adjust the priors for a round on (check, qubit) from the working
     outcome current.
@@ -198,7 +195,6 @@ def feedback_round(
     record), the outcome's iterations the restart's; priors is not
     modified.
     """
-    _check_start(config)
     adjusted, touched, applied = adjust(
         tanner_graph(code), target, priors, config, current, check, qubit, rng
     )
@@ -214,7 +210,6 @@ def feedback_rounds(graph: TannerGraph, target, priors, config, first, rng):
     returns (outcome, records), the outcome's iterations counting the first
     run and every round.
     """
-    _check_start(config)
     budget = config.n_a if config.n_a is not None else default_n_a(graph.n_qubits)
     current, iterations, records = first, first.iterations, []
     while not current.converged and len(records) < budget:

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import gf4
-from .stabilizer import NonCommutingRowsError, StabilizerCode, build_code_4_1_1
+from .stabilizer import NonCommutingRowsError, StabilizerCode, as_values, build_code_4_1_1
 
 BUILTIN_CODES = {"4_1_1": build_code_4_1_1}
 
@@ -182,11 +182,9 @@ def parse_alist(text: str) -> np.ndarray:
 
 def write_alist(matrix: np.ndarray) -> str:
     """Render a dense matrix as alist text (binary, or GF(4) if entries > 1)."""
-    matrix = np.asarray(matrix, dtype=np.uint8)
+    matrix = as_values(matrix)
     if matrix.ndim != 2 or matrix.size == 0:
         raise ValueError("matrix must be a nonempty 2-D array")
-    if matrix.max() > 3:
-        raise ValueError("entries must be GF(4) values 0..3")
     m, n = matrix.shape
     q = 4 if matrix.max() > 1 else 2
     col_lists = [np.nonzero(matrix[:, col])[0] + 1 for col in range(n)]

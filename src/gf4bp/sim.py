@@ -30,6 +30,7 @@ import sys
 from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain, product, repeat, starmap
 
 import numpy as np
@@ -108,7 +109,7 @@ class ExperimentSpec:
     delta: float = 0.1
     inject: str | None = None  # fixed Pauli error on the sent qubits
     workers: int = 1
-    configs: dict = field(init=False, repr=False, compare=False)  # by strategy
+    configs: tuple = field(init=False, repr=False, compare=False)  # by strategy; standard: None
     channels: tuple = field(init=False, repr=False, compare=False)  # by p
     injected: object = field(init=False, repr=False, compare=False)  # n_total, or None
 
@@ -129,10 +130,11 @@ class ExperimentSpec:
         check_integer("seed", self.seed)
         check_integer("workers", self.workers, 1)
         check_integer("max_iter", self.max_iter, 1)
-        self.configs = {  # FeedbackConfig checks name and parameters
-            s: FeedbackConfig(s, t_pert=self.t_pert, n_a=self.n_a, delta=self.delta)
-            for s in self.strategies if s != "standard"
-        }
+        self.configs = tuple(  # FeedbackConfig checks name and parameters
+            None if s == "standard"
+            else FeedbackConfig(s, t_pert=self.t_pert, n_a=self.n_a, delta=self.delta)
+            for s in self.strategies
+        )
         self.code = load_code(self.code)
         self.injected = _injected_error(self.code, self.inject)
 
@@ -218,11 +220,10 @@ class _Batch:
 @dataclass(eq=False)
 class _FirstRun:
     """The first run on one syndrome at one p: the batch rows that wait for
-    it, then its read-only outcome and e_out, which later rows are reported against."""
+    it, then its read-only outcome, which later rows are reported against."""
 
     waiting: list  # (batch, rows), until the run is decoded
     outcome: object = None  # the DecodeOutcome, once decoded
-    e_out: str = None  # its error_pauli
 
 
 class _Chunk:
@@ -236,23 +237,23 @@ class _Chunk:
     block's syndrome waits in fresh for iteration 1 in bulk
     (Lanes.first_iteration), a lane width of syndromes at a time, and the
     blocks that share it wait in its _FirstRun, which then keeps the
-    read-only outcome and e_out (per p, keyed by the packed syndrome) for
-    the rest of the task, so later blocks with that syndrome are reported at
-    once.  Results go into a (p, strategy, block - block_lo) RECORD array,
-    class _UNDECODED until written, e_out an index into the task's table of
+    read-only outcome (per p, keyed by the packed syndrome) for the rest of
+    the task, so later blocks with that syndrome are reported at once.
+    Results go into a (p, strategy, block - block_lo) RECORD array, class
+    _UNDECODED until written, e_out an index into the task's table of
     distinct e_outs; each batch's error strings are kept per p in block
     order.  Every other BP run waits in one queue of Lanes.load arguments:
-    feedback restarts (job, log-priors, target, max_iter) on its front, and
+    feedback restarts (job, log-priors, target, t_pert) on its front, and
     on its back the first runs that iteration 1 did not end, with the
-    resume state it gave them.
-    Each block's first run is shared by its strategies: standard reports
-    it, and so do pc08 and enhanced if it converged; otherwise a
-    feedback_rounds generator per strategy continues from it, drawing from
-    the block's own substream.  Its restarts are jobs (batch, row,
-    strategy_index, run), and advance() sends each its outcome; the block's
-    error, error string and index are read from its batch row when the run
-    ends.  write(), the harness's one outcome classifier, writes every
-    result's record.
+    resume state it gave them.  A job is the call that takes its run's
+    outcome: first_run_done for a first run, advance for a restart.
+    Each block's first run is shared by its strategies: standard BP (no
+    config) reports it, and so does each feedback strategy if it converged;
+    otherwise a feedback_rounds generator per strategy continues from it,
+    drawing from the block's own substream, and advance() sends it each
+    restart's outcome; the block's error, error string and index are read
+    from its batch row when the run ends.  write(), the harness's one
+    outcome classifier, writes every result's record.
     """
 
     def __init__(self, spec, block_lo, block_hi):
@@ -288,11 +289,8 @@ class _Chunk:
                 pass
             if not lanes.busy:
                 break
-            for job, outcome in lanes.step():
-                if isinstance(job, _FirstRun):
-                    self.first_run_done(job, outcome)
-                else:
-                    self.advance(*job, outcome)
+            for done, outcome in lanes.step():
+                done(outcome)
         return ["".join(texts) for texts in self.texts], list(self.e_outs), self.records
 
     def load_next(self) -> bool:
@@ -360,35 +358,35 @@ class _Chunk:
         for row, outcome in finished:
             self.first_run_done(entries[row], outcome)
         for row, state in resumes:
-            self.queue.append((entries[row], lp, targets[row], max_iter, state))
+            job = partial(self.first_run_done, entries[row])
+            self.queue.append((job, lp, targets[row], max_iter, state))
 
-    def first_run_done(self, job: _FirstRun, outcome) -> None:
+    def first_run_done(self, entry: _FirstRun, outcome) -> None:
         """Keep a syndrome's first run and report the rows waiting for it."""
         outcome.error.setflags(write=False)  # shared by every block of the key
         outcome.frustrated.setflags(write=False)
-        job.outcome, job.e_out = outcome, outcome.error_pauli
-        for batch, rows in job.waiting:
-            self.report(batch, rows, job)
-        job.waiting.clear()  # its batches need not outlive their results
+        entry.outcome = outcome
+        for batch, rows in entry.waiting:
+            self.report(batch, rows, entry)
+        entry.waiting.clear()  # its batches need not outlive their results
 
     def report(self, batch: _Batch, rows: list, first_run: _FirstRun) -> None:
-        """Report a first run for a batch's rows under standard, and under
-        pc08 and enhanced if it converged; else start their feedback runs."""
+        """Report a first run for a batch's rows under standard BP, and under
+        the feedback strategies if it converged; else start their runs."""
         spec, outcome, p_index = self.spec, first_run.outcome, batch.p_index
         converged = outcome.converged
-        shared = [i for i, s in enumerate(spec.strategies) if s == "standard" or converged]
-        self.write(batch, rows, shared, outcome, first_run.e_out)
+        shared = [i for i, config in enumerate(spec.configs) if config is None or converged]
+        self.write(batch, rows, shared, outcome)
         first = batch.blocks.start
-        for strategy_index, strategy in enumerate(spec.strategies):
-            if strategy == "standard" or converged:
+        for strategy_index, config in enumerate(spec.configs):
+            if config is None or converged:
                 continue
             for row in rows:
                 rng = substream(
                     spec.seed, _STREAM_DECODER, strategy_index, p_index, first + row
                 )
                 run = feedback_rounds(
-                    self.graph, batch.targets[row], self.priors[p_index],
-                    spec.configs[strategy], outcome, rng,
+                    self.graph, batch.targets[row], self.priors[p_index], config, outcome, rng
                 )
                 self.advance(batch, row, strategy_index, run)
 
@@ -400,19 +398,20 @@ class _Chunk:
         except StopIteration as done:
             self.write(batch, [row], [strategy_index], done.value[0])
             return
-        job = (batch, row, strategy_index, run)
-        self.queue.appendleft((job, log_priors(adjusted), batch.targets[row], self.spec.t_pert))
+        job = partial(self.advance, batch, row, strategy_index, run)
+        t_pert = self.spec.configs[strategy_index].t_pert
+        self.queue.appendleft((job, log_priors(adjusted), batch.targets[row], t_pert))
 
-    def write(self, batch: _Batch, rows: list, strategy_indices: list, outcome, e_out=None):
-        """Classify a batch's rows against a run's outcome (error string e_out)
-        and write their records under the given strategies.  The rows' errors
-        have identity ebit columns, so a row is exact when its error string is
-        e_out, or, for many rows at once, its sent qubits are the outcome's
-        error.  A converged run's other rows are degenerate if their error
-        and e_out differ by a stabilizer element, else nonequivalent, or
-        unchecked above DEGENERACY_LIMIT qubits."""
+    def write(self, batch: _Batch, rows: list, strategy_indices: list, outcome):
+        """Classify a batch's rows against a run's outcome and write their
+        records under the given strategies.  The rows' errors have identity
+        ebit columns, so a row is exact when its error string is the
+        outcome's, e_out, or, for many rows at once, its sent qubits are the
+        outcome's error.  A converged run's other rows are degenerate if
+        their error and e_out differ by a stabilizer element, else
+        nonequivalent, or unchecked above DEGENERACY_LIMIT qubits."""
         code, n = self.code, self.code.n_sent
-        e_out = outcome.error_pauli if e_out is None else e_out
+        e_out = outcome.error_pauli
         inexact = []  # positions in rows
         if outcome.converged and len(rows) == 1:
             inexact = [0] if batch.text[rows[0] * n : (rows[0] + 1) * n] != e_out else []
@@ -571,15 +570,16 @@ def trace_run(
     """
     if (check is None) != (qubit is None):
         raise ValueError("a pinned round needs both check and qubit")
-    if strategy == "standard" and check is not None:
-        raise ValueError(
-            "standard BP has no feedback round to pin with check and qubit"
-        )
+    config = None  # standard BP
+    if strategy != "standard":
+        config = FeedbackConfig(strategy=strategy, t_pert=t_pert, n_a=n_a, delta=delta)
+    elif check is not None:
+        raise ValueError("standard BP has no feedback round to pin with check and qubit")
     pri = channel_priors(DepolarizingChannel(p), code.n_sent)
     if (error is None) == (target is None):
         raise ValueError("give exactly one of error or target syndrome")
     if error is not None:
-        target = syndrome(code, code.embed_sent(gf4.pauli_to_values(error)))
+        target = syndrome(code, code.embed_sent(error))
 
     rows = []
 
@@ -587,10 +587,9 @@ def trace_run(
         t = rows[-1][0] + 1 if rows else 1  # counted across rounds
         rows.extend((t, q, belief.copy()) for q, belief in enumerate(beliefs))
 
-    if strategy == "standard":
+    if config is None:
         return rows, decode(code, target, pri, max_iter=max_iter, on_iteration=record)
 
-    config = FeedbackConfig(strategy=strategy, t_pert=t_pert, n_a=n_a, delta=delta)
     rng = substream(seed, _STREAM_DECODER, 0, 0, 0)
     if check is None:
         outcome, _ = feedback_decode(

@@ -131,11 +131,9 @@ class StabilizerCode:
     n_ebits: int = 0
 
     def __post_init__(self):
-        checks = np.asarray(self.checks, dtype=np.uint8)
+        checks = as_values(self.checks)
         if checks.ndim != 2 or checks.shape[0] == 0:
             raise ValueError("check matrix must be a nonempty 2-D array")
-        if checks.size and checks.max() > 3:
-            raise ValueError("check entries must be GF(4) values 0..3")
         if self.n_sent + self.n_ebits != checks.shape[1]:
             raise ValueError(
                 f"n_sent + n_ebits = {self.n_sent + self.n_ebits} does not match "
@@ -249,7 +247,7 @@ def quaternary_to_pauli(h: np.ndarray) -> np.ndarray:
     Returns the GF(4) matrix [h; omega*h]; the rows are read as Pauli
     strings via the standard identification.
     """
-    h = np.asarray(h, dtype=np.uint8)
+    h = as_values(h)
     if h.ndim != 2:
         raise ValueError("check matrix must be 2-D")
     return np.concatenate([h, gf4.MUL_TABLE[gf4.OMEGA, h]], axis=0)
@@ -263,7 +261,7 @@ def ea_canonicalize(gens: np.ndarray):
     with everything.  Every output row is a product of input rows, so the
     generated group is unchanged.  Raises ValueError on dependent input rows.
     """
-    gens = np.asarray(gens, dtype=np.uint8)
+    gens = as_values(gens)
     if gens.ndim != 2 or gens.shape[0] == 0:
         raise ValueError("generator matrix must be a nonempty 2-D array")
     if not gens.any(axis=1).all():
@@ -309,8 +307,9 @@ def extend_with_ebits(gens: np.ndarray, pair_count: int) -> StabilizerCode:
     Pair row 2i gets X in ebit column i, pair row 2i+1 gets Z there; rows
     already commuting get identity.
     """
-    gens = np.asarray(gens, dtype=np.uint8)
+    gens = as_values(gens)
     m, n = gens.shape
+    check_integer("pair_count", pair_count, None)
     if pair_count < 0 or 2 * pair_count > m:
         raise ValueError(f"pair_count {pair_count} out of range for {m} rows")
     extended = np.zeros((m, n + pair_count), dtype=np.uint8)
@@ -329,9 +328,13 @@ def construction_b(circulant_first_row, rows_to_keep=None) -> StabilizerCode:
     generators come from the kept rows of H0, Z-type generators from the
     same rows with entries mapped to omega.
     """
-    first = np.asarray(circulant_first_row, dtype=np.uint8) % 2
+    first = np.asarray(circulant_first_row)
     if first.ndim != 1 or first.size == 0:
         raise ValueError("first row must be a nonempty bit vector")
+    bits = np.isin(first, (0, 1))
+    if not bits.all():  # checked before the cast, which truncates
+        raise ValueError(f"first row entries must be 0 or 1, not {first[~bits][0].item()!r}")
+    first = first.astype(np.uint8)
     if not first.any():
         raise ValueError("circulant first row must be nonzero")
     size = first.size
@@ -341,7 +344,10 @@ def construction_b(circulant_first_row, rows_to_keep=None) -> StabilizerCode:
     if rows_to_keep is None:
         keep = np.arange(size)
     else:
-        keep = np.unique(np.asarray(list(rows_to_keep), dtype=np.intp))
+        rows = list(rows_to_keep)
+        for row in rows:  # checked before the cast, which truncates
+            check_integer("row to keep", row, None)
+        keep = np.unique(np.asarray(rows, dtype=np.intp))
         if keep.size == 0:
             raise ValueError("rows_to_keep must not be empty")
         if keep.min() < 0 or keep.max() >= size:

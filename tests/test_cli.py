@@ -265,6 +265,9 @@ def test_build_code_ea_reproduces_4_1_1(tmp_path):
         (["trace", "--code", "4_1_1", "--syndrome", "+*++"], {}, "bad syndrome"),
         (["build-code", "construction-b", "--first-row", "abc", "--out", "x.stab"], {},
          "bad first row"),
+        # this used to read the 2 as a 0
+        (["build-code", "construction-b", "--first-row", "2110001", "--out", "x.stab"], {},
+         "first row entries must be 0 or 1, not 2"),
         # these used to end in a traceback
         (["simulate", "--code", "4_1_1", "--config", "bad.cfg"],
          {"bad.cfg": "blocks=abc\n"}, "Invalid value for '--blocks': 'abc'"),
@@ -307,8 +310,9 @@ def test_build_code_ea_reproduces_4_1_1(tmp_path):
         (["simulate", "--config", "nested.cfg"],
          {"nested.cfg": "config = nested.cfg\n"}, "unknown config keys: ['config']"),
     ],
-    ids=["unknown-code", "bad-syndrome", "bad-first-row", "config-value", "keep-not-int",
-         "keep-out-of-range", "keep-zero", "keep-negative", "keep-mixed",
+    ids=["unknown-code", "bad-syndrome", "bad-first-row", "first-row-not-bits",
+         "config-value", "keep-not-int", "keep-out-of-range", "keep-zero", "keep-negative",
+         "keep-mixed",
          "trace-check-out-of-range", "trace-qubit-not-on-check", "trace-qubit-alone",
          "trace-pin-under-standard", "malformed-alist", "code-is-directory",
          "trace-code-is-directory", "out-dir-missing", "jsonl-dir-missing",

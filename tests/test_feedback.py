@@ -311,12 +311,11 @@ def test_feedback_decode_converged_first_run_has_no_rounds():
     assert converged >= 3
 
 
-def test_feedback_decode_requires_feedback_strategy(code411, priors411):
-    with pytest.raises(ValueError):
-        feedback_decode(
-            code411, TARGET, priors411, FeedbackConfig(strategy="standard"),
-            rng=substream(0, 0),
-        )
+def test_feedback_decode_requires_feedback_strategy():
+    # standard BP has no FeedbackConfig, so no feedback run can be given one
+    # (it was refused when the run started)
+    with pytest.raises(ValueError, match="'standard' is not a feedback strategy"):
+        FeedbackConfig(strategy="standard")
 
 
 @pytest.mark.parametrize("strategy", ["pc08", "enhanced"])
@@ -365,10 +364,13 @@ def test_feedback_round_checks_strategy_and_mask(code411, priors411):
     failed = DecodeOutcome(
         np.array([0, 3, 0, 0], dtype=np.uint8), False, 90, np.array([False, True, True, True])
     )
-    with pytest.raises(ValueError, match="feedback rounds need strategy pc08 or enhanced"):
-        feedback_round(
-            code411, TARGET, priors411, 1, 0, FeedbackConfig(strategy="standard"), failed
-        )
+    # the config refuses standard BP when it is made (the round refused it)
+    with pytest.raises(ValueError, match="not a feedback strategy \\(pc08 or enhanced\\)"):
+        FeedbackConfig(strategy="standard")
+    outcome, record = feedback_round(
+        code411, TARGET, priors411, 1, 0, FeedbackConfig(strategy="enhanced"), failed
+    )
+    assert (record.check, record.qubit) == (1, 0)
     # a working outcome without its mask, converged or not, cannot be made,
     # so no pinned round or adjustment gets one (once a ValueError in each
     # of them, and a TypeError before that)

@@ -150,6 +150,14 @@ def test_alist_round_trip_gf4():
         assert parse_alist(text).tolist() == matrix.tolist()
 
 
+def test_write_alist_checks_values():
+    # a 1.5 entry used to be written as 1; an integral float is exact
+    for matrix in ([[1.5, 0], [0, 1]], [[4, 0], [0, 1]], np.array([[4, 0]], dtype=np.uint8)):
+        with pytest.raises(ValueError, match="GF\\(4\\) values must lie in 0..3"):
+            write_alist(matrix)
+    assert write_alist([[1.0, 0.0], [0.0, 3.0]]) == write_alist(np.array([[1, 0], [0, 3]]))
+
+
 def test_alist_zero_padding_tolerated():
     padded = """3 2
 2 2

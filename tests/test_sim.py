@@ -240,6 +240,24 @@ def test_jsonl_log(tmp_path, code411):
     assert record["block"] == 0
 
 
+def test_spec_configs_parallel_to_strategies(code411):
+    # configs holds None exactly at standard BP's positions, in spec order,
+    # and each feedback strategy's FeedbackConfig with the spec's parameters
+    # elsewhere (it was a dict keyed by the feedback strategies' names)
+    from gf4bp.feedback import FeedbackConfig
+
+    spec = ExperimentSpec(
+        code=code411, p_values=(0.1,), strategies=("enhanced", "standard", "pc08"),
+        t_pert=7, n_a=3, delta=0.5,
+    )
+    assert spec.configs == (
+        FeedbackConfig("enhanced", 7, 3, 0.5), None, FeedbackConfig("pc08", 7, 3, 0.5),
+    )
+    assert ExperimentSpec(code=code411, p_values=(0.1,)).configs == (None,)
+    with pytest.raises(ValueError, match="'Standard' is not a feedback strategy"):
+        ExperimentSpec(code=code411, p_values=(0.1,), strategies=("standard", "Standard"))
+
+
 def test_spec_validation(code411):
     with pytest.raises(ValueError):
         ExperimentSpec(code=code411, p_values=(1.5,))
@@ -700,10 +718,12 @@ def test_saturated_channels_stay_finite(code62):
 
 def _count_first_runs(monkeypatch):
     """Record every syndrome given to a bulk first iteration and every
-    syndrome a first run is loaded into a lane for, each as (log-prior
-    bytes, syndrome), and the log-beliefs the bulk iterations copy, one per
-    row of the arrays behind their resume states; a pool worker forks with
-    the patched methods but its records stay in the worker."""
+    syndrome a first run is loaded into a lane for (a load with a resume
+    state: every first run the harness loads has one, and restarts never
+    do), each as (log-prior bytes, syndrome), and the log-beliefs the bulk
+    iterations copy, one per row of the arrays behind their resume states; a
+    pool worker forks with the patched methods but its records stay in the
+    worker."""
     from gf4bp.decoder import Lanes
 
     bulk, loads, copies = [], [], []
@@ -717,7 +737,7 @@ def _count_first_runs(monkeypatch):
         return finished, resumes
 
     def counted_load(self, job, lp, target, max_iter, resume=None):
-        if isinstance(job, sim._FirstRun):
+        if resume is not None:
             loads.append((lp.tobytes(), tuple(target.tolist())))
         return load(self, job, lp, target, max_iter, resume)
 
@@ -940,3 +960,37 @@ def test_startup_loads_no_pool_or_json(code62, tmp_path):
     assert unknown == "module 'gf4bp' has no attribute 'NoSuchAttribute'"
     assert compared == "True True True"
     assert not hasattr(sim, "NoSuchAttribute")
+
+
+SPANS_SCRIPT = """
+import importlib.util, sys
+from gf4bp import decoder, feedback, sim
+found = importlib.util.spec_from_file_location("spans", sys.argv[1])
+spans = importlib.util.module_from_spec(found)
+found.loader.exec_module(spans)
+modules = {"decoder": decoder, "feedback": feedback, "sim": sim}
+installed = spans.install(spans.Tracer(), modules)
+installed.remove()
+print("\\n".join(installed.absent))
+"""
+
+
+def test_benchmark_span_targets_absent_are_pinned():
+    # perfbench wraps gf4bp functions by name and lists the ones it cannot
+    # find.  These five are known blind spots of its per-layer metrics; a
+    # change that removes another wrapped name, or mends one, updates this
+    # list and says so.  The benchmark's spans.py is read, not written (-B).
+    spans_path = Path(__file__).parents[1] / "perfbench" / "spans.py"
+    env = dict(os.environ, PYTHONPATH=str(Path(gf4bp.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-B", "-c", SPANS_SCRIPT, str(spans_path)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [
+        "gf4bp.sim.parse_stabilizer_text",
+        "gf4bp.sim.classify_outcome",
+        "gf4bp.feedback.frustrated_checks",
+        "gf4bp.decoder.hard_decision",
+        "gf4bp.decoder.TannerGraph.syndrome_signs",
+    ]

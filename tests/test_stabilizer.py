@@ -165,6 +165,14 @@ def test_symbol_values_are_checked_not_truncated(code411):
     )
 
 
+def test_check_matrix_values_are_checked_not_truncated():
+    # the matrix was cast to uint8 before its 0..3 check: 1.5 was read as X
+    # and built the check XX; an integral float is exact
+    with pytest.raises(ValueError, match="GF\\(4\\) values must lie in 0..3"):
+        StabilizerCode(np.array([[1.5, 1.0]]), n_sent=2)
+    assert StabilizerCode(np.array([[1.0, 1.0]]), n_sent=2).row_pauli(0) == "XX"
+
+
 def test_embed_sent(code411):
     assert gf4.values_to_pauli(code411.embed_sent("IIZX")) == "IIZXI"
     with pytest.raises(ValueError):
@@ -185,6 +193,13 @@ def test_quaternary_to_pauli_golden():
     assert [gf4.values_to_pauli(row) for row in stacked] == [
         "XZXI", "XXIX", "ZYZI", "ZZIZ",
     ]
+
+
+def test_quaternary_to_pauli_checks_values():
+    # 1.7 used to be read as 1 ([[1 0] [2 0]]) and 5 to raise an IndexError
+    for h in ([[1.7, 0]], [[5, 0]], np.array([[5, 0]], dtype=np.uint8)):
+        with pytest.raises(ValueError, match="GF\\(4\\) values must lie in 0..3"):
+            quaternary_to_pauli(h)
 
 
 def test_quaternary_to_pauli_zero_matrix_rejected_downstream():
@@ -220,6 +235,12 @@ def test_ea_canonicalize_golden():
 def _subsets(n):
     for mask in range(1 << n):
         yield [i for i in range(n) if mask >> i & 1]
+
+
+def test_ea_canonicalize_checks_values():
+    # [[1.7, 2]] used to come back as [[1 2]]
+    with pytest.raises(ValueError, match="GF\\(4\\) values must lie in 0..3"):
+        ea_canonicalize([[1.7, 2]])
 
 
 def test_ea_canonicalize_already_commuting():
@@ -318,6 +339,18 @@ def test_extend_with_ebits_no_pairs():
     assert code.checks.tolist() == gens.tolist()
 
 
+def test_extend_with_ebits_checks_values_and_pair_count():
+    # a 1.5 entry used to be read as X, and a pair count of 0.5 raised a
+    # TypeError from range
+    gens = np.array([gf4.pauli_to_values("XI"), gf4.pauli_to_values("ZI")])
+    with pytest.raises(ValueError, match="GF\\(4\\) values must lie in 0..3"):
+        extend_with_ebits([[1.5, 0], [2, 0]], 1)
+    for count in (0.5, 1.0, True):
+        with pytest.raises(ValueError, match=f"pair_count must be an integer, not {count!r}"):
+            extend_with_ebits(gens, count)
+    assert extend_with_ebits(gens, np.int64(1)).row_pauli(1) == "ZIZ"
+
+
 def test_extend_with_ebits_two_disjoint_pairs():
     gens = np.array(
         [
@@ -370,6 +403,19 @@ def test_construction_b_row_selection():
         construction_b(np.array([1, 1, 0], dtype=np.uint8), rows_to_keep=[5])
     with pytest.raises(ValueError):
         construction_b(np.zeros(4, dtype=np.uint8))
+
+
+def test_construction_b_checks_bits_and_kept_rows():
+    # the first row was reduced with % 2 after a uint8 cast, so 2 was read
+    # as 0 and 1.5 as 1; a kept row of 1.5 kept row 1
+    for first, bad in (([2, 1, 0, 0, 0, 1, 1], "2"), ([1.5, 0, 0], "1.5"), ([1, -1, 0], "-1")):
+        with pytest.raises(ValueError, match=f"first row entries must be 0 or 1, not {bad}$"):
+            construction_b(first)
+    for row in (1.5, 1.0, True):
+        with pytest.raises(ValueError, match=f"row to keep must be an integer, not {row!r}"):
+            construction_b([1, 1, 0], rows_to_keep=[row, 0])
+    kept = construction_b([True, True, False], rows_to_keep=[np.int64(0), 2])
+    assert kept.checks.tolist() == construction_b([1, 1, 0], rows_to_keep=[0, 2]).checks.tolist()
 
 
 def test_group_membership_golden(code411):
