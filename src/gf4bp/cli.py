@@ -165,7 +165,7 @@ def simulate(code_src, p_list, strategy, blocks, seed, max_iter, t_pert,
 @click.option("--syndrome", "syndrome_text", default=None,
               help="Target syndrome as +/- characters, e.g. -+++.")
 @click.option("--strategy", default="standard", show_default=True,
-              type=click.Choice(["standard", "pc08", "enhanced"]))
+              help="One of standard, pc08 and enhanced.")
 @click.option("--check", default=None, type=click.IntRange(min=1),
               help="1-based frustrated check to adjust (pins a single round).")
 @click.option("--qubit", default=None, type=click.IntRange(min=1),

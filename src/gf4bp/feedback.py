@@ -26,9 +26,9 @@ feedback_rounds is the one round engine, a generator: it yields the
 adjusted priors of each config.t_pert-iteration BP restart and is sent
 that restart's DecodeOutcome.  feedback_decode (the serial loop) and the
 Monte-Carlo harness, whose restarts of many runs share the lane kernel,
-drive it; feedback_round (trace_run's pinned round) is its adjust and
-_record around one restart.  A run's random choices come from its own
-generator, so interleaving changes none of them.
+drive it; feedback_round (trace_run's pinned round) checks its pin, then
+runs adjust and _record around one restart.  A run's random choices come
+from its own generator, so interleaving changes none of them.
 """
 
 from dataclasses import dataclass, replace
@@ -61,7 +61,8 @@ class FeedbackConfig:
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
-            raise ValueError(f"{self.strategy!r} is not a feedback strategy (pc08 or enhanced)")
+            raise ValueError(f"{self.strategy!r} is not a feedback strategy (pc08 or "
+                             "enhanced); the strategies are standard, pc08 and enhanced")
         check_integer("t_pert", self.t_pert, 1)
         if self.n_a is not None:
             check_integer("n_a", self.n_a)
@@ -71,14 +72,12 @@ class FeedbackConfig:
 
 @dataclass
 class AdjustmentRecord:
-    """Audit trail of one feedback round (replayable)."""
+    """What one feedback round decided (replayable from the run's generator)."""
 
     check: int
     qubit: int
-    qubits_touched: np.ndarray
-    applied: np.ndarray  # (len(qubits_touched), 4) priors installed this round
     outcome: str  # "converged" | "check_satisfied" | "restored"
-    iterations: int = 0
+    iterations: int
 
 
 def enhanced_reset(entry: int, s_c: int, sc_dot_eout: int, p_identity: float) -> np.ndarray:
@@ -135,34 +134,29 @@ def check_slot(graph: TannerGraph, check: int, qubit: int) -> int:
     return int(slot[0])
 
 
-def adjust(graph, target, priors, config, current, check: int, qubit: int, rng=None):
-    """Adjust the priors for a round on (check, qubit) from the working
-    outcome current.
+def adjust(graph, target, priors, config, current, check: int, slot: int, rng=None):
+    """Adjust the priors for a round on the qubit at slot of check, from the
+    working outcome current.
 
-    enhanced resets the one qubit from current's frustration pattern (its
-    sign on the check is the target's, negated if the check is frustrated);
-    pc08 perturbs every qubit of the check with draws from rng.  Returns
-    (adjusted, touched, applied): the adjusted priors, the touched qubits
-    and their new priors; priors is not modified."""
-    slot = check_slot(graph, check, qubit)
-    priors = np.asarray(priors, dtype=float)
+    enhanced resets that qubit from current's frustration pattern (its sign
+    on the check is the target's, negated if the check is frustrated); pc08
+    perturbs every qubit of the check with draws from rng.  Returns the
+    adjusted (n, 4) priors; priors is not modified."""
+    adjusted = np.array(priors, dtype=float)
+    qubits = graph.check_qubits(check)
     if config.strategy == "enhanced":
-        entry = int(graph.check_entries(check)[slot])
+        qubit, entry = qubits[slot], int(graph.check_entries(check)[slot])
         s_c = int(target[check])
         sc_dot = -s_c if current.frustrated[check] else s_c
-        touched = np.array([qubit])
-        applied = enhanced_reset(entry, s_c, sc_dot, float(priors[qubit, 0]))[None, :]
+        adjusted[qubit] = enhanced_reset(entry, s_c, sc_dot, float(adjusted[qubit, 0]))
     else:
         if rng is None:
             raise ValueError("pc08 rounds need a random stream")
-        touched = graph.check_qubits(check).copy()
-        applied = pc08_perturb(priors[touched], config.delta, rng)
-    adjusted = priors.copy()
-    adjusted[touched] = applied
-    return adjusted, touched, applied
+        adjusted[qubits] = pc08_perturb(adjusted[qubits], config.delta, rng)
+    return adjusted
 
 
-def _record(check, qubit, touched, applied, outcome: DecodeOutcome) -> AdjustmentRecord:
+def _record(check, qubit, outcome: DecodeOutcome) -> AdjustmentRecord:
     """The round's record: converged, check_satisfied (the chosen check now
     agrees with the target) or restored (it is still frustrated)."""
     if outcome.converged:
@@ -171,9 +165,7 @@ def _record(check, qubit, touched, applied, outcome: DecodeOutcome) -> Adjustmen
         verdict = "restored"
     else:
         verdict = "check_satisfied"
-    return AdjustmentRecord(
-        int(check), int(qubit), touched, applied, verdict, outcome.iterations
-    )
+    return AdjustmentRecord(int(check), int(qubit), verdict, outcome.iterations)
 
 
 def feedback_round(
@@ -193,13 +185,13 @@ def feedback_round(
     current is the working output, a DecodeOutcome: enhanced reads its
     frustration pattern from current.frustrated.  Returns (outcome,
     record), the outcome's iterations the restart's; priors is not
-    modified.
+    modified; a pin off the graph is a ValueError before any draw.
     """
-    adjusted, touched, applied = adjust(
-        tanner_graph(code), target, priors, config, current, check, qubit, rng
-    )
+    graph = tanner_graph(code)
+    slot = check_slot(graph, check, qubit)
+    adjusted = adjust(graph, target, priors, config, current, check, slot, rng)
     outcome = decode(code, target, adjusted, config.t_pert, on_iteration=on_iteration)
-    return outcome, _record(check, qubit, touched, applied, outcome)
+    return outcome, _record(check, qubit, outcome)
 
 
 def feedback_rounds(graph: TannerGraph, target, priors, config, first, rng):
@@ -215,16 +207,13 @@ def feedback_rounds(graph: TannerGraph, target, priors, config, first, rng):
     while not current.converged and len(records) < budget:
         # current did not converge, so some check is frustrated
         check = int(rng.choice(np.flatnonzero(current.frustrated)))
-        qubits = list(graph.check_qubits(check))
-        if not qubits:
+        slots = list(range(graph.check_deg[check]))
+        if not slots:
             break  # a check with no sender qubits can never be fixed
-        rng.shuffle(qubits)
-        for qubit in qubits[: budget - len(records)]:
-            adjusted, touched, applied = adjust(
-                graph, target, priors, config, current, check, qubit, rng
-            )
-            outcome = yield adjusted
-            records.append(_record(check, qubit, touched, applied, outcome))
+        rng.shuffle(slots)  # the permutation depends only on the length
+        for slot in slots[: budget - len(records)]:
+            outcome = yield adjust(graph, target, priors, config, current, check, slot, rng)
+            records.append(_record(check, graph.check_qubits(check)[slot], outcome))
             iterations += outcome.iterations
             if records[-1].outcome != "restored":
                 current = outcome  # a restored round keeps it for the next qubit

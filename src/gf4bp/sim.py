@@ -83,19 +83,6 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _injected_error(code: StabilizerCode, inject: str | None):
-    """An injected Pauli string on the sent qubits as a full (n_total)
-    error, or None without one."""
-    if inject is None:
-        return None
-    values = gf4.pauli_to_values(inject)
-    if values.shape != (code.n_sent,):
-        raise ValueError(
-            f"injected error {inject!r} must cover the {code.n_sent} sent qubits"
-        )
-    return code.embed_sent(values)
-
-
 @dataclass
 class ExperimentSpec:
     code: object  # StabilizerCode, built-in name or path; loaded when made
@@ -136,7 +123,7 @@ class ExperimentSpec:
             for s in self.strategies
         )
         self.code = load_code(self.code)
-        self.injected = _injected_error(self.code, self.inject)
+        self.injected = None if self.inject is None else self.code.embed_sent(self.inject)
 
 
 @dataclass(slots=True)  # built per result read: half the memory, faster to make

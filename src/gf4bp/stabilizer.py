@@ -198,7 +198,9 @@ class StabilizerCode:
         """Pad an error on the transmitted qubits with identity ebit columns."""
         values = as_values(e_sent)
         if values.shape != (self.n_sent,):
-            raise ValueError(f"expected length {self.n_sent}, got {values.shape}")
+            raise ValueError(
+                f"an error must cover the {self.n_sent} sent qubits, not shape {values.shape}"
+            )
         full = np.zeros(self.n_total, dtype=np.uint8)
         full[: self.n_sent] = values
         return full
@@ -308,6 +310,8 @@ def extend_with_ebits(gens: np.ndarray, pair_count: int) -> StabilizerCode:
     already commuting get identity.
     """
     gens = as_values(gens)
+    if gens.ndim != 2:
+        raise ValueError("generator matrix must be a 2-D array")
     m, n = gens.shape
     check_integer("pair_count", pair_count, None)
     if pair_count < 0 or 2 * pair_count > m:

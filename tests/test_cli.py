@@ -296,6 +296,13 @@ def test_build_code_ea_reproduces_4_1_1(tmp_path):
         # these used to end in an IsADirectoryError traceback
         (["simulate", "--code", "."], {}, "unknown code '.': not a built-in name or file"),
         (["trace", "--code", ".", "--error", "IIZX"], {}, "unknown code '.'"),
+        # simulate --inject and trace --error share the sent-qubit rule
+        (["trace", "--error", "IXI"], {}, "must cover the 4 sent qubits"),
+        # both commands refuse a strategy name with the library's message
+        (["simulate", "--strategy", "Standard"], {},
+         "the strategies are standard, pc08 and enhanced"),
+        (["trace", "--strategy", "Standard", "--error", "IIZX"], {},
+         "the strategies are standard, pc08 and enhanced"),
         # these used to decode every block, then end in a FileNotFoundError
         (["simulate", "--code", "4_1_1", "--out", "nodir/r.csv"], {},
          "--out nodir/r.csv: no directory nodir"),
@@ -315,7 +322,8 @@ def test_build_code_ea_reproduces_4_1_1(tmp_path):
          "keep-mixed",
          "trace-check-out-of-range", "trace-qubit-not-on-check", "trace-qubit-alone",
          "trace-pin-under-standard", "malformed-alist", "code-is-directory",
-         "trace-code-is-directory", "out-dir-missing", "jsonl-dir-missing",
+         "trace-code-is-directory", "trace-error-length", "simulate-strategy-name",
+         "trace-strategy-name", "out-dir-missing", "jsonl-dir-missing",
          "config-out-dir-missing", "trace-out-dir-missing", "trace-out-is-directory",
          "config-names-config"],
 )

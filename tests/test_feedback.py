@@ -7,10 +7,12 @@ from gf4bp.channel import (
     sample_error,
     substream,
 )
-from gf4bp.decoder import DecodeOutcome, TannerGraph, decode
+from gf4bp import feedback
+from gf4bp.decoder import DecodeOutcome, TannerGraph, decode, tanner_graph
 from gf4bp.feedback import (
     FeedbackConfig,
     adjust,
+    check_slot,
     default_n_a,
     enhanced_reset,
     feedback_decode,
@@ -33,6 +35,26 @@ def code411():
 @pytest.fixture
 def priors411():
     return channel_priors(DepolarizingChannel(0.1), 4)
+
+
+def _pinned_priors(code, priors, check, qubit, config, current, rng=None):
+    """The priors a pinned round on (check, qubit) installs: adjust's."""
+    graph = tanner_graph(code)
+    slot = check_slot(graph, check, qubit)
+    return adjust(graph, TARGET, priors, config, current, check, slot, rng)
+
+
+def _same_outcome(a, b):
+    return (a.error.tolist(), a.converged, a.iterations, a.frustrated.tolist()) == (
+        b.error.tolist(), b.converged, b.iterations, b.frustrated.tolist()
+    )
+
+
+def _assert_rows_changed(adjusted, priors, rows):
+    """adjusted differs from priors in each of rows and is bit-equal elsewhere."""
+    others = [q for q in range(priors.shape[0]) if q not in rows]
+    assert all(not np.array_equal(adjusted[q], priors[q]) for q in rows)
+    assert np.array_equal(adjusted[others], priors[others])
 
 
 def test_default_n_a_tiers():
@@ -175,10 +197,13 @@ def test_enhanced_round_case_study(code411, priors411):
     assert outcome.converged
     assert outcome.iterations == 3
     assert outcome.error_pauli == "IIZX"
-    assert record.outcome == "converged"
+    assert (record.check, record.qubit, record.outcome) == (1, 3, "converged")
+    assert record.iterations == 3
     # the round installed the enhanced reset on qubit 4 alone
-    assert record.qubits_touched.tolist() == [3]
-    assert np.allclose(record.applied, [[0.45, 0.45, 0.05, 0.05]])
+    adjusted = _pinned_priors(code411, priors411, 1, 3, config, first)
+    _assert_rows_changed(adjusted, priors411, [3])
+    assert np.allclose(adjusted[3], [0.45, 0.45, 0.05, 0.05])
+    assert _same_outcome(decode(code411, TARGET, adjusted, 40), outcome)
     assert np.array_equal(priors411, before)
 
 
@@ -208,15 +233,14 @@ def test_pc08_round_case_study_fails(code411, priors411):
         if not outcome.converged:
             failures += 1
             assert np.array_equal(priors411, before)
-            assert record.applied.shape == (3, 4)
-            assert not np.array_equal(record.applied, priors411[[0, 1, 3]])
+            # the round perturbed every qubit of the chosen check
+            adjusted = _pinned_priors(
+                code411, priors411, 1, 0, config, first, substream(seed, 0)
+            )
+            _assert_rows_changed(adjusted, priors411, [0, 1, 3])
+            assert _same_outcome(decode(code411, TARGET, adjusted, 40), outcome)
+            assert record.iterations == outcome.iterations
     assert failures == 40
-    # the pc08 round perturbs every qubit of the chosen check
-    _, record = feedback_round(
-        code411, TARGET, priors411, check=1, qubit=0, config=config,
-        rng=substream(0, 0), current=first,
-    )
-    assert record.qubits_touched.tolist() == [0, 1, 3]
 
 
 def test_failed_round_restores_priors_bit_exactly(code411, priors411):
@@ -228,8 +252,8 @@ def test_failed_round_restores_priors_bit_exactly(code411, priors411):
         rng=substream(8, 1), current=first,
     )
     assert record.outcome in ("restored", "check_satisfied")
-    assert record.qubits_touched.tolist() == [0, 1, 3]
-    assert not np.array_equal(record.applied, before[[0, 1, 3]])
+    adjusted = _pinned_priors(code411, priors411, 1, 0, config, first, substream(8, 1))
+    _assert_rows_changed(adjusted, before, [0, 1, 3])
     assert np.array_equal(priors411, before)
 
 
@@ -278,12 +302,19 @@ def test_feedback_decode_replayable(code411, priors411):
     (out_a, rec_a), (out_b, rec_b) = run(), run()
     assert out_a.error.tolist() == out_b.error.tolist()
     assert out_a.iterations == out_b.iterations
-    assert len(rec_a) == len(rec_b)
-    for a, b in zip(rec_a, rec_b):
-        assert (a.check, a.qubit, a.outcome, a.iterations) == (
-            b.check, b.qubit, b.outcome, b.iterations,
-        )
-        assert np.array_equal(a.applied, b.applied)
+    assert len(rec_a) >= 2
+    assert rec_a == rec_b
+    # the rounds install the same priors, round by round, and these are the
+    # priors feedback_decode's rounds ran on
+    first = decode(code411, TARGET, priors411, max_iter=90)
+    (out_c, rec_c, installed_c), (_, _, installed_d) = (
+        _run_serially(code411, TARGET, priors411, config, first, substream(77, 3))
+        for _ in range(2)
+    )
+    assert _same_outcome(out_c, out_a) and rec_c == rec_a
+    assert len(installed_c) == len(rec_a)
+    for c, d in zip(installed_c, installed_d, strict=True):
+        assert np.array_equal(c, d)
 
 
 def test_feedback_decode_converged_first_run_has_no_rounds():
@@ -328,10 +359,10 @@ def test_feedback_decode_requires_feedback_strategy():
      (1, np.True_, "qubit must be an integer, not np.True_")],
 )
 def test_adjustment_rejects_bad_pins(code411, priors411, strategy, check, qubit, message):
-    # check 1 (0-based) has sender qubits 0, 1 and 3; nothing is drawn.  A
-    # non-integer pin used to raise IndexError (check 1.5, or qubit 3.0 under
-    # enhanced) or TypeError (check True), or ran (qubit 3.0 under pc08).
-    graph = TannerGraph(code411)
+    # check 1 (0-based) has sender qubits 0, 1 and 3; a pinned round checks
+    # its pin before any draw.  A non-integer pin used to raise IndexError
+    # (check 1.5, or qubit 3.0 under enhanced) or TypeError (check True), or
+    # ran (qubit 3.0 under pc08).
     rng = substream(0, 0)
     state = rng.bit_generator.state
     first = DecodeOutcome(
@@ -340,8 +371,30 @@ def test_adjustment_rejects_bad_pins(code411, priors411, strategy, check, qubit,
     )
     config = FeedbackConfig(strategy=strategy)
     with pytest.raises(ValueError, match=message):
-        adjust(graph, TARGET, priors411, config, first, check, qubit, rng)
+        feedback_round(code411, TARGET, priors411, check, qubit, config, first, rng)
     assert rng.bit_generator.state == state
+
+
+def test_unpinned_rounds_do_not_check_pins(code411, priors411, monkeypatch):
+    # feedback_rounds draws its slots from the graph, so only a pinned round
+    # checks one: with check_slot refusing everything, feedback_decode runs
+    # the same rounds
+    for strategy in ("pc08", "enhanced"):
+        config = FeedbackConfig(strategy=strategy, t_pert=15, n_a=6)
+        outcome, records = feedback_decode(
+            code411, TARGET, priors411, config, rng=substream(4, 2)
+        )
+        assert records
+
+        def refuse(*args):
+            raise AssertionError("check_slot called by an unpinned round")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(feedback, "check_slot", refuse)
+            got, got_records = feedback_decode(
+                code411, TARGET, priors411, config, rng=substream(4, 2)
+            )
+        assert _same_outcome(got, outcome) and got_records == records
 
 
 @pytest.mark.parametrize("strategy", ["pc08", "enhanced"])
@@ -419,12 +472,17 @@ def _failed_blocks(code, p, count, seed=5):
     return graph, pri, failed
 
 
-def _records_key(records):
-    return [
-        (r.check, r.qubit, r.outcome, r.iterations, r.qubits_touched.tolist(),
-         r.applied.tolist())
-        for r in records
-    ]
+def _run_serially(code, target, pri, config, first, rng):
+    """Drive feedback_rounds as feedback_decode does; returns (outcome,
+    records, the priors of each restart)."""
+    run, installed = feedback_rounds(tanner_graph(code), target, pri, config, first, rng), []
+    try:
+        adjusted = next(run)
+        while True:
+            installed.append(adjusted)
+            adjusted = run.send(decode(code, target, adjusted, max_iter=config.t_pert))
+    except StopIteration as done:
+        return (*done.value, installed)
 
 
 def test_interleaved_runs_equal_runs_alone():
@@ -443,14 +501,20 @@ def test_interleaved_runs_equal_runs_alone():
         feedback_decode(code, target, pri, config, rng=substream(5, 1, 0, 0, block))
         for (block, target, _, _), config in zip(specs, configs)
     ]
+    serial = [
+        _run_serially(code, target, pri, config, first, substream(5, 1, 0, 0, block))[2]
+        for (block, target, first, _), config in zip(specs, configs)
+    ]
     runs = [
         feedback_rounds(graph, target, pri, config, first, substream(5, 1, 0, 0, block))
         for (block, target, first, _), config in zip(specs, configs)
     ]
     results = [None] * len(runs)
+    installed = [[] for _ in runs]
     pending = [(index, next(run)) for index, run in enumerate(runs)]
     while pending:
         index, adjusted = pending.pop(0)
+        installed[index].append(adjusted)
         restart = decode(code, specs[index][1], adjusted, max_iter=configs[index].t_pert)
         try:
             pending.append((index, runs[index].send(restart)))
@@ -460,4 +524,8 @@ def test_interleaved_runs_equal_runs_alone():
     for (got, got_records), (outcome, records) in zip(results, alone, strict=True):
         assert got.error.tolist() == outcome.error.tolist()
         assert (got.converged, got.iterations) == (outcome.converged, outcome.iterations)
-        assert _records_key(got_records) == _records_key(records)
+        assert got_records == records
+    for got_priors, priors in zip(installed, serial, strict=True):
+        assert len(got_priors) == len(priors)
+        for got, adjusted in zip(got_priors, priors):
+            assert np.array_equal(got, adjusted)

@@ -345,6 +345,10 @@ def test_extend_with_ebits_checks_values_and_pair_count():
     gens = np.array([gf4.pauli_to_values("XI"), gf4.pauli_to_values("ZI")])
     with pytest.raises(ValueError, match="GF\\(4\\) values must lie in 0..3"):
         extend_with_ebits([[1.5, 0], [2, 0]], 1)
+    # a 1-D matrix used to raise numpy's "not enough values to unpack"
+    for flat in ([1, 2], 3):
+        with pytest.raises(ValueError, match="generator matrix must be a 2-D array"):
+            extend_with_ebits(flat, 0)
     for count in (0.5, 1.0, True):
         with pytest.raises(ValueError, match=f"pair_count must be an integer, not {count!r}"):
             extend_with_ebits(gens, count)
