@@ -34,8 +34,9 @@ Saturation rule, so that no value is infinite or NaN at any p:
   and p = 1 give finite log-priors;
 - Lambda_q is formed from exp(L - max L) floored at MSG_FLOOR, as the
   probability-domain messages were, so |Lambda_q| <= log(1 / MSG_FLOOR);
-- the check product is clipped to the doubles next to -1 and +1, so
-  |gamma| < 19;
+- the check product is clipped to the values next to -1 and +1 in the
+  kernel's dtype, so |gamma| < 19 in float64 and < 8.7 in float32 (where
+  MSG_FLOOR is a normal number too);
 - pad cells of the check layout hold Lambda = +inf, a factor tanh = 1, and
   the belief sums read gamma = 0 for pad slots.
 
@@ -71,12 +72,15 @@ s_c times G0, the all +1 syndrome's (s_c = +-1 starts the check product, the
 clip is symmetric, tanh and arctanh are odd), as Lanes.first_iteration uses
 to run iteration 1 of many jobs at once: it ends those a lane would end and
 gives each other one the state with which load resumes it at iteration 2.
+The real dtype is a parameter of the kernel: decode runs float64, which
+agreement with exact marginals to 1e-8 needs, and the Monte-Carlo harness
+float32 (sim.LANE_REAL), at half a lane's bytes and cheaper tanh and arctanh.
 """
 
 import math
 import weakref
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -85,10 +89,6 @@ from . import gf4
 from .stabilizer import ANTICOMMUTES, StabilizerCode, check_integer
 
 MSG_FLOOR = 1e-30
-
-# the check product's clip: the doubles next to -1 and +1
-_TH_MAX = np.nextafter(1.0, 0.0)
-_TH_MIN = -_TH_MAX
 
 # The bit each entry reads of a symbol e (Z bit e >> 1, X bit e & 1): X
 # entries the Z bit, Z entries the X bit, Y entries their XOR; it must agree
@@ -183,8 +183,8 @@ class TannerGraph:
         self._gamma_gather = np.full((max(2, *map(len, runs)), types, n), pad_cell)
         for entry, run in enumerate(runs):
             self._gamma_gather[: len(run), entry] = run
-        self._lanes = {}  # width -> the idle_lanes Lanes
-        self._first_messages = {}  # log-prior bytes -> G0, see Lanes.first_messages
+        self._lanes = {}  # (width, dtype) -> the idle_lanes Lanes
+        self._first_messages = {}  # (dtype, log-prior bytes) -> G0, see Lanes.first_messages
 
     def check_qubits(self, check: int) -> np.ndarray:
         """Sender qubits incident to a check, in column order."""
@@ -206,6 +206,17 @@ def tanner_graph(code: StabilizerCode) -> TannerGraph:
     if graph is None:
         graph = _GRAPHS[code] = TannerGraph(code)
     return graph
+
+
+class _ErrorPauli:
+    """DecodeOutcome.error_pauli: made on first read, then an instance
+    attribute (functools.cached_property takes a lock on Python 3.11)."""
+
+    def __get__(self, outcome, owner=None):
+        if outcome is None:
+            return self
+        outcome.error_pauli = pauli = gf4.values_to_pauli(outcome.error)
+        return pauli
 
 
 @dataclass
@@ -231,9 +242,8 @@ class DecodeOutcome:
         if self.frustrated is None:
             raise ValueError("a DecodeOutcome needs its frustrated-check mask")
 
-    @cached_property  # once per outcome: a shared first run is written for many blocks
-    def error_pauli(self) -> str:
-        return gf4.values_to_pauli(self.error)
+    # once per outcome: a shared first run is written for many blocks
+    error_pauli = _ErrorPauli()
 
 
 def _qubit_messages(v) -> None:
@@ -262,8 +272,8 @@ def _check_messages(graph: TannerGraph, v) -> None:
     np.tanh(th, out=th)
     _run(np.multiply, v.check_products)  # cpref[0] holds s_c
     np.multiply(v.cpref_excl, v.csuf, out=th)
-    np.minimum(th, _TH_MAX, out=th)
-    np.maximum(th, _TH_MIN, out=th)
+    np.minimum(th, v.th_max, out=th)  # the values next to +1 and -1
+    np.maximum(th, -v.th_max, out=th)
     np.arctanh(th, out=v.gamma_cells)
 
 
@@ -313,13 +323,13 @@ def _mismatches(v) -> np.ndarray:
     return np.bitwise_xor.reduce(v.slot_bits, axis=0)
 
 
-def _lane_shapes(graph: TannerGraph) -> dict:
-    """Per-lane workspace (shape, dtype)s; the lane axis is appended last.
-    The _KEPT ones carry a job from one iteration to the next, the others
-    are scratch."""
+def _lane_shapes(graph: TannerGraph, real) -> dict:
+    """Per-lane workspace (shape, dtype)s for real numbers of dtype real;
+    the lane axis is appended last.  The _KEPT ones carry a job from one
+    iteration to the next, the others are scratch."""
     n, n_checks, types = graph.n_qubits, graph.n_checks, graph.n_types
     check_slots = graph.check_slots.shape[0]
-    real, bit = np.float64, np.bool_
+    bit = np.bool_
     return {
         "lp": ((4, n), real),
         "bel": ((4, n), real),
@@ -356,15 +366,18 @@ class Lanes:
     iteration on every occupied lane and returns (job, DecodeOutcome) for
     each lane that matched its target syndrome (unless halt is off) or
     reached its iteration cap.  A finished lane stays in the layout until
-    the next step() refills it or packs the remaining lanes.
+    the next step() refills it or packs the remaining lanes.  Every real
+    array has dtype real (np.float64 or np.float32), log-priors included,
+    so the same operations run at either precision.
     """
 
-    def __init__(self, graph: TannerGraph, width: int):
+    def __init__(self, graph: TannerGraph, width: int, real=np.float64):
         if width < 1:
             raise ValueError("width must be at least 1")
         self.graph = graph
         self.width = width
-        self._shapes = _lane_shapes(graph)
+        self.real = real
+        self._shapes = _lane_shapes(graph, real)
         self._flat = {
             name: np.empty(width * math.prod(shape), dtype=dtype)
             for name, (shape, dtype) in self._shapes.items()
@@ -382,11 +395,11 @@ class Lanes:
         self._held = []  # load's arguments for the next layout
 
     @staticmethod
-    def lane_bytes(graph: TannerGraph) -> int:
+    def lane_bytes(graph: TannerGraph, real=np.float64) -> int:
         """Workspace bytes per lane."""
         return sum(
             math.prod(shape) * np.dtype(dtype).itemsize
-            for shape, dtype in _lane_shapes(graph).values()
+            for shape, dtype in _lane_shapes(graph, real).values()
         )
 
     def _view(self, lanes: int, first: bool = False):
@@ -401,6 +414,7 @@ class Lanes:
                     for name, (shape, _) in self._shapes.items()
                 }
             )
+            view.th_max = np.nextafter(self.real(1), self.real(0))  # the clip
             view.sigma = view.cpref[0]
             view.target_parity = view.slot_bits[-1]
             bit_rows = view.bits[1:].reshape((3,) + view.s.shape[1:])
@@ -484,11 +498,11 @@ class Lanes:
         self.busy += 1
 
     def first_messages(self, lp: np.ndarray) -> np.ndarray:
-        """G0 for log-priors lp, kept per graph and lp.  A new one is computed
-        by this kernel's step, so it needs an idle kernel (RuntimeError if a
-        job is running or held: its lane would be stepped); ArithmeticError
-        if the all -1 syndrome's gammas are not -G0."""
-        known, key = self.graph._first_messages, lp.tobytes()
+        """G0 for log-priors lp, kept per graph, dtype and lp.  A new one is
+        computed by this kernel's step, so it needs an idle kernel
+        (RuntimeError if a job is running or held: its lane would be
+        stepped); ArithmeticError if the all -1 syndrome's gammas are not -G0."""
+        known, key = self.graph._first_messages, (self.real, lp.tobytes())
         if key not in known:
             if self.busy:
                 raise RuntimeError("a new G0 needs an idle kernel")
@@ -569,24 +583,25 @@ class Lanes:
         return np.array((x / x.sum(axis=0)).T, order="C")
 
 
-def idle_lanes(graph: TannerGraph, width: int) -> Lanes:
-    """The graph's kept Lanes of this width; a fresh one is kept if it is busy."""
-    lanes = graph._lanes.get(width)
+def idle_lanes(graph: TannerGraph, width: int, real=np.float64) -> Lanes:
+    """The graph's kept Lanes of this width and dtype; a fresh one if busy."""
+    lanes = graph._lanes.get((width, real))
     if lanes is None or lanes.busy:
-        lanes = graph._lanes[width] = Lanes(graph, width)
+        lanes = graph._lanes[width, real] = Lanes(graph, width, real)
     return lanes
 
 
-def lane_width(graph: TannerGraph) -> int:
-    """Lanes that fit LANE_WORKSPACE_BYTES on this graph, at least 1."""
-    return max(1, LANE_WORKSPACE_BYTES // Lanes.lane_bytes(graph))
+def lane_width(graph: TannerGraph, real=np.float64) -> int:
+    """Lanes of dtype real that fit LANE_WORKSPACE_BYTES, at least 1."""
+    return max(1, LANE_WORKSPACE_BYTES // Lanes.lane_bytes(graph, real))
 
 
-def log_priors(priors: np.ndarray) -> np.ndarray:
+def log_priors(priors: np.ndarray, real=np.float64) -> np.ndarray:
     """The (4, n) log of the clamped, normalized transpose of an (n, 4)
-    prior matrix, as Lanes.load takes it."""
+    prior matrix, computed in float64 and cast to real, as Lanes.load of
+    that dtype takes it."""
     pri = np.maximum(np.asarray(priors, dtype=float).T, MSG_FLOOR)
-    return np.log(pri / pri.sum(axis=0))
+    return np.log(pri / pri.sum(axis=0)).astype(real, copy=False)
 
 
 def decode(

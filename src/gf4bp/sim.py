@@ -13,9 +13,9 @@ and enhanced feedback start from that same run, and blocks with the same
 syndrome at a p share that run too: a work item decodes each (p, syndrome)
 once.  The first iteration of new syndromes runs in bulk, a lane width of
 them at a time, and a first run it does not end continues from it in a
-lane of one lane kernel, as does every feedback restart; jobs finish out of
-order and results are put back in spec order, so outputs do not depend on
-the lane width, the batch size or the worker count.
+lane of one float32 lane kernel, as does every feedback restart; jobs finish
+out of order and results are put back in spec order, so outputs do not
+depend on the lane width, the batch size or the worker count.
 
 A work item's results are arrays, not objects: per (p, strategy, block) a
 record (RECORD) of a uint8 class code, the iterations, the converged flag
@@ -192,6 +192,10 @@ BATCH_BLOCKS = 256
 #: Above this many qubits (sent plus ebits) inexact converged outputs are 'unchecked'.
 DEGENERACY_LIMIT = 10_000
 
+#: The dtype of the harness's lane kernel; decode and trace_run run float64,
+#: so a trace need not reproduce a harness block bit for bit.
+LANE_REAL = np.float32
+
 
 @dataclass(eq=False)
 class _Batch:
@@ -247,10 +251,10 @@ class _Chunk:
         self.code = code = spec.code
         self.spec = spec
         self.graph = graph = tanner_graph(code)
-        self.lanes = lanes = idle_lanes(graph, lane_width(graph))
+        self.lanes = lanes = idle_lanes(graph, lane_width(graph, LANE_REAL), LANE_REAL)
         self.check_membership = code.n_total <= DEGENERACY_LIMIT
         self.priors = [channel_priors(chan, code.n_sent) for chan in spec.channels]
-        self.lane_priors = [log_priors(pri) for pri in self.priors]
+        self.lane_priors = [log_priors(pri, LANE_REAL) for pri in self.priors]
         for lp in self.lane_priors:  # G0, while the kernel is idle
             lanes.first_messages(lp)
         self.fresh = [[] for _ in spec.p_values]  # per p: (_FirstRun, target) of new syndromes
@@ -387,7 +391,7 @@ class _Chunk:
             return
         job = partial(self.advance, batch, row, strategy_index, run)
         t_pert = self.spec.configs[strategy_index].t_pert
-        self.queue.appendleft((job, log_priors(adjusted), batch.targets[row], t_pert))
+        self.queue.appendleft((job, log_priors(adjusted, LANE_REAL), batch.targets[row], t_pert))
 
     def write(self, batch: _Batch, rows: list, strategy_indices: list, outcome):
         """Classify a batch's rows against a run's outcome and write their

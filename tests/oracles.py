@@ -412,26 +412,41 @@ def classify_outcome(code: StabilizerCode, error, outcome, check_membership=True
     return "nonequivalent"
 
 
+def lane_decode(graph, lp, target, max_iter: int, halt: bool = True):
+    """The DecodeOutcome of one job run alone on a width-1 Lanes kernel of
+    the log-priors' dtype, from iteration 1: at float64 it is decode's."""
+    from gf4bp.decoder import Lanes
+
+    lanes = Lanes(graph, 1, lp.dtype.type)
+    lanes.load(True, lp, np.asarray(target), max_iter)
+    while True:
+        finished = lanes.step(halt)
+        if finished:
+            return finished[0][1]
+
+
 def per_cell_experiment(spec, jsonl_path=None):
     """A frozen per-(p, strategy) Monte-Carlo harness, the reference for
     gf4bp.sim.run_experiment.
 
     Each (p, strategy) cell runs on its own: every block's error is sampled,
-    its syndrome counted and standard BP run again for every strategy, and
-    pc08/enhanced blocks call feedback_decode without a first outcome.  The
-    results are sorted and each cell is re-filtered from them, as the
-    harness did before it shared work between strategies.  Returns
-    (stats, block results, verdicts), verdicts counting the outcomes of the
-    feedback rounds' AdjustmentRecords.
+    its syndrome counted and standard BP run again for every strategy, one
+    job at a time on a width-1 kernel of the harness's dtype (sim.LANE_REAL),
+    and pc08/enhanced blocks drive the feedback_rounds engine with restarts
+    on such a kernel.  The results are sorted and each cell is re-filtered
+    from them, as the harness did before it shared work between strategies.
+    Returns (stats, block results, verdicts), verdicts counting the outcomes
+    of the feedback rounds' AdjustmentRecords.
     """
     import json
     from collections import Counter
 
     from gf4bp.channel import DepolarizingChannel, priors, sample_error, substream
-    from gf4bp.decoder import decode
-    from gf4bp.feedback import FeedbackConfig, feedback_decode
+    from gf4bp.decoder import log_priors, tanner_graph
+    from gf4bp.feedback import FeedbackConfig, feedback_rounds
     from gf4bp.sim import (
         DEGENERACY_LIMIT,
+        LANE_REAL,
         OUTCOME_CLASSES,
         BlockResult,
         StrategyStats,
@@ -440,6 +455,7 @@ def per_cell_experiment(spec, jsonl_path=None):
     )
 
     code = load_code(spec.code)
+    graph = tanner_graph(code)
     check_membership = code.n_total <= DEGENERACY_LIMIT
     inject = None if spec.inject is None else gf4.pauli_to_values(spec.inject)
     block_results = []
@@ -447,6 +463,7 @@ def per_cell_experiment(spec, jsonl_path=None):
     for p_index, p in enumerate(spec.p_values):
         chan = DepolarizingChannel(p)
         base_priors = priors(chan, code.n_sent)
+        base_lp = log_priors(base_priors, LANE_REAL)
         for strategy_index, strategy in enumerate(spec.strategies):
             for block in range(spec.blocks):
                 if inject is not None:
@@ -455,9 +472,8 @@ def per_cell_experiment(spec, jsonl_path=None):
                     uniforms = substream(spec.seed, 0, block).random(code.n_sent)
                     error = sample_error(code.n_sent, chan, uniforms, n_ebits=code.n_ebits)
                 target = syndrome_by_counting(code, error)
-                if strategy == "standard":
-                    outcome = decode(code, target, base_priors, max_iter=spec.max_iter)
-                else:
+                outcome = lane_decode(graph, base_lp, target, spec.max_iter)
+                if strategy != "standard":
                     config = FeedbackConfig(
                         strategy=strategy,
                         t_pert=spec.t_pert,
@@ -465,9 +481,15 @@ def per_cell_experiment(spec, jsonl_path=None):
                         delta=spec.delta,
                     )
                     rng = substream(spec.seed, 1, strategy_index, p_index, block)
-                    outcome, records = feedback_decode(
-                        code, target, base_priors, config, max_iter=spec.max_iter, rng=rng
-                    )
+                    rounds = feedback_rounds(graph, target, base_priors, config, outcome, rng)
+                    try:
+                        adjusted = next(rounds)
+                        while True:
+                            lp = log_priors(adjusted, LANE_REAL)
+                            restart = lane_decode(graph, lp, target, config.t_pert)
+                            adjusted = rounds.send(restart)
+                    except StopIteration as done:
+                        outcome, records = done.value
                     verdicts.update(record.outcome for record in records)
                 block_results.append(
                     BlockResult(

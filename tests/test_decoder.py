@@ -33,6 +33,7 @@ from oracles import (
     exact_marginals,
     hard_decision,
     klein_convolve,
+    lane_decode,
     qubit_update,
     random_tree_code,
     row_major_beliefs,
@@ -754,8 +755,25 @@ def _first_iteration_cases(code_name):
     return code, (0.01, 0.06), np.array(signs, dtype=np.int64)
 
 
-@pytest.mark.parametrize("code_name", ["4_1_1", "c62", "n510", "empty-check"])
-def test_first_iteration_equals_a_lanes_iteration_one(code_name):
+_CODE_NAMES = ["4_1_1", "c62", "n510", "empty-check"]
+# each code at float64, under its bare name, and at the harness's float32
+_FIRST_ITERATION_CASES = pytest.mark.parametrize(
+    "code_name, real",
+    [(name, real) for real in (np.float64, np.float32) for name in _CODE_NAMES],
+    ids=[name + suffix for suffix in ("", "-float32") for name in _CODE_NAMES],
+)
+
+
+def _decode(code, target, pri, max_iter, real, halt=True):
+    """decode's outcome at the kernel's dtype: decode itself at float64, the
+    same job run alone on a width-1 kernel at float32."""
+    if real is np.float64:
+        return decode(code, target, pri, max_iter=max_iter, halt=halt)
+    return lane_decode(tanner_graph(code), log_priors(pri, real), target, max_iter, halt)
+
+
+@_FIRST_ITERATION_CASES
+def test_first_iteration_equals_a_lanes_iteration_one(code_name, real):
     # Run between the first and second steps of lanes decoding the same
     # syndromes, the bulk iteration gives the lanes' iteration-1 gammas and
     # log-beliefs bit for bit (-0.0 included), the latter also as the resume
@@ -770,8 +788,8 @@ def test_first_iteration_equals_a_lanes_iteration_one(code_name):
     verdicts = set()
     for p in p_values:
         pri = channel_priors(DepolarizingChannel(p), code.n_sent)
-        lp = log_priors(pri)
-        lanes = Lanes(graph, k)
+        lp = log_priors(pri, real)
+        lanes = Lanes(graph, k, real)
         lanes.first_messages(lp)
         for index, target in enumerate(targets):
             lanes.load(index, lp, target, 2)
@@ -782,7 +800,7 @@ def test_first_iteration_equals_a_lanes_iteration_one(code_name):
         finished, resumes = lanes.first_iteration(lp, targets, 2)
         assert [row for row, _ in finished] == [
             row for row, target in enumerate(targets)
-            if decode(code, target, pri, max_iter=1).converged
+            if _decode(code, target, pri, 1, real).converged
         ]
         assert sorted(row for row, _ in finished + resumes) == list(range(k))
         for row, (_, bel) in resumes:
@@ -794,7 +812,7 @@ def test_first_iteration_equals_a_lanes_iteration_one(code_name):
         assert bulk.gamma_cells.tobytes() == gammas
         assert bulk.bel.tobytes() == beliefs
         for outcome, target in zip(outcomes, targets, strict=True):
-            want = decode(code, target, pri, max_iter=1)
+            want = _decode(code, target, pri, 1, real)
             assert outcome.error.tolist() == want.error.tolist()
             assert outcome.frustrated.tolist() == want.frustrated.tolist()
             assert (outcome.converged, outcome.iterations) == (want.converged, 1)
@@ -802,15 +820,15 @@ def test_first_iteration_equals_a_lanes_iteration_one(code_name):
         _masks_match_counting(code, outcomes, targets)
         second = dict(lanes.step(halt=False))
         for index, target in enumerate(targets):
-            want = decode(code, target, pri, max_iter=2, halt=False)
+            want = _decode(code, target, pri, 2, real, halt=False)
             assert second[index].error.tolist() == want.error.tolist()
             assert second[index].frustrated.tolist() == want.frustrated.tolist()
     if code_name in ("4_1_1", "c62"):
         assert verdicts == {True, False}
 
 
-@pytest.mark.parametrize("code_name", ["4_1_1", "c62", "n510", "empty-check"])
-def test_first_runs_continue_from_the_bulk_iteration(code_name):
+@_FIRST_ITERATION_CASES
+def test_first_runs_continue_from_the_bulk_iteration(code_name, real):
     # A job loaded with the bulk iteration's G0 and log-beliefs starts at
     # iteration 2, so it takes one step less than a fresh job on the same
     # syndrome, and ends as decode does: the same error, verdict, count and
@@ -822,10 +840,10 @@ def test_first_runs_continue_from_the_bulk_iteration(code_name):
     continued = 0
     for p in p_values:
         pri = channel_priors(DepolarizingChannel(p), code.n_sent)
-        lp = log_priors(pri)
-        lanes = Lanes(graph, 2 * k)
+        lp = log_priors(pri, real)
+        lanes = Lanes(graph, 2 * k, real)
         for max_iter in (1, 2, 90):
-            wants = [decode(code, target, pri, max_iter=max_iter) for target in targets]
+            wants = [_decode(code, target, pri, max_iter, real) for target in targets]
             finished, resumes = lanes.first_iteration(lp, targets, max_iter)
             got = {("bulk", i): outcome for i, outcome in finished}
             for i, state in resumes:
@@ -885,23 +903,38 @@ def test_first_iteration_copies_beliefs_only_for_runs_that_continue(monkeypatch)
 
 def test_first_messages_are_checked_for_odd_symmetry(monkeypatch):
     # G0 is kept only when the all -1 syndrome's iteration-1 gammas are -G0
-    # bit for bit; an arctanh that is not odd makes them differ.
+    # bit for bit; an arctanh that is not odd, by one unit in the last place
+    # of the kernel's dtype, makes them differ.
     code = build_code_4_1_1()
-    lp = log_priors(channel_priors(DepolarizingChannel(0.1), code.n_sent))
-    graph = TannerGraph(code)
     atanh = np.arctanh
 
     def skewed(x, out):
         atanh(x, out=out)
-        return np.add(out, 1e-9, out=out)
+        return np.nextafter(out, np.inf, out=out)
 
-    monkeypatch.setattr(np, "arctanh", skewed)
-    with pytest.raises(ArithmeticError, match="not odd"):
-        Lanes(graph, 1).first_messages(lp)
-    assert graph._first_messages == {}
-    monkeypatch.undo()
-    first = Lanes(graph, 1).first_messages(lp)
-    assert Lanes(graph, 3).first_messages(lp) is first  # kept per graph and lp
+    for real in (np.float64, np.float32):
+        lp = log_priors(channel_priors(DepolarizingChannel(0.1), code.n_sent), real)
+        graph = TannerGraph(code)
+        monkeypatch.setattr(np, "arctanh", skewed)
+        with pytest.raises(ArithmeticError, match="not odd"):
+            Lanes(graph, 1, real).first_messages(lp)
+        assert graph._first_messages == {}
+        monkeypatch.undo()
+        first = Lanes(graph, 1, real).first_messages(lp)
+        assert first.dtype == real
+        assert Lanes(graph, 3, real).first_messages(lp) is first  # kept per graph and lp
+
+
+def test_first_messages_are_kept_per_dtype():
+    # A float32 kernel given float64 log-priors writes them into float32
+    # lanes; the G0 it keeps must not be handed to a float64 kernel.
+    code = build_code_4_1_1()
+    graph = TannerGraph(code)
+    lp = log_priors(channel_priors(DepolarizingChannel(0.1), code.n_sent))
+    narrow = Lanes(graph, 1, np.float32).first_messages(lp)
+    wide = Lanes(graph, 1).first_messages(lp)
+    assert (narrow.dtype, wide.dtype) == (np.float32, np.float64)
+    assert wide.tobytes() == Lanes(TannerGraph(code), 1).first_messages(lp).tobytes()
 
 
 def test_first_messages_needs_an_idle_kernel():

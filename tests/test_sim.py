@@ -27,7 +27,7 @@ from gf4bp.sim import (
 )
 from gf4bp.stabilizer import build_code_4_1_1, construction_b, syndrome
 
-from oracles import classify_outcome, per_cell_experiment
+from oracles import classify_outcome, lane_decode, per_cell_experiment
 
 C62_ROW = [1 if i in (1, 5, 11, 24, 25, 27) else 0 for i in range(31)]
 N510_ROW = [1 if i in (8, 36, 118, 128, 190, 240) else 0 for i in range(255)]
@@ -564,7 +564,7 @@ def test_lane_width_does_not_change_outputs(request, tmp_path, monkeypatch, refe
     # scheduler's width function must leave every output as the reference.
     widths = []
 
-    def forced(graph):
+    def forced(graph, real):
         widths.append(width)
         return width
 
@@ -638,13 +638,50 @@ def test_lane_width_follows_the_code(code62, code510):
     assert 65 <= lane_width(graph) <= 67  # no Y rows on this CSS code
     # a workspace that grows past a sixth of the budget on n=510 fails here
     assert 6 <= lane_width(TannerGraph(code510)) <= 8
+    # the harness's float32 lanes take half the bytes: twice the lanes
+    real = sim.LANE_REAL
+    assert lane_width(graph, real) == LANE_WORKSPACE_BYTES // Lanes.lane_bytes(graph, real)
+    assert 127 <= lane_width(graph, real) <= 131
+    assert 13 <= lane_width(TannerGraph(code510), real) <= 16
 
 
-# sha256 digests recorded with the log-domain kernel; a pure refactor of
-# src/ must leave them unchanged.
+def test_harness_kernel_runs_in_its_dtype(code62, monkeypatch):
+    # Every real buffer of the harness's kernel and the log-priors of every
+    # bulk first iteration and every load (first runs and feedback restarts)
+    # are LANE_REAL, so no lane step mixes float64 into float32.
+    from gf4bp.decoder import Lanes
+
+    seen = []  # (what, log-prior dtype)
+    first_iteration, load = Lanes.first_iteration, Lanes.load
+
+    def counted_bulk(self, lp, targets, max_iter):
+        seen.append(("bulk", lp.dtype))
+        return first_iteration(self, lp, targets, max_iter)
+
+    def counted_load(self, job, lp, target, max_iter, resume=None):
+        seen.append(("restart" if max_iter == spec.t_pert else "first", lp.dtype))
+        return load(self, job, lp, target, max_iter, resume)
+
+    monkeypatch.setattr(Lanes, "first_iteration", counted_bulk)
+    monkeypatch.setattr(Lanes, "load", counted_load)
+    spec = ExperimentSpec(
+        code=code62, p_values=(0.03, 0.06), strategies=("standard", "pc08", "enhanced"),
+        blocks=40, seed=1,
+    )
+    chunk = sim._Chunk(spec, 0, spec.blocks)
+    chunk.run()
+    assert chunk.lanes.real is sim.LANE_REAL is np.float32
+    dtypes = {array.dtype for array in chunk.lanes._flat.values()}
+    assert dtypes == {np.dtype(np.float32), np.dtype(np.bool_)}
+    assert {what for what, _ in seen} == {"bulk", "first", "restart"}
+    assert {dtype for _, dtype in seen} == {np.dtype(np.float32)}
+
+
+# sha256 digests recorded with the log-domain kernel, the experiment's with
+# the harness's float32 lanes; a pure refactor of src/ must leave them unchanged.
 FIXED_EXPERIMENT_DIGESTS = {
-    "csv": "fb849b04ee311ee86eae2fd45a1828f8877baa7136407d65f5c29dd25377c519",
-    "jsonl": "862a1ac1f6b7054c8795826a8f4166177e64515647b5dcfa26d719aae418213e",
+    "csv": "654282f679e389f69e6966d63b8952cd258de5473775f9a54f950d0a5f754b7a",
+    "jsonl": "af9765143f09c573cb655a81989f7cd878924aab6b9ad6babc36beb715e670ca",
     "trace_pc08": "0a1b0604421d19702f7ad8b0df0152c985a4b345f52c49d7a75bba4d842ce3dc",
     "trace_enhanced": "df14c61e9db76d59cf489b4a8c39091e83b5417b3c186e68c22ef70d023751e1",
     "trace_pc08_loop": "a47c3301bfb758eca4f0ac80ca00348d2e864715cbc64370a664819f97bcd5f1",
@@ -694,26 +731,30 @@ def test_fixed_experiment_bytes(code62, tmp_path):
     assert digests == FIXED_EXPERIMENT_DIGESTS
 
 
-def test_saturated_channels_stay_finite(code62):
+def test_saturated_channels_stay_finite(code62, monkeypatch):
     # p = 0 and p = 1 put log 0 into the priors and drive every message to
-    # saturation; no overflow, invalid or divide-by-zero may occur.
-    with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
-        stats, _ = run_experiment(ExperimentSpec(
-            code=code62, p_values=(0.0, 1.0),
-            strategies=("standard", "pc08", "enhanced"), blocks=20, seed=1,
-        ))
-        injected, _ = run_experiment(ExperimentSpec(
-            code=code62, p_values=(0.0,), strategies=("standard", "pc08", "enhanced"),
-            blocks=3, seed=1, inject="X" + "I" * 61,
-        ))
-    got = {(s.p, s.strategy): (s.errors_strict, s.anoi) for s in stats}
-    assert got == {
-        (0.0, "standard"): (0, 1.0), (0.0, "pc08"): (0, 1.0), (0.0, "enhanced"): (0, 1.0),
-        (1.0, "standard"): (20, 90.0), (1.0, "pc08"): (20, 570.0),
-        (1.0, "enhanced"): (20, 570.0),
-    }
-    assert [s.n_blocks for s in injected] == [3, 3, 3]
-    assert injected[2].errors_strict == 0  # enhanced feedback decodes it
+    # saturation; no overflow, invalid or divide-by-zero may occur, with the
+    # harness's kernel in float32 or float64.
+    assert sim.LANE_REAL is np.float32
+    for real in (np.float32, np.float64):
+        monkeypatch.setattr(sim, "LANE_REAL", real)
+        with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
+            stats, _ = run_experiment(ExperimentSpec(
+                code=code62, p_values=(0.0, 1.0),
+                strategies=("standard", "pc08", "enhanced"), blocks=20, seed=1,
+            ))
+            injected, _ = run_experiment(ExperimentSpec(
+                code=code62, p_values=(0.0,), strategies=("standard", "pc08", "enhanced"),
+                blocks=3, seed=1, inject="X" + "I" * 61,
+            ))
+        got = {(s.p, s.strategy): (s.errors_strict, s.anoi) for s in stats}
+        assert got == {
+            (0.0, "standard"): (0, 1.0), (0.0, "pc08"): (0, 1.0), (0.0, "enhanced"): (0, 1.0),
+            (1.0, "standard"): (20, 90.0), (1.0, "pc08"): (20, 570.0),
+            (1.0, "enhanced"): (20, 570.0),
+        }
+        assert [s.n_blocks for s in injected] == [3, 3, 3]
+        assert injected[2].errors_strict == 0  # enhanced feedback decodes it
 
 
 def _count_first_runs(monkeypatch):
@@ -748,17 +789,18 @@ def _count_first_runs(monkeypatch):
 
 def _first_run_rule(code, spec, blocks):
     """The (log-prior bytes, syndrome) of every distinct (p, syndrome) among
-    the blocks, and of those whose first BP iteration does not match it."""
+    the blocks, and of those whose first BP iteration does not match it, at
+    the harness's dtype."""
     from gf4bp.channel import DepolarizingChannel, priors as channel_priors
-    from gf4bp.decoder import log_priors
+    from gf4bp.decoder import log_priors, tanner_graph
 
     distinct, unmatched = set(), set()
     for p in spec.p_values:
-        pri = channel_priors(DepolarizingChannel(p), code.n_sent)
-        key = log_priors(pri).tobytes()
+        lp = log_priors(channel_priors(DepolarizingChannel(p), code.n_sent), sim.LANE_REAL)
+        key = lp.tobytes()
         for target in {tuple(s) for s in blocks[p]}:
             distinct.add((key, target))
-            if not decode(code, target, pri, max_iter=1).converged:
+            if not lane_decode(tanner_graph(code), lp, target, 1).converged:
                 unmatched.add((key, target))
     return distinct, unmatched
 
@@ -781,12 +823,13 @@ def test_quiet_blocks_share_one_first_run(
     code62, tmp_path, monkeypatch, code_name, p_values, changes
 ):
     # Every quiet block (all-+1 syndrome) at a p takes that p's one shared
-    # first run.  On the [[62,2]] code at p = 0.8 that run converges to Y^62,
-    # so injected identity errors are nonequivalent against the shared
-    # e_out (sampled errors are never quiet there).  On the 4_1_1 code at
-    # p = 0.8 it does not converge, so pc08 and enhanced continue from the
-    # shared outcome, which must stay unchanged.  With every block quiet,
-    # sampling queues only feedback restarts while the lanes are idle.  Each
+    # first run.  On the [[62,2]] code at p = 0.8 that run converges to X^62
+    # (X, Z and Y tie there; float64 rounding picks Y^62, the harness's
+    # float32 X^62), so injected identity errors are nonequivalent against
+    # the shared e_out (sampled errors are never quiet there).  On the 4_1_1
+    # code at p = 0.8 it does not converge, so pc08 and enhanced continue
+    # from the shared outcome, which must stay unchanged.  With every block
+    # quiet, sampling queues only feedback restarts while the lanes are idle.  Each
     # distinct (p, syndrome) gets one bulk first iteration, and only those
     # it does not match get a lane: an injected error that is not quiet is
     # matched by its first iteration at p = 0.05 and not at p = 0.2.
@@ -804,7 +847,7 @@ def test_quiet_blocks_share_one_first_run(
     distinct, unmatched = _first_run_rule(code, spec, syndromes)
     bulk, loads, copies = _count_first_runs(monkeypatch)
     for width in (1, 15):
-        monkeypatch.setattr(sim, "lane_width", lambda graph, width=width: width)
+        monkeypatch.setattr(sim, "lane_width", lambda graph, real, width=width: width)
         for workers in (1, 2):
             path = tmp_path / f"run{width}-{workers}.jsonl"
             bulk.clear()
@@ -826,7 +869,7 @@ def test_quiet_blocks_share_one_first_run(
         if b.p == 0.8 and (syndrome(code, code.embed_sent(b.error)) > 0).all()
     ]
     if code_name == "c62" and "inject" in changes:
-        assert {(b.e_out, b.outcome) for b in quiet} == {("Y" * 62, "nonequivalent")}
+        assert {(b.e_out, b.outcome) for b in quiet} == {("X" * 62, "nonequivalent")}
         assert len(quiet) == 3 * spec.blocks
     if code_name == "4_1_1" and changes.get("inject") != "IXII":
         feedback = [b for b in quiet if b.strategy != "standard"]
@@ -855,7 +898,7 @@ def test_quiet_blocks_cost_one_bp_run(code62, monkeypatch):
     assert 0 < len(set(loud)) < len(loud) < spec.blocks // 4
     distinct, unmatched = _first_run_rule(code62, spec, {0.002: syndromes})
     bulk, loads, copies = _count_first_runs(monkeypatch)
-    monkeypatch.setattr(sim, "lane_width", lambda graph: 1)
+    monkeypatch.setattr(sim, "lane_width", lambda graph, real: 1)
     run_experiment(spec)
     assert sorted(bulk) == sorted(distinct) and len(distinct) == 37
     assert sorted(loads) == sorted(unmatched) and len(unmatched) == 1
