@@ -35,8 +35,8 @@ Saturation rule, so that no value is infinite or NaN at any p:
 - Lambda_q is formed from exp(L - max L) floored at MSG_FLOOR, as the
   probability-domain messages were, so |Lambda_q| <= log(1 / MSG_FLOOR);
 - the check product is clipped to the values next to -1 and +1 in the
-  kernel's dtype, so |gamma| < 19 in float64 and < 8.7 in float32 (where
-  MSG_FLOOR is a normal number too);
+  kernel's dtype, so |gamma| < 19 in float64 and < 8.7 in float32 (MSG_FLOOR
+  = 1e-30 is a normal float32 too);
 - pad cells of the check layout hold Lambda = +inf, a factor tanh = 1, and
   the belief sums read gamma = 0 for pad slots.
 
