@@ -1,23 +1,18 @@
 """Depolarizing-channel priors and reproducible i.i.d. Pauli error sampling.
 
-Randomness is organized as splittable substreams: substream(seed, *key)
-returns a generator that is a pure function of its key, so per-block draws
-are identical no matter how blocks are scheduled across workers.
-substream_uniforms draws the first uniforms of many such substreams at once,
-(seed, domain, block) for a batch of blocks, with the same values: it hashes
-the keys with a vectorised copy of numpy's SeedSequence (after O'Neill's
-seed_seq), and numpy's PCG64 seeds itself from each key's hashed words,
-handed over as a seed sequence that only returns them.  Each key's raw
-64-bit draws become doubles by Generator.random's formula, for the whole
-batch at once.  sample_error turns such uniforms, one row per block, into
-errors.
+Every draw is a pure function of its key, so per-block draws do not depend
+on how blocks are scheduled across workers.  substream(seed, *key) is a
+numpy Generator, for the feedback draws; substream_uniforms is the block
+error stream, a counter hash of (seed, domain, block, symbol) computed for a
+whole batch in uint64 array ops (after SplitMix64 and Salmon et al.'s
+counter-based generators), with keys hashed by a vectorised copy of numpy's
+SeedSequence (after O'Neill's seed_seq).  sample_error turns such uniforms,
+one row per block, into errors.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import PCG64
-from numpy.random.bit_generator import ISeedSequence
 
 from .stabilizer import check_integer
 
@@ -99,7 +94,7 @@ def _uint32_words(value: int) -> list:
 
 
 def _seed_words(entropy: list) -> list:
-    """SeedSequence(...).generate_state(8, uint32) for an assembled entropy
+    """SeedSequence(...).generate_state(4, uint32) for an assembled entropy
     list.  Each word is an int or a uint64 array of values below 2**32, one
     per key; products stay below 2**64, and a difference that wraps modulo
     2**64 is still right modulo 2**32."""
@@ -126,30 +121,28 @@ def _seed_words(entropy: list) -> list:
             pool[dst] = mix(pool[dst], hashmix(word))
     state = []
     hash_const = _INIT_B
-    for i in range(8):
-        value = pool[i % _POOL_SIZE] ^ hash_const
+    for value in pool:
+        value = value ^ hash_const
         hash_const = hash_const * _MULT_B & _MASK32
         value = value * hash_const & _MASK32
         state.append(value ^ (value >> 16))
     return state
 
 
-class _HashedWords(ISeedSequence):
-    """The seed of one key, SeedSequence's generate_state(4, uint64) words
-    already hashed, so PCG64 seeds itself from them."""
-
-    def __init__(self, words: np.ndarray):
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 4 or np.dtype(dtype) != np.uint64:
-            raise ValueError("hashed words give generate_state(4, uint64) only")
-        return self.words
-
-
 def substream_uniforms(master_seed: int, domain: int, blocks, n: int) -> np.ndarray:
-    """(len(blocks), n) uniforms; row i is substream(master_seed, domain,
-    blocks[i]).random(n)."""
+    """(len(blocks), n) uniforms; row i is the stream of the key
+    (master_seed, domain, blocks[i]), whatever the other blocks.
+
+    A key's four SeedSequence(master_seed, spawn_key=(domain, block)) state
+    words, paired little-endian, give a start s and an odd increment
+    g = w | 1; uniform j is SplitMix64's finalizer of s + (j + 1) * g modulo
+    2**64, its top 53 bits times 2**-53.  The finalizer is a bijection, so
+    two keys share an output only where they share a counter.  Keys with
+    different increments share isolated counters at the rate of independent
+    64-bit draws, about (K * n)**2 / 2**65 over K keys; a shared run of two
+    or more needs equal increments and starts within n increments of each
+    other, probability below K**2 * n / 2**127.
+    """
     check_integer("seed", master_seed)
     blocks = np.asarray(blocks, dtype=np.uint64).ravel()
     # SeedSequence pads the run entropy to the pool size before a spawn key
@@ -157,17 +150,19 @@ def substream_uniforms(master_seed: int, domain: int, blocks, n: int) -> np.ndar
     run += [0] * (_POOL_SIZE - len(run)) + _uint32_words(domain)
     low, high = blocks & np.uint64(_MASK32), blocks >> np.uint64(32)
     wide = high > 0  # a block of 2**32 or more is two words
-    seeds = np.empty((blocks.size, 4), dtype=np.uint64)
+    start, step = np.empty((2, blocks.size), dtype=np.uint64)
     for rows, block_words in ((~wide, [low]), (wide, [low, high])):
         if rows.any():
             words = _seed_words(run + [w[rows] for w in block_words])
-            # uint32 word pairs, little-endian, as generate_state(4, uint64)
-            seeds[rows] = np.stack(
-                [words[i] | words[i + 1] << np.uint64(32) for i in range(0, 8, 2)],
-                axis=1,
-            )
-    raw = np.empty((blocks.size, n), dtype=np.uint64)
-    for row, seed in enumerate(seeds):
-        raw[row] = PCG64(_HashedWords(seed)).random_raw(n)
-    # Generator.random's double: the top 53 bits times 2**-53
-    return (raw >> np.uint64(11)) * 2.0**-53
+            start[rows] = words[0] | words[1] << np.uint64(32)
+            step[rows] = words[2] | words[3] << np.uint64(32) | np.uint64(1)
+    # counters s + (j + 1) * g, then SplitMix64's finalizer (Steele, Lea &
+    # Flood, OOPSLA 2014), in place; uint64 products wrap modulo 2**64
+    x = np.multiply.outer(step, np.arange(1, n + 1, dtype=np.uint64))
+    x += start[:, None]
+    x ^= x >> np.uint64(30)
+    x *= np.uint64(0xBF58476D1CE4E5B9)
+    x ^= x >> np.uint64(27)
+    x *= np.uint64(0x94D049BB133111EB)
+    x ^= x >> np.uint64(31)
+    return (x >> np.uint64(11)) * 2.0**-53

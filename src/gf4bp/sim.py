@@ -1,13 +1,14 @@
 """Monte-Carlo harness: block experiments, outcome classification, statistics
 and CSV/JSONL emission.
 
-Blocks are independent work items.  The error of block i is drawn from a
-substream keyed by (seed, channel-domain, i) only, so all strategies and all
+Blocks are independent work items.  The error of block i is drawn from the
+stream of the key (seed, channel-domain, i) only, so all strategies and all
 p values of one experiment face the same underlying randomness and results
 are identical no matter how many workers execute the blocks.  A work item is
 a range of blocks at every p value, one per worker.  Its blocks are drawn
-BATCH_BLOCKS at a time: one row of uniforms per block, shared by every p,
-then per p the errors, syndromes and error strings as arrays.  Each block's
+BATCH_BLOCKS at a time: one row of uniforms per block, one counter hash over
+the batch (substream_uniforms) shared by every p, then per p the errors,
+syndromes and error strings as arrays.  Each block's
 standard BP run is computed once and shared by every strategy, since pc08
 and enhanced feedback start from that same run, and blocks with the same
 syndrome at a p share that run too: a work item decodes each (p, syndrome)
@@ -62,7 +63,7 @@ from .stabilizer import StabilizerCode, check_integer, group_membership, syndrom
 
 CSV_HEADER = (
     "p,strategy,n_blocks,errors_strict,BER,BER_lo,BER_hi,ANoI,"
-    "exact,degenerate,nonequivalent,detected,seed"
+    "exact,degenerate,nonequivalent,detected,unchecked,seed"
 )
 
 OUTCOME_CLASSES = ("exact", "degenerate", "nonequivalent", "detected", "unchecked")
@@ -170,6 +171,7 @@ class StrategyStats:
                 str(self.degenerate),
                 str(self.nonequivalent),
                 str(self.detected),
+                str(self.unchecked),
                 str(self.seed),
             ]
         )

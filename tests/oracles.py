@@ -2,9 +2,11 @@
 
 Everything here recomputes quantities by exhaustive enumeration, by direct
 formulas or by a frozen reference implementation, never through the
-library's decoding or linear-algebra paths.  The GF(4) field operations
-(add, mul, conj, trace) are used only by tests, so they live here; they read
-the library's tables, which test_gf4 checks entry by entry.
+library's linear-algebra paths, and through its decoding paths only where
+a reference must decode bit for bit as the harness does: lane_decode and
+per_cell_experiment run the library's lane kernel.  The GF(4) field
+operations (add, mul, conj, trace) are used only by tests, so they live
+here; they read the library's tables, which test_gf4 checks entry by entry.
 """
 
 import numpy as np
@@ -63,6 +65,30 @@ def symbols_by_searchsorted(prior, uniforms) -> np.ndarray:
     cdf = np.cumsum(prior)
     cdf /= cdf[-1]
     return cdf.searchsorted(uniforms, side="right").astype(np.uint8)
+
+
+_MASK64 = 2**64 - 1
+
+
+def block_uniforms(seed: int, block: int, n: int, domain: int = 0) -> np.ndarray:
+    """One key's row of channel.substream_uniforms, one symbol at a time in
+    Python integers: numpy's own SeedSequence(seed, spawn_key=(domain,
+    block)) hashes the key into four uint32 words, paired little-endian into
+    a start s and an increment w, made odd; uniform j is SplitMix64's
+    finalizer of s + (j + 1) * (w | 1) modulo 2**64, top 53 bits times
+    2**-53."""
+    words = np.random.SeedSequence(seed, spawn_key=(domain, block)).generate_state(4)
+    words = [int(w) for w in words]
+    start = words[0] | words[1] << 32
+    step = words[2] | words[3] << 32 | 1
+    row = []
+    for j in range(n):
+        z = (start + (j + 1) * step) & _MASK64
+        z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & _MASK64
+        z = (z ^ z >> 27) * 0x94D049BB133111EB & _MASK64
+        z ^= z >> 31
+        row.append((z >> 11) * 2.0**-53)
+    return np.array(row)
 
 
 def pauli_values_by_symbol(pauli: str) -> np.ndarray:
@@ -429,12 +455,13 @@ def per_cell_experiment(spec, jsonl_path=None):
     """A frozen per-(p, strategy) Monte-Carlo harness, the reference for
     gf4bp.sim.run_experiment.
 
-    Each (p, strategy) cell runs on its own: every block's error is sampled,
-    its syndrome counted and standard BP run again for every strategy, one
-    job at a time on a width-1 kernel of the harness's dtype (sim.LANE_REAL),
-    and pc08/enhanced blocks drive the feedback_rounds engine with restarts
-    on such a kernel.  The results are sorted and each cell is re-filtered
-    from them, as the harness did before it shared work between strategies.
+    Each (p, strategy) cell runs on its own: every block's error is sampled
+    from its block_uniforms row, its syndrome counted and standard BP run
+    again for every strategy, one job at a time on a width-1 kernel of the
+    harness's dtype (sim.LANE_REAL), and pc08/enhanced blocks drive the
+    feedback_rounds engine with restarts on such a kernel.  The results are
+    sorted and each cell is re-filtered from them, as the harness did before
+    it shared work between strategies.
     Returns (stats, block results, verdicts), verdicts counting the outcomes
     of the feedback rounds' AdjustmentRecords.
     """
@@ -469,7 +496,7 @@ def per_cell_experiment(spec, jsonl_path=None):
                 if inject is not None:
                     error = code.embed_sent(inject)
                 else:
-                    uniforms = substream(spec.seed, 0, block).random(code.n_sent)
+                    uniforms = block_uniforms(spec.seed, block, code.n_sent)
                     error = sample_error(code.n_sent, chan, uniforms, n_ebits=code.n_ebits)
                 target = syndrome_by_counting(code, error)
                 outcome = lane_decode(graph, base_lp, target, spec.max_iter)

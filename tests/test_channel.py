@@ -10,7 +10,7 @@ from gf4bp.channel import (
     substream_uniforms,
 )
 
-from oracles import symbols_by_searchsorted
+from oracles import block_uniforms, symbols_by_searchsorted
 
 
 def test_prior_examples():
@@ -70,34 +70,38 @@ def test_sample_frequencies_within_3_sigma():
 
 
 def test_identical_seed_identical_sequence():
-    a = sample_error(1000, DepolarizingChannel(0.2), substream(42, 0, 7).random(1000))
-    b = sample_error(1000, DepolarizingChannel(0.2), substream(42, 0, 7).random(1000))
+    a = sample_error(1000, DepolarizingChannel(0.2), substream_uniforms(42, 0, [7], 1000))
+    b = sample_error(1000, DepolarizingChannel(0.2), substream_uniforms(42, 0, [7], 1000))
     assert np.array_equal(a, b)
 
 
 def test_substreams_are_order_independent():
-    chan = DepolarizingChannel(0.15)
-
-    def draw(block):
-        return sample_error(64, chan, substream(99, 0, block).random(64))
-
-    forward = {block: draw(block) for block in range(6)}
-    backward = {block: draw(block) for block in reversed(range(6))}
-    for block in range(6):
-        assert np.array_equal(forward[block], backward[block])
+    # key purity: a block's row depends on its key alone, not on the other
+    # blocks of its batch, their order or whether they are one word or two
+    blocks = [3, 2**32 + 5, 0, 2**40 + 1, 7, 2**32 - 1, 2**32]
+    rows = substream_uniforms(99, 0, blocks, 64)
+    order = np.random.default_rng(0).permutation(len(blocks))
+    shuffled = substream_uniforms(99, 0, np.array(blocks, dtype=np.uint64)[order], 64)
+    assert np.array_equal(shuffled, rows[order])
+    for block, row in zip(blocks, rows):
+        assert np.array_equal(substream_uniforms(99, 0, [block], 64)[0], row)
+        assert np.array_equal(substream_uniforms(99, 0, [block, 1, 2**33], 64)[0], row)
 
 
 def test_distinct_keys_distinct_streams():
-    a = sample_error(500, DepolarizingChannel(0.5), substream(7, 0, 0).random(500))
-    b = sample_error(500, DepolarizingChannel(0.5), substream(7, 0, 1).random(500))
+    chan = DepolarizingChannel(0.5)
+    a, b = sample_error(500, chan, substream_uniforms(7, 0, [0, 1], 500))
     assert not np.array_equal(a, b)
+    (c,) = sample_error(500, chan, substream_uniforms(7, 1, [0], 500))
+    (d,) = sample_error(500, chan, substream_uniforms(8, 0, [0], 500))
+    assert not np.array_equal(a, c) and not np.array_equal(a, d)
 
 
 def test_sample_error_from_uniform_rows():
-    # one row of uniforms per error, drawn from each block's substream, gives
-    # each row's error as one row of uniforms alone does
+    # one row of uniforms per error, as substream_uniforms draws one per
+    # block, gives each row's error as one row of uniforms alone does
     chan = DepolarizingChannel(0.3)
-    uniforms = np.stack([substream(5, 0, block).random(9) for block in range(4)])
+    uniforms = substream_uniforms(5, 0, range(4), 9)
     errors = sample_error(9, chan, uniforms, n_ebits=2)
     assert errors.shape == (4, 11)
     for row, error in zip(uniforms, errors):
@@ -133,34 +137,59 @@ BLOCKS = (
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_substream_uniforms_match_numpy(seed):
-    # 2,002 keys per seed: the hash, the PCG64 state and the uniforms
+    # 2,002 keys per seed, one batch of blocks below and above 2**32: the
+    # vectorised key hash gives numpy's SeedSequence state words, and every
+    # row is the Python-integer oracle's
     n = 5
     uniforms = substream_uniforms(seed, 0, BLOCKS, n)
     blocks = np.array(BLOCKS, dtype=np.uint64)
-    low = blocks & np.uint64(0xFFFFFFFF)
+    low, high = blocks & np.uint64(0xFFFFFFFF), blocks >> np.uint64(32)
     # entropy: the seed's words padded to the pool size, then (0, block)
     seed_words = [seed & 0xFFFFFFFF, seed >> 32 & 0xFFFFFFFF, seed >> 64, 0]
-    words = channel._seed_words(seed_words + [0, low])
+    narrow = channel._seed_words(seed_words + [0, low])
+    wide = channel._seed_words(seed_words + [0, low, high])
     for row, block in enumerate(BLOCKS):
-        sequence = np.random.SeedSequence(seed, spawn_key=(0, block))
-        if block < 2**32:
-            assert [int(w[row]) for w in words] == sequence.generate_state(8).tolist()
-        # the uint32 words paired little-endian seed PCG64 as the sequence does
-        state = sequence.generate_state(8).astype(np.uint64)
-        hashed = channel._HashedWords(state[0::2] | state[1::2] << np.uint64(32))
-        assert np.random.PCG64(hashed).state == np.random.PCG64(sequence).state
-        assert np.array_equal(uniforms[row], substream(seed, 0, block).random(n))
+        words = narrow if block < 2**32 else wide
+        state = np.random.SeedSequence(seed, spawn_key=(0, block)).generate_state(4)
+        assert [int(w[row]) for w in words] == state.tolist()
+        assert np.array_equal(uniforms[row], block_uniforms(seed, block, n))
 
 
-@pytest.mark.parametrize(
-    "n_words, dtype", [(4, np.uint32), (8, np.uint32), (2, np.uint64), (8, np.uint64)]
-)
-def test_hashed_words_give_only_pcg64s_request(n_words, dtype):
-    words = np.random.SeedSequence(3).generate_state(4, np.uint64)
-    hashed = channel._HashedWords(words)
-    assert hashed.generate_state(4, np.uint64) is words
-    with pytest.raises(ValueError):
-        hashed.generate_state(n_words, dtype)
+@pytest.mark.parametrize("domain", [1, 2, 2**32 + 9])
+def test_substream_uniforms_match_the_oracle_in_other_domains(domain):
+    # a domain of 2**32 or more is two words of the key, as a block is
+    blocks = [0, 5, 2**32 + 3]
+    uniforms = substream_uniforms(20260808, domain, blocks, 7)
+    for row, block in zip(uniforms, blocks):
+        assert np.array_equal(row, block_uniforms(20260808, block, 7, domain=domain))
+    assert not np.array_equal(uniforms, substream_uniforms(20260808, 0, blocks, 7))
+
+
+def test_substream_uniforms_empty_shapes():
+    assert substream_uniforms(1, 0, [], 62).shape == (0, 62)
+    assert substream_uniforms(1, 0, [0, 2**32], 0).shape == (2, 0)
+
+
+def test_stream_symbol_frequencies_match_the_channel():
+    # 248,000 symbols at p = 0.3 from blocks on both sides of 2**32:
+    # chi-square on 3 degrees of freedom below its 0.1% point, 16.27
+    chan = DepolarizingChannel(0.3)
+    blocks = range(2**32 - 2000, 2**32 + 2000)
+    errors = sample_error(62, chan, substream_uniforms(20260808, 0, blocks, 62))
+    counts = np.bincount(errors.ravel(), minlength=4)
+    expected = errors.size * chan.prior()
+    assert ((counts - expected) ** 2 / expected).sum() < 16.27
+
+
+@pytest.mark.parametrize("axis", [1, 0], ids=["adjacent_symbols", "adjacent_blocks"])
+def test_stream_uniforms_uncorrelated(axis):
+    # Pearson correlation of N pairs of uniforms one symbol or one block
+    # apart, within 4 / sqrt(N) of 0
+    u = substream_uniforms(20260808, 0, range(2**32 - 2000, 2**32 + 2000), 62)
+    a, b = np.delete(u, -1, axis=axis), np.delete(u, 0, axis=axis)
+    r = np.corrcoef(a.ravel(), b.ravel())[0, 1]
+    assert abs(r) < 4 / np.sqrt(a.size)
+    assert 0.0 <= u.min() and u.max() < 1.0
 
 
 def test_substream_seed_must_be_an_integer():
