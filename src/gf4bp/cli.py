@@ -16,7 +16,7 @@ import click
 import numpy as np
 
 from .decoder import tanner_graph
-from .formats import load_code, parse_alist, write_stabilizer_text
+from .formats import parse_alist, write_stabilizer_text
 from .stabilizer import (
     construction_b,
     ea_canonicalize,
@@ -89,28 +89,51 @@ def _parse_n_a(text):
         raise click.UsageError(f"bad --n-a {text!r} (expected an integer or AUTO)")
 
 
+def _run_options(command):
+    """The options simulate and trace share, as ExperimentSpec takes them."""
+    for option in reversed((
+        click.option("--code", "code_src", default="4_1_1", show_default=True,
+                     help="Built-in code name or stabilizer text file."),
+        click.option("--seed", default=0, show_default=True, type=int),
+        click.option("--max-iter", default=90, show_default=True, type=int,
+                     help="Iteration budget of the initial BP run."),
+        click.option("--t-pert", default=40, show_default=True, type=int,
+                     help="BP iterations after each feedback adjustment."),
+        click.option("--n-a", default="AUTO", show_default=True,
+                     help="Feedback budget (integer or AUTO by code length)."),
+        click.option("--delta", default=0.1, show_default=True, type=float,
+                     help="PC08 perturbation strength."),
+    )):
+        command = option(command)
+    return command
+
+
+def _spec(p_list, strategy, code_src, n_a, **fields):
+    """The command's ExperimentSpec, which checks every option it is given;
+    its ValueError is a UsageError."""
+    from .sim import ExperimentSpec
+
+    try:
+        return ExperimentSpec(
+            code=code_src, p_values=_parse_p_list(p_list),
+            strategies=_parse_strategies(strategy), n_a=_parse_n_a(n_a), **fields,
+        )
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
+
+
 @click.group()
 def main():
     """Belief-propagation decoding simulator for sparse quantum codes."""
 
 
 @main.command()
-@click.option("--code", "code_src", default="4_1_1", show_default=True,
-              help="Built-in code name or stabilizer text file.")
+@_run_options
 @click.option("--p", "p_list", default="0.1", show_default=True,
               help="Comma-separated channel crossover probabilities.")
 @click.option("--strategy", default="standard", show_default=True,
               help="Comma-separated list from standard,pc08,enhanced.")
 @click.option("--blocks", default=1000, show_default=True, type=int)
-@click.option("--seed", default=0, show_default=True, type=int)
-@click.option("--max-iter", default=90, show_default=True, type=int,
-              help="Iteration budget of the initial BP run.")
-@click.option("--t-pert", default=40, show_default=True, type=int,
-              help="BP iterations after each feedback adjustment.")
-@click.option("--n-a", default="AUTO", show_default=True,
-              help="Feedback budget (integer or AUTO by code length).")
-@click.option("--delta", default=0.1, show_default=True, type=float,
-              help="PC08 perturbation strength.")
 @click.option("--inject", default=None,
               help="Fixed Pauli error on the sent qubits instead of sampling.")
 @click.option("--workers", default=1, show_default=True, type=int)
@@ -122,44 +145,28 @@ def main():
               expose_value=False, callback=_read_config,
               type=click.Path(exists=True, dir_okay=False),
               help="key=value file mirroring these flags; flags win.")
-def simulate(code_src, p_list, strategy, blocks, seed, max_iter, t_pert,
-             n_a, delta, inject, workers, out, jsonl):
+def simulate(p_list, strategy, blocks, inject, workers, out, jsonl, **run):
     """Monte-Carlo decoding experiment; writes one CSV row per (p, strategy)."""
-    from .sim import ExperimentSpec, format_csv, run_experiment
+    from .sim import OUTCOME_CLASSES, format_csv, run_experiment
 
     _check_out_dir("--out", out)
     _check_out_dir("--jsonl", jsonl)
-    try:
-        spec = ExperimentSpec(
-            code=code_src,
-            p_values=_parse_p_list(p_list),
-            strategies=_parse_strategies(strategy),
-            blocks=blocks,
-            seed=seed,
-            max_iter=max_iter,
-            t_pert=t_pert,
-            n_a=_parse_n_a(n_a),
-            delta=delta,
-            inject=inject,
-            workers=workers,
-        )
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    spec = _spec(p_list, strategy, blocks=blocks, inject=inject, workers=workers, **run)
     stats, _ = run_experiment(spec, jsonl_path=jsonl)
     Path(out).write_text(format_csv(stats))
     for s in stats:
+        classes = " ".join(f"{name}={getattr(s, name)}" for name in OUTCOME_CLASSES)
         click.echo(
             f"p={s.p:g} {s.strategy}: BER={s.ber:.6g} "
-            f"[{s.ber_lo:.3g}, {s.ber_hi:.3g}] ANoI={s.anoi:.4g} "
-            f"(exact={s.exact} degenerate={s.degenerate} "
-            f"nonequivalent={s.nonequivalent} detected={s.detected})"
+            f"[{s.ber_lo:.3g}, {s.ber_hi:.3g}] ANoI={s.anoi:.4g} ({classes})"
         )
     click.echo(f"wrote {out}")
 
 
 @main.command()
-@click.option("--code", "code_src", default="4_1_1", show_default=True)
-@click.option("--p", default=0.1, show_default=True, type=float)
+@_run_options
+@click.option("--p", default="0.1", show_default=True,
+              help="Channel crossover probability.")
 @click.option("--error", default=None,
               help="Pauli error on the sent qubits, e.g. IIZX.")
 @click.option("--syndrome", "syndrome_text", default=None,
@@ -170,16 +177,10 @@ def simulate(code_src, p_list, strategy, blocks, seed, max_iter, t_pert,
               help="1-based frustrated check to adjust (pins a single round).")
 @click.option("--qubit", default=None, type=click.IntRange(min=1),
               help="1-based qubit of that check to adjust.")
-@click.option("--max-iter", default=90, show_default=True, type=int)
-@click.option("--t-pert", default=40, show_default=True, type=int)
-@click.option("--n-a", default="AUTO", show_default=True)
-@click.option("--delta", default=0.1, show_default=True, type=float)
-@click.option("--seed", default=0, show_default=True, type=int)
 @click.option("--out", default="-", show_default=True,
               type=click.Path(dir_okay=False, allow_dash=True),
               help="CSV output path, or - for stdout.")
-def trace(code_src, p, error, syndrome_text, strategy, check, qubit, max_iter,
-          t_pert, n_a, delta, seed, out):
+def trace(p, error, syndrome_text, strategy, check, qubit, out, **run):
     """Emit per-iteration beliefs (iteration,qubit,p_I,p_X,p_Z,p_Y) for one
     decoding instance; qubit numbers in the output are 1-based."""
     from .sim import trace_run
@@ -192,30 +193,21 @@ def trace(code_src, p, error, syndrome_text, strategy, check, qubit, max_iter,
             target = np.array([signs[ch] for ch in syndrome_text.strip()])
         except KeyError:
             raise click.UsageError(f"bad syndrome {syndrome_text!r}; use + and -")
+    spec = _spec(p, strategy, inject=error, **run)
+    if check is not None and qubit is not None:  # reported 1-based, as typed
+        graph = tanner_graph(spec.code)
+        _one_based(check, "--check", graph.n_checks)
+        on_check = graph.check_qubits(check - 1) + 1
+        if qubit not in on_check:
+            raise click.UsageError(
+                f"--qubit {qubit} is not on check {check}, whose qubits are "
+                + ", ".join(map(str, on_check))
+            )
     try:
-        code = load_code(code_src)
-        if check is not None and qubit is not None:  # reported 1-based, as typed
-            graph = tanner_graph(code)
-            _one_based(check, "--check", graph.n_checks)
-            on_check = graph.check_qubits(check - 1) + 1
-            if qubit not in on_check:
-                raise click.UsageError(
-                    f"--qubit {qubit} is not on check {check}, whose qubits are "
-                    + ", ".join(map(str, on_check))
-                )
         rows, outcome = trace_run(
-            code,
-            p,
-            error=error,
-            target=target,
-            strategy=strategy,
+            spec, target,
             check=None if check is None else check - 1,
             qubit=None if qubit is None else qubit - 1,
-            max_iter=max_iter,
-            t_pert=t_pert,
-            n_a=_parse_n_a(n_a),
-            delta=delta,
-            seed=seed,
         )
     except ValueError as exc:
         raise click.UsageError(str(exc))

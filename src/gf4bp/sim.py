@@ -30,7 +30,7 @@ import math
 import sys
 from collections import deque
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from functools import partial
 from itertools import chain, product, repeat, starmap
 
@@ -59,7 +59,7 @@ from .feedback import (
     feedback_rounds,
 )
 from .formats import load_code
-from .stabilizer import StabilizerCode, check_integer, group_membership, syndrome
+from .stabilizer import check_integer, group_membership, syndrome
 
 CSV_HEADER = (
     "p,strategy,n_blocks,errors_strict,BER,BER_lo,BER_hi,ANoI,"
@@ -157,24 +157,7 @@ class StrategyStats:
     seed: int
 
     def csv_row(self) -> str:
-        return ",".join(
-            [
-                repr(self.p),
-                self.strategy,
-                str(self.n_blocks),
-                str(self.errors_strict),
-                repr(self.ber),
-                repr(self.ber_lo),
-                repr(self.ber_hi),
-                repr(self.anoi),
-                str(self.exact),
-                str(self.degenerate),
-                str(self.nonequivalent),
-                str(self.detected),
-                str(self.unchecked),
-                str(self.seed),
-            ]
-        )
+        return ",".join(map(str, astuple(self)))  # a float's str is its repr
 
 
 def wilson_interval(errors: int, n: int, z: float = 1.959963984540054):
@@ -537,42 +520,32 @@ def format_csv(stats) -> str:
     return "\n".join(lines) + "\n"
 
 
-def trace_run(
-    code: StabilizerCode,
-    p: float,
-    error=None,
-    target=None,
-    strategy: str = "standard",
-    check: int | None = None,
-    qubit: int | None = None,
-    max_iter: int = 90,
-    t_pert: int = 40,
-    n_a: int | None = None,
-    delta: float = 0.1,
-    seed: int = 0,
-):
-    """Single-instance run that records per-iteration beliefs.
+def trace_run(spec: ExperimentSpec, target=None, check: int | None = None,
+              qubit: int | None = None):
+    """Single-instance run of a spec's one (p, strategy) cell that records
+    per-iteration beliefs.
 
-    Either an error (Pauli string on the sent qubits) or a target syndrome
-    must be given.  For pc08/enhanced, a (check, qubit) pair pins the single
-    feedback round to adjust; without it the full feedback loop runs with
-    seeded random choices.  A check without a qubit, a qubit without a
-    check, or a pin under standard is a ValueError.  Returns (rows, outcome)
-    where each row is (iteration, qubit, belief 4-vector), iterations
-    counted across rounds.
+    The spec gives the code, the channel, the strategy's config, max_iter
+    and the seed of the feedback draws; the syndrome is its injected error's
+    or a given target (exactly one of the two).  With a feedback config, a
+    (check, qubit) pair pins the single feedback round to adjust; without it
+    the full feedback loop runs with seeded random choices.  A check without
+    a qubit, a qubit without a check, or a pin under standard BP is a
+    ValueError.  Returns (rows, outcome) where each row is (iteration,
+    qubit, belief 4-vector), iterations counted across rounds.
     """
+    if len(spec.p_values) != 1 or len(spec.strategies) != 1:
+        raise ValueError("a trace runs one p and one strategy")
     if (check is None) != (qubit is None):
         raise ValueError("a pinned round needs both check and qubit")
-    config = None  # standard BP
-    if strategy != "standard":
-        config = FeedbackConfig(strategy=strategy, t_pert=t_pert, n_a=n_a, delta=delta)
-    elif check is not None:
+    (config,), code = spec.configs, spec.code
+    if config is None and check is not None:
         raise ValueError("standard BP has no feedback round to pin with check and qubit")
-    pri = channel_priors(DepolarizingChannel(p), code.n_sent)
-    if (error is None) == (target is None):
+    if (spec.injected is None) == (target is None):
         raise ValueError("give exactly one of error or target syndrome")
-    if error is not None:
-        target = syndrome(code, code.embed_sent(error))
+    if target is None:
+        target = syndrome(code, spec.injected)
+    pri, max_iter = channel_priors(spec.channels[0], code.n_sent), spec.max_iter
 
     rows = []
 
@@ -583,7 +556,7 @@ def trace_run(
     if config is None:
         return rows, decode(code, target, pri, max_iter=max_iter, on_iteration=record)
 
-    rng = substream(seed, _STREAM_DECODER, 0, 0, 0)
+    rng = substream(spec.seed, _STREAM_DECODER, 0, 0, 0)
     if check is None:
         outcome, _ = feedback_decode(
             code, target, pri, config, max_iter=max_iter, rng=rng, on_iteration=record

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from gf4bp import sim
 from gf4bp.cli import main
 from gf4bp.formats import parse_stabilizer_text, write_alist
 from gf4bp.sim import CSV_HEADER
@@ -128,6 +129,32 @@ def test_simulate_bad_values_are_usage_errors(tmp_path, args, message):
     assert not (tmp_path / "out.csv").exists()
 
 
+def test_simulate_summary_counts_every_class(tmp_path, monkeypatch):
+    # the console summary used to leave out unchecked, which the CSV has;
+    # above sim.DEGENERACY_LIMIT qubits (here below 4_1_1's 5) converged
+    # outputs that are not the error are unchecked
+    monkeypatch.setattr(sim, "DEGENERACY_LIMIT", build_code_4_1_1().n_total - 1)
+    out = tmp_path / "results.csv"
+    result = CliRunner().invoke(
+        main,
+        ["simulate", "--code", "4_1_1", "--p", "0.15,0.25", "--strategy",
+         "standard,pc08,enhanced", "--blocks", "60", "--seed", "3", "--n-a", "4",
+         "--out", str(out)],
+    )
+    assert result.exit_code == 0, result.output
+    summaries = result.output.splitlines()[:-1]
+    rows = out.read_text().splitlines()[1:]
+    columns = CSV_HEADER.split(",")
+    unchecked = 0
+    for summary, row in zip(summaries, rows, strict=True):
+        counts = dict(zip(columns, row.split(",")))
+        assert summary.startswith(f"p={float(counts['p']):g} {counts['strategy']}: ")
+        classes = " ".join(f"{name}={counts[name]}" for name in sim.OUTCOME_CLASSES)
+        assert summary.endswith(f"({classes})")
+        unchecked += int(counts["unchecked"])
+    assert unchecked > 0
+
+
 def test_trace_standard_stdout():
     runner = CliRunner()
     result = runner.invoke(
@@ -195,6 +222,33 @@ def test_trace_bad_pins_are_usage_errors(args, message):
     assert result.exit_code == 2, result.output
     assert message in result.output
     assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize(
+    "strategy, args, message",
+    [
+        ("pc08", ["--seed", "-1"], "seed must be nonnegative"),
+        # standard BP draws nothing, but its seed is checked all the same
+        ("standard", ["--seed", "-1"], "seed must be nonnegative"),
+        ("pc08", ["--max-iter", "0"], "max_iter must be at least 1"),
+        ("pc08", ["--p", "2"], "crossover probability 2.0 not in [0, 1]"),
+        ("pc08", ["--n-a", "-3"], "n_a must be nonnegative"),
+        ("pc08", ["--delta", "-1"], "delta must be nonnegative and finite"),
+    ],
+    ids=["seed", "standard-seed", "max-iter", "p", "n-a", "delta"],
+)
+def test_simulate_and_trace_share_each_option_rule(tmp_path, strategy, args, message):
+    # both commands build one ExperimentSpec, so a shared option is refused
+    # by one rule with one message
+    errors = []
+    for command in (["simulate", "--blocks", "2", "--out", str(tmp_path / "out.csv")],
+                    ["trace", "--error", "IIZX"]):
+        result = CliRunner().invoke(main, command + ["--strategy", strategy] + args)
+        assert result.exit_code == 2, result.output
+        assert "Traceback" not in result.output
+        errors.append(result.output.splitlines()[-1])
+    assert errors[0] == errors[1] == f"Error: {message}"
+    assert not (tmp_path / "out.csv").exists()
 
 
 @pytest.mark.parametrize("syndrome_text", ["-++", "-++++"])
@@ -303,6 +357,11 @@ def test_build_code_ea_reproduces_4_1_1(tmp_path):
          "the strategies are standard, pc08 and enhanced"),
         (["trace", "--strategy", "Standard", "--error", "IIZX"], {},
          "the strategies are standard, pc08 and enhanced"),
+        # a trace decodes one (p, strategy) cell of the spec it builds
+        (["trace", "--p", "0.1,0.2", "--error", "IIZX"], {},
+         "a trace runs one p and one strategy"),
+        (["trace", "--strategy", "pc08,enhanced", "--error", "IIZX"], {},
+         "a trace runs one p and one strategy"),
         # these used to decode every block, then end in a FileNotFoundError
         (["simulate", "--code", "4_1_1", "--out", "nodir/r.csv"], {},
          "--out nodir/r.csv: no directory nodir"),
@@ -323,7 +382,7 @@ def test_build_code_ea_reproduces_4_1_1(tmp_path):
          "trace-check-out-of-range", "trace-qubit-not-on-check", "trace-qubit-alone",
          "trace-pin-under-standard", "malformed-alist", "code-is-directory",
          "trace-code-is-directory", "trace-error-length", "simulate-strategy-name",
-         "trace-strategy-name", "out-dir-missing", "jsonl-dir-missing",
+         "trace-strategy-name", "trace-two-p", "trace-two-strategies", "out-dir-missing", "jsonl-dir-missing",
          "config-out-dir-missing", "trace-out-dir-missing", "trace-out-is-directory",
          "config-names-config"],
 )

@@ -3,7 +3,8 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -183,6 +184,19 @@ def test_csv_format(code411):
     assert lines[1].startswith("0.0,standard,20,")
 
 
+def test_csv_header_has_a_column_per_stats_field():
+    # a row is StrategyStats' fields in order, so the header names each one,
+    # and its class columns are OUTCOME_CLASSES in order (unchecked was once
+    # left out of a row written field by field)
+    columns, names = CSV_HEADER.split(","), [f.name for f in fields(sim.StrategyStats)]
+    assert [column.lower() for column in columns] == names
+    first = names.index(sim.OUTCOME_CLASSES[0])
+    assert tuple(columns[first : first + len(sim.OUTCOME_CLASSES)]) == sim.OUTCOME_CLASSES
+    # floats print as their repr, a numpy-integer seed as its digits
+    stats = sim.StrategyStats(0.1, "pc08", 3, 1, 1 / 3, 0.0, 0.9, 2.5, 2, 0, 0, 1, 0, np.int64(7))
+    assert stats.csv_row() == "0.1,pc08,3,1,0.3333333333333333,0.0,0.9,2.5,2,0,0,1,0,7"
+
+
 def test_determinism_serial_vs_parallel(code411):
     row = np.zeros(7, dtype=np.uint8)
     row[[0, 1, 3]] = 1
@@ -351,7 +365,8 @@ def test_spec_rejects_duplicate_cells(code411):
 
 
 def test_trace_run_standard(code411):
-    rows, outcome = trace_run(code411, 0.1, error="IIZX", max_iter=15)
+    spec = ExperimentSpec(code=code411, p_values=(0.1,), max_iter=15, inject="IIZX")
+    rows, outcome = trace_run(spec)
     assert not outcome.converged
     assert len(rows) == 15 * 4
     iteration, qubit, beliefs = rows[0]
@@ -361,10 +376,11 @@ def test_trace_run_standard(code411):
 
 
 def test_trace_run_pinned_round(code411):
-    rows, outcome = trace_run(
-        code411, 0.1, error="IIZX", strategy="enhanced", check=1, qubit=3,
-        max_iter=88, t_pert=40,
+    spec = ExperimentSpec(
+        code=code411, p_values=(0.1,), strategies=("enhanced",), max_iter=88, t_pert=40,
+        inject="IIZX",
     )
+    rows, outcome = trace_run(spec, check=1, qubit=3)
     assert outcome.converged
     assert outcome.error_pauli == "IIZX"
     assert outcome.iterations == 88 + 3
@@ -373,16 +389,29 @@ def test_trace_run_pinned_round(code411):
 
 
 def test_trace_run_validates_arguments(code411):
+    cell = partial(ExperimentSpec, code=code411, p_values=(0.1,))
     with pytest.raises(ValueError):
-        trace_run(code411, 0.1)
+        trace_run(cell())
     with pytest.raises(ValueError):
-        trace_run(code411, 0.1, error="IIZX", target=[1, 1, 1, 1])
+        trace_run(cell(inject="IIZX"), target=[1, 1, 1, 1])
     with pytest.raises(ValueError):
-        trace_run(code411, 0.1, error="IIZX", strategy="enhanced", check=1)
+        trace_run(cell(strategies=("enhanced",), inject="IIZX"), check=1)
     # a syndrome entry of 1.5 used to be cast to +1 before decode saw it
     for strategy, pin in (("standard", {}), ("enhanced", {}), ("pc08", {"check": 1, "qubit": 3})):
         with pytest.raises(ValueError, match=r"syndrome entries must be \+1 or -1"):
-            trace_run(code411, 0.1, target=[-1, 1.5, 1, 1], strategy=strategy, **pin)
+            trace_run(cell(strategies=(strategy,)), target=[-1, 1.5, 1, 1], **pin)
+
+
+@pytest.mark.parametrize(
+    "cells",
+    [{"p_values": (0.1, 0.2)}, {"p_values": (0.1,), "strategies": ("pc08", "enhanced")}],
+    ids=["two-p", "two-strategies"],
+)
+def test_trace_run_takes_one_cell(code411, cells):
+    # a trace decodes one instance: a spec of several cells is refused, not
+    # cut down to its first
+    with pytest.raises(ValueError, match="a trace runs one p and one strategy"):
+        trace_run(ExperimentSpec(code=code411, inject="IIZX", **cells))
 
 
 @pytest.fixture(scope="module")
@@ -951,7 +980,9 @@ def test_shared_first_runs_are_read_only(code411):
 
 
 STARTUP_SCRIPT = """
+import io
 import sys
+from contextlib import redirect_stdout
 from dataclasses import replace
 
 import gf4bp
@@ -961,6 +992,11 @@ code_path, out_dir = sys.argv[1:3]
 gf4bp.TannerGraph(gf4bp.load_code(code_path))
 main(["build-code", "construction-b", "--first-row", "110", "--out", f"{out_dir}/b.stab"],
      standalone_mode=False)
+helps = []
+for command in ("simulate", "trace"):
+    with redirect_stdout(io.StringIO()) as text:
+        status = main([command, "--help"], standalone_mode=False)
+    helps.append(status == 0 and "--t-pert" in text.getvalue())
 machinery = ("concurrent.futures", "multiprocessing", "json")
 layers = ("gf4bp.sim", "gf4bp.feedback", "gf4bp.channel", "numpy.random")
 print(" ".join(name for name in machinery + layers if name in sys.modules))
@@ -981,13 +1017,16 @@ for workers in (1, 2):
     with open(path, "rb") as handle:
         runs.append((stats, blocks, handle.read()))
 print(runs[0] == runs[1], len(runs[0][2]) > 0, isinstance(gf4bp.sim.ProcessPoolExecutor, type))
+print(*helps)
 """
 
 
 def test_startup_loads_no_pool_or_json(code62, tmp_path):
     # In a fresh interpreter, set-up (import, load a stabilizer file, build its
-    # graph) and `gf4bp build-code` leave the pool and JSON machinery, the
-    # channel, feedback and sim layers and numpy.random unloaded.  Every
+    # graph), `gf4bp build-code` and `simulate --help` and `trace --help`
+    # leave the pool and JSON machinery, the channel, feedback and sim layers
+    # and numpy.random unloaded, so the options the two commands share are
+    # declared without sim.  Every
     # exported name then resolves on first use, an unknown one raises
     # AttributeError, and a pooled run with a JSONL log loads the machinery on
     # first use and equals the serial run.
@@ -999,12 +1038,13 @@ def test_startup_loads_no_pool_or_json(code62, tmp_path):
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert done.returncode == 0, done.stderr
-    built, loaded, lazy, unknown, compared = done.stdout.split("\n")[:5]
+    built, loaded, lazy, unknown, compared, helps = done.stdout.split("\n")[:6]
     assert built.startswith(f"wrote {tmp_path}/b.stab: [[6,")
     assert loaded == ""
     assert lazy == f"gf4bp.sim True {len(gf4bp.__all__)}"
     assert unknown == "module 'gf4bp' has no attribute 'NoSuchAttribute'"
     assert compared == "True True True"
+    assert helps == "True True"
     assert not hasattr(sim, "NoSuchAttribute")
 
 
