@@ -4,10 +4,11 @@ Every draw is a pure function of its key, so per-block draws do not depend
 on how blocks are scheduled across workers.  substream(seed, *key) is a
 numpy Generator, for the feedback draws; substream_uniforms is the block
 error stream, a counter hash of (seed, domain, block, symbol) computed for a
-whole batch in uint64 array ops (after SplitMix64 and Salmon et al.'s
-counter-based generators), with keys hashed by a vectorised copy of numpy's
-SeedSequence (after O'Neill's seed_seq).  sample_error turns such uniforms,
-one row per block, into errors.
+whole batch in uint64 array ops (keyed_uniforms, after SplitMix64 and Salmon
+et al.'s counter-based generators) from keys hashed by a vectorised copy of
+numpy's SeedSequence (substream_keys, after O'Neill's seed_seq), which is
+cheaper per key in bigger calls: the harness hashes a window's keys at once.
+sample_error turns such uniforms, one row per block, into errors.
 """
 
 from dataclasses import dataclass
@@ -129,20 +130,9 @@ def _seed_words(entropy: list) -> list:
     return state
 
 
-def substream_uniforms(master_seed: int, domain: int, blocks, n: int) -> np.ndarray:
-    """(len(blocks), n) uniforms; row i is the stream of the key
-    (master_seed, domain, blocks[i]), whatever the other blocks.
-
-    A key's four SeedSequence(master_seed, spawn_key=(domain, block)) state
-    words, paired little-endian, give a start s and an odd increment
-    g = w | 1; uniform j is SplitMix64's finalizer of s + (j + 1) * g modulo
-    2**64, its top 53 bits times 2**-53.  The finalizer is a bijection, so
-    two keys share an output only where they share a counter.  Keys with
-    different increments share isolated counters at the rate of independent
-    64-bit draws, about (K * n)**2 / 2**65 over K keys; a shared run of two
-    or more needs equal increments and starts within n increments of each
-    other, probability below K**2 * n / 2**127.
-    """
+def substream_keys(master_seed: int, domain: int, blocks) -> np.ndarray:
+    """(len(blocks), 2) uint64 keys (s, g) of substream_uniforms' rows; a
+    row depends on its block alone, so a window's keys serve any batch of it."""
     check_integer("seed", master_seed)
     blocks = np.asarray(blocks, dtype=np.uint64).ravel()
     # SeedSequence pads the run entropy to the pool size before a spawn key
@@ -150,19 +140,42 @@ def substream_uniforms(master_seed: int, domain: int, blocks, n: int) -> np.ndar
     run += [0] * (_POOL_SIZE - len(run)) + _uint32_words(domain)
     low, high = blocks & np.uint64(_MASK32), blocks >> np.uint64(32)
     wide = high > 0  # a block of 2**32 or more is two words
-    start, step = np.empty((2, blocks.size), dtype=np.uint64)
+    keys = np.empty((blocks.size, 2), dtype=np.uint64)
     for rows, block_words in ((~wide, [low]), (wide, [low, high])):
         if rows.any():
             words = _seed_words(run + [w[rows] for w in block_words])
-            start[rows] = words[0] | words[1] << np.uint64(32)
-            step[rows] = words[2] | words[3] << np.uint64(32) | np.uint64(1)
+            keys[rows, 0] = words[0] | words[1] << np.uint64(32)
+            keys[rows, 1] = words[2] | words[3] << np.uint64(32) | np.uint64(1)
+    return keys
+
+
+def keyed_uniforms(keys: np.ndarray, n: int) -> np.ndarray:
+    """(len(keys), n) uniforms of substream_keys rows, by their counter hash."""
     # counters s + (j + 1) * g, then SplitMix64's finalizer (Steele, Lea &
     # Flood, OOPSLA 2014), in place; uint64 products wrap modulo 2**64
-    x = np.multiply.outer(step, np.arange(1, n + 1, dtype=np.uint64))
-    x += start[:, None]
+    x = np.multiply.outer(keys[:, 1], np.arange(1, n + 1, dtype=np.uint64))
+    x += keys[:, :1]
     x ^= x >> np.uint64(30)
     x *= np.uint64(0xBF58476D1CE4E5B9)
     x ^= x >> np.uint64(27)
     x *= np.uint64(0x94D049BB133111EB)
     x ^= x >> np.uint64(31)
     return (x >> np.uint64(11)) * 2.0**-53
+
+
+def substream_uniforms(master_seed: int, domain: int, blocks, n: int) -> np.ndarray:
+    """(len(blocks), n) uniforms; row i is the stream of the key
+    (master_seed, domain, blocks[i]), whatever the other blocks.
+
+    A key's four SeedSequence(master_seed, spawn_key=(domain, block)) state
+    words, paired little-endian, give a start s and an odd increment
+    g = w | 1 (substream_keys); uniform j is SplitMix64's finalizer of
+    s + (j + 1) * g modulo 2**64, its top 53 bits times 2**-53
+    (keyed_uniforms).  The finalizer is a bijection, so two keys share an
+    output only where they share a counter.  Keys with different increments
+    share isolated counters at the rate of independent 64-bit draws, about
+    (K * n)**2 / 2**65 over K keys; a shared run of two or more needs equal
+    increments and starts within n increments of each other, probability
+    below K**2 * n / 2**127.
+    """
+    return keyed_uniforms(substream_keys(master_seed, domain, blocks), n)

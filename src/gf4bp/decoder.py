@@ -272,8 +272,7 @@ def _check_messages(graph: TannerGraph, v) -> None:
     np.tanh(th, out=th)
     _run(np.multiply, v.check_products)  # cpref[0] holds s_c
     np.multiply(v.cpref_excl, v.csuf, out=th)
-    np.minimum(th, v.th_max, out=th)  # the values next to +1 and -1
-    np.maximum(th, -v.th_max, out=th)
+    th.clip(-v.th_max, v.th_max, out=th)  # the values next to -1 and +1
     np.arctanh(th, out=v.gamma_cells)
 
 

@@ -5,18 +5,21 @@ Blocks are independent work items.  The error of block i is drawn from the
 stream of the key (seed, channel-domain, i) only, so all strategies and all
 p values of one experiment face the same underlying randomness and results
 are identical no matter how many workers execute the blocks.  A work item is
-a range of blocks at every p value, one per worker.  Its blocks are drawn
-BATCH_BLOCKS at a time: one row of uniforms per block, one counter hash over
-the batch (substream_uniforms) shared by every p, then per p the errors,
-syndromes and error strings as arrays.  Each block's
-standard BP run is computed once and shared by every strategy, since pc08
-and enhanced feedback start from that same run, and blocks with the same
-syndrome at a p share that run too: a work item decodes each (p, syndrome)
-once.  The first iteration of new syndromes runs in bulk, a lane width of
-them at a time, and a first run it does not end continues from it in a
-lane of one float32 lane kernel, as does every feedback restart; jobs finish
-out of order and results are put back in spec order, so outputs do not
-depend on the lane width, the batch size or the worker count.
+a range of blocks at every p value, one per worker.  Its keys are hashed a
+window of batches at a time (substream_keys), and its blocks drawn
+BATCH_BLOCKS at a time: one counter hash over the batch (keyed_uniforms)
+shared by every p, then per p the errors, syndromes as parity words and
+error strings as arrays.  Each block's standard BP run is computed once and
+shared by every strategy, since pc08 and enhanced feedback start from that
+same run, and blocks with the same syndrome at a p share that run too: a
+work item decodes each (p, syndrome) once, and the quiet blocks (the all +1
+syndrome) are found by one array op.  The first iteration of new syndromes
+runs in bulk, a lane width of them at a time, and the runs it ends are
+written a batch at a time; a first run it does not end continues from it in
+a lane of one float32 lane kernel, as does every feedback restart; jobs
+finish out of order and results are put back in spec order, so outputs do
+not depend on the lane width, the batch size, the key window or the worker
+count.
 
 A work item's results are arrays, not objects: per (p, strategy, block) a
 record (RECORD) of a uint8 class code, the iterations, the converged flag
@@ -37,29 +40,12 @@ from itertools import chain, product, repeat, starmap
 import numpy as np
 
 from . import gf4
-from .channel import (
-    DepolarizingChannel,
-    priors as channel_priors,
-    sample_error,
-    substream,
-    substream_uniforms,
-)
-from .decoder import (
-    decode,
-    idle_lanes,
-    lane_width,
-    log_priors,
-    tanner_graph,
-)
-from .feedback import (
-    FeedbackConfig,
-    check_slot,
-    feedback_decode,
-    feedback_round,
-    feedback_rounds,
-)
+from .channel import DepolarizingChannel, keyed_uniforms, sample_error, substream, substream_keys
+from .channel import priors as channel_priors
+from .decoder import decode, idle_lanes, lane_width, log_priors, tanner_graph
+from .feedback import FeedbackConfig, check_slot, feedback_decode, feedback_round, feedback_rounds
 from .formats import load_code
-from .stabilizer import check_integer, group_membership, syndrome
+from .stabilizer import check_integer, group_membership, syndrome, syndrome_signs, syndrome_words
 
 CSV_HEADER = (
     "p,strategy,n_blocks,errors_strict,BER,BER_lo,BER_hi,ANoI,"
@@ -174,6 +160,9 @@ def wilson_interval(errors: int, n: int, z: float = 1.959963984540054):
 #: New blocks are sampled, checked and stringified this many at a time.
 BATCH_BLOCKS = 256
 
+#: Block keys are hashed this many batches at a time; bigger calls cost less per key.
+KEY_BATCHES = 16
+
 #: Above this many qubits (sent plus ebits) inexact converged outputs are 'unchecked'.
 DEGENERACY_LIMIT = 10_000
 
@@ -189,15 +178,15 @@ class _Batch:
     p_index: int
     blocks: range
     errors: np.ndarray  # (B, n_total)
-    targets: np.ndarray  # (B, n_checks) syndromes
     text: str  # the errors on the sent qubits as Pauli strings, back to back
 
 
 @dataclass(eq=False)
 class _FirstRun:
-    """The first run on one syndrome at one p: the batch rows that wait for
-    it, then its read-only outcome, which later rows are reported against."""
+    """The first run on one syndrome at one p: its target, the rows that wait
+    for it, then its read-only outcome, which later rows are reported against."""
 
+    target: np.ndarray  # (n_checks,) +1/-1, shared by the syndrome's rows
     waiting: list  # (batch, rows), until the run is decoded
     outcome: object = None  # the DecodeOutcome, once decoded
 
@@ -206,29 +195,26 @@ class _Chunk:
     """A pool task: a contiguous range of blocks at every p under every
     strategy, decoded as jobs on the process's idle Lanes kernel.
 
-    New blocks are drawn BATCH_BLOCKS at a time: their uniforms once for
-    every p, then per p their errors, syndromes and error strings as
-    arrays.  A first run depends only on the graph, the priors, the target
-    and max_iter, so each syndrome at each p is decoded once: its first
-    block's syndrome waits in fresh for iteration 1 in bulk
-    (Lanes.first_iteration), a lane width of syndromes at a time, and the
-    blocks that share it wait in its _FirstRun, which then keeps the
-    read-only outcome (per p, keyed by the packed syndrome) for the rest of
-    the task, so later blocks with that syndrome are reported at once.
-    Results go into a (p, strategy, block - block_lo) RECORD array, class
-    _UNDECODED until written, e_out an index into the task's table of
-    distinct e_outs; each batch's error strings are kept per p in block
-    order.  Every other BP run waits in one queue of Lanes.load arguments:
-    feedback restarts (job, log-priors, target, t_pert) on its front, and
-    on its back the first runs that iteration 1 did not end, with the
-    resume state it gave them.  A job is the call that takes its run's
-    outcome: first_run_done for a first run, advance for a restart.
-    Each block's first run is shared by its strategies: standard BP (no
-    config) reports it, and so does each feedback strategy if it converged;
-    otherwise a feedback_rounds generator per strategy continues from it,
-    drawing from the block's own substream, and advance() sends it each
-    restart's outcome; the block's error, error string and index are read
-    from its batch row when the run ends.  write(), the harness's one
+    New blocks come in batches with their keys' rows (_batches), and per p
+    their syndrome words group them: the quiet rows (zero words) are one
+    group, the loud rows one per words, and only their targets are
+    unpacked.  A new syndrome's _FirstRun waits in fresh for iteration 1 in
+    bulk (Lanes.first_iteration), a lane width of syndromes at a time, with
+    the rows that share it; it then keeps the read-only outcome (per p,
+    keyed by the words) for the rest of the task, so later rows with that
+    syndrome are reported at once.  Results go into a (p, strategy,
+    block - block_lo) RECORD array, class _UNDECODED until written, e_out an
+    index into the task's table of distinct e_outs; each batch's error
+    strings are kept per p in block order.  Every other BP run waits in one
+    queue of Lanes.load arguments: feedback restarts (job, log-priors,
+    target, t_pert) on its front, and on its back the first runs that
+    iteration 1 did not end, with the resume state it gave them.  A job is
+    the call that takes its run's outcome: first_run_done for a first run,
+    advance for a restart.  A first run is shared by its rows' strategies:
+    standard BP (no config) reports it, and so does each feedback strategy
+    if it converged; otherwise a feedback_rounds generator per strategy and
+    row continues from it, drawing from the block's own substream, and
+    advance() sends it each restart's outcome.  write(), the harness's one
     outcome classifier, writes every result's record.
     """
 
@@ -242,12 +228,11 @@ class _Chunk:
         self.lane_priors = [log_priors(pri, LANE_REAL) for pri in self.priors]
         for lp in self.lane_priors:  # G0, while the kernel is idle
             lanes.first_messages(lp)
-        self.fresh = [[] for _ in spec.p_values]  # per p: (_FirstRun, target) of new syndromes
-        self.batches = (
-            range(lo, min(lo + BATCH_BLOCKS, block_hi))
-            for lo in range(block_lo, block_hi, BATCH_BLOCKS)
-        )
-        self.first_runs = [{} for _ in spec.p_values]  # per p: syndrome -> _FirstRun
+        zero = syndrome_words(code, np.zeros(code.n_total, dtype=np.uint8))
+        self.quiet = zero.tobytes(), syndrome_signs(code, zero)  # key and target
+        self.fresh = [[] for _ in spec.p_values]  # per p: _FirstRuns of new syndromes
+        self.batches = self._batches(block_lo, block_hi)
+        self.first_runs = [{} for _ in spec.p_values]  # per p: syndrome words -> _FirstRun
         self.queue = deque()  # Lanes.load arguments waiting for a lane
         self.block_lo = block_lo
         self.texts = [[] for _ in spec.p_values]  # per p: the batches' error strings
@@ -255,6 +240,19 @@ class _Chunk:
         shape = (len(spec.p_values), len(spec.strategies), block_hi - block_lo)
         self.records = np.zeros(shape, RECORD)
         self.records["klass"] = _UNDECODED
+
+    def _batches(self, block_lo, block_hi):
+        """The task's batches, (blocks, their substream_keys rows or None
+        under an injected error), with keys hashed a window at a time."""
+        window, spec = KEY_BATCHES * BATCH_BLOCKS, self.spec
+        for lo in range(block_lo, block_hi, window):
+            hi = min(lo + window, block_hi)
+            keys = None if spec.injected is not None else substream_keys(
+                spec.seed, _STREAM_CHANNEL, np.arange(lo, hi, dtype=np.uint64)
+            )
+            for first in range(lo, hi, BATCH_BLOCKS):
+                blocks = range(first, min(first + BATCH_BLOCKS, hi))
+                yield blocks, keys if keys is None else keys[first - lo : blocks.stop - lo]
 
     def run(self) -> tuple:
         """Decode every block; (per p the error strings joined in block order,
@@ -276,9 +274,9 @@ class _Chunk:
         when none is left."""
         while not self.queue:
             waiting = sum(map(len, self.fresh))
-            blocks = next(self.batches, None) if waiting < self.lanes.width else None
-            if blocks is not None:
-                self.sample(blocks)
+            batch = next(self.batches, None) if waiting < self.lanes.width else None
+            if batch is not None:
+                self.sample(*batch)
             elif waiting:
                 self.first_iterations()
             else:
@@ -286,36 +284,34 @@ class _Chunk:
         self.lanes.load(*self.queue.popleft())
         return True
 
-    def sample(self, blocks: range) -> None:
+    def sample(self, blocks: range, keys) -> None:
         """Draw a batch of blocks at every p; report the rows whose syndrome
         is decoded, and keep each new syndrome for its first iteration."""
-        code, n_sent, inject = self.code, self.code.n_sent, self.spec.injected
-        uniforms = None
-        if inject is None:
-            uniforms = substream_uniforms(self.spec.seed, _STREAM_CHANNEL, blocks, n_sent)
+        code, n_sent = self.code, self.code.n_sent
+        uniforms = None if keys is None else keyed_uniforms(keys, n_sent)
         for p_index, channel in enumerate(self.spec.channels):
             if uniforms is None:
-                errors = np.tile(inject, (len(blocks), 1))
+                errors = np.tile(self.spec.injected, (len(blocks), 1))
             else:
                 errors = sample_error(n_sent, channel, uniforms, n_ebits=code.n_ebits)
-            targets = syndrome(code, errors)
-            batch = _Batch(
-                p_index, blocks, errors, targets,
-                gf4.values_to_pauli(errors[:, :n_sent]),
-            )
+            batch = _Batch(p_index, blocks, errors, gf4.values_to_pauli(errors[:, :n_sent]))
             self.texts[p_index].append(batch.text)
-            packed = np.packbits(targets < 0, axis=1)
-            groups = {}  # packed syndrome -> its rows
-            for row, key in enumerate(
-                packed.view(np.dtype((np.void, packed.shape[1]))).ravel().tolist()
-            ):
-                groups.setdefault(key, []).append(row)
+            words = syndrome_words(code, errors)
+            loud = words.any(axis=1)
+            groups = {}  # syndrome words -> (target, rows)
+            if not loud.all():
+                groups[self.quiet[0]] = self.quiet[1], np.flatnonzero(~loud)
+            loud = np.flatnonzero(loud)
+            words = words[loud]
+            keys = words.view(np.dtype((np.void, words.shape[1] * 8))).ravel().tolist()
+            for row, key, target in zip(loud.tolist(), keys, syndrome_signs(code, words)):
+                groups.setdefault(key, (target, []))[1].append(row)
             known = self.first_runs[p_index]
-            for key, rows in groups.items():
+            for key, (target, rows) in groups.items():
                 entry = known.get(key)
                 if entry is None:
-                    known[key] = entry = _FirstRun([])
-                    self.fresh[p_index].append((entry, targets[rows[0]]))
+                    known[key] = entry = _FirstRun(target, [])
+                    self.fresh[p_index].append(entry)
                 if entry.outcome is None:
                     entry.waiting.append((batch, rows))
                 else:
@@ -323,89 +319,115 @@ class _Chunk:
 
     def first_iterations(self) -> None:
         """Iteration 1 of up to a lane width of new syndromes' first runs at
-        the first p that has any (Lanes.first_iteration); each run it does
-        not end is queued to resume from it (so one width of resume states
-        at a time)."""
+        the first p that has any (Lanes.first_iteration): it settles the runs
+        it ends and queues each other one to resume from it."""
         p_index = next(i for i, fresh in enumerate(self.fresh) if fresh)
         fresh, max_iter, lp = self.fresh[p_index], self.spec.max_iter, self.lane_priors[p_index]
-        entries, targets = zip(*fresh[: self.lanes.width])
+        entries = fresh[: self.lanes.width]
         del fresh[: self.lanes.width]
-        finished, resumes = self.lanes.first_iteration(lp, np.array(targets), max_iter)
-        for row, outcome in finished:
-            self.first_run_done(entries[row], outcome)
+        targets = np.array([entry.target for entry in entries])
+        finished, resumes = self.lanes.first_iteration(lp, targets, max_iter)
+        if finished:
+            self.settle([(entries[row], outcome) for row, outcome in finished])
         for row, state in resumes:
             job = partial(self.first_run_done, entries[row])
-            self.queue.append((job, lp, targets[row], max_iter, state))
+            self.queue.append((job, lp, entries[row].target, max_iter, state))
 
     def first_run_done(self, entry: _FirstRun, outcome) -> None:
-        """Keep a syndrome's first run and report the rows waiting for it."""
-        outcome.error.setflags(write=False)  # shared by every block of the key
-        outcome.frustrated.setflags(write=False)
-        entry.outcome = outcome
-        for batch, rows in entry.waiting:
-            self.report(batch, rows, entry)
-        entry.waiting.clear()  # its batches need not outlive their results
+        """Settle the first run that a lane ended."""
+        self.settle([(entry, outcome)])
 
-    def report(self, batch: _Batch, rows: list, first_run: _FirstRun) -> None:
+    def settle(self, runs: list) -> None:
+        """Keep first runs, (entry, outcome) pairs, read-only (their rows share
+        them), and report the rows waiting for them: a converged run's under
+        every strategy, one write per batch, e_outs cut from one Pauli string."""
+        n, by_batch = self.code.n_sent, {}  # batch -> (rows, outcomes, which)
+        text = gf4.values_to_pauli(np.stack([outcome.error for _, outcome in runs]))
+        for i, (entry, outcome) in enumerate(runs):
+            outcome.error_pauli = text[i * n : (i + 1) * n]
+            outcome.error.setflags(write=False)
+            outcome.frustrated.setflags(write=False)
+            entry.outcome = outcome
+            for batch, rows in entry.waiting:
+                if not outcome.converged:
+                    self.report(batch, rows, entry)
+                    continue
+                batch_rows, outcomes, which = by_batch.setdefault(batch, ([], [], []))
+                batch_rows.extend(rows)
+                which.extend([len(outcomes)] * len(rows))
+                outcomes.append(outcome)
+            entry.waiting.clear()  # its batches need not outlive their results
+        everyone = list(range(len(self.spec.strategies)))
+        for batch, (rows, outcomes, which) in by_batch.items():
+            self.write(batch, rows, everyone, outcomes, which)
+
+    def report(self, batch: _Batch, rows, first_run: _FirstRun) -> None:
         """Report a first run for a batch's rows under standard BP, and under
         the feedback strategies if it converged; else start their runs."""
         spec, outcome, p_index = self.spec, first_run.outcome, batch.p_index
         converged = outcome.converged
         shared = [i for i, config in enumerate(spec.configs) if config is None or converged]
-        self.write(batch, rows, shared, outcome)
+        self.write(batch, rows, shared, [outcome])
         first = batch.blocks.start
         for strategy_index, config in enumerate(spec.configs):
             if config is None or converged:
                 continue
-            for row in rows:
-                rng = substream(
-                    spec.seed, _STREAM_DECODER, strategy_index, p_index, first + row
-                )
+            for row in map(int, rows):
+                rng = substream(spec.seed, _STREAM_DECODER, strategy_index, p_index, first + row)
                 run = feedback_rounds(
-                    self.graph, batch.targets[row], self.priors[p_index], config, outcome, rng
+                    self.graph, first_run.target, self.priors[p_index], config, outcome, rng
                 )
-                self.advance(batch, row, strategy_index, run)
+                self.advance(batch, row, strategy_index, first_run.target, run)
 
-    def advance(self, batch: _Batch, row: int, strategy_index: int, run, outcome=None):
+    def advance(self, batch: _Batch, row: int, strategy_index: int, target, run, outcome=None):
         """Send the run its last restart's outcome (None to start it) and
         queue its next restart, or report the batch's row once it is over."""
         try:
             adjusted = run.send(outcome)
         except StopIteration as done:
-            self.write(batch, [row], [strategy_index], done.value[0])
+            self.write(batch, [row], [strategy_index], [done.value[0]])
             return
-        job = partial(self.advance, batch, row, strategy_index, run)
+        job = partial(self.advance, batch, row, strategy_index, target, run)
         t_pert = self.spec.configs[strategy_index].t_pert
-        self.queue.appendleft((job, log_priors(adjusted, LANE_REAL), batch.targets[row], t_pert))
+        self.queue.appendleft((job, log_priors(adjusted, LANE_REAL), target, t_pert))
 
-    def write(self, batch: _Batch, rows: list, strategy_indices: list, outcome):
-        """Classify a batch's rows against a run's outcome and write their
-        records under the given strategies.  The rows' errors have identity
-        ebit columns, so a row is exact when its error string is the
-        outcome's, e_out, or, for many rows at once, its sent qubits are the
-        outcome's error.  A converged run's other rows are degenerate if
-        their error and e_out differ by a stabilizer element, else
-        nonequivalent, or unchecked above DEGENERACY_LIMIT qubits."""
-        code, n = self.code, self.code.n_sent
-        e_out = outcome.error_pauli
-        inexact = []  # positions in rows
-        if outcome.converged and len(rows) == 1:
-            inexact = [0] if batch.text[rows[0] * n : (rows[0] + 1) * n] != e_out else []
-        elif outcome.converged:
-            inexact = np.flatnonzero((batch.errors[rows, :n] != outcome.error).any(axis=1))
-        klass = OUTCOME_CLASSES.index("exact" if outcome.converged else "detected")
-        index = self.e_outs.setdefault(e_out, len(self.e_outs))
+    def write(self, batch: _Batch, rows, strategy_indices: list, outcomes: list, which=None):
+        """Classify a batch's rows against runs' outcomes and write their
+        records under the given strategies: rows[i] against
+        outcomes[which[i]], or against outcomes[0] without which.  The rows'
+        errors have identity ebit columns, so a row is exact when its error
+        string is its outcome's, e_out.  A converged run's other rows are
+        degenerate if their error and e_out differ by a stabilizer element,
+        else nonequivalent, or unchecked above DEGENERACY_LIMIT qubits."""
+        code, n, e_outs = self.code, self.code.n_sent, self.e_outs
         offset = batch.blocks.start - self.block_lo  # of the batch's first block
-        blocks = rows[0] + offset if len(rows) == 1 else np.add(rows, offset)
         cells = self.records[batch.p_index]
-        for strategy_index in strategy_indices:
-            cells[strategy_index, blocks] = (klass, outcome.iterations, outcome.converged, index)
+        fields = [
+            (OUTCOME_CLASSES.index("exact" if o.converged else "detected"), o.iterations,
+             o.converged, e_outs.setdefault(o.error_pauli, len(e_outs)))
+            for o in outcomes
+        ]
+        if len(rows) == 1:
+            (row,), (outcome,), which = rows, outcomes, [0]  # each outcome is some row's
+            for strategy_index in strategy_indices:
+                cells[strategy_index, row + offset] = fields[0]
+            error = batch.text[row * n : (row + 1) * n]
+            inexact = [0] if outcome.converged and error != outcome.error_pauli else []
+        else:
+            rows = np.asarray(rows)
+            which = np.zeros(len(rows), dtype=np.intp) if which is None else np.asarray(which)
+            table, record = np.array(fields, RECORD), np.dtype((np.void, RECORD.itemsize))
+            cells.view(record)[np.ix_(strategy_indices, rows + offset)] = table.view(record)[which]
+            texts = np.frombuffer(batch.text.encode(), f"S{n}")[rows]  # Paulis have no NUL
+            outs = np.array([outcome.error_pauli for outcome in outcomes], f"S{n}")[which]
+            inexact = np.flatnonzero(table["converged"][which] & (texts != outs))
         for i in inexact:
+            outcome, row = outcomes[which[i]], rows[i]
             other = "unchecked"
             if self.check_membership:
-                diff = np.bitwise_xor(code.embed_sent(outcome.error), batch.errors[rows[i]])
+                diff = np.bitwise_xor(code.embed_sent(outcome.error), batch.errors[row])
                 other = "degenerate" if group_membership(diff, code) else "nonequivalent"
-            cells["klass"][strategy_indices, rows[i] + offset] = OUTCOME_CLASSES.index(other)
+            cells["klass"][strategy_indices, row + offset] = OUTCOME_CLASSES.index(other)
 
 
 def _run_blocks(args):

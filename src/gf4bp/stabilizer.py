@@ -208,21 +208,27 @@ class StabilizerCode:
 
 def syndrome(code: StabilizerCode, error) -> np.ndarray:
     """Syndrome of an error: entry c is +1 iff generator c commutes with it.
-
     A (B, n_total) array of errors gives the (B, n_checks) syndromes of its
-    rows.  Each error's parities are the XOR of the packed anticommutation
-    columns of its nonzero symbols.
-    """
+    rows."""
+    return syndrome_signs(code, syndrome_words(code, error))
+
+
+def syndrome_words(code: StabilizerCode, error) -> np.ndarray:
+    """An error's syndrome packed as _parity_words: bit c % 64 of uint64 word
+    c // 64 is set iff check c reads -1, so the all +1 syndrome is all zero.
+    Each error's parities are the XOR of the packed anticommutation columns
+    of its nonzero symbols."""
     values = as_values(error)
     if values.ndim not in (1, 2) or values.shape[-1] != code.n_total:
-        raise ValueError(
-            f"error shape {values.shape} does not match {code.n_total} columns"
-        )
+        raise ValueError(f"error shape {values.shape} does not match {code.n_total} columns")
     words = _parity_words(code, values.reshape(-1, code.n_total))
-    bits = np.unpackbits(
-        words.view(np.uint8), axis=-1, count=code.n_checks, bitorder="little"
-    )
-    return _SIGNS.take(bits).reshape(values.shape[:-1] + (code.n_checks,))
+    return words.reshape(values.shape[:-1] + words.shape[-1:])
+
+
+def syndrome_signs(code: StabilizerCode, words: np.ndarray) -> np.ndarray:
+    """The +1/-1 int8 syndromes of syndrome_words."""
+    bits = np.unpackbits(words.view(np.uint8), axis=-1, count=code.n_checks, bitorder="little")
+    return _SIGNS.take(bits)
 
 
 def _parity_words(code: StabilizerCode, rows: np.ndarray) -> np.ndarray:

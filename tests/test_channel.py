@@ -4,9 +4,11 @@ import pytest
 from gf4bp import channel
 from gf4bp.channel import (
     DepolarizingChannel,
+    keyed_uniforms,
     priors,
     sample_error,
     substream,
+    substream_keys,
     substream_uniforms,
 )
 
@@ -86,6 +88,26 @@ def test_substreams_are_order_independent():
     for block, row in zip(blocks, rows):
         assert np.array_equal(substream_uniforms(99, 0, [block], 64)[0], row)
         assert np.array_equal(substream_uniforms(99, 0, [block, 1, 2**33], 64)[0], row)
+
+
+@pytest.mark.parametrize(
+    "lo, hi, cut", [(0, 40, 24), (2**32 - 20, 2**32 + 20, 2**32 + 5)],
+    ids=["window-ends-in-a-batch", "straddles-2**32"],
+)
+def test_key_windows_compose_to_the_stream(lo, hi, cut):
+    # substream_uniforms is keyed_uniforms of substream_keys, so keys hashed a
+    # window at a time serve any batch: here two windows split at cut, read
+    # in batches of 16, one of which the first window's end cuts; the second
+    # range holds one-word blocks below 2**32 and two-word blocks from it
+    keys = np.concatenate(
+        [substream_keys(99, 3, range(lo, cut)), substream_keys(99, 3, range(cut, hi))]
+    )
+    assert keys.dtype == np.uint64 and keys.shape == (hi - lo, 2)
+    assert np.array_equal(keys, substream_keys(99, 3, range(lo, hi)))
+    for first in range(lo, hi, 16):
+        batch = range(first, min(first + 16, hi))
+        uniforms = keyed_uniforms(keys[first - lo : batch.stop - lo], 62)
+        assert np.array_equal(uniforms, substream_uniforms(99, 3, batch, 62))
 
 
 def test_distinct_keys_distinct_streams():

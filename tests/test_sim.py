@@ -615,13 +615,21 @@ def test_worker_count_does_not_change_outputs(lane_reference, tmp_path, workers)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("batch_blocks", [1, 7, 256])
+@pytest.mark.parametrize(
+    "batch_blocks, key_batches",
+    [(1, None), (7, None), (256, None), (7, 1), (7, 2)],
+    ids=["1", "7", "256", "7-window1", "7-window2"],
+)
 def test_batch_size_does_not_change_outputs(
-    lane_reference, tmp_path, monkeypatch, batch_blocks, workers
+    lane_reference, tmp_path, monkeypatch, batch_blocks, key_batches, workers
 ):
     # Blocks are sampled, grouped by syndrome and reported a batch at a
-    # time into per-cell lists; a pool worker forks with the patched size.
+    # time into per-cell lists, from keys hashed a window of batches at a
+    # time (by default one window covers these tasks; 14 blocks divide
+    # neither 40 nor 20); a pool worker forks with the patched sizes.
     monkeypatch.setattr(sim, "BATCH_BLOCKS", batch_blocks)
+    if key_batches is not None:
+        monkeypatch.setattr(sim, "KEY_BATCHES", key_batches)
     _assert_equals_reference(lane_reference, tmp_path, workers=workers)
 
 
@@ -909,6 +917,30 @@ def test_quiet_blocks_share_one_first_run(
     if changes.get("inject") == "IXII":
         assert (syndrome(code, code.embed_sent("IXII")) < 0).any()
         assert {(b.converged, b.outcome) for b in ref_blocks} == {(True, "exact")}
+
+
+def test_quiet_blocks_that_are_not_the_identity(code62, tmp_path, monkeypatch):
+    # A generator row's sent part has the all +1 syndrome but is not the
+    # identity: every block joins the quiet group, whose shared first run
+    # decodes to the identity, so every block is degenerate under every
+    # strategy, whatever the lane width and the worker count.
+    inject = code62.row_pauli(0)[: code62.n_sent]
+    assert (syndrome(code62, code62.embed_sent(inject)) > 0).all() and inject != "I" * 62
+    spec = ExperimentSpec(
+        code=code62, p_values=(0.002, 0.02), strategies=("standard", "pc08", "enhanced"),
+        blocks=20, seed=1, inject=inject,
+    )
+    reference_path = tmp_path / "reference.jsonl"
+    ref_stats, ref_blocks, _ = per_cell_experiment(spec, jsonl_path=reference_path)
+    assert {(b.e_out, b.outcome) for b in ref_blocks} == {("I" * 62, "degenerate")}
+    for width in (1, 127):
+        monkeypatch.setattr(sim, "lane_width", lambda graph, real, width=width: width)
+        for workers in (1, 2):
+            path = tmp_path / f"run{width}-{workers}.jsonl"
+            stats, blocks = run_experiment(replace(spec, workers=workers), jsonl_path=path)
+            assert blocks == ref_blocks
+            assert format_csv(stats) == format_csv(ref_stats)
+            assert path.read_bytes() == reference_path.read_bytes()
 
 
 def test_quiet_blocks_cost_one_bp_run(code62, monkeypatch):

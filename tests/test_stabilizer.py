@@ -19,6 +19,8 @@ from gf4bp.stabilizer import (
     group_membership,
     quaternary_to_pauli,
     syndrome,
+    syndrome_signs,
+    syndrome_words,
     to_symplectic,
 )
 
@@ -130,6 +132,27 @@ def test_syndrome_matches_per_entry_reference(code_name, checks):
         syndrome(code, np.zeros((0, code.n_total), dtype=np.uint8)),
         np.zeros((0, code.n_checks), dtype=np.int8),
     )
+
+
+@pytest.mark.parametrize("code_name, n_words", [("4_1_1", 1), ("n510", 8)])
+def test_syndrome_words_pack_the_syndrome(code_name, n_words):
+    # syndrome is the signs of syndrome_words: bit c % 64 of word c // 64 is
+    # set iff check c reads -1, so the quiet (all +1) rows are the zero rows
+    code = build_code_4_1_1() if code_name == "4_1_1" else construction_b(N510_ROW)
+    rng = np.random.default_rng(n_words)
+    errors = rng.integers(0, 4, size=(30, code.n_total)).astype(np.uint8)
+    errors[rng.random(errors.shape) >= 0.02] = 0
+    words = syndrome_words(code, errors)
+    assert words.dtype == np.uint64 and words.shape == (30, n_words)
+    expected = syndrome_by_entries(code, errors)
+    checks = np.arange(code.n_checks)
+    bits = words[:, checks // 64] >> (checks % 64).astype(np.uint64) & np.uint64(1)
+    assert np.array_equal(bits == 1, expected < 0)
+    assert np.array_equal(~words.any(axis=1), (expected > 0).all(axis=1))
+    assert np.array_equal(syndrome_signs(code, words), expected)
+    assert np.array_equal(syndrome_words(code, errors[3]), words[3])
+    with pytest.raises(ValueError):
+        syndrome_words(code, errors[:, 1:])
 
 
 def test_syndrome_is_homomorphism(code411):
