@@ -54,7 +54,9 @@ def _read_config(ctx, param, path):
 def _check_out_dir(flag, path):
     """UsageError unless an output file's directory exists: checked before
     decoding, so a run does not end in a traceback after its last block."""
-    if path is not None and path != "-" and not Path(path).parent.is_dir():
+    if path == "-":  # stdout is only trace's, which skips this check for it
+        raise click.UsageError(f"{flag} -: this command writes a file, not stdout")
+    if path is not None and not Path(path).parent.is_dir():
         raise click.UsageError(f"{flag} {path}: no directory {Path(path).parent}")
 
 
@@ -185,7 +187,7 @@ def trace(p, error, syndrome_text, strategy, check, qubit, out, **run):
     decoding instance; qubit numbers in the output are 1-based."""
     from .sim import trace_run
 
-    _check_out_dir("--out", out)
+    _check_out_dir("--out", None if out == "-" else out)
     target = None
     if syndrome_text is not None:
         signs = {"+": 1, "-": -1}

@@ -22,11 +22,11 @@ not depend on the lane width, the batch size, the key window or the worker
 count.
 
 A work item's results are arrays, not objects: per (p, strategy, block) a
-record (RECORD) of a uint8 class code, the iterations, the converged flag
-and an index into the item's table of distinct e_out strings, plus per p
-the blocks' error strings joined in block order.  run_experiment joins the
-items' arrays, counts each cell with np.bincount and writes the JSONL log
-from them; its BlockResults builds a BlockResult only when one is read.
+RECORD of a class code (exact if converged, else detected), the iterations
+and an index into the item's table of e_out strings, plus per p the error
+strings in block order.  run_experiment joins them, classifies them once
+(classify_results), counts each cell with np.bincount and writes the JSONL
+log; its BlockResults builds a BlockResult only when one is read.
 """
 
 import math
@@ -55,7 +55,7 @@ CSV_HEADER = (
 OUTCOME_CLASSES = ("exact", "degenerate", "nonequivalent", "detected", "unchecked")
 _UNDECODED = len(OUTCOME_CLASSES)  # the class code of a result not yet written
 #: A result as an array record: klass indexes OUTCOME_CLASSES, e_out a table of strings.
-RECORD = np.dtype([("klass", "u1"), ("iterations", "u4"), ("converged", "?"), ("e_out", "i4")])
+RECORD = np.dtype([("klass", "u1"), ("iterations", "u4"), ("e_out", "i4")])
 
 _STREAM_CHANNEL = 0
 _STREAM_DECODER = 1
@@ -173,12 +173,10 @@ LANE_REAL = np.float32
 
 @dataclass(eq=False)
 class _Batch:
-    """A batch of sampled blocks at one p, as arrays."""
+    """A batch of sampled blocks at one p."""
 
     p_index: int
     blocks: range
-    errors: np.ndarray  # (B, n_total)
-    text: str  # the errors on the sent qubits as Pauli strings, back to back
 
 
 @dataclass(eq=False)
@@ -214,8 +212,8 @@ class _Chunk:
     standard BP (no config) reports it, and so does each feedback strategy
     if it converged; otherwise a feedback_rounds generator per strategy and
     row continues from it, drawing from the block's own substream, and
-    advance() sends it each restart's outcome.  write(), the harness's one
-    outcome classifier, writes every result's record.
+    advance() sends it each restart's outcome.  write() stores every
+    result's record, with a provisional class that classify_results settles.
     """
 
     def __init__(self, spec, block_lo, block_hi):
@@ -223,7 +221,6 @@ class _Chunk:
         self.spec = spec
         self.graph = graph = tanner_graph(code)
         self.lanes = lanes = idle_lanes(graph, lane_width(graph, LANE_REAL), LANE_REAL)
-        self.check_membership = code.n_total <= DEGENERACY_LIMIT
         self.priors = [channel_priors(chan, code.n_sent) for chan in spec.channels]
         self.lane_priors = [log_priors(pri, LANE_REAL) for pri in self.priors]
         for lp in self.lane_priors:  # G0, while the kernel is idle
@@ -294,8 +291,8 @@ class _Chunk:
                 errors = np.tile(self.spec.injected, (len(blocks), 1))
             else:
                 errors = sample_error(n_sent, channel, uniforms, n_ebits=code.n_ebits)
-            batch = _Batch(p_index, blocks, errors, gf4.values_to_pauli(errors[:, :n_sent]))
-            self.texts[p_index].append(batch.text)
+            batch = _Batch(p_index, blocks)
+            self.texts[p_index].append(gf4.values_to_pauli(errors[:, :n_sent]))
             words = syndrome_words(code, errors)
             loud = words.any(axis=1)
             groups = {}  # syndrome words -> (target, rows)
@@ -391,43 +388,18 @@ class _Chunk:
         t_pert = self.spec.configs[strategy_index].t_pert
         self.queue.appendleft((job, log_priors(adjusted, LANE_REAL), target, t_pert))
 
-    def write(self, batch: _Batch, rows, strategy_indices: list, outcomes: list, which=None):
-        """Classify a batch's rows against runs' outcomes and write their
-        records under the given strategies: rows[i] against
-        outcomes[which[i]], or against outcomes[0] without which.  The rows'
-        errors have identity ebit columns, so a row is exact when its error
-        string is its outcome's, e_out.  A converged run's other rows are
-        degenerate if their error and e_out differ by a stabilizer element,
-        else nonequivalent, or unchecked above DEGENERACY_LIMIT qubits."""
-        code, n, e_outs = self.code, self.code.n_sent, self.e_outs
-        offset = batch.blocks.start - self.block_lo  # of the batch's first block
-        cells = self.records[batch.p_index]
-        fields = [
+    def write(self, batch: _Batch, rows, strategy_indices: list, outcomes: list, which=0):
+        """Store a batch's rows' records under the given strategies, rows[i]
+        from outcomes[which[i]] (default 0): class exact if converged, else detected."""
+        e_outs, record = self.e_outs, np.dtype((np.void, RECORD.itemsize))
+        table = np.array([
             (OUTCOME_CLASSES.index("exact" if o.converged else "detected"), o.iterations,
-             o.converged, e_outs.setdefault(o.error_pauli, len(e_outs)))
+             e_outs.setdefault(o.error_pauli, len(e_outs)))
             for o in outcomes
-        ]
-        if len(rows) == 1:
-            (row,), (outcome,), which = rows, outcomes, [0]  # each outcome is some row's
-            for strategy_index in strategy_indices:
-                cells[strategy_index, row + offset] = fields[0]
-            error = batch.text[row * n : (row + 1) * n]
-            inexact = [0] if outcome.converged and error != outcome.error_pauli else []
-        else:
-            rows = np.asarray(rows)
-            which = np.zeros(len(rows), dtype=np.intp) if which is None else np.asarray(which)
-            table, record = np.array(fields, RECORD), np.dtype((np.void, RECORD.itemsize))
-            cells.view(record)[np.ix_(strategy_indices, rows + offset)] = table.view(record)[which]
-            texts = np.frombuffer(batch.text.encode(), f"S{n}")[rows]  # Paulis have no NUL
-            outs = np.array([outcome.error_pauli for outcome in outcomes], f"S{n}")[which]
-            inexact = np.flatnonzero(table["converged"][which] & (texts != outs))
-        for i in inexact:
-            outcome, row = outcomes[which[i]], rows[i]
-            other = "unchecked"
-            if self.check_membership:
-                diff = np.bitwise_xor(code.embed_sent(outcome.error), batch.errors[row])
-                other = "degenerate" if group_membership(diff, code) else "nonequivalent"
-            cells["klass"][strategy_indices, row + offset] = OUTCOME_CLASSES.index(other)
+        ], RECORD).view(record)
+        strategies = np.array(strategy_indices, np.intp)[:, None]  # broadcast over columns
+        columns = np.add(rows, batch.blocks.start - self.block_lo)
+        self.records[batch.p_index].view(record)[strategies, columns] = table[which]
 
 
 def _run_blocks(args):
@@ -484,9 +456,33 @@ class BlockResults(Sequence):
             repeat(self.spec.p_values[p_index]), repeat(self.spec.strategies[strategy_index]),
             range(lo, hi), errors or self._errors(p_index, lo, hi),
             map(self.e_outs.__getitem__, records["e_out"].tolist()),
-            records["converged"].tolist(), records["iterations"].tolist(),
+            (records["klass"] != OUTCOME_CLASSES.index("detected")).tolist(),
+            records["iterations"].tolist(),
             map(OUTCOME_CLASSES.__getitem__, records["klass"].tolist()),
         )
+
+
+def classify_results(results: BlockResults) -> None:
+    """Settle a run's classes in place, a (p, strategy) row at a time: a
+    converged record whose e_out and error strings differ as fixed-width bytes
+    (errors have identity ebits) is degenerate or nonequivalent, by one
+    group_membership per distinct pair, or unchecked above DEGENERACY_LIMIT."""
+    code, records, others = results.spec.code, results.records, {}  # (error, e_out) -> class
+    n, e_outs = code.n_sent, results.e_outs
+    table = np.array(e_outs, f"S{n}")  # Paulis have no NUL
+    for text, classes, indices in zip(results.texts, records["klass"], records["e_out"]):
+        errors = np.frombuffer(text.encode(), f"S{n}")
+        for row, row_indices in zip(classes, indices):
+            converged = np.flatnonzero(row == OUTCOME_CLASSES.index("exact"))
+            for block in converged[errors[converged] != table[row_indices[converged]]].tolist():
+                key = text[block * n : (block + 1) * n], e_outs[row_indices[block]]
+                if key not in others:
+                    diff = np.bitwise_xor(*map(code.embed_sent, key))
+                    others[key] = OUTCOME_CLASSES.index(
+                        "unchecked" if code.n_total > DEGENERACY_LIMIT
+                        else "degenerate" if group_membership(diff, code) else "nonequivalent"
+                    )
+                row[block] = others[key]
 
 
 def run_experiment(spec: ExperimentSpec, jsonl_path=None):
@@ -495,11 +491,11 @@ def run_experiment(spec: ExperimentSpec, jsonl_path=None):
     step = math.ceil(spec.blocks / spec.workers)
     tasks = [(spec, lo, min(lo + step, spec.blocks)) for lo in range(0, spec.blocks, step)]
 
-    if spec.workers == 1:
-        chunk_results = [_run_blocks(task) for task in tasks]
+    if len(tasks) == 1:
+        chunk_results = [_run_blocks(tasks[0])]
     else:
-        # through the module, where a replaced ProcessPoolExecutor is found
-        with sys.modules[__name__].ProcessPoolExecutor(max_workers=spec.workers) as pool:
+        # a process per task, through the module, where a replaced pool is found
+        with sys.modules[__name__].ProcessPoolExecutor(max_workers=len(tasks)) as pool:
             chunk_results = list(pool.map(_run_blocks, tasks))
 
     # Tasks come back in block order, so their joined arrays are in block order.
@@ -512,6 +508,7 @@ def run_experiment(spec: ExperimentSpec, jsonl_path=None):
         spec, ["".join(parts) for parts in zip(*texts)], e_outs,
         np.concatenate(records, axis=2),
     )
+    classify_results(results)
 
     n, stats = spec.blocks, []
     totals = results.records["iterations"].reshape(-1, n).sum(axis=1, dtype=np.int64).tolist()

@@ -418,7 +418,7 @@ def random_tree_code(rng: np.random.Generator, max_qubits: int = 6):
 
 def classify_outcome(code: StabilizerCode, error, outcome, check_membership=True) -> str:
     """Classify a decode outcome against the sampled error, one block at a
-    time: the reference for the harness's classes (sim._Chunk.write).
+    time: the reference for the harness's classes (sim.classify_results).
 
     exact: e_out equals the error; degenerate: they differ by a stabilizer
     element; nonequivalent: converged but not equivalent; detected: the

@@ -114,9 +114,13 @@ def test_simulate_bad_config_key(tmp_path):
         # these used to run every pc08 round on NaN priors and exit 0
         (["--delta", "nan"], "delta must be nonnegative and finite"),
         (["--delta", "inf"], "delta must be nonnegative and finite"),
+        # these used to write a file named - (stdout is only trace's)
+        (["--out", "-"], "--out -: this command writes a file, not stdout"),
+        (["--jsonl", "-"], "--jsonl -: this command writes a file, not stdout"),
     ],
 )
-def test_simulate_bad_values_are_usage_errors(tmp_path, args, message):
+def test_simulate_bad_values_are_usage_errors(tmp_path, monkeypatch, args, message):
+    monkeypatch.chdir(tmp_path)
     runner = CliRunner()
     result = runner.invoke(
         main,
@@ -126,7 +130,7 @@ def test_simulate_bad_values_are_usage_errors(tmp_path, args, message):
     assert result.exit_code == 2, result.output
     assert message in result.output
     assert "Traceback" not in result.output
-    assert not (tmp_path / "out.csv").exists()
+    assert sorted(tmp_path.iterdir()) == []
 
 
 def test_simulate_summary_counts_every_class(tmp_path, monkeypatch):

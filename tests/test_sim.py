@@ -554,7 +554,7 @@ def test_simulate_builds_no_block_result(tmp_path, monkeypatch):
 def test_pool_task_result_pickles_small(code62):
     # A pool task returns a record array and joined error strings, not one
     # object per (p, strategy, block): on this [[62,2]] task a result pickles to
-    # 58.3 bytes (a block's 62 error characters serve 3 strategies) where a
+    # 57.06 bytes (a block's 62 error characters serve 3 strategies) where a
     # list of BlockResults took 100.8.  Pickled sizes are deterministic.
     import pickle
 
@@ -565,7 +565,7 @@ def test_pool_task_result_pickles_small(code62):
     task = sim._run_blocks((spec, 0, spec.blocks))
     assert type(task) in (list, tuple)
     per_result = len(pickle.dumps(list(task))) / (2 * 3 * spec.blocks)
-    assert per_result == pytest.approx(58.3, abs=0.5)
+    assert per_result == pytest.approx(57.06, abs=0.5)
 
 
 @pytest.fixture(scope="module")
@@ -614,6 +614,55 @@ def test_worker_count_does_not_change_outputs(lane_reference, tmp_path, workers)
     _assert_equals_reference(lane_reference, tmp_path, workers=workers)
 
 
+def test_pool_is_sized_by_its_tasks(code411, monkeypatch):
+    # A forked pool starts all its max_workers processes at the first
+    # submit, so a run opens one process per task (blocks < workers makes
+    # fewer tasks than workers) and runs a single task in process.
+    opened = []
+
+    class CountingPool:
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setitem(vars(sim), "ProcessPoolExecutor", CountingPool)
+    spec = ExperimentSpec(
+        code=code411, p_values=(0.1, 0.3), strategies=("standard", "pc08"), seed=2, n_a=4,
+    )
+    for blocks, workers, pools in [(3, 8, [3]), (5, 4, [3]), (1, 4, []), (9, 2, [2]), (9, 1, [])]:
+        opened.clear()
+        pooled = run_experiment(replace(spec, blocks=blocks, workers=workers))
+        assert opened == pools
+        assert pooled == run_experiment(replace(spec, blocks=blocks))
+
+
+def test_a_block_never_written_is_not_classified(code411, monkeypatch):
+    # A record that no task wrote keeps the "not decoded" class code through
+    # classify_results, and run_experiment refuses the cell.
+    write, skipped = sim._Chunk.write, []
+
+    def skip_first(self, batch, rows, *args, **kwargs):
+        if not skipped:
+            skipped.append(len(rows))
+            return
+        write(self, batch, rows, *args, **kwargs)
+
+    monkeypatch.setattr(sim._Chunk, "write", skip_first)
+    spec = ExperimentSpec(code=code411, p_values=(0.1,), blocks=40, seed=2)
+    with pytest.raises(RuntimeError, match=r"^\d+ of 40 blocks decoded in a cell$") as caught:
+        run_experiment(spec)
+    decoded = int(caught.value.args[0].split()[0])
+    assert skipped and decoded == 40 - skipped[0]
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize(
     "batch_blocks, key_batches",
@@ -636,9 +685,9 @@ def test_batch_size_does_not_change_outputs(
 def test_unchecked_outputs_are_counted(code411, tmp_path, monkeypatch):
     # Above sim.DEGENERACY_LIMIT qubits (here below 4_1_1's 5, one ebit
     # included) a converged output that is not the error is classed
-    # unchecked, for first runs and for finished feedback runs alike, and a
-    # pool worker forks with the patched limit.  The CSV's class columns,
-    # unchecked among them, sum to n_blocks.
+    # unchecked, for first runs and for finished feedback runs alike, with
+    # one worker or a pool (the run's own process classifies).  The CSV's
+    # class columns, unchecked among them, sum to n_blocks.
     monkeypatch.setattr(sim, "DEGENERACY_LIMIT", code411.n_total - 1)
     spec = ExperimentSpec(
         code=code411, p_values=(0.15, 0.25), strategies=("standard", "pc08", "enhanced"),
