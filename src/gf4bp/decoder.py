@@ -47,8 +47,8 @@ only when some edge has a Y entry (a CSS code has none, and its L_Y is
 lp_Y - S_X - S_Z).  One table gathers each check cell's Lambda_q / 2,
 another each qubit's gammas as (run row, entry, qubit), every run padded to
 the longest.  Products over slots are prefix times suffix folds and sums
-over run rows left folds, so each step is a short loop of whole-row numpy
-operations.
+over run rows left folds, so each layer of a step is a short list of
+whole-row numpy calls, (callable, operands), built once per lane layout.
 
 The hard decision is a tournament over the four L rows: X beats I iff
 L_X > L_I, Y beats Z iff L_Y > L_Z, and the {Z, Y} winner beats the {I, X}
@@ -70,8 +70,9 @@ computes bit for bit what it would compute alone; decode is the kernel at
 width 1.  Iteration 1 starts from gamma = 0 and bel = lp, so its gammas are
 s_c times G0, the all +1 syndrome's (s_c = +-1 starts the check product, the
 clip is symmetric, tanh and arctanh are odd), as Lanes.first_iteration uses
-to run iteration 1 of many jobs at once: it ends those a lane would end and
-gives each other one the state with which load resumes it at iteration 2.
+to run iteration 1 of many jobs at once: it hands back those a lane would
+end as arrays (rows, errors, verdicts, frustrated masks), one row per job,
+and gives each other one the state with which load resumes it at iteration 2.
 The real dtype is a parameter of the kernel: decode runs float64, which
 agreement with exact marginals to 1e-8 needs, and the Monte-Carlo harness
 float32 (sim.LANE_REAL), at half a lane's bytes and cheaper tanh and arctanh.
@@ -116,12 +117,6 @@ def _slot_product_ops(a: np.ndarray, pref: np.ndarray, suf: np.ndarray) -> list:
     return [(pref[k], a[k], pref[k + 1]) for k in range(n_slots - 1)] + [
         (suf[k], a[k], suf[k - 1]) for k in range(n_slots - 1, 0, -1)
     ]
-
-
-def _run(ufunc, ops: list) -> None:
-    """Apply a binary ufunc to each (x, y, out) in order."""
-    for x, y, out in ops:
-        ufunc(x, y, out=out)
 
 
 def _slot_table(owner: np.ndarray, n_owner: int):
@@ -249,77 +244,49 @@ class DecodeOutcome:
 def _qubit_messages(v) -> None:
     """Lambda_q / 2 for every (entry, qubit), into v.half, from the
     (symbol, qubit, lanes) log-beliefs v.bel."""
-    bel, top, x = v.bel, v.total, v.exp
-    np.maximum.reduce(bel, axis=0, out=top)
-    np.subtract(bel, top, out=x)
-    np.exp(x, out=x)
-    np.maximum(x, MSG_FLOOR, out=x)
-    half, anti = v.half_entries, v.anti
-    np.add(x[0], x[1 : len(half) + 1], out=half)  # I and the entry commute with it
-    _run(np.add, v.anti_sums)  # the two symbols that do not
-    np.divide(half, anti, out=half)
-    np.log(half, out=half)
-    np.multiply(half, 0.5, out=half)
+    for call, operands in v.qubit_calls:
+        call(*operands)
 
 
-def _check_messages(graph: TannerGraph, v) -> None:
+def _check_messages(v) -> None:
     """Every check cell's gamma, into v.gamma_cells, from v.half and the
     previous gammas."""
-    th = v.th
-    # mode="clip": the tables index in range, and the default mode buffers out=
-    v.half.take(graph._message_gather, axis=0, out=th, mode="clip")
-    np.subtract(th, v.gamma_cells, out=th)  # Lambda / 2 of the edge
-    np.tanh(th, out=th)
-    _run(np.multiply, v.check_products)  # cpref[0] holds s_c
-    np.multiply(v.cpref_excl, v.csuf, out=th)
-    th.clip(-v.th_max, v.th_max, out=th)  # the values next to -1 and +1
-    np.arctanh(th, out=v.gamma_cells)
+    for call, operands in v.check_calls:
+        call(*operands)
 
 
-def _beliefs(graph: TannerGraph, v) -> None:
+def _beliefs(v) -> None:
     """The log-beliefs v.bel from the log-priors v.lp and the gammas."""
-    v.gamma.take(graph._gamma_gather, axis=0, out=v.qg, mode="clip")
-    _run(np.add, v.entry_sums)
-    s, total, bel, lp = v.s, v.total, v.bel, v.lp
-    types = len(s)
-    np.add(s[0], s[1], out=total)
-    if types == 3:
-        np.add(total, s[2], out=total)
-    np.add(lp[0], total, out=bel[0])
-    rows = bel[1 : types + 1]
-    np.multiply(s, 2.0, out=rows)
-    np.subtract(rows, total, out=rows)
-    np.add(rows, lp[1 : types + 1], out=rows)
-    if types == 2:  # no Y entries: L_Y = lp_Y - (S_X + S_Z)
-        np.subtract(lp[3], total, out=bel[3])
+    for call, operands in v.belief_calls:
+        call(*operands)
 
 
 def _decision_ops(bel: np.ndarray, top: np.ndarray, rows: np.ndarray, types: int) -> list:
-    """The calls, in order, that write the anticommutation bit rows of the
-    hard decision of the log-beliefs bel (4, qubits, ...) into the bool rows
-    (3, qubits, ...): its Z bits, its X bits and, for types = 3 entry types,
-    their XOR (else row 2 is left as scratch).  The decision is argmax's
-    first maximum in I, X, Z, Y order; top is (2, qubits, ...) float scratch."""
+    """The (callable, operands) calls, in order, that write the
+    anticommutation bit rows of the hard decision of the log-beliefs bel
+    (4, qubits, ...) into the bool rows (3, qubits, ...): its Z bits, its X
+    bits and, for types = 3 entry types, their XOR (else row 2 is left as
+    scratch).  The decision is argmax's first maximum in I, X, Z, Y order;
+    top is (2, qubits, ...) float scratch."""
     even, odd = bel[0::2], bel[1::2]  # (I, Z) and (X, Y)
-    # positional out= where numpy allows it: partial's keywords cost a call
     ops = [
-        partial(np.maximum, even, odd, out=top),  # the {I, X} and {Z, Y} maxima
-        partial(np.greater, top[1], top[0], rows[0]),  # the {Z, Y} winner wins
-        partial(np.greater, odd, even, rows[1:]),  # X beats I, Y beats Z
-        partial(np.copyto, rows[1], rows[2], "same_kind", rows[0]),  # Y's where Z bit
+        (partial(np.maximum, out=top), (even, odd)),  # the {I, X} and {Z, Y} maxima
+        (np.greater, (top[1], top[0], rows[0])),  # the {Z, Y} winner wins
+        (np.greater, (odd, even, rows[1:])),  # X beats I, Y beats Z
+        (np.copyto, (rows[1], rows[2], "same_kind", rows[0])),  # Y's where Z bit
     ]
     if types == 3:
-        ops.append(partial(np.not_equal, rows[0], rows[1], rows[2]))
+        ops.append((np.not_equal, (rows[0], rows[1], rows[2])))
     return ops
 
 
 def _mismatches(v) -> np.ndarray:
     """Per check and lane, whether the check's parity under the hard
     decision of v.bel differs from the target's (bool, (checks, lanes))."""
-    for op in v.syndrome_test:
-        op()
+    for call, operands in v.syndrome_test:
+        call(*operands)
     # the last slot holds the target parity, so the XOR is the mismatch
-    return np.bitwise_xor.reduce(v.slot_bits, axis=0)
+    return np.bitwise_xor.reduce(v.slot_bits, 0)
 
 
 def _lane_shapes(graph: TannerGraph, real) -> dict:
@@ -382,9 +349,10 @@ class Lanes:
             for name, (shape, dtype) in self._shapes.items()
         }
         self._views = {}  # by (lanes, first)
-        # first_iteration writes only its own bools and its gamma and bel, in
-        # step buffers that a step writes before it reads them
+        # first_iteration writes its own bools and log-prior lane, and its gamma
+        # and bel in step buffers that a step writes before it reads them
         own = {name: np.empty_like(self._flat[name]) for name in ("bits", "slot_bits")}
+        own["lp"] = np.empty(math.prod(self._shapes["lp"][0]), dtype=real)
         self._first_flat = dict(self._flat, gamma=self._flat["th"], bel=self._flat["exp"], **own)
         self._layout = 0
         self.jobs = []  # per lane of the layout: its job, None once finished
@@ -402,41 +370,74 @@ class Lanes:
         )
 
     def _view(self, lanes: int, first: bool = False):
-        """The workspace for `lanes` lanes (first_iteration's if first), with
-        every view and op list the step uses, made on first use of each layout."""
-        flat = self._first_flat if first else self._flat
+        """The workspace for `lanes` lanes (first_iteration's, with one shared
+        log-prior lane, if first), its views and each kernel layer's list of
+        (callable, operands) calls, outputs positional, made once per layout."""
         view = self._views.get((lanes, first))
-        if view is None:
-            view = self._views[lanes, first] = SimpleNamespace(
-                **{
-                    name: flat[name][: math.prod(shape) * lanes].reshape(shape + (lanes,))
-                    for name, (shape, _) in self._shapes.items()
-                }
-            )
-            view.th_max = np.nextafter(self.real(1), self.real(0))  # the clip
-            view.sigma = view.cpref[0]
-            view.target_parity = view.slot_bits[-1]
-            bit_rows = view.bits[1:].reshape((3,) + view.s.shape[1:])
-            view.decided = bit_rows[:2].view(np.uint8)  # Z and X bits
-            # the decision's bits (anti is free after _qubit_messages), then
-            # each check cell's bit (axis 0, mode "clip" as in _check_messages)
-            view.syndrome_test = _decision_ops(view.bel, view.anti[:2], bit_rows, len(view.s)) + [
-                partial(
-                    view.bits.take, self.graph._message_gather, 0,
-                    view.slot_bits[:-1], "clip",
-                )
-            ]
-            view.cpref_excl = view.cpref[: len(view.csuf)]
-            view.gamma_cells = view.gamma[:-1].reshape(view.csuf.shape)
-            view.th = view.th[:-1].reshape(view.csuf.shape)
-            view.half_entries = view.half[1:].reshape(view.s.shape)
-            x = view.exp  # an X, Z or Y entry anticommutes with Z and Y, X and Y, or X and Z
-            others = [(x[2], x[3]), (x[1], x[3]), (x[1], x[2])]
-            view.anti_sums = [(a, b, out) for (a, b), out in zip(others, view.anti)]
-            view.check_products = _slot_product_ops(view.th, view.cpref, view.csuf)
-            s, qg = view.s, view.qg
-            view.entry_sums = [(qg[0], qg[1], s)] + [(s, row, s) for row in qg[2:]]
-        return view
+        if view is not None:
+            return view
+        flat, graph = self._first_flat if first else self._flat, self.graph
+
+        def part(name, lanes):
+            shape = self._shapes[name][0] + (lanes,)
+            return flat[name][: math.prod(shape)].reshape(shape)
+
+        v = self._views[lanes, first] = SimpleNamespace(**{
+            name: part(name, 1 if first and name == "lp" else lanes) for name in self._shapes
+        })
+        v.sigma, v.target_parity = v.cpref[0], v.slot_bits[-1]
+        bel, x, s, qg, total, anti, types = v.bel, v.exp, v.s, v.qg, v.total, v.anti, len(v.s)
+        bit_rows = v.bits[1:].reshape((3,) + s.shape[1:])
+        v.decided = bit_rows[:2].view(np.uint8)  # Z and X bits
+        v.gamma_cells = cells = v.gamma[:-1].reshape(v.csuf.shape)
+        v.half_entries = half = v.half[1:].reshape(s.shape)
+        th = v.th[:-1].reshape(v.csuf.shape)
+        # an X, Z or Y entry anticommutes with Z and Y, X and Y, or X and Z
+        others = [(x[2], x[3]), (x[1], x[3]), (x[1], x[2])]
+        v.anti_sums = [(a, b, out) for (a, b), out in zip(others, anti)]
+        v.check_products = _slot_product_ops(th, v.cpref, v.csuf)
+        v.entry_sums = [(qg[0], qg[1], s)] + [(s, row, s) for row in qg[2:]]
+        # the decision's bits (anti is free after the qubit messages), then
+        # each check cell's bit; mode "clip": the tables index in range, and
+        # the default mode buffers out
+        v.syndrome_test = _decision_ops(bel, anti[:2], bit_rows, types) + [
+            (v.bits.take, (graph._message_gather, 0, v.slot_bits[:-1], "clip"))
+        ]
+        th_max = np.nextafter(self.real(1), self.real(0))  # the values next to -1 and +1
+        v.qubit_calls = [
+            (np.maximum.reduce, (bel, 0, None, total)),
+            (np.subtract, (bel, total, x)),
+            (np.exp, (x, x)),
+            (partial(np.maximum, out=x), (x, MSG_FLOOR)),
+            (np.add, (x[0], x[1 : types + 1], half)),  # I and the entry commute with it
+            *[(np.add, ops) for ops in v.anti_sums],  # the two symbols that do not
+            (np.divide, (half, anti, half)),
+            (np.log, (half, half)),
+            (np.multiply, (half, 0.5, half)),
+        ]
+        v.check_calls = [
+            (v.half.take, (graph._message_gather, 0, th, "clip")),
+            (np.subtract, (th, cells, th)),  # Lambda / 2 of the edge
+            (np.tanh, (th, th)),
+            *[(np.multiply, ops) for ops in v.check_products],  # cpref[0] holds s_c
+            (np.multiply, (v.cpref[: len(v.csuf)], v.csuf, th)),
+            (th.clip, (-th_max, th_max, th)),
+            (np.arctanh, (th, cells)),
+        ]
+        lp, rows = v.lp, bel[1 : types + 1]
+        v.belief_calls = [
+            (v.gamma.take, (graph._gamma_gather, 0, qg, "clip")),
+            *[(np.add, ops) for ops in v.entry_sums],
+            (np.add, (s[0], s[1], total)),
+            *[(np.add, (total, row, total)) for row in s[2:]],  # S_Y, with Y entries
+            (np.add, (lp[0], total, bel[0])),
+            (np.multiply, (s, 2.0, rows)),
+            (np.subtract, (rows, total, rows)),
+            (np.add, (rows, lp[1 : types + 1], rows)),
+            # no Y entries: L_Y = lp_Y - (S_X + S_Z)
+            *[(np.subtract, (lp[3], total, bel[3]))] * (types == 2),
+        ]
+        return v
 
     def _relayout(self) -> None:
         """Lay the buffers out for the running lanes, packed in lane order,
@@ -519,25 +520,26 @@ class Lanes:
         """Iteration 1 of a job on each syndrome of targets (k <= width rows)
         with log-priors lp and cap max_iter, in bulk, between steps, from
         first_messages(lp).  A job ends as a lane would end it, on a match or
-        at max_iter = 1.  Returns (finished, resumes): (row, DecodeOutcome)
-        for each job that ends, and (row, resume state for load) for each
-        other one, both in row order."""
+        at max_iter = 1.  Returns ((rows, errors, matched, frustrated),
+        resumes): the rows of the jobs that end, in order, with their gf4
+        errors (rows, n_qubits), whether each matched and their frustrated
+        masks (rows, n_checks); and (row, resume state for load) for each
+        other job, in row order."""
         first = self.first_messages(lp)
         view = self._view(len(targets), first=True)
-        view.lp, signs = lp[..., None], targets.T
+        view.lp[..., 0], signs = lp, targets.T
         np.multiply(first[..., None], signs, out=view.gamma_cells)
         view.gamma[-1], view.bits[0] = 0.0, False  # the pad slots'
         np.less(signs, 0, out=view.target_parity)
-        _beliefs(self.graph, view)
+        _beliefs(view)
         frustrated, (z_bits, x_bits) = _mismatches(view).T, view.decided
         matched = ~frustrated.any(axis=1)
         ends = matched | (max_iter <= 1)
         done, going = np.flatnonzero(ends), np.flatnonzero(~ends)
         errors = (z_bits << 1 | x_bits).T[done]  # gf4 values, X bit + 2 * Z bit
-        rows = zip(done.tolist(), errors, matched[done].tolist(), frustrated[done])
-        finished = [(row, DecodeOutcome(e, m, 1, f)) for row, e, m, f in rows]
         bel = np.moveaxis(view.bel, -1, 0)[going]  # a copy: a step overwrites view.bel
-        return finished, [(row, (first, b)) for row, b in zip(going.tolist(), bel)]
+        resumes = [(row, (first, b)) for row, b in zip(going.tolist(), bel)]
+        return (done, errors, matched[done], frustrated[done]), resumes
 
     def step(self, halt: bool = True) -> list:
         """One flooding iteration on every busy lane; returns the finished
@@ -548,14 +550,12 @@ class Lanes:
                 self._start_held(free)  # the held jobs fill the layout's holes
             else:
                 self._relayout()
-        lanes = self._layout
-        graph = self.graph
-        view = self._view(lanes)
+        view = self._view(self._layout)
         _qubit_messages(view)
-        _check_messages(graph, view)
-        _beliefs(graph, view)
+        _check_messages(view)
+        _beliefs(view)
         frustrated = _mismatches(view)
-        mismatched = np.logical_or.reduce(frustrated, axis=0)
+        mismatched = np.logical_or.reduce(frustrated, 0)
         z_bits, x_bits = view.decided
         finished = []
         for lane, mismatch in enumerate(mismatched.tolist()):

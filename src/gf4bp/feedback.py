@@ -206,7 +206,8 @@ def feedback_rounds(graph: TannerGraph, target, priors, config, first, rng):
     current, iterations, records = first, first.iterations, []
     while not current.converged and len(records) < budget:
         # current did not converge, so some check is frustrated
-        check = int(rng.choice(np.flatnonzero(current.frustrated)))
+        frustrated = np.flatnonzero(current.frustrated)
+        check = int(frustrated[rng.integers(0, len(frustrated))])  # Generator.choice's draw
         slots = list(range(graph.check_deg[check]))
         if not slots:
             break  # a check with no sender qubits can never be fixed

@@ -42,7 +42,7 @@ import numpy as np
 from . import gf4
 from .channel import DepolarizingChannel, keyed_uniforms, sample_error, substream, substream_keys
 from .channel import priors as channel_priors
-from .decoder import decode, idle_lanes, lane_width, log_priors, tanner_graph
+from .decoder import DecodeOutcome, decode, idle_lanes, lane_width, log_priors, tanner_graph
 from .feedback import FeedbackConfig, check_slot, feedback_decode, feedback_round, feedback_rounds
 from .formats import load_code
 from .stabilizer import check_integer, group_membership, syndrome, syndrome_signs, syndrome_words
@@ -54,8 +54,10 @@ CSV_HEADER = (
 
 OUTCOME_CLASSES = ("exact", "degenerate", "nonequivalent", "detected", "unchecked")
 _UNDECODED = len(OUTCOME_CLASSES)  # the class code of a result not yet written
+_EXACT, _DETECTED = map(OUTCOME_CLASSES.index, ("exact", "detected"))
 #: A result as an array record: klass indexes OUTCOME_CLASSES, e_out a table of strings.
 RECORD = np.dtype([("klass", "u1"), ("iterations", "u4"), ("e_out", "i4")])
+_SLOT = np.dtype((np.void, RECORD.itemsize))  # a RECORD as raw bytes, stored by one assignment
 
 _STREAM_CHANNEL = 0
 _STREAM_DECODER = 1
@@ -182,11 +184,13 @@ class _Batch:
 @dataclass(eq=False)
 class _FirstRun:
     """The first run on one syndrome at one p: its target, the rows that wait
-    for it, then its read-only outcome, which later rows are reported against."""
+    for it, then its record, which later rows are reported with, and, if it
+    did not converge, its read-only outcome, which feedback continues from."""
 
     target: np.ndarray  # (n_checks,) +1/-1, shared by the syndrome's rows
     waiting: list  # (batch, rows), until the run is decoded
-    outcome: object = None  # the DecodeOutcome, once decoded
+    record: object = None  # its RECORD as a (1,) _SLOT table, once decoded
+    outcome: object = None  # the DecodeOutcome, if decoded and not converged
 
 
 class _Chunk:
@@ -198,11 +202,12 @@ class _Chunk:
     group, the loud rows one per words, and only their targets are
     unpacked.  A new syndrome's _FirstRun waits in fresh for iteration 1 in
     bulk (Lanes.first_iteration), a lane width of syndromes at a time, with
-    the rows that share it; it then keeps the read-only outcome (per p,
-    keyed by the words) for the rest of the task, so later rows with that
-    syndrome are reported at once.  Results go into a (p, strategy,
-    block - block_lo) RECORD array, class _UNDECODED until written, e_out an
-    index into the task's table of distinct e_outs; each batch's error
+    the rows that share it; once settled it keeps its record, and its
+    read-only outcome if it did not converge, (per p, keyed by the words)
+    for the rest of the task, so later rows with that syndrome are reported
+    at once.  Results go into a (p, strategy, block - block_lo) RECORD
+    array, class _UNDECODED until written, e_out an index into the task's
+    table of distinct e_outs, through its _SLOT view; each batch's error
     strings are kept per p in block order.  Every other BP run waits in one
     queue of Lanes.load arguments: feedback restarts (job, log-priors,
     target, t_pert) on its front, and on its back the first runs that
@@ -213,7 +218,8 @@ class _Chunk:
     if it converged; otherwise a feedback_rounds generator per strategy and
     row continues from it, drawing from the block's own substream, and
     advance() sends it each restart's outcome.  write() stores every
-    result's record, with a provisional class that classify_results settles.
+    result's record from a table of _table's, with a provisional class that
+    classify_results settles.
     """
 
     def __init__(self, spec, block_lo, block_hi):
@@ -237,6 +243,9 @@ class _Chunk:
         shape = (len(spec.p_values), len(spec.strategies), block_hi - block_lo)
         self.records = np.zeros(shape, RECORD)
         self.records["klass"] = _UNDECODED
+        self.slots = list(self.records.view(_SLOT))  # per p: (strategy, column)
+        self.everyone = np.arange(len(spec.strategies))[:, None]  # strategy index columns
+        self.standard = self.everyone[[config is None for config in spec.configs]]  # no config
 
     def _batches(self, block_lo, block_hi):
         """The task's batches, (blocks, their substream_keys rows or None
@@ -309,7 +318,7 @@ class _Chunk:
                 if entry is None:
                     known[key] = entry = _FirstRun(target, [])
                     self.fresh[p_index].append(entry)
-                if entry.outcome is None:
+                if entry.record is None:
                     entry.waiting.append((batch, rows))
                 else:
                     self.report(batch, rows, entry)
@@ -323,51 +332,57 @@ class _Chunk:
         entries = fresh[: self.lanes.width]
         del fresh[: self.lanes.width]
         targets = np.array([entry.target for entry in entries])
-        finished, resumes = self.lanes.first_iteration(lp, targets, max_iter)
-        if finished:
-            self.settle([(entries[row], outcome) for row, outcome in finished])
+        (rows, *runs), resumes = self.lanes.first_iteration(lp, targets, max_iter)
+        if len(rows):  # runs: their errors, verdicts and masks
+            self.settle([entries[row] for row in rows.tolist()], *runs, 1)
         for row, state in resumes:
             job = partial(self.first_run_done, entries[row])
             self.queue.append((job, lp, entries[row].target, max_iter, state))
 
     def first_run_done(self, entry: _FirstRun, outcome) -> None:
         """Settle the first run that a lane ended."""
-        self.settle([(entry, outcome)])
+        self.settle([entry], outcome.error[None], np.array([outcome.converged]),
+                    outcome.frustrated[None], outcome.iterations)
 
-    def settle(self, runs: list) -> None:
-        """Keep first runs, (entry, outcome) pairs, read-only (their rows share
-        them), and report the rows waiting for them: a converged run's under
-        every strategy, one write per batch, e_outs cut from one Pauli string."""
-        n, by_batch = self.code.n_sent, {}  # batch -> (rows, outcomes, which)
-        text = gf4.values_to_pauli(np.stack([outcome.error for _, outcome in runs]))
-        for i, (entry, outcome) in enumerate(runs):
-            outcome.error_pauli = text[i * n : (i + 1) * n]
-            outcome.error.setflags(write=False)
-            outcome.frustrated.setflags(write=False)
-            entry.outcome = outcome
+    def settle(self, entries: list, errors, converged, frustrated, iterations: int) -> None:
+        """Keep first runs' records, and the read-only outcome of each that did
+        not converge (their rows share it), and report the rows waiting for
+        them: a converged run's under every strategy, one write per batch.
+        The runs' gf4 errors, verdicts and frustrated masks are arrays, one
+        row per entry, and they ran the same number of iterations."""
+        n, by_batch = self.code.n_sent, {}  # batch -> (rows, their runs)
+        text = gf4.values_to_pauli(errors)
+        e_outs = [text[i : i + n] for i in range(0, len(text), n)]
+        table = self._table(converged, iterations, e_outs)
+        errors.setflags(write=False)
+        frustrated.setflags(write=False)
+        for i, (entry, ok) in enumerate(zip(entries, converged.tolist())):
+            entry.record = table[i : i + 1]
+            if not ok:
+                entry.outcome = DecodeOutcome(errors[i], False, iterations, frustrated[i])
+                entry.outcome.error_pauli = e_outs[i]
             for batch, rows in entry.waiting:
-                if not outcome.converged:
+                if not ok:
                     self.report(batch, rows, entry)
                     continue
-                batch_rows, outcomes, which = by_batch.setdefault(batch, ([], [], []))
+                batch_rows, which = by_batch.setdefault(batch, ([], []))
                 batch_rows.extend(rows)
-                which.extend([len(outcomes)] * len(rows))
-                outcomes.append(outcome)
+                which.extend([i] * len(rows))
             entry.waiting.clear()  # its batches need not outlive their results
-        everyone = list(range(len(self.spec.strategies)))
-        for batch, (rows, outcomes, which) in by_batch.items():
-            self.write(batch, rows, everyone, outcomes, which)
+        for batch, (rows, which) in by_batch.items():
+            self.write(batch, rows, self.everyone, table, which)
 
     def report(self, batch: _Batch, rows, first_run: _FirstRun) -> None:
         """Report a first run for a batch's rows under standard BP, and under
         the feedback strategies if it converged; else start their runs."""
         spec, outcome, p_index = self.spec, first_run.outcome, batch.p_index
-        converged = outcome.converged
-        shared = [i for i, config in enumerate(spec.configs) if config is None or converged]
-        self.write(batch, rows, shared, [outcome])
+        if outcome is None:  # it converged
+            self.write(batch, rows, self.everyone, first_run.record)
+            return
+        self.write(batch, rows, self.standard, first_run.record)
         first = batch.blocks.start
         for strategy_index, config in enumerate(spec.configs):
-            if config is None or converged:
+            if config is None:
                 continue
             for row in map(int, rows):
                 rng = substream(spec.seed, _STREAM_DECODER, strategy_index, p_index, first + row)
@@ -382,24 +397,28 @@ class _Chunk:
         try:
             adjusted = run.send(outcome)
         except StopIteration as done:
-            self.write(batch, [row], [strategy_index], [done.value[0]])
+            outcome = done.value[0]
+            table = self._table(outcome.converged, outcome.iterations, [outcome.error_pauli])
+            self.write(batch, [row], self.everyone[strategy_index : strategy_index + 1], table)
             return
         job = partial(self.advance, batch, row, strategy_index, target, run)
         t_pert = self.spec.configs[strategy_index].t_pert
         self.queue.appendleft((job, log_priors(adjusted, LANE_REAL), target, t_pert))
 
-    def write(self, batch: _Batch, rows, strategy_indices: list, outcomes: list, which=0):
-        """Store a batch's rows' records under the given strategies, rows[i]
-        from outcomes[which[i]] (default 0): class exact if converged, else detected."""
-        e_outs, record = self.e_outs, np.dtype((np.void, RECORD.itemsize))
-        table = np.array([
-            (OUTCOME_CLASSES.index("exact" if o.converged else "detected"), o.iterations,
-             e_outs.setdefault(o.error_pauli, len(e_outs)))
-            for o in outcomes
-        ], RECORD).view(record)
-        strategies = np.array(strategy_indices, np.intp)[:, None]  # broadcast over columns
+    def _table(self, converged, iterations, e_outs: list) -> np.ndarray:
+        """The _SLOT records of runs with these verdicts, iterations and e_out
+        strings: class exact if converged, else detected."""
+        table = np.empty(len(e_outs), RECORD)
+        table["klass"] = np.where(converged, _EXACT, _DETECTED)
+        table["iterations"] = iterations
+        table["e_out"] = [self.e_outs.setdefault(e_out, len(self.e_outs)) for e_out in e_outs]
+        return table.view(_SLOT)
+
+    def write(self, batch: _Batch, rows, strategies: np.ndarray, table, which=0):
+        """Store a batch's rows' records under the strategies of an index
+        column, rows[i]'s from the _SLOT table's row which[i] (default 0)."""
         columns = np.add(rows, batch.blocks.start - self.block_lo)
-        self.records[batch.p_index].view(record)[strategies, columns] = table[which]
+        self.slots[batch.p_index][strategies, columns] = table[which]
 
 
 def _run_blocks(args):
@@ -456,7 +475,7 @@ class BlockResults(Sequence):
             repeat(self.spec.p_values[p_index]), repeat(self.spec.strategies[strategy_index]),
             range(lo, hi), errors or self._errors(p_index, lo, hi),
             map(self.e_outs.__getitem__, records["e_out"].tolist()),
-            (records["klass"] != OUTCOME_CLASSES.index("detected")).tolist(),
+            (records["klass"] != _DETECTED).tolist(),
             records["iterations"].tolist(),
             map(OUTCOME_CLASSES.__getitem__, records["klass"].tolist()),
         )
@@ -473,7 +492,7 @@ def classify_results(results: BlockResults) -> None:
     for text, classes, indices in zip(results.texts, records["klass"], records["e_out"]):
         errors = np.frombuffer(text.encode(), f"S{n}")
         for row, row_indices in zip(classes, indices):
-            converged = np.flatnonzero(row == OUTCOME_CLASSES.index("exact"))
+            converged = np.flatnonzero(row == _EXACT)
             for block in converged[errors[converged] != table[row_indices[converged]]].tolist():
                 key = text[block * n : (block + 1) * n], e_outs[row_indices[block]]
                 if key not in others:

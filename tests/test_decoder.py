@@ -200,7 +200,7 @@ def test_vectorized_check_messages_match_reference(code411):
         commute = ANTICOMMUTES[graph.edge_entry[e]] == 0
         lam = np.log(msg[e, commute].sum() / msg[e, ~commute].sum())
         view.gamma_cells[cell[e] + (0,)] = -lam / 2
-    _check_messages(graph, view)
+    _check_messages(view)
     for e in range(graph.n_edges):
         check = int(graph.edge_check[e])
         others = [
@@ -254,8 +254,8 @@ def test_decision_ops_match_argmax():
     ):
         part = np.ascontiguousarray(bel[..., lanes])
         rows = np.empty((3,) + part.shape[1:], dtype=bool)
-        for op in _decision_ops(part, np.empty((2,) + part.shape[1:]), rows, types):
-            op()
+        for call, operands in _decision_ops(part, np.empty((2,) + part.shape[1:]), rows, types):
+            call(*operands)
         decided = 2 * rows[0].astype(np.uint8) + rows[1]
         assert np.array_equal(decided, want[:, lanes])
         # row k is the decision's anticommutation bit with entry k + 1, the
@@ -266,8 +266,10 @@ def test_decision_ops_match_argmax():
 
 @pytest.mark.parametrize(
     "code_name, rows, ops",
-    [("c62", 2, {"check_products": 22, "entry_sums": 5, "anti_sums": 2, "syndrome_test": 5}),
-     ("4_1_1", 3, {"check_products": 6, "entry_sums": 1, "anti_sums": 3, "syndrome_test": 6})],
+    [("c62", 2, {"check_products": 22, "entry_sums": 5, "anti_sums": 2, "syndrome_test": 5,
+                 "qubit_calls": 10, "check_calls": 28, "belief_calls": 12}),
+     ("4_1_1", 3, {"check_products": 6, "entry_sums": 1, "anti_sums": 3, "syndrome_test": 6,
+                   "qubit_calls": 11, "check_calls": 12, "belief_calls": 8})],
 )
 def test_lane_step_computes_only_what_it_reads(code_name, rows, ops):
     # The op lists one lane step runs, and the rows it computes per qubit:
@@ -276,10 +278,13 @@ def test_lane_step_computes_only_what_it_reads(code_name, rows, ops):
     # one left fold of the (entry, qubit) run rows; Lambda_q / 2, the
     # anticommute masses, the entry sums and the anticommutation bits only
     # for X, Z and, on a code with Y entries, Y (the decision's XOR with it).
+    # Each layer's call list holds them, and is built once per layout.
     code = build_code_4_1_1() if code_name == "4_1_1" else construction_b(C62_ROW)
     graph = TannerGraph(code)
     n, slots = graph.n_qubits, graph.check_slots.shape[0]
-    view = Lanes(graph, 2)._view(2)
+    lanes = Lanes(graph, 2)
+    view = lanes._view(2)
+    assert lanes._view(2) is view
     assert {name: len(getattr(view, name)) for name in ops} == ops
     assert view.cpref.shape == (slots, graph.n_checks, 2)
     assert view.half.shape == (1 + rows * n, 2) and view.bits.shape == (1 + 3 * n, 2)
@@ -778,10 +783,10 @@ def test_first_iteration_equals_a_lanes_iteration_one(code_name, real):
     # syndromes, the bulk iteration gives the lanes' iteration-1 gammas and
     # log-beliefs bit for bit (-0.0 included), the latter also as the resume
     # states of the runs it does not end at max_iter = 2, and at max_iter = 1
-    # it ends every run with decode's decision, mask, verdict and count; the
-    # lanes' second iteration is decode's at max_iter = 2, so the bulk calls
-    # leave them untouched.  The kernel is busy, so the bulk calls use the G0
-    # kept while it was idle.
+    # it ends every run, handing back the arrays of decode's decisions, masks
+    # and verdicts; the lanes' second iteration is decode's at max_iter = 2,
+    # so the bulk calls leave them untouched.  The kernel is busy, so the
+    # bulk calls use the G0 kept while it was idle.
     code, p_values, targets = _first_iteration_cases(code_name)
     graph = TannerGraph(code)
     k = len(targets)
@@ -797,27 +802,32 @@ def test_first_iteration_equals_a_lanes_iteration_one(code_name, real):
         lane = lanes._view(k)
         gammas, beliefs = lane.gamma_cells.tobytes(), lane.bel.tobytes()
         copied = np.moveaxis(lane.bel, -1, 0).copy()
-        finished, resumes = lanes.first_iteration(lp, targets, 2)
-        assert [row for row, _ in finished] == [
+        (rows, _, matched, _), resumes = lanes.first_iteration(lp, targets, 2)
+        assert rows.tolist() == [
             row for row, target in enumerate(targets)
             if _decode(code, target, pri, 1, real).converged
         ]
-        assert sorted(row for row, _ in finished + resumes) == list(range(k))
+        assert matched.all()
+        assert sorted(rows.tolist() + [row for row, _ in resumes]) == list(range(k))
         for row, (_, bel) in resumes:
             assert bel.tobytes() == copied[row].tobytes()
-        finished, resumes = lanes.first_iteration(lp, targets, 1)
-        assert resumes == [] and [row for row, _ in finished] == list(range(k))
-        outcomes = [outcome for _, outcome in finished]
+        (rows, errors, matched, frustrated), resumes = lanes.first_iteration(lp, targets, 1)
+        assert resumes == [] and rows.tolist() == list(range(k))
+        assert errors.shape == (k, code.n_sent) and errors.dtype == np.uint8
+        assert frustrated.shape == (k, code.n_checks) and matched.shape == (k,)
         bulk = lanes._view(k, first=True)
         assert bulk.gamma_cells.tobytes() == gammas
         assert bulk.bel.tobytes() == beliefs
-        for outcome, target in zip(outcomes, targets, strict=True):
+        for error, ok, mask, target in zip(errors, matched, frustrated, targets, strict=True):
             want = _decode(code, target, pri, 1, real)
-            assert outcome.error.tolist() == want.error.tolist()
-            assert outcome.frustrated.tolist() == want.frustrated.tolist()
-            assert (outcome.converged, outcome.iterations) == (want.converged, 1)
-            verdicts.add(outcome.converged)
-        _masks_match_counting(code, outcomes, targets)
+            assert error.tolist() == want.error.tolist()
+            assert mask.tolist() == want.frustrated.tolist()
+            assert (bool(ok), want.iterations) == (want.converged, 1)
+            verdicts.add(bool(ok))
+        _masks_match_counting(
+            code, [DecodeOutcome(*run, 1, f) for *run, f in zip(errors, matched, frustrated)],
+            targets,
+        )
         second = dict(lanes.step(halt=False))
         for index, target in enumerate(targets):
             want = _decode(code, target, pri, 2, real, halt=False)
@@ -844,8 +854,13 @@ def test_first_runs_continue_from_the_bulk_iteration(code_name, real):
         lanes = Lanes(graph, 2 * k, real)
         for max_iter in (1, 2, 90):
             wants = [_decode(code, target, pri, max_iter, real) for target in targets]
-            finished, resumes = lanes.first_iteration(lp, targets, max_iter)
-            got = {("bulk", i): outcome for i, outcome in finished}
+            (rows, errors, matched, frustrated), resumes = lanes.first_iteration(
+                lp, targets, max_iter
+            )
+            got = {
+                ("bulk", i): DecodeOutcome(*run, 1, f)
+                for i, *run, f in zip(rows.tolist(), errors, matched, frustrated)
+            }
             for i, state in resumes:
                 lanes.load(("bulk", i), lp, targets[i], max_iter, state)
                 lanes.load(("fresh", i), lp, targets[i], max_iter)
@@ -869,9 +884,10 @@ def test_first_runs_continue_from_the_bulk_iteration(code_name, real):
 
 
 def test_first_iteration_copies_beliefs_only_for_runs_that_continue(monkeypatch):
-    # The bulk iteration builds an outcome only for a run it ends and copies
-    # the log-beliefs only of the runs it does not: one (continuing, 4, n)
-    # copy, whose rows are their resume states' beliefs.
+    # The bulk iteration builds no outcome: the runs it ends come back as
+    # arrays, and it copies the log-beliefs only of the runs it does not
+    # end, in one (continuing, 4, n) copy, whose rows are their resume
+    # states' beliefs.
     code, _, targets = _first_iteration_cases("c62")
     pri = channel_priors(DepolarizingChannel(0.01), code.n_sent)
     lp = log_priors(pri)
@@ -888,9 +904,9 @@ def test_first_iteration_copies_beliefs_only_for_runs_that_continue(monkeypatch)
     lanes.first_messages(lp)  # its two steps build outcomes too
     for max_iter in (90, 1):
         built.clear()
-        finished, resumes = lanes.first_iteration(lp, targets, max_iter)
-        assert [id(outcome) for _, outcome in finished] == list(map(id, built))
-        assert all(outcome.converged for outcome in built) or max_iter == 1
+        (rows, _, ended_matched, _), resumes = lanes.first_iteration(lp, targets, max_iter)
+        assert built == []
+        assert ended_matched.all() or max_iter == 1
         beliefs = [bel for _, (_, bel) in resumes]
         if beliefs:
             copy = beliefs[0].base
@@ -898,7 +914,7 @@ def test_first_iteration_copies_beliefs_only_for_runs_that_continue(monkeypatch)
             assert all(bel.base is copy for bel in beliefs)
             assert not any(np.shares_memory(copy, flat) for flat in lanes._flat.values())
         ended = matched if max_iter == 90 else len(targets)
-        assert (len(finished), len(resumes)) == (ended, len(targets) - ended)
+        assert (len(rows), len(resumes)) == (ended, len(targets) - ended)
 
 
 def test_first_messages_are_checked_for_odd_symmetry(monkeypatch):

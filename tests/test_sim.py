@@ -15,7 +15,7 @@ import gf4bp
 from gf4bp import sim
 from gf4bp.channel import DepolarizingChannel, priors as channel_priors
 from gf4bp.cli import main
-from gf4bp.decoder import DecodeOutcome, decode
+from gf4bp.decoder import DecodeOutcome, TannerGraph, decode
 from gf4bp.formats import write_stabilizer_text
 from gf4bp.sim import (
     CSV_HEADER,
@@ -26,7 +26,7 @@ from gf4bp.sim import (
     trace_run,
     wilson_interval,
 )
-from gf4bp.stabilizer import build_code_4_1_1, construction_b, syndrome
+from gf4bp.stabilizer import StabilizerCode, build_code_4_1_1, construction_b, syndrome
 
 from oracles import block_uniforms, classify_outcome, lane_decode, per_cell_experiment
 
@@ -608,6 +608,33 @@ def test_lane_width_does_not_change_outputs(request, tmp_path, monkeypatch, refe
         assert len({b.iterations for b in blocks}) > 1  # lanes finish apart
 
 
+def test_three_entry_types_match_per_cell_reference(code62, tmp_path, monkeypatch):
+    # X and Y swapped on every even qubit of the [[62,2]] code (a phase gate
+    # there, so the rows still commute) makes 186 Y edges: the lanes then
+    # keep a Y row of entry sums and the decision's XOR row.  Every output
+    # equals the per-cell reference at lane widths 1, 3 and the default,
+    # and with 2 workers.
+    checks = code62.checks.copy()
+    even = checks[:, ::2]
+    even[even % 2 == 1] ^= 2  # X (1) <-> Y (3)
+    code = StabilizerCode(checks, n_sent=code62.n_sent, n_ebits=code62.n_ebits)
+    graph = TannerGraph(code)
+    assert graph.n_types == 3 and (graph.edge_entry == 3).sum() == 186
+    spec = ExperimentSpec(
+        code=code, p_values=(0.03, 0.06), strategies=("standard", "pc08", "enhanced"),
+        blocks=40, seed=1,
+    )
+    path = tmp_path / "reference.jsonl"
+    stats, blocks, _ = per_cell_experiment(spec, jsonl_path=path)
+    assert any(b.strategy != "standard" and b.iterations > spec.max_iter for b in blocks)
+    reference = spec, stats, blocks, path.read_bytes()
+    for width, workers in [(1, 1), (3, 1), (None, 1), (None, 2)]:
+        with monkeypatch.context() as patch:
+            if width is not None:
+                patch.setattr(sim, "lane_width", lambda graph, real, width=width: width)
+            _assert_equals_reference(reference, tmp_path, workers=workers)
+
+
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_worker_count_does_not_change_outputs(lane_reference, tmp_path, workers):
     # one task per worker: 40 blocks in ranges of 40, 20 or 14
@@ -1022,37 +1049,51 @@ def test_unmatched_first_iteration_at_max_iter_one_reports_its_mask(code411):
     # IXII's syndrome is matched by its bulk first iteration at p = 0.05 and
     # not at p = 0.2; with max_iter = 1 the lane then stops after iteration
     # 1 and reports converged = False with the mask of the checks its
-    # decision leaves frustrated.
+    # decision leaves frustrated.  The matched run keeps only its record,
+    # the unmatched one its outcome too.
     spec = ExperimentSpec(
         code=code411, p_values=(0.05, 0.2), blocks=3, seed=1, inject="IXII", max_iter=1,
     )
     chunk = sim._Chunk(spec, 0, spec.blocks)
     results = sim.BlockResults(spec, *chunk.run())  # the one task covers every block
     target = syndrome(code411, code411.embed_sent("IXII"))
-    (matched,), (unmatched,) = ([e.outcome for e in runs.values()] for runs in chunk.first_runs)
-    assert (matched.converged, matched.iterations, matched.error_pauli) == (True, 1, "IXII")
-    assert not matched.frustrated.any()
-    assert (unmatched.converged, unmatched.iterations) == (False, 1)
-    parity = syndrome(code411, code411.embed_sent(unmatched.error))
-    assert unmatched.frustrated.tolist() == (parity != target).tolist()
-    assert unmatched.frustrated.any()
+    (matched,), (unmatched,) = (list(runs.values()) for runs in chunk.first_runs)
+    e_outs = list(chunk.e_outs)
+
+    def record(entry):
+        ((klass, iterations, e_out),) = entry.record.view(sim.RECORD).tolist()
+        return sim.OUTCOME_CLASSES[klass], iterations, e_outs[e_out]
+
+    assert matched.outcome is None and record(matched) == ("exact", 1, "IXII")
+    outcome = unmatched.outcome
+    assert (outcome.converged, outcome.iterations) == (False, 1)
+    assert record(unmatched) == ("detected", 1, outcome.error_pauli)
+    parity = syndrome(code411, code411.embed_sent(outcome.error))
+    assert outcome.frustrated.tolist() == (parity != target).tolist()
+    assert outcome.frustrated.any()
     assert [(b.converged, b.iterations, b.outcome) for b in list(results)[spec.blocks :]] == [
         (False, 1, "detected")
     ] * spec.blocks
 
 
 def test_shared_first_runs_are_read_only(code411):
-    # A syndrome's first run is kept for every block with that syndrome and
-    # the feedback runs continue from it, so its error and its frustrated
-    # mask cannot be written; at p = 0.8 on 4_1_1 first runs do not converge.
+    # A syndrome's first run is kept for every block with that syndrome.  A
+    # converged one keeps only its record; from one that did not converge
+    # the feedback runs continue, so its error and its frustrated mask
+    # cannot be written.  At p = 0.8 on 4_1_1 first runs do not converge.
     spec = ExperimentSpec(
         code=code411, p_values=(0.1, 0.8), strategies=("standard", "pc08", "enhanced"),
         blocks=40, seed=3,
     )
     chunk = sim._Chunk(spec, 0, spec.blocks)
     chunk.run()
-    kept = [entry.outcome for runs in chunk.first_runs for entry in runs.values()]
-    assert any(outcome.converged for outcome in kept)
+    entries = [entry for runs in chunk.first_runs for entry in runs.values()]
+    klass = np.concatenate([entry.record for entry in entries]).view(sim.RECORD)["klass"]
+    kept = [entry.outcome for entry in entries]
+    assert [outcome is None for outcome in kept] == (klass == sim._EXACT).tolist()
+    assert None in kept
+    kept = [outcome for outcome in kept if outcome is not None]
+    assert kept and not any(outcome.converged for outcome in kept)
     assert any(outcome.frustrated.any() for outcome in kept)
     for outcome in kept:
         assert not outcome.error.flags.writeable
