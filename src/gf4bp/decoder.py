@@ -61,18 +61,18 @@ pad a zero and the XOR computed only with Y entries, sit where the message
 gather reads Lambda_q / 2 of an (entry, qubit), and one take through that
 gather and one XOR over each check's slots give every check's parity.
 
-Decoding jobs run as lanes of one kernel (Lanes): every array carries a
-trailing lane axis, each lane has its own iteration count and cap and stops
-on its own syndrome match, and a finished lane can be refilled with the next
-job while the others go on.  Every operation is elementwise along the lane
-axis, and the lane axis is the innermost axis of every operand, so a lane
-computes bit for bit what it would compute alone; decode is the kernel at
-width 1.  Iteration 1 starts from gamma = 0 and bel = lp, so its gammas are
-s_c times G0, the all +1 syndrome's (s_c = +-1 starts the check product, the
-clip is symmetric, tanh and arctanh are odd), as Lanes.first_iteration uses
-to run iteration 1 of many jobs at once: it hands back those a lane would
-end as arrays (rows, errors, verdicts, frustrated masks), one row per job,
-and gives each other one the state with which load resumes it at iteration 2.
+Decoding jobs run as lanes of one kernel (Lanes): every array, each lane's
+iteration count and cap included, carries a trailing lane axis, a lane
+stops on its own syndrome match or cap, and a finished lane can be refilled
+while the others go on.  Every operation is elementwise along the lane
+axis, the innermost axis of every operand, so a lane computes bit for bit
+what it would compute alone; decode is the kernel at width 1.  Iteration 1
+starts from gamma = 0 and bel = lp, so its gammas are s_c times G0, the all
++1 syndrome's (s_c = +-1 starts the check product, the clip is symmetric,
+tanh and arctanh are odd), which the graph's width-1 kernel computes and
+Lanes.first_iteration uses to run iteration 1 of many jobs at once: it hands
+back those a lane would end as arrays (rows, errors, verdicts, frustrated
+masks), one row per job, and each other one's state for load to resume.
 The real dtype is a parameter of the kernel: decode runs float64, which
 agreement with exact marginals to 1e-8 needs, and the Monte-Carlo harness
 float32 (sim.LANE_REAL), at half a lane's bytes and cheaper tanh and arctanh.
@@ -203,17 +203,6 @@ def tanner_graph(code: StabilizerCode) -> TannerGraph:
     return graph
 
 
-class _ErrorPauli:
-    """DecodeOutcome.error_pauli: made on first read, then an instance
-    attribute (functools.cached_property takes a lock on Python 3.11)."""
-
-    def __get__(self, outcome, owner=None):
-        if outcome is None:
-            return self
-        outcome.error_pauli = pauli = gf4.values_to_pauli(outcome.error)
-        return pauli
-
-
 @dataclass
 class DecodeOutcome:
     """Hard decision on the transmitted qubits plus convergence bookkeeping.
@@ -237,8 +226,9 @@ class DecodeOutcome:
         if self.frustrated is None:
             raise ValueError("a DecodeOutcome needs its frustrated-check mask")
 
-    # once per outcome: a shared first run is written for many blocks
-    error_pauli = _ErrorPauli()
+    @property
+    def error_pauli(self) -> str:
+        return gf4.values_to_pauli(self.error)
 
 
 def _qubit_messages(v) -> None:
@@ -290,7 +280,7 @@ def _mismatches(v) -> np.ndarray:
 
 
 def _lane_shapes(graph: TannerGraph, real) -> dict:
-    """Per-lane workspace (shape, dtype)s for real numbers of dtype real;
+    """Per-lane workspace (shape, dtype)s, its reals of dtype real;
     the lane axis is appended last.  The _KEPT ones carry a job from one
     iteration to the next, the others are scratch."""
     n, n_checks, types = graph.n_qubits, graph.n_checks, graph.n_types
@@ -311,12 +301,14 @@ def _lane_shapes(graph: TannerGraph, real) -> dict:
         "anti": ((types, n), real),
         "bits": ((1 + 3 * n,), bit),
         "slot_bits": ((check_slots + 1, n_checks), bit),
+        "iterations": ((), np.intp),  # run so far
+        "caps": ((), np.intp),
     }
 
 
 # moved when lanes are repacked; sigma, the target signs, is cpref[0], and
 # target_parity is slot_bits[-1]
-_KEPT = ("lp", "bel", "gamma", "sigma", "target_parity")
+_KEPT = ("lp", "bel", "gamma", "sigma", "target_parity", "iterations", "caps")
 
 
 class Lanes:
@@ -331,10 +323,11 @@ class Lanes:
     running (packed together) and the held jobs.  It then runs one
     iteration on every occupied lane and returns (job, DecodeOutcome) for
     each lane that matched its target syndrome (unless halt is off) or
-    reached its iteration cap.  A finished lane stays in the layout until
-    the next step() refills it or packs the remaining lanes.  Every real
-    array has dtype real (np.float64 or np.float32), log-priors included,
-    so the same operations run at either precision.
+    reached its iteration cap, which the workspace holds with its count.  A
+    finished lane stays in the layout (jobs holds None for it) until the
+    next step() refills it or packs the remaining lanes.  Every real array
+    has dtype real (np.float64 or np.float32), log-priors included, so the
+    same operations run at either precision.
     """
 
     def __init__(self, graph: TannerGraph, width: int, real=np.float64):
@@ -357,8 +350,6 @@ class Lanes:
         self._layout = 0
         self.jobs = []  # per lane of the layout: its job, None once finished
         self.busy = 0  # jobs running or held
-        self.iterations = []  # per lane of the layout
-        self.caps = []
         self._held = []  # load's arguments for the next layout
 
     @staticmethod
@@ -372,7 +363,8 @@ class Lanes:
     def _view(self, lanes: int, first: bool = False):
         """The workspace for `lanes` lanes (first_iteration's, with one shared
         log-prior lane, if first), its views and each kernel layer's list of
-        (callable, operands) calls, outputs positional, made once per layout."""
+        (callable, operands) calls, outputs positional, made once per layout
+        (empty qubit and check lists for a first layout, which never runs them)."""
         view = self._views.get((lanes, first))
         if view is not None:
             return view
@@ -391,11 +383,6 @@ class Lanes:
         v.decided = bit_rows[:2].view(np.uint8)  # Z and X bits
         v.gamma_cells = cells = v.gamma[:-1].reshape(v.csuf.shape)
         v.half_entries = half = v.half[1:].reshape(s.shape)
-        th = v.th[:-1].reshape(v.csuf.shape)
-        # an X, Z or Y entry anticommutes with Z and Y, X and Y, or X and Z
-        others = [(x[2], x[3]), (x[1], x[3]), (x[1], x[2])]
-        v.anti_sums = [(a, b, out) for (a, b), out in zip(others, anti)]
-        v.check_products = _slot_product_ops(th, v.cpref, v.csuf)
         v.entry_sums = [(qg[0], qg[1], s)] + [(s, row, s) for row in qg[2:]]
         # the decision's bits (anti is free after the qubit messages), then
         # each check cell's bit; mode "clip": the tables index in range, and
@@ -403,6 +390,27 @@ class Lanes:
         v.syndrome_test = _decision_ops(bel, anti[:2], bit_rows, types) + [
             (v.bits.take, (graph._message_gather, 0, v.slot_bits[:-1], "clip"))
         ]
+        lp, rows = v.lp, bel[1 : types + 1]
+        v.belief_calls = [
+            (v.gamma.take, (graph._gamma_gather, 0, qg, "clip")),
+            *[(np.add, ops) for ops in v.entry_sums],
+            (np.add, (s[0], s[1], total)),
+            *[(np.add, (total, row, total)) for row in s[2:]],  # S_Y, with Y entries
+            (np.add, (lp[0], total, bel[0])),
+            (np.multiply, (s, 2.0, rows)),
+            (np.subtract, (rows, total, rows)),
+            (np.add, (rows, lp[1 : types + 1], rows)),
+            # no Y entries: L_Y = lp_Y - (S_X + S_Z)
+            *[(np.subtract, (lp[3], total, bel[3]))] * (types == 2),
+        ]
+        if first:
+            v.qubit_calls = v.check_calls = []
+            return v
+        th = v.th[:-1].reshape(v.csuf.shape)
+        # an X, Z or Y entry anticommutes with Z and Y, X and Y, or X and Z
+        others = [(x[2], x[3]), (x[1], x[3]), (x[1], x[2])]
+        v.anti_sums = [(a, b, out) for (a, b), out in zip(others, anti)]
+        v.check_products = _slot_product_ops(th, v.cpref, v.csuf)
         th_max = np.nextafter(self.real(1), self.real(0))  # the values next to -1 and +1
         v.qubit_calls = [
             (np.maximum.reduce, (bel, 0, None, total)),
@@ -424,19 +432,6 @@ class Lanes:
             (th.clip, (-th_max, th_max, th)),
             (np.arctanh, (th, cells)),
         ]
-        lp, rows = v.lp, bel[1 : types + 1]
-        v.belief_calls = [
-            (v.gamma.take, (graph._gamma_gather, 0, qg, "clip")),
-            *[(np.add, ops) for ops in v.entry_sums],
-            (np.add, (s[0], s[1], total)),
-            *[(np.add, (total, row, total)) for row in s[2:]],  # S_Y, with Y entries
-            (np.add, (lp[0], total, bel[0])),
-            (np.multiply, (s, 2.0, rows)),
-            (np.subtract, (rows, total, rows)),
-            (np.add, (rows, lp[1 : types + 1], rows)),
-            # no Y entries: L_Y = lp_Y - (S_X + S_Z)
-            *[(np.subtract, (lp[3], total, bel[3]))] * (types == 2),
-        ]
         return v
 
     def _relayout(self) -> None:
@@ -453,10 +448,7 @@ class Lanes:
         view.csuf[-1:] = 1.0  # the empty product
         for name, values in kept.items():
             getattr(view, name)[..., :n_kept] = values
-        free = [None] * len(self._held)
-        self.jobs = [self.jobs[i] for i in keep] + free
-        self.iterations = [self.iterations[i] for i in keep] + free
-        self.caps = [self.caps[i] for i in keep] + free
+        self.jobs = [self.jobs[i] for i in keep] + [None] * len(self._held)
         self._start_held(range(n_kept, lanes))
 
     def _start_held(self, lanes) -> None:
@@ -476,8 +468,8 @@ class Lanes:
                 view.bel[..., lane] = bel
                 np.multiply(first, target, out=view.gamma_cells[..., lane])
                 view.gamma[-1, lane] = 0.0
-            self.iterations[lane] = 0 if resume is None else 1
-            self.caps[lane] = max_iter
+            view.iterations[lane] = 0 if resume is None else 1
+            view.caps[lane] = max_iter
             self.jobs[lane] = job
         self._held = []
 
@@ -498,19 +490,17 @@ class Lanes:
         self.busy += 1
 
     def first_messages(self, lp: np.ndarray) -> np.ndarray:
-        """G0 for log-priors lp, kept per graph, dtype and lp.  A new one is
-        computed by this kernel's step, so it needs an idle kernel
-        (RuntimeError if a job is running or held: its lane would be
-        stepped); ArithmeticError if the all -1 syndrome's gammas are not -G0."""
+        """G0 for log-priors lp, kept per graph, dtype and lp.  A new one is a
+        step of the graph's idle width-1 kernel of this dtype, which leaves
+        this kernel's jobs as they were; ArithmeticError if the all -1
+        syndrome's gammas are not -G0."""
         known, key = self.graph._first_messages, (self.real, lp.tobytes())
         if key not in known:
-            if self.busy:
-                raise RuntimeError("a new G0 needs an idle kernel")
-            gammas = []
+            lanes, gammas = idle_lanes(self.graph, 1, self.real), []
             for sign in (1, -1):
-                self.load(sign, lp, np.full(self.graph.n_checks, sign), 1)
-                self.step()
-                gammas.append(self._view(self._layout).gamma_cells[..., 0].copy())
+                lanes.load(sign, lp, np.full(self.graph.n_checks, sign), 1)
+                lanes.step()
+                gammas.append(lanes._view(1).gamma_cells[..., 0].copy())
             if (-gammas[0]).tobytes() != gammas[1].tobytes():
                 raise ArithmeticError("iteration 1's gammas are not odd in the syndrome")
             known[key] = gammas[0]
@@ -556,22 +546,20 @@ class Lanes:
         _beliefs(view)
         frustrated = _mismatches(view)
         mismatched = np.logical_or.reduce(frustrated, 0)
+        view.iterations += 1
+        ended = view.iterations >= view.caps
+        if halt:
+            ended |= ~mismatched
         z_bits, x_bits = view.decided
         finished = []
-        for lane, mismatch in enumerate(mismatched.tolist()):
-            self.iterations[lane] += 1
-            if (halt and not mismatch) or self.iterations[lane] >= self.caps[lane]:
-                error = z_bits[:, lane] << 1  # gf4 value, X bit + 2 * Z bit
-                error |= x_bits[:, lane]
-                outcome = DecodeOutcome(
-                    error=error,
-                    converged=not mismatch,
-                    iterations=self.iterations[lane],
-                    frustrated=frustrated[:, lane].copy(),
-                )
-                finished.append((self.jobs[lane], outcome))
-                self.jobs[lane] = None
-                self.busy -= 1
+        for lane in ended.nonzero()[0].tolist():
+            error = z_bits[:, lane] << 1  # gf4 value, X bit + 2 * Z bit
+            error |= x_bits[:, lane]
+            outcome = DecodeOutcome(error, not mismatched.item(lane), view.iterations.item(lane),
+                                    frustrated[:, lane].copy())
+            finished.append((self.jobs[lane], outcome))
+            self.jobs[lane] = None
+        self.busy -= len(finished)
         return finished
 
     def beliefs(self, lane: int) -> np.ndarray:

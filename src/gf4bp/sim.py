@@ -43,7 +43,7 @@ from . import gf4
 from .channel import DepolarizingChannel, keyed_uniforms, sample_error, substream, substream_keys
 from .channel import priors as channel_priors
 from .decoder import DecodeOutcome, decode, idle_lanes, lane_width, log_priors, tanner_graph
-from .feedback import FeedbackConfig, check_slot, feedback_decode, feedback_round, feedback_rounds
+from .feedback import FeedbackConfig, adjust, check_slot, feedback_decode, feedback_rounds
 from .formats import load_code
 from .stabilizer import check_integer, group_membership, syndrome, syndrome_signs, syndrome_words
 
@@ -226,11 +226,9 @@ class _Chunk:
         self.code = code = spec.code
         self.spec = spec
         self.graph = graph = tanner_graph(code)
-        self.lanes = lanes = idle_lanes(graph, lane_width(graph, LANE_REAL), LANE_REAL)
+        self.lanes = idle_lanes(graph, lane_width(graph, LANE_REAL), LANE_REAL)
         self.priors = [channel_priors(chan, code.n_sent) for chan in spec.channels]
         self.lane_priors = [log_priors(pri, LANE_REAL) for pri in self.priors]
-        for lp in self.lane_priors:  # G0, while the kernel is idle
-            lanes.first_messages(lp)
         zero = syndrome_words(code, np.zeros(code.n_total, dtype=np.uint8))
         self.quiet = zero.tobytes(), syndrome_signs(code, zero)  # key and target
         self.fresh = [[] for _ in spec.p_values]  # per p: _FirstRuns of new syndromes
@@ -360,7 +358,6 @@ class _Chunk:
             entry.record = table[i : i + 1]
             if not ok:
                 entry.outcome = DecodeOutcome(errors[i], False, iterations, frustrated[i])
-                entry.outcome.error_pauli = e_outs[i]
             for batch, rows in entry.waiting:
                 if not ok:
                     self.report(batch, rows, entry)
@@ -601,12 +598,12 @@ def trace_run(spec: ExperimentSpec, target=None, check: int | None = None,
         )
         return rows, outcome
 
-    check_slot(tanner_graph(code), check, qubit)  # even if the first run converges
+    graph = tanner_graph(code)
+    slot = check_slot(graph, check, qubit)  # even if the first run converges
     first = decode(code, target, pri, max_iter=max_iter, on_iteration=record)
     if first.converged:
         return rows, first
-    outcome, _ = feedback_round(
-        code, target, pri, check, qubit, config, first, rng=rng, on_iteration=record
-    )
+    adjusted = adjust(graph, target, pri, config, first, check, slot, rng)
+    outcome = decode(code, target, adjusted, config.t_pert, on_iteration=record)
     outcome.iterations += first.iterations  # the round's output, both runs' count
     return rows, outcome

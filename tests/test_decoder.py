@@ -289,6 +289,12 @@ def test_lane_step_computes_only_what_it_reads(code_name, rows, ops):
     assert view.cpref.shape == (slots, graph.n_checks, 2)
     assert view.half.shape == (1 + rows * n, 2) and view.bits.shape == (1 + 3 * n, 2)
     assert view.s.shape == view.anti.shape == (rows, n, 2)
+    # a first layout builds only what first_iteration runs
+    bulk = lanes._view(2, first=True)
+    assert bulk.qubit_calls == bulk.check_calls == []
+    assert not hasattr(bulk, "check_products") and not hasattr(bulk, "anti_sums")
+    for name in ("entry_sums", "syndrome_test", "belief_calls"):
+        assert len(getattr(bulk, name)) == ops[name]
 
 
 @pytest.mark.parametrize(
@@ -592,8 +598,10 @@ def test_check_on_ebit_columns_only():
 @pytest.mark.parametrize("width", [1, 3, 16])
 def test_lanes_with_refill_match_decode(width):
     # Jobs with mixed iteration caps load into free lanes as others finish,
-    # so lanes are packed and refilled mid-run; every outcome must equal a
-    # lone decode's.
+    # so lanes at unequal counts and caps are packed and refilled mid-run;
+    # every fourth job resumes from the bulk iteration at count 1, its G0
+    # computed while the lanes run.  Every outcome (error, verdict, count and
+    # mask) must equal a lone decode's.
     code = construction_b(C62_ROW)
     graph = TannerGraph(code)
     rng = np.random.default_rng(61)
@@ -606,19 +614,30 @@ def test_lanes_with_refill_match_decode(width):
         jobs.append((pri, syndrome(code, error), (90, 40, 3)[index % 3]))
     lanes = Lanes(graph, width)
     pending = list(range(len(jobs)))
-    got = {}
+    got, resumed = {}, 0
     while pending or lanes.busy:
         while pending and lanes.busy < width:
             index = pending.pop(0)
             pri, target, cap = jobs[index]
-            lanes.load(index, log_priors(pri), target, cap)
+            lp, state = log_priors(pri), None
+            if index % 4 == 1:
+                (rows, errors, matched, masks), resumes = lanes.first_iteration(
+                    lp, target[None], cap
+                )
+                if len(rows):  # iteration 1 ended it
+                    got[index] = DecodeOutcome(errors[0], bool(matched[0]), 1, masks[0])
+                    continue
+                ((_, state),) = resumes
+                resumed += 1
+            lanes.load(index, lp, target, cap, state)
         for index, outcome in lanes.step():
             got[index] = outcome
-    assert any(o.converged for o in got.values())
+    assert resumed and any(o.converged for o in got.values())
     assert any(not o.converged for o in got.values())
     for index, (pri, target, cap) in enumerate(jobs):
         want = decode(code, target, pri, max_iter=cap)
         assert got[index].error.tolist() == want.error.tolist()
+        assert got[index].frustrated.tolist() == want.frustrated.tolist()
         assert (got[index].converged, got[index].iterations) == (
             want.converged, want.iterations,
         )
@@ -936,6 +955,8 @@ def test_first_messages_are_checked_for_odd_symmetry(monkeypatch):
             Lanes(graph, 1, real).first_messages(lp)
         assert graph._first_messages == {}
         monkeypatch.undo()
+        # the graph's width-1 kernel bound the skewed arctanh in its call lists
+        graph = TannerGraph(code)
         first = Lanes(graph, 1, real).first_messages(lp)
         assert first.dtype == real
         assert Lanes(graph, 3, real).first_messages(lp) is first  # kept per graph and lp
@@ -953,27 +974,25 @@ def test_first_messages_are_kept_per_dtype():
     assert wide.tobytes() == Lanes(TannerGraph(code), 1).first_messages(lp).tobytes()
 
 
-def test_first_messages_needs_an_idle_kernel():
-    # A new G0 comes from one step of the kernel's own lanes, so a running or
-    # held job is refused before anything is loaded: the running lane used to
-    # be stepped twice more and the call to fail as "not odd".  A kept G0 is
-    # returned whatever the kernel's state, without a step.
+def test_first_messages_leave_running_jobs_alone():
+    # A new G0 is one step of the graph's width-1 kernel, not of the caller's
+    # lanes, so it can be computed while a job is held or running: the job
+    # keeps its count and ends as a lone decode does.  A kept G0 is returned
+    # whatever the kernel's state, and equals one computed on an idle graph.
     code = construction_b(C62_ROW)
     graph = TannerGraph(code)
     pri = channel_priors(DepolarizingChannel(0.03), code.n_sent)
     lp = log_priors(pri)
+    other = log_priors(channel_priors(DepolarizingChannel(0.05), code.n_sent))
     target = 1 - 2 * np.random.default_rng(5).integers(0, 2, code.n_checks)
     lanes = Lanes(graph, 2)
     lanes.load("held", lp, target, 20)
-    with pytest.raises(RuntimeError, match="idle kernel"):
-        lanes.first_messages(lp)
-    assert lanes.step() == [] and lanes.iterations == [1]  # now running
-    with pytest.raises(RuntimeError, match="idle kernel"):
-        lanes.first_messages(lp)
-    assert (lanes.busy, lanes.iterations, graph._first_messages) == (1, [1], {})
-    first = Lanes(graph, 1).first_messages(lp)
+    first = lanes.first_messages(lp)  # while held
+    assert (lanes.busy, lanes.jobs, len(lanes._held)) == (1, [], 1)
+    assert lanes.step() == [] and lanes._view(1).iterations.tolist() == [1]  # now running
+    assert lanes.first_messages(other).tobytes() != first.tobytes()  # a new G0 while running
     assert lanes.first_messages(lp) is first
-    assert (lanes.busy, lanes.iterations) == (1, [1])
+    assert (lanes.busy, lanes.jobs, lanes._view(1).iterations.tolist()) == (1, ["held"], [1])
     finished = []
     while not finished:
         finished = lanes.step()
@@ -981,4 +1000,6 @@ def test_first_messages_needs_an_idle_kernel():
     want = decode(code, target, pri, max_iter=20)
     assert job == "held" and outcome.iterations == want.iterations > 1
     assert outcome.error.tolist() == want.error.tolist()
+    assert outcome.frustrated.tolist() == want.frustrated.tolist()
+    assert first.tobytes() == Lanes(TannerGraph(code), 2).first_messages(lp).tobytes()
     assert Lanes(graph, 1).first_messages(lp) is lanes.first_messages(lp) is first

@@ -764,7 +764,8 @@ def test_lane_width_follows_the_code(code62, code510):
 def test_harness_kernel_runs_in_its_dtype(code62, monkeypatch):
     # Every real buffer of the harness's kernel and the log-priors of every
     # bulk first iteration and every load (first runs and feedback restarts)
-    # are LANE_REAL, so no lane step mixes float64 into float32.
+    # are LANE_REAL, so no lane step mixes float64 into float32; the lanes'
+    # iteration counts and caps are integers.
     from gf4bp.decoder import Lanes
 
     seen = []  # (what, log-prior dtype)
@@ -787,8 +788,10 @@ def test_harness_kernel_runs_in_its_dtype(code62, monkeypatch):
     chunk = sim._Chunk(spec, 0, spec.blocks)
     chunk.run()
     assert chunk.lanes.real is sim.LANE_REAL is np.float32
-    dtypes = {array.dtype for array in chunk.lanes._flat.values()}
-    assert dtypes == {np.dtype(np.float32), np.dtype(np.bool_)}
+    dtypes = {name: array.dtype for name, array in chunk.lanes._flat.items()}
+    counters = [dtypes.pop(name) for name in ("iterations", "caps")]
+    assert all(np.issubdtype(dtype, np.integer) for dtype in counters)
+    assert set(dtypes.values()) == {np.dtype(np.float32), np.dtype(np.bool_)}
     assert {what for what, _ in seen} == {"bulk", "first", "restart"}
     assert {dtype for _, dtype in seen} == {np.dtype(np.float32)}
 
