@@ -491,12 +491,12 @@ class Lanes:
 
     def first_messages(self, lp: np.ndarray) -> np.ndarray:
         """G0 for log-priors lp, kept per graph, dtype and lp.  A new one is a
-        step of the graph's idle width-1 kernel of this dtype, which leaves
-        this kernel's jobs as they were; ArithmeticError if the all -1
-        syndrome's gammas are not -G0."""
+        step of a fresh width-1 kernel of this dtype, which leaves this
+        kernel's jobs as they were and is not kept; ArithmeticError if the
+        all -1 syndrome's gammas are not -G0."""
         known, key = self.graph._first_messages, (self.real, lp.tobytes())
         if key not in known:
-            lanes, gammas = idle_lanes(self.graph, 1, self.real), []
+            lanes, gammas = Lanes(self.graph, 1, self.real), []
             for sign in (1, -1):
                 lanes.load(sign, lp, np.full(self.graph.n_checks, sign), 1)
                 lanes.step()

@@ -5,21 +5,21 @@ Blocks are independent work items.  The error of block i is drawn from the
 stream of the key (seed, channel-domain, i) only, so all strategies and all
 p values of one experiment face the same underlying randomness and results
 are identical no matter how many workers execute the blocks.  A work item is
-a range of blocks at every p value, one per worker.  Its keys are hashed a
-window of batches at a time (substream_keys), and its blocks drawn
-BATCH_BLOCKS at a time: one counter hash over the batch (keyed_uniforms)
-shared by every p, then per p the errors, syndromes as parity words and
-error strings as arrays.  Each block's standard BP run is computed once and
-shared by every strategy, since pc08 and enhanced feedback start from that
-same run, and blocks with the same syndrome at a p share that run too: a
-work item decodes each (p, syndrome) once, and the quiet blocks (the all +1
-syndrome) are found by one array op.  The first iteration of new syndromes
-runs in bulk, a lane width of them at a time, and the runs it ends are
-written a batch at a time; a first run it does not end continues from it in
-a lane of one float32 lane kernel, as does every feedback restart; jobs
-finish out of order and results are put back in spec order, so outputs do
-not depend on the lane width, the batch size, the key window or the worker
-count.
+a range of blocks at every p value, one per worker, and it samples all its
+blocks before it decodes any.  Its keys are hashed a window of batches at a
+time (substream_keys), and its blocks drawn BATCH_BLOCKS at a time: one
+counter hash over the batch (keyed_uniforms) shared by every p, then per p
+the errors, syndromes as parity words and error strings as arrays.  Each
+block's standard BP run is computed once and shared by every strategy, since
+pc08 and enhanced feedback start from that same run, and blocks with the
+same syndrome at a p share that run too: a work item numbers each (p,
+syndrome) and decodes it once, and the quiet blocks (the all +1 syndrome)
+take their number by one array op.  The first iteration runs in bulk, a lane
+width of syndromes at a time; a first run it does not end continues from it
+in a lane of one float32 lane kernel, as does every feedback restart; jobs
+finish out of order, and once they are all done the first runs' records are
+copied to their blocks, so outputs do not depend on the lane width, the
+batch size, the key window or the worker count.
 
 A work item's results are arrays, not objects: per (p, strategy, block) a
 RECORD of a class code (exact if converged, else detected), the iterations
@@ -57,7 +57,6 @@ _UNDECODED = len(OUTCOME_CLASSES)  # the class code of a result not yet written
 _EXACT, _DETECTED = map(OUTCOME_CLASSES.index, ("exact", "detected"))
 #: A result as an array record: klass indexes OUTCOME_CLASSES, e_out a table of strings.
 RECORD = np.dtype([("klass", "u1"), ("iterations", "u4"), ("e_out", "i4")])
-_SLOT = np.dtype((np.void, RECORD.itemsize))  # a RECORD as raw bytes, stored by one assignment
 
 _STREAM_CHANNEL = 0
 _STREAM_DECODER = 1
@@ -173,53 +172,29 @@ DEGENERACY_LIMIT = 10_000
 LANE_REAL = np.float32
 
 
-@dataclass(eq=False)
-class _Batch:
-    """A batch of sampled blocks at one p."""
-
-    p_index: int
-    blocks: range
-
-
-@dataclass(eq=False)
-class _FirstRun:
-    """The first run on one syndrome at one p: its target, the rows that wait
-    for it, then its record, which later rows are reported with, and, if it
-    did not converge, its read-only outcome, which feedback continues from."""
-
-    target: np.ndarray  # (n_checks,) +1/-1, shared by the syndrome's rows
-    waiting: list  # (batch, rows), until the run is decoded
-    record: object = None  # its RECORD as a (1,) _SLOT table, once decoded
-    outcome: object = None  # the DecodeOutcome, if decoded and not converged
-
-
 class _Chunk:
     """A pool task: a contiguous range of blocks at every p under every
     strategy, decoded as jobs on the process's idle Lanes kernel.
 
-    New blocks come in batches with their keys' rows (_batches), and per p
-    their syndrome words group them: the quiet rows (zero words) are one
-    group, the loud rows one per words, and only their targets are
-    unpacked.  A new syndrome's _FirstRun waits in fresh for iteration 1 in
-    bulk (Lanes.first_iteration), a lane width of syndromes at a time, with
-    the rows that share it; once settled it keeps its record, and its
-    read-only outcome if it did not converge, (per p, keyed by the words)
-    for the rest of the task, so later rows with that syndrome are reported
-    at once.  Results go into a (p, strategy, block - block_lo) RECORD
-    array, class _UNDECODED until written, e_out an index into the task's
-    table of distinct e_outs, through its _SLOT view; each batch's error
-    strings are kept per p in block order.  Every other BP run waits in one
-    queue of Lanes.load arguments: feedback restarts (job, log-priors,
-    target, t_pert) on its front, and on its back the first runs that
-    iteration 1 did not end, with the resume state it gave them.  A job is
-    the call that takes its run's outcome: first_run_done for a first run,
-    advance for a restart.  A first run is shared by its rows' strategies:
-    standard BP (no config) reports it, and so does each feedback strategy
-    if it converged; otherwise a feedback_rounds generator per strategy and
-    row continues from it, drawing from the block's own substream, and
-    advance() sends it each restart's outcome.  write() stores every
-    result's record from a table of _table's, with a provisional class that
-    classify_results settles.
+    The task first samples every block (_sample): per p its error strings,
+    each block's syndrome number (ids, in order of first appearance; the
+    quiet rows, zero words, take theirs by one array op) and each number's
+    target.  It then decodes each (p, syndrome) once.  Iteration 1 runs in
+    bulk (Lanes.first_iteration) on a lane width of numbers at a time, from
+    fresh; a first run it does not end waits, with the resume state it gave
+    it, on the back of one queue of Lanes.load arguments, whose front holds
+    the feedback restarts (job, log-priors, target, t_pert).  A job is the
+    call that takes its run's outcome: first_run_done for a first run,
+    advance for a restart.  settle keeps each first run's RECORD in firsts;
+    from one that did not converge a feedback_rounds generator per feedback
+    strategy and block with that syndrome continues, drawing from the
+    block's own substream, and advance() sends it each restart's outcome and
+    stores its record when it is over.  Once the lanes are idle, run copies
+    each block's first-run record to its standard column, and to every
+    strategy's column if the run converged.  Results are a (p, strategy,
+    block - block_lo) RECORD array, class _UNDECODED until written, e_out an
+    index into the task's table of distinct e_outs, with a provisional class
+    that classify_results settles.
     """
 
     def __init__(self, spec, block_lo, block_hi):
@@ -229,21 +204,22 @@ class _Chunk:
         self.lanes = idle_lanes(graph, lane_width(graph, LANE_REAL), LANE_REAL)
         self.priors = [channel_priors(chan, code.n_sent) for chan in spec.channels]
         self.lane_priors = [log_priors(pri, LANE_REAL) for pri in self.priors]
-        zero = syndrome_words(code, np.zeros(code.n_total, dtype=np.uint8))
-        self.quiet = zero.tobytes(), syndrome_signs(code, zero)  # key and target
-        self.fresh = [[] for _ in spec.p_values]  # per p: _FirstRuns of new syndromes
-        self.batches = self._batches(block_lo, block_hi)
-        self.first_runs = [{} for _ in spec.p_values]  # per p: syndrome words -> _FirstRun
-        self.queue = deque()  # Lanes.load arguments waiting for a lane
         self.block_lo = block_lo
-        self.texts = [[] for _ in spec.p_values]  # per p: the batches' error strings
+        self.texts, self.ids, self.targets = self._sample(block_lo, block_hi)
+        width = self.lanes.width
+        self.fresh = deque(  # lane-width groups of numbers for iteration 1
+            (p_index, range(lo, min(lo + width, len(targets))))
+            for p_index, targets in enumerate(self.targets)
+            for lo in range(0, len(targets), width)
+        )
+        self.firsts = [np.zeros(len(targets), RECORD) for targets in self.targets]
+        self.members = [None] * len(spec.p_values)  # per p: (rows by number, offsets)
+        self.queue = deque()  # Lanes.load arguments waiting for a lane
         self.e_outs = {}  # e_out -> its index in the task's table
         shape = (len(spec.p_values), len(spec.strategies), block_hi - block_lo)
         self.records = np.zeros(shape, RECORD)
         self.records["klass"] = _UNDECODED
-        self.slots = list(self.records.view(_SLOT))  # per p: (strategy, column)
-        self.everyone = np.arange(len(spec.strategies))[:, None]  # strategy index columns
-        self.standard = self.everyone[[config is None for config in spec.configs]]  # no config
+        self.standard = [i for i, config in enumerate(spec.configs) if config is None]
 
     def _batches(self, block_lo, block_hi):
         """The task's batches, (blocks, their substream_keys rows or None
@@ -258,6 +234,49 @@ class _Chunk:
                 blocks = range(first, min(first + BATCH_BLOCKS, hi))
                 yield blocks, keys if keys is None else keys[first - lo : blocks.stop - lo]
 
+    def _sample(self, block_lo, block_hi):
+        """Draw every block a batch at a time, one counter hash per batch
+        (keyed_uniforms) shared by every p; per p (the error strings joined
+        in block order, each block's syndrome number, each number's target)."""
+        code, spec, n_sent = self.code, self.spec, self.code.n_sent
+        texts, ids = [[] for _ in spec.p_values], [[] for _ in spec.p_values]
+        known = [{} for _ in spec.p_values]  # per p: syndrome words -> number
+        zero = syndrome_words(code, np.zeros(code.n_total, dtype=np.uint8))
+        quiet = zero.tobytes()
+        for blocks, keys in self._batches(block_lo, block_hi):
+            uniforms = None if keys is None else keyed_uniforms(keys, n_sent)
+            for p_index, channel in enumerate(spec.channels):
+                if uniforms is None:
+                    errors = np.tile(spec.injected, (len(blocks), 1))
+                else:
+                    errors = sample_error(n_sent, channel, uniforms, n_ebits=code.n_ebits)
+                texts[p_index].append(gf4.values_to_pauli(errors[:, :n_sent]))
+                words, seen = syndrome_words(code, errors), known[p_index]
+                loud = words.any(axis=1)
+                numbers = np.empty(len(blocks), np.intp)
+                if not loud.all():
+                    numbers[~loud] = seen.setdefault(quiet, len(seen))
+                loud = np.flatnonzero(loud)
+                words = words[loud].view(np.dtype((np.void, words.shape[1] * 8))).ravel()
+                numbers[loud] = [seen.setdefault(key, len(seen)) for key in words.tolist()]
+                ids[p_index].append(numbers)
+        return (
+            ["".join(parts) for parts in texts],
+            [np.concatenate(parts) for parts in ids],
+            [syndrome_signs(code, np.frombuffer(b"".join(seen), zero.dtype).reshape(-1, zero.size))
+             for seen in known],
+        )
+
+    def rows(self, p_index: int, number: int) -> np.ndarray:
+        """The task's rows (block - block_lo) whose syndrome at p is number."""
+        if self.members[p_index] is None:
+            ids = self.ids[p_index]
+            offsets = np.zeros(len(self.targets[p_index]) + 1, np.intp)
+            np.cumsum(np.bincount(ids), out=offsets[1:])
+            self.members[p_index] = np.argsort(ids, kind="stable"), offsets
+        order, offsets = self.members[p_index]
+        return order[offsets[number] : offsets[number + 1]]
+
     def run(self) -> tuple:
         """Decode every block; (per p the error strings joined in block order,
         the e_out table, the records), as run_experiment takes it."""
@@ -269,153 +288,88 @@ class _Chunk:
                 break
             for done, outcome in lanes.step():
                 done(outcome)
-        return ["".join(texts) for texts in self.texts], list(self.e_outs), self.records
+        for records, ids, firsts in zip(self.records, self.ids, self.firsts):
+            firsts = firsts[ids]
+            records[self.standard] = firsts
+            converged = firsts["klass"] == _EXACT
+            records[:, converged] = firsts[converged]
+        return self.texts, list(self.e_outs), self.records
 
     def load_next(self) -> bool:
-        """Load the queue's front run; while it is empty, sample batches (which
-        can queue restarts) until a lane width of new syndromes wait or no
-        block is left, then run iteration 1 of a lane width of them.  False
-        when none is left."""
+        """Load the queue's front run, running iteration 1 of the next fresh
+        numbers while it is empty.  False when none is left."""
         while not self.queue:
-            waiting = sum(map(len, self.fresh))
-            batch = next(self.batches, None) if waiting < self.lanes.width else None
-            if batch is not None:
-                self.sample(*batch)
-            elif waiting:
-                self.first_iterations()
-            else:
+            if not self.fresh:
                 return False
+            self.first_iterations(*self.fresh.popleft())
         self.lanes.load(*self.queue.popleft())
         return True
 
-    def sample(self, blocks: range, keys) -> None:
-        """Draw a batch of blocks at every p; report the rows whose syndrome
-        is decoded, and keep each new syndrome for its first iteration."""
-        code, n_sent = self.code, self.code.n_sent
-        uniforms = None if keys is None else keyed_uniforms(keys, n_sent)
-        for p_index, channel in enumerate(self.spec.channels):
-            if uniforms is None:
-                errors = np.tile(self.spec.injected, (len(blocks), 1))
-            else:
-                errors = sample_error(n_sent, channel, uniforms, n_ebits=code.n_ebits)
-            batch = _Batch(p_index, blocks)
-            self.texts[p_index].append(gf4.values_to_pauli(errors[:, :n_sent]))
-            words = syndrome_words(code, errors)
-            loud = words.any(axis=1)
-            groups = {}  # syndrome words -> (target, rows)
-            if not loud.all():
-                groups[self.quiet[0]] = self.quiet[1], np.flatnonzero(~loud)
-            loud = np.flatnonzero(loud)
-            words = words[loud]
-            keys = words.view(np.dtype((np.void, words.shape[1] * 8))).ravel().tolist()
-            for row, key, target in zip(loud.tolist(), keys, syndrome_signs(code, words)):
-                groups.setdefault(key, (target, []))[1].append(row)
-            known = self.first_runs[p_index]
-            for key, (target, rows) in groups.items():
-                entry = known.get(key)
-                if entry is None:
-                    known[key] = entry = _FirstRun(target, [])
-                    self.fresh[p_index].append(entry)
-                if entry.record is None:
-                    entry.waiting.append((batch, rows))
-                else:
-                    self.report(batch, rows, entry)
-
-    def first_iterations(self) -> None:
-        """Iteration 1 of up to a lane width of new syndromes' first runs at
-        the first p that has any (Lanes.first_iteration): it settles the runs
-        it ends and queues each other one to resume from it."""
-        p_index = next(i for i, fresh in enumerate(self.fresh) if fresh)
-        fresh, max_iter, lp = self.fresh[p_index], self.spec.max_iter, self.lane_priors[p_index]
-        entries = fresh[: self.lanes.width]
-        del fresh[: self.lanes.width]
-        targets = np.array([entry.target for entry in entries])
+    def first_iterations(self, p_index: int, numbers: range) -> None:
+        """Iteration 1 of the first runs on these numbers' syndromes at a p
+        (Lanes.first_iteration): it settles the runs it ends and queues each
+        other one to resume from it."""
+        max_iter, lp = self.spec.max_iter, self.lane_priors[p_index]
+        targets = self.targets[p_index][numbers.start : numbers.stop]
         (rows, *runs), resumes = self.lanes.first_iteration(lp, targets, max_iter)
         if len(rows):  # runs: their errors, verdicts and masks
-            self.settle([entries[row] for row in rows.tolist()], *runs, 1)
+            self.settle(p_index, rows + numbers.start, *runs, 1)
         for row, state in resumes:
-            job = partial(self.first_run_done, entries[row])
-            self.queue.append((job, lp, entries[row].target, max_iter, state))
+            job = partial(self.first_run_done, p_index, numbers[row])
+            self.queue.append((job, lp, targets[row], max_iter, state))
 
-    def first_run_done(self, entry: _FirstRun, outcome) -> None:
+    def first_run_done(self, p_index: int, number: int, outcome) -> None:
         """Settle the first run that a lane ended."""
-        self.settle([entry], outcome.error[None], np.array([outcome.converged]),
+        self.settle(p_index, [number], outcome.error[None], np.array([outcome.converged]),
                     outcome.frustrated[None], outcome.iterations)
 
-    def settle(self, entries: list, errors, converged, frustrated, iterations: int) -> None:
-        """Keep first runs' records, and the read-only outcome of each that did
-        not converge (their rows share it), and report the rows waiting for
-        them: a converged run's under every strategy, one write per batch.
-        The runs' gf4 errors, verdicts and frustrated masks are arrays, one
-        row per entry, and they ran the same number of iterations."""
-        n, by_batch = self.code.n_sent, {}  # batch -> (rows, their runs)
+    def settle(self, p_index: int, numbers, errors, converged, frustrated, iterations: int):
+        """Keep first runs' records, and start the feedback runs of each block
+        whose first run did not converge, from its read-only outcome.  The
+        runs' gf4 errors, verdicts and frustrated masks are arrays, one row
+        per number, and they ran the same number of iterations."""
+        spec, n = self.spec, self.code.n_sent
         text = gf4.values_to_pauli(errors)
         e_outs = [text[i : i + n] for i in range(0, len(text), n)]
-        table = self._table(converged, iterations, e_outs)
+        self.firsts[p_index][numbers] = self._table(converged, iterations, e_outs)
         errors.setflags(write=False)
         frustrated.setflags(write=False)
-        for i, (entry, ok) in enumerate(zip(entries, converged.tolist())):
-            entry.record = table[i : i + 1]
-            if not ok:
-                entry.outcome = DecodeOutcome(errors[i], False, iterations, frustrated[i])
-            for batch, rows in entry.waiting:
-                if not ok:
-                    self.report(batch, rows, entry)
+        for i in np.flatnonzero(~converged).tolist():
+            number, target = numbers[i], self.targets[p_index][numbers[i]]
+            outcome = DecodeOutcome(errors[i], False, iterations, frustrated[i])
+            for strategy_index, config in enumerate(spec.configs):
+                if config is None:
                     continue
-                batch_rows, which = by_batch.setdefault(batch, ([], []))
-                batch_rows.extend(rows)
-                which.extend([i] * len(rows))
-            entry.waiting.clear()  # its batches need not outlive their results
-        for batch, (rows, which) in by_batch.items():
-            self.write(batch, rows, self.everyone, table, which)
+                for row in self.rows(p_index, number).tolist():
+                    block = self.block_lo + row
+                    rng = substream(spec.seed, _STREAM_DECODER, strategy_index, p_index, block)
+                    run = feedback_rounds(
+                        self.graph, target, self.priors[p_index], config, outcome, rng
+                    )
+                    self.advance(p_index, strategy_index, row, target, run)
 
-    def report(self, batch: _Batch, rows, first_run: _FirstRun) -> None:
-        """Report a first run for a batch's rows under standard BP, and under
-        the feedback strategies if it converged; else start their runs."""
-        spec, outcome, p_index = self.spec, first_run.outcome, batch.p_index
-        if outcome is None:  # it converged
-            self.write(batch, rows, self.everyone, first_run.record)
-            return
-        self.write(batch, rows, self.standard, first_run.record)
-        first = batch.blocks.start
-        for strategy_index, config in enumerate(spec.configs):
-            if config is None:
-                continue
-            for row in map(int, rows):
-                rng = substream(spec.seed, _STREAM_DECODER, strategy_index, p_index, first + row)
-                run = feedback_rounds(
-                    self.graph, first_run.target, self.priors[p_index], config, outcome, rng
-                )
-                self.advance(batch, row, strategy_index, first_run.target, run)
-
-    def advance(self, batch: _Batch, row: int, strategy_index: int, target, run, outcome=None):
+    def advance(self, p_index: int, strategy_index: int, row: int, target, run, outcome=None):
         """Send the run its last restart's outcome (None to start it) and
-        queue its next restart, or report the batch's row once it is over."""
+        queue its next restart, or store its record once it is over."""
         try:
             adjusted = run.send(outcome)
         except StopIteration as done:
             outcome = done.value[0]
             table = self._table(outcome.converged, outcome.iterations, [outcome.error_pauli])
-            self.write(batch, [row], self.everyone[strategy_index : strategy_index + 1], table)
+            self.records[p_index, strategy_index, row] = table[0]
             return
-        job = partial(self.advance, batch, row, strategy_index, target, run)
+        job = partial(self.advance, p_index, strategy_index, row, target, run)
         t_pert = self.spec.configs[strategy_index].t_pert
         self.queue.appendleft((job, log_priors(adjusted, LANE_REAL), target, t_pert))
 
     def _table(self, converged, iterations, e_outs: list) -> np.ndarray:
-        """The _SLOT records of runs with these verdicts, iterations and e_out
+        """The RECORDs of runs with these verdicts, iterations and e_out
         strings: class exact if converged, else detected."""
         table = np.empty(len(e_outs), RECORD)
         table["klass"] = np.where(converged, _EXACT, _DETECTED)
         table["iterations"] = iterations
         table["e_out"] = [self.e_outs.setdefault(e_out, len(self.e_outs)) for e_out in e_outs]
-        return table.view(_SLOT)
-
-    def write(self, batch: _Batch, rows, strategies: np.ndarray, table, which=0):
-        """Store a batch's rows' records under the strategies of an index
-        column, rows[i]'s from the _SLOT table's row which[i] (default 0)."""
-        columns = np.add(rows, batch.blocks.start - self.block_lo)
-        self.slots[batch.p_index][strategies, columns] = table[which]
+        return table
 
 
 def _run_blocks(args):

@@ -674,20 +674,17 @@ def test_pool_is_sized_by_its_tasks(code411, monkeypatch):
 def test_a_block_never_written_is_not_classified(code411, monkeypatch):
     # A record that no task wrote keeps the "not decoded" class code through
     # classify_results, and run_experiment refuses the cell.
-    write, skipped = sim._Chunk.write, []
+    run = sim._Chunk.run
 
-    def skip_first(self, batch, rows, *args, **kwargs):
-        if not skipped:
-            skipped.append(len(rows))
-            return
-        write(self, batch, rows, *args, **kwargs)
+    def unwrite_one(self):
+        texts, e_outs, records = run(self)
+        records[0, 0, 0]["klass"] = sim._UNDECODED
+        return texts, e_outs, records
 
-    monkeypatch.setattr(sim._Chunk, "write", skip_first)
+    monkeypatch.setattr(sim._Chunk, "run", unwrite_one)
     spec = ExperimentSpec(code=code411, p_values=(0.1,), blocks=40, seed=2)
-    with pytest.raises(RuntimeError, match=r"^\d+ of 40 blocks decoded in a cell$") as caught:
+    with pytest.raises(RuntimeError, match=r"^39 of 40 blocks decoded in a cell$"):
         run_experiment(spec)
-    decoded = int(caught.value.args[0].split()[0])
-    assert skipped and decoded == 40 - skipped[0]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -699,9 +696,8 @@ def test_a_block_never_written_is_not_classified(code411, monkeypatch):
 def test_batch_size_does_not_change_outputs(
     lane_reference, tmp_path, monkeypatch, batch_blocks, key_batches, workers
 ):
-    # Blocks are sampled, grouped by syndrome and reported a batch at a
-    # time into per-cell lists, from keys hashed a window of batches at a
-    # time (by default one window covers these tasks; 14 blocks divide
+    # Blocks are sampled and grouped by syndrome a batch at a time, from
+    # keys hashed a window of batches at a time (by default one window covers these tasks; 14 blocks divide
     # neither 40 nor 20); a pool worker forks with the patched sizes.
     monkeypatch.setattr(sim, "BATCH_BLOCKS", batch_blocks)
     if key_batches is not None:
@@ -925,21 +921,25 @@ def _first_run_rule(code, spec, blocks):
 
 
 @pytest.mark.parametrize(
-    "code_name, p_values, changes",
+    "code_name, p_values, changes, sizes",
     [
-        ("c62", (0.0, 0.002), {}),
-        ("c62", (0.0, 0.002, 0.8), {"inject": "I" * 62}),
-        ("4_1_1", (0.0, 0.8), {"n_a": 2, "max_iter": 30, "t_pert": 10}),
-        ("4_1_1", (0.8,), {"inject": "IIII", "n_a": 2, "max_iter": 30, "t_pert": 10}),
-        ("4_1_1", (0.05, 0.2), {"inject": "IXII"}),
+        ("c62", (0.0, 0.002), {}, {}),
+        ("c62", (0.0, 0.002, 0.8), {"inject": "I" * 62}, {}),
+        ("4_1_1", (0.0, 0.8), {"n_a": 2, "max_iter": 30, "t_pert": 10}, {}),
+        ("4_1_1", (0.8,), {"inject": "IIII", "n_a": 2, "max_iter": 30, "t_pert": 10}, {}),
+        (
+            "4_1_1", (0.8,), {"inject": "IIII", "n_a": 2, "max_iter": 30, "t_pert": 10},
+            {"BATCH_BLOCKS": 7, "KEY_BATCHES": 1},
+        ),
+        ("4_1_1", (0.05, 0.2), {"inject": "IXII"}, {}),
     ],
     ids=[
         "c62-sampled", "c62-injected", "411-unconverged", "411-all-quiet",
-        "411-injected-loud",
+        "411-all-quiet-batches", "411-injected-loud",
     ],
 )
 def test_quiet_blocks_share_one_first_run(
-    code62, tmp_path, monkeypatch, code_name, p_values, changes
+    code62, tmp_path, monkeypatch, code_name, p_values, changes, sizes
 ):
     # Every quiet block (all-+1 syndrome) at a p takes that p's one shared
     # first run.  On the [[62,2]] code at p = 0.8 that run converges to X^62
@@ -947,11 +947,14 @@ def test_quiet_blocks_share_one_first_run(
     # float32 X^62), so injected identity errors are nonequivalent against
     # the shared e_out (sampled errors are never quiet there).  On the 4_1_1
     # code at p = 0.8 it does not converge, so pc08 and enhanced continue
-    # from the shared outcome, which must stay unchanged.  With every block
-    # quiet, sampling queues only feedback restarts while the lanes are idle.  Each
-    # distinct (p, syndrome) gets one bulk first iteration, and only those
-    # it does not match get a lane: an injected error that is not quiet is
-    # matched by its first iteration at p = 0.05 and not at p = 0.2.
+    # from the shared outcome, which must stay unchanged.  Each distinct
+    # (p, syndrome) gets one bulk first iteration, and only those it does not
+    # match get a lane: an injected error that is not quiet is matched by its
+    # first iteration at p = 0.05 and not at p = 0.2.  With batches of 7
+    # blocks and keys hashed a batch at a time, the all-quiet case's one
+    # unconverged first run spans 9 batches and 9 key windows.
+    for name, value in sizes.items():
+        monkeypatch.setattr(sim, name, value)
     code = code62 if code_name == "c62" else load_code(code_name)
     spec = ExperimentSpec(
         code=code, p_values=p_values, strategies=("standard", "pc08", "enhanced"),
@@ -1048,38 +1051,56 @@ def test_quiet_blocks_cost_one_bp_run(code62, monkeypatch):
     assert len(copies) == 1  # log-beliefs are copied for that run alone
 
 
-def test_unmatched_first_iteration_at_max_iter_one_reports_its_mask(code411):
+def _first_runs(chunk, monkeypatch):
+    """Run a task; (per p its first runs' (class, iterations, e_out), the
+    outcomes handed to feedback_rounds, at most one per first run)."""
+    started = {}  # id -> outcome
+    rounds = sim.feedback_rounds
+
+    def kept(graph, target, priors, config, first, rng):
+        started[id(first)] = first
+        return rounds(graph, target, priors, config, first, rng)
+
+    monkeypatch.setattr(sim, "feedback_rounds", kept)
+    chunk.run()
+    e_outs = list(chunk.e_outs)
+    firsts = [
+        [(sim.OUTCOME_CLASSES[klass], iterations, e_outs[e_out])
+         for klass, iterations, e_out in records.tolist()]
+        for records in chunk.firsts
+    ]
+    return firsts, list(started.values())
+
+
+def test_unmatched_first_iteration_at_max_iter_one_reports_its_mask(code411, monkeypatch):
     # IXII's syndrome is matched by its bulk first iteration at p = 0.05 and
     # not at p = 0.2; with max_iter = 1 the lane then stops after iteration
     # 1 and reports converged = False with the mask of the checks its
-    # decision leaves frustrated.  The matched run keeps only its record,
-    # the unmatched one its outcome too.
+    # decision leaves frustrated.  The matched run keeps only its record;
+    # pc08 continues from the unmatched one's outcome.
     spec = ExperimentSpec(
-        code=code411, p_values=(0.05, 0.2), blocks=3, seed=1, inject="IXII", max_iter=1,
+        code=code411, p_values=(0.05, 0.2), strategies=("standard", "pc08"), blocks=3,
+        seed=1, inject="IXII", max_iter=1,
     )
     chunk = sim._Chunk(spec, 0, spec.blocks)
-    results = sim.BlockResults(spec, *chunk.run())  # the one task covers every block
+    firsts, started = _first_runs(chunk, monkeypatch)
+    results = sim.BlockResults(spec, chunk.texts, list(chunk.e_outs), chunk.records)
     target = syndrome(code411, code411.embed_sent("IXII"))
-    (matched,), (unmatched,) = (list(runs.values()) for runs in chunk.first_runs)
-    e_outs = list(chunk.e_outs)
-
-    def record(entry):
-        ((klass, iterations, e_out),) = entry.record.view(sim.RECORD).tolist()
-        return sim.OUTCOME_CLASSES[klass], iterations, e_outs[e_out]
-
-    assert matched.outcome is None and record(matched) == ("exact", 1, "IXII")
-    outcome = unmatched.outcome
+    (matched,), (unmatched,) = firsts
+    assert matched == ("exact", 1, "IXII")
+    (outcome,) = started
     assert (outcome.converged, outcome.iterations) == (False, 1)
-    assert record(unmatched) == ("detected", 1, outcome.error_pauli)
+    assert unmatched == ("detected", 1, outcome.error_pauli)
     parity = syndrome(code411, code411.embed_sent(outcome.error))
     assert outcome.frustrated.tolist() == (parity != target).tolist()
     assert outcome.frustrated.any()
-    assert [(b.converged, b.iterations, b.outcome) for b in list(results)[spec.blocks :]] == [
+    standard = list(results)[2 * spec.blocks : 3 * spec.blocks]  # p = 0.2, standard
+    assert [(b.converged, b.iterations, b.outcome) for b in standard] == [
         (False, 1, "detected")
     ] * spec.blocks
 
 
-def test_shared_first_runs_are_read_only(code411):
+def test_shared_first_runs_are_read_only(code411, monkeypatch):
     # A syndrome's first run is kept for every block with that syndrome.  A
     # converged one keeps only its record; from one that did not converge
     # the feedback runs continue, so its error and its frustrated mask
@@ -1088,15 +1109,11 @@ def test_shared_first_runs_are_read_only(code411):
         code=code411, p_values=(0.1, 0.8), strategies=("standard", "pc08", "enhanced"),
         blocks=40, seed=3,
     )
-    chunk = sim._Chunk(spec, 0, spec.blocks)
-    chunk.run()
-    entries = [entry for runs in chunk.first_runs for entry in runs.values()]
-    klass = np.concatenate([entry.record for entry in entries]).view(sim.RECORD)["klass"]
-    kept = [entry.outcome for entry in entries]
-    assert [outcome is None for outcome in kept] == (klass == sim._EXACT).tolist()
-    assert None in kept
-    kept = [outcome for outcome in kept if outcome is not None]
-    assert kept and not any(outcome.converged for outcome in kept)
+    firsts, kept = _first_runs(sim._Chunk(spec, 0, spec.blocks), monkeypatch)
+    classes = [klass for runs in firsts for klass, _, _ in runs]
+    assert "exact" in classes
+    assert len(kept) == classes.count("detected") > 0
+    assert not any(outcome.converged for outcome in kept)
     assert any(outcome.frustrated.any() for outcome in kept)
     for outcome in kept:
         assert not outcome.error.flags.writeable
