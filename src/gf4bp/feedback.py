@@ -26,7 +26,7 @@ feedback_rounds is the one round engine, a generator: it yields the
 adjusted priors of each config.t_pert-iteration BP restart and is sent
 that restart's DecodeOutcome.  feedback_decode (the serial loop) and the
 Monte-Carlo harness, whose restarts of many runs share the lane kernel,
-drive it; feedback_round (one pinned round, for library callers) checks its
+drive it; feedback_round (one pinned round, also trace_run's) checks its
 pin, then runs adjust and _record around one restart.  A run's random
 choices come from its own generator, so interleaving changes none of them.
 """

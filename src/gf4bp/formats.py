@@ -16,7 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from . import gf4
-from .stabilizer import NonCommutingRowsError, StabilizerCode, as_values, build_code_4_1_1
+from .gf4 import as_values
+from .stabilizer import NonCommutingRowsError, StabilizerCode, build_code_4_1_1
 
 BUILTIN_CODES = {"4_1_1": build_code_4_1_1}
 

@@ -14,7 +14,10 @@ x^2 + x + 1, and its field operations (tests/oracles.py) read the tables.
 Two single-qubit Paulis P, Q commute iff trace(P_hat * conj(Q_hat)) == 0;
 for n-qubit strings the criterion is the trace inner product of the symbol
 vectors.  stabilizer.ANTICOMMUTES tabulates the per-symbol term from these
-tables, and every commutation parity in the package is read from it.
+tables for commutes and ea_canonicalize.  Syndromes (the packed words and
+the lane kernel) read it off the bits instead: a symbol anticommutes with an
+X, Z or Y entry iff its Z bit, its X bit or their XOR is set, which decoder
+checks against ANTICOMMUTES at import.
 """
 
 import numpy as np
@@ -24,15 +27,12 @@ ZERO, ONE, OMEGA, OMEGA_BAR = 0, 1, 2, 3
 #: Pauli symbol for each GF(4) value (index == value).
 PAULI_ORDER = "IXZY"
 
-_PAULI_BYTES = np.frombuffer(PAULI_ORDER.encode("ascii"), dtype=np.uint8)
-
-# The Pauli byte of every uint8 value; 0 marks a value outside 0..3.
-_PAULI_OF_BYTE = np.zeros(256, dtype=np.uint8)
-_PAULI_OF_BYTE[:4] = _PAULI_BYTES
+# The Pauli byte of each GF(4) value, a bytes.translate table (bytes 0..3 only).
+_PAULI_OF_BYTE = PAULI_ORDER.encode("ascii").ljust(256, b"\0")
 
 # The GF(4) value of every Latin-1 byte; 4 marks a byte that is not a Pauli symbol.
 _VALUE_OF_BYTE = np.full(256, 4, dtype=np.uint8)
-_VALUE_OF_BYTE[_PAULI_BYTES] = np.arange(4)
+_VALUE_OF_BYTE[list(_PAULI_OF_BYTE[:4])] = np.arange(4)
 
 MUL_TABLE = np.array(
     [
@@ -61,14 +61,22 @@ def pauli_to_values(pauli: str) -> np.ndarray:
     return np.frombuffer(bytearray(values), dtype=np.uint8)
 
 
+def as_values(pauli) -> np.ndarray:
+    """Coerce a Pauli string ('IXZY' text or value sequence) to GF(4) values;
+    ValueError for a value outside 0..3, such as 1.7 (never truncated)."""
+    if isinstance(pauli, str):
+        return pauli_to_values(pauli)
+    values = np.asarray(pauli)
+    if values.dtype != np.uint8:  # checked before the cast, which truncates
+        if not np.isin(values, (0, 1, 2, 3)).all():
+            raise ValueError("GF(4) values must lie in 0..3")
+        return values.astype(np.uint8)
+    if values.max(initial=0) > 3:  # the harness's errors: only this check
+        raise ValueError("GF(4) values must lie in 0..3")
+    return values
+
+
 def values_to_pauli(values) -> str:
-    """Convert GF(4) values, read in C order, back to their Pauli string."""
-    values = np.asarray(values)
-    if values.dtype == np.uint8:  # the lookup marks invalid values itself
-        text = _PAULI_OF_BYTE.take(values).tobytes()
-        if b"\0" not in text:
-            return text.decode("ascii")
-    elif not values.size or (0 <= values.min() and values.max() <= 3):
-        text = _PAULI_BYTES.take(values.astype(np.intp, copy=False)).tobytes()
-        return text.decode("ascii")
-    raise ValueError(f"GF(4) values must lie in 0..3, got {values.min()}..{values.max()}")
+    """Convert GF(4) values (as_values' rule), read in C order, back to
+    their Pauli string."""
+    return as_values(values).tobytes().translate(_PAULI_OF_BYTE).decode("ascii")

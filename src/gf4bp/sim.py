@@ -43,7 +43,7 @@ from . import gf4
 from .channel import DepolarizingChannel, keyed_uniforms, sample_error, substream, substream_keys
 from .channel import priors as channel_priors
 from .decoder import DecodeOutcome, decode, idle_lanes, lane_width, log_priors, tanner_graph
-from .feedback import FeedbackConfig, adjust, check_slot, feedback_decode, feedback_rounds
+from .feedback import FeedbackConfig, check_slot, feedback_decode, feedback_round, feedback_rounds
 from .formats import load_code
 from .stabilizer import check_integer, group_membership, syndrome, syndrome_signs, syndrome_words
 
@@ -237,7 +237,8 @@ class _Chunk:
     def _sample(self, block_lo, block_hi):
         """Draw every block a batch at a time, one counter hash per batch
         (keyed_uniforms) shared by every p; per p (the error strings joined
-        in block order, each block's syndrome number, each number's target)."""
+        in block order, each block's syndrome number, each number's target
+        signs in the kernel's dtype, LANE_REAL)."""
         code, spec, n_sent = self.code, self.spec, self.code.n_sent
         texts, ids = [[] for _ in spec.p_values], [[] for _ in spec.p_values]
         known = [{} for _ in spec.p_values]  # per p: syndrome words -> number
@@ -264,7 +265,7 @@ class _Chunk:
             ["".join(parts) for parts in texts],
             [np.concatenate(parts) for parts in ids],
             [syndrome_signs(code, np.frombuffer(b"".join(seen), zero.dtype).reshape(-1, zero.size))
-             for seen in known],
+             .astype(LANE_REAL) for seen in known],
         )
 
     def rows(self, p_index: int, number: int) -> np.ndarray:
@@ -517,11 +518,11 @@ def trace_run(spec: ExperimentSpec, target=None, check: int | None = None,
     The spec gives the code, the channel, the strategy's config, max_iter
     and the seed of the feedback draws; the syndrome is its injected error's
     or a given target (exactly one of the two).  With a feedback config, a
-    (check, qubit) pair pins the single feedback round to adjust; without it
-    the full feedback loop runs with seeded random choices.  A check without
-    a qubit, a qubit without a check, or a pin under standard BP is a
-    ValueError.  Returns (rows, outcome) where each row is (iteration,
-    qubit, belief 4-vector), iterations counted across rounds.
+    (check, qubit) pair pins the single feedback round (feedback_round);
+    without it the full feedback loop runs with seeded random choices.  A
+    check without a qubit, a qubit without a check, or a pin under standard
+    BP is a ValueError.  Returns (rows, outcome) where each row is
+    (iteration, qubit, belief 4-vector), iterations counted across rounds.
     """
     if len(spec.p_values) != 1 or len(spec.strategies) != 1:
         raise ValueError("a trace runs one p and one strategy")
@@ -552,12 +553,10 @@ def trace_run(spec: ExperimentSpec, target=None, check: int | None = None,
         )
         return rows, outcome
 
-    graph = tanner_graph(code)
-    slot = check_slot(graph, check, qubit)  # even if the first run converges
+    check_slot(tanner_graph(code), check, qubit)  # even if the first run converges
     first = decode(code, target, pri, max_iter=max_iter, on_iteration=record)
     if first.converged:
         return rows, first
-    adjusted = adjust(graph, target, pri, config, first, check, slot, rng)
-    outcome = decode(code, target, adjusted, config.t_pert, on_iteration=record)
+    outcome, _ = feedback_round(code, target, pri, check, qubit, config, first, rng, record)
     outcome.iterations += first.iterations  # the round's output, both runs' count
     return rows, outcome

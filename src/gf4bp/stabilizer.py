@@ -19,6 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from . import gf4
+from .gf4 import as_values
 
 
 #: ANTICOMMUTES[s, e] = 1 if symbol e anticommutes with symbol s, else 0.
@@ -46,21 +47,6 @@ def check_integer(name: str, value, least: int | None = 0) -> None:
 
 class NonCommutingRowsError(ValueError):
     """A generator set that is supposed to commute does not."""
-
-
-def as_values(pauli) -> np.ndarray:
-    """Coerce a Pauli string ('IXZY' text or value sequence) to GF(4) values;
-    ValueError for a value outside 0..3, such as 1.7 (never truncated)."""
-    if isinstance(pauli, str):
-        return gf4.pauli_to_values(pauli)
-    values = np.asarray(pauli)
-    if values.dtype != np.uint8:  # checked before the cast, which truncates
-        if not np.isin(values, (0, 1, 2, 3)).all():
-            raise ValueError("GF(4) values must lie in 0..3")
-        return values.astype(np.uint8)
-    if values.max(initial=0) > 3:  # the harness's errors: only this check
-        raise ValueError("GF(4) values must lie in 0..3")
-    return values
 
 
 def to_symplectic(values: np.ndarray) -> np.ndarray:

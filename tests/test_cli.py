@@ -117,6 +117,7 @@ def test_simulate_bad_config_key(tmp_path):
         # these used to write a file named - (stdout is only trace's)
         (["--out", "-"], "--out -: this command writes a file, not stdout"),
         (["--jsonl", "-"], "--jsonl -: this command writes a file, not stdout"),
+        (["--p", "0.1,x"], "bad p list '0.1,x'"),
     ],
 )
 def test_simulate_bad_values_are_usage_errors(tmp_path, monkeypatch, args, message):
@@ -329,6 +330,8 @@ def test_build_code_ea_reproduces_4_1_1(tmp_path):
         # these used to end in a traceback
         (["simulate", "--code", "4_1_1", "--config", "bad.cfg"],
          {"bad.cfg": "blocks=abc\n"}, "Invalid value for '--blocks': 'abc'"),
+        (["simulate", "--code", "4_1_1", "--config", "bad.cfg"],
+         {"bad.cfg": "# comment\nblocks 4\n"}, "bad config line (expected key=value): 'blocks 4'"),
         (["build-code", "construction-b", "--first-row", "1101", "--keep", "a",
           "--out", "x.stab"], {}, "bad --keep row 'a': not an integer in 1..4"),
         (["build-code", "construction-b", "--first-row", "1101", "--keep", "9",
@@ -381,8 +384,8 @@ def test_build_code_ea_reproduces_4_1_1(tmp_path):
          {"nested.cfg": "config = nested.cfg\n"}, "unknown config keys: ['config']"),
     ],
     ids=["unknown-code", "bad-syndrome", "bad-first-row", "first-row-not-bits",
-         "config-value", "keep-not-int", "keep-out-of-range", "keep-zero", "keep-negative",
-         "keep-mixed",
+         "config-value", "config-line-without-equals", "keep-not-int", "keep-out-of-range",
+         "keep-zero", "keep-negative", "keep-mixed",
          "trace-check-out-of-range", "trace-qubit-not-on-check", "trace-qubit-alone",
          "trace-pin-under-standard", "malformed-alist", "code-is-directory",
          "trace-code-is-directory", "trace-error-length", "simulate-strategy-name",

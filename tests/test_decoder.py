@@ -757,6 +757,16 @@ def test_lane_on_unreachable_syndrome_runs_to_its_cap():
     assert (out.converged, out.iterations) == (False, 7)
 
 
+def test_load_refuses_a_job_beyond_the_width(code411):
+    # a held job counts as busy, so a width-1 kernel takes one job at a time
+    lanes = Lanes(TannerGraph(code411), 1)
+    lp = log_priors(channel_priors(DepolarizingChannel(0.1), 4))
+    lanes.load("first", lp, np.array([1, 1, 1, 1]), 5)
+    with pytest.raises(RuntimeError, match="every lane is busy"):
+        lanes.load("second", lp, np.array([1, 1, 1, 1]), 5)
+    assert [job for job, _ in lanes.step()] == ["first"]
+
+
 def _first_iteration_cases(code_name):
     """(code, p values, syndromes) for the bulk first iteration: every
     syndrome of the 4_1_1 code; on the larger codes the all +1 and all -1

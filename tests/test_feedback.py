@@ -317,6 +317,17 @@ def test_feedback_decode_replayable(code411, priors411):
         assert np.array_equal(c, d)
 
 
+def test_feedback_decode_without_rng_uses_generator_0(code411, priors411):
+    # no rng is not unseeded: the pc08 draws come from default_rng(0), so the
+    # run repeats
+    config = FeedbackConfig(strategy="pc08", t_pert=15, n_a=6, delta=0.5)
+    runs = [feedback_decode(code411, TARGET, priors411, config) for _ in range(2)]
+    seeded = feedback_decode(code411, TARGET, priors411, config, rng=np.random.default_rng(0))
+    assert len(seeded[1]) >= 2
+    for outcome, records in runs:
+        assert _same_outcome(outcome, seeded[0]) and records == seeded[1]
+
+
 def test_feedback_decode_converged_first_run_has_no_rounds():
     # Blocks of the [[62,2]] code at p=0.06 whose standard run converges:
     # feedback_decode returns that run as it is, with no round.

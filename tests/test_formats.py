@@ -191,6 +191,10 @@ def test_alist_errors():
     mismatch = GOLDEN_ALIST.replace("1 2 1", "1 1 1")
     with pytest.raises(FormatError):
         parse_alist(mismatch)
+    with pytest.raises(FormatError, match="expected 3 column degrees, got 2"):
+        parse_alist(GOLDEN_ALIST.replace("1 2 1\n", "1 2\n"))
+    with pytest.raises(FormatError, match="expected 2 row degrees, got 3"):
+        parse_alist(GOLDEN_ALIST.replace("1 2 1\n2 2\n", "1 2 1\n2 2 1\n"))
 
 
 # write_alist of [[X, Z, I], [I, Y, X]]: header, maximum degrees, column and

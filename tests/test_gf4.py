@@ -128,7 +128,8 @@ def test_pauli_bijection():
     for value in range(4):
         assert gf4.pauli_to_values(gf4.values_to_pauli([value]))[0] == value
     assert gf4.values_to_pauli([]) == ""
-    for bad in ([0, -1, 3], [4], [1, 2, 7]):
+    # non-integral values are refused, not truncated ([1.7, 2.2] once read XZ)
+    for bad in ([0, -1, 3], [4], [1, 2, 7], [1.7], np.array([2.5]), [1.7, 2.2]):
         with pytest.raises(ValueError, match="0..3"):
             gf4.values_to_pauli(bad)
     for bad in (4, 255):

@@ -388,6 +388,20 @@ def test_trace_run_pinned_round(code411):
     assert rows[-1][0] == 88 + 3
 
 
+def test_trace_run_pinned_first_run_converges(code411, monkeypatch):
+    # IXII's first run converges in one iteration: the pinned round never
+    # runs, and the trace is that run's 4 rows
+    spec = ExperimentSpec(code=code411, p_values=(0.1,), strategies=("enhanced",), inject="IXII")
+    rows, outcome = trace_run(spec, check=1, qubit=0)
+    assert outcome.converged and outcome.iterations == 1
+    assert outcome.error_pauli == "IXII"
+    assert [(t, q) for t, q, _ in rows] == [(1, q) for q in range(4)]
+    # qubit 2 is not on check 1: refused before the first run decodes
+    monkeypatch.setattr(sim, "decode", lambda *args, **kwargs: pytest.fail("decoded"))
+    with pytest.raises(ValueError, match="0-based qubit 2 is not connected to check 1"):
+        trace_run(spec, check=1, qubit=2)
+
+
 def test_trace_run_validates_arguments(code411):
     cell = partial(ExperimentSpec, code=code411, p_values=(0.1,))
     with pytest.raises(ValueError):
