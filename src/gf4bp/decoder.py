@@ -69,10 +69,11 @@ axis, the innermost axis of every operand, so a lane computes bit for bit
 what it would compute alone; decode is the kernel at width 1.  Iteration 1
 starts from gamma = 0 and bel = lp, so its gammas are s_c times G0, the all
 +1 syndrome's (s_c = +-1 starts the check product, the clip is symmetric,
-tanh and arctanh are odd), which the graph's width-1 kernel computes and
-Lanes.first_iteration uses to run iteration 1 of many jobs at once: it hands
-back those a lane would end as arrays (rows, errors, verdicts, frustrated
-masks), one row per job, and each other one's state for load to resume.
+tanh and arctanh are odd), which one step of a fresh width-1 kernel computes
+and Lanes.first_iteration uses to run iteration 1 of many jobs at once: it
+hands back those a lane would end as arrays (rows, errors, verdicts,
+frustrated masks), one row per job, and each other one's state for load to
+resume.
 The real dtype is a parameter of the kernel: decode runs float64, which
 agreement with exact marginals to 1e-8 needs, and the Monte-Carlo harness
 float32 (sim.LANE_REAL), at half a lane's bytes and cheaper tanh and arctanh.
@@ -382,7 +383,7 @@ class Lanes:
         bit_rows = v.bits[1:].reshape((3,) + s.shape[1:])
         v.decided = bit_rows[:2].view(np.uint8)  # Z and X bits
         v.gamma_cells = cells = v.gamma[:-1].reshape(v.csuf.shape)
-        v.half_entries = half = v.half[1:].reshape(s.shape)
+        half = v.half[1:].reshape(s.shape)
         v.entry_sums = [(qg[0], qg[1], s)] + [(s, row, s) for row in qg[2:]]
         # the decision's bits (anti is free after the qubit messages), then
         # each check cell's bit; mode "clip": the tables index in range, and

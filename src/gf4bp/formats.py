@@ -188,33 +188,14 @@ def write_alist(matrix: np.ndarray) -> str:
         raise ValueError("matrix must be a nonempty 2-D array")
     m, n = matrix.shape
     q = 4 if matrix.max() > 1 else 2
-    col_lists = [np.nonzero(matrix[:, col])[0] + 1 for col in range(n)]
-    row_lists = [np.nonzero(matrix[row, :])[0] + 1 for row in range(m)]
-    max_col = max(lst.size for lst in col_lists)
-    max_row = max(lst.size for lst in row_lists)
-
-    def render(indices, axis_matrix_get, width):
-        items = []
-        for idx in indices:
-            if q == 2:
-                items.append(str(idx))
-            else:
-                items.append(f"{idx} {axis_matrix_get(idx)}")
-        pad = "0" if q == 2 else "0 0"
-        items.extend([pad] * (width - len(indices)))
-        return " ".join(items)
-
-    lines = []
-    lines.append(f"{n} {m}" if q == 2 else f"{n} {m} {q}")
-    lines.append(f"{max_col} {max_row}")
-    lines.append(" ".join(str(lst.size) for lst in col_lists))
-    lines.append(" ".join(str(lst.size) for lst in row_lists))
-    for col in range(n):
-        lines.append(
-            render(col_lists[col], lambda r, c=col: matrix[r - 1, c], max_col)
-        )
-    for row in range(m):
-        lines.append(
-            render(row_lists[row], lambda c, r=row: matrix[r, c - 1], max_row)
-        )
+    widths, degrees, lists = [], [], []
+    for rows in (matrix.T, matrix):  # the column lists, then the row lists
+        indices = [np.flatnonzero(row).tolist() for row in rows]
+        width = max(map(len, indices))
+        widths.append(str(width))
+        degrees.append(" ".join(str(len(idx)) for idx in indices))
+        for row, idx in zip(rows, indices):
+            items = [str(i + 1) if q == 2 else f"{i + 1} {row[i]}" for i in idx]
+            lists.append(" ".join(items + ["0" if q == 2 else "0 0"] * (width - len(idx))))
+    lines = [f"{n} {m}" if q == 2 else f"{n} {m} {q}", " ".join(widths), *degrees, *lists]
     return "\n".join(lines) + "\n"

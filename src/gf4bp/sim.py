@@ -176,25 +176,25 @@ class _Chunk:
     """A pool task: a contiguous range of blocks at every p under every
     strategy, decoded as jobs on the process's idle Lanes kernel.
 
-    The task first samples every block (_sample): per p its error strings,
-    each block's syndrome number (ids, in order of first appearance; the
-    quiet rows, zero words, take theirs by one array op) and each number's
-    target.  It then decodes each (p, syndrome) once.  Iteration 1 runs in
-    bulk (Lanes.first_iteration) on a lane width of numbers at a time, from
-    fresh; a first run it does not end waits, with the resume state it gave
-    it, on the back of one queue of Lanes.load arguments, whose front holds
-    the feedback restarts (job, log-priors, target, t_pert).  A job is the
-    call that takes its run's outcome: first_run_done for a first run,
-    advance for a restart.  settle keeps each first run's RECORD in firsts;
-    from one that did not converge a feedback_rounds generator per feedback
-    strategy and block with that syndrome continues, drawing from the
-    block's own substream, and advance() sends it each restart's outcome and
-    stores its record when it is over.  Once the lanes are idle, run copies
-    each block's first-run record to its standard column, and to every
-    strategy's column if the run converged.  Results are a (p, strategy,
-    block - block_lo) RECORD array, class _UNDECODED until written, e_out an
-    index into the task's table of distinct e_outs, with a provisional class
-    that classify_results settles.
+    The task first samples every block in one loop (_sample), where an
+    injected error replaces each batch's draw: per p its error strings,
+    each block's syndrome number (ids, in order of first appearance) and
+    each number's target.  It then decodes each (p, syndrome) once.
+    Iteration 1 runs in bulk (Lanes.first_iteration) on a lane width of
+    numbers at a time, from fresh; a first run it does not end waits, with
+    the resume state it gave it, on the back of one queue of Lanes.load
+    arguments, whose front holds the feedback restarts (job, log-priors,
+    target, t_pert).  A job is the call that takes its run's outcome:
+    first_run_done for a first run, advance for a restart.  settle keeps
+    each first run's RECORD in firsts; from one that did not converge a
+    feedback_rounds generator per feedback strategy and block with that
+    syndrome continues, drawing from the block's own substream, and
+    advance() sends it each restart's outcome and stores its record when it
+    is over.  Once the lanes are idle, run copies each block's first-run
+    record to its standard column, and to every strategy's column if the run
+    converged.  Results are a (p, strategy, block - block_lo) RECORD array,
+    class _UNDECODED until written, e_out an index into the task's table of
+    distinct e_outs, with a provisional class that classify_results settles.
     """
 
     def __init__(self, spec, block_lo, block_hi):
@@ -221,46 +221,35 @@ class _Chunk:
         self.records["klass"] = _UNDECODED
         self.standard = [i for i, config in enumerate(spec.configs) if config is None]
 
-    def _batches(self, block_lo, block_hi):
-        """The task's batches, (blocks, their substream_keys rows or None
-        under an injected error), with keys hashed a window at a time."""
-        window, spec = KEY_BATCHES * BATCH_BLOCKS, self.spec
-        for lo in range(block_lo, block_hi, window):
-            hi = min(lo + window, block_hi)
-            keys = None if spec.injected is not None else substream_keys(
-                spec.seed, _STREAM_CHANNEL, np.arange(lo, hi, dtype=np.uint64)
-            )
-            for first in range(lo, hi, BATCH_BLOCKS):
-                blocks = range(first, min(first + BATCH_BLOCKS, hi))
-                yield blocks, keys if keys is None else keys[first - lo : blocks.stop - lo]
-
     def _sample(self, block_lo, block_hi):
-        """Draw every block a batch at a time, one counter hash per batch
-        (keyed_uniforms) shared by every p; per p (the error strings joined
-        in block order, each block's syndrome number, each number's target
-        signs in the kernel's dtype, LANE_REAL)."""
-        code, spec, n_sent = self.code, self.spec, self.code.n_sent
+        """Draw every block, keys a window of KEY_BATCHES batches at a time
+        (substream_keys) and uniforms a batch at a time (keyed_uniforms), shared
+        by every p; an injected error replaces each batch's draw.  Per p (the
+        error strings joined in block order, each block's syndrome number, each
+        number's target signs in the kernel's dtype, LANE_REAL)."""
+        code, spec, n_sent, injected = self.code, self.spec, self.code.n_sent, self.spec.injected
         texts, ids = [[] for _ in spec.p_values], [[] for _ in spec.p_values]
         known = [{} for _ in spec.p_values]  # per p: syndrome words -> number
         zero = syndrome_words(code, np.zeros(code.n_total, dtype=np.uint8))
         quiet = zero.tobytes()
-        for blocks, keys in self._batches(block_lo, block_hi):
-            uniforms = None if keys is None else keyed_uniforms(keys, n_sent)
-            for p_index, channel in enumerate(spec.channels):
-                if uniforms is None:
-                    errors = np.tile(spec.injected, (len(blocks), 1))
-                else:
-                    errors = sample_error(n_sent, channel, uniforms, n_ebits=code.n_ebits)
-                texts[p_index].append(gf4.values_to_pauli(errors[:, :n_sent]))
-                words, seen = syndrome_words(code, errors), known[p_index]
-                loud = words.any(axis=1)
-                numbers = np.empty(len(blocks), np.intp)
-                if not loud.all():
-                    numbers[~loud] = seen.setdefault(quiet, len(seen))
-                loud = np.flatnonzero(loud)
-                words = words[loud].view(np.dtype((np.void, words.shape[1] * 8))).ravel()
-                numbers[loud] = [seen.setdefault(key, len(seen)) for key in words.tolist()]
-                ids[p_index].append(numbers)
+        blocks, window = np.arange(block_lo, block_hi), KEY_BATCHES * BATCH_BLOCKS
+        for lo in range(0, len(blocks), window):
+            keys = substream_keys(spec.seed, _STREAM_CHANNEL, blocks[lo : lo + window])
+            for first in range(0, len(keys), BATCH_BLOCKS):
+                uniforms = keyed_uniforms(keys[first : first + BATCH_BLOCKS], n_sent)
+                for p_index, channel in enumerate(spec.channels):
+                    errors = (sample_error(n_sent, channel, uniforms, n_ebits=code.n_ebits)
+                              if injected is None else np.tile(injected, (len(uniforms), 1)))
+                    texts[p_index].append(gf4.values_to_pauli(errors[:, :n_sent]))
+                    words, seen = syndrome_words(code, errors), known[p_index]
+                    loud = words.any(axis=1)
+                    numbers = np.empty(len(errors), np.intp)
+                    if not loud.all():
+                        numbers[~loud] = seen.setdefault(quiet, len(seen))
+                    loud = np.flatnonzero(loud)
+                    words = words[loud].view(np.dtype((np.void, words.shape[1] * 8))).ravel()
+                    numbers[loud] = [seen.setdefault(key, len(seen)) for key in words.tolist()]
+                    ids[p_index].append(numbers)
         return (
             ["".join(parts) for parts in texts],
             [np.concatenate(parts) for parts in ids],

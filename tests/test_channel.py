@@ -231,3 +231,5 @@ def test_substream_seed_must_be_an_integer():
 def test_substream_uniforms_rejects_negative_seed():
     with pytest.raises(ValueError):
         substream_uniforms(-1, 0, [0], 3)
+    with pytest.raises(ValueError, match="seed keys must be nonnegative, got -1"):
+        substream_keys(0, -1, [0])

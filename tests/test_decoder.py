@@ -194,7 +194,7 @@ def test_vectorized_check_messages_match_reference(code411):
     lanes.load("job", log_priors(np.full((4, 4), 0.25)), target, 1)
     lanes._relayout()  # a job loaded into an empty kernel is laid out by the step
     view = lanes._view(1)
-    view.half_entries[:] = 0.0
+    view.half[1:] = 0.0
     cell = {int(e): divmod(i, graph.n_checks) for i, e in enumerate(graph.check_slots.ravel())}
     for e in range(graph.n_edges):
         commute = ANTICOMMUTES[graph.edge_entry[e]] == 0
@@ -758,7 +758,10 @@ def test_lane_on_unreachable_syndrome_runs_to_its_cap():
 
 
 def test_load_refuses_a_job_beyond_the_width(code411):
-    # a held job counts as busy, so a width-1 kernel takes one job at a time
+    # a held job counts as busy, so a width-1 kernel takes one job at a time,
+    # and a kernel has at least one lane
+    with pytest.raises(ValueError, match="width must be at least 1"):
+        Lanes(TannerGraph(code411), 0)
     lanes = Lanes(TannerGraph(code411), 1)
     lp = log_priors(channel_priors(DepolarizingChannel(0.1), 4))
     lanes.load("first", lp, np.array([1, 1, 1, 1]), 5)

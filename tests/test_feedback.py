@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -435,6 +438,9 @@ def test_feedback_round_checks_strategy_and_mask(code411, priors411):
         code411, TARGET, priors411, 1, 0, FeedbackConfig(strategy="enhanced"), failed
     )
     assert (record.check, record.qubit) == (1, 0)
+    # enhanced draws nothing, pc08 needs a stream to perturb from
+    with pytest.raises(ValueError, match="pc08 rounds need a random stream"):
+        feedback_round(code411, TARGET, priors411, 1, 0, FeedbackConfig(strategy="pc08"), failed)
     # a working outcome without its mask, converged or not, cannot be made,
     # so no pinned round or adjustment gets one (once a ValueError in each
     # of them, and a TypeError before that)
@@ -540,3 +546,25 @@ def test_interleaved_runs_equal_runs_alone():
         assert len(got_priors) == len(priors)
         for got, adjusted in zip(got_priors, priors):
             assert np.array_equal(got, adjusted)
+
+
+def test_readme_library_example():
+    # README's Library block, run as written: the case study's first run at
+    # 88 iterations detects IYII, the pinned enhanced round on (1, 3) converges
+    # to IIZX, and the rounds driven by hand end as feedback_decode's from it
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    library = re.search(r"^## Library\n\n```python\n(.*?)^```", readme, re.S | re.M)
+    block = library.group(1)
+    cut = block.index("# the procedure itself")
+    names = {}
+    exec(block[:cut], names)
+    first, pinned = names["first"], names["outcome"]
+    assert (first.error_pauli, first.converged, first.iterations) == ("IYII", False, 88)
+    assert (pinned.error_pauli, pinned.converged) == ("IIZX", True)
+    assert names["record"].outcome == "converged"
+    exec(block[cut:], names)
+    code, config = names["code"], names["config"]
+    outcome, records = feedback_decode(
+        code, names["target"], names["pri"], config, max_iter=88, rng=substream(1, 0)
+    )
+    assert _same_outcome(names["outcome"], outcome) and names["records"] == records

@@ -90,6 +90,8 @@ def test_parse_stabilizer_line_handling():
         ("XX\nZZ\n!ebits=2\n", HeaderFormatError,
          "ebit count 2 must be smaller than row length 2"),
         ("XI\nZI\n", NonCommutingRowsError, "generators 0 and 1 anticommute"),
+        # the code's own ValueErrors become FormatErrors
+        ("II\nXX\n", FormatError, "every generator row must be nonzero"),
     ],
 )
 def test_parse_stabilizer_messages(text, error, message):
@@ -154,6 +156,9 @@ def test_write_alist_checks_values():
     # a 1.5 entry used to be written as 1; an integral float is exact
     for matrix in ([[1.5, 0], [0, 1]], [[4, 0], [0, 1]], np.array([[4, 0]], dtype=np.uint8)):
         with pytest.raises(ValueError, match="GF\\(4\\) values must lie in 0..3"):
+            write_alist(matrix)
+    for matrix in (np.zeros((0, 3), np.uint8), [1, 0]):
+        with pytest.raises(ValueError, match="matrix must be a nonempty 2-D array"):
             write_alist(matrix)
     assert write_alist([[1.0, 0.0], [0.0, 3.0]]) == write_alist(np.array([[1, 0], [0, 3]]))
 

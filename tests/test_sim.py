@@ -544,6 +544,7 @@ def test_block_results_are_a_read_only_sequence(lane_reference):
     with pytest.raises(TypeError):
         blocks[0] = ref_blocks[0]
     assert blocks != ref_blocks[:-1] and blocks != ref_blocks[1:] + ref_blocks[:1]
+    assert not blocks == 5 and blocks != 5  # not a sequence: NotImplemented
     assert ref_blocks[5] in blocks and blocks.index(ref_blocks[5]) == 5
     for p in spec.p_values:
         errors = [b.error for b in blocks if b.p == p]

@@ -525,6 +525,28 @@ def test_zero_row_rejected():
         StabilizerCode(np.array([[1, 0], [0, 0]], dtype=np.uint8), n_sent=2)
 
 
+@pytest.mark.parametrize(
+    "call, args, message",
+    [
+        (StabilizerCode, ([1, 2], 2), "check matrix must be a nonempty 2-D array"),
+        (StabilizerCode, ([[1, 2]], 2, 1), "n_sent \\+ n_ebits = 3 does not match 2 columns"),
+        (quaternary_to_pauli, ([1, 2],), "check matrix must be 2-D"),
+        (ea_canonicalize, (np.zeros((0, 2), np.uint8),),
+         "generator matrix must be a nonempty 2-D array"),
+        (ea_canonicalize, ([[1, 2], [0, 0]],), "every generator row must be nonzero"),
+        (extend_with_ebits, ([[1, 0], [2, 0]], 2), "pair_count 2 out of range for 2 rows"),
+        (construction_b, ([],), "first row must be a nonempty bit vector"),
+        (group_membership, ([1, 0, 0], build_code_4_1_1()),
+         "error length \\(3,\\) does not match 5 columns"),
+    ],
+    ids=["1d-code", "ebit-count", "1d-check-matrix", "empty-generators", "zero-generator",
+         "pair-count", "empty-first-row", "error-length"],
+)
+def test_shapes_and_sizes_are_checked(call, args, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(*args)
+
+
 C62_ROW = [1 if i in (1, 5, 11, 24, 25, 27) else 0 for i in range(31)]
 
 
