@@ -69,11 +69,11 @@ axis, the innermost axis of every operand, so a lane computes bit for bit
 what it would compute alone; decode is the kernel at width 1.  Iteration 1
 starts from gamma = 0 and bel = lp, so its gammas are s_c times G0, the all
 +1 syndrome's (s_c = +-1 starts the check product, the clip is symmetric,
-tanh and arctanh are odd), which one step of a fresh width-1 kernel computes
-and Lanes.first_iteration uses to run iteration 1 of many jobs at once: it
-hands back those a lane would end as arrays (rows, errors, verdicts,
-frustrated masks), one row per job, and each other one's state for load to
-resume.
+tanh and arctanh are odd), which one step of the graph's idle width-1 kernel
+computes and Lanes.first_iteration uses to run iteration 1 of many jobs at
+once: it hands back those a lane would end as arrays (rows, errors, verdicts,
+frustrated masks), one row per job, and each other one's state for a step to
+resume it from.
 The real dtype is a parameter of the kernel: decode runs float64, which
 agreement with exact marginals to 1e-8 needs, and the Monte-Carlo harness
 float32 (sim.LANE_REAL), at half a lane's bytes and cheaper tanh and arctanh.
@@ -318,17 +318,24 @@ class Lanes:
     Every workspace array is allocated once, as a flat buffer holding
     `width` lanes, and viewed with the lane axis last for the number of
     occupied lanes, so an iteration costs what the occupied lanes cost.
-    load() holds a job for the next step().  step() writes the held jobs
-    into the lanes of finished ones when they fill those lanes exactly;
-    otherwise it first lays the buffers out once for the lanes still
-    running (packed together) and the held jobs.  It then runs one
-    iteration on every occupied lane and returns (job, DecodeOutcome) for
-    each lane that matched its target syndrome (unless halt is off) or
-    reached its iteration cap, which the workspace holds with its count.  A
-    finished lane stays in the layout (jobs holds None for it) until the
-    next step() refills it or packs the remaining lanes.  Every real array
-    has dtype real (np.float64 or np.float32), log-priors included, so the
-    same operations run at either precision.
+    step(halt, starts) first starts the jobs it is given, one
+    (job, log-priors, target, max_iter, resume) tuple each: priors is the
+    (4, n_qubits) log-prior matrix (log_priors) and target the (n_checks,)
+    syndrome of +1/-1 entries; job, any object but None, is returned with
+    the outcome.  Without resume (None) a job starts at iteration 1; with
+    the resume state that first_iteration returned for it (on the same
+    priors, target and max_iter) it starts at iteration 2.  The arrays are
+    read during the call only.  The starts are written into the lanes of
+    finished jobs when they fill those lanes exactly; otherwise the buffers
+    are laid out once for the lanes still running (packed together) and the
+    starts.  step then runs one iteration on every occupied lane and
+    returns (job, DecodeOutcome) for each lane that matched its target
+    syndrome (unless halt is off) or reached its iteration cap, which the
+    workspace holds with its count.  A finished lane stays in the layout
+    (jobs holds None for it) until a later step refills it or packs the
+    remaining lanes; jobs is the one record of which lanes are busy.  Every
+    real array has dtype real (np.float64 or np.float32), log-priors
+    included, so the same operations run at either precision.
     """
 
     def __init__(self, graph: TannerGraph, width: int, real=np.float64):
@@ -350,8 +357,11 @@ class Lanes:
         self._first_flat = dict(self._flat, gamma=self._flat["th"], bel=self._flat["exp"], **own)
         self._layout = 0
         self.jobs = []  # per lane of the layout: its job, None once finished
-        self.busy = 0  # jobs running or held
-        self._held = []  # load's arguments for the next layout
+
+    @property
+    def busy(self) -> int:
+        """Lanes running a job."""
+        return len(self.jobs) - self.jobs.count(None)
 
     @staticmethod
     def lane_bytes(graph: TannerGraph, real=np.float64) -> int:
@@ -435,28 +445,28 @@ class Lanes:
         ]
         return v
 
-    def _relayout(self) -> None:
+    def _relayout(self, starts) -> None:
         """Lay the buffers out for the running lanes, packed in lane order,
-        followed by the held jobs."""
+        followed by the jobs of starts."""
         keep = [lane for lane, job in enumerate(self.jobs) if job is not None]
         old = self._view(self._layout)
         kept = {name: getattr(old, name)[..., keep] for name in _KEPT}
         n_kept = len(keep)
-        lanes = self._layout = n_kept + len(self._held)
+        lanes = self._layout = n_kept + len(starts)
         view = self._view(lanes)
         view.half[0] = np.inf  # pad cells: tanh(+inf) = 1
         view.bits[0] = False  # and anticommutation bit 0
         view.csuf[-1:] = 1.0  # the empty product
         for name, values in kept.items():
             getattr(view, name)[..., :n_kept] = values
-        self.jobs = [self.jobs[i] for i in keep] + [None] * len(self._held)
-        self._start_held(range(n_kept, lanes))
+        self.jobs = [self.jobs[i] for i in keep] + [None] * len(starts)
+        self._start(range(n_kept, lanes), starts)
 
-    def _start_held(self, lanes) -> None:
-        """Write the held jobs' log-priors, targets and starting messages
-        into the free lanes `lanes`, one lane per held job, in order."""
+    def _start(self, lanes, starts) -> None:
+        """Write the starts' log-priors, targets and starting messages into
+        the free lanes `lanes`, one lane per start, in order."""
         view = self._view(self._layout)
-        for lane, (job, lp, target, max_iter, resume) in zip(lanes, self._held):
+        for lane, (job, lp, target, max_iter, resume) in zip(lanes, starts):
             view.lp[..., lane] = lp
             view.sigma[:, lane] = target
             # a -1 on a check without sender edges is never matched
@@ -472,35 +482,17 @@ class Lanes:
             view.iterations[lane] = 0 if resume is None else 1
             view.caps[lane] = max_iter
             self.jobs[lane] = job
-        self._held = []
-
-    def load(self, job, priors: np.ndarray, target: np.ndarray, max_iter: int, resume=None):
-        """Hold a job for the next step, which starts it in a free lane.
-
-        priors is the (4, n_qubits) log-prior matrix (log_priors) and target
-        the (n_checks,) syndrome of +1/-1 entries; job, any object but None,
-        is returned with the outcome.  Without resume the job starts at
-        iteration 1; with the resume state that first_iteration returned for
-        it (on the same priors, target and max_iter) it starts at iteration
-        2.  The arrays are read, not copied, and must not change before the
-        next step.
-        """
-        if self.busy >= self.width:
-            raise RuntimeError("every lane is busy")
-        self._held.append((job, priors, target, max_iter, resume))
-        self.busy += 1
 
     def first_messages(self, lp: np.ndarray) -> np.ndarray:
         """G0 for log-priors lp, kept per graph, dtype and lp.  A new one is a
-        step of a fresh width-1 kernel of this dtype, which leaves this
-        kernel's jobs as they were and is not kept; ArithmeticError if the
+        step of the graph's idle width-1 kernel of this dtype (idle_lanes),
+        which leaves this kernel's jobs as they were; ArithmeticError if the
         all -1 syndrome's gammas are not -G0."""
         known, key = self.graph._first_messages, (self.real, lp.tobytes())
         if key not in known:
-            lanes, gammas = Lanes(self.graph, 1, self.real), []
+            lanes, gammas = idle_lanes(self.graph, 1, self.real), []
             for sign in (1, -1):
-                lanes.load(sign, lp, np.full(self.graph.n_checks, sign), 1)
-                lanes.step()
+                lanes.step(starts=[(sign, lp, np.full(self.graph.n_checks, sign), 1, None)])
                 gammas.append(lanes._view(1).gamma_cells[..., 0].copy())
             if (-gammas[0]).tobytes() != gammas[1].tobytes():
                 raise ArithmeticError("iteration 1's gammas are not odd in the syndrome")
@@ -514,7 +506,7 @@ class Lanes:
         at max_iter = 1.  Returns ((rows, errors, matched, frustrated),
         resumes): the rows of the jobs that end, in order, with their gf4
         errors (rows, n_qubits), whether each matched and their frustrated
-        masks (rows, n_checks); and (row, resume state for load) for each
+        masks (rows, n_checks); and (row, resume state for a start) for each
         other job, in row order."""
         first = self.first_messages(lp)
         view = self._view(len(targets), first=True)
@@ -532,15 +524,19 @@ class Lanes:
         resumes = [(row, (first, b)) for row, b in zip(going.tolist(), bel)]
         return (done, errors, matched[done], frustrated[done]), resumes
 
-    def step(self, halt: bool = True) -> list:
-        """One flooding iteration on every busy lane; returns the finished
-        lanes' (job, DecodeOutcome) pairs in lane order."""
-        if self._held or None in self.jobs:
+    def step(self, halt: bool = True, starts=()) -> list:
+        """Start the jobs of starts in free lanes, then one flooding iteration
+        on every busy lane; returns the finished lanes' (job, DecodeOutcome)
+        pairs in lane order.  RuntimeError, before any lane changes, if
+        starts outnumber the free lanes."""
+        if starts or None in self.jobs:
+            if len(starts) > self.width - self.busy:
+                raise RuntimeError("every lane is busy")
             free = [lane for lane, job in enumerate(self.jobs) if job is None]
-            if len(free) == len(self._held):
-                self._start_held(free)  # the held jobs fill the layout's holes
+            if len(free) == len(starts):
+                self._start(free, starts)  # the starts fill the layout's holes
             else:
-                self._relayout()
+                self._relayout(starts)
         view = self._view(self._layout)
         _qubit_messages(view)
         _check_messages(view)
@@ -560,7 +556,6 @@ class Lanes:
                                     frustrated[:, lane].copy())
             finished.append((self.jobs[lane], outcome))
             self.jobs[lane] = None
-        self.busy -= len(finished)
         return finished
 
     def beliefs(self, lane: int) -> np.ndarray:
@@ -586,8 +581,8 @@ def lane_width(graph: TannerGraph, real=np.float64) -> int:
 
 def log_priors(priors: np.ndarray, real=np.float64) -> np.ndarray:
     """The (4, n) log of the clamped, normalized transpose of an (n, 4)
-    prior matrix, computed in float64 and cast to real, as Lanes.load of
-    that dtype takes it."""
+    prior matrix, computed in float64 and cast to real, as a start of
+    Lanes.step of that dtype takes it."""
     pri = np.maximum(np.asarray(priors, dtype=float).T, MSG_FLOOR)
     return np.log(pri / pri.sum(axis=0)).astype(real, copy=False)
 
@@ -636,10 +631,9 @@ def decode(
             "nonnegative and not all zero"
         )
     lanes = idle_lanes(graph, 1)  # a fresh one for a decode inside on_iteration
-    lanes.load(True, log_priors(pri), target, max_iter)
-    iteration = 0
+    starts, iteration = [(True, log_priors(pri), target, max_iter, None)], 0
     while True:
-        finished = lanes.step(halt)
+        finished, starts = lanes.step(halt, starts), ()
         iteration += 1
         if on_iteration is not None:
             on_iteration(iteration, lanes.beliefs(0))

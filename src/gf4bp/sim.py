@@ -180,21 +180,23 @@ class _Chunk:
     injected error replaces each batch's draw: per p its error strings,
     each block's syndrome number (ids, in order of first appearance) and
     each number's target.  It then decodes each (p, syndrome) once.
-    Iteration 1 runs in bulk (Lanes.first_iteration) on a lane width of
-    numbers at a time, from fresh; a first run it does not end waits, with
-    the resume state it gave it, on the back of one queue of Lanes.load
-    arguments, whose front holds the feedback restarts (job, log-priors,
-    target, t_pert).  A job is the call that takes its run's outcome:
-    first_run_done for a first run, advance for a restart.  settle keeps
-    each first run's RECORD in firsts; from one that did not converge a
-    feedback_rounds generator per feedback strategy and block with that
-    syndrome continues, drawing from the block's own substream, and
-    advance() sends it each restart's outcome and stores its record when it
-    is over.  Once the lanes are idle, run copies each block's first-run
-    record to its standard column, and to every strategy's column if the run
-    converged.  Results are a (p, strategy, block - block_lo) RECORD array,
-    class _UNDECODED until written, e_out an index into the task's table of
-    distinct e_outs, with a provisional class that classify_results settles.
+    Jobs wait in one queue of Lanes.step starts, and each step is given as
+    many from its front as there are free lanes.  The front holds the
+    feedback restarts (job, log-priors, target, t_pert, None).  When the
+    queue is empty, iteration 1 runs in bulk (Lanes.first_iteration) on the
+    next lane width of numbers, from fresh, and a first run it does not end
+    joins the back with the resume state it gave it.  A job is the call
+    that takes its run's outcome: first_run_done for a first run, advance
+    for a restart.  settle keeps each first run's RECORD in firsts; from one
+    that did not converge a feedback_rounds generator per feedback strategy
+    and block with that syndrome continues, drawing from the block's own
+    substream, and advance() sends it each restart's outcome and stores its
+    record when it is over.  Once the lanes are idle, run copies each
+    block's first-run record to its standard column, and to every
+    strategy's column if the run converged.  Results are a (p, strategy,
+    block - block_lo) RECORD array, class _UNDECODED until written, e_out
+    an index into the task's table of distinct e_outs, with a provisional
+    class that classify_results settles.
     """
 
     def __init__(self, spec, block_lo, block_hi):
@@ -214,7 +216,7 @@ class _Chunk:
         )
         self.firsts = [np.zeros(len(targets), RECORD) for targets in self.targets]
         self.members = [None] * len(spec.p_values)  # per p: (rows by number, offsets)
-        self.queue = deque()  # Lanes.load arguments waiting for a lane
+        self.queue = deque()  # Lanes.step starts waiting for a lane
         self.e_outs = {}  # e_out -> its index in the task's table
         shape = (len(spec.p_values), len(spec.strategies), block_hi - block_lo)
         self.records = np.zeros(shape, RECORD)
@@ -270,13 +272,17 @@ class _Chunk:
     def run(self) -> tuple:
         """Decode every block; (per p the error strings joined in block order,
         the e_out table, the records), as run_experiment takes it."""
-        lanes = self.lanes
+        lanes, queue, fresh = self.lanes, self.queue, self.fresh
         while True:
-            while lanes.busy < lanes.width and self.load_next():
-                pass
-            if not lanes.busy:
+            starts, room = [], lanes.width - lanes.busy
+            while len(starts) < room and (queue or fresh):
+                if queue:
+                    starts.append(queue.popleft())
+                else:  # the queue is empty: iteration 1 of the next fresh numbers
+                    self.first_iterations(*fresh.popleft())
+            if not (starts or lanes.busy):
                 break
-            for done, outcome in lanes.step():
+            for done, outcome in lanes.step(starts=starts):
                 done(outcome)
         for records, ids, firsts in zip(self.records, self.ids, self.firsts):
             firsts = firsts[ids]
@@ -284,16 +290,6 @@ class _Chunk:
             converged = firsts["klass"] == _EXACT
             records[:, converged] = firsts[converged]
         return self.texts, list(self.e_outs), self.records
-
-    def load_next(self) -> bool:
-        """Load the queue's front run, running iteration 1 of the next fresh
-        numbers while it is empty.  False when none is left."""
-        while not self.queue:
-            if not self.fresh:
-                return False
-            self.first_iterations(*self.fresh.popleft())
-        self.lanes.load(*self.queue.popleft())
-        return True
 
     def first_iterations(self, p_index: int, numbers: range) -> None:
         """Iteration 1 of the first runs on these numbers' syndromes at a p
@@ -350,7 +346,7 @@ class _Chunk:
             return
         job = partial(self.advance, p_index, strategy_index, row, target, run)
         t_pert = self.spec.configs[strategy_index].t_pert
-        self.queue.appendleft((job, log_priors(adjusted, LANE_REAL), target, t_pert))
+        self.queue.appendleft((job, log_priors(adjusted, LANE_REAL), target, t_pert, None))
 
     def _table(self, converged, iterations, e_outs: list) -> np.ndarray:
         """The RECORDs of runs with these verdicts, iterations and e_out

@@ -444,9 +444,9 @@ def lane_decode(graph, lp, target, max_iter: int, halt: bool = True):
     from gf4bp.decoder import Lanes
 
     lanes = Lanes(graph, 1, lp.dtype.type)
-    lanes.load(True, lp, np.asarray(target), max_iter)
+    starts = [(True, lp, np.asarray(target), max_iter, None)]
     while True:
-        finished = lanes.step(halt)
+        finished, starts = lanes.step(halt, starts), ()
         if finished:
             return finished[0][1]
 

@@ -14,6 +14,7 @@ from gf4bp.decoder import (
     _check_messages,
     _decision_ops,
     decode,
+    idle_lanes,
     log_priors,
     tanner_graph,
 )
@@ -191,8 +192,7 @@ def test_vectorized_check_messages_match_reference(code411):
     # one lane of the kernel, its q->c messages replaced by random ones: with
     # every Lambda_q / 2 at 0, an edge's Lambda / 2 is minus its cell's gamma
     lanes = Lanes(graph, 1)
-    lanes.load("job", log_priors(np.full((4, 4), 0.25)), target, 1)
-    lanes._relayout()  # a job loaded into an empty kernel is laid out by the step
+    lanes._relayout([("job", log_priors(np.full((4, 4), 0.25)), target, 1, None)])
     view = lanes._view(1)
     view.half[1:] = 0.0
     cell = {int(e): divmod(i, graph.n_checks) for i, e in enumerate(graph.check_slots.ravel())}
@@ -554,11 +554,12 @@ def test_frustrated_mask_matches_counting_oracle(code_name, p_values, caps, n_jo
     pending = list(range(n_jobs))
     got = {}
     while pending or lanes.busy:
-        while pending and lanes.busy < lanes.width:
+        starts = []
+        while pending and lanes.busy + len(starts) < lanes.width:
             index = pending.pop(0)
             pri, target = jobs[index]
-            lanes.load(index, log_priors(pri), target, caps[index % len(caps)])
-        got.update(lanes.step(halt))
+            starts.append((index, log_priors(pri), target, caps[index % len(caps)], None))
+        got.update(lanes.step(halt, starts))
     outcomes = [got[index] for index in range(n_jobs)]
     _masks_match_counting(code, outcomes, [target for _, target in jobs])
     assert any(o.converged for o in outcomes)
@@ -616,7 +617,8 @@ def test_lanes_with_refill_match_decode(width):
     pending = list(range(len(jobs)))
     got, resumed = {}, 0
     while pending or lanes.busy:
-        while pending and lanes.busy < width:
+        starts = []
+        while pending and lanes.busy + len(starts) < width:
             index = pending.pop(0)
             pri, target, cap = jobs[index]
             lp, state = log_priors(pri), None
@@ -629,8 +631,8 @@ def test_lanes_with_refill_match_decode(width):
                     continue
                 ((_, state),) = resumes
                 resumed += 1
-            lanes.load(index, lp, target, cap, state)
-        for index, outcome in lanes.step():
+            starts.append((index, lp, target, cap, state))
+        for index, outcome in lanes.step(starts=starts):
             got[index] = outcome
     assert resumed and any(o.converged for o in got.values())
     assert any(not o.converged for o in got.values())
@@ -645,8 +647,8 @@ def test_lanes_with_refill_match_decode(width):
 
 @pytest.mark.parametrize("k", [1, 4, 6])
 def test_lanes_loaded_together_are_laid_out_once(monkeypatch, k):
-    # k jobs loaded into an empty kernel (and later into the free room of a
-    # packed one) cost one relayout at the next step, not one each; the
+    # k jobs started together in an empty kernel (and later in the free room
+    # of a packed one) cost one relayout at that step, not one each; the
     # outcomes equal lone decodes.
     code = construction_b(C62_ROW)
     graph = TannerGraph(code)
@@ -659,26 +661,20 @@ def test_lanes_loaded_together_are_laid_out_once(monkeypatch, k):
     relayouts = []
     relayout = Lanes._relayout
 
-    def counted(self):
-        relayouts.append(len(self._held))
-        return relayout(self)
+    def counted(self, starts):
+        relayouts.append(len(starts))
+        return relayout(self, starts)
 
     monkeypatch.setattr(Lanes, "_relayout", counted)
     lanes = Lanes(graph, 6)
     got = {}
-    for index in range(k):
-        pri, target, cap = jobs[index]
-        lanes.load(index, log_priors(pri), target, cap)
-    assert relayouts == [] and lanes.busy == k
-    got.update(lanes.step(halt=False))
-    assert relayouts == [k]
-    while len(got) < k:  # run the first jobs out, then load the rest at once
+    starts = [(i, log_priors(pri), target, cap, None) for i, (pri, target, cap) in enumerate(jobs)]
+    got.update(lanes.step(halt=False, starts=starts[:k]))
+    assert relayouts == [k] and lanes.busy == k
+    while len(got) < k:  # run the first jobs out, then start the rest at once
         got.update(lanes.step(halt=False))
     before = len(relayouts)
-    for index in range(k, 2 * k):
-        pri, target, cap = jobs[index]
-        lanes.load(index, log_priors(pri), target, cap)
-    got.update(lanes.step(halt=False))
+    got.update(lanes.step(halt=False, starts=starts[k:]))
     # finished lanes still in the layout are refilled in place
     assert len(relayouts) - before <= 1 and lanes._layout == k
     while lanes.busy:
@@ -691,10 +687,10 @@ def test_lanes_loaded_together_are_laid_out_once(monkeypatch, k):
         )
 
 
-def test_held_jobs_fill_non_contiguous_holes_in_place(monkeypatch):
-    # Lanes 0, 2 and 5 of 6 finish first; three held jobs are written into
-    # those lanes at the next step without a relayout, and every outcome
-    # equals a lone decode's.
+def test_starts_fill_non_contiguous_holes_in_place(monkeypatch):
+    # Lanes 0, 2 and 5 of 6 finish first; three jobs started at the next
+    # step are written into those lanes without a relayout, and every
+    # outcome equals a lone decode's.
     code = construction_b(C62_ROW)
     graph = TannerGraph(code)
     rng = np.random.default_rng(5)
@@ -708,24 +704,19 @@ def test_held_jobs_fill_non_contiguous_holes_in_place(monkeypatch):
     relayouts = []
     relayout = Lanes._relayout
 
-    def counted(self):
-        relayouts.append(len(self._held))
-        return relayout(self)
+    def counted(self, starts):
+        relayouts.append(len(starts))
+        return relayout(self, starts)
 
     monkeypatch.setattr(Lanes, "_relayout", counted)
     lanes = Lanes(graph, 6)
-    for index in range(6):
-        pri, target, cap = jobs[index]
-        lanes.load(index, log_priors(pri), target, cap)
-    got = {}
-    for _ in range(3):
+    starts = [(i, log_priors(pri), target, cap, None) for i, (pri, target, cap) in enumerate(jobs)]
+    got = dict(lanes.step(halt=False, starts=starts[:6]))
+    for _ in range(2):
         got.update(lanes.step(halt=False))
     assert sorted(got) == [0, 2, 5] and relayouts == [6]
     assert lanes.jobs == [None, 1, None, 3, 4, None]
-    for index in range(6, 9):
-        pri, target, cap = jobs[index]
-        lanes.load(index, log_priors(pri), target, cap)
-    got.update(lanes.step(halt=False))
+    got.update(lanes.step(halt=False, starts=starts[6:]))
     assert relayouts == [6] and lanes._layout == 6
     assert lanes.jobs == [6, 1, 7, 3, 4, 8]
     while lanes.busy:
@@ -745,9 +736,10 @@ def test_lane_on_unreachable_syndrome_runs_to_its_cap():
     graph = TannerGraph(code)
     pri = channel_priors(DepolarizingChannel(0.1), 2)
     lanes = Lanes(graph, 2)
-    lanes.load("reachable", log_priors(pri), np.array([1, 1]), 10)
-    lanes.load("unreachable", log_priors(pri), np.array([1, -1]), 7)
-    finished = {}
+    finished = dict(lanes.step(starts=[
+        ("reachable", log_priors(pri), np.array([1, 1]), 10, None),
+        ("unreachable", log_priors(pri), np.array([1, -1]), 7, None),
+    ]))
     while lanes.busy:
         finished.update(lanes.step())
     assert finished["reachable"].converged and finished["reachable"].iterations == 1
@@ -757,17 +749,37 @@ def test_lane_on_unreachable_syndrome_runs_to_its_cap():
     assert (out.converged, out.iterations) == (False, 7)
 
 
-def test_load_refuses_a_job_beyond_the_width(code411):
-    # a held job counts as busy, so a width-1 kernel takes one job at a time,
-    # and a kernel has at least one lane
+def test_step_refuses_more_starts_than_free_lanes(code411):
+    # A kernel has at least one lane, and a step given more starts than it
+    # has free lanes raises before it touches a lane: the jobs, the busy
+    # count, the layout and every array a job carries between iterations
+    # are as they were, and the running job still ends as a lone decode.
     with pytest.raises(ValueError, match="width must be at least 1"):
         Lanes(TannerGraph(code411), 0)
-    lanes = Lanes(TannerGraph(code411), 1)
-    lp = log_priors(channel_priors(DepolarizingChannel(0.1), 4))
-    lanes.load("first", lp, np.array([1, 1, 1, 1]), 5)
+    graph = TannerGraph(code411)
+    pri = channel_priors(DepolarizingChannel(0.1), 4)
+    lp, target = log_priors(pri), np.array([1, -1, 1, -1])
+    lanes = Lanes(graph, 1)
     with pytest.raises(RuntimeError, match="every lane is busy"):
-        lanes.load("second", lp, np.array([1, 1, 1, 1]), 5)
-    assert [job for job, _ in lanes.step()] == ["first"]
+        lanes.step(starts=[("a", lp, target, 5, None), ("b", lp, target, 5, None)])
+    assert (lanes.jobs, lanes.busy, lanes._layout) == ([], 0, 0)
+    lanes = Lanes(graph, 2)
+    assert [job for job, _ in lanes.step(
+        halt=False, starts=[("a", lp, target, 1, None), ("b", lp, target, 5, None)]
+    )] == ["a"]
+    view = lanes._view(2)
+    kept = {name: getattr(view, name).tobytes() for name in decoder._KEPT}
+    with pytest.raises(RuntimeError, match="every lane is busy"):
+        lanes.step(halt=False, starts=[("c", lp, target, 5, None), ("d", lp, target, 5, None)])
+    assert (lanes.jobs, lanes.busy, lanes._layout) == ([None, "b"], 1, 2)
+    assert {name: getattr(view, name).tobytes() for name in decoder._KEPT} == kept
+    finished = []
+    while not finished:
+        finished = lanes.step(halt=False)
+    ((job, outcome),) = finished
+    want = decode(code411, target, pri, max_iter=5, halt=False)
+    assert (job, outcome.iterations) == ("b", want.iterations)
+    assert outcome.error.tolist() == want.error.tolist()
 
 
 def _first_iteration_cases(code_name):
@@ -828,9 +840,8 @@ def test_first_iteration_equals_a_lanes_iteration_one(code_name, real):
         lp = log_priors(pri, real)
         lanes = Lanes(graph, k, real)
         lanes.first_messages(lp)
-        for index, target in enumerate(targets):
-            lanes.load(index, lp, target, 2)
-        assert lanes.step(halt=False) == []
+        starts = [(index, lp, target, 2, None) for index, target in enumerate(targets)]
+        assert lanes.step(halt=False, starts=starts) == []
         lane = lanes._view(k)
         gammas, beliefs = lane.gamma_cells.tobytes(), lane.bel.tobytes()
         copied = np.moveaxis(lane.bel, -1, 0).copy()
@@ -874,8 +885,8 @@ def test_first_runs_continue_from_the_bulk_iteration(code_name, real):
     # A job loaded with the bulk iteration's G0 and log-beliefs starts at
     # iteration 2, so it takes one step less than a fresh job on the same
     # syndrome, and ends as decode does: the same error, verdict, count and
-    # mask at max_iter 2 and 90 (both starts are held together and share each
-    # layout).  At max_iter 1 the bulk outcome is decode's.
+    # mask at max_iter 2 and 90 (both jobs start in the same step and share
+    # each layout).  At max_iter 1 the bulk outcome is decode's.
     code, p_values, targets = _first_iteration_cases(code_name)
     graph = TannerGraph(code)
     k = len(targets)
@@ -893,15 +904,17 @@ def test_first_runs_continue_from_the_bulk_iteration(code_name, real):
                 ("bulk", i): DecodeOutcome(*run, 1, f)
                 for i, *run, f in zip(rows.tolist(), errors, matched, frustrated)
             }
+            starts = []
             for i, state in resumes:
-                lanes.load(("bulk", i), lp, targets[i], max_iter, state)
-                lanes.load(("fresh", i), lp, targets[i], max_iter)
+                starts.append((("bulk", i), lp, targets[i], max_iter, state))
+                starts.append((("fresh", i), lp, targets[i], max_iter, None))
                 continued += 1
             steps, step = {}, 0
-            while lanes.busy:
+            while starts or lanes.busy:
                 step += 1
-                for job, outcome in lanes.step():
+                for job, outcome in lanes.step(starts=starts):
                     got[job], steps[job] = outcome, step
+                starts = ()
             assert {key for key in got if key[0] == "bulk"} == {("bulk", i) for i in range(k)}
             for (start, i), outcome in got.items():
                 want = wants[i]
@@ -989,9 +1002,9 @@ def test_first_messages_are_kept_per_dtype():
 
 def test_first_messages_leave_running_jobs_alone():
     # A new G0 is one step of the graph's width-1 kernel, not of the caller's
-    # lanes, so it can be computed while a job is held or running: the job
-    # keeps its count and ends as a lone decode does.  A kept G0 is returned
-    # whatever the kernel's state, and equals one computed on an idle graph.
+    # lanes, so it can be computed while a job is running: the job keeps its
+    # count and ends as a lone decode does.  A kept G0 is returned whatever
+    # the kernel's state, and equals one computed on an idle graph.
     code = construction_b(C62_ROW)
     graph = TannerGraph(code)
     pri = channel_priors(DepolarizingChannel(0.03), code.n_sent)
@@ -999,20 +1012,40 @@ def test_first_messages_leave_running_jobs_alone():
     other = log_priors(channel_priors(DepolarizingChannel(0.05), code.n_sent))
     target = 1 - 2 * np.random.default_rng(5).integers(0, 2, code.n_checks)
     lanes = Lanes(graph, 2)
-    lanes.load("held", lp, target, 20)
-    first = lanes.first_messages(lp)  # while held
-    assert (lanes.busy, lanes.jobs, len(lanes._held)) == (1, [], 1)
-    assert lanes.step() == [] and lanes._view(1).iterations.tolist() == [1]  # now running
+    first = lanes.first_messages(lp)
+    assert (lanes.busy, lanes.jobs) == (0, [])
+    assert lanes.step(starts=[("running", lp, target, 20, None)]) == []
+    assert lanes._view(1).iterations.tolist() == [1]
     assert lanes.first_messages(other).tobytes() != first.tobytes()  # a new G0 while running
     assert lanes.first_messages(lp) is first
-    assert (lanes.busy, lanes.jobs, lanes._view(1).iterations.tolist()) == (1, ["held"], [1])
+    assert (lanes.busy, lanes.jobs, lanes._view(1).iterations.tolist()) == (1, ["running"], [1])
     finished = []
     while not finished:
         finished = lanes.step()
     ((job, outcome),) = finished
     want = decode(code, target, pri, max_iter=20)
-    assert job == "held" and outcome.iterations == want.iterations > 1
+    assert job == "running" and outcome.iterations == want.iterations > 1
     assert outcome.error.tolist() == want.error.tolist()
     assert outcome.frustrated.tolist() == want.frustrated.tolist()
     assert first.tobytes() == Lanes(TannerGraph(code), 2).first_messages(lp).tobytes()
     assert Lanes(graph, 1).first_messages(lp) is lanes.first_messages(lp) is first
+
+
+@pytest.mark.parametrize("real", [np.float64, np.float32])
+def test_first_messages_reuse_the_graphs_width_1_kernel(real):
+    # Each new G0 is one step of the graph's idle width-1 kernel
+    # (idle_lanes), not of a throwaway one: a second log-prior, as a task
+    # with two p values has, steps the same kernel again, and each G0 has
+    # the bytes of the all +1 syndrome's iteration-1 gammas on a fresh
+    # width-1 kernel.
+    code = construction_b(C62_ROW)
+    graph = TannerGraph(code)
+    kernel, lanes = idle_lanes(graph, 1, real), Lanes(graph, 4, real)
+    for p in (0.02, 0.03):
+        lp = log_priors(channel_priors(DepolarizingChannel(p), code.n_sent), real)
+        first = lanes.first_messages(lp)
+        assert idle_lanes(graph, 1, real) is kernel and kernel.jobs == [None]
+        fresh = Lanes(graph, 1, real)
+        fresh.step(starts=[("all +1", lp, np.full(graph.n_checks, 1), 1, None)])
+        assert first.tobytes() == fresh._view(1).gamma_cells[..., 0].tobytes()
+    assert len(graph._first_messages) == 2

@@ -774,24 +774,25 @@ def test_lane_width_follows_the_code(code62, code510):
 
 def test_harness_kernel_runs_in_its_dtype(code62, monkeypatch):
     # Every real buffer of the harness's kernel and the log-priors of every
-    # bulk first iteration and every load (first runs and feedback restarts)
-    # are LANE_REAL, so no lane step mixes float64 into float32; the lanes'
-    # iteration counts and caps are integers.
+    # bulk first iteration and every start of a step (first runs and
+    # feedback restarts) are LANE_REAL, so no lane step mixes float64 into
+    # float32; the lanes' iteration counts and caps are integers.
     from gf4bp.decoder import Lanes
 
     seen = []  # (what, log-prior dtype)
-    first_iteration, load = Lanes.first_iteration, Lanes.load
+    first_iteration, step = Lanes.first_iteration, Lanes.step
 
     def counted_bulk(self, lp, targets, max_iter):
         seen.append(("bulk", lp.dtype))
         return first_iteration(self, lp, targets, max_iter)
 
-    def counted_load(self, job, lp, target, max_iter, resume=None):
-        seen.append(("restart" if max_iter == spec.t_pert else "first", lp.dtype))
-        return load(self, job, lp, target, max_iter, resume)
+    def counted_step(self, halt=True, starts=()):
+        for _, lp, _, max_iter, _ in starts:
+            seen.append(("restart" if max_iter == spec.t_pert else "first", lp.dtype))
+        return step(self, halt, starts)
 
     monkeypatch.setattr(Lanes, "first_iteration", counted_bulk)
-    monkeypatch.setattr(Lanes, "load", counted_load)
+    monkeypatch.setattr(Lanes, "step", counted_step)
     spec = ExperimentSpec(
         code=code62, p_values=(0.03, 0.06), strategies=("standard", "pc08", "enhanced"),
         blocks=40, seed=1,
@@ -889,16 +890,16 @@ def test_saturated_channels_stay_finite(code62, monkeypatch):
 
 def _count_first_runs(monkeypatch):
     """Record every syndrome given to a bulk first iteration and every
-    syndrome a first run is loaded into a lane for (a load with a resume
-    state: every first run the harness loads has one, and restarts never
+    syndrome a first run is started in a lane for (a start with a resume
+    state: every first run the harness starts has one, and restarts never
     do), each as (log-prior bytes, syndrome), and the log-beliefs the bulk
     iterations copy, one per row of the arrays behind their resume states; a
     pool worker forks with the patched methods but its records stay in the
     worker."""
     from gf4bp.decoder import Lanes
 
-    bulk, loads, copies = [], [], []
-    first_iteration, load = Lanes.first_iteration, Lanes.load
+    bulk, started, copies = [], [], []
+    first_iteration, step = Lanes.first_iteration, Lanes.step
 
     def counted_bulk(self, lp, targets, max_iter):
         bulk.extend((lp.tobytes(), tuple(t)) for t in targets.tolist())
@@ -907,14 +908,15 @@ def _count_first_runs(monkeypatch):
         copies.extend(row for array in arrays.values() for row in array)
         return finished, resumes
 
-    def counted_load(self, job, lp, target, max_iter, resume=None):
-        if resume is not None:
-            loads.append((lp.tobytes(), tuple(target.tolist())))
-        return load(self, job, lp, target, max_iter, resume)
+    def counted_step(self, halt=True, starts=()):
+        for _, lp, target, _, resume in starts:
+            if resume is not None:
+                started.append((lp.tobytes(), tuple(target.tolist())))
+        return step(self, halt, starts)
 
     monkeypatch.setattr(Lanes, "first_iteration", counted_bulk)
-    monkeypatch.setattr(Lanes, "load", counted_load)
-    return bulk, loads, copies
+    monkeypatch.setattr(Lanes, "step", counted_step)
+    return bulk, started, copies
 
 
 def _first_run_rule(code, spec, blocks):
@@ -982,18 +984,18 @@ def test_quiet_blocks_share_one_first_run(
         if b.strategy == "standard":
             syndromes[b.p].append(syndrome(code, code.embed_sent(b.error)).tolist())
     distinct, unmatched = _first_run_rule(code, spec, syndromes)
-    bulk, loads, copies = _count_first_runs(monkeypatch)
+    bulk, started, copies = _count_first_runs(monkeypatch)
     for width in (1, 15):
         monkeypatch.setattr(sim, "lane_width", lambda graph, real, width=width: width)
         for workers in (1, 2):
             path = tmp_path / f"run{width}-{workers}.jsonl"
             bulk.clear()
-            loads.clear()
+            started.clear()
             copies.clear()
             stats, blocks = run_experiment(replace(spec, workers=workers), jsonl_path=path)
             if workers == 1:
                 assert sorted(bulk) == sorted(distinct)
-                assert sorted(loads) == sorted(unmatched)
+                assert sorted(started) == sorted(unmatched)
                 assert len(copies) == len(unmatched)
             assert {s.n_blocks for s in stats} == {spec.blocks}
             assert blocks == ref_blocks
@@ -1042,7 +1044,7 @@ def test_quiet_blocks_that_are_not_the_identity(code62, tmp_path, monkeypatch):
 
 def test_quiet_blocks_cost_one_bp_run(code62, monkeypatch):
     # lowp-std's code and p: one bulk first iteration for every distinct
-    # syndrome, quiet or not, and a lane (a Lanes.load) only for those it
+    # syndrome, quiet or not, and a lane (a Lanes.step start) only for those it
     # does not match; blocks that repeat a syndrome share its run.
     from gf4bp.channel import DepolarizingChannel, sample_error
 
@@ -1058,11 +1060,11 @@ def test_quiet_blocks_cost_one_bp_run(code62, monkeypatch):
     loud = [tuple(s) for s in syndromes if s != quiet]
     assert 0 < len(set(loud)) < len(loud) < spec.blocks // 4
     distinct, unmatched = _first_run_rule(code62, spec, {0.002: syndromes})
-    bulk, loads, copies = _count_first_runs(monkeypatch)
+    bulk, started, copies = _count_first_runs(monkeypatch)
     monkeypatch.setattr(sim, "lane_width", lambda graph, real: 1)
     run_experiment(spec)
     assert sorted(bulk) == sorted(distinct) and len(distinct) == 27
-    assert sorted(loads) == sorted(unmatched) and len(unmatched) == 1
+    assert sorted(started) == sorted(unmatched) and len(unmatched) == 1
     assert len(copies) == 1  # log-beliefs are copied for that run alone
 
 

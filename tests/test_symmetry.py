@@ -1,0 +1,165 @@
+"""Symmetry relations of standard BP.
+
+A permutation of a code's sent qubits (its ebit columns kept in place) or of
+its checks leaves standard BP unchanged in exact arithmetic, and the
+depolarizing priors are the same on every qubit, so the decoded error must
+transform with the code.  In floating point the kernel sums and multiplies
+in another order under a permutation (a check's slots follow its columns, a
+qubit's gammas its checks), so a near-tie may go the other way.  Each
+relation is run on 4_1_1 and on the [[62,2]] code of perfbench/codes/c62.stab
+(read only), at float32 through a width-1 lane kernel (oracles.lane_decode,
+the harness's dtype) and at float64 through decode.
+
+The thresholds were fixed before the first run and are not tuned to it:
+- the decoded error transforms with the code in at least 99% of blocks;
+- strict failures (not converged, or converged to another error) that occur
+  under only one of the two codes are balanced: an exact two-sided sign
+  test on them gives p > 0.001;
+- the module takes at most 3 s of tier-1.
+"""
+
+import math
+from functools import cache
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from gf4bp.channel import DepolarizingChannel, priors as channel_priors, sample_error
+from gf4bp.decoder import decode, log_priors, tanner_graph
+from gf4bp.formats import load_code
+from gf4bp.stabilizer import StabilizerCode, syndrome
+from oracles import lane_decode
+
+AGREEMENT = 0.99  # least share of blocks whose decoded error transforms
+SIGN_TEST_P = 0.001  # the discordant strict failures' p-value must exceed it
+
+C62_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "codes" / "c62.stab"
+
+# code -> (p values, blocks per p, max_iter)
+CASES = {
+    "4_1_1": ((0.05, 0.15), 200, 30),
+    "c62": ((0.02, 0.03), 160, 90),
+}
+
+
+@cache
+def _blocks(name):
+    """The code, and per block its p, its error (gf4, all qubits) and its
+    target syndrome, drawn from seed 12."""
+    code = load_code(str(C62_PATH) if name == "c62" else name)
+    p_values, n_blocks, _ = CASES[name]
+    rng = np.random.default_rng(12)
+    blocks = []
+    for p in p_values:
+        uniforms = rng.random((n_blocks, code.n_sent))
+        errors = sample_error(code.n_sent, DepolarizingChannel(p), uniforms, n_ebits=code.n_ebits)
+        blocks.extend(zip([p] * n_blocks, errors, syndrome(code, errors)))
+    return code, blocks
+
+
+def _decoded(code, blocks, real, max_iter):
+    """(decoded error, strict failure) per block, standard BP at dtype real."""
+    graph, out = tanner_graph(code), []
+    for p, error, target in blocks:
+        pri = channel_priors(DepolarizingChannel(p), code.n_sent)
+        if real is np.float64:
+            outcome = decode(code, target, pri, max_iter=max_iter)
+        else:
+            outcome = lane_decode(graph, log_priors(pri, real), target, max_iter)
+        exact = outcome.converged and np.array_equal(outcome.error, error[: code.n_sent])
+        out.append((outcome.error, not exact))
+    return out
+
+
+@cache
+def _original(name, real):
+    code, blocks = _blocks(name)
+    return _decoded(code, blocks, real, CASES[name][2])
+
+
+def _permuted(code, transform, rng):
+    """The code with its sent qubits or its checks permuted at random (not
+    the identity), and the permutation: sent column k of the new code is
+    column perm[k] of the old one, and check k is check perm[k]."""
+    n = code.n_sent if transform == "qubits" else code.n_checks
+    perm = rng.permutation(n)
+    while np.array_equal(perm, np.arange(n)):
+        perm = rng.permutation(n)
+    if transform == "qubits":
+        checks = code.checks[:, np.concatenate([perm, np.arange(n, code.n_total)])]
+    else:
+        checks = code.checks[perm]
+    return StabilizerCode(checks, code.n_sent, code.n_ebits), perm
+
+
+def sign_test(a: int, b: int) -> float:
+    """The exact two-sided sign test's p-value for a against b discordant pairs."""
+    n = a + b
+    tail = sum(math.comb(n, i) for i in range(min(a, b) + 1)) / 2**n
+    return min(1.0, 2 * tail)
+
+
+def test_sign_test():
+    assert sign_test(0, 0) == 1.0
+    assert sign_test(3, 3) == 1.0
+    assert sign_test(0, 10) == sign_test(10, 0) == 2 / 1024
+    assert sign_test(1, 4) == 2 * 6 / 32
+
+
+_RUNS = [(name, transform, real) for name in CASES for transform in ("qubits", "checks")
+         for real in (np.float32, np.float64)]
+_IDS = ["-".join((name, transform, real.__name__)) for name, transform, real in _RUNS]
+
+
+@cache
+def _runs(name, transform, real):
+    """(decoded error, strict failure) per block under the code and under its
+    permuted twin, the twin's decoded errors mapped back to the code's qubit
+    order."""
+    code, blocks = _blocks(name)
+    twisted, perm = _permuted(code, transform, np.random.default_rng(7))
+    if transform == "qubits":  # the error moves with the columns, the syndrome stays
+        moved = [np.concatenate([e[perm], e[code.n_sent :]]) for _, e, _ in blocks]
+        blocks = [(p, e, t) for (p, _, t), e in zip(blocks, moved)]
+    else:  # the syndrome moves with the checks, the error stays
+        blocks = [(p, e, t[perm]) for p, e, t in blocks]
+    assert np.array_equal(syndrome(twisted, np.array([e for _, e, _ in blocks])),
+                          [t for _, _, t in blocks])
+    turned = _decoded(twisted, blocks, real, CASES[name][2])
+    if transform == "qubits":
+        turned = [(e_out[np.argsort(perm)], failed) for e_out, failed in turned]
+    return _original(name, real), turned
+
+
+# At the first run, [[62,2]] at float32 gave 314 of 320 blocks under either
+# permutation, below AGREEMENT.  In each of the six blocks that differ the
+# plain code's run reaches the 90-iteration cap unconverged, and float32
+# rounding in another order takes the oscillating run elsewhere.  A standing
+# defect, recorded in CHANGES.md; strict, so a fix fails the suite until the
+# mark goes.
+_FLOAT32_ORDER = pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="float32 standard BP on [[62,2]] depends on qubit and check order in 6 of 320 blocks",
+)
+
+
+@pytest.mark.parametrize(
+    "name, transform, real",
+    [pytest.param(*run, marks=_FLOAT32_ORDER if run[0] == "c62" and run[2] is np.float32 else ())
+     for run in _RUNS],
+    ids=_IDS,
+)
+def test_decoded_error_transforms_with_the_code(name, transform, real):
+    plain, turned = _runs(name, transform, real)
+    agree = sum(np.array_equal(a, b) for (a, _), (b, _) in zip(plain, turned, strict=True))
+    assert agree >= AGREEMENT * len(plain), f"{agree} of {len(plain)} blocks transform"
+
+
+@pytest.mark.parametrize("name, transform, real", _RUNS, ids=_IDS)
+def test_strict_failures_under_one_code_are_balanced(name, transform, real):
+    plain, turned = _runs(name, transform, real)
+    assert sum(failed for _, failed in plain) > 0  # the relation is not empty
+    only_plain = sum(a and not b for (_, a), (_, b) in zip(plain, turned, strict=True))
+    only_turned = sum(b and not a for (_, a), (_, b) in zip(plain, turned, strict=True))
+    assert sign_test(only_plain, only_turned) > SIGN_TEST_P, (only_plain, only_turned)
