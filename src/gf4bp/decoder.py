@@ -66,7 +66,7 @@ iteration count and cap included, carries a trailing lane axis, a lane
 stops on its own syndrome match or cap, and a finished lane can be refilled
 while the others go on.  Every operation is elementwise along the lane
 axis, the innermost axis of every operand, so a lane computes bit for bit
-what it would compute alone; decode is the kernel at width 1.  Iteration 1
+what it would compute alone; decode is Lanes.run_one at width 1.  Iteration 1
 starts from gamma = 0 and bel = lp, so its gammas are s_c times G0, the all
 +1 syndrome's (s_c = +-1 starts the check product, the clip is symmetric,
 tanh and arctanh are odd), which one step of the graph's idle width-1 kernel
@@ -335,7 +335,8 @@ class Lanes:
     (jobs holds None for it) until a later step refills it or packs the
     remaining lanes; jobs is the one record of which lanes are busy.  Every
     real array has dtype real (np.float64 or np.float32), log-priors
-    included, so the same operations run at either precision.
+    included, so the same operations run at either precision.  run_one
+    steps one job alone to its end.
     """
 
     def __init__(self, graph: TannerGraph, width: int, real=np.float64):
@@ -485,14 +486,14 @@ class Lanes:
 
     def first_messages(self, lp: np.ndarray) -> np.ndarray:
         """G0 for log-priors lp, kept per graph, dtype and lp.  A new one is a
-        step of the graph's idle width-1 kernel of this dtype (idle_lanes),
-        which leaves this kernel's jobs as they were; ArithmeticError if the
-        all -1 syndrome's gammas are not -G0."""
+        one-iteration run_one of the graph's idle width-1 kernel of this
+        dtype (idle_lanes), which leaves this kernel's jobs as they were;
+        ArithmeticError if the all -1 syndrome's gammas are not -G0."""
         known, key = self.graph._first_messages, (self.real, lp.tobytes())
         if key not in known:
             lanes, gammas = idle_lanes(self.graph, 1, self.real), []
             for sign in (1, -1):
-                lanes.step(starts=[(sign, lp, np.full(self.graph.n_checks, sign), 1, None)])
+                lanes.run_one(lp, np.full(self.graph.n_checks, sign), 1)
                 gammas.append(lanes._view(1).gamma_cells[..., 0].copy())
             if (-gammas[0]).tobytes() != gammas[1].tobytes():
                 raise ArithmeticError("iteration 1's gammas are not odd in the syndrome")
@@ -558,12 +559,23 @@ class Lanes:
             self.jobs[lane] = None
         return finished
 
-    def beliefs(self, lane: int) -> np.ndarray:
-        """A fresh (n_qubits, 4) copy of a lane's last beliefs, the softmax
-        of its log-beliefs."""
-        bel = self._view(self._layout).bel[..., lane]
-        x = np.exp(bel - bel.max(axis=0))
-        return np.array((x / x.sum(axis=0)).T, order="C")
+    def run_one(self, lp, target, max_iter: int, halt: bool = True, on_iteration=None):
+        """The DecodeOutcome of one job run alone on this idle kernel from
+        iteration 1, one step at a time; after each iteration
+        on_iteration(t, beliefs), if given, gets a fresh (n_qubits, 4) copy of
+        the lane's beliefs, the softmax of its log-beliefs."""
+        if self.busy:
+            raise RuntimeError("run_one needs an idle kernel")
+        starts, iteration = [(True, lp, target, max_iter, None)], 0
+        while True:
+            finished, starts = self.step(halt, starts), ()
+            iteration += 1
+            if on_iteration is not None:
+                bel = self._view(1).bel[..., 0]
+                x = np.exp(bel - bel.max(axis=0))
+                on_iteration(iteration, np.array((x / x.sum(axis=0)).T, order="C"))
+            if finished:
+                return finished[0][1]
 
 
 def idle_lanes(graph: TannerGraph, width: int, real=np.float64) -> Lanes:
@@ -605,7 +617,7 @@ def decode(
     decision of the last iteration run.  on_iteration(t, beliefs), if
     given, is called once per iteration with freshly allocated belief
     arrays.  The graph is the code object's cached one (tanner_graph).
-    This is one job on the lane kernel at width 1.
+    This is Lanes.run_one on the graph's idle width-1 kernel (idle_lanes).
     """
     graph = tanner_graph(code)
     target = np.asarray(target_syndrome).ravel()
@@ -630,12 +642,5 @@ def decode(
             f"priors of qubit {q} are {pri[q].tolist()}; they must be finite, "
             "nonnegative and not all zero"
         )
-    lanes = idle_lanes(graph, 1)  # a fresh one for a decode inside on_iteration
-    starts, iteration = [(True, log_priors(pri), target, max_iter, None)], 0
-    while True:
-        finished, starts = lanes.step(halt, starts), ()
-        iteration += 1
-        if on_iteration is not None:
-            on_iteration(iteration, lanes.beliefs(0))
-        if finished:
-            return finished[0][1]
+    # idle_lanes: a fresh kernel for a decode called inside on_iteration
+    return idle_lanes(graph, 1).run_one(log_priors(pri), target, max_iter, halt, on_iteration)

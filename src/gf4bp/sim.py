@@ -147,10 +147,11 @@ class StrategyStats:
         return ",".join(map(str, astuple(self)))  # a float's str is its repr
 
 
-def wilson_interval(errors: int, n: int, z: float = 1.959963984540054):
+def wilson_interval(errors: int, n: int):
     """95% Wilson score interval for a binomial proportion."""
     if n == 0:
         return 0.0, 1.0
+    z = 1.959963984540054  # the standard normal's 97.5% quantile
     phat = errors / n
     denom = 1.0 + z * z / n
     center = (phat + z * z / (2 * n)) / denom
@@ -215,7 +216,6 @@ class _Chunk:
             for lo in range(0, len(targets), width)
         )
         self.firsts = [np.zeros(len(targets), RECORD) for targets in self.targets]
-        self.members = [None] * len(spec.p_values)  # per p: (rows by number, offsets)
         self.queue = deque()  # Lanes.step starts waiting for a lane
         self.e_outs = {}  # e_out -> its index in the task's table
         shape = (len(spec.p_values), len(spec.strategies), block_hi - block_lo)
@@ -258,16 +258,6 @@ class _Chunk:
             [syndrome_signs(code, np.frombuffer(b"".join(seen), zero.dtype).reshape(-1, zero.size))
              .astype(LANE_REAL) for seen in known],
         )
-
-    def rows(self, p_index: int, number: int) -> np.ndarray:
-        """The task's rows (block - block_lo) whose syndrome at p is number."""
-        if self.members[p_index] is None:
-            ids = self.ids[p_index]
-            offsets = np.zeros(len(self.targets[p_index]) + 1, np.intp)
-            np.cumsum(np.bincount(ids), out=offsets[1:])
-            self.members[p_index] = np.argsort(ids, kind="stable"), offsets
-        order, offsets = self.members[p_index]
-        return order[offsets[number] : offsets[number + 1]]
 
     def run(self) -> tuple:
         """Decode every block; (per p the error strings joined in block order,
@@ -318,15 +308,18 @@ class _Chunk:
         text = gf4.values_to_pauli(errors)
         e_outs = [text[i : i + n] for i in range(0, len(text), n)]
         self.firsts[p_index][numbers] = self._table(converged, iterations, e_outs)
+        if len(self.standard) == len(spec.configs):
+            return  # no feedback strategy continues a run
         errors.setflags(write=False)
         frustrated.setflags(write=False)
         for i in np.flatnonzero(~converged).tolist():
             number, target = numbers[i], self.targets[p_index][numbers[i]]
             outcome = DecodeOutcome(errors[i], False, iterations, frustrated[i])
+            rows = np.flatnonzero(self.ids[p_index] == number).tolist()  # its blocks - block_lo
             for strategy_index, config in enumerate(spec.configs):
                 if config is None:
                     continue
-                for row in self.rows(p_index, number).tolist():
+                for row in rows:
                     block = self.block_lo + row
                     rng = substream(spec.seed, _STREAM_DECODER, strategy_index, p_index, block)
                     run = feedback_rounds(

@@ -3,8 +3,8 @@
 Everything here recomputes quantities by exhaustive enumeration, by direct
 formulas or by a frozen reference implementation, never through the
 library's linear-algebra paths, and through its decoding paths only where
-a reference must decode bit for bit as the harness does: lane_decode and
-per_cell_experiment run the library's lane kernel.  The GF(4) field
+a reference must decode bit for bit as the harness does:
+per_cell_experiment runs the library's lane kernel.  The GF(4) field
 operations (add, mul, conj, trace) are used only by tests, so they live
 here; they read the library's tables, which test_gf4 checks entry by entry.
 """
@@ -438,28 +438,16 @@ def classify_outcome(code: StabilizerCode, error, outcome, check_membership=True
     return "nonequivalent"
 
 
-def lane_decode(graph, lp, target, max_iter: int, halt: bool = True):
-    """The DecodeOutcome of one job run alone on a width-1 Lanes kernel of
-    the log-priors' dtype, from iteration 1: at float64 it is decode's."""
-    from gf4bp.decoder import Lanes
-
-    lanes = Lanes(graph, 1, lp.dtype.type)
-    starts = [(True, lp, np.asarray(target), max_iter, None)]
-    while True:
-        finished, starts = lanes.step(halt, starts), ()
-        if finished:
-            return finished[0][1]
-
-
 def per_cell_experiment(spec, jsonl_path=None):
     """A frozen per-(p, strategy) Monte-Carlo harness, the reference for
     gf4bp.sim.run_experiment.
 
     Each (p, strategy) cell runs on its own: every block's error is sampled
     from its block_uniforms row, its syndrome counted and standard BP run
-    again for every strategy, one job at a time on a width-1 kernel of the
-    harness's dtype (sim.LANE_REAL), and pc08/enhanced blocks drive the
-    feedback_rounds engine with restarts on such a kernel.  The results are
+    again for every strategy, one job at a time (Lanes.run_one) on the
+    graph's idle width-1 kernel of the harness's dtype (sim.LANE_REAL), and
+    pc08/enhanced blocks drive the feedback_rounds engine with restarts on
+    that kernel.  The results are
     sorted and each cell is re-filtered from them, as the harness did before
     it shared work between strategies.
     Returns (stats, block results, verdicts), verdicts counting the outcomes
@@ -469,7 +457,7 @@ def per_cell_experiment(spec, jsonl_path=None):
     from collections import Counter
 
     from gf4bp.channel import DepolarizingChannel, priors, sample_error, substream
-    from gf4bp.decoder import log_priors, tanner_graph
+    from gf4bp.decoder import idle_lanes, log_priors, tanner_graph
     from gf4bp.feedback import FeedbackConfig, feedback_rounds
     from gf4bp.sim import (
         DEGENERACY_LIMIT,
@@ -483,6 +471,7 @@ def per_cell_experiment(spec, jsonl_path=None):
 
     code = load_code(spec.code)
     graph = tanner_graph(code)
+    lanes = idle_lanes(graph, 1, LANE_REAL)
     check_membership = code.n_total <= DEGENERACY_LIMIT
     inject = None if spec.inject is None else gf4.pauli_to_values(spec.inject)
     block_results = []
@@ -499,7 +488,7 @@ def per_cell_experiment(spec, jsonl_path=None):
                     uniforms = block_uniforms(spec.seed, block, code.n_sent)
                     error = sample_error(code.n_sent, chan, uniforms, n_ebits=code.n_ebits)
                 target = syndrome_by_counting(code, error)
-                outcome = lane_decode(graph, base_lp, target, spec.max_iter)
+                outcome = lanes.run_one(base_lp, target, spec.max_iter)
                 if strategy != "standard":
                     config = FeedbackConfig(
                         strategy=strategy,
@@ -513,7 +502,7 @@ def per_cell_experiment(spec, jsonl_path=None):
                         adjusted = next(rounds)
                         while True:
                             lp = log_priors(adjusted, LANE_REAL)
-                            restart = lane_decode(graph, lp, target, config.t_pert)
+                            restart = lanes.run_one(lp, target, config.t_pert)
                             adjusted = rounds.send(restart)
                     except StopIteration as done:
                         outcome, records = done.value

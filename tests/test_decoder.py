@@ -34,7 +34,6 @@ from oracles import (
     exact_marginals,
     hard_decision,
     klein_convolve,
-    lane_decode,
     qubit_update,
     random_tree_code,
     row_major_beliefs,
@@ -782,6 +781,28 @@ def test_step_refuses_more_starts_than_free_lanes(code411):
     assert outcome.error.tolist() == want.error.tolist()
 
 
+def test_run_one_runs_a_lone_job_on_an_idle_kernel(code411):
+    # run_one refuses a kernel with a job running, before any lane changes.
+    # On an idle kernel whose layout still holds finished lanes it runs the
+    # job alone, as decode does: the same outcome and the same beliefs,
+    # bit for bit, after every iteration.
+    pri = channel_priors(DepolarizingChannel(0.1), 4)
+    lp, target = log_priors(pri), np.array([1, -1, 1, -1])
+    lanes = Lanes(TannerGraph(code411), 3)
+    lanes.step(halt=False, starts=[(job, lp, target, 2, None) for job in "abc"])
+    with pytest.raises(RuntimeError, match="idle kernel"):
+        lanes.run_one(lp, target, 5)
+    assert lanes.jobs == ["a", "b", "c"]
+    assert len(lanes.step(halt=False)) == 3 and lanes.busy == 0
+    got, want = [], []
+    outcome = lanes.run_one(lp, target, 5, False, lambda t, b: got.append((t, b.tobytes())))
+    expected = decode(code411, target, pri, 5, lambda t, b: want.append((t, b.tobytes())), False)
+    assert got == want and [t for t, _ in got] == [1, 2, 3, 4, 5]
+    assert (outcome.converged, outcome.iterations) == (expected.converged, 5)
+    assert outcome.error.tolist() == expected.error.tolist()
+    assert outcome.frustrated.tolist() == expected.frustrated.tolist()
+
+
 def _first_iteration_cases(code_name):
     """(code, p values, syndromes) for the bulk first iteration: every
     syndrome of the 4_1_1 code; on the larger codes the all +1 and all -1
@@ -814,11 +835,10 @@ _FIRST_ITERATION_CASES = pytest.mark.parametrize(
 
 
 def _decode(code, target, pri, max_iter, real, halt=True):
-    """decode's outcome at the kernel's dtype: decode itself at float64, the
-    same job run alone on a width-1 kernel at float32."""
-    if real is np.float64:
-        return decode(code, target, pri, max_iter=max_iter, halt=halt)
-    return lane_decode(tanner_graph(code), log_priors(pri, real), target, max_iter, halt)
+    """decode's outcome at the kernel's dtype: the same job run alone on the
+    graph's idle width-1 kernel of that dtype."""
+    lanes = idle_lanes(tanner_graph(code), 1, real)
+    return lanes.run_one(log_priors(pri, real), target, max_iter, halt)
 
 
 @_FIRST_ITERATION_CASES

@@ -28,7 +28,7 @@ from gf4bp.sim import (
 )
 from gf4bp.stabilizer import StabilizerCode, build_code_4_1_1, construction_b, syndrome
 
-from oracles import block_uniforms, classify_outcome, lane_decode, per_cell_experiment
+from oracles import block_uniforms, classify_outcome, per_cell_experiment
 
 C62_ROW = [1 if i in (1, 5, 11, 24, 25, 27) else 0 for i in range(31)]
 N510_ROW = [1 if i in (8, 36, 118, 128, 190, 240) else 0 for i in range(255)]
@@ -924,15 +924,16 @@ def _first_run_rule(code, spec, blocks):
     the blocks, and of those whose first BP iteration does not match it, at
     the harness's dtype."""
     from gf4bp.channel import DepolarizingChannel, priors as channel_priors
-    from gf4bp.decoder import log_priors, tanner_graph
+    from gf4bp.decoder import idle_lanes, log_priors, tanner_graph
 
+    lanes = idle_lanes(tanner_graph(code), 1, sim.LANE_REAL)
     distinct, unmatched = set(), set()
     for p in spec.p_values:
         lp = log_priors(channel_priors(DepolarizingChannel(p), code.n_sent), sim.LANE_REAL)
         key = lp.tobytes()
         for target in {tuple(s) for s in blocks[p]}:
             distinct.add((key, target))
-            if not lane_decode(tanner_graph(code), lp, target, 1).converged:
+            if not lanes.run_one(lp, np.array(target), 1).converged:
                 unmatched.add((key, target))
     return distinct, unmatched
 

@@ -7,8 +7,8 @@ transform with the code.  In floating point the kernel sums and multiplies
 in another order under a permutation (a check's slots follow its columns, a
 qubit's gammas its checks), so a near-tie may go the other way.  Each
 relation is run on 4_1_1 and on the [[62,2]] code of perfbench/codes/c62.stab
-(read only), at float32 through a width-1 lane kernel (oracles.lane_decode,
-the harness's dtype) and at float64 through decode.
+(read only), each block run alone on the graph's idle width-1 lane kernel
+(Lanes.run_one) at float32, the harness's dtype, and at float64, decode's.
 
 The thresholds were fixed before the first run and are not tuned to it:
 - the decoded error transforms with the code in at least 99% of blocks;
@@ -26,10 +26,9 @@ import numpy as np
 import pytest
 
 from gf4bp.channel import DepolarizingChannel, priors as channel_priors, sample_error
-from gf4bp.decoder import decode, log_priors, tanner_graph
+from gf4bp.decoder import idle_lanes, log_priors, tanner_graph
 from gf4bp.formats import load_code
 from gf4bp.stabilizer import StabilizerCode, syndrome
-from oracles import lane_decode
 
 AGREEMENT = 0.99  # least share of blocks whose decoded error transforms
 SIGN_TEST_P = 0.001  # the discordant strict failures' p-value must exceed it
@@ -60,13 +59,10 @@ def _blocks(name):
 
 def _decoded(code, blocks, real, max_iter):
     """(decoded error, strict failure) per block, standard BP at dtype real."""
-    graph, out = tanner_graph(code), []
+    lanes, out = idle_lanes(tanner_graph(code), 1, real), []
     for p, error, target in blocks:
         pri = channel_priors(DepolarizingChannel(p), code.n_sent)
-        if real is np.float64:
-            outcome = decode(code, target, pri, max_iter=max_iter)
-        else:
-            outcome = lane_decode(graph, log_priors(pri, real), target, max_iter)
+        outcome = lanes.run_one(log_priors(pri, real), target, max_iter)
         exact = outcome.converged and np.array_equal(outcome.error, error[: code.n_sent])
         out.append((outcome.error, not exact))
     return out
