@@ -62,7 +62,7 @@ def sample_error(
     error = np.zeros(uniforms.shape[:-1] + (n_sent + n_ebits,), dtype=np.uint8)
     sent = error[..., :n_sent]
     for bound in cdf[:3]:
-        sent += uniforms >= bound
+        sent += (uniforms >= bound).view(np.uint8)  # uint8 += bool takes numpy's slow cast loop
     return error
 
 

@@ -146,7 +146,7 @@ class TannerGraph:
     def __init__(self, code: StabilizerCode):
         sent = code.checks[:, : code.n_sent]
         self.n_checks, self.n_qubits = n_checks, n = sent.shape
-        check_idx, qubit_idx = np.nonzero(sent)
+        check_idx, qubit_idx = np.nonzero(sent != 0)  # uint8 nonzero is slower than bool's
         self.edge_check = check_idx.astype(np.intp)
         self.edge_qubit = qubit_idx.astype(np.intp)
         self.edge_entry = sent[check_idx, qubit_idx].astype(np.intp)
@@ -511,7 +511,7 @@ class Lanes:
         other job, in row order."""
         first = self.first_messages(lp)
         view = self._view(len(targets), first=True)
-        view.lp[..., 0], signs = lp, targets.T
+        view.lp[..., 0], signs = lp, np.ascontiguousarray(targets.T)  # strides slow G0's broadcast
         np.multiply(first[..., None], signs, out=view.gamma_cells)
         view.gamma[-1], view.bits[0] = 0.0, False  # the pad slots'
         np.less(signs, 0, out=view.target_parity)

@@ -221,7 +221,7 @@ def _parity_words(code: StabilizerCode, rows: np.ndarray) -> np.ndarray:
     """(B, words) uint64 parities of each error row, packed as the columns are."""
     columns = code._anticommutation_words
     words = np.zeros((len(rows), columns.shape[1]), dtype=np.uint64)
-    hits = np.flatnonzero(rows)
+    hits = np.flatnonzero(rows != 0)  # numpy's uint8 nonzero is several times slower than bool's
     if hits.size:
         hit_rows, hit_cols = np.divmod(hits, rows.shape[1])
         # the first nonzero symbol of each row that has one
