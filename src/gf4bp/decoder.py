@@ -356,7 +356,6 @@ class Lanes:
         own = {name: np.empty_like(self._flat[name]) for name in ("bits", "slot_bits")}
         own["lp"] = np.empty(math.prod(self._shapes["lp"][0]), dtype=real)
         self._first_flat = dict(self._flat, gamma=self._flat["th"], bel=self._flat["exp"], **own)
-        self._layout = 0
         self.jobs = []  # per lane of the layout: its job, None once finished
 
     @property
@@ -450,10 +449,10 @@ class Lanes:
         """Lay the buffers out for the running lanes, packed in lane order,
         followed by the jobs of starts."""
         keep = [lane for lane, job in enumerate(self.jobs) if job is not None]
-        old = self._view(self._layout)
+        old = self._view(len(self.jobs))
         kept = {name: getattr(old, name)[..., keep] for name in _KEPT}
         n_kept = len(keep)
-        lanes = self._layout = n_kept + len(starts)
+        lanes = n_kept + len(starts)
         view = self._view(lanes)
         view.half[0] = np.inf  # pad cells: tanh(+inf) = 1
         view.bits[0] = False  # and anticommutation bit 0
@@ -466,7 +465,7 @@ class Lanes:
     def _start(self, lanes, starts) -> None:
         """Write the starts' log-priors, targets and starting messages into
         the free lanes `lanes`, one lane per start, in order."""
-        view = self._view(self._layout)
+        view = self._view(len(self.jobs))
         for lane, (job, lp, target, max_iter, resume) in zip(lanes, starts):
             view.lp[..., lane] = lp
             view.sigma[:, lane] = target
@@ -538,7 +537,7 @@ class Lanes:
                 self._start(free, starts)  # the starts fill the layout's holes
             else:
                 self._relayout(starts)
-        view = self._view(self._layout)
+        view = self._view(len(self.jobs))
         _qubit_messages(view)
         _check_messages(view)
         _beliefs(view)

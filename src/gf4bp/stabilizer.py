@@ -9,7 +9,9 @@ error string has identity there.
 
 The binary symplectic representation maps column j of a symbol vector to the
 bit pair (x_j, z_j) with X=(1,0), Z=(0,1), Y=(1,1); rank and membership
-questions reduce to GF(2) linear algebra in that picture.
+questions reduce to GF(2) linear algebra in that picture.  Both read a code's
+reduced row-echelon basis: its row count is the rank, and a Pauli is in the
+group iff it equals the XOR of the basis rows whose pivot bits it sets.
 """
 
 import operator
@@ -94,14 +96,6 @@ def gf2_row_reduce(matrix: np.ndarray):
         if r == n_rows:
             break
     return m[:r], np.array(pivots, dtype=np.intp)
-
-
-def _in_gf2_span(reduced: np.ndarray, pivots: np.ndarray, vec: np.ndarray) -> bool:
-    v = vec.astype(np.uint8).copy()
-    for row, c in zip(reduced, pivots):
-        if v[c]:
-            v ^= row
-    return not v.any()
 
 
 @dataclass(eq=False)
@@ -266,33 +260,20 @@ def ea_canonicalize(gens: np.ndarray):
             f"generators are dependent: rank {reduced.shape[0]} < {gens.shape[0]} rows"
         )
 
-    remaining = [row.copy() for row in gens]
-    pairs = []
-    commuting = []
-    while remaining:
-        g = remaining.pop(0)
-        if not remaining:
-            commuting.append(g)
-            break
-        parities = symplectic_products(g, np.array(remaining))
-        hits = np.nonzero(parities)[0]
+    rest, paired, commuting = gens, [], []
+    while len(rest):
+        g, rest = rest[0], rest[1:]
+        hits = np.flatnonzero(symplectic_products(g, rest))
         if hits.size == 0:
             commuting.append(g)
             continue
-        h = remaining.pop(int(hits[0]))
+        h, rest = rest[hits[0]], np.delete(rest, hits[0], axis=0)
         # Sweep the pair out of every remaining generator:
         # r -> r * g^<r,h> * h^<r,g> commutes with both g and h.
-        if remaining:
-            rest = np.array(remaining)
-            coeff_g = symplectic_products(h, rest)
-            coeff_h = symplectic_products(g, rest)
-            rest ^= coeff_g[:, None] * g
-            rest ^= coeff_h[:, None] * h
-            remaining = [row for row in rest]
-        pairs.append((g, h))
-
-    ordered = [row for pair in pairs for row in pair] + commuting
-    return np.array(ordered, dtype=np.uint8), len(pairs)
+        rest = (rest ^ symplectic_products(h, rest)[:, None] * g
+                ^ symplectic_products(g, rest)[:, None] * h)
+        paired += [g, h]
+    return np.array(paired + commuting, dtype=np.uint8), len(paired) // 2
 
 
 def extend_with_ebits(gens: np.ndarray, pair_count: int) -> StabilizerCode:
@@ -366,7 +347,9 @@ def group_membership(error, code: StabilizerCode) -> bool:
             f"error length {values.shape} does not match {code.n_total} columns"
         )
     reduced, pivots = code._span_basis
-    return _in_gf2_span(reduced, pivots, to_symplectic(values))
+    vec = to_symplectic(values)
+    # in reduced row-echelon form a pivot column is set in its own row only
+    return np.array_equal(np.bitwise_xor.reduce(reduced[vec[pivots] == 1], axis=0), vec)
 
 
 def build_code_4_1_1() -> StabilizerCode:

@@ -675,7 +675,7 @@ def test_lanes_loaded_together_are_laid_out_once(monkeypatch, k):
     before = len(relayouts)
     got.update(lanes.step(halt=False, starts=starts[k:]))
     # finished lanes still in the layout are refilled in place
-    assert len(relayouts) - before <= 1 and lanes._layout == k
+    assert len(relayouts) - before <= 1 and len(lanes.jobs) == k
     while lanes.busy:
         got.update(lanes.step(halt=False))
     for index, (pri, target, cap) in enumerate(jobs):
@@ -716,7 +716,7 @@ def test_starts_fill_non_contiguous_holes_in_place(monkeypatch):
     assert sorted(got) == [0, 2, 5] and relayouts == [6]
     assert lanes.jobs == [None, 1, None, 3, 4, None]
     got.update(lanes.step(halt=False, starts=starts[6:]))
-    assert relayouts == [6] and lanes._layout == 6
+    assert relayouts == [6]
     assert lanes.jobs == [6, 1, 7, 3, 4, 8]
     while lanes.busy:
         got.update(lanes.step(halt=False))
@@ -761,7 +761,7 @@ def test_step_refuses_more_starts_than_free_lanes(code411):
     lanes = Lanes(graph, 1)
     with pytest.raises(RuntimeError, match="every lane is busy"):
         lanes.step(starts=[("a", lp, target, 5, None), ("b", lp, target, 5, None)])
-    assert (lanes.jobs, lanes.busy, lanes._layout) == ([], 0, 0)
+    assert (lanes.jobs, lanes.busy) == ([], 0)
     lanes = Lanes(graph, 2)
     assert [job for job, _ in lanes.step(
         halt=False, starts=[("a", lp, target, 1, None), ("b", lp, target, 5, None)]
@@ -770,7 +770,7 @@ def test_step_refuses_more_starts_than_free_lanes(code411):
     kept = {name: getattr(view, name).tobytes() for name in decoder._KEPT}
     with pytest.raises(RuntimeError, match="every lane is busy"):
         lanes.step(halt=False, starts=[("c", lp, target, 5, None), ("d", lp, target, 5, None)])
-    assert (lanes.jobs, lanes.busy, lanes._layout) == ([None, "b"], 1, 2)
+    assert (lanes.jobs, lanes.busy) == ([None, "b"], 1)
     assert {name: getattr(view, name).tobytes() for name in decoder._KEPT} == kept
     finished = []
     while not finished:
