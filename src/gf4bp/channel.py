@@ -38,22 +38,16 @@ def priors(channel: DepolarizingChannel, n_sent: int) -> np.ndarray:
     return np.tile(channel.prior(), (n_sent, 1))
 
 
-def sample_error(
-    n_sent: int,
-    channel: DepolarizingChannel,
-    uniforms,
-    n_ebits: int = 0,
-) -> np.ndarray:
-    """I.i.d. Pauli errors from uniforms already drawn, such as a
-    Generator's random(n_sent) or a row of substream_uniforms: an
+def sample_error(channel: DepolarizingChannel, uniforms, n_ebits: int = 0) -> np.ndarray:
+    """I.i.d. Pauli errors from uniforms already drawn, one per sent qubit,
+    such as a Generator's random(n_sent) or a row of substream_uniforms: an
     (..., n_sent) array gives one error per row, of shape
-    (..., n_sent + n_ebits), with identity on the receiver-held ebit columns.
-    """
+    (..., n_sent + n_ebits), with identity on the receiver-held ebit
+    columns; 0-d uniforms are a ValueError."""
     uniforms = np.asarray(uniforms, dtype=float)
-    if uniforms.shape[-1:] != (n_sent,):
-        raise ValueError(
-            f"uniforms of shape {uniforms.shape} do not cover {n_sent} qubits"
-        )
+    if uniforms.ndim == 0:
+        raise ValueError("uniforms must have a qubit axis, not be 0-d")
+    n_sent = uniforms.shape[-1]
     # rng.choice(4, size=n_sent, p=prior)'s own draw, without its per-call
     # validation of p: a uniform's symbol counts the normalised CDF entries at
     # or below it (searchsorted side="right"); the last, 1.0, is above them all

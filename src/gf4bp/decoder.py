@@ -71,7 +71,7 @@ starts from gamma = 0 and bel = lp, so its gammas are s_c times G0, the all
 +1 syndrome's (s_c = +-1 starts the check product, the clip is symmetric,
 tanh and arctanh are odd), which one step of the graph's idle width-1 kernel
 computes and Lanes.first_iteration uses to run iteration 1 of many jobs at
-once: it hands back those a lane would end as arrays (rows, errors, verdicts,
+once: it hands back those a lane would end as arrays (rows, errors,
 frustrated masks), one row per job, and each other one's state for a step to
 resume it from.
 The real dtype is a parameter of the kernel: decode runs float64, which
@@ -81,7 +81,7 @@ float32 (sim.LANE_REAL), at half a lane's bytes and cheaper tanh and arctanh.
 
 import math
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from types import SimpleNamespace
 
@@ -213,19 +213,20 @@ class DecodeOutcome:
     over all rounds.  When no iteration matches the syndrome, error is the
     hard decision of the last iteration run.  frustrated is the (n_checks,)
     bool mask of the checks whose parity under error differs from the
-    target's, as the lane step's syndrome test found it (all False when
-    converged); feedback rounds read their frustrated checks from it, so it
-    is required (ValueError if None).
+    target's, as the lane step's syndrome test found it; feedback rounds
+    read their frustrated checks from it, so it is required (ValueError if
+    None).  converged is derived from it: no check is frustrated.
     """
 
     error: np.ndarray
-    converged: bool
     iterations: int
     frustrated: np.ndarray
+    converged: bool = field(init=False)
 
     def __post_init__(self):
         if self.frustrated is None:
             raise ValueError("a DecodeOutcome needs its frustrated-check mask")
+        self.converged = not np.count_nonzero(self.frustrated)
 
     @property
     def error_pauli(self) -> str:
@@ -503,10 +504,10 @@ class Lanes:
         """Iteration 1 of a job on each syndrome of targets (k <= width rows)
         with log-priors lp and cap max_iter, in bulk, between steps, from
         first_messages(lp).  A job ends as a lane would end it, on a match or
-        at max_iter = 1.  Returns ((rows, errors, matched, frustrated),
-        resumes): the rows of the jobs that end, in order, with their gf4
-        errors (rows, n_qubits), whether each matched and their frustrated
-        masks (rows, n_checks); and (row, resume state for a start) for each
+        at max_iter = 1.  Returns ((rows, errors, frustrated), resumes): the
+        rows of the jobs that end, in order, with their gf4 errors
+        (rows, n_qubits) and frustrated masks (rows, n_checks), whose empty
+        rows are the matches; and (row, resume state for a start) for each
         other job, in row order."""
         first = self.first_messages(lp)
         view = self._view(len(targets), first=True)
@@ -516,13 +517,12 @@ class Lanes:
         np.less(signs, 0, out=view.target_parity)
         _beliefs(view)
         frustrated, (z_bits, x_bits) = _mismatches(view).T, view.decided
-        matched = ~frustrated.any(axis=1)
-        ends = matched | (max_iter <= 1)
+        ends = ~frustrated.any(axis=1) | (max_iter <= 1)
         done, going = np.flatnonzero(ends), np.flatnonzero(~ends)
         errors = (z_bits << 1 | x_bits).T[done]  # gf4 values, X bit + 2 * Z bit
         bel = np.moveaxis(view.bel, -1, 0)[going]  # a copy: a step overwrites view.bel
         resumes = [(row, (first, b)) for row, b in zip(going.tolist(), bel)]
-        return (done, errors, matched[done], frustrated[done]), resumes
+        return (done, errors, frustrated[done]), resumes
 
     def step(self, halt: bool = True, starts=()) -> list:
         """Start the jobs of starts in free lanes, then one flooding iteration
@@ -542,18 +542,16 @@ class Lanes:
         _check_messages(view)
         _beliefs(view)
         frustrated = _mismatches(view)
-        mismatched = np.logical_or.reduce(frustrated, 0)
         view.iterations += 1
         ended = view.iterations >= view.caps
         if halt:
-            ended |= ~mismatched
+            ended |= ~np.logical_or.reduce(frustrated, 0)
         z_bits, x_bits = view.decided
         finished = []
         for lane in ended.nonzero()[0].tolist():
             error = z_bits[:, lane] << 1  # gf4 value, X bit + 2 * Z bit
             error |= x_bits[:, lane]
-            outcome = DecodeOutcome(error, not mismatched.item(lane), view.iterations.item(lane),
-                                    frustrated[:, lane].copy())
+            outcome = DecodeOutcome(error, view.iterations.item(lane), frustrated[:, lane].copy())
             finished.append((self.jobs[lane], outcome))
             self.jobs[lane] = None
         return finished

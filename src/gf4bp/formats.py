@@ -73,9 +73,7 @@ def parse_stabilizer_text(text: str) -> StabilizerCode:
             f"ebit count {n_ebits} must be smaller than row length {n_total}"
         )
     try:
-        return StabilizerCode(
-            values.reshape(len(rows), n_total), n_sent=n_total - n_ebits, n_ebits=n_ebits
-        )
+        return StabilizerCode(values.reshape(len(rows), n_total), n_ebits=n_ebits)
     except NonCommutingRowsError:
         raise
     except ValueError as exc:

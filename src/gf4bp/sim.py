@@ -33,7 +33,7 @@ import math
 import sys
 from collections import deque
 from collections.abc import Sequence
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass, field, replace
 from functools import partial
 from itertools import chain, product, repeat, starmap
 
@@ -105,10 +105,9 @@ class ExperimentSpec:
         check_integer("seed", self.seed)
         check_integer("workers", self.workers, 1)
         check_integer("max_iter", self.max_iter, 1)
-        self.configs = tuple(  # FeedbackConfig checks name and parameters
-            None if s == "standard"
-            else FeedbackConfig(s, t_pert=self.t_pert, n_a=self.n_a, delta=self.delta)
-            for s in self.strategies
+        config = FeedbackConfig("enhanced", t_pert=self.t_pert, n_a=self.n_a, delta=self.delta)
+        self.configs = tuple(  # FeedbackConfig checks names and parameters, standard alone too
+            None if s == "standard" else replace(config, strategy=s) for s in self.strategies
         )
         self.code = load_code(self.code)
         self.injected = None if self.inject is None else self.code.embed_sent(self.inject)
@@ -240,7 +239,7 @@ class _Chunk:
             for first in range(0, len(keys), BATCH_BLOCKS):
                 uniforms = keyed_uniforms(keys[first : first + BATCH_BLOCKS], n_sent)
                 for p_index, channel in enumerate(spec.channels):
-                    errors = (sample_error(n_sent, channel, uniforms, n_ebits=code.n_ebits)
+                    errors = (sample_error(channel, uniforms, n_ebits=code.n_ebits)
                               if injected is None else np.tile(injected, (len(uniforms), 1)))
                     texts[p_index].append(gf4.values_to_pauli(errors[:, :n_sent]))
                     words, seen = syndrome_words(code, errors), known[p_index]
@@ -288,7 +287,7 @@ class _Chunk:
         max_iter, lp = self.spec.max_iter, self.lane_priors[p_index]
         targets = self.targets[p_index][numbers.start : numbers.stop]
         (rows, *runs), resumes = self.lanes.first_iteration(lp, targets, max_iter)
-        if len(rows):  # runs: their errors, verdicts and masks
+        if len(rows):  # runs: their errors and masks
             self.settle(p_index, rows + numbers.start, *runs, 1)
         for row, state in resumes:
             job = partial(self.first_run_done, p_index, numbers[row])
@@ -296,15 +295,16 @@ class _Chunk:
 
     def first_run_done(self, p_index: int, number: int, outcome) -> None:
         """Settle the first run that a lane ended."""
-        self.settle(p_index, [number], outcome.error[None], np.array([outcome.converged]),
-                    outcome.frustrated[None], outcome.iterations)
+        self.settle(p_index, [number], outcome.error[None], outcome.frustrated[None],
+                    outcome.iterations)
 
-    def settle(self, p_index: int, numbers, errors, converged, frustrated, iterations: int):
+    def settle(self, p_index: int, numbers, errors, frustrated, iterations: int):
         """Keep first runs' records, and start the feedback runs of each block
-        whose first run did not converge, from its read-only outcome.  The
-        runs' gf4 errors, verdicts and frustrated masks are arrays, one row
-        per number, and they ran the same number of iterations."""
+        whose first run did not converge (its mask is not empty), from its
+        read-only outcome.  The runs' gf4 errors and frustrated masks are
+        arrays, one row per number, and they ran the same number of iterations."""
         spec, n = self.spec, self.code.n_sent
+        converged = ~frustrated.any(axis=1)
         text = gf4.values_to_pauli(errors)
         e_outs = [text[i : i + n] for i in range(0, len(text), n)]
         self.firsts[p_index][numbers] = self._table(converged, iterations, e_outs)
@@ -314,7 +314,7 @@ class _Chunk:
         frustrated.setflags(write=False)
         for i in np.flatnonzero(~converged).tolist():
             number, target = numbers[i], self.targets[p_index][numbers[i]]
-            outcome = DecodeOutcome(errors[i], False, iterations, frustrated[i])
+            outcome = DecodeOutcome(errors[i], iterations, frustrated[i])
             rows = np.flatnonzero(self.ids[p_index] == number).tolist()  # its blocks - block_lo
             for strategy_index, config in enumerate(spec.configs):
                 if config is None:

@@ -15,7 +15,7 @@ group iff it equals the XOR of the basis rows whose pivot bits it sets.
 """
 
 import operator
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -100,25 +100,23 @@ def gf2_row_reduce(matrix: np.ndarray):
 
 @dataclass(eq=False)
 class StabilizerCode:
-    """An m-generator stabilizer over n_sent + n_ebits qubits.
+    """An m-generator stabilizer over its check columns: the n_sent
+    transmitted ones, then the last n_ebits (keyword only), receiver-held.
 
     checks holds GF(4) values; rows must be nonzero and mutually commuting.
-    Redundant (dependent) rows are allowed.
+    Redundant (dependent) rows are allowed.  At least one column is sent.
     """
 
     checks: np.ndarray
-    n_sent: int
-    n_ebits: int = 0
+    n_ebits: int = field(default=0, kw_only=True)
 
     def __post_init__(self):
         checks = as_values(self.checks)
         if checks.ndim != 2 or checks.shape[0] == 0:
             raise ValueError("check matrix must be a nonempty 2-D array")
-        if self.n_sent + self.n_ebits != checks.shape[1]:
-            raise ValueError(
-                f"n_sent + n_ebits = {self.n_sent + self.n_ebits} does not match "
-                f"{checks.shape[1]} columns"
-            )
+        check_integer("n_ebits", self.n_ebits)
+        if self.n_ebits >= checks.shape[1]:
+            raise ValueError(f"{self.n_ebits} ebits leave none of {checks.shape[1]} columns sent")
         if not checks.any(axis=1).all():
             raise ValueError("every generator row must be nonzero")
         self.checks = checks
@@ -134,6 +132,10 @@ class StabilizerCode:
     @property
     def n_total(self) -> int:
         return self.checks.shape[1]
+
+    @property
+    def n_sent(self) -> int:
+        return self.n_total - self.n_ebits
 
     @property
     def n_checks(self) -> int:
@@ -294,7 +296,7 @@ def extend_with_ebits(gens: np.ndarray, pair_count: int) -> StabilizerCode:
     for i in range(pair_count):
         extended[2 * i, n + i] = gf4.ONE
         extended[2 * i + 1, n + i] = gf4.OMEGA
-    return StabilizerCode(extended, n_sent=n, n_ebits=pair_count)
+    return StabilizerCode(extended, n_ebits=pair_count)
 
 
 def construction_b(circulant_first_row, rows_to_keep=None) -> StabilizerCode:
@@ -336,7 +338,7 @@ def construction_b(circulant_first_row, rows_to_keep=None) -> StabilizerCode:
     x_rows = h * gf4.ONE
     z_rows = h * gf4.OMEGA
     checks = np.concatenate([x_rows, z_rows], axis=0).astype(np.uint8)
-    return StabilizerCode(checks, n_sent=2 * size, n_ebits=0)
+    return StabilizerCode(checks)
 
 
 def group_membership(error, code: StabilizerCode) -> bool:
@@ -356,4 +358,4 @@ def build_code_4_1_1() -> StabilizerCode:
     """The worked [[4, 1; 1]] EA code (one ebit column, held by the receiver)."""
     rows = ["XZXIX", "XXIXZ", "YZZXI", "ZXXYI"]
     checks = np.array([gf4.pauli_to_values(row) for row in rows])
-    return StabilizerCode(checks, n_sent=4, n_ebits=1)
+    return StabilizerCode(checks, n_ebits=1)

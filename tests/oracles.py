@@ -413,7 +413,7 @@ def random_tree_code(rng: np.random.Generator, max_qubits: int = 6):
     if not rows:
         rows = [np.array([1] + [0] * (n - 1), dtype=np.uint8)]
         locked[0] = 1
-    return StabilizerCode(np.array(rows), n_sent=n, n_ebits=0)
+    return StabilizerCode(np.array(rows))
 
 
 def classify_outcome(code: StabilizerCode, error, outcome, check_membership=True) -> str:
@@ -486,7 +486,7 @@ def per_cell_experiment(spec, jsonl_path=None):
                     error = code.embed_sent(inject)
                 else:
                     uniforms = block_uniforms(spec.seed, block, code.n_sent)
-                    error = sample_error(code.n_sent, chan, uniforms, n_ebits=code.n_ebits)
+                    error = sample_error(chan, uniforms, n_ebits=code.n_ebits)
                 target = syndrome_by_counting(code, error)
                 outcome = lanes.run_one(base_lp, target, spec.max_iter)
                 if strategy != "standard":

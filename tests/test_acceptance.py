@@ -141,7 +141,7 @@ def _detected_outcome(code):
     round, with its frustrated checks against TARGET_411."""
     detected = gf4.pauli_to_values("IYII")
     frustrated = syndrome(code, code.embed_sent(detected)) != TARGET_411
-    return DecodeOutcome(detected, False, 0, frustrated)
+    return DecodeOutcome(detected, 0, frustrated)
 
 
 def test_criterion_4_enhanced_feedback_case_study():
@@ -235,7 +235,7 @@ def _criterion_7_worst(run):
             row = rng.integers(0, 4, size=n).astype(np.uint8)
             if not row.any():
                 row[0] = 1
-            code = StabilizerCode(row[None, :], n_sent=n)
+            code = StabilizerCode(row[None, :])
         else:
             code = random_tree_code(rng)
         priors = channel_priors(DepolarizingChannel(0.1), code.n_sent)

@@ -41,19 +41,19 @@ def test_priors_matrix():
 
 def test_sample_p0_all_identity():
     rng = substream(1, 0)
-    error = sample_error(50, DepolarizingChannel(0.0), rng.random(50))
+    error = sample_error(DepolarizingChannel(0.0), rng.random(50))
     assert not error.any()
 
 
 def test_sample_p1_never_identity():
     rng = substream(2, 0)
-    error = sample_error(200, DepolarizingChannel(1.0), rng.random(200))
+    error = sample_error(DepolarizingChannel(1.0), rng.random(200))
     assert (error != 0).all()
 
 
 def test_sample_ebits_error_free():
     rng = substream(3, 0)
-    error = sample_error(10, DepolarizingChannel(0.9), rng.random(10), n_ebits=4)
+    error = sample_error(DepolarizingChannel(0.9), rng.random(10), n_ebits=4)
     assert error.shape == (14,)
     assert not error[10:].any()
 
@@ -62,7 +62,7 @@ def test_sample_frequencies_within_3_sigma():
     n = 100_000
     p = 0.1
     rng = substream(4, 0)
-    error = sample_error(n, DepolarizingChannel(p), rng.random(n))
+    error = sample_error(DepolarizingChannel(p), rng.random(n))
     expected = np.array([0.9, 1 / 30, 1 / 30, 1 / 30])
     counts = np.bincount(error, minlength=4)
     for symbol in range(4):
@@ -72,8 +72,8 @@ def test_sample_frequencies_within_3_sigma():
 
 
 def test_identical_seed_identical_sequence():
-    a = sample_error(1000, DepolarizingChannel(0.2), substream_uniforms(42, 0, [7], 1000))
-    b = sample_error(1000, DepolarizingChannel(0.2), substream_uniforms(42, 0, [7], 1000))
+    a = sample_error(DepolarizingChannel(0.2), substream_uniforms(42, 0, [7], 1000))
+    b = sample_error(DepolarizingChannel(0.2), substream_uniforms(42, 0, [7], 1000))
     assert np.array_equal(a, b)
 
 
@@ -112,10 +112,10 @@ def test_key_windows_compose_to_the_stream(lo, hi, cut):
 
 def test_distinct_keys_distinct_streams():
     chan = DepolarizingChannel(0.5)
-    a, b = sample_error(500, chan, substream_uniforms(7, 0, [0, 1], 500))
+    a, b = sample_error(chan, substream_uniforms(7, 0, [0, 1], 500))
     assert not np.array_equal(a, b)
-    (c,) = sample_error(500, chan, substream_uniforms(7, 1, [0], 500))
-    (d,) = sample_error(500, chan, substream_uniforms(8, 0, [0], 500))
+    (c,) = sample_error(chan, substream_uniforms(7, 1, [0], 500))
+    (d,) = sample_error(chan, substream_uniforms(8, 0, [0], 500))
     assert not np.array_equal(a, c) and not np.array_equal(a, d)
 
 
@@ -124,12 +124,13 @@ def test_sample_error_from_uniform_rows():
     # block, gives each row's error as one row of uniforms alone does
     chan = DepolarizingChannel(0.3)
     uniforms = substream_uniforms(5, 0, range(4), 9)
-    errors = sample_error(9, chan, uniforms, n_ebits=2)
+    errors = sample_error(chan, uniforms, n_ebits=2)
     assert errors.shape == (4, 11)
     for row, error in zip(uniforms, errors):
-        assert np.array_equal(error, sample_error(9, chan, row, n_ebits=2))
-    with pytest.raises(ValueError):
-        sample_error(8, chan, uniforms)
+        assert np.array_equal(error, sample_error(chan, row, n_ebits=2))
+    # the width is the uniforms' last axis, so 0-d uniforms have none
+    with pytest.raises(ValueError, match="^uniforms must have a qubit axis, not be 0-d$"):
+        sample_error(chan, uniforms[0, 0])
 
 
 @pytest.mark.parametrize("p", [0.0, 0.002, 0.75, 1.0])
@@ -143,7 +144,7 @@ def test_sample_error_matches_searchsorted(p):
     edges = [np.nextafter(bound, 0.0) for bound in cdf] + [b for b in cdf if b < 1.0]
     uniforms = np.concatenate([edges, [0.0], substream(11, 0).random(8 * 62 - len(edges) - 1)])
     uniforms = uniforms.reshape(8, 62)
-    errors = sample_error(62, chan, uniforms, n_ebits=2)
+    errors = sample_error(chan, uniforms, n_ebits=2)
     assert errors.dtype == np.uint8 and errors.shape == (8, 64)
     assert np.array_equal(errors[:, :62], symbols_by_searchsorted(chan.prior(), uniforms))
     assert not errors[:, 62:].any()
@@ -197,7 +198,7 @@ def test_stream_symbol_frequencies_match_the_channel():
     # chi-square on 3 degrees of freedom below its 0.1% point, 16.27
     chan = DepolarizingChannel(0.3)
     blocks = range(2**32 - 2000, 2**32 + 2000)
-    errors = sample_error(62, chan, substream_uniforms(20260808, 0, blocks, 62))
+    errors = sample_error(chan, substream_uniforms(20260808, 0, blocks, 62))
     counts = np.bincount(errors.ravel(), minlength=4)
     expected = errors.size * chan.prior()
     assert ((counts - expected) ** 2 / expected).sum() < 16.27

@@ -118,6 +118,9 @@ def test_simulate_bad_config_key(tmp_path):
         (["--out", "-"], "--out -: this command writes a file, not stdout"),
         (["--jsonl", "-"], "--jsonl -: this command writes a file, not stdout"),
         (["--p", "0.1,x"], "bad p list '0.1,x'"),
+        # standard alone used to ignore these and write a CSV
+        (["--strategy", "standard", "--t-pert", "0", "--delta", "-1", "--n-a", "-3"],
+         "t_pert must be at least 1"),
     ],
 )
 def test_simulate_bad_values_are_usage_errors(tmp_path, monkeypatch, args, message):

@@ -217,7 +217,7 @@ def test_round_reads_the_current_outcomes_mask(code411, priors411):
     # pattern, while the true mask converges (test_enhanced_round_case_study)
     iyii = np.array([0, 3, 0, 0], dtype=np.uint8)
     mask = np.array([False, False, True, True])
-    current = DecodeOutcome(iyii, False, 90, mask)
+    current = DecodeOutcome(iyii, 90, mask)
     config = FeedbackConfig(strategy="enhanced", t_pert=40)
     with pytest.raises(ValueError, match="not a frustrated pattern"):
         feedback_round(code411, TARGET, priors411, 1, 3, config, current)
@@ -339,7 +339,7 @@ def test_feedback_decode_converged_first_run_has_no_rounds():
     pri = channel_priors(chan, code.n_sent)
     converged = 0
     for block in range(10):
-        error = sample_error(code.n_sent, chan, substream(5, 0, block).random(code.n_sent))
+        error = sample_error(chan, substream(5, 0, block).random(code.n_sent))
         target = syndrome(code, error)
         first = decode(code, target, pri, max_iter=90)
         if not first.converged:
@@ -380,8 +380,7 @@ def test_adjustment_rejects_bad_pins(code411, priors411, strategy, check, qubit,
     rng = substream(0, 0)
     state = rng.bit_generator.state
     first = DecodeOutcome(
-        np.array([0, 3, 0, 0], dtype=np.uint8), False, 90,
-        np.array([False, True, True, True]),
+        np.array([0, 3, 0, 0], dtype=np.uint8), 90, np.array([False, True, True, True])
     )
     config = FeedbackConfig(strategy=strategy)
     with pytest.raises(ValueError, match=message):
@@ -420,8 +419,9 @@ def test_feedback_run_needs_the_first_mask(code411, priors411, strategy):
     rng = substream(0, 0)
     state = rng.bit_generator.state
     with pytest.raises(ValueError, match="DecodeOutcome needs its frustrated-check mask"):
-        DecodeOutcome(np.array([0, 3, 0, 0], dtype=np.uint8), False, 90, None)
-    done = DecodeOutcome(np.array([0, 0, 1, 3], dtype=np.uint8), True, 3, np.zeros(4, bool))
+        DecodeOutcome(np.array([0, 3, 0, 0], dtype=np.uint8), 90, None)
+    done = DecodeOutcome(np.array([0, 0, 1, 3], dtype=np.uint8), 3, np.zeros(4, bool))
+    assert done.converged
     with pytest.raises(StopIteration):
         next(feedback_rounds(graph, TARGET, priors411, config, done, rng))
     assert rng.bit_generator.state == state
@@ -429,7 +429,7 @@ def test_feedback_run_needs_the_first_mask(code411, priors411, strategy):
 
 def test_feedback_round_checks_strategy_and_mask(code411, priors411):
     failed = DecodeOutcome(
-        np.array([0, 3, 0, 0], dtype=np.uint8), False, 90, np.array([False, True, True, True])
+        np.array([0, 3, 0, 0], dtype=np.uint8), 90, np.array([False, True, True, True])
     )
     # the config refuses standard BP when it is made (the round refused it)
     with pytest.raises(ValueError, match="not a feedback strategy \\(pc08 or enhanced\\)"):
@@ -441,12 +441,11 @@ def test_feedback_round_checks_strategy_and_mask(code411, priors411):
     # enhanced draws nothing, pc08 needs a stream to perturb from
     with pytest.raises(ValueError, match="pc08 rounds need a random stream"):
         feedback_round(code411, TARGET, priors411, 1, 0, FeedbackConfig(strategy="pc08"), failed)
-    # a working outcome without its mask, converged or not, cannot be made,
-    # so no pinned round or adjustment gets one (once a ValueError in each
-    # of them, and a TypeError before that)
-    for converged in (False, True):
-        with pytest.raises(ValueError, match="DecodeOutcome needs its frustrated-check mask"):
-            DecodeOutcome(np.array([0, 0, 1, 3], dtype=np.uint8), converged, 3, frustrated=None)
+    # a working outcome without its mask cannot be made, so no pinned round
+    # or adjustment gets one (once a ValueError in each of them, and a
+    # TypeError before that)
+    with pytest.raises(ValueError, match="DecodeOutcome needs its frustrated-check mask"):
+        DecodeOutcome(np.array([0, 0, 1, 3], dtype=np.uint8), 3, frustrated=None)
 
 
 @pytest.mark.parametrize("strategy", ["pc08", "enhanced"])
@@ -458,7 +457,7 @@ def test_check_without_sender_qubits_ends_the_run(code411, priors411, strategy):
     checks = np.zeros((5, code411.n_total + 1), dtype=np.uint8)
     checks[:4, :-1] = code411.checks
     checks[4, -1] = 2
-    code = StabilizerCode(checks, n_sent=4, n_ebits=code411.n_ebits + 1)
+    code = StabilizerCode(checks, n_ebits=code411.n_ebits + 1)
     target = np.array([1, 1, 1, 1, -1])
     first = decode(code, target, priors411, max_iter=7)
     assert not first.converged and first.frustrated.tolist() == [False] * 4 + [True]
@@ -481,7 +480,7 @@ def _failed_blocks(code, p, count, seed=5):
     failed = []
     block = 0
     while len(failed) < count:
-        target = syndrome(code, sample_error(code.n_sent, chan, substream(seed, 0, block).random(code.n_sent)))
+        target = syndrome(code, sample_error(chan, substream(seed, 0, block).random(code.n_sent)))
         first = decode(code, target, pri)
         if not first.converged:
             failed.append((block, target, first))

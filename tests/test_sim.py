@@ -5,6 +5,7 @@ import subprocess
 import sys
 from dataclasses import fields, replace
 from functools import partial
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -39,13 +40,13 @@ def code411():
     return build_code_4_1_1()
 
 
-def _outcome(code, pauli, converged, iterations=5):
+def _outcome(code, pauli, iterations=5):
     from gf4bp import gf4
 
     # the sampled errors below all have IIZX's syndrome (-1, +1, +1, +1)
     error = gf4.pauli_to_values(pauli)
     frustrated = syndrome(code, code.embed_sent(error)) != [-1, 1, 1, 1]
-    return DecodeOutcome(error, converged, iterations, frustrated)
+    return DecodeOutcome(error, iterations, frustrated)
 
 
 def test_bools_are_not_integers(code411):
@@ -66,14 +67,14 @@ def test_bools_are_not_integers(code411):
 
 def test_classify_exact(code411):
     error = code411.embed_sent("IIZX")
-    assert classify_outcome(code411, error, _outcome(code411, "IIZX", True)) == "exact"
+    assert classify_outcome(code411, error, _outcome(code411, "IIZX")) == "exact"
 
 
 def test_classify_degenerate(code411):
     # IIZX and YZII differ by the third generator YZZXI
     error = code411.embed_sent("YZII")
     assert (
-        classify_outcome(code411, error, _outcome(code411, "IIZX", True))
+        classify_outcome(code411, error, _outcome(code411, "IIZX"))
         == "degenerate"
     )
 
@@ -82,7 +83,7 @@ def test_classify_nonequivalent(code411):
     # IYIZ has the same syndrome as IIZX but is not stabilizer-equivalent
     error = code411.embed_sent("IIZX")
     assert (
-        classify_outcome(code411, error, _outcome(code411, "IYIZ", True))
+        classify_outcome(code411, error, _outcome(code411, "IYIZ"))
         == "nonequivalent"
     )
 
@@ -90,7 +91,7 @@ def test_classify_nonequivalent(code411):
 def test_classify_detected(code411):
     error = code411.embed_sent("IIZX")
     assert (
-        classify_outcome(code411, error, _outcome(code411, "IYII", False))
+        classify_outcome(code411, error, _outcome(code411, "IYII"))
         == "detected"
     )
 
@@ -99,7 +100,7 @@ def test_classify_unchecked(code411):
     error = code411.embed_sent("YZII")
     assert (
         classify_outcome(
-            code411, error, _outcome(code411, "IIZX", True), check_membership=False
+            code411, error, _outcome(code411, "IIZX"), check_membership=False
         )
         == "unchecked"
     )
@@ -320,28 +321,25 @@ def test_spec_validation(code411):
         max_iter=np.int32(5), workers=np.int64(1),
     )
     assert format_csv(run_experiment(spec)[0]).splitlines()[1].endswith(",0")
-    # with pc08 or enhanced, feedback parameters follow FeedbackConfig's
-    # rules; standard BP ignores them.  An injected error must be a Pauli
-    # string covering the sent qubits.
-    for changes, message in (
+    # feedback parameters follow FeedbackConfig's rules whatever the
+    # strategies: standard alone used to accept every bad one below.  An
+    # injected error must be a Pauli string covering the sent qubits.
+    for strategies, (changes, message) in product((("standard",), ("standard", "pc08")), (
         ({"t_pert": 0}, "t_pert"),
         ({"n_a": -1}, "n_a"),
         ({"t_pert": 2.5}, "t_pert must be an integer"),
         ({"n_a": 1.5}, "n_a must be an integer"),
+        ({"n_a": -3}, "n_a must be nonnegative"),
+        ({"n_a": "x"}, "n_a must be an integer, not 'x'"),
         ({"delta": -1.0}, "delta"),
         ({"inject": "IXI"}, "must cover the 4 sent qubits"),
         ({"inject": "IXQI"}, "invalid Pauli symbol"),
         # a NaN delta used to run every pc08 round on NaN priors
         ({"delta": float("nan")}, "delta must be nonnegative and finite"),
         ({"delta": float("inf")}, "delta must be nonnegative and finite"),
-    ):
+    )):
         with pytest.raises(ValueError, match=message):
-            ExperimentSpec(
-                code=code411, p_values=(0.1,), strategies=("standard", "pc08"),
-                **changes,
-            )
-    ExperimentSpec(code=code411, p_values=(0.1,), t_pert=0, n_a=-1, delta=-1.0)
-    ExperimentSpec(code=code411, p_values=(0.1,), t_pert=2.5, n_a=1.5)
+            ExperimentSpec(code=code411, p_values=(0.1,), strategies=strategies, **changes)
     # by name too, the injected error is checked when the spec is made,
     # which loads the code
     for inject, message in (("IXI", "must cover the 4 sent qubits"),
@@ -632,7 +630,7 @@ def test_three_entry_types_match_per_cell_reference(code62, tmp_path, monkeypatc
     checks = code62.checks.copy()
     even = checks[:, ::2]
     even[even % 2 == 1] ^= 2  # X (1) <-> Y (3)
-    code = StabilizerCode(checks, n_sent=code62.n_sent, n_ebits=code62.n_ebits)
+    code = StabilizerCode(checks, n_ebits=code62.n_ebits)
     graph = TannerGraph(code)
     assert graph.n_types == 3 and (graph.edge_entry == 3).sum() == 186
     spec = ExperimentSpec(
@@ -1052,8 +1050,7 @@ def test_quiet_blocks_cost_one_bp_run(code62, monkeypatch):
     spec = ExperimentSpec(code=code62, p_values=(0.002,), blocks=300, seed=20260808)
     syndromes = [
         syndrome(code62, sample_error(
-            code62.n_sent, DepolarizingChannel(0.002),
-            block_uniforms(spec.seed, block, code62.n_sent),
+            DepolarizingChannel(0.002), block_uniforms(spec.seed, block, code62.n_sent),
         )).tolist()
         for block in range(spec.blocks)
     ]

@@ -1,5 +1,6 @@
 import hashlib
 import pickle
+from functools import partial
 
 import numpy as np
 import pytest
@@ -193,8 +194,8 @@ def test_check_matrix_values_are_checked_not_truncated():
     # the matrix was cast to uint8 before its 0..3 check: 1.5 was read as X
     # and built the check XX; an integral float is exact
     with pytest.raises(ValueError, match="GF\\(4\\) values must lie in 0..3"):
-        StabilizerCode(np.array([[1.5, 1.0]]), n_sent=2)
-    assert StabilizerCode(np.array([[1.0, 1.0]]), n_sent=2).row_pauli(0) == "XX"
+        StabilizerCode(np.array([[1.5, 1.0]]))
+    assert StabilizerCode(np.array([[1.0, 1.0]])).row_pauli(0) == "XX"
 
 
 def test_embed_sent(code411):
@@ -230,7 +231,7 @@ def test_quaternary_to_pauli_zero_matrix_rejected_downstream():
     stacked = quaternary_to_pauli(np.zeros((1, 3), dtype=np.uint8))
     assert not stacked.any()
     with pytest.raises(ValueError):
-        StabilizerCode(stacked, n_sent=3, n_ebits=0)
+        StabilizerCode(stacked)
 
 
 def test_ea_canonicalize_golden():
@@ -501,9 +502,7 @@ def test_noncommuting_rows_rejected():
         (["XII", "IXI", "IIX", "IZI"], "generators 1 and 3 anticommute"),
     ):
         with pytest.raises(NonCommutingRowsError, match=message):
-            StabilizerCode(
-                np.array([gf4.pauli_to_values(row) for row in rows]), n_sent=len(rows[0])
-            )
+            StabilizerCode(np.array([gf4.pauli_to_values(row) for row in rows]))
 
 
 def _first_anticommuting_pair(checks):
@@ -536,19 +535,35 @@ def test_noncommuting_rows_past_the_first_word(changes):
     i, j = _first_anticommuting_pair(checks)
     assert j >= 64
     with pytest.raises(NonCommutingRowsError, match=rf"^generators {i} and {j} anticommute$"):
-        StabilizerCode(checks, n_sent=n)
+        StabilizerCode(checks)
 
 
 def test_zero_row_rejected():
     with pytest.raises(ValueError):
-        StabilizerCode(np.array([[1, 0], [0, 0]], dtype=np.uint8), n_sent=2)
+        StabilizerCode(np.array([[1, 0], [0, 0]], dtype=np.uint8))
+
+
+def test_ebit_count_is_keyword_only():
+    # the sent width is the columns less the ebits; a positional call in the
+    # old (checks, n_sent, n_ebits) order would read n_sent as the ebit count
+    checks = build_code_4_1_1().checks
+    with pytest.raises(TypeError):
+        StabilizerCode(checks, 4, 1)
+    with pytest.raises(TypeError):
+        StabilizerCode(checks, 1)
+    assert StabilizerCode(checks, n_ebits=1).n_sent == 4
 
 
 @pytest.mark.parametrize(
     "call, args, message",
     [
-        (StabilizerCode, ([1, 2], 2), "check matrix must be a nonempty 2-D array"),
-        (StabilizerCode, ([[1, 2]], 2, 1), "n_sent \\+ n_ebits = 3 does not match 2 columns"),
+        (StabilizerCode, ([1, 2],), "check matrix must be a nonempty 2-D array"),
+        (partial(StabilizerCode, n_ebits=-1), ([[1, 2]],), "n_ebits must be nonnegative"),
+        (partial(StabilizerCode, n_ebits=1.0), ([[1, 2]],), "n_ebits must be an integer, not 1.0"),
+        (partial(StabilizerCode, n_ebits=True), ([[1, 2]],),
+         "n_ebits must be an integer, not True"),
+        (partial(StabilizerCode, n_ebits=2), ([[1, 2]],), "2 ebits leave none of 2 columns sent"),
+        (partial(StabilizerCode, n_ebits=3), ([[1, 2]],), "3 ebits leave none of 2 columns sent"),
         (quaternary_to_pauli, ([1, 2],), "check matrix must be 2-D"),
         (ea_canonicalize, (np.zeros((0, 2), np.uint8),),
          "generator matrix must be a nonempty 2-D array"),
@@ -558,7 +573,8 @@ def test_zero_row_rejected():
         (group_membership, ([1, 0, 0], build_code_4_1_1()),
          "error length \\(3,\\) does not match 5 columns"),
     ],
-    ids=["1d-code", "ebit-count", "1d-check-matrix", "empty-generators", "zero-generator",
+    ids=["1d-code", "negative-ebits", "float-ebits", "bool-ebits", "all-ebits", "ebit-count",
+         "1d-check-matrix", "empty-generators", "zero-generator",
          "pair-count", "empty-first-row", "error-length"],
 )
 def test_shapes_and_sizes_are_checked(call, args, message):
@@ -583,6 +599,7 @@ def test_pickle_keeps_only_the_defining_fields(code):
     assert len(data) < 2 * len(pickle.dumps(code.checks))
     clone = pickle.loads(data)
     assert np.array_equal(clone.checks, code.checks)
+    assert set(code.__getstate__()) == {"checks", "n_ebits"}  # n_sent is derived
     assert (clone.n_sent, clone.n_ebits) == (code.n_sent, code.n_ebits)
     assert [
         (syndrome(clone, e).tolist(), group_membership(e, clone)) for e in errors
