@@ -27,8 +27,9 @@ from .stabilizer import (
 
 def _read_config(ctx, param, path):
     """--config: key=value lines ('#' comments) whose keys are flag or
-    parameter names (dashes or underscores), as the command's default_map:
-    click converts each value by its flag's type, and explicit flags win."""
+    parameter names (dashes or underscores), each set once, as the command's
+    default_map: click converts each value by its flag's type, and explicit
+    flags win."""
     if path is None:
         return
     names = {}  # key -> parameter name, dashes as underscores
@@ -44,11 +45,14 @@ def _read_config(ctx, param, path):
         if "=" not in line:
             raise click.UsageError(f"bad config line (expected key=value): {raw!r}")
         key, _, value = line.partition("=")
-        values[key.strip().replace("-", "_")] = value.strip()
+        key = key.strip().replace("-", "_")
+        if names.get(key, key) in values:
+            raise click.UsageError(f"config key {key!r} given twice")
+        values[names.get(key, key)] = value.strip()
     unknown = set(values) - set(names)
     if unknown:
         raise click.UsageError(f"unknown config keys: {sorted(unknown)}")
-    ctx.default_map = {names[key]: value for key, value in values.items()}
+    ctx.default_map = values
 
 
 def _check_out_dir(flag, path):
@@ -138,7 +142,8 @@ def main():
 @click.option("--blocks", default=1000, show_default=True, type=int)
 @click.option("--inject", default=None,
               help="Fixed Pauli error on the sent qubits instead of sampling.")
-@click.option("--workers", default=1, show_default=True, type=int)
+@click.option("--workers", default=1, show_default=True, type=int,
+              help="Worker processes, at most one per core; outputs do not depend on it.")
 @click.option("--out", default="results.csv", show_default=True,
               type=click.Path(dir_okay=False))
 @click.option("--jsonl", default=None, type=click.Path(dir_okay=False),

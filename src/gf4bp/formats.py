@@ -1,14 +1,15 @@
 """Text formats: stabilizer generator files and MacKay-style alist matrices.
 
 Stabilizer text is one generator per line over {I, X, Z, Y}; `#` starts a
-comment, blank lines are ignored, and an optional annotation line
+comment, blank lines are ignored, and one optional annotation line
 `!ebits=c` declares that the last c columns are receiver-held ebits.
 
 The alist format is the usual sparse-matrix interchange: header `n m`
 (columns, rows) for binary matrices or `n m 4` for GF(4), then maximum
 degrees, column degrees, row degrees, the n column adjacency lists and the
 m row adjacency lists, all 1-indexed.  GF(4) lists carry (index, value)
-pairs.  Zero-padded irregular lists are tolerated on input.
+pairs.  Zero-padded irregular lists are tolerated on input, but the row
+lists must restate the column lists exactly.
 """
 
 from pathlib import Path
@@ -36,8 +37,7 @@ class IndexOutOfRangeError(FormatError):
 
 def parse_stabilizer_text(text: str) -> StabilizerCode:
     """Parse stabilizer text into a StabilizerCode."""
-    rows = []
-    n_ebits = 0
+    rows, n_ebits = [], None
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -46,6 +46,8 @@ def parse_stabilizer_text(text: str) -> StabilizerCode:
             key, _, value = line[1:].partition("=")
             if key.strip() != "ebits":
                 raise HeaderFormatError(f"unknown annotation {line!r}")
+            if n_ebits is not None:
+                raise HeaderFormatError(f"second ebit annotation {line!r}")
             try:
                 n_ebits = int(value)
             except ValueError:
@@ -67,7 +69,7 @@ def parse_stabilizer_text(text: str) -> StabilizerCode:
     lengths = {len(line) for line in rows}
     if len(lengths) != 1:
         raise FormatError(f"generator rows have mixed lengths {sorted(lengths)}")
-    n_total = lengths.pop()
+    n_total, n_ebits = lengths.pop(), n_ebits or 0
     if n_ebits >= n_total:
         raise HeaderFormatError(
             f"ebit count {n_ebits} must be smaller than row length {n_total}"
@@ -107,25 +109,35 @@ def _int_tokens(line: str, what: str):
         raise FormatError(f"non-integer token in {what}: {line!r}") from None
 
 
-def _alist_entries(line: str, q: int, what: str, limit: int, degree: int):
-    """(index, value) pairs of one adjacency list, zero padding dropped; each
-    index must lie in 1..limit and the pair count must equal the degree."""
-    tokens = _int_tokens(line, f"{what} list")
-    if q == 2:
-        entries = [(index, 1) for index in tokens]
-    else:
-        if len(tokens) % 2:
+def _alist_side(lines, degree_line: str, q: int, side: str, limit: int):
+    """One side of an alist, its column or its row lists, as a dense
+    (len(lines), limit) matrix: (index, value) pairs with zero padding
+    dropped; each list must hold as many pairs as its degree, each index lie
+    in 1..limit once and each value be nonzero in GF(q)."""
+    degrees = _int_tokens(degree_line, f"{side} degree list")
+    if len(degrees) != len(lines):
+        raise FormatError(f"expected {len(lines)} {side} degrees, got {len(degrees)}")
+    dense = np.zeros((len(lines), limit), dtype=np.uint8)
+    for i, (line, degree) in enumerate(zip(lines, degrees)):
+        what = f"{side} {i + 1}"
+        tokens = _int_tokens(line, f"{what} list")
+        if q != 2 and len(tokens) % 2:
             raise FormatError(f"odd (index, value) list for {what}")
-        entries = list(zip(tokens[0::2], tokens[1::2]))
-    entries = [(index, value) for index, value in entries if index != 0]
-    for index, _ in entries:
-        if not 1 <= index <= limit:
-            raise IndexOutOfRangeError(
-                f"index {index} out of range 1..{limit} in {what} list"
-            )
-    if len(entries) != degree:
-        raise FormatError(f"{what} lists {len(entries)} entries, degree says {degree}")
-    return entries
+        pairs = zip(tokens, [1] * len(tokens)) if q == 2 else zip(tokens[0::2], tokens[1::2])
+        entries = [(index, value) for index, value in pairs if index != 0]
+        if len(entries) != degree:
+            raise FormatError(f"{what} lists {len(entries)} entries, degree says {degree}")
+        for index, value in entries:
+            if not 1 <= index <= limit:
+                raise IndexOutOfRangeError(
+                    f"index {index} out of range 1..{limit} in {what} list"
+                )
+            if not 0 < value < q:
+                raise FormatError(f"entry value {value} invalid for GF({q}) in {what}")
+            if dense[i, index - 1]:
+                raise FormatError(f"index {index} listed twice in {what} list")
+            dense[i, index - 1] = value
+    return dense
 
 
 def parse_alist(text: str) -> np.ndarray:
@@ -148,35 +160,16 @@ def parse_alist(text: str) -> np.ndarray:
     if n <= 0 or m <= 0:
         raise HeaderFormatError(f"non-positive dimensions in header {lines[0]!r}")
     if len(lines) < 4 + n + m:
-        raise FormatError(
-            f"expected {4 + n + m} lines for a {m} x {n} alist, got {len(lines)}"
-        )
-    col_degrees = _int_tokens(lines[2], "column degree list")
-    row_degrees = _int_tokens(lines[3], "row degree list")
-    if len(col_degrees) != n:
-        raise FormatError(f"expected {n} column degrees, got {len(col_degrees)}")
-    if len(row_degrees) != m:
-        raise FormatError(f"expected {m} row degrees, got {len(row_degrees)}")
-
-    matrix = np.zeros((m, n), dtype=np.uint8)
-    for col in range(n):
-        what = f"column {col + 1}"
-        entries = _alist_entries(lines[4 + col], q, what, m, col_degrees[col])
-        for row, value in entries:
-            if not 0 < value < q:
-                raise FormatError(f"entry value {value} invalid for GF({q}) in {what}")
-            matrix[row - 1, col] = value
-
-    # Cross-check the redundant row lists.
-    for row in range(m):
-        what = f"row {row + 1}"
-        entries = _alist_entries(lines[4 + n + row], q, what, n, row_degrees[row])
-        for col, value in entries:
-            if matrix[row, col - 1] != value:
-                raise FormatError(
-                    f"row list disagrees with column lists at ({row + 1}, {col})"
-                )
-    return matrix
+        raise FormatError(f"expected {4 + n + m} lines for a {m} x {n} alist, got {len(lines)}")
+    # The column lists first, then the row lists, which restate them exactly.
+    columns = _alist_side(lines[4 : 4 + n], lines[2], q, "column", m).T
+    rows = _alist_side(lines[4 + n : 4 + n + m], lines[3], q, "row", n)
+    differ = rows != columns
+    if differ.any():  # name an entry the row lists hold, else one they leave out
+        listed = differ & (rows != 0)
+        row, col = np.argwhere(listed if listed.any() else differ)[0] + 1
+        raise FormatError(f"row list disagrees with column lists at ({row}, {col})")
+    return rows
 
 
 def write_alist(matrix: np.ndarray) -> str:

@@ -2,24 +2,24 @@
 and CSV/JSONL emission.
 
 Blocks are independent work items.  The error of block i is drawn from the
-stream of the key (seed, channel-domain, i) only, so all strategies and all
-p values of one experiment face the same underlying randomness and results
-are identical no matter how many workers execute the blocks.  A work item is
-a range of blocks at every p value, one per worker, and it samples all its
-blocks before it decodes any.  Its keys are hashed a window of batches at a
-time (substream_keys), and its blocks drawn BATCH_BLOCKS at a time: one
-counter hash over the batch (keyed_uniforms) shared by every p, then per p
-the errors, syndromes as parity words and error strings as arrays.  Each
-block's standard BP run is computed once and shared by every strategy, since
-pc08 and enhanced feedback start from that same run, and blocks with the
-same syndrome at a p share that run too: a work item numbers each (p,
-syndrome) and decodes it once, and the quiet blocks (the all +1 syndrome)
-take their number by one array op.  The first iteration runs in bulk, a lane
-width of syndromes at a time; a first run it does not end continues from it
-in a lane of one float32 lane kernel, as does every feedback restart; jobs
-finish out of order, and once they are all done the first runs' records are
-copied to their blocks, so outputs do not depend on the lane width, the
-batch size, the key window or the worker count.
+stream of the key (seed, channel-domain, i) only, so all strategies and all p
+values of one experiment face the same underlying randomness and results are
+identical no matter how many workers execute the blocks.  A work item is a
+range of blocks at every p value, one per worker (at most one per core), and
+it samples all its blocks before it decodes any.  Its keys are hashed a
+window of batches at a time (substream_keys), and its blocks drawn
+BATCH_BLOCKS at a time: one counter hash over the batch (keyed_uniforms)
+shared by every p, then per p the errors, syndromes as parity words and error
+strings as arrays.  Each block's standard BP run is computed once and shared
+by every strategy, since pc08 and enhanced feedback start from that same run,
+and blocks with the same syndrome at a p share that run too: a work item
+numbers each (p, syndrome) and decodes it once, and the quiet blocks (the all
++1 syndrome) take their number by one array op.  The first iteration runs in
+bulk, a lane width of syndromes at a time; a first run it does not end
+continues from it in a lane of one float32 lane kernel, as does every
+feedback restart; jobs finish out of order, and once they are all done the
+first runs' records are copied to their blocks, so outputs do not depend on
+the lane width, the batch size, the key window or the worker count.
 
 A work item's results are arrays, not objects: per (p, strategy, block) a
 RECORD of a class code (exact if converged, else detected), the iterations
@@ -30,6 +30,7 @@ log; its BlockResults builds a BlockResult only when one is read.
 """
 
 import math
+import os
 import sys
 from collections import deque
 from collections.abc import Sequence
@@ -437,7 +438,7 @@ def classify_results(results: BlockResults) -> None:
 def run_experiment(spec: ExperimentSpec, jsonl_path=None):
     """Run the experiment; returns (stats per (p, strategy), BlockResults),
     both in spec order of p, then strategy, then block."""
-    step = math.ceil(spec.blocks / spec.workers)
+    step = math.ceil(spec.blocks / min(spec.workers, os.cpu_count() or 1))
     tasks = [(spec, lo, min(lo + step, spec.blocks)) for lo in range(0, spec.blocks, step)]
 
     if len(tasks) == 1:

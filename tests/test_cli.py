@@ -385,6 +385,16 @@ def test_build_code_ea_reproduces_4_1_1(tmp_path):
         # a config file does not name another one
         (["simulate", "--config", "nested.cfg"],
          {"nested.cfg": "config = nested.cfg\n"}, "unknown config keys: ['config']"),
+        # these used to keep the last value, or write a code, and exit 0
+        (["simulate", "--config", "twice.cfg"],
+         {"twice.cfg": "blocks = 10\nblocks = 20\n"}, "config key 'blocks' given twice"),
+        (["simulate", "--config", "twice.cfg"],
+         {"twice.cfg": "max-iter = 10\nmax_iter = 20\n"}, "config key 'max_iter' given twice"),
+        (["simulate", "--config", "twice.cfg"],
+         {"twice.cfg": "p = 0.1\np_list = 0.2\n"}, "config key 'p_list' given twice"),
+        (["build-code", "ea", "--alist", "forged.alist", "--out", "x.stab"],
+         {"forged.alist": "3 2\n2 2\n2 1 1\n1 2\n1 2\n1\n2\n2 0\n1 3\n"},
+         "row list disagrees with column lists at (1, 1)"),
     ],
     ids=["unknown-code", "bad-syndrome", "bad-first-row", "first-row-not-bits",
          "config-value", "config-line-without-equals", "keep-not-int", "keep-out-of-range",
@@ -394,7 +404,8 @@ def test_build_code_ea_reproduces_4_1_1(tmp_path):
          "trace-code-is-directory", "trace-error-length", "simulate-strategy-name",
          "trace-strategy-name", "trace-two-p", "trace-two-strategies", "out-dir-missing", "jsonl-dir-missing",
          "config-out-dir-missing", "trace-out-dir-missing", "trace-out-is-directory",
-         "config-names-config"],
+         "config-names-config", "config-key-twice", "config-key-twice-dash-underscore",
+         "config-key-twice-by-alias", "alist-sides-disagree"],
 )
 def test_bad_inputs_fail(tmp_path, monkeypatch, args, files, message):
     monkeypatch.chdir(tmp_path)

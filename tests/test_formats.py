@@ -89,6 +89,9 @@ def test_parse_stabilizer_line_handling():
         ("XX\n!ebits=-1\n", HeaderFormatError, "negative ebit count in '!ebits=-1'"),
         ("XX\nZZ\n!ebits=2\n", HeaderFormatError,
          "ebit count 2 must be smaller than row length 2"),
+        # this used to load as the last annotation's 2 ebits
+        ("XXX\nZZZ\n!ebits=1\n!ebits=2\n", HeaderFormatError,
+         "second ebit annotation '!ebits=2'"),
         ("XI\nZI\n", NonCommutingRowsError, "generators 0 and 1 anticommute"),
         # the code's own ValueErrors become FormatErrors
         ("II\nXX\n", FormatError, "every generator row must be nonzero"),
@@ -226,12 +229,19 @@ GF4_ALIST_LINES = [
         (GOLDEN_ALIST.splitlines(), (4, "3"), IndexOutOfRangeError, "column 1"),
         (GOLDEN_ALIST.splitlines(), (8, "2 9"), IndexOutOfRangeError, "row 2"),
         (GOLDEN_ALIST.splitlines(), (7, "1 3"), FormatError, r"disagrees .* \(1, 3\)"),
+        # the row lists are checked like the column lists (this used to read
+        # as a disagreement at (1, 2))
+        (GF4_ALIST_LINES, (7, "1 1 2 0"), FormatError, "value 0 invalid .* row 1"),
+        # a repeated index used to count toward the degree as a second entry
+        (GF4_ALIST_LINES, (5, "1 2 1 3"), FormatError, "index 1 listed twice in column 2 list"),
+        (GOLDEN_ALIST.splitlines(), (8, "3 3"), FormatError, "index 3 listed twice in row 2"),
     ],
     ids=[
         "column-odd-pairs", "row-odd-pairs", "column-index-range", "row-index-range",
         "column-degree", "row-degree", "column-value-zero", "column-value-five",
         "row-disagrees", "binary-column-index-range", "binary-row-index-range",
-        "binary-row-disagrees",
+        "binary-row-disagrees", "row-value-zero", "column-index-twice",
+        "binary-row-index-twice",
     ],
 )
 def test_malformed_alist_lists(lines, line, error, message):
@@ -240,3 +250,39 @@ def test_malformed_alist_lists(lines, line, error, message):
     lines[index] = replacement
     with pytest.raises(error, match=message):
         parse_alist("\n".join(lines))
+
+
+def test_alist_sides_must_agree():
+    # 3 columns x 2 rows: the column lists hold [[1, 1, 0], [1, 0, 1]] and
+    # the row lists [[0, 1, 0], [1, 0, 1]], each list as long as its degree.
+    # The row lists leave out (1, 1), which used to parse as the column side.
+    forged = "3 2\n2 2\n2 1 1\n1 2\n1 2\n1\n2\n2 0\n1 3\n"
+    with pytest.raises(FormatError, match=r"^row list disagrees with column lists at \(1, 1\)$"):
+        parse_alist(forged)
+    # the same file with row lists that restate the columns parses
+    agreeing = "3 2\n2 2\n2 1 1\n2 2\n1 2\n1\n2\n1 2\n1 3\n"
+    assert parse_alist(agreeing).tolist() == [[1, 1, 0], [1, 0, 1]]
+
+
+def _ea_matrix():
+    """test_stabilizer's random [9, 4] quaternary check matrix."""
+    rng = np.random.default_rng(62)
+    h = rng.integers(0, 4, size=(5, 9)).astype(np.uint8)
+    h[h.any(axis=1) == 0, 0] = 1
+    return h
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        [[1, 1, 0], [0, 1, 1]],  # GOLDEN_ALIST
+        [[1, 2, 0], [0, 3, 1]],  # GF4_ALIST_LINES
+        [[1, 1, 0], [1, 0, 1]],  # the agreeing file above
+        [[1, 2, 1, 0], [1, 1, 0, 1]],  # the paper's [4, 2] code, as build-code ea reads it
+        _ea_matrix(),
+        build_code_4_1_1().checks,
+    ],
+    ids=["golden", "gf4-lines", "agreeing", "paper-4-2", "ea-9-4", "4_1_1-checks"],
+)
+def test_alist_round_trips_the_test_matrices(matrix):
+    assert parse_alist(write_alist(matrix)).tolist() == np.asarray(matrix).tolist()

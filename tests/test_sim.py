@@ -649,15 +649,21 @@ def test_three_entry_types_match_per_cell_reference(code62, tmp_path, monkeypatc
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
-def test_worker_count_does_not_change_outputs(lane_reference, tmp_path, workers):
-    # one task per worker: 40 blocks in ranges of 40, 20 or 14
+def test_worker_count_does_not_change_outputs(lane_reference, tmp_path, monkeypatch, workers):
+    # one task per worker: 40 blocks in ranges of 40, 20 or 14, with the
+    # core cap lifted so that a 2-core machine runs 3 tasks too
+    monkeypatch.setattr(os, "cpu_count", lambda: workers)
     _assert_equals_reference(lane_reference, tmp_path, workers=workers)
 
 
 def test_pool_is_sized_by_its_tasks(code411, monkeypatch):
     # A forked pool starts all its max_workers processes at the first
     # submit, so a run opens one process per task (blocks < workers makes
-    # fewer tasks than workers) and runs a single task in process.
+    # fewer tasks than workers) and runs a single task in process.  Tasks
+    # are at most one per core, so a worker count far above the cores forks
+    # no more processes than there are cores, and a machine whose core count
+    # is unknown runs serially.  The pool here runs in process: no process
+    # is started.
     opened = []
 
     class CountingPool:
@@ -677,7 +683,11 @@ def test_pool_is_sized_by_its_tasks(code411, monkeypatch):
     spec = ExperimentSpec(
         code=code411, p_values=(0.1, 0.3), strategies=("standard", "pc08"), seed=2, n_a=4,
     )
-    for blocks, workers, pools in [(3, 8, [3]), (5, 4, [3]), (1, 4, []), (9, 2, [2]), (9, 1, [])]:
+    for cores, blocks, workers, pools in [
+        (8, 3, 8, [3]), (8, 5, 4, [3]), (8, 1, 4, []), (8, 9, 2, [2]), (8, 9, 1, []),
+        (2, 50, 5000, [2]), (2, 9, 3, [2]), (2, 1, 5000, []), (None, 9, 4, []),
+    ]:
+        monkeypatch.setattr(os, "cpu_count", lambda cores=cores: cores)
         opened.clear()
         pooled = run_experiment(replace(spec, blocks=blocks, workers=workers))
         assert opened == pools
