@@ -1,7 +1,7 @@
 """Syndrome belief-propagation decoding of sparse quantum codes over GF(4).
 
-Library layout; `import gf4bp` loads the four set-up layers, and channel
-(with numpy.random), feedback and sim load on first use (PEP 562):
+Library layout; `import gf4bp` loads the four set-up layers, and channel,
+feedback and sim on first use (PEP 562), numpy.random with a first Generator:
 
 * gf4: exact field tables and the Pauli correspondence
 * stabilizer: codes, syndromes, EA canonicalization, constructions

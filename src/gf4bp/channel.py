@@ -11,6 +11,8 @@ cheaper per key in bigger calls: the harness hashes a window's keys at once.
 sample_error turns such uniforms, one row per block, into errors.
 """
 
+from __future__ import annotations
+
 from dataclasses import dataclass
 
 import numpy as np

@@ -6,8 +6,8 @@ from a classical quaternary/binary check matrix).
 
 Check and qubit indices on the command line are 1-based, matching the usual
 presentation; library APIs are 0-based. build-code loads only the set-up
-layers; simulate and trace import sim (and with it channel, feedback and
-numpy.random) when they run.
+layers; simulate and trace import sim, channel and feedback when they run,
+and numpy.random with their first feedback Generator (every trace makes one).
 """
 
 from pathlib import Path

@@ -99,8 +99,8 @@ _E = np.arange(4)
 if not np.array_equal(ANTICOMMUTES[1:], [_E >> 1, _E & 1, (_E >> 1) ^ (_E & 1)]):
     raise AssertionError("the anticommutation bit rows disagree with ANTICOMMUTES")
 
-#: Workspace bytes for the lanes of one process; the lane count is this
-#: divided by a lane's workspace (Lanes.lane_bytes), and at least 1.
+#: Workspace bytes for the lanes of one process, counted by lane_width; numpy's
+#: take copies rows of 1, 2, 4, 8, 16 or 32 bytes by a fixed-size path.
 LANE_WORKSPACE_BYTES = 5 << 19
 
 
@@ -584,8 +584,10 @@ def idle_lanes(graph: TannerGraph, width: int, real=np.float64) -> Lanes:
 
 
 def lane_width(graph: TannerGraph, real=np.float64) -> int:
-    """Lanes of dtype real that fit LANE_WORKSPACE_BYTES, at least 1."""
-    return max(1, LANE_WORKSPACE_BYTES // Lanes.lane_bytes(graph, real))
+    """Lanes of dtype real that fit LANE_WORKSPACE_BYTES, at least 1, rounded
+    down to a power of two when a row of that many reals is under 64 bytes."""
+    count = max(1, LANE_WORKSPACE_BYTES // Lanes.lane_bytes(graph, real))
+    return count if count * np.dtype(real).itemsize >= 64 else 1 << (count.bit_length() - 1)
 
 
 def log_priors(priors: np.ndarray, real=np.float64) -> np.ndarray:

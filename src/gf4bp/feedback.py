@@ -31,6 +31,8 @@ pin, then runs adjust and _record around one restart.  A run's random
 choices come from its own generator, so interleaving changes none of them.
 """
 
+from __future__ import annotations
+
 from dataclasses import dataclass, replace
 
 import numpy as np

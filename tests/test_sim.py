@@ -583,10 +583,11 @@ def test_pool_task_result_pickles_small(code62):
 
 @pytest.fixture(scope="module")
 def n510_reference(code510, tmp_path_factory):
-    """A few standard-BP blocks on the n=510 code, which runs two lanes by
-    default, and their per-cell reference run."""
+    """Twenty standard-BP blocks on the n=510 code, more than the widths 8
+    (its harness lanes) and 15 that the width test forces, and their per-cell
+    reference run."""
     spec = ExperimentSpec(
-        code=code510, p_values=(0.09,), strategies=("standard",), blocks=6, seed=1,
+        code=code510, p_values=(0.09,), strategies=("standard",), blocks=20, seed=1,
     )
     path = tmp_path_factory.mktemp("reference") / "reference.jsonl"
     stats, blocks, _ = per_cell_experiment(spec, jsonl_path=path)
@@ -598,8 +599,9 @@ def n510_reference(code510, tmp_path_factory):
     [
         ("lane_reference", 1), ("lane_reference", 3), ("lane_reference", 64),
         ("n510_reference", 1), ("n510_reference", 2),
+        ("n510_reference", 8), ("n510_reference", 15),
     ],
-    ids=["1", "3", "64", "n510-1", "n510-2"],
+    ids=["1", "3", "64", "n510-1", "n510-2", "n510-8", "n510-15"],
 )
 def test_lane_width_does_not_change_outputs(request, tmp_path, monkeypatch, reference, width):
     # The width normally follows from the code; forcing it through the
@@ -765,19 +767,31 @@ def test_unchecked_outputs_are_counted(code411, tmp_path, monkeypatch):
     assert sum(s.unchecked for s in stats) == len(unchecked)
 
 
-def test_lane_width_follows_the_code(code62, code510):
+def test_lane_width_follows_the_code(code62, code510, monkeypatch):
+    from gf4bp import decoder
     from gf4bp.decoder import LANE_WORKSPACE_BYTES, Lanes, TannerGraph, lane_width
 
     graph = TannerGraph(code62)
     assert lane_width(graph) == LANE_WORKSPACE_BYTES // Lanes.lane_bytes(graph)
     assert 65 <= lane_width(graph) <= 67  # no Y rows on this CSS code
-    # a workspace that grows past a sixth of the budget on n=510 fails here
-    assert 6 <= lane_width(TannerGraph(code510)) <= 8
+    # n=510 fits 7 float64 lanes, rounded down to 4; a workspace that grows
+    # past a quarter of the budget fails here
+    assert lane_width(TannerGraph(code510)) == 4
     # the harness's float32 lanes take half the bytes: twice the lanes
     real = sim.LANE_REAL
     assert lane_width(graph, real) == LANE_WORKSPACE_BYTES // Lanes.lane_bytes(graph, real)
     assert 127 <= lane_width(graph, real) <= 131
-    assert 13 <= lane_width(TannerGraph(code510), real) <= 16
+    assert lane_width(TannerGraph(code510), real) == 8  # 15 fit: rows of 60 bytes
+    # a budget of k lanes: a count whose row of reals is under 64 bytes comes
+    # back as the largest power of two up to k, any other as k
+    for dtype in (np.float64, real):
+        for k in range(1, 21):
+            budget = k * Lanes.lane_bytes(graph, dtype)
+            power = max(2**j for j in range(5) if 2**j <= k)
+            expected = k if k * np.dtype(dtype).itemsize >= 64 else power
+            for extra in (0, Lanes.lane_bytes(graph, dtype) - 1):
+                monkeypatch.setattr(decoder, "LANE_WORKSPACE_BYTES", budget + extra)
+                assert lane_width(graph, dtype) == expected, (dtype, k, extra)
 
 
 def test_harness_kernel_runs_in_its_dtype(code62, monkeypatch):
@@ -1213,6 +1227,32 @@ def test_startup_loads_no_pool_or_json(code62, tmp_path):
     assert compared == "True True True"
     assert helps == "True True"
     assert not hasattr(sim, "NoSuchAttribute")
+
+
+RANDOM_SCRIPT = """
+import sys
+from gf4bp.sim import ExperimentSpec, run_experiment
+
+code = sys.argv[1]
+run_experiment(ExperimentSpec(code=code, p_values=(0.02,), blocks=64, seed=3))
+print("numpy.random" in sys.modules)
+run_experiment(ExperimentSpec(code=code, p_values=(0.06,), strategies=("pc08",), blocks=40, seed=1))
+print("numpy.random" in sys.modules)
+"""
+
+
+def test_numpy_random_loads_with_the_first_generator(code62, tmp_path):
+    # Only feedback draws from a Generator, so in a fresh interpreter sim and
+    # a standard [[62,2]] run leave numpy.random unloaded; a pc08 run loads it.
+    code_path = tmp_path / "c62.stab"
+    code_path.write_text(write_stabilizer_text(code62))
+    env = dict(os.environ, PYTHONPATH=str(Path(gf4bp.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", RANDOM_SCRIPT, str(code_path)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False", "True"]
 
 
 SPANS_SCRIPT = """
