@@ -549,8 +549,7 @@ class Lanes:
         z_bits, x_bits = view.decided
         finished = []
         for lane in ended.nonzero()[0].tolist():
-            error = z_bits[:, lane] << 1  # gf4 value, X bit + 2 * Z bit
-            error |= x_bits[:, lane]
+            error = z_bits[:, lane] << 1 | x_bits[:, lane]  # gf4 value, X bit + 2 * Z bit
             outcome = DecodeOutcome(error, view.iterations.item(lane), frustrated[:, lane].copy())
             finished.append((self.jobs[lane], outcome))
             self.jobs[lane] = None
@@ -558,19 +557,18 @@ class Lanes:
 
     def run_one(self, lp, target, max_iter: int, halt: bool = True, on_iteration=None):
         """The DecodeOutcome of one job run alone on this idle kernel from
-        iteration 1, one step at a time; after each iteration
-        on_iteration(t, beliefs), if given, gets a fresh (n_qubits, 4) copy of
-        the lane's beliefs, the softmax of its log-beliefs."""
+        iteration 1, one step at a time; after each iteration on_iteration(t,
+        beliefs), if given, gets the lane's count t and a fresh (n_qubits, 4)
+        copy of the lane's beliefs, the softmax of its log-beliefs."""
         if self.busy:
             raise RuntimeError("run_one needs an idle kernel")
-        starts, iteration = [(True, lp, target, max_iter, None)], 0
+        starts = [(True, lp, target, max_iter, None)]
         while True:
             finished, starts = self.step(halt, starts), ()
-            iteration += 1
             if on_iteration is not None:
-                bel = self._view(1).bel[..., 0]
-                x = np.exp(bel - bel.max(axis=0))
-                on_iteration(iteration, np.array((x / x.sum(axis=0)).T, order="C"))
+                view = self._view(1)
+                x = np.exp(view.bel[..., 0] - view.bel[..., 0].max(axis=0))
+                on_iteration(view.iterations.item(0), np.array((x / x.sum(axis=0)).T, order="C"))
             if finished:
                 return finished[0][1]
 
@@ -624,9 +622,8 @@ def decode(
         raise ValueError(
             f"syndrome length {target.shape} does not match {graph.n_checks} checks"
         )
-    if not np.isin(target, (1, -1)).all():  # before the cast, which truncates 1.5
+    if not np.isin(target, (1, -1)).all():  # Lanes._start reads the signs as given
         raise ValueError("syndrome entries must be +1 or -1")
-    target = target.astype(np.int64)
     check_integer("max_iter", max_iter, 1)
     pri = np.asarray(priors, dtype=float)
     if pri.shape != (graph.n_qubits, 4):

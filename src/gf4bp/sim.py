@@ -304,11 +304,9 @@ class _Chunk:
         whose first run did not converge (its mask is not empty), from its
         read-only outcome.  The runs' gf4 errors and frustrated masks are
         arrays, one row per number, and they ran the same number of iterations."""
-        spec, n = self.spec, self.code.n_sent
+        spec = self.spec
         converged = ~frustrated.any(axis=1)
-        text = gf4.values_to_pauli(errors)
-        e_outs = [text[i : i + n] for i in range(0, len(text), n)]
-        self.firsts[p_index][numbers] = self._table(converged, iterations, e_outs)
+        self.firsts[p_index][numbers] = self._table(converged, iterations, errors)
         if len(self.standard) == len(spec.configs):
             return  # no feedback strategy continues a run
         errors.setflags(write=False)
@@ -335,20 +333,22 @@ class _Chunk:
             adjusted = run.send(outcome)
         except StopIteration as done:
             outcome = done.value[0]
-            table = self._table(outcome.converged, outcome.iterations, [outcome.error_pauli])
+            table = self._table(outcome.converged, outcome.iterations, outcome.error[None])
             self.records[p_index, strategy_index, row] = table[0]
             return
         job = partial(self.advance, p_index, strategy_index, row, target, run)
         t_pert = self.spec.configs[strategy_index].t_pert
         self.queue.appendleft((job, log_priors(adjusted, LANE_REAL), target, t_pert, None))
 
-    def _table(self, converged, iterations, e_outs: list) -> np.ndarray:
-        """The RECORDs of runs with these verdicts, iterations and e_out
-        strings: class exact if converged, else detected."""
-        table = np.empty(len(e_outs), RECORD)
+    def _table(self, converged, iterations, errors: np.ndarray) -> np.ndarray:
+        """The RECORDs of runs with these verdicts, iterations and gf4 error
+        rows: class exact if converged, else detected; e_out the index of its text."""
+        text, n = gf4.values_to_pauli(errors), errors.shape[1]
+        table = np.empty(len(errors), RECORD)
         table["klass"] = np.where(converged, _EXACT, _DETECTED)
         table["iterations"] = iterations
-        table["e_out"] = [self.e_outs.setdefault(e_out, len(self.e_outs)) for e_out in e_outs]
+        table["e_out"] = [self.e_outs.setdefault(text[i : i + n], len(self.e_outs))
+                          for i in range(0, len(text), n)]
         return table
 
 
@@ -520,7 +520,7 @@ def trace_run(spec: ExperimentSpec, target=None, check: int | None = None,
 
     def record(_iteration, beliefs):
         t = rows[-1][0] + 1 if rows else 1  # counted across rounds
-        rows.extend((t, q, belief.copy()) for q, belief in enumerate(beliefs))
+        rows.extend((t, q, belief) for q, belief in enumerate(beliefs))  # beliefs is fresh
 
     if config is None:
         return rows, decode(code, target, pri, max_iter=max_iter, on_iteration=record)

@@ -434,6 +434,33 @@ def test_decode_validates_inputs(code411):
     assert decode(code411, [1, -1, 1, 1], pri, max_iter=np.int64(1)).iterations == 1
 
 
+@pytest.mark.parametrize("error, last", [("IXII", 1), ("IIZX", 90)])
+def test_on_iteration_gets_the_runs_count(code411, error, last):
+    # t is the lane's own count: 1, 2, ... up to the outcome's iterations
+    pri = channel_priors(DepolarizingChannel(0.1), 4)
+    target = syndrome(code411, code411.embed_sent(error))
+    seen = []
+    outcome = decode(code411, target, pri, on_iteration=lambda t, b: seen.append(t))
+    assert outcome.converged == (last == 1) and outcome.iterations == last
+    assert seen == list(range(1, last + 1))
+
+
+def test_decode_takes_each_form_of_a_target(code411):
+    # the int list, its float form and syndrome's int8 array are one target
+    pri = channel_priors(DepolarizingChannel(0.1), 4)
+    signs = syndrome(code411, code411.embed_sent("IIZX"))
+    assert signs.dtype == np.int8
+    outcomes = [
+        decode(code411, target, pri, max_iter=40)
+        for target in (signs.tolist(), [float(s) for s in signs], signs)
+    ]
+    for outcome in outcomes:
+        assert outcome.error.tolist() == outcomes[0].error.tolist()
+        assert outcome.iterations == outcomes[0].iterations == 40
+        assert outcome.frustrated.tolist() == outcomes[0].frustrated.tolist()
+    assert outcomes[0].frustrated.any()
+
+
 # First circulant row of the [[62,2]] Construction-B code of criterion 8.
 C62_ROW = [1 if i in (1, 5, 11, 24, 25, 27) else 0 for i in range(31)]
 N510_ROW = [1 if i in (8, 36, 118, 128, 190, 240) else 0 for i in range(255)]

@@ -373,6 +373,20 @@ def test_trace_run_standard(code411):
     assert abs(beliefs.sum() - 1.0) < 1e-9
 
 
+def test_trace_run_rows_own_their_beliefs(code411):
+    # rows of different iterations never share memory, across a pinned round too
+    spec = ExperimentSpec(
+        code=code411, p_values=(0.1,), strategies=("enhanced",), max_iter=20, t_pert=40,
+        inject="IIZX",
+    )
+    for rows in (trace_run(replace(spec, strategies=("standard",)))[0],
+                 trace_run(spec, check=1, qubit=3)[0]):
+        assert {t for t, _, _ in rows} == set(range(1, rows[-1][0] + 1))
+        for (t, _, a), (u, _, b) in product(rows, repeat=2):
+            assert t == u or not np.shares_memory(a, b)
+        assert np.allclose([beliefs.sum() for _, _, beliefs in rows], 1.0, rtol=0, atol=1e-9)
+
+
 def test_trace_run_pinned_round(code411):
     spec = ExperimentSpec(
         code=code411, p_values=(0.1,), strategies=("enhanced",), max_iter=88, t_pert=40,
