@@ -7,7 +7,7 @@ from a classical quaternary/binary check matrix).
 Check and qubit indices on the command line are 1-based, matching the usual
 presentation; library APIs are 0-based. build-code loads only the set-up
 layers; simulate and trace import sim, channel and feedback when they run,
-and numpy.random with their first feedback Generator (every trace makes one).
+and numpy.random with their first feedback Generator (standard BP makes none).
 """
 
 from pathlib import Path

@@ -622,7 +622,7 @@ def decode(
         raise ValueError(
             f"syndrome length {target.shape} does not match {graph.n_checks} checks"
         )
-    if not np.isin(target, (1, -1)).all():  # Lanes._start reads the signs as given
+    if target.dtype == bool or not np.isin(target, (1, -1)).all():  # a set bit is not +1
         raise ValueError("syndrome entries must be +1 or -1")
     check_integer("max_iter", max_iter, 1)
     pri = np.asarray(priors, dtype=float)

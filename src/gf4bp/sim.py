@@ -33,7 +33,6 @@ import math
 import os
 import sys
 from collections import deque
-from collections.abc import Sequence
 from dataclasses import astuple, dataclass, field, replace
 from functools import partial
 from itertools import chain, product, repeat, starmap
@@ -357,7 +356,7 @@ def _run_blocks(args):
     return _Chunk(*args).run()
 
 
-class BlockResults(Sequence):
+class BlockResults:
     """A run's block results, read only, in spec order of p, then strategy,
     then block; each BlockResult is built when it is read, from the run's
     (p, strategy, block) RECORDs, its e_out table and its error strings per p."""
@@ -368,48 +367,32 @@ class BlockResults(Sequence):
     def __len__(self):
         return self.records.size
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(len(self))[index]]
-        cell, block = divmod(range(len(self))[index], self.spec.blocks)
-        (row,) = self._cell(*divmod(cell, len(self.spec.strategies)), block, block + 1)
-        return BlockResult(*row)
-
     def __iter__(self):
         return starmap(BlockResult, self.rows())
 
     def __eq__(self, other):
-        if not isinstance(other, Sequence):
+        if not isinstance(other, (list, BlockResults)):
             return NotImplemented
         return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
     def rows(self):
         """Every result's fields as a tuple, in order; a p's error strings
         are sliced once for all its strategies, and equal ones are one string."""
-        n, strategies = self.spec.blocks, range(len(self.spec.strategies))
+        spec, blocks = self.spec, range(self.spec.blocks)
         return chain.from_iterable(
-            self._cell(p_index, strategy_index, 0, n, errors)
-            for p_index in range(len(self.spec.p_values))
-            for errors in (self._errors(p_index, 0, n),)
-            for strategy_index in strategies
+            zip(repeat(p), repeat(strategy), blocks, errors,
+                map(self.e_outs.__getitem__, records["e_out"].tolist()),
+                (records["klass"] != _DETECTED).tolist(), records["iterations"].tolist(),
+                map(OUTCOME_CLASSES.__getitem__, records["klass"].tolist()))
+            for p, text, cells in zip(spec.p_values, self.texts, self.records)
+            for errors in (self._errors(text),)
+            for strategy, records in zip(spec.strategies, cells)
         )
 
-    def _errors(self, p_index, lo, hi):
-        n, text = self.spec.code.n_sent, self.texts[p_index]
-        errors = [text[i : i + n] for i in range(lo * n, hi * n, n)]
+    def _errors(self, text):
+        n = self.spec.code.n_sent
+        errors = [text[i : i + n] for i in range(0, len(text), n)]
         return list(map({}.setdefault, errors, errors))  # equal ones as one string
-
-    def _cell(self, p_index, strategy_index, lo, hi, errors=None):
-        """The field tuples of blocks lo..hi of one (p, strategy) cell."""
-        records = self.records[p_index, strategy_index, lo:hi]
-        return zip(
-            repeat(self.spec.p_values[p_index]), repeat(self.spec.strategies[strategy_index]),
-            range(lo, hi), errors or self._errors(p_index, lo, hi),
-            map(self.e_outs.__getitem__, records["e_out"].tolist()),
-            (records["klass"] != _DETECTED).tolist(),
-            records["iterations"].tolist(),
-            map(OUTCOME_CLASSES.__getitem__, records["klass"].tolist()),
-        )
 
 
 def classify_results(results: BlockResults) -> None:

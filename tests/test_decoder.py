@@ -419,8 +419,9 @@ def test_decode_validates_inputs(code411):
     with pytest.raises(ValueError):
         decode(code411, [1, 1, 1, 2], pri)
     # 1.5 used to be cast to +1 (decoded as the all +1 syndrome, converged)
-    # and -1.9 to -1
-    for entries in ([1.5, 1, 1, 1], [-1.9, 1, 1, 1], ["1", "1", "1", "1"]):
+    # and -1.9 to -1; a bit syndrome's True, since True == 1, to +1 too
+    for entries in ([1.5, 1, 1, 1], [-1.9, 1, 1, 1], ["1", "1", "1", "1"],
+                    [True] * 4, np.ones(4, bool)):
         with pytest.raises(ValueError, match=r"syndrome entries must be \+1 or -1"):
             decode(code411, entries, pri)
     with pytest.raises(ValueError):
