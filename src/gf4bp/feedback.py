@@ -6,9 +6,9 @@ Two strategies are implemented on top of plain BP:
   frustrated check (non-identity entries scaled by 1 + delta * U[0,1] and
   renormalized), then BP is restarted for t_pert iterations.
 * enhanced: the prior of one chosen qubit of a frustrated check is replaced
-  by a distribution built from the check entry, the frustration pattern and
-  the channel, biasing the qubit toward (or away from) anticommuting with
-  the check entry.
+  by a distribution built from the check entry, the check's syndrome bit
+  and the channel, biasing the qubit toward (or away from) anticommuting
+  with the check entry.
 
 Each round restarts BP from scratch with the adjusted priors.  A round that
 converges ends the procedure (the adjusted prior is not restored).  Any
@@ -18,9 +18,8 @@ became satisfied but the full syndrome still mismatches, the round's output
 replaces the working output and another frustrated check is chosen.  Every
 tried qubit entry counts against the n_a budget.
 
-Frustrated checks, enhanced's frustration pattern and round verdicts come
-from the decoder's own syndrome test, the frustrated mask of each outcome;
-no parity is computed here.
+Frustrated checks and round verdicts come from the decoder's own syndrome
+test, the frustrated mask of each outcome; no parity is computed here.
 
 feedback_rounds is the one round engine, a generator: it yields the
 adjusted priors of each config.t_pert-iteration BP restart and is sent
@@ -82,21 +81,18 @@ class AdjustmentRecord:
     iterations: int
 
 
-def enhanced_reset(entry: int, s_c: int, sc_dot_eout: int, p_identity: float) -> np.ndarray:
-    """Reset distribution for a qubit of a frustrated check.
+def enhanced_reset(entry: int, s_c: int, p_identity: float) -> np.ndarray:
+    """Reset distribution for a qubit of a frustrated check whose syndrome
+    bit is s_c.
 
-    entry is the check's GF(4) symbol on the qubit (nonzero).  When
-    s_c = -1 and the output commutes with the check, the qubit is biased
-    toward anticommuting with the entry; in the opposite frustration pattern
-    it is biased toward commuting.
+    entry is the check's GF(4) symbol on the qubit (nonzero).  The output
+    of a frustrated check has the sign -s_c on it, so s_c = -1 biases the
+    qubit toward anticommuting with the entry and s_c = +1 toward commuting.
     """
     if entry not in (1, 2, 3):
         raise ValueError("check entry on the chosen qubit must be X, Z or Y")
-    if (s_c, sc_dot_eout) not in ((-1, 1), (1, -1)):
-        raise ValueError(
-            f"({s_c}, {sc_dot_eout}) is not a frustrated pattern; "
-            "expected (-1, +1) or (+1, -1)"
-        )
+    if s_c not in (-1, 1):
+        raise ValueError(f"syndrome bit {s_c} is not -1 or +1")
     if s_c == -1:
         share_identity = (1.0 - p_identity) / 2.0
         share_others = p_identity / 2.0
@@ -136,21 +132,18 @@ def check_slot(graph: TannerGraph, check: int, qubit: int) -> int:
     return int(slot[0])
 
 
-def adjust(graph, target, priors, config, current, check: int, slot: int, rng=None):
-    """Adjust the priors for a round on the qubit at slot of check, from the
-    working outcome current.
+def adjust(graph, target, priors, config, check: int, slot: int, rng=None):
+    """Adjust the priors for a round on the qubit at slot of check, a check
+    the working outcome frustrates.
 
-    enhanced resets that qubit from current's frustration pattern (its sign
-    on the check is the target's, negated if the check is frustrated); pc08
-    perturbs every qubit of the check with draws from rng.  Returns the
+    enhanced resets that qubit from the check's syndrome bit target[check];
+    pc08 perturbs every qubit of the check with draws from rng.  Returns the
     adjusted (n, 4) priors; priors is not modified."""
     adjusted = np.array(priors, dtype=float)
     qubits = graph.check_qubits(check)
     if config.strategy == "enhanced":
         qubit, entry = qubits[slot], int(graph.check_entries(check)[slot])
-        s_c = int(target[check])
-        sc_dot = -s_c if current.frustrated[check] else s_c
-        adjusted[qubit] = enhanced_reset(entry, s_c, sc_dot, float(adjusted[qubit, 0]))
+        adjusted[qubit] = enhanced_reset(entry, int(target[check]), float(adjusted[qubit, 0]))
     else:
         if rng is None:
             raise ValueError("pc08 rounds need a random stream")
@@ -184,14 +177,17 @@ def feedback_round(
     """Run one feedback adjustment for (check, qubit) and a fresh BP restart
     on the code's cached Tanner graph (tanner_graph).
 
-    current is the working output, a DecodeOutcome: enhanced reads its
-    frustration pattern from current.frustrated.  Returns (outcome,
-    record), the outcome's iterations the restart's; priors is not
-    modified; a pin off the graph is a ValueError before any draw.
+    current is the working output, a DecodeOutcome, and check must be one
+    it frustrates (current.frustrated), as every round of feedback_rounds
+    is.  Returns (outcome, record), the outcome's iterations the
+    restart's; priors is not modified; a pin off the graph or on a check
+    current satisfies is a ValueError before any draw.
     """
     graph = tanner_graph(code)
     slot = check_slot(graph, check, qubit)
-    adjusted = adjust(graph, target, priors, config, current, check, slot, rng)
+    if not current.frustrated[check]:
+        raise ValueError(f"0-based check {check} is not frustrated by the working outcome")
+    adjusted = adjust(graph, target, priors, config, check, slot, rng)
     outcome = decode(code, target, adjusted, config.t_pert, on_iteration=on_iteration)
     return outcome, _record(check, qubit, outcome)
 
@@ -215,7 +211,7 @@ def feedback_rounds(graph: TannerGraph, target, priors, config, first, rng):
             break  # a check with no sender qubits can never be fixed
         rng.shuffle(slots)  # the permutation depends only on the length
         for slot in slots[: budget - len(records)]:
-            outcome = yield adjust(graph, target, priors, config, current, check, slot, rng)
+            outcome = yield adjust(graph, target, priors, config, check, slot, rng)
             records.append(_record(check, graph.check_qubits(check)[slot], outcome))
             iterations += outcome.iterations
             if records[-1].outcome != "restored":

@@ -1,12 +1,16 @@
 """Independent oracles used by the test suite.
 
 Everything here recomputes quantities by exhaustive enumeration, by direct
-formulas or by a frozen reference implementation, never through the
-library's linear-algebra paths, and through its decoding paths only where
-a reference must decode bit for bit as the harness does:
-per_cell_experiment runs the library's lane kernel.  The GF(4) field
-operations (add, mul, conj, trace) are used only by tests, so they live
-here; they read the library's tables, which test_gf4 checks entry by entry.
+formulas or by a frozen reference implementation.  Two library paths are
+used where enumeration cannot serve: classify_outcome asks
+stabilizer.group_membership for the degenerate / nonequivalent split (which
+test_stabilizer checks against enumerate_group), and per_cell_experiment
+decodes on the library's lane kernel, because its outputs must equal the
+harness's bit for bit.  Its feedback procedure is written here from the
+rules in feedback.py's docstring; nothing is imported from gf4bp.feedback.
+The GF(4) field operations (add, mul, conj, trace) are used only by tests,
+so they live here; they read the library's tables, which test_gf4 checks
+entry by entry.
 """
 
 import numpy as np
@@ -438,6 +442,67 @@ def classify_outcome(code: StabilizerCode, error, outcome, check_membership=True
     return "nonequivalent"
 
 
+def feedback_reference(code, lanes, target, priors, first, strategy, spec, rng):
+    """One block's pc08 or enhanced procedure after its first run, from the
+    rules alone; restarts decode on lanes (Lanes.run_one) in float32.
+
+    A round picks a frustrated check of the working outcome (rng.integers),
+    shuffles the slot list of its sender qubits (rng.shuffle) and tries them
+    in that order, each tried qubit counting against the n_a budget (n/5,
+    n/10 or n/40 by code length when n_a is None).  enhanced resets the
+    qubit from the check's syndrome bit; pc08 scales the X, Z and Y priors
+    of every qubit of the check by 1 + delta * U[0,1] and renormalizes.  A
+    restart that leaves the check frustrated is "restored" and the next
+    qubit is tried from the same working outcome; any other replaces it.
+    Returns (outcome, verdicts), the outcome's iterations counting every run.
+    """
+    from dataclasses import replace
+
+    from gf4bp.decoder import log_priors
+    from gf4bp.sim import LANE_REAL
+
+    n = code.n_sent
+    budget = spec.n_a
+    if budget is None:
+        budget = n // 5 if n < 300 else n // 10 if n < 1000 else n // 40
+    current, iterations, verdicts = first, first.iterations, []
+    while not current.converged and len(verdicts) < budget:
+        frustrated = frustrated_checks(code, target, current.error)
+        check = int(frustrated[rng.integers(0, len(frustrated))])
+        qubits = np.flatnonzero(code.checks[check, :n])
+        if qubits.size == 0:
+            break
+        slots = list(range(qubits.size))
+        rng.shuffle(slots)
+        for slot in slots[: budget - len(verdicts)]:
+            adjusted = np.array(priors, dtype=float)
+            if strategy == "enhanced":
+                qubit = qubits[slot]
+                p_identity = adjusted[qubit, 0]
+                low, high = (1.0 - p_identity) / 2.0, p_identity / 2.0
+                if target[check] == 1:  # the output anticommutes: favour commuting
+                    low, high = high, low
+                adjusted[qubit] = high
+                adjusted[qubit, [0, code.checks[check, qubit]]] = low
+            else:
+                rows = adjusted[qubits]
+                rows[:, 1:] *= 1.0 + spec.delta * rng.random((qubits.size, 3))
+                adjusted[qubits] = rows / rows.sum(axis=1, keepdims=True)
+            restart = lanes.run_one(log_priors(adjusted, LANE_REAL), target, spec.t_pert)
+            iterations += restart.iterations
+            if restart.converged:
+                verdict = "converged"
+            elif check in frustrated_checks(code, target, restart.error):
+                verdict = "restored"
+            else:
+                verdict = "check_satisfied"
+            verdicts.append(verdict)
+            if verdict != "restored":
+                current = restart
+                break
+    return replace(current, iterations=iterations), verdicts
+
+
 def per_cell_experiment(spec, jsonl_path=None):
     """A frozen per-(p, strategy) Monte-Carlo harness, the reference for
     gf4bp.sim.run_experiment.
@@ -446,19 +511,17 @@ def per_cell_experiment(spec, jsonl_path=None):
     from its block_uniforms row, its syndrome counted and standard BP run
     again for every strategy, one job at a time (Lanes.run_one) on the
     graph's idle width-1 kernel of the harness's dtype (sim.LANE_REAL), and
-    pc08/enhanced blocks drive the feedback_rounds engine with restarts on
-    that kernel.  The results are
-    sorted and each cell is re-filtered from them, as the harness did before
-    it shared work between strategies.
-    Returns (stats, block results, verdicts), verdicts counting the outcomes
-    of the feedback rounds' AdjustmentRecords.
+    pc08/enhanced blocks run feedback_reference with restarts on that
+    kernel.  The results are sorted and each cell is re-filtered from them,
+    as the harness did before it shared work between strategies.
+    Returns (stats, block results, verdicts), verdicts counting the
+    feedback rounds' verdicts.
     """
     import json
     from collections import Counter
 
     from gf4bp.channel import DepolarizingChannel, priors, sample_error, substream
     from gf4bp.decoder import idle_lanes, log_priors, tanner_graph
-    from gf4bp.feedback import FeedbackConfig, feedback_rounds
     from gf4bp.sim import (
         DEGENERACY_LIMIT,
         LANE_REAL,
@@ -490,23 +553,11 @@ def per_cell_experiment(spec, jsonl_path=None):
                 target = syndrome_by_counting(code, error)
                 outcome = lanes.run_one(base_lp, target, spec.max_iter)
                 if strategy != "standard":
-                    config = FeedbackConfig(
-                        strategy=strategy,
-                        t_pert=spec.t_pert,
-                        n_a=spec.n_a,
-                        delta=spec.delta,
-                    )
                     rng = substream(spec.seed, 1, strategy_index, p_index, block)
-                    rounds = feedback_rounds(graph, target, base_priors, config, outcome, rng)
-                    try:
-                        adjusted = next(rounds)
-                        while True:
-                            lp = log_priors(adjusted, LANE_REAL)
-                            restart = lanes.run_one(lp, target, config.t_pert)
-                            adjusted = rounds.send(restart)
-                    except StopIteration as done:
-                        outcome, records = done.value
-                    verdicts.update(record.outcome for record in records)
+                    outcome, rounds = feedback_reference(
+                        code, lanes, target, base_priors, outcome, strategy, spec, rng
+                    )
+                    verdicts.update(rounds)
                 block_results.append(
                     BlockResult(
                         p=p,

@@ -355,6 +355,9 @@ def test_build_code_ea_reproduces_4_1_1(tmp_path):
          "a pinned round needs both check and qubit"),
         (["trace", "--strategy", "standard", "--error", "IIZX", "--check", "1",
           "--qubit", "2"], {}, "standard BP has no feedback round to pin"),
+        # the first run detects IYII, which satisfies check 1 (1-based)
+        (["trace", "--strategy", "pc08", "--error", "IIZX", "--max-iter", "88", "--check",
+          "1", "--qubit", "1"], {}, "0-based check 0 is not frustrated by the working outcome"),
         (["build-code", "ea", "--alist", "bad.alist", "--out", "x.stab"],
          {"bad.alist": "4 2\n"}, "expected 10 lines for a 2 x 4 alist"),
         # these used to end in an IsADirectoryError traceback
@@ -400,7 +403,8 @@ def test_build_code_ea_reproduces_4_1_1(tmp_path):
          "config-value", "config-line-without-equals", "keep-not-int", "keep-out-of-range",
          "keep-zero", "keep-negative", "keep-mixed",
          "trace-check-out-of-range", "trace-qubit-not-on-check", "trace-qubit-alone",
-         "trace-pin-under-standard", "malformed-alist", "code-is-directory",
+         "trace-pin-under-standard", "trace-pin-on-satisfied-check", "malformed-alist",
+         "code-is-directory",
          "trace-code-is-directory", "trace-error-length", "simulate-strategy-name",
          "trace-strategy-name", "trace-two-p", "trace-two-strategies", "out-dir-missing", "jsonl-dir-missing",
          "config-out-dir-missing", "trace-out-dir-missing", "trace-out-is-directory",

@@ -105,10 +105,10 @@ def test_graph_less_calls_share_one_graph_per_code(monkeypatch):
     code = build_code_4_1_1()
     pri = channel_priors(DepolarizingChannel(0.1), 4)
     target = np.array([-1, 1, 1, 1])
-    first = decode(code, target, pri, max_iter=3)
+    first = decode(code, target, pri, max_iter=3)  # YYYI frustrates check 3 alone
     decode(code, [1, 1, 1, 1], pri)
     feedback_round(
-        code, target, pri, 1, 0, FeedbackConfig(strategy="pc08"), first,
+        code, target, pri, 3, 0, FeedbackConfig(strategy="pc08"), first,
         rng=np.random.default_rng(0),
     )
     assert len(built) == 1

@@ -40,11 +40,11 @@ def priors411():
     return channel_priors(DepolarizingChannel(0.1), 4)
 
 
-def _pinned_priors(code, priors, check, qubit, config, current, rng=None):
+def _pinned_priors(code, priors, check, qubit, config, rng=None):
     """The priors a pinned round on (check, qubit) installs: adjust's."""
     graph = tanner_graph(code)
     slot = check_slot(graph, check, qubit)
-    return adjust(graph, TARGET, priors, config, current, check, slot, rng)
+    return adjust(graph, TARGET, priors, config, check, slot, rng)
 
 
 def _same_outcome(a, b):
@@ -94,14 +94,14 @@ def test_frustrated_checks(code411):
 
 
 def test_enhanced_reset_branches():
-    # entry X, s_c=-1, output commutes: bias toward anticommuting
-    reset = enhanced_reset(1, -1, 1, 0.9)
+    # entry X, s_c=-1 (a frustrated output commutes): bias toward anticommuting
+    reset = enhanced_reset(1, -1, 0.9)
     assert np.allclose(reset, [0.05, 0.05, 0.45, 0.45])
-    # entry X, s_c=+1, output anticommutes: bias toward commuting
-    reset = enhanced_reset(1, 1, -1, 0.9)
+    # entry X, s_c=+1 (a frustrated output anticommutes): bias toward commuting
+    reset = enhanced_reset(1, 1, 0.9)
     assert np.allclose(reset, [0.45, 0.45, 0.05, 0.05])
     # entry Z shares with Z instead of X
-    reset = enhanced_reset(2, -1, 1, 0.9)
+    reset = enhanced_reset(2, -1, 0.9)
     assert np.allclose(reset, [0.05, 0.45, 0.05, 0.45])
 
 
@@ -109,9 +109,9 @@ def test_enhanced_reset_properties():
     rng = np.random.default_rng(51)
     for _ in range(50):
         entry = int(rng.integers(1, 4))
-        s_c, dot = (-1, 1) if rng.random() < 0.5 else (1, -1)
+        s_c = -1 if rng.random() < 0.5 else 1
         p_identity = float(rng.random())
-        reset = enhanced_reset(entry, s_c, dot, p_identity)
+        reset = enhanced_reset(entry, s_c, p_identity)
         assert abs(reset.sum() - 1.0) < 1e-15
         assert reset[0] == reset[entry]
         others = [i for i in (1, 2, 3) if i != entry]
@@ -122,12 +122,11 @@ def test_enhanced_reset_properties():
 
 
 def test_enhanced_reset_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        enhanced_reset(0, -1, 1, 0.9)
-    with pytest.raises(ValueError):
-        enhanced_reset(1, 1, 1, 0.9)
-    with pytest.raises(ValueError):
-        enhanced_reset(1, -1, -1, 0.9)
+    with pytest.raises(ValueError, match="must be X, Z or Y"):
+        enhanced_reset(0, -1, 0.9)
+    for s_c in (0, 2):
+        with pytest.raises(ValueError, match=f"syndrome bit {s_c} is not -1 or \\+1"):
+            enhanced_reset(1, s_c, 0.9)
 
 
 def test_pc08_perturb():
@@ -203,7 +202,7 @@ def test_enhanced_round_case_study(code411, priors411):
     assert (record.check, record.qubit, record.outcome) == (1, 3, "converged")
     assert record.iterations == 3
     # the round installed the enhanced reset on qubit 4 alone
-    adjusted = _pinned_priors(code411, priors411, 1, 3, config, first)
+    adjusted = _pinned_priors(code411, priors411, 1, 3, config)
     _assert_rows_changed(adjusted, priors411, [3])
     assert np.allclose(adjusted[3], [0.45, 0.45, 0.05, 0.05])
     assert _same_outcome(decode(code411, TARGET, adjusted, 40), outcome)
@@ -211,20 +210,22 @@ def test_enhanced_round_case_study(code411, priors411):
 
 
 def test_round_reads_the_current_outcomes_mask(code411, priors411):
-    # feedback_round takes enhanced's frustration pattern from the working
+    # feedback_round reads whether its check is frustrated from the working
     # outcome's mask, not from a syndrome of its error: IYII with check 2's
-    # bit cleared makes (s_c, sc_dot) = (+1, +1), which is no frustrated
-    # pattern, while the true mask converges (test_enhanced_round_case_study)
+    # bit cleared leaves check 2 satisfied, and the pin is refused, while the
+    # true mask converges (test_enhanced_round_case_study)
     iyii = np.array([0, 3, 0, 0], dtype=np.uint8)
     mask = np.array([False, False, True, True])
     current = DecodeOutcome(iyii, 90, mask)
     config = FeedbackConfig(strategy="enhanced", t_pert=40)
-    with pytest.raises(ValueError, match="not a frustrated pattern"):
+    with pytest.raises(ValueError, match="0-based check 1 is not frustrated"):
         feedback_round(code411, TARGET, priors411, 1, 3, config, current)
 
 
 def test_pc08_round_case_study_fails(code411, priors411):
-    first = decode(code411, TARGET, priors411, max_iter=90)
+    # from the detected IYII, whose frustrated checks are 1..3 (0-based)
+    first = decode(code411, TARGET, priors411, max_iter=88)
+    assert first.error_pauli == "IYII"
     config = FeedbackConfig(strategy="pc08", t_pert=40, delta=1.0)
     before = priors411.copy()
     failures = 0
@@ -237,9 +238,7 @@ def test_pc08_round_case_study_fails(code411, priors411):
             failures += 1
             assert np.array_equal(priors411, before)
             # the round perturbed every qubit of the chosen check
-            adjusted = _pinned_priors(
-                code411, priors411, 1, 0, config, first, substream(seed, 0)
-            )
+            adjusted = _pinned_priors(code411, priors411, 1, 0, config, substream(seed, 0))
             _assert_rows_changed(adjusted, priors411, [0, 1, 3])
             assert _same_outcome(decode(code411, TARGET, adjusted, 40), outcome)
             assert record.iterations == outcome.iterations
@@ -247,7 +246,7 @@ def test_pc08_round_case_study_fails(code411, priors411):
 
 
 def test_failed_round_restores_priors_bit_exactly(code411, priors411):
-    first = decode(code411, TARGET, priors411, max_iter=90)
+    first = decode(code411, TARGET, priors411, max_iter=88)
     config = FeedbackConfig(strategy="pc08", t_pert=5, delta=1.0)
     before = priors411.copy()
     _, record = feedback_round(
@@ -255,7 +254,7 @@ def test_failed_round_restores_priors_bit_exactly(code411, priors411):
         rng=substream(8, 1), current=first,
     )
     assert record.outcome in ("restored", "check_satisfied")
-    adjusted = _pinned_priors(code411, priors411, 1, 0, config, first, substream(8, 1))
+    adjusted = _pinned_priors(code411, priors411, 1, 0, config, substream(8, 1))
     _assert_rows_changed(adjusted, before, [0, 1, 3])
     assert np.array_equal(priors411, before)
 
@@ -408,6 +407,23 @@ def test_unpinned_rounds_do_not_check_pins(code411, priors411, monkeypatch):
                 code411, TARGET, priors411, config, rng=substream(4, 2)
             )
         assert _same_outcome(got, outcome) and got_records == records
+
+
+@pytest.mark.parametrize("strategy", ["pc08", "enhanced"])
+def test_pinned_round_refuses_a_satisfied_check(code411, priors411, strategy):
+    # A round adjusts a check the working outcome frustrates, as every round
+    # of feedback_rounds does.  IYII satisfies check 0 (0-based): a pin there
+    # used to run under pc08 and end in enhanced_reset's error under
+    # enhanced.  Both now refuse it before any draw.
+    iyii = DecodeOutcome(
+        np.array([0, 3, 0, 0], dtype=np.uint8), 88, np.array([False, True, True, True])
+    )
+    rng = substream(0, 0)
+    state = rng.bit_generator.state
+    config = FeedbackConfig(strategy=strategy)
+    with pytest.raises(ValueError, match="^0-based check 0 is not frustrated by the working"):
+        feedback_round(code411, TARGET, priors411, 0, 1, config, iyii, rng)
+    assert rng.bit_generator.state == state
 
 
 @pytest.mark.parametrize("strategy", ["pc08", "enhanced"])

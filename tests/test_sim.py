@@ -866,7 +866,7 @@ def test_harness_kernel_runs_in_its_dtype(code62, monkeypatch):
 FIXED_EXPERIMENT_DIGESTS = {
     "csv": "67455fb32ed49ae19345730388c474ca982cedc98dbbfbc12e330e9e9815155d",
     "jsonl": "ce2c2e66e97bd87b7d8c11ec649a9418afe5f7c03d612b508df4ad65a3b79e4b",
-    "trace_pc08": "0a1b0604421d19702f7ad8b0df0152c985a4b345f52c49d7a75bba4d842ce3dc",
+    "trace_pc08": "006296c36d1c58e3bbae531334862dd2e94294908e4b327cb20382f66a28bbc5",
     "trace_enhanced": "df14c61e9db76d59cf489b4a8c39091e83b5417b3c186e68c22ef70d023751e1",
     "trace_pc08_loop": "a47c3301bfb758eca4f0ac80ca00348d2e864715cbc64370a664819f97bcd5f1",
     "trace_enhanced_loop": "4c82b19a97871c89c54bf038e02843c373d169e8cdb79d78f982b3575a77fcf9",
@@ -874,7 +874,7 @@ FIXED_EXPERIMENT_DIGESTS = {
 
 PINNED_TRACES = {
     "trace_pc08": ["--strategy", "pc08", "--check", "2", "--qubit", "1",
-                   "--delta", "1", "--seed", "3"],
+                   "--max-iter", "88", "--delta", "1", "--seed", "3"],
     "trace_enhanced": ["--strategy", "enhanced", "--check", "2", "--qubit", "4",
                        "--max-iter", "88"],
     # the serial feedback loop, 4 rounds each (AUTO gives n_a = 0 on 4 qubits)
