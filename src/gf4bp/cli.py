@@ -210,14 +210,13 @@ def trace(p, error, syndrome_text, strategy, check, qubit, out, **run):
                 f"--qubit {qubit} is not on check {check}, whose qubits are "
                 + ", ".join(map(str, on_check))
             )
+    pinned = None if check is None else check - 1
     try:
         rows, outcome = trace_run(
-            spec, target,
-            check=None if check is None else check - 1,
-            qubit=None if qubit is None else qubit - 1,
+            spec, target, check=pinned, qubit=None if qubit is None else qubit - 1
         )
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    except ValueError as exc:  # a pinned check is reported 1-based, as typed
+        raise click.UsageError(str(exc).replace(f"0-based check {pinned} ", f"--check {check} "))
     lines = ["iteration,qubit,p_I,p_X,p_Z,p_Y"]
     for iteration, q, beliefs in rows:
         values = ",".join(repr(float(b)) for b in beliefs)

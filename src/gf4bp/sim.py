@@ -5,9 +5,10 @@ Blocks are independent work items.  The error of block i is drawn from the
 stream of the key (seed, channel-domain, i) only, so all strategies and all p
 values of one experiment face the same underlying randomness and results are
 identical no matter how many workers execute the blocks.  A work item is a
-range of blocks at every p value, one per worker (at most one per core), and
-it samples all its blocks before it decodes any.  Its keys are hashed a
-window of batches at a time (substream_keys), and its blocks drawn
+range of blocks at every p value, one per worker (at most one per core): the
+caller decodes the first range and a forked process (os.fork) each other one,
+and an item samples all its blocks before it decodes any.  Its keys are
+hashed a window of batches at a time (substream_keys), and its blocks drawn
 BATCH_BLOCKS at a time: one counter hash over the batch (keyed_uniforms)
 shared by every p, then per p the errors, syndromes as parity words and error
 strings as arrays.  Each block's standard BP run is computed once and shared
@@ -24,14 +25,17 @@ the lane width, the batch size, the key window or the worker count.
 A work item's results are arrays, not objects: per (p, strategy, block) a
 RECORD of a class code (exact if converged, else detected), the iterations
 and an index into the item's table of e_out strings, plus per p the error
-strings in block order.  run_experiment joins them, classifies them once
+strings in block order; a worker sends them pickled through a pipe, or its
+traceback, and is reaped.  run_experiment joins them, classifies them once
 (classify_results), counts each cell with np.bincount and writes the JSONL
 log; its BlockResults builds a BlockResult only when one is read.
 """
 
 import math
 import os
-import sys
+import pickle
+import signal
+import traceback
 from collections import deque
 from dataclasses import astuple, dataclass, field, replace
 from functools import partial
@@ -60,15 +64,6 @@ RECORD = np.dtype([("klass", "u1"), ("iterations", "u4"), ("e_out", "i4")])
 
 _STREAM_CHANNEL = 0
 _STREAM_DECODER = 1
-
-
-def __getattr__(name):
-    """ProcessPoolExecutor, imported on first use (PEP 562): serial runs skip it."""
-    if name == "ProcessPoolExecutor":
-        from concurrent.futures import ProcessPoolExecutor
-
-        return ProcessPoolExecutor
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass
@@ -173,10 +168,10 @@ LANE_REAL = np.float32
 
 
 class _Chunk:
-    """A pool task: a contiguous range of blocks at every p under every
+    """A work item: a contiguous range of blocks at every p under every
     strategy, decoded as jobs on the process's idle Lanes kernel.
 
-    The task first samples every block in one loop (_sample), where an
+    The item first samples every block in one loop (_sample), where an
     injected error replaces each batch's draw: per p its error strings,
     each block's syndrome number (ids, in order of first appearance) and
     each number's target.  It then decodes each (p, syndrome) once.
@@ -195,7 +190,7 @@ class _Chunk:
     block's first-run record to its standard column, and to every
     strategy's column if the run converged.  Results are a (p, strategy,
     block - block_lo) RECORD array, class _UNDECODED until written, e_out
-    an index into the task's table of distinct e_outs, with a provisional
+    an index into the item's table of distinct e_outs, with a provisional
     class that classify_results settles.
     """
 
@@ -216,7 +211,7 @@ class _Chunk:
         )
         self.firsts = [np.zeros(len(targets), RECORD) for targets in self.targets]
         self.queue = deque()  # Lanes.step starts waiting for a lane
-        self.e_outs = {}  # e_out -> its index in the task's table
+        self.e_outs = {}  # e_out -> its index in the item's table
         shape = (len(spec.p_values), len(spec.strategies), block_hi - block_lo)
         self.records = np.zeros(shape, RECORD)
         self.records["klass"] = _UNDECODED
@@ -352,8 +347,28 @@ class _Chunk:
 
 
 def _run_blocks(args):
-    """Decode one pool task, (spec, block_lo, block_hi); see _Chunk."""
+    """Decode one range of blocks, (spec, block_lo, block_hi); see _Chunk."""
     return _Chunk(*args).run()
+
+
+def _fork(spec, block_lo, block_hi):
+    """Fork a worker that decodes the range; (its pid, the pipe of its pickled result)."""
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(write)
+        return pid, open(read, "rb")
+    try:  # the worker leaves by os._exit, whatever happens
+        os.close(read)
+        try:
+            result = _run_blocks((spec, block_lo, block_hi))
+        except BaseException:  # sent as the text "failed:" and the traceback
+            result = "failed:\n" + traceback.format_exc()
+        with open(write, "wb") as pipe:
+            pickle.dump(result, pipe, pickle.HIGHEST_PROTOCOL)
+        os._exit(0)
+    finally:
+        os._exit(1)
 
 
 class BlockResults:
@@ -422,16 +437,32 @@ def run_experiment(spec: ExperimentSpec, jsonl_path=None):
     """Run the experiment; returns (stats per (p, strategy), BlockResults),
     both in spec order of p, then strategy, then block."""
     step = math.ceil(spec.blocks / min(spec.workers, os.cpu_count() or 1))
-    tasks = [(spec, lo, min(lo + step, spec.blocks)) for lo in range(0, spec.blocks, step)]
+    ranges = [(lo, min(lo + step, spec.blocks)) for lo in range(0, spec.blocks, step)]
 
-    if len(tasks) == 1:
-        chunk_results = [_run_blocks(tasks[0])]
-    else:
-        # a process per task, through the module, where a replaced pool is found
-        with sys.modules[__name__].ProcessPoolExecutor(max_workers=len(tasks)) as pool:
-            chunk_results = list(pool.map(_run_blocks, tasks))
+    workers = {}  # block range -> (pid, pipe) of each forked worker not yet reaped
+    try:
+        if len(ranges) > 1 and hasattr(os, "fork"):
+            graph = tanner_graph(spec.code)  # built once: the workers inherit it
+            idle_lanes(graph, lane_width(graph, LANE_REAL), LANE_REAL)
+            workers.update((r, _fork(spec, *r)) for r in ranges[1:])
+        chunk_results = [_run_blocks((spec, *r)) for r in ranges if r not in workers]
+        for (lo, hi), (pid, pipe) in list(workers.items()):
+            data = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del workers[lo, hi]
+            pipe.close()
+            result = (pickle.loads(data) if data and not status
+                      else f"exited with status {status} and no result")
+            if isinstance(result, str):  # no result, or the worker's traceback
+                raise RuntimeError(f"the worker of blocks [{lo}, {hi}) {result}")
+            chunk_results.append(result)
+    finally:
+        for pid, pipe in workers.values():  # left by an exception: none outlives the call
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pipe.close()
 
-    # Tasks come back in block order, so their joined arrays are in block order.
+    # Results are joined in range order, so their joined arrays are in block order.
     e_outs = []
     for _, table, records in chunk_results:
         records["e_out"] += len(e_outs)  # into the joined table

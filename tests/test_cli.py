@@ -357,7 +357,7 @@ def test_build_code_ea_reproduces_4_1_1(tmp_path):
           "--qubit", "2"], {}, "standard BP has no feedback round to pin"),
         # the first run detects IYII, which satisfies check 1 (1-based)
         (["trace", "--strategy", "pc08", "--error", "IIZX", "--max-iter", "88", "--check",
-          "1", "--qubit", "1"], {}, "0-based check 0 is not frustrated by the working outcome"),
+          "1", "--qubit", "1"], {}, "--check 1 is not frustrated by the working outcome"),
         (["build-code", "ea", "--alist", "bad.alist", "--out", "x.stab"],
          {"bad.alist": "4 2\n"}, "expected 10 lines for a 2 x 4 alist"),
         # these used to end in an IsADirectoryError traceback

@@ -1,8 +1,10 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
+import time
 from dataclasses import fields, replace
 from functools import partial
 from itertools import product
@@ -690,41 +692,142 @@ def test_worker_count_does_not_change_outputs(lane_reference, tmp_path, monkeypa
 
 
 def test_pool_is_sized_by_its_tasks(code411, monkeypatch):
-    # A forked pool starts all its max_workers processes at the first
-    # submit, so a run opens one process per task (blocks < workers makes
-    # fewer tasks than workers) and runs a single task in process.  Tasks
-    # are at most one per core, so a worker count far above the cores forks
-    # no more processes than there are cores, and a machine whose core count
-    # is unknown runs serially.  The pool here runs in process: no process
-    # is started.
-    opened = []
+    # A run takes one range of blocks per worker (fewer when blocks <
+    # workers); the caller decodes the first range and forks one worker for
+    # each other one, so k ranges fork k - 1 workers and a single range forks
+    # none.  Ranges are at most one per core, so a worker count far above the
+    # cores forks at most cores - 1 workers, and a machine whose core count
+    # is unknown runs serially.  Without os.fork the caller decodes every
+    # range, one after another.  Every output equals the serial run's.
+    forks, calls = [], []
+    fork, run_blocks = os.fork, sim._run_blocks
 
-    class CountingPool:
-        def __init__(self, max_workers):
-            opened.append(max_workers)
+    def counted_fork():
+        forks.append(None)
+        return fork()
 
-        def __enter__(self):
-            return self
+    def counted_run_blocks(args):
+        calls.append(args[1:])  # kept only by the process that decodes the range
+        return run_blocks(args)
 
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return map(fn, tasks)
-
-    monkeypatch.setitem(vars(sim), "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(os, "fork", counted_fork)
+    monkeypatch.setattr(sim, "_run_blocks", counted_run_blocks)
     spec = ExperimentSpec(
         code=code411, p_values=(0.1, 0.3), strategies=("standard", "pc08"), seed=2, n_a=4,
     )
-    for cores, blocks, workers, pools in [
-        (8, 3, 8, [3]), (8, 5, 4, [3]), (8, 1, 4, []), (8, 9, 2, [2]), (8, 9, 1, []),
-        (2, 50, 5000, [2]), (2, 9, 3, [2]), (2, 1, 5000, []), (None, 9, 4, []),
+    for cores, blocks, workers, forked in [
+        (8, 3, 8, 2), (8, 5, 4, 2), (8, 1, 4, 0), (8, 9, 2, 1), (8, 9, 1, 0),
+        (2, 50, 5000, 1), (2, 9, 3, 1), (2, 1, 5000, 0), (None, 9, 4, 0),
     ]:
         monkeypatch.setattr(os, "cpu_count", lambda cores=cores: cores)
-        opened.clear()
+        forks.clear()
+        calls.clear()
         pooled = run_experiment(replace(spec, blocks=blocks, workers=workers))
-        assert opened == pools
+        assert len(forks) == forked
+        assert calls == [(0, math.ceil(blocks / min(workers, cores or 1)))]
         assert pooled == run_experiment(replace(spec, blocks=blocks))
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.delattr(os, "fork")
+    calls.clear()
+    serial = run_experiment(replace(spec, blocks=9, workers=3))
+    assert calls == [(0, 3), (3, 6), (6, 9)]
+    assert serial == run_experiment(replace(spec, blocks=9))
+
+
+def _failing_workers(monkeypatch, worker, caller=None, code="4_1_1", **fields):
+    """A spec of two ranges of 5 blocks on 2 cores: the caller's range runs
+    _run_blocks, or caller if given, and the worker's runs worker."""
+    run_blocks = sim._run_blocks
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(
+        sim, "_run_blocks", lambda args: ((caller or run_blocks) if args[1] == 0 else worker)(args)
+    )
+    return ExperimentSpec(code=code, p_values=(0.1,), blocks=10, seed=2, workers=2, **fields)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_worker_exception_reaches_the_caller(monkeypatch):
+    # The worker sends its traceback's text; the caller raises it, named by
+    # the worker's block range, once the worker is reaped.
+    def fails(args):
+        raise ValueError(f"no decoder for blocks from {args[1]}")
+
+    spec = _failing_workers(monkeypatch, fails)
+    with pytest.raises(RuntimeError) as info:
+        run_experiment(spec)
+    message = str(info.value)
+    assert message.startswith("the worker of blocks [5, 10) failed:\nTraceback")
+    assert message.endswith("ValueError: no decoder for blocks from 5\n")
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("status", [3, 1], ids=["os-exit", "result-unpicklable"])
+def test_a_worker_that_exits_without_a_result_is_an_error(monkeypatch, status):
+    # A worker that leaves by os._exit(3) sends nothing; one whose result
+    # fails to pickle has written part of it when it exits with status 1.
+    def leaves(args):
+        if status == 3:
+            os._exit(3)
+        return ["I" * 200_000, lambda: None]
+
+    spec = _failing_workers(monkeypatch, leaves)
+    with pytest.raises(RuntimeError, match=(
+        rf"^the worker of blocks \[5, 10\) exited with status {status} and no result$"
+    )):
+        run_experiment(spec)
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("error", [ValueError("the caller's range"), KeyboardInterrupt()])
+def test_a_failing_caller_leaves_no_worker(monkeypatch, error):
+    # The worker would decode for a minute; the caller's own range fails at
+    # once, and the caller kills and reaps the worker before the error
+    # propagates.
+    def fails(args):
+        raise error
+
+    spec = _failing_workers(monkeypatch, lambda args: time.sleep(60), caller=fails)
+    start = time.perf_counter()
+    with pytest.raises(type(error)):
+        run_experiment(spec)
+    assert time.perf_counter() - start < 30
+    _assert_no_child_left()
+
+
+def test_workers_inherit_the_graph_and_lanes(monkeypatch):
+    # The caller builds the code's graph and harness lane kernel before it
+    # forks, and a worker that built either again would fail the run.  Each
+    # process still builds the width-1 kernel that computes G0
+    # (Lanes.first_messages) when its range first needs it.
+    from gf4bp.decoder import Lanes, TannerGraph, lane_width
+
+    built, run_blocks = [], sim._run_blocks
+    for cls in (TannerGraph, Lanes):
+        def counted(self, *args, init=cls.__init__, name=cls.__name__, **kwargs):
+            built.append((name, *args[1:]))  # a kernel's width and dtype
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    g0_kernel = ("Lanes", 1, sim.LANE_REAL)
+
+    def checked(args):
+        before = len(built)
+        result = run_blocks(args)
+        if built[before:] != [g0_kernel]:
+            raise AssertionError(f"a worker built {built[before:]}")
+        return result
+
+    code = build_code_4_1_1()  # a fresh code object has no graph yet
+    spec = _failing_workers(monkeypatch, checked, code=code, strategies=("standard", "enhanced"))
+    _, results = run_experiment(spec)
+    width = lane_width(sim.tanner_graph(code), sim.LANE_REAL)
+    assert width > 1
+    assert built == [("TannerGraph",), ("Lanes", width, sim.LANE_REAL), g0_kernel]  # the caller's
+    assert results == run_experiment(replace(spec, workers=1))[1]
 
 
 def test_a_block_never_written_is_not_classified(code411, monkeypatch):
@@ -1228,8 +1331,9 @@ for workers in (1, 2):
     stats, blocks = gf4bp.run_experiment(replace(spec, workers=workers), jsonl_path=path)
     with open(path, "rb") as handle:
         runs.append((stats, blocks, handle.read()))
-print(runs[0] == runs[1], len(runs[0][2]) > 0, isinstance(gf4bp.sim.ProcessPoolExecutor, type))
+print(runs[0] == runs[1], len(runs[0][2]) > 0)
 print(*helps)
+print(" ".join(name for name in machinery if name in sys.modules))
 """
 
 
@@ -1240,8 +1344,8 @@ def test_startup_loads_no_pool_or_json(code62, tmp_path):
     # and numpy.random unloaded, so the options the two commands share are
     # declared without sim.  Every
     # exported name then resolves on first use, an unknown one raises
-    # AttributeError, and a pooled run with a JSONL log loads the machinery on
-    # first use and equals the serial run.
+    # AttributeError, and a forked run with a JSONL log equals the serial run
+    # and loads json, but neither concurrent.futures nor multiprocessing.
     code_path = tmp_path / "c62.stab"
     code_path.write_text(write_stabilizer_text(code62))
     env = dict(os.environ, PYTHONPATH=str(Path(gf4bp.__file__).parents[1]))
@@ -1250,13 +1354,14 @@ def test_startup_loads_no_pool_or_json(code62, tmp_path):
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert done.returncode == 0, done.stderr
-    built, loaded, lazy, unknown, compared, helps = done.stdout.split("\n")[:6]
+    built, loaded, lazy, unknown, compared, helps, after = done.stdout.split("\n")[:7]
     assert built.startswith(f"wrote {tmp_path}/b.stab: [[6,")
     assert loaded == ""
     assert lazy == f"gf4bp.sim True {len(gf4bp.__all__)}"
     assert unknown == "module 'gf4bp' has no attribute 'NoSuchAttribute'"
-    assert compared == "True True True"
+    assert compared == "True True"
     assert helps == "True True"
+    assert after == "json"  # forking workers loads no process-pool machinery
     assert not hasattr(sim, "NoSuchAttribute")
 
 
@@ -1305,9 +1410,11 @@ print("\\n".join(installed.absent))
 
 def test_benchmark_span_targets_absent_are_pinned():
     # perfbench wraps gf4bp functions by name and lists the ones it cannot
-    # find.  These five are known blind spots of its per-layer metrics; a
-    # change that removes another wrapped name, or mends one, updates this
-    # list and says so.  The benchmark's spans.py is read, not written (-B).
+    # find.  These six are known blind spots of its per-layer metrics (the
+    # executor its TracedPool wrapped is gone: run_experiment forks its
+    # workers itself); a change that removes another wrapped name, or mends
+    # one, updates this list and says so.  The benchmark's spans.py is read,
+    # not written (-B).
     spans_path = Path(__file__).parents[1] / "perfbench" / "spans.py"
     env = dict(os.environ, PYTHONPATH=str(Path(gf4bp.__file__).parents[1]))
     done = subprocess.run(
@@ -1321,4 +1428,5 @@ def test_benchmark_span_targets_absent_are_pinned():
         "gf4bp.feedback.frustrated_checks",
         "gf4bp.decoder.hard_decision",
         "gf4bp.decoder.TannerGraph.syndrome_signs",
+        "gf4bp.sim.ProcessPoolExecutor",
     ]
