@@ -69,11 +69,11 @@ axis, the innermost axis of every operand, so a lane computes bit for bit
 what it would compute alone; decode is Lanes.run_one at width 1.  Iteration 1
 starts from gamma = 0 and bel = lp, so its gammas are s_c times G0, the all
 +1 syndrome's (s_c = +-1 starts the check product, the clip is symmetric,
-tanh and arctanh are odd), which one step of the graph's idle width-1 kernel
-computes and Lanes.first_iteration uses to run iteration 1 of many jobs at
-once: it hands back those a lane would end as arrays (rows, errors,
-frustrated masks), one row per job, and each other one's state for a step to
-resume it from.
+tanh and arctanh are odd).  first_messages keeps G0 on the graph, one step of
+its idle width-1 kernel; given it, Lanes.first_iteration runs iteration 1 of
+many jobs at once and hands back those a lane would end as arrays, and the
+others' states to resume from.  The graph keeps its kernels (idle_lanes) and
+a kernel only the graph's gather tables, so both go with their code object.
 The real dtype is a parameter of the kernel: decode runs float64, which
 agreement with exact marginals to 1e-8 needs, and the Monte-Carlo harness
 float32 (sim.LANE_REAL), at half a lane's bytes and cheaper tanh and arctanh.
@@ -180,7 +180,7 @@ class TannerGraph:
         for entry, run in enumerate(runs):
             self._gamma_gather[: len(run), entry] = run
         self._lanes = {}  # (width, dtype) -> the idle_lanes Lanes
-        self._first_messages = {}  # (dtype, log-prior bytes) -> G0, see Lanes.first_messages
+        self._first_messages = {}  # (dtype, log-prior bytes) -> G0, see first_messages
 
     def check_qubits(self, check: int) -> np.ndarray:
         """Sender qubits incident to a check, in column order."""
@@ -335,15 +335,15 @@ class Lanes:
     workspace holds with its count.  A finished lane stays in the layout
     (jobs holds None for it) until a later step refills it or packs the
     remaining lanes; jobs is the one record of which lanes are busy.  Every
-    real array has dtype real (np.float64 or np.float32), log-priors
-    included, so the same operations run at either precision.  run_one
-    steps one job alone to its end.
+    real array has dtype real (np.float64 or np.float32), log-priors included,
+    so the same operations run at either precision.  run_one steps one job
+    alone to its end.  A kernel keeps two gather tables, not the graph.
     """
 
     def __init__(self, graph: TannerGraph, width: int, real=np.float64):
         if width < 1:
             raise ValueError("width must be at least 1")
-        self.graph = graph
+        self._message_gather, self._gamma_gather = graph._message_gather, graph._gamma_gather
         self.width = width
         self.real = real
         self._shapes = _lane_shapes(graph, real)
@@ -380,7 +380,7 @@ class Lanes:
         view = self._views.get((lanes, first))
         if view is not None:
             return view
-        flat, graph = self._first_flat if first else self._flat, self.graph
+        flat = self._first_flat if first else self._flat
 
         def part(name, lanes):
             shape = self._shapes[name][0] + (lanes,)
@@ -400,11 +400,11 @@ class Lanes:
         # each check cell's bit; mode "clip": the tables index in range, and
         # the default mode buffers out
         v.syndrome_test = _decision_ops(bel, anti[:2], bit_rows, types) + [
-            (v.bits.take, (graph._message_gather, 0, v.slot_bits[:-1], "clip"))
+            (v.bits.take, (self._message_gather, 0, v.slot_bits[:-1], "clip"))
         ]
         lp, rows = v.lp, bel[1 : types + 1]
         v.belief_calls = [
-            (v.gamma.take, (graph._gamma_gather, 0, qg, "clip")),
+            (v.gamma.take, (self._gamma_gather, 0, qg, "clip")),
             *[(np.add, ops) for ops in v.entry_sums],
             (np.add, (s[0], s[1], total)),
             *[(np.add, (total, row, total)) for row in s[2:]],  # S_Y, with Y entries
@@ -436,7 +436,7 @@ class Lanes:
             (np.multiply, (half, 0.5, half)),
         ]
         v.check_calls = [
-            (v.half.take, (graph._message_gather, 0, th, "clip")),
+            (v.half.take, (self._message_gather, 0, th, "clip")),
             (np.subtract, (th, cells, th)),  # Lambda / 2 of the edge
             (np.tanh, (th, th)),
             *[(np.multiply, ops) for ops in v.check_products],  # cpref[0] holds s_c
@@ -484,32 +484,15 @@ class Lanes:
             view.caps[lane] = max_iter
             self.jobs[lane] = job
 
-    def first_messages(self, lp: np.ndarray) -> np.ndarray:
-        """G0 for log-priors lp, kept per graph, dtype and lp.  A new one is a
-        one-iteration run_one of the graph's idle width-1 kernel of this
-        dtype (idle_lanes), which leaves this kernel's jobs as they were;
-        ArithmeticError if the all -1 syndrome's gammas are not -G0."""
-        known, key = self.graph._first_messages, (self.real, lp.tobytes())
-        if key not in known:
-            lanes, gammas = idle_lanes(self.graph, 1, self.real), []
-            for sign in (1, -1):
-                lanes.run_one(lp, np.full(self.graph.n_checks, sign), 1)
-                gammas.append(lanes._view(1).gamma_cells[..., 0].copy())
-            if (-gammas[0]).tobytes() != gammas[1].tobytes():
-                raise ArithmeticError("iteration 1's gammas are not odd in the syndrome")
-            known[key] = gammas[0]
-        return known[key]
-
-    def first_iteration(self, lp, targets: np.ndarray, max_iter: int):
+    def first_iteration(self, lp, first: np.ndarray, targets: np.ndarray, max_iter: int):
         """Iteration 1 of a job on each syndrome of targets (k <= width rows)
         with log-priors lp and cap max_iter, in bulk, between steps, from
-        first_messages(lp).  A job ends as a lane would end it, on a match or
-        at max_iter = 1.  Returns ((rows, errors, frustrated), resumes): the
-        rows of the jobs that end, in order, with their gf4 errors
-        (rows, n_qubits) and frustrated masks (rows, n_checks), whose empty
-        rows are the matches; and (row, resume state for a start) for each
-        other job, in row order."""
-        first = self.first_messages(lp)
+        lp's G0 first (first_messages).  A job ends as a lane would end it,
+        on a match or at max_iter = 1.  Returns ((rows, errors, frustrated),
+        resumes): the rows of the jobs that end, in order, with their gf4
+        errors (rows, n_qubits) and frustrated masks (rows, n_checks), whose
+        empty rows are the matches; and (row, resume state for a start) for
+        each other job, in row order."""
         view = self._view(len(targets), first=True)
         view.lp[..., 0], signs = lp, np.ascontiguousarray(targets.T)  # strides slow G0's broadcast
         np.multiply(first[..., None], signs, out=view.gamma_cells)
@@ -581,6 +564,23 @@ def idle_lanes(graph: TannerGraph, width: int, real=np.float64) -> Lanes:
     return lanes
 
 
+def first_messages(graph: TannerGraph, lp: np.ndarray, real) -> np.ndarray:
+    """G0 for log-priors lp, kept per graph, dtype real and lp.  A new one is
+    a one-iteration run_one of the graph's idle width-1 kernel of that dtype
+    (idle_lanes), which leaves every other kernel's jobs as they were;
+    ArithmeticError if the all -1 syndrome's gammas are not -G0."""
+    known, key = graph._first_messages, (real, lp.tobytes())
+    if key not in known:
+        lanes, gammas = idle_lanes(graph, 1, real), []
+        for sign in (1, -1):
+            lanes.run_one(lp, np.full(graph.n_checks, sign), 1)
+            gammas.append(lanes._view(1).gamma_cells[..., 0].copy())
+        if (-gammas[0]).tobytes() != gammas[1].tobytes():
+            raise ArithmeticError("iteration 1's gammas are not odd in the syndrome")
+        known[key] = gammas[0]
+    return known[key]
+
+
 def lane_width(graph: TannerGraph, real=np.float64) -> int:
     """Lanes of dtype real that fit LANE_WORKSPACE_BYTES, at least 1, rounded
     down to a power of two when a row of that many reals is under 64 bytes."""
@@ -619,24 +619,17 @@ def decode(
     graph = tanner_graph(code)
     target = np.asarray(target_syndrome).ravel()
     if target.shape != (graph.n_checks,):
-        raise ValueError(
-            f"syndrome length {target.shape} does not match {graph.n_checks} checks"
-        )
+        raise ValueError(f"syndrome length {target.shape} does not match {graph.n_checks} checks")
     if target.dtype == bool or not np.isin(target, (1, -1)).all():  # a set bit is not +1
         raise ValueError("syndrome entries must be +1 or -1")
     check_integer("max_iter", max_iter, 1)
     pri = np.asarray(priors, dtype=float)
     if pri.shape != (graph.n_qubits, 4):
-        raise ValueError(
-            f"priors shape {pri.shape} does not match ({graph.n_qubits}, 4)"
-        )
-    bad = ~np.isfinite(pri).all(axis=1) | (pri < 0).any(axis=1)
-    bad |= pri.sum(axis=1) <= 0
+        raise ValueError(f"priors shape {pri.shape} does not match ({graph.n_qubits}, 4)")
+    bad = ~np.isfinite(pri).all(axis=1) | (pri < 0).any(axis=1) | (pri.sum(axis=1) <= 0)
     if bad.any():
         q = int(np.argmax(bad))
-        raise ValueError(
-            f"priors of qubit {q} are {pri[q].tolist()}; they must be finite, "
-            "nonnegative and not all zero"
-        )
+        raise ValueError(f"priors of qubit {q} are {pri[q].tolist()}; they must be finite, "
+                         "nonnegative and not all zero")
     # idle_lanes: a fresh kernel for a decode called inside on_iteration
     return idle_lanes(graph, 1).run_one(log_priors(pri), target, max_iter, halt, on_iteration)

@@ -46,7 +46,8 @@ import numpy as np
 from . import gf4
 from .channel import DepolarizingChannel, keyed_uniforms, sample_error, substream, substream_keys
 from .channel import priors as channel_priors
-from .decoder import DecodeOutcome, decode, idle_lanes, lane_width, log_priors, tanner_graph
+from .decoder import DecodeOutcome, decode, first_messages, idle_lanes, lane_width, log_priors
+from .decoder import tanner_graph
 from .feedback import FeedbackConfig, check_slot, feedback_decode, feedback_round, feedback_rounds
 from .formats import load_code
 from .stabilizer import check_integer, group_membership, syndrome, syndrome_signs, syndrome_words
@@ -277,11 +278,12 @@ class _Chunk:
 
     def first_iterations(self, p_index: int, numbers: range) -> None:
         """Iteration 1 of the first runs on these numbers' syndromes at a p
-        (Lanes.first_iteration): it settles the runs it ends and queues each
-        other one to resume from it."""
+        (Lanes.first_iteration, from the G0 the graph keeps for their log-priors):
+        it settles the runs it ends and queues each other one to resume from it."""
         max_iter, lp = self.spec.max_iter, self.lane_priors[p_index]
         targets = self.targets[p_index][numbers.start : numbers.stop]
-        (rows, *runs), resumes = self.lanes.first_iteration(lp, targets, max_iter)
+        first = first_messages(self.graph, lp, LANE_REAL)
+        (rows, *runs), resumes = self.lanes.first_iteration(lp, first, targets, max_iter)
         if len(rows):  # runs: their errors and masks
             self.settle(p_index, rows + numbers.start, *runs, 1)
         for row, state in resumes:
@@ -354,7 +356,12 @@ def _run_blocks(args):
 def _fork(spec, block_lo, block_hi):
     """Fork a worker that decodes the range; (its pid, the pipe of its pickled result)."""
     read, write = os.pipe()
-    pid = os.fork()
+    try:
+        pid = os.fork()
+    except BaseException:  # no worker: neither end has a user
+        os.close(read)
+        os.close(write)
+        raise
     if pid:
         os.close(write)
         return pid, open(read, "rb")

@@ -14,6 +14,7 @@ from gf4bp.decoder import (
     _check_messages,
     _decision_ops,
     decode,
+    first_messages,
     idle_lanes,
     log_priors,
     tanner_graph,
@@ -650,7 +651,8 @@ def test_lanes_with_refill_match_decode(width):
             pri, target, cap = jobs[index]
             lp, state = log_priors(pri), None
             if index % 4 == 1:
-                (rows, errors, masks), resumes = lanes.first_iteration(lp, target[None], cap)
+                first = first_messages(graph, lp, lanes.real)
+                (rows, errors, masks), resumes = lanes.first_iteration(lp, first, target[None], cap)
                 if len(rows):  # iteration 1 ended it
                     got[index] = DecodeOutcome(errors[0], 1, masks[0])
                     continue
@@ -829,6 +831,28 @@ def test_run_one_runs_a_lone_job_on_an_idle_kernel(code411):
     assert outcome.frustrated.tolist() == expected.frustrated.tolist()
 
 
+def test_a_decode_inside_on_iteration_runs_on_a_fresh_kernel(code411):
+    # decode runs on the graph's idle width-1 kernel (idle_lanes); a decode
+    # called from inside another decode's on_iteration finds that kernel busy
+    # and runs on a fresh one.  Each inner decode ends as the same call
+    # alone, and the outer one keeps its outcome and per-iteration beliefs.
+    target, pri = [-1, 1, 1, 1], channel_priors(DepolarizingChannel(0.1), code411.n_sent)
+    want, got, inner = [], [], []
+    alone = decode(code411, target, pri, 20, lambda t, b: want.append((t, b.tobytes())))
+
+    def nested(t, beliefs):
+        got.append((t, beliefs.tobytes()))
+        inner.append(decode(code411, target, pri, 20))
+
+    outer = decode(code411, target, pri, 20, nested)
+    assert (alone.error_pauli, alone.iterations, alone.converged) == ("IYII", 20, False)
+    assert got == want and len(inner) == 20
+    for outcome in [outer, *inner]:
+        assert outcome.error.tolist() == alone.error.tolist()
+        assert outcome.frustrated.tolist() == alone.frustrated.tolist()
+        assert (outcome.converged, outcome.iterations) == (alone.converged, alone.iterations)
+
+
 def _first_iteration_cases(code_name):
     """(code, p values, syndromes) for the bulk first iteration: every
     syndrome of the 4_1_1 code; on the larger codes the all +1 and all -1
@@ -885,13 +909,13 @@ def test_first_iteration_equals_a_lanes_iteration_one(code_name, real):
         pri = channel_priors(DepolarizingChannel(p), code.n_sent)
         lp = log_priors(pri, real)
         lanes = Lanes(graph, k, real)
-        lanes.first_messages(lp)
+        first = first_messages(graph, lp, real)
         starts = [(index, lp, target, 2, None) for index, target in enumerate(targets)]
         assert lanes.step(halt=False, starts=starts) == []
         lane = lanes._view(k)
         gammas, beliefs = lane.gamma_cells.tobytes(), lane.bel.tobytes()
         copied = np.moveaxis(lane.bel, -1, 0).copy()
-        (rows, _, frustrated), resumes = lanes.first_iteration(lp, targets, 2)
+        (rows, _, frustrated), resumes = lanes.first_iteration(lp, first, targets, 2)
         assert rows.tolist() == [
             row for row, target in enumerate(targets)
             if _decode(code, target, pri, 1, real).converged
@@ -900,7 +924,7 @@ def test_first_iteration_equals_a_lanes_iteration_one(code_name, real):
         assert sorted(rows.tolist() + [row for row, _ in resumes]) == list(range(k))
         for row, (_, bel) in resumes:
             assert bel.tobytes() == copied[row].tobytes()
-        (rows, errors, frustrated), resumes = lanes.first_iteration(lp, targets, 1)
+        (rows, errors, frustrated), resumes = lanes.first_iteration(lp, first, targets, 1)
         assert resumes == [] and rows.tolist() == list(range(k))
         assert errors.shape == (k, code.n_sent) and errors.dtype == np.uint8
         assert frustrated.shape == (k, code.n_checks)
@@ -939,10 +963,12 @@ def test_first_runs_continue_from_the_bulk_iteration(code_name, real):
     for p in p_values:
         pri = channel_priors(DepolarizingChannel(p), code.n_sent)
         lp = log_priors(pri, real)
-        lanes = Lanes(graph, 2 * k, real)
+        lanes, first = Lanes(graph, 2 * k, real), first_messages(graph, lp, real)
         for max_iter in (1, 2, 90):
             wants = [_decode(code, target, pri, max_iter, real) for target in targets]
-            (rows, errors, frustrated), resumes = lanes.first_iteration(lp, targets, max_iter)
+            (rows, errors, frustrated), resumes = lanes.first_iteration(
+                lp, first, targets, max_iter
+            )
             got = {
                 ("bulk", i): DecodeOutcome(e, 1, f)
                 for i, e, f in zip(rows.tolist(), errors, frustrated)
@@ -988,11 +1014,12 @@ def test_first_iteration_copies_beliefs_only_for_runs_that_continue(monkeypatch)
             built.append(self)
 
     monkeypatch.setattr(decoder, "DecodeOutcome", Counted)
-    lanes = Lanes(TannerGraph(code), len(targets))
-    lanes.first_messages(lp)  # its two steps build outcomes too
+    graph = TannerGraph(code)
+    lanes = Lanes(graph, len(targets))
+    first = first_messages(graph, lp, lanes.real)  # its two steps build outcomes too
     for max_iter in (90, 1):
         built.clear()
-        (rows, _, ended_frustrated), resumes = lanes.first_iteration(lp, targets, max_iter)
+        (rows, _, ended_frustrated), resumes = lanes.first_iteration(lp, first, targets, max_iter)
         assert built == []
         assert not ended_frustrated.any() or max_iter == 1
         beliefs = [bel for _, (_, bel) in resumes]
@@ -1021,14 +1048,14 @@ def test_first_messages_are_checked_for_odd_symmetry(monkeypatch):
         graph = TannerGraph(code)
         monkeypatch.setattr(np, "arctanh", skewed)
         with pytest.raises(ArithmeticError, match="not odd"):
-            Lanes(graph, 1, real).first_messages(lp)
+            first_messages(graph, lp, real)
         assert graph._first_messages == {}
         monkeypatch.undo()
         # the graph's width-1 kernel bound the skewed arctanh in its call lists
         graph = TannerGraph(code)
-        first = Lanes(graph, 1, real).first_messages(lp)
+        first = first_messages(graph, lp, real)
         assert first.dtype == real
-        assert Lanes(graph, 3, real).first_messages(lp) is first  # kept per graph and lp
+        assert first_messages(graph, lp, real) is first  # kept per graph and lp
 
 
 def test_first_messages_are_kept_per_dtype():
@@ -1037,10 +1064,10 @@ def test_first_messages_are_kept_per_dtype():
     code = build_code_4_1_1()
     graph = TannerGraph(code)
     lp = log_priors(channel_priors(DepolarizingChannel(0.1), code.n_sent))
-    narrow = Lanes(graph, 1, np.float32).first_messages(lp)
-    wide = Lanes(graph, 1).first_messages(lp)
+    narrow = first_messages(graph, lp, np.float32)
+    wide = first_messages(graph, lp, np.float64)
     assert (narrow.dtype, wide.dtype) == (np.float32, np.float64)
-    assert wide.tobytes() == Lanes(TannerGraph(code), 1).first_messages(lp).tobytes()
+    assert wide.tobytes() == first_messages(TannerGraph(code), lp, np.float64).tobytes()
 
 
 def test_first_messages_leave_running_jobs_alone():
@@ -1055,12 +1082,12 @@ def test_first_messages_leave_running_jobs_alone():
     other = log_priors(channel_priors(DepolarizingChannel(0.05), code.n_sent))
     target = 1 - 2 * np.random.default_rng(5).integers(0, 2, code.n_checks)
     lanes = Lanes(graph, 2)
-    first = lanes.first_messages(lp)
+    first = first_messages(graph, lp, lanes.real)
     assert (lanes.busy, lanes.jobs) == (0, [])
     assert lanes.step(starts=[("running", lp, target, 20, None)]) == []
     assert lanes._view(1).iterations.tolist() == [1]
-    assert lanes.first_messages(other).tobytes() != first.tobytes()  # a new G0 while running
-    assert lanes.first_messages(lp) is first
+    assert first_messages(graph, other, lanes.real).tobytes() != first.tobytes()  # while running
+    assert first_messages(graph, lp, lanes.real) is first
     assert (lanes.busy, lanes.jobs, lanes._view(1).iterations.tolist()) == (1, ["running"], [1])
     finished = []
     while not finished:
@@ -1070,8 +1097,8 @@ def test_first_messages_leave_running_jobs_alone():
     assert job == "running" and outcome.iterations == want.iterations > 1
     assert outcome.error.tolist() == want.error.tolist()
     assert outcome.frustrated.tolist() == want.frustrated.tolist()
-    assert first.tobytes() == Lanes(TannerGraph(code), 2).first_messages(lp).tobytes()
-    assert Lanes(graph, 1).first_messages(lp) is lanes.first_messages(lp) is first
+    assert first.tobytes() == first_messages(TannerGraph(code), lp, np.float64).tobytes()
+    assert first_messages(graph, lp, np.float64) is first
 
 
 @pytest.mark.parametrize("real", [np.float64, np.float32])
@@ -1086,7 +1113,7 @@ def test_first_messages_reuse_the_graphs_width_1_kernel(real):
     kernel, lanes = idle_lanes(graph, 1, real), Lanes(graph, 4, real)
     for p in (0.02, 0.03):
         lp = log_priors(channel_priors(DepolarizingChannel(p), code.n_sent), real)
-        first = lanes.first_messages(lp)
+        first = first_messages(graph, lp, real)
         assert idle_lanes(graph, 1, real) is kernel and kernel.jobs == [None]
         fresh = Lanes(graph, 1, real)
         fresh.step(starts=[("all +1", lp, np.full(graph.n_checks, 1), 1, None)])

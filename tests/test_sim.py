@@ -1,3 +1,5 @@
+import errno
+import gc
 import hashlib
 import json
 import math
@@ -5,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+import weakref
 from dataclasses import fields, replace
 from functools import partial
 from itertools import product
@@ -802,7 +805,7 @@ def test_workers_inherit_the_graph_and_lanes(monkeypatch):
     # The caller builds the code's graph and harness lane kernel before it
     # forks, and a worker that built either again would fail the run.  Each
     # process still builds the width-1 kernel that computes G0
-    # (Lanes.first_messages) when its range first needs it.
+    # (decoder.first_messages) when its range first needs it.
     from gf4bp.decoder import Lanes, TannerGraph, lane_width
 
     built, run_blocks = [], sim._run_blocks
@@ -828,6 +831,67 @@ def test_workers_inherit_the_graph_and_lanes(monkeypatch):
     assert width > 1
     assert built == [("TannerGraph",), ("Lanes", width, sim.LANE_REAL), g0_kernel]  # the caller's
     assert results == run_experiment(replace(spec, workers=1))[1]
+
+
+@pytest.mark.parametrize("failing", [1, 2])
+def test_a_failed_fork_leaves_no_pipe_open(code411, monkeypatch, failing):
+    # Fork number `failing` of a 3-range run fails as a process table that
+    # is full fails it (EAGAIN).  The error reaches the caller, a worker
+    # forked before it is killed and reaped, and every pipe end the run
+    # opened is closed, the failed fork's two included.
+    fds, pipe, fork = [], os.pipe, os.fork
+
+    def recorded_pipe():
+        fds.extend(pipe())
+        return fds[-2], fds[-1]
+
+    def failing_fork():
+        if len(fds) == 2 * failing:
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return fork()
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(os, "pipe", recorded_pipe)
+    monkeypatch.setattr(os, "fork", failing_fork)
+    spec = ExperimentSpec(code=code411, p_values=(0.1,), blocks=9, seed=2, workers=3)
+    with pytest.raises(OSError) as info:
+        run_experiment(spec)
+    assert info.value.errno == errno.EAGAIN and len(fds) == 2 * failing
+    for fd in fds:
+        with pytest.raises(OSError) as closed:
+            os.fstat(fd)
+        assert closed.value.errno == errno.EBADF
+    _assert_no_child_left()
+
+
+def test_a_dropped_code_frees_its_graph_and_kernels(monkeypatch):
+    # The graph keeps its lane kernels and a kernel keeps no graph, so no
+    # cycle holds them: once a run's spec, code and results are dropped,
+    # reference counting frees the graph and every kernel in it, with the
+    # cyclic collector off, after a serial run and after a forked one.
+    from gf4bp.decoder import Lanes
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    gc.disable()
+    try:
+        for workers in (1, 2):
+            code = construction_b(C62_ROW)  # a fresh code object
+            spec = ExperimentSpec(
+                code=code, p_values=(0.03,), strategies=("standard", "enhanced"),
+                blocks=40, seed=1, workers=workers,
+            )
+            _, results = run_experiment(spec)
+            graph = sim.tanner_graph(code)
+            kernels = list(graph._lanes.values())
+            widths = sorted(kernel.width for kernel in kernels)
+            assert widths == [1, sim.lane_width(graph, sim.LANE_REAL)]
+            assert not any(hasattr(kernel, "graph") for kernel in kernels)
+            refs = [weakref.ref(graph)] + [weakref.ref(kernel) for kernel in kernels]
+            del spec, code, results, graph, kernels
+            assert [ref() for ref in refs] == [None] * 3, workers
+    finally:
+        gc.enable()
+    assert not hasattr(Lanes(TannerGraph(build_code_4_1_1()), 1), "graph")
 
 
 def test_a_block_never_written_is_not_classified(code411, monkeypatch):
@@ -938,9 +1002,9 @@ def test_harness_kernel_runs_in_its_dtype(code62, monkeypatch):
     seen = []  # (what, log-prior dtype)
     first_iteration, step = Lanes.first_iteration, Lanes.step
 
-    def counted_bulk(self, lp, targets, max_iter):
+    def counted_bulk(self, lp, first, targets, max_iter):
         seen.append(("bulk", lp.dtype))
-        return first_iteration(self, lp, targets, max_iter)
+        return first_iteration(self, lp, first, targets, max_iter)
 
     def counted_step(self, halt=True, starts=()):
         for _, lp, _, max_iter, _ in starts:
@@ -1057,9 +1121,9 @@ def _count_first_runs(monkeypatch):
     bulk, started, copies = [], [], []
     first_iteration, step = Lanes.first_iteration, Lanes.step
 
-    def counted_bulk(self, lp, targets, max_iter):
+    def counted_bulk(self, lp, first, targets, max_iter):
         bulk.extend((lp.tobytes(), tuple(t)) for t in targets.tolist())
-        finished, resumes = first_iteration(self, lp, targets, max_iter)
+        finished, resumes = first_iteration(self, lp, first, targets, max_iter)
         arrays = {id(bel.base): bel.base for _, (_, bel) in resumes}
         copies.extend(row for array in arrays.values() for row in array)
         return finished, resumes
